@@ -1,14 +1,12 @@
-//! Criterion benchmark for the signature-index candidate pruning (PR 7)
-//! and the composed pruning-plus-maintenance path: the same punctured
-//! periodic stream replayed through one engine per candidate path —
-//! exhaustive recompute, incremental maintenance (Section 6.2), the
-//! signature-pruned shortlist alone, and the composed path (maintained
+//! Criterion benchmark for the composed candidate path: the same punctured
+//! periodic stream replayed through one engine per candidate path — the
+//! exhaustive recompute oracle and the default composed path (maintained
 //! shortlist seeding + level-1 run prefilter + signature bounds).
 //!
 //! Each iteration replays the full stream through a fresh engine, so the
-//! numbers are whole-pipeline (construction and per-tick index maintenance
-//! included — the pruned path has to win *net of* its `on_push`/`on_write`
-//! bookkeeping, not just per imputation).  Quick-mode compatible with the
+//! numbers are whole-pipeline (construction and per-tick index and
+//! shortlist maintenance included — the composed path has to win *net of*
+//! its `on_push`/`on_write` bookkeeping, not just per imputation).  Quick-mode compatible with the
 //! vendored criterion stub (`cargo bench --bench candidate_pruning --
 //! --quick` runs each case once).
 
@@ -40,13 +38,12 @@ fn workload() -> (usize, Vec<StreamTick>) {
     (width, ticks)
 }
 
-fn config(len: usize, incremental: bool, pruning: bool) -> TkcmConfig {
+fn config(len: usize, pruning: bool) -> TkcmConfig {
     TkcmConfig::builder()
         .window_length(len.max(150))
         .pattern_length(24)
         .anchor_count(5)
         .reference_count(3)
-        .incremental(incremental)
         .pruning(pruning)
         .build()
         .expect("valid config")
@@ -58,20 +55,12 @@ fn bench_pruning(c: &mut Criterion) {
     let mut group = c.benchmark_group("candidate_pruning");
     group.sample_size(10);
 
-    for (name, incremental, pruning) in [
-        ("exhaustive", false, false),
-        ("maintained", true, false),
-        ("pruned", false, true),
-        ("composed", true, true),
-    ] {
+    for (name, pruning) in [("exhaustive", false), ("composed", true)] {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut engine = TkcmEngine::new(
-                    width,
-                    config(len, incremental, pruning),
-                    Catalog::ring_neighbours(width),
-                )
-                .unwrap();
+                let mut engine =
+                    TkcmEngine::new(width, config(len, pruning), Catalog::ring_neighbours(width))
+                        .unwrap();
                 for tick in &ticks {
                     engine.process_tick(tick).unwrap();
                 }

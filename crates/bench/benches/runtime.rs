@@ -2,16 +2,16 @@
 //! as a function of the pattern length `l`, the number of reference series
 //! `d`, the number of anchor points `k` and the window length `L`.
 //!
-//! Each parameter point is measured on both dissimilarity paths: `inc` reads
-//! the incrementally maintained `D` (Section 6.2, the engine default) and
-//! `exact` recomputes every candidate pattern (`O(L·l·d)`, the paper's naive
-//! baseline whose pattern-extraction phase dominates).  The `tick` group
-//! measures the per-tick sliding-aggregate update the incremental path pays
-//! instead.
+//! Each parameter point is measured on both paths: `composed` runs the
+//! engine default (signature-index pruning with a warm shortlist of
+//! Section 6.2 sliding aggregates) and `exact` recomputes every candidate
+//! pattern (`O(L·l·d)`, the paper's naive baseline whose pattern-extraction
+//! phase dominates).  The `tick` group measures the per-tick upkeep the
+//! composed path pays instead.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use tkcm_core::{IncrementalDissimilarity, TkcmConfig, TkcmImputer};
+use tkcm_core::{TkcmConfig, TkcmImputer};
 use tkcm_eval::experiments::runtime::build_workload;
 use tkcm_eval::experiments::Scale;
 
@@ -35,37 +35,19 @@ fn bench_imputation(
     for &(l, d, k, window) in params {
         let workload = build_workload(Scale::Quick, window, d);
         let imputer = TkcmImputer::new(config_for(l, d, k, window)).expect("valid config");
-        let mut state = IncrementalDissimilarity::new(
-            workload.references.clone(),
-            l,
-            workload.window.length(),
-            false,
-        )
-        .expect("valid state");
-        state.rebuild(&workload.window).expect("rebuild succeeds");
+        // Warm the shortlist with one imputation, as the engine's previous
+        // imputations would have.
+        let mut shortlist = workload.shortlist(l);
+        workload.impute_composed(&imputer, &mut shortlist);
         group.bench_with_input(
-            BenchmarkId::from_parameter(format!("inc_l{l}_d{d}_k{k}_L{window}")),
+            BenchmarkId::from_parameter(format!("composed_l{l}_d{d}_k{k}_L{window}")),
             &workload,
-            |b, w| {
-                b.iter(|| {
-                    imputer
-                        .impute_maintained(&w.window, w.target, &w.references, &state)
-                        .expect("imputation succeeds")
-                        .value
-                })
-            },
+            |b, w| b.iter(|| w.impute_composed(&imputer, &mut shortlist)),
         );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("exact_l{l}_d{d}_k{k}_L{window}")),
             &workload,
-            |b, w| {
-                b.iter(|| {
-                    imputer
-                        .impute(&w.window, w.target, &w.references)
-                        .expect("imputation succeeds")
-                        .value
-                })
-            },
+            |b, w| b.iter(|| w.impute_exact(&imputer)),
         );
     }
     group.finish();
@@ -103,66 +85,51 @@ fn fig17_window_length(c: &mut Criterion) {
     );
 }
 
-/// The per-tick cost the incremental path pays instead of per-imputation
-/// recomputes: one O(L·d) sliding-aggregate advance (Section 6.2), measured
-/// in steady state (pre-synced state, one pushed tick per iteration), plus
-/// the O(L·l·d) rebuild entry point as its own id for comparison — the
-/// `advance_*` numbers must come out roughly `l`× below their `rebuild_*`
-/// twins or the fast path has regressed.
+/// The per-tick upkeep the composed path pays instead of per-imputation
+/// recomputes: one signature-index push plus one Section 6.2 slide of a warm
+/// shortlist (O(entries·d)), measured in steady state — one pushed tick per
+/// iteration, with the shortlist re-warmed by an imputation every `l` ticks
+/// so its entries do not age out.
 fn maintenance_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("sec6_2_tick");
     group.sample_size(20);
     for &(l, d, window) in &[(12usize, 3usize, 2000usize), (36, 3, 2000), (36, 3, 3000)] {
-        let workload = build_workload(Scale::Quick, window, d);
-
-        // Steady-state sliding-aggregate advance: the per-tick cost the
-        // engine actually pays once a maintainer is live.
-        let mut live_window = workload.window.clone();
-        let mut state = IncrementalDissimilarity::new(
-            workload.references.clone(),
-            l,
-            live_window.length(),
-            false,
-        )
-        .expect("valid state");
-        state.rebuild(&live_window).expect("rebuild succeeds");
-        let width = live_window.width();
-        let mut t = live_window.current_time().expect("window has ticks").tick();
+        let mut workload = build_workload(Scale::Quick, window, d);
+        let imputer = TkcmImputer::new(config_for(l, d, 5, window)).expect("valid config");
+        let mut shortlist = workload.shortlist(l);
+        workload.impute_composed(&imputer, &mut shortlist);
+        let width = workload.window.width();
+        let mut t = workload
+            .window
+            .current_time()
+            .expect("window has ticks")
+            .tick();
+        let mut since_warm = 0usize;
         group.bench_function(&format!("advance_l{l}_d{d}_L{window}"), |b| {
             b.iter(|| {
                 t += 1;
-                let values = (0..width)
+                let values: Vec<Option<f64>> = (0..width)
                     .map(|s| Some((t + s as i64) as f64 * 0.01))
                     .collect();
-                live_window
+                workload
+                    .window
                     .push_tick(&tkcm_timeseries::StreamTick::new(
                         tkcm_timeseries::Timestamp::new(t),
-                        values,
+                        values.clone(),
                     ))
                     .expect("push succeeds");
-                state.advance(&live_window).expect("advance succeeds");
-                state.dissimilarity_at_lag(l)
+                workload.index.on_push(&values).expect("push succeeds");
+                shortlist
+                    .advance(&workload.window)
+                    .expect("advance succeeds");
+                since_warm += 1;
+                if since_warm == l {
+                    since_warm = 0;
+                    workload.impute_composed(&imputer, &mut shortlist);
+                }
+                shortlist.maintained_lags()
             })
         });
-
-        // Rebuild entry point (first use / de-sync / periodic drift wash).
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("rebuild_l{l}_d{d}_L{window}")),
-            &workload,
-            |b, w| {
-                b.iter(|| {
-                    let mut state = IncrementalDissimilarity::new(
-                        w.references.clone(),
-                        l,
-                        w.window.length(),
-                        false,
-                    )
-                    .expect("valid state");
-                    state.advance(&w.window).expect("advance succeeds");
-                    state.dissimilarity_at_lag(l)
-                })
-            },
-        );
     }
     group.finish();
 }

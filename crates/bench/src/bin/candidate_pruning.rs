@@ -1,6 +1,7 @@
-//! Candidate-pruning sweep: the signature-index shortlist path against the
-//! exhaustive and incremental candidate sweeps on the same punctured
-//! SBR-like stream (bit-identical imputations asserted during the replay).
+//! Candidate-pruning sweep: the default composed path (signature-index
+//! pruning + shortlist maintenance) against the exhaustive candidate sweep
+//! on the same punctured SBR-like stream (bit-identical imputations asserted
+//! during the replay).
 //!
 //! `--paper` runs the paper-proportioned workload (l = 72 against a window
 //! over months of 5-minute data — the regime where the envelope bounds
@@ -8,10 +9,11 @@
 //! seconds in release mode.  `--json [path]` additionally writes the
 //! machine-readable results CI uploads as the `BENCH_results_pruning`
 //! artifact: the per-mode table plus a flattened top-level `trend` object
-//! (`ticks_per_second_<mode>`, `speedup_vs_exhaustive`,
-//! `speedup_vs_incremental`, `pruned_fraction`) so nightly runs accumulate
-//! directly gateable fields (paper scale is expected to hold
-//! `speedup_vs_exhaustive ≥ 2` and `pruned_fraction ≥ 0.5`).
+//! (`ticks_per_second_<mode>`, `composed_speedup_vs_exhaustive`,
+//! `pruned_fraction`, `level1_skipped_fraction`, `maintained_lag_fraction`)
+//! so nightly runs accumulate directly gateable fields (paper scale is
+//! expected to hold `composed_speedup_vs_exhaustive ≥ 3` and
+//! `pruned_fraction ≥ 0.5`).
 use std::time::Instant;
 
 fn main() {

@@ -44,23 +44,16 @@ pub struct TkcmConfig {
     /// When `false` (default) a candidate pattern containing a missing
     /// reference value is skipped entirely.
     pub allow_missing_in_patterns: bool,
-    /// Whether the streaming engine maintains the dissimilarity array `D`
-    /// incrementally per tick (Section 6.2) instead of recomputing it from
-    /// scratch at every imputation.  `true` (default) is the paper's
-    /// streaming algorithm; `false` keeps the exact `O(L·l·d)`-per-imputation
-    /// recompute path for cross-checking.  The flag only affects the engine
-    /// tick path: direct `TkcmImputer::impute` calls always recompute, and
-    /// non-decomposable dissimilarity measures (DTW) fall back to exact
-    /// recomputation regardless of the flag.
-    pub incremental: bool,
-    /// Whether the streaming engine prunes the candidate space through the
-    /// block-quantized signature index ([`crate::signature`]) before exact
-    /// dissimilarity evaluation.  `true` (default) keeps the engine's output
-    /// bit-identical to the exhaustive path (the bound is admissible) while
-    /// skipping most exact evaluations; `false` is the explicit opt-out that
-    /// restores the PR-2 incremental (or exact) path unchanged.  Pruning
-    /// requires dynamic-programming selection and an incrementally
-    /// decomposable dissimilarity (L2); other configurations ignore the flag.
+    /// The engine's one dispatch switch.  `true` (default) runs the
+    /// *composed* path: signature-index pruning ([`crate::signature`])
+    /// layered with sparse shortlist maintenance of the Section 6.2 sliding
+    /// aggregates ([`crate::incremental`]).  Its bounds are admissible and
+    /// every `D` entering selection is computed by the exact fold, so the
+    /// output is bit-identical to the exhaustive path.  `false` runs the
+    /// exhaustive exact `O(L·l·d)`-per-imputation oracle.  The composed path
+    /// needs dynamic-programming selection and a decomposable dissimilarity
+    /// (L2); other configurations (greedy/overlapping selection, DTW) run
+    /// the exact path regardless of the flag.
     pub pruning: bool,
 }
 
@@ -76,7 +69,6 @@ impl TkcmConfig {
             aggregation: AnchorAggregation::Mean,
             selection: SelectionStrategy::DynamicProgramming,
             allow_missing_in_patterns: false,
-            incremental: true,
             pruning: true,
         }
     }
@@ -145,7 +137,6 @@ impl Default for TkcmConfig {
             aggregation: AnchorAggregation::Mean,
             selection: SelectionStrategy::DynamicProgramming,
             allow_missing_in_patterns: false,
-            incremental: true,
             pruning: true,
         }
     }
@@ -155,19 +146,18 @@ impl fmt::Display for TkcmConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "TKCM(L={}, l={}, k={}, d={}, {:?}, {:?}, {}, {})",
+            "TKCM(L={}, l={}, k={}, d={}, {:?}, {:?}, {})",
             self.window_length,
             self.pattern_length,
             self.anchor_count,
             self.reference_count,
             self.selection,
             self.aggregation,
-            if self.incremental {
-                "incremental-D"
+            if self.pruning {
+                "composed"
             } else {
-                "exact-D"
-            },
-            if self.pruning { "pruned" } else { "exhaustive" }
+                "exhaustive"
+            }
         )
     }
 }
@@ -183,7 +173,6 @@ pub struct TkcmConfigBuilder {
     aggregation: Option<AnchorAggregation>,
     selection: Option<SelectionStrategy>,
     allow_missing_in_patterns: Option<bool>,
-    incremental: Option<bool>,
     pruning: Option<bool>,
 }
 
@@ -238,18 +227,20 @@ impl TkcmConfigBuilder {
         self
     }
 
-    /// Selects between the Section 6.2 incremental `D` maintenance (`true`,
-    /// default) and the exact recompute-all path (`false`).
-    pub fn incremental(mut self, value: bool) -> Self {
-        self.incremental = Some(value);
-        self
-    }
-
-    /// Enables (`true`, default) or disables (`false`) signature-index
-    /// candidate pruning on the engine tick path.
+    /// Selects the composed fast path (`true`, default) or the exhaustive
+    /// exact oracle (`false`) on the engine tick path.
     pub fn pruning(mut self, value: bool) -> Self {
         self.pruning = Some(value);
         self
+    }
+
+    /// A second setter for the same dispatch bit as
+    /// [`TkcmConfigBuilder::pruning`]: `false` selects the exhaustive
+    /// oracle.  Kept so callers that opt out with
+    /// `.pruning(false).incremental(false)` keep their meaning; the later
+    /// call wins.
+    pub fn incremental(self, value: bool) -> Self {
+        self.pruning(value)
     }
 
     /// Finalises and validates the configuration.
@@ -275,9 +266,6 @@ impl TkcmConfigBuilder {
         }
         if let Some(v) = self.allow_missing_in_patterns {
             config.allow_missing_in_patterns = v;
-        }
-        if let Some(v) = self.incremental {
-            config.incremental = v;
         }
         if let Some(v) = self.pruning {
             config.pruning = v;
@@ -380,7 +368,21 @@ mod tests {
         let c = TkcmConfig::builder().pruning(false).build().unwrap();
         assert!(!c.pruning);
         assert!(c.to_string().contains("exhaustive"));
-        assert!(TkcmConfig::default().to_string().contains("pruned"));
+        assert!(TkcmConfig::default().to_string().contains("composed"));
+        // `incremental` is a second setter for the same bit.
+        assert!(
+            !TkcmConfig::builder()
+                .incremental(false)
+                .build()
+                .unwrap()
+                .pruning
+        );
+        let oracle = TkcmConfig::builder()
+            .pruning(false)
+            .incremental(false)
+            .build()
+            .unwrap();
+        assert!(!oracle.pruning);
     }
 
     #[test]

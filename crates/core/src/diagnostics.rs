@@ -47,9 +47,9 @@ pub struct PhaseBreakdown {
     pub selection: Duration,
     /// Value imputation: averaging the anchor values and writing back.
     pub imputation: Duration,
-    /// Incremental `D[j]` maintenance (Section 6.2): the per-tick sliding
-    /// aggregate updates, state rebuilds and write-back invalidation.  Zero
-    /// on the exact-recompute path, where that work is part of extraction.
+    /// Shortlist maintenance (Section 6.2): the per-tick sliding aggregate
+    /// updates, shortlist creation and write-back invalidation on the
+    /// composed path.  Zero on the exact-recompute path.
     pub maintenance: Duration,
     /// Number of imputations the breakdown was accumulated over.
     pub imputations: usize,
@@ -128,7 +128,7 @@ pub struct PhaseTimer {
 }
 
 /// The three phases of Algorithm 1, plus the Section 6.2 per-tick
-/// maintenance of the incremental dissimilarity state.
+/// maintenance of the shortlist aggregates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Pattern extraction (step 1).
@@ -137,7 +137,7 @@ pub enum Phase {
     Selection,
     /// Value imputation (step 3).
     Imputation,
-    /// Incremental `D[j]` maintenance (Section 6.2; engine tick path only).
+    /// Shortlist maintenance (Section 6.2; engine tick path only).
     Maintenance,
 }
 

@@ -24,11 +24,11 @@ pub trait Dissimilarity: Send + Sync {
     /// Panics if the two patterns do not have the same shape.
     fn distance(&self, a: &Pattern, b: &Pattern) -> f64;
 
-    /// Whether [`crate::incremental::IncrementalDissimilarity`] can maintain
-    /// this measure as a sliding aggregate (Section 6.2).  Only the paper's
-    /// L2 measure decomposes into per-column contributions; DTW's warping
-    /// path and any other non-separable measure must keep the exact
-    /// recompute-all path.
+    /// Whether this measure can be maintained as a sliding aggregate
+    /// (Section 6.2) and bounded by the signature index, i.e. whether the
+    /// engine may run its composed path.  Only the paper's L2 measure
+    /// decomposes into per-column contributions; DTW's warping path and any
+    /// other non-separable measure must keep the exact recompute-all path.
     fn supports_incremental(&self) -> bool {
         false
     }
@@ -57,8 +57,9 @@ fn observed_pairs(a: &Pattern, b: &Pattern) -> (Vec<(f64, f64)>, usize) {
 /// The components of the (rescaled) L2 distance: the sum of squared
 /// differences over the pairs observed in both patterns, and the number of
 /// such pairs.  This is the running aggregate that
-/// [`crate::incremental::IncrementalDissimilarity`] maintains per candidate
-/// offset; [`l2_from_components`] folds it into the distance of Definition 2.
+/// [`crate::incremental::ShortlistMaintainer`] maintains per shortlisted
+/// candidate lag; [`l2_from_components`] folds it into the distance of
+/// Definition 2.
 pub fn l2_components(a: &Pattern, b: &Pattern) -> (f64, usize) {
     check_shapes(a, b);
     let mut sum_sq = 0.0;

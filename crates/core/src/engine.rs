@@ -8,14 +8,19 @@
 //! imputations can treat them as history, exactly as in Example 1 of the
 //! paper where `r2(13:40)` is an imputed value.
 //!
-//! When `TkcmConfig::incremental` is on (the default) the engine also owns
-//! one [`IncrementalDissimilarity`] state per active reference set and keeps
-//! it in lock-step with the window: advanced after every pushed tick
-//! (Section 6.2's `O(L·d)` sliding-aggregate update), patched after every
-//! imputed write-back, rebuilt lazily when a new reference set first appears,
-//! and evicted once no imputation has used it for a while (keeping an idle
-//! state alive costs one advance per tick ≈ a rebuild every `l` ticks, so
-//! idle states are dropped after `2l` unused ticks and rebuilt on demand).
+//! Imputation dispatches two ways.  On the *composed* path (the default,
+//! [`TkcmEngine::is_composed`]) the engine owns a [`SignatureIndex`] over all
+//! series and one [`ShortlistMaintainer`] per active reference set, and keeps
+//! both in lock-step with the window: the index and every shortlist slide
+//! after each pushed tick (Section 6.2's sliding-aggregate update, applied to
+//! the shortlisted lags only) and are patched after every imputed
+//! write-back.  A shortlist is created empty when its reference set first
+//! serves an imputation, seeds itself from that imputation's exact
+//! evaluations, and is evicted once no imputation has used it for `2l` ticks.
+//! Otherwise — `TkcmConfig::pruning = false`, greedy/overlapping selection,
+//! or a non-decomposable measure such as DTW — every imputation runs the
+//! exhaustive exact path ([`TkcmImputer::impute`]), the oracle the composed
+//! path is bit-identical to.
 
 use std::sync::LazyLock;
 use std::time::Instant;
@@ -25,7 +30,7 @@ use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp,
 use crate::config::TkcmConfig;
 use crate::diagnostics::PhaseBreakdown;
 use crate::imputer::{ImputationDetail, PruneStats, TkcmImputer};
-use crate::incremental::{IncrementalDissimilarity, ShortlistMaintainer};
+use crate::incremental::ShortlistMaintainer;
 use crate::signature::SignatureIndex;
 
 /// Fleet-wide pruning totals in the global metrics registry, in the same
@@ -45,7 +50,7 @@ static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 6]> = LazyLock::new(|| {
     .map(|path| tkcm_obs::registry().counter("tkcm_core_prune_total", &[("path", path)]))
 });
 
-/// Maintainer lifecycle counters (created / evicted), record-only.
+/// Shortlist lifecycle counters (created / evicted), record-only.
 static MAINTAINERS_CREATED: LazyLock<tkcm_obs::Counter> =
     LazyLock::new(|| tkcm_obs::registry().counter("tkcm_core_maintainer_created_total", &[]));
 static MAINTAINERS_EVICTED: LazyLock<tkcm_obs::Counter> =
@@ -99,13 +104,6 @@ impl EngineOutcome {
     }
 }
 
-/// One maintained dissimilarity state plus the tick it last served.
-/// (`pub(crate)` for the snapshot codec in `persist`.)
-pub(crate) struct Maintainer {
-    pub(crate) state: IncrementalDissimilarity,
-    pub(crate) last_used: usize,
-}
-
 /// One shortlist maintainer (composed path) plus the tick it last served.
 /// (`pub(crate)` for the snapshot codec in `persist`.)
 pub(crate) struct Shortlist {
@@ -123,19 +121,15 @@ pub struct TkcmEngine {
     pub(crate) breakdown: PhaseBreakdown,
     pub(crate) imputation_count: usize,
     pub(crate) tick_count: usize,
-    /// Incremental `D` states, one per reference set that recently served an
-    /// imputation.  Empty while no imputation has been needed and on the
-    /// exact-recompute path.
-    pub(crate) maintainers: Vec<Maintainer>,
-    /// Signature index over all series, present iff the pruned path is
-    /// active ([`TkcmEngine::is_pruned`]); kept in lock-step with the window
-    /// by `advance_tick`/`commit_write_back` and persisted in snapshots so a
-    /// recovered engine prunes with bit-identical envelopes.
+    /// Signature index over all series, present iff the composed path is
+    /// active ([`TkcmEngine::is_composed`]); kept in lock-step with the
+    /// window by `advance_tick`/`commit_write_back` and persisted in
+    /// snapshots so a recovered engine prunes with bit-identical envelopes.
     pub(crate) signatures: Option<SignatureIndex>,
     /// Sparse shortlist maintainers, one per reference set that recently
-    /// served a *composed* imputation ([`TkcmEngine::is_composed`]); kept in
-    /// lock-step with the window like the dense maintainers and persisted in
-    /// snapshots so a recovered engine keeps its certified bounds.
+    /// served a composed imputation; kept in lock-step with the window and
+    /// persisted in snapshots so a recovered engine keeps its certified
+    /// bounds.  Always empty on the exact path.
     pub(crate) shortlists: Vec<Shortlist>,
     /// Level-1 run length of the composed path, fixed at construction from
     /// config geometry ([`crate::signature::level1_run_len`] — static per
@@ -149,8 +143,8 @@ pub struct TkcmEngine {
 }
 
 /// Builds the signature index iff the configuration *and* the imputer admit
-/// pruning: the opt-in flag, the DP sum objective the bound is admissible
-/// for, and a decomposable (L2) dissimilarity.
+/// the composed path: the `pruning` switch, the DP sum objective the bounds
+/// are admissible for, and a decomposable (L2) dissimilarity.
 pub(crate) fn signature_for(
     width: usize,
     imputer: &TkcmImputer,
@@ -186,7 +180,6 @@ impl TkcmEngine {
             breakdown: PhaseBreakdown::default(),
             imputation_count: 0,
             tick_count: 0,
-            maintainers: Vec::new(),
             signatures,
             shortlists: Vec::new(),
             level1_run_len,
@@ -213,7 +206,6 @@ impl TkcmEngine {
             breakdown: PhaseBreakdown::default(),
             imputation_count: 0,
             tick_count: 0,
-            maintainers: Vec::new(),
             signatures,
             shortlists: Vec::new(),
             level1_run_len,
@@ -252,32 +244,13 @@ impl TkcmEngine {
         self.breakdown
     }
 
-    /// Whether the engine maintains *dense* `D` aggregates incrementally
-    /// (the configuration flag is on *and* the dissimilarity measure
-    /// decomposes *and* pruning is not active — with pruning on, the
-    /// incremental flag selects the composed path's sparse shortlist
-    /// maintainers instead; see [`TkcmEngine::is_composed`]).
-    pub fn is_incremental(&self) -> bool {
-        self.imputer.config().incremental
-            && self.imputer.supports_incremental()
-            && !self.is_pruned()
-    }
-
-    /// Whether the signature-pruned imputation path is active: the
-    /// `TkcmConfig::pruning` opt-in, dynamic-programming selection and a
-    /// decomposable (L2) dissimilarity.
-    pub fn is_pruned(&self) -> bool {
-        self.signatures.is_some()
-    }
-
     /// Whether the *composed* path — signature pruning layered with sparse
-    /// shortlist maintenance — is active: both the `pruning` and
-    /// `incremental` opt-ins, on an imputer that admits pruning.  This is
-    /// the default dispatch (both flags default to on); `pruning` without
-    /// `incremental` selects the PR-7 pruned-only path, `incremental`
-    /// without `pruning` the PR-2 dense-maintainer path.
+    /// shortlist maintenance — serves this engine's imputations: the
+    /// `TkcmConfig::pruning` switch (on by default), dynamic-programming
+    /// selection and a decomposable (L2) dissimilarity.  Otherwise every
+    /// imputation runs the exhaustive exact path.
     pub fn is_composed(&self) -> bool {
-        self.is_pruned() && self.imputer.config().incremental
+        self.signatures.is_some()
     }
 
     /// The composed path's level-1 run length (candidate lags per coarse
@@ -301,50 +274,19 @@ impl TkcmEngine {
     }
 
     /// Running totals of the pruning counters across all imputations so far
-    /// (all zero when pruning is off).  `pruned / candidates` is the
+    /// (all zero on the exact path).  `pruned / candidates` is the
     /// `pruned_fraction` the benchmarks report.
     pub fn prune_totals(&self) -> PruneStats {
         self.prune_totals
     }
 
-    /// Number of live incremental `D` states (one per recently used
-    /// reference set; 0 on the exact path or before the first imputation).
-    pub fn maintainer_count(&self) -> usize {
-        self.maintainers.len()
-    }
-
-    /// Ticks an incremental state may go unused before it is evicted.  A
-    /// rebuild costs about `l` advances, so holding an idle state longer
-    /// than `O(l)` ticks is more expensive than rebuilding on demand; `2l`
-    /// adds hysteresis for intermittent gaps.
-    fn maintainer_ttl(&self) -> usize {
+    /// Ticks a shortlist state may go unused before it is evicted.  Every
+    /// live state slides once per tick, and a fresh one re-seeds from the
+    /// next imputation's exact evaluations, so holding an idle state longer
+    /// than `O(l)` ticks buys nothing; `2l` adds hysteresis for intermittent
+    /// gaps.
+    fn shortlist_ttl(&self) -> usize {
         2 * self.imputer.config().pattern_length
-    }
-
-    /// Index of the maintainer for `references`, creating (and rebuilding)
-    /// one if this reference set has no live state yet.
-    fn maintainer_for(&mut self, references: &[SeriesId]) -> Result<usize, TsError> {
-        if let Some(idx) = self
-            .maintainers
-            .iter()
-            .position(|m| m.state.references() == references)
-        {
-            return Ok(idx);
-        }
-        let config = self.imputer.config();
-        let mut state = IncrementalDissimilarity::new(
-            references.to_vec(),
-            config.pattern_length,
-            config.window_length,
-            config.allow_missing_in_patterns,
-        )?;
-        state.rebuild(&self.window)?;
-        self.maintainers.push(Maintainer {
-            state,
-            last_used: self.tick_count,
-        });
-        MAINTAINERS_CREATED.inc();
-        Ok(self.maintainers.len() - 1)
     }
 
     /// Index of the shortlist maintainer for `references`, creating one
@@ -377,9 +319,12 @@ impl TkcmEngine {
         Ok(self.shortlists.len() - 1)
     }
 
-    /// Folds one imputation's [`PruneStats`] into the engine totals, the
-    /// fleet-wide metrics registry and the flight recorder (record-only).
-    fn record_prune_stats(&mut self, target: SeriesId, stats: &PruneStats) {
+    /// Folds one imputation's [`PruneStats`] into the engine totals and the
+    /// fleet-wide metrics registry (record-only).  Per-batch deltas reach the
+    /// flight recorder through the runtime's `batch_drained` events; a
+    /// per-imputation event here would evict the checkpoint and fsync events
+    /// the recorder exists for.
+    fn record_prune_stats(&mut self, stats: &PruneStats) {
         self.prune_totals.candidates += stats.candidates;
         self.prune_totals.shortlisted += stats.shortlisted;
         self.prune_totals.pruned += stats.pruned;
@@ -392,41 +337,13 @@ impl TkcmEngine {
         PRUNE_TOTALS[3].add(stats.level1_skipped as u64);
         PRUNE_TOTALS[4].add(stats.maintained_pruned as u64);
         PRUNE_TOTALS[5].add(stats.maintained_lags as u64);
-        tkcm_obs::recorder().record(
-            "prune_summary",
-            vec![
-                ("series", tkcm_obs::FieldValue::U64(u64::from(target.0))),
-                (
-                    "candidates",
-                    tkcm_obs::FieldValue::U64(stats.candidates as u64),
-                ),
-                (
-                    "shortlisted",
-                    tkcm_obs::FieldValue::U64(stats.shortlisted as u64),
-                ),
-                ("pruned", tkcm_obs::FieldValue::U64(stats.pruned as u64)),
-                (
-                    "level1_skipped",
-                    tkcm_obs::FieldValue::U64(stats.level1_skipped as u64),
-                ),
-                (
-                    "maintained_pruned",
-                    tkcm_obs::FieldValue::U64(stats.maintained_pruned as u64),
-                ),
-                (
-                    "maintained_lags",
-                    tkcm_obs::FieldValue::U64(stats.maintained_lags as u64),
-                ),
-            ],
-        );
     }
 
     /// Processes one arriving tick: pushes it into the window, advances the
-    /// incremental dissimilarity states, imputes every missing series and
+    /// signature index and shortlist states, imputes every missing series and
     /// writes the imputed values back into the window (patching the states).
     pub fn process_tick(&mut self, tick: &StreamTick) -> Result<EngineOutcome, TsError> {
         self.advance_tick(tick)?;
-        let incremental = self.is_incremental();
 
         let mut outcome = EngineOutcome::default();
         let missing = self.window.currently_missing();
@@ -446,12 +363,11 @@ impl TkcmEngine {
                 outcome.skipped.push(target);
                 continue;
             }
-            let (detail, maintainer) = if self.is_composed() {
+            let detail = if self.is_composed() {
                 let start = Instant::now();
                 let sidx = self.shortlist_for(&selection.references)?;
                 self.shortlists[sidx].last_used = self.tick_count;
                 self.breakdown.maintenance += start.elapsed();
-                let run_len = self.level1_run_len;
                 let index = self.signatures.as_ref().ok_or_else(|| {
                     TsError::invalid("signature", "composed path without a signature index")
                 })?;
@@ -461,38 +377,15 @@ impl TkcmEngine {
                     &selection.references,
                     index,
                     &mut self.shortlists[sidx].state,
-                    run_len,
+                    self.level1_run_len,
                 )?;
-                self.record_prune_stats(target, &stats);
-                (detail, None)
-            } else if let Some(index) = self.signatures.as_ref() {
-                let (detail, stats) = self.imputer.impute_pruned(
-                    &self.window,
-                    target,
-                    &selection.references,
-                    index,
-                )?;
-                self.record_prune_stats(target, &stats);
-                (detail, None)
-            } else if incremental {
-                let start = Instant::now();
-                let idx = self.maintainer_for(&selection.references)?;
-                self.maintainers[idx].last_used = self.tick_count;
-                self.breakdown.maintenance += start.elapsed();
-                let detail = self.imputer.impute_maintained(
-                    &self.window,
-                    target,
-                    &selection.references,
-                    &self.maintainers[idx].state,
-                )?;
-                (detail, Some(idx))
+                self.record_prune_stats(&stats);
+                detail
             } else {
-                let detail = self
-                    .imputer
-                    .impute(&self.window, target, &selection.references)?;
-                (detail, None)
+                self.imputer
+                    .impute(&self.window, target, &selection.references)?
             };
-            self.commit_write_back(target, &selection.references, detail.value, maintainer)?;
+            self.commit_write_back(target, &selection.references, detail.value)?;
             self.breakdown.merge(&detail.breakdown);
             outcome.imputations.push(Imputation {
                 series: target,
@@ -510,7 +403,7 @@ impl TkcmEngine {
     /// The batch path is **bit-identical** to `N` sequential
     /// [`TkcmEngine::process_tick`] calls: each tick runs through exactly the
     /// same `advance_tick` → impute → `commit_write_back` sequence, so window
-    /// contents, maintainer creation/eviction timing and every running sum
+    /// contents, shortlist creation/eviction timing and every running sum
     /// come out the same bits either way (the property
     /// `tkcm-runtime/tests/batching.rs` pins).  Batching exists so callers —
     /// the sharded runtime's workers above all — can amortise *their* per-tick
@@ -529,36 +422,24 @@ impl TkcmEngine {
         Ok(outcomes)
     }
 
-    /// Pushes a tick into the window and brings the maintained dissimilarity
-    /// states up to date (TTL eviction + Section 6.2 advance).  Shared by
-    /// [`TkcmEngine::process_tick`] and the WAL replay path so that replayed
-    /// ticks mutate the state through exactly the code live ticks do.
+    /// Pushes a tick into the window and brings the signature index and the
+    /// shortlist states up to date (TTL eviction + Section 6.2 slide).
+    /// Shared by [`TkcmEngine::process_tick`] and the WAL replay path so that
+    /// replayed ticks mutate the state through exactly the code live ticks
+    /// do.
     fn advance_tick(&mut self, tick: &StreamTick) -> Result<(), TsError> {
         self.window.push_tick(tick)?;
         self.tick_count += 1;
         if let Some(index) = self.signatures.as_mut() {
             index.on_push(&tick.values)?;
         }
-        if self.is_incremental() && !self.maintainers.is_empty() {
+        if !self.shortlists.is_empty() {
+            // Evict whole states idle past the TTL, slide the survivors
+            // (each is O(entries·d), and entries self-TTL inside
+            // `ShortlistMaintainer::advance`).
             let start = Instant::now();
             let tick_count = self.tick_count;
-            let ttl = self.maintainer_ttl();
-            let before_eviction = self.maintainers.len();
-            self.maintainers
-                .retain(|m| tick_count.saturating_sub(m.last_used) <= ttl);
-            MAINTAINERS_EVICTED.add((before_eviction - self.maintainers.len()) as u64);
-            for m in &mut self.maintainers {
-                m.state.advance(&self.window)?;
-            }
-            self.breakdown.maintenance += start.elapsed();
-        }
-        if self.is_composed() && !self.shortlists.is_empty() {
-            // Same lifecycle as the dense maintainers: evict whole states
-            // idle past the TTL, slide the survivors (each is O(entries·d),
-            // and entries self-TTL inside `ShortlistMaintainer::advance`).
-            let start = Instant::now();
-            let tick_count = self.tick_count;
-            let ttl = self.maintainer_ttl();
+            let ttl = self.shortlist_ttl();
             let before_eviction = self.shortlists.len();
             self.shortlists
                 .retain(|s| tick_count.saturating_sub(s.last_used) <= ttl);
@@ -571,39 +452,23 @@ impl TkcmEngine {
         Ok(())
     }
 
-    /// Commits one imputed value: ensures the reference set's maintainer
-    /// exists (creating it rebuilds from the *pre-write* window, matching
-    /// where the live path creates it before imputing), writes the value into
-    /// the window and patches every affected maintainer.
+    /// Commits one imputed value: ensures the reference set's shortlist
+    /// exists (on the composed path), writes the value into the window and
+    /// patches the signature index and every affected shortlist.
     ///
     /// The write-back changes a current-tick slot from missing to imputed;
     /// every state whose reference set contains the target must fold the new
     /// value into its running sums so later imputations at this tick (and
     /// future ticks) see the same window contents as a from-scratch recompute
     /// would.  States whose reference set does not contain the target are
-    /// untouched by the write and are skipped — invalidating all of them made
-    /// every write-back O(maintainers) even when only one (or none) of the
-    /// states could be affected.
-    /// `maintainer` is the reference set's already-resolved maintainer index
-    /// when the caller just looked it up (the live path, which needed the
-    /// state to impute); `None` makes this method resolve it — the replay
-    /// path, where ensuring the maintainer exists *before* the write is what
-    /// reproduces the live path's creation timing.
+    /// untouched by the write and are skipped.
     fn commit_write_back(
         &mut self,
         target: SeriesId,
         references: &[SeriesId],
         value: f64,
-        maintainer: Option<usize>,
     ) -> Result<(), TsError> {
-        let incremental = self.is_incremental();
         let composed = self.is_composed();
-        if incremental && maintainer.is_none() {
-            let start = Instant::now();
-            let idx = self.maintainer_for(references)?;
-            self.maintainers[idx].last_used = self.tick_count;
-            self.breakdown.maintenance += start.elapsed();
-        }
         if composed {
             // Mirror the live path's creation timing on WAL replay: the
             // shortlist state for this reference set is created (synced,
@@ -624,15 +489,6 @@ impl TkcmEngine {
             // target missing slots), so the slot's missing count drops.
             index.on_write(target, 0, value, true);
         }
-        if incremental {
-            let start = Instant::now();
-            for m in &mut self.maintainers {
-                if m.state.references().contains(&target) {
-                    m.state.on_write(&self.window, target, 0, None)?;
-                }
-            }
-            self.breakdown.maintenance += start.elapsed();
-        }
         if composed {
             let start = Instant::now();
             for s in &mut self.shortlists {
@@ -648,7 +504,7 @@ impl TkcmEngine {
 
     /// Replays one logged tick and its write-backs, reproducing the exact
     /// state transitions of the original [`TkcmEngine::process_tick`] call —
-    /// same window bits, same maintainer creation/eviction timing, same
+    /// same window bits, same shortlist creation/eviction timing, same
     /// running-sum arithmetic — without re-running pattern extraction or
     /// selection (the logged values are authoritative).
     ///
@@ -664,7 +520,7 @@ impl TkcmEngine {
         }
         self.advance_tick(&entry.tick)?;
         for wb in &entry.write_backs {
-            self.commit_write_back(wb.series, &wb.references, wb.value, None)?;
+            self.commit_write_back(wb.series, &wb.references, wb.value)?;
             // The live path counts imputations through the merged per-
             // imputation breakdown; keep the replayed counter in step (the
             // phase *durations* legitimately differ — they are wall-clock).
@@ -840,12 +696,12 @@ mod tests {
 
     #[test]
     fn write_back_only_invalidates_maintainers_referencing_the_target() {
-        // Two independent pairs: 0 ↔ 1 and 2 ↔ 3.  A maintainer exists for
+        // Two independent pairs: 0 ↔ 1 and 2 ↔ 3.  A shortlist exists for
         // reference set [1] (serving series 0) and one for [3] (serving
         // series 2).  Write-backs into series 2 must leave the [1] state
         // byte-identical to a twin run in which series 2 never goes missing
         // (so no write-back happens at all): the [1] state is a function of
-        // series 1 alone, which is identical in both runs.
+        // series 1 and of series 0's imputations, identical in both runs.
         let mut catalog = Catalog::new();
         catalog
             .set_candidates(SeriesId(0), vec![SeriesId(1)])
@@ -859,12 +715,7 @@ mod tests {
         catalog
             .set_candidates(SeriesId(3), vec![SeriesId(2)])
             .unwrap();
-        // Pruning replaces maintainers entirely; this test inspects them, so
-        // run the PR-2 incremental path explicitly.
-        let config = crate::config::TkcmConfigBuilder::from_config(small_config(128, 3, 2, 1))
-            .pruning(false)
-            .build()
-            .unwrap();
+        let config = small_config(128, 3, 2, 1);
         let mut with_writes = TkcmEngine::new(4, config.clone(), catalog.clone()).unwrap();
         let mut without_writes = TkcmEngine::new(4, config, catalog).unwrap();
 
@@ -872,7 +723,7 @@ mod tests {
         for t in 0..120usize {
             let base = sine(t, 24.0, 0.0);
             // Series 0 misses every 5th tick from 100 on (creates the [1]
-            // maintainer in both runs and keeps it within its idle TTL);
+            // shortlist in both runs and keeps it within its idle TTL);
             // series 2 later misses a block only in the first run, producing
             // the unrelated write-backs under test.
             let s0 = if t >= 100 && t % 5 == 0 {
@@ -895,24 +746,66 @@ mod tests {
             imputed_2 += usize::from(outcome.imputed_value(SeriesId(2)).is_some());
 
             let state_of = |e: &TkcmEngine| {
-                e.maintainers
+                e.shortlists
                     .iter()
-                    .find(|m| m.state.references() == [SeriesId(1)])
-                    .map(|m| format!("{:?}", m.state))
+                    .find(|s| s.state.references() == [SeriesId(1)])
+                    .map(|s| format!("{:?}", s.state))
             };
             assert_eq!(
                 state_of(&with_writes),
                 state_of(&without_writes),
-                "tick {t}: series-2 write-back leaked into the [1] maintainer"
+                "tick {t}: series-2 write-back leaked into the [1] shortlist"
             );
             if t >= 100 {
                 assert!(
                     state_of(&with_writes).is_some(),
-                    "maintainer [1] evicted early"
+                    "shortlist [1] evicted early"
                 );
             }
         }
         assert_eq!(imputed_2, 8);
+        assert!(
+            with_writes.shortlisted_lag_count() > 0,
+            "the [1] shortlist should carry seeded entries"
+        );
+    }
+
+    #[test]
+    fn idle_shortlist_states_are_evicted_after_the_ttl() {
+        // Series 0 misses one block of ticks and then stays observed: its
+        // shortlist [1] must survive every tick up to `2l` idle ticks after
+        // its last imputation and be gone on the tick after.  A later gap
+        // re-creates it, synced and empty.
+        let mut catalog = Catalog::new();
+        catalog
+            .set_candidates(SeriesId(0), vec![SeriesId(1)])
+            .unwrap();
+        let l = 3;
+        let mut engine = TkcmEngine::new(2, small_config(128, l, 2, 1), catalog).unwrap();
+        let ttl = 2 * l;
+        let last_gap_tick = 104usize;
+        for t in 0..140usize {
+            let missing = (100..=last_gap_tick).contains(&t) || t == 130;
+            let s0 = if missing {
+                None
+            } else {
+                Some(sine(t, 24.0, 0.0))
+            };
+            let tick =
+                StreamTick::new(Timestamp::new(t as i64), vec![s0, Some(sine(t, 24.0, 5.0))]);
+            engine.process_tick(&tick).unwrap();
+            let expected = if t < 100 {
+                0
+            } else if t <= last_gap_tick + ttl || (130..=130 + ttl).contains(&t) {
+                1
+            } else {
+                0
+            };
+            assert_eq!(engine.shortlist_count(), expected, "tick {t}");
+            if t == 130 {
+                assert!(engine.shortlists[0].state.is_synced(engine.window()));
+            }
+        }
     }
 
     #[test]
@@ -962,7 +855,11 @@ mod tests {
             per_tick.imputations_performed(),
             batched.imputations_performed()
         );
-        assert_eq!(per_tick.maintainer_count(), batched.maintainer_count());
+        assert_eq!(per_tick.shortlist_count(), batched.shortlist_count());
+        assert_eq!(
+            per_tick.shortlisted_lag_count(),
+            batched.shortlisted_lag_count()
+        );
     }
 
     #[test]
@@ -980,26 +877,20 @@ mod tests {
     }
 
     #[test]
-    fn pruned_path_matches_exhaustive_and_incremental_bit_for_bit() {
+    fn composed_path_matches_exhaustive_bit_for_bit() {
         let width = 3;
         let base = small_config(320, 16, 2, 2);
-        let mk = |pruning: bool, incremental: bool| {
+        let mk = |pruning: bool| {
             let config = crate::config::TkcmConfigBuilder::from_config(base.clone())
                 .pruning(pruning)
-                .incremental(incremental)
                 .build()
                 .unwrap();
             TkcmEngine::new(width, config, catalog_for(width)).unwrap()
         };
-        // The four dispatch corners: (pruning, incremental).
-        let mut composed = mk(true, true);
-        let mut pruned = mk(true, false);
-        let mut incremental = mk(false, true);
-        let mut exhaustive = mk(false, false);
-        assert!(composed.is_pruned() && composed.is_composed() && !composed.is_incremental());
-        assert!(pruned.is_pruned() && !pruned.is_composed() && !pruned.is_incremental());
-        assert!(!incremental.is_pruned() && incremental.is_incremental());
-        assert!(!exhaustive.is_pruned() && !exhaustive.is_incremental());
+        let mut composed = mk(true);
+        let mut exhaustive = mk(false);
+        assert!(composed.is_composed());
+        assert!(!exhaustive.is_composed());
 
         // Period-128 integer sawtooths: candidates one/two periods back match
         // the query exactly (τ = 0), every off-phase candidate has a large
@@ -1013,63 +904,28 @@ mod tests {
                 vec![s0, Some(saw(t, 31)), Some(saw(t, 67))],
             );
             let m = composed.process_tick(&tick).unwrap();
-            let a = pruned.process_tick(&tick).unwrap();
-            let b = incremental.process_tick(&tick).unwrap();
             let c = exhaustive.process_tick(&tick).unwrap();
-            assert_eq!(a.skipped, b.skipped, "tick {t}");
-            assert_eq!(a.skipped, c.skipped, "tick {t}");
-            assert_eq!(a.imputations.len(), b.imputations.len(), "tick {t}");
-            assert_eq!(a.imputations.len(), c.imputations.len(), "tick {t}");
-            // Composed vs exhaustive: fully bit-identical outcomes (both
-            // evaluate the exact D of every anchor; bounds only skip losers).
+            // Fully bit-identical outcomes: both evaluate the exact D of
+            // every anchor; bounds only skip losers.
             assert_eq!(
                 m.timing_stripped(),
                 c.timing_stripped(),
                 "tick {t}: composed diverged from exhaustive"
             );
-            for ((x, y), z) in a
-                .imputations
-                .iter()
-                .zip(b.imputations.iter())
-                .zip(c.imputations.iter())
-            {
-                // Pruned vs exhaustive: bit-identical (both evaluate the
-                // exact D of every anchor; pruning only skips losers).
-                assert_eq!(x.value.to_bits(), z.value.to_bits(), "tick {t}");
-                assert_eq!(x.detail.anchors, z.detail.anchors, "tick {t}");
-                assert_eq!(x.detail.complete, z.detail.complete, "tick {t}");
-                // Vs the PR-2 incremental path: that path's running sums are
-                // only 1e-9-close to exact (its own equivalence contract),
-                // so anchor times must agree but D may differ in low bits.
-                let tx: Vec<_> = x.detail.anchors.iter().map(|a| a.time).collect();
-                let ty: Vec<_> = y.detail.anchors.iter().map(|a| a.time).collect();
-                assert_eq!(tx, ty, "tick {t}");
-                assert!((x.value - y.value).abs() <= 1e-9 * (1.0 + x.value.abs()));
-            }
         }
-        let totals = pruned.prune_totals();
+        let totals = composed.prune_totals();
         assert!(totals.candidates > 0);
         assert!(
             totals.pruned > 0,
-            "expected some pruning on a periodic signal: {totals:?}"
-        );
-        assert_eq!(
-            totals.maintained_lags, 0,
-            "pruned-only path has no shortlists"
-        );
-        let ctotals = composed.prune_totals();
-        assert_eq!(ctotals.candidates, totals.candidates);
-        assert!(
-            ctotals.pruned > 0,
-            "expected composed pruning on a periodic signal: {ctotals:?}"
+            "expected composed pruning on a periodic signal: {totals:?}"
         );
         assert!(
-            ctotals.maintained_lags > 0,
-            "composed path should carry shortlist entries: {ctotals:?}"
+            totals.maintained_lags > 0,
+            "composed path should carry shortlist entries: {totals:?}"
         );
         assert!(composed.shortlist_count() > 0);
-        assert_eq!(pruned.shortlist_count(), 0);
-        assert_eq!(incremental.prune_totals(), PruneStats::default());
+        assert_eq!(exhaustive.shortlist_count(), 0);
+        assert_eq!(exhaustive.prune_totals(), PruneStats::default());
     }
 
     #[test]

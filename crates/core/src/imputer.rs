@@ -21,7 +21,7 @@ use crate::config::{AnchorAggregation, TkcmConfig};
 use crate::consistency::ConsistencyReport;
 use crate::diagnostics::{Phase, PhaseBreakdown, PhaseTimer};
 use crate::dissimilarity::{l2_from_components, Dissimilarity, L2Distance};
-use crate::incremental::{IncrementalDissimilarity, ShortlistMaintainer};
+use crate::incremental::ShortlistMaintainer;
 use crate::pattern::{extract_pattern_at_age, extract_query_pattern, Pattern};
 use crate::selection::{select_anchors, SelectionStrategy};
 use crate::signature::{SignatureIndex, SignatureQuery};
@@ -78,8 +78,8 @@ impl ImputationDetail {
     }
 }
 
-/// Counters from one signature-pruned imputation
-/// ([`TkcmImputer::impute_pruned`] / [`TkcmImputer::impute_composed`]).
+/// Counters from one composed imputation
+/// ([`TkcmImputer::impute_composed`]).
 ///
 /// Kept *outside* [`ImputationDetail`] so pruned and exhaustive results stay
 /// structurally comparable in the equivalence tests.
@@ -93,18 +93,17 @@ pub struct PruneStats {
     /// Candidates disposed of without an exact evaluation: lower bound above
     /// the threshold, or a proven missing reference slot in strict mode.
     pub pruned: usize,
-    /// Of `pruned` (composed path only): candidates skipped wholesale by the
+    /// Of `pruned`: candidates skipped wholesale by the
     /// level-1 run prefilter — no per-lag lower bound was even computed.
     /// Counts every unresolved candidate of a skipped run, including ones
     /// anchor provenance would have disqualified anyway (the whole point is
     /// not to look at them individually).
     pub level1_skipped: usize,
-    /// Of `pruned` (composed path only): candidates disposed of by a
+    /// Of `pruned`: candidates disposed of by a
     /// maintained shortlist entry's certified bound or its strict-mode pair
     /// count, before any signature lookup.
     pub maintained_pruned: usize,
-    /// Lags carrying a maintained shortlist entry when the imputation began
-    /// (0 for the pruned-only path).
+    /// Lags carrying a maintained shortlist entry when the imputation began.
     pub maintained_lags: usize,
 }
 
@@ -199,39 +198,7 @@ impl TkcmImputer {
         target: SeriesId,
         references: &[SeriesId],
     ) -> Result<ImputationDetail, TsError> {
-        self.impute_inner(window, target, references, None)
-    }
-
-    /// Imputes like [`TkcmImputer::impute`], but reads the dissimilarity
-    /// array `D[j]` from an incrementally maintained state (Section 6.2)
-    /// instead of recomputing every candidate pattern: `O(L)` for the
-    /// candidate sweep instead of `O(L·l·d)`.
-    ///
-    /// `state` must have been built for the same reference set, pattern
-    /// length and missing-value policy, and must be in lock-step with the
-    /// window (its [`IncrementalDissimilarity::advance`] called after every
-    /// pushed tick) — otherwise an error is returned.  The streaming engine
-    /// manages this automatically when `TkcmConfig::incremental` is on.
-    pub fn impute_maintained(
-        &self,
-        window: &StreamingWindow,
-        target: SeriesId,
-        references: &[SeriesId],
-        state: &IncrementalDissimilarity,
-    ) -> Result<ImputationDetail, TsError> {
-        if !self.supports_incremental() {
-            return Err(TsError::invalid(
-                "dissimilarity",
-                "this dissimilarity measure cannot be maintained incrementally",
-            ));
-        }
-        state.ensure_compatible(
-            window,
-            references,
-            self.config.pattern_length,
-            self.config.allow_missing_in_patterns,
-        )?;
-        self.impute_inner(window, target, references, Some(state))
+        self.impute_inner(window, target, references)
     }
 
     fn impute_inner(
@@ -239,7 +206,6 @@ impl TkcmImputer {
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
-        maintained: Option<&IncrementalDissimilarity>,
     ) -> Result<ImputationDetail, TsError> {
         let now = window
             .current_time()
@@ -271,49 +237,35 @@ impl TkcmImputer {
                 candidate_ages.push(age);
             }
             dissimilarities = vec![f64::INFINITY; candidate_ages.len()];
-            match maintained {
-                Some(state) => {
-                    for (idx, &age) in candidate_ages.iter().enumerate() {
-                        // Same anchor-eligibility rule as the exact path
-                        // below: anchors need an *observed* target value.
-                        if window.slot_recent(target, age)?.state != SlotState::Observed {
-                            continue;
-                        }
-                        dissimilarities[idx] = state.dissimilarity_at_lag(age);
+            let query = extract_query_pattern(
+                window,
+                references,
+                l,
+                self.config.allow_missing_in_patterns,
+            )?;
+            if let Some(ref q) = query {
+                for (idx, &age) in candidate_ages.iter().enumerate() {
+                    // The target value at the anchor must be *observed* to
+                    // contribute to the average of Definition 4. Previously
+                    // imputed values stay usable inside reference patterns
+                    // (Example 1), but feeding them back as anchor values
+                    // would let the imputer average its own guesses — during
+                    // long outages the most similar patterns are the ones
+                    // immediately behind the query, so the error compounds
+                    // tick after tick. Checked before pattern extraction so
+                    // disqualified candidates don't pay the O(d·l) copy.
+                    if window.slot_recent(target, age)?.state != SlotState::Observed {
+                        continue;
                     }
-                }
-                None => {
-                    let query = extract_query_pattern(
+                    let candidate = extract_pattern_at_age(
                         window,
                         references,
+                        age,
                         l,
                         self.config.allow_missing_in_patterns,
                     )?;
-                    if let Some(ref q) = query {
-                        for (idx, &age) in candidate_ages.iter().enumerate() {
-                            // The target value at the anchor must be *observed* to
-                            // contribute to the average of Definition 4. Previously
-                            // imputed values stay usable inside reference patterns
-                            // (Example 1), but feeding them back as anchor values
-                            // would let the imputer average its own guesses — during
-                            // long outages the most similar patterns are the ones
-                            // immediately behind the query, so the error compounds
-                            // tick after tick. Checked before pattern extraction so
-                            // disqualified candidates don't pay the O(d·l) copy.
-                            if window.slot_recent(target, age)?.state != SlotState::Observed {
-                                continue;
-                            }
-                            let candidate = extract_pattern_at_age(
-                                window,
-                                references,
-                                age,
-                                l,
-                                self.config.allow_missing_in_patterns,
-                            )?;
-                            let Some(candidate) = candidate else { continue };
-                            dissimilarities[idx] = self.dissimilarity.distance(&candidate, q);
-                        }
-                    }
+                    let Some(candidate) = candidate else { continue };
+                    dissimilarities[idx] = self.dissimilarity.distance(&candidate, q);
                 }
             }
         }
@@ -330,8 +282,9 @@ impl TkcmImputer {
     }
 
     /// Steps 2 and 3 — pattern selection and value imputation — shared
-    /// verbatim by the exact, maintained and pruned extraction paths, so the
-    /// bit-identity of the pruned path cannot drift through a divergent tail.
+    /// verbatim by the exact and composed extraction paths, so the
+    /// bit-identity of the composed path cannot drift through a divergent
+    /// tail.
     #[allow(clippy::too_many_arguments)]
     fn select_and_impute(
         &self,
@@ -390,52 +343,34 @@ impl TkcmImputer {
         })
     }
 
-    /// Exact dissimilarity of the candidate anchored `age` ticks back — the
-    /// identical expression the exhaustive path uses, so a shortlisted
-    /// candidate's `D[j]` is bit-equal in both paths.
+    /// Exact dissimilarity of the candidate anchored `age` ticks back, and
+    /// (re-)seeds its shortlist entry from the fold's own `(sum_sq,
+    /// observed)` components.
     ///
     /// The exhaustive path materializes a [`Pattern`] per candidate and
     /// calls `Dissimilarity::distance`; doing that per *shortlisted*
-    /// candidate would put an allocation on the pruned hot path, so this
+    /// candidate would put an allocation on the composed hot path, so this
     /// reads the window directly and folds the pairs through the same
     /// `l2_components` recurrence in the same order — reference-major,
     /// chronological within a reference, `sum += (x−y)·(x−y)` left to right,
-    /// then [`l2_from_components`] — which makes the result bit-equal, not
-    /// just approximately equal.  (The pruned path only runs for measures
-    /// with `supports_incremental()`, whose documented contract is exactly
-    /// "decomposes into `l2_components`".)
-    fn exact_candidate(
+    /// then [`l2_from_components`] — which makes a shortlisted candidate's
+    /// `D[j]` bit-equal to the exhaustive path's, not just approximately
+    /// equal.  (The composed path only runs for measures with
+    /// `supports_incremental()`, whose documented contract is exactly
+    /// "decomposes into `l2_components`".)  Re-admission of a previously
+    /// pruned lag therefore costs nothing beyond the exact evaluation, and
+    /// the re-seeded aggregates are bit-identical to the exact fold by
+    /// construction (the shortlist-maintenance invariant).  A missing
+    /// candidate slot in strict mode (`allow_missing = false`) makes strict
+    /// extraction fail, so `D = +∞` and nothing is seeded.
+    fn evaluate_and_seed(
         &self,
         window: &StreamingWindow,
         references: &[SeriesId],
         query: &Pattern,
         age: usize,
+        shortlist: &mut ShortlistMaintainer,
     ) -> Result<f64, TsError> {
-        Ok(
-            match self.exact_candidate_components(window, references, query, age)? {
-                Some((sum_sq, observed)) => l2_from_components(
-                    sum_sq,
-                    observed,
-                    references.len() * self.config.pattern_length,
-                ),
-                None => f64::INFINITY,
-            },
-        )
-    }
-
-    /// The raw components of [`Self::exact_candidate`]'s fold: `Ok(None)`
-    /// when strict extraction fails (a missing candidate slot with
-    /// `allow_missing = false` ⇒ `D = +∞` with no components), else the
-    /// accumulator and pair count whose [`l2_from_components`] fold *is* the
-    /// candidate's exact `D`.  Exposed separately so the composed path can
-    /// seed [`ShortlistMaintainer`] entries from the fold's own bits.
-    fn exact_candidate_components(
-        &self,
-        window: &StreamingWindow,
-        references: &[SeriesId],
-        query: &Pattern,
-        age: usize,
-    ) -> Result<Option<(f64, usize)>, TsError> {
         let l = self.config.pattern_length;
         let allow_missing = self.config.allow_missing_in_patterns;
         let mut sum_sq = 0.0f64;
@@ -446,8 +381,7 @@ impl TkcmImputer {
             for (col, &q_slot) in query.row(ri).iter().enumerate() {
                 let x = window.value_recent(r, age + (l - 1 - col))?;
                 if x.is_none() && !allow_missing {
-                    // Strict extraction would return `None` ⇒ `D = +∞`.
-                    return Ok(None);
+                    return Ok(f64::INFINITY);
                 }
                 if let (Some(x), Some(y)) = (x, q_slot) {
                     sum_sq += (x - y) * (x - y);
@@ -455,305 +389,23 @@ impl TkcmImputer {
                 }
             }
         }
-        Ok(Some((sum_sq, observed)))
-    }
-
-    /// Exact-evaluates a candidate and (re-)seeds its shortlist entry from
-    /// the fold's own `(sum_sq, observed)` components — re-admission of a
-    /// previously pruned lag therefore costs nothing beyond the exact
-    /// evaluation, and the re-seeded aggregates are bit-identical to the
-    /// exact fold by construction (the shortlist-maintenance invariant).
-    fn evaluate_and_seed(
-        &self,
-        window: &StreamingWindow,
-        references: &[SeriesId],
-        query: &Pattern,
-        age: usize,
-        shortlist: &mut ShortlistMaintainer,
-    ) -> Result<f64, TsError> {
-        match self.exact_candidate_components(window, references, query, age)? {
-            Some((sum_sq, observed)) => {
-                shortlist.seed(age, sum_sq, observed as u32);
-                Ok(l2_from_components(
-                    sum_sq,
-                    observed,
-                    references.len() * self.config.pattern_length,
-                ))
-            }
-            None => Ok(f64::INFINITY),
-        }
+        shortlist.seed(age, sum_sq, observed as u32);
+        Ok(l2_from_components(sum_sq, observed, references.len() * l))
     }
 
     /// Imputes like [`TkcmImputer::impute`], but uses the signature `index`
-    /// to *prune* the candidate space before exact evaluation: a gap-aware
-    /// lower bound `LB[j] ≤ D[j]` is compared against the float sum `τ` of a
-    /// feasible k-anchor solution, and candidates with `LB[j] > τ` are
-    /// provably outside every optimal selection, so their `D[j]` stays `+∞`
-    /// unevaluated.  The result is **bit-identical** to
-    /// [`TkcmImputer::impute`] — see the admissibility argument in
-    /// [`crate::signature`] and the float-level proof in the comments below.
-    ///
-    /// Requires dynamic-programming selection (the sum-objective the bound
-    /// is admissible for) and an incrementally decomposable dissimilarity
-    /// (L2), and `index` must be in lock-step with `window`; the streaming
-    /// engine manages this automatically when `TkcmConfig::pruning` is on.
-    pub fn impute_pruned(
-        &self,
-        window: &StreamingWindow,
-        target: SeriesId,
-        references: &[SeriesId],
-        index: &SignatureIndex,
-    ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        self.impute_pruned_impl(window, target, references, index, 1.0)
-    }
-
-    /// Test-only entry: like [`TkcmImputer::impute_pruned`] but inflating
-    /// every lower bound by `factor` — a deliberately *inadmissible* bound
-    /// for `factor > 1`.  Exists so the equivalence suite can prove it
-    /// detects over-pruning; never call it with `factor != 1.0` outside
-    /// tests.
-    #[doc(hidden)]
-    pub fn impute_pruned_with_inflation(
-        &self,
-        window: &StreamingWindow,
-        target: SeriesId,
-        references: &[SeriesId],
-        index: &SignatureIndex,
-        factor: f64,
-    ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        self.impute_pruned_impl(window, target, references, index, factor)
-    }
-
-    fn impute_pruned_impl(
-        &self,
-        window: &StreamingWindow,
-        target: SeriesId,
-        references: &[SeriesId],
-        index: &SignatureIndex,
-        inflate: f64,
-    ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        if self.config.selection != SelectionStrategy::DynamicProgramming {
-            return Err(TsError::invalid(
-                "selection",
-                "signature pruning is only admissible for the dynamic-programming \
-                 sum objective; greedy/overlapping selection must run exhaustively",
-            ));
-        }
-        if !self.supports_incremental() {
-            return Err(TsError::invalid(
-                "dissimilarity",
-                "signature pruning requires the decomposable L2 measure",
-            ));
-        }
-        if !index.is_synced(window) || index.width() != window.width() {
-            return Err(TsError::invalid(
-                "signature",
-                "signature index is not in lock-step with the window",
-            ));
-        }
-        let now = window
-            .current_time()
-            .ok_or_else(|| TsError::invalid("window", "no tick has been pushed yet"))?;
-        if references.is_empty() {
-            return Err(TsError::invalid(
-                "references",
-                "TKCM needs at least one reference series",
-            ));
-        }
-        let l = self.config.pattern_length;
-        let k = self.config.anchor_count;
-        let mut timer = PhaseTimer::new();
-
-        // -------- Step 1: pattern extraction, pruned --------
-        timer.start(Phase::Extraction);
-        let filled = window.filled();
-        let mut dissimilarities: Vec<f64> = Vec::new();
-        let mut candidate_ages: Vec<usize> = Vec::new();
-        let mut stats = PruneStats::default();
-        if filled >= 2 * l {
-            let oldest_age = filled - l;
-            let newest_age = l;
-            for age in (newest_age..=oldest_age).rev() {
-                candidate_ages.push(age);
-            }
-            let j = candidate_ages.len();
-            stats.candidates = j;
-            dissimilarities = vec![f64::INFINITY; j];
-            let query = extract_query_pattern(
-                window,
-                references,
-                l,
-                self.config.allow_missing_in_patterns,
-            )?;
-            if let Some(ref q) = query {
-                // Lower-bound pass: O(J · d · l / B) against the block
-                // envelopes instead of O(J · d · l) exact extraction.  The
-                // query side of the bound is the exact extracted pattern
-                // (range tables built once, reused for every candidate).
-                let rows: Vec<&[Option<f64>]> = (0..references.len()).map(|ri| q.row(ri)).collect();
-                let sig_query = SignatureQuery::new(&rows);
-                let mut lb = vec![0.0f64; j];
-                let mut open = vec![true; j];
-                for (idx, &age) in candidate_ages.iter().enumerate() {
-                    // Same O(1) anchor-provenance disqualification as the
-                    // exhaustive path: anchors need an observed target value.
-                    if window.slot_recent(target, age)?.state != SlotState::Observed {
-                        open[idx] = false;
-                        continue;
-                    }
-                    let (lb_sq, certain_missing) =
-                        index.lower_bound_sq_with_query(references, age, l, &sig_query);
-                    if certain_missing && !self.config.allow_missing_in_patterns {
-                        // A block fully inside the candidate range has a
-                        // missing slot, so strict extraction returns `None`
-                        // and `D = +∞` *exactly* — no evaluation needed.
-                        open[idx] = false;
-                        stats.pruned += 1;
-                        continue;
-                    }
-                    lb[idx] = (lb_sq * inflate).max(0.0).sqrt();
-                }
-
-                let mut evaluated = vec![false; j];
-                // Seed: a feasible set of k non-overlapping finite-D
-                // candidates, found greedily in ascending-LB order (ties by
-                // index) so its sum τ is tight.  Candidate ages are
-                // consecutive, so candidates overlap iff their indices are
-                // closer than l.
-                let mut order: Vec<usize> = (0..j).filter(|&i| open[i]).collect();
-                // Partial selection instead of a full O(J log J) sort: only
-                // the smallest-LB pool can seed, and the pool is large
-                // enough that k non-overlapping members essentially always
-                // exist (each seed excludes < 2l neighbours).  Seed choice
-                // only affects how *tight* τ is — any feasible seed keeps
-                // the pruning admissible — so truncation never costs
-                // correctness, and the earliest-end fallback below covers
-                // the degenerate pool.
-                let pool = (4 * k * l).max(256);
-                if order.len() > pool {
-                    order.select_nth_unstable_by(pool, |&a, &b| {
-                        lb[a].total_cmp(&lb[b]).then(a.cmp(&b))
-                    });
-                    order.truncate(pool);
-                }
-                order.sort_by(|&a, &b| lb[a].total_cmp(&lb[b]).then(a.cmp(&b)));
-                let mut seed: Vec<usize> = Vec::new();
-                for &idx in &order {
-                    if seed.len() == k {
-                        break;
-                    }
-                    if seed.iter().any(|&p| idx.abs_diff(p) < l) {
-                        continue;
-                    }
-                    if !evaluated[idx] {
-                        dissimilarities[idx] =
-                            self.exact_candidate(window, references, q, candidate_ages[idx])?;
-                        evaluated[idx] = true;
-                        stats.shortlisted += 1;
-                    }
-                    if dissimilarities[idx].is_finite() {
-                        seed.push(idx);
-                    }
-                }
-                if seed.len() < k {
-                    // Retry earliest-end greedy, which maximises the number
-                    // of non-overlapping finite candidates.
-                    seed.clear();
-                    let mut next_free = 0usize;
-                    for idx in 0..j {
-                        if seed.len() == k {
-                            break;
-                        }
-                        if idx < next_free || !open[idx] {
-                            continue;
-                        }
-                        if !evaluated[idx] {
-                            dissimilarities[idx] =
-                                self.exact_candidate(window, references, q, candidate_ages[idx])?;
-                            evaluated[idx] = true;
-                            stats.shortlisted += 1;
-                        }
-                        if dissimilarities[idx].is_finite() {
-                            seed.push(idx);
-                            next_free = idx + l;
-                        }
-                    }
-                }
-                if seed.len() >= k {
-                    // τ is the *float* value the DP assigns to the seed
-                    // subset: the DP accumulates "take" steps innermost-
-                    // first by ascending candidate index (`D[j_i] + acc`),
-                    // so folding the seed the same way gives exactly
-                    // `m_exact[k][J] ≤ τ` at the bit level.  Any candidate
-                    // with `D > τ` then satisfies: every DP cell on a path
-                    // through it has fl-value > τ (an fl-sum of nonnegative
-                    // terms is ≥ each term), so all cells with value ≤ τ —
-                    // including the whole backtrack of the optimal solution
-                    // — are unchanged by leaving such candidates at +∞.
-                    seed.sort_unstable();
-                    let mut tau = 0.0f64;
-                    for &idx in &seed {
-                        // Written `D + acc`, not `acc + D`, to mirror the
-                        // DP's take-step expression verbatim (IEEE addition
-                        // is commutative, but the proof reads better when
-                        // the expressions match token for token).
-                        #[allow(clippy::assign_op_pattern)]
-                        {
-                            tau = dissimilarities[idx] + tau;
-                        }
-                    }
-                    // The slack only *reduces* pruning (never admits an
-                    // unsafe prune): LB > τ·(1+ε) ⇒ D ≥ LB > τ.
-                    let threshold = tau * (1.0 + 1e-9);
-                    for idx in 0..j {
-                        if !open[idx] || evaluated[idx] {
-                            continue;
-                        }
-                        if lb[idx] > threshold {
-                            stats.pruned += 1;
-                            continue;
-                        }
-                        dissimilarities[idx] =
-                            self.exact_candidate(window, references, q, candidate_ages[idx])?;
-                        evaluated[idx] = true;
-                        stats.shortlisted += 1;
-                    }
-                } else {
-                    // No feasible k-solution certified: fall back to the
-                    // exhaustive sweep (rare — degenerate windows).
-                    for idx in 0..j {
-                        if open[idx] && !evaluated[idx] {
-                            dissimilarities[idx] =
-                                self.exact_candidate(window, references, q, candidate_ages[idx])?;
-                            evaluated[idx] = true;
-                            stats.shortlisted += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        let detail = self.select_and_impute(
-            window,
-            target,
-            references,
-            now,
-            &candidate_ages,
-            &dissimilarities,
-            timer,
-        )?;
-        Ok((detail, stats))
-    }
-
-    /// Imputes like [`TkcmImputer::impute_pruned`], but *composes* pruning
-    /// with incremental maintenance.  Three layers run before any exact
-    /// evaluation, cheapest first:
+    /// and the `shortlist` maintainer to *prune* the candidate space before
+    /// exact evaluation: admissible lower bounds `LB[j] ≤ D[j]` are compared
+    /// against the float sum `τ` of a feasible k-anchor solution, and
+    /// candidates with `LB[j] > τ` are provably outside every optimal
+    /// selection, so their `D[j]` stays `+∞` unevaluated.  Three layers run
+    /// before any exact evaluation, cheapest first:
     ///
     /// 1. **Maintained-first τ-seeding** — the [`ShortlistMaintainer`]'s
     ///    entries, ordered by their approximate sums, nominate the feasible
-    ///    k-solution; usually k exact evaluations replace the pruned path's
-    ///    O(J·d·l/B) seeding sweep.  A cold maintainer falls back to the
-    ///    PR-7 lower-bound-sweep seeding (and re-seeds itself in passing).
+    ///    k-solution; usually k exact evaluations replace an O(J·d·l/B)
+    ///    seeding sweep.  A cold maintainer falls back to one level-0
+    ///    lower-bound sweep (and re-seeds itself in passing).
     /// 2. **Level-1 run prefilter** — one
     ///    [`SignatureIndex::run_lower_bound_sq_with_query`] bound per run of
     ///    `run_len` consecutive lags skips whole runs above the threshold,
@@ -764,9 +416,14 @@ impl TkcmImputer {
     ///    survive all three are exact-evaluated, and every evaluation
     ///    re-seeds the maintainer for the next imputation.
     ///
-    /// All bounds are admissible and every `D` entering selection comes from
-    /// the exact fold, so the result is **bit-identical** to
-    /// [`TkcmImputer::impute`] by the same argument as the pruned path.
+    /// All bounds are admissible (see [`crate::signature`]) and every `D`
+    /// entering selection comes from the exact fold, so the result is
+    /// **bit-identical** to [`TkcmImputer::impute`] — the float-level proof
+    /// is in the comments below.  Requires dynamic-programming selection
+    /// (the sum objective the bounds are admissible for), an incrementally
+    /// decomposable dissimilarity (L2), and `index` and `shortlist` in
+    /// lock-step with `window`; the streaming engine manages all of this on
+    /// its default path.
     /// `run_len` is the level-1 run width, picked once at engine
     /// construction from config geometry
     /// ([`crate::signature::level1_run_len`]).
@@ -928,11 +585,14 @@ impl TkcmImputer {
                 }
                 if seed.len() < k {
                     // Cold start / post-desync: too few maintained entries
-                    // to certify a k-solution.  Fall back to the pruned
-                    // path's seeding — one level-0 lower-bound sweep,
-                    // smallest-LB pool first, then earliest-end greedy.
-                    // This is the one place the composed path pays the O(J)
-                    // per-lag sweep; every evaluation re-seeds the
+                    // to certify a k-solution.  Fall back to one level-0
+                    // lower-bound sweep: a feasible set of k non-overlapping
+                    // finite-D candidates, found greedily in ascending-LB
+                    // order (ties by index) so its sum τ is tight, then
+                    // earliest-end greedy.  Candidate ages are consecutive,
+                    // so candidates overlap iff their indices are closer
+                    // than l.  This is the one place the composed path pays
+                    // the O(J) per-lag sweep; every evaluation re-seeds the
                     // maintainer, so the next imputation will not.
                     let mut lb = vec![0.0f64; j];
                     let mut open = vec![true; j];
@@ -962,6 +622,14 @@ impl TkcmImputer {
                         lb[idx] = (lb_sq * inflate0).max(0.0).sqrt();
                     }
                     let mut order: Vec<usize> = (0..j).filter(|&i| open[i]).collect();
+                    // Partial selection instead of a full O(J log J) sort:
+                    // only the smallest-LB pool can seed, and the pool is
+                    // large enough that k non-overlapping members essentially
+                    // always exist (each seed excludes < 2l neighbours).
+                    // Seed choice only affects how *tight* τ is — any
+                    // feasible seed keeps the pruning admissible — so
+                    // truncation never costs correctness, and the
+                    // earliest-end fallback below covers the degenerate pool.
                     let pool = (4 * k * l).max(256);
                     if order.len() > pool {
                         order.select_nth_unstable_by(pool, |&a, &b| {
@@ -994,6 +662,8 @@ impl TkcmImputer {
                         }
                     }
                     if seed.len() < k {
+                        // Retry earliest-end greedy, which maximises the
+                        // number of non-overlapping finite candidates.
                         seed.clear();
                         let mut next_free = 0usize;
                         for idx in 0..j {
@@ -1022,25 +692,37 @@ impl TkcmImputer {
                     }
                 }
                 if seed.len() >= k {
-                    // τ: the float value the DP assigns to the seed subset,
-                    // folded in ascending index order — the DP's take-step
-                    // order; see impute_pruned_impl for the bit-level
-                    // admissibility argument, which is unchanged here.
+                    // τ is the *float* value the DP assigns to the seed
+                    // subset: the DP accumulates "take" steps innermost-
+                    // first by ascending candidate index (`D[j_i] + acc`),
+                    // so folding the seed the same way gives exactly
+                    // `m_exact[k][J] ≤ τ` at the bit level.  Any candidate
+                    // with `D > τ` then satisfies: every DP cell on a path
+                    // through it has fl-value > τ (an fl-sum of nonnegative
+                    // terms is ≥ each term), so all cells with value ≤ τ —
+                    // including the whole backtrack of the optimal solution
+                    // — are unchanged by leaving such candidates at +∞.
                     seed.sort_unstable();
                     let mut tau = 0.0f64;
                     for &idx in &seed {
+                        // Written `D + acc`, not `acc + D`, to mirror the
+                        // DP's take-step expression verbatim (IEEE addition
+                        // is commutative, but the proof reads better when
+                        // the expressions match token for token).
                         #[allow(clippy::assign_op_pattern)]
                         {
                             tau = dissimilarities[idx] + tau;
                         }
                     }
+                    // The slack only *reduces* pruning (never admits an
+                    // unsafe prune): LB > τ·(1+ε) ⇒ D ≥ LB > τ.
                     let threshold = tau * (1.0 + 1e-9);
 
                     // ---- Pass 1: level-1 run prefilter + per-lag bounds ----
-                    // Exactly the pruned path's per-candidate test (`bound >
-                    // threshold` proves the candidate outside every optimal
-                    // selection), but survivors keep their tightest bound for
-                    // pass 2 instead of being exact-evaluated on the spot.
+                    // `bound > threshold` proves the candidate outside every
+                    // optimal selection; survivors keep their tightest bound
+                    // for pass 2 instead of being exact-evaluated on the
+                    // spot.
                     let mut survivors: Vec<(usize, f64)> = Vec::new();
                     let mut s = 0usize;
                     while s < j {
@@ -1148,7 +830,7 @@ impl TkcmImputer {
                     // remaining one out wholesale.
                     //
                     // Float slop: `threshold` already carries the 1e-9
-                    // inflation of the pruned path's proof; S is a ≤(k−1)-term
+                    // inflation of the τ proof above; S is a ≤(k−1)-term
                     // fold of non-negative floats deflated by 1e-9, which
                     // dwarfs its relative rounding, and the final subtraction
                     // adds at most one ulp of τ — absorbed by the same

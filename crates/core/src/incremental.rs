@@ -1,10 +1,10 @@
-//! Incremental maintenance of the dissimilarity array `D` (Section 6.2).
+//! Incremental maintenance of the dissimilarity array `D` (Section 6.2),
+//! for the shortlisted candidate lags of the composed path.
 //!
 //! The naive implementation of Algorithm 1 recomputes every `D[j]` from
 //! scratch at each imputation: `O(L·l·d)` work per missing value, which the
 //! Section 7.4 breakdown shows is ~94 % of TKCM's runtime.  Section 6.2
-//! observes that `D` can instead be *maintained* as the window slides, which
-//! is what makes TKCM viable on unbounded streams.
+//! observes that `D` can instead be *maintained* as the window slides.
 //!
 //! # The update equations
 //!
@@ -27,359 +27,23 @@
 //!                              −  c(t_{n+1} − l, a)    (old column expires)
 //! ```
 //!
-//! — `O(d)` work per candidate lag per tick ([`IncrementalDissimilarity::advance`]),
-//! `O(L·d)` per tick over all lags, replacing the `O(L·l·d)` recompute per
-//! imputation.  Missing values are handled by carrying the *observed pair
-//! count* alongside each running sum: a pair contributes only when both the
-//! candidate and the query slot are present, exactly mirroring
-//! [`crate::dissimilarity::l2_components`].  Slots whose state changes after
-//! the fact (missing → imputed via write-back) are patched through the
-//! [`IncrementalDissimilarity::on_write`] invalidation hook so the running
-//! sums always equal what a from-scratch recompute over the *current* window
-//! contents would produce — the invariant the property tests in
-//! `tests/incremental_properties.rs` assert.
+//! — `O(d)` work per maintained lag per tick
+//! ([`ShortlistMaintainer::advance`]).  Missing values are handled by
+//! carrying the *observed pair count* alongside each running sum: a pair
+//! contributes only when both the candidate and the query slot are present,
+//! exactly mirroring [`crate::dissimilarity::l2_components`].  Slots whose
+//! state changes after the fact (missing → imputed via write-back) are
+//! patched through the [`ShortlistMaintainer::on_write`] invalidation hook.
 //!
-//! Floating-point drift from the add/subtract cycle is bounded by rebuilding
-//! from scratch every `L` ticks (amortised `O(l·d)` per tick, negligible).
-
-use std::sync::LazyLock;
+//! The composed path maintains these aggregates only for the lags that
+//! recently survived a shortlist, and uses them as certified *lower bounds*
+//! — never as dissimilarities: every `D` that enters anchor selection is
+//! still computed by the exact fold, which keeps the engine bit-identical to
+//! the exhaustive path.  Floating-point drift from the add/subtract cycle is
+//! tracked per entry as an error radius and reset whenever an entry is
+//! re-seeded from an exact evaluation.
 
 use tkcm_timeseries::{SeriesId, StreamingWindow, Timestamp, TsError};
-
-use crate::dissimilarity::l2_from_components;
-
-/// From-scratch maintainer rebuilds (first use, de-sync fallback and the
-/// periodic drift wash-out), fleet-wide.  Record-only (`obs-read-only`).
-static REBUILDS: LazyLock<tkcm_obs::Counter> =
-    LazyLock::new(|| tkcm_obs::registry().counter("tkcm_core_maintainer_rebuilds_total", &[]));
-
-/// Sliding-aggregate state for the dissimilarity array `D` of Algorithm 1,
-/// maintained per reference set (Section 6.2).
-///
-/// The state is valid for exactly one `(references, l, L, allow_missing)`
-/// combination and must be kept in lock-step with the window it was built
-/// over: call [`IncrementalDissimilarity::advance`] after every
-/// `StreamingWindow::push_tick` and [`IncrementalDissimilarity::on_write`]
-/// after every `StreamingWindow::write_imputed` that touches a reference
-/// series.  [`crate::engine::TkcmEngine`] does both automatically.
-#[derive(Clone, Debug)]
-pub struct IncrementalDissimilarity {
-    // Fields are `pub(crate)` so the snapshot codec (`persist`) can persist
-    // the running sums bit-exactly; recovery equivalence depends on the
-    // accumulated `f64`s coming back with their exact bits, not on a rebuild.
-    pub(crate) references: Vec<SeriesId>,
-    pub(crate) pattern_length: usize,
-    pub(crate) window_length: usize,
-    pub(crate) allow_missing: bool,
-    /// `sums[a - l]` = running Σ of squared differences over observed pairs
-    /// for the candidate at lag `a`.
-    pub(crate) sums: Vec<f64>,
-    /// `counts[a - l]` = number of observed pairs in that sum (≤ `d·l`).
-    pub(crate) counts: Vec<u32>,
-    /// Per-reference value at age `L − 1` after the last sync point: the slot
-    /// the ring buffer will evict on the next push.  Needed because the
-    /// expiring column of the maximum lag (`a = L − l`) reaches age `L`,
-    /// which is no longer addressable after the push.
-    pub(crate) prev_oldest: Vec<Option<f64>>,
-    /// Window time of the last sync ([`Self::rebuild`] / [`Self::advance`]).
-    pub(crate) last_time: Option<Timestamp>,
-    pub(crate) ticks_since_rebuild: usize,
-}
-
-impl IncrementalDissimilarity {
-    /// Creates an empty (un-synced) state for the given reference set.
-    ///
-    /// `pattern_length` and `window_length` are the `l` and `L` the paired
-    /// imputer runs with; `allow_missing` mirrors
-    /// `TkcmConfig::allow_missing_in_patterns`.
-    pub fn new(
-        references: Vec<SeriesId>,
-        pattern_length: usize,
-        window_length: usize,
-        allow_missing: bool,
-    ) -> Result<Self, TsError> {
-        if references.is_empty() {
-            return Err(TsError::invalid(
-                "references",
-                "incremental state needs at least one reference series",
-            ));
-        }
-        if pattern_length == 0 {
-            return Err(TsError::invalid("l", "pattern length must be positive"));
-        }
-        if window_length < 2 * pattern_length {
-            return Err(TsError::invalid(
-                "L",
-                "window must hold the query pattern plus one candidate (L >= 2l)",
-            ));
-        }
-        let lags = window_length - 2 * pattern_length + 1;
-        let width = references.len();
-        Ok(IncrementalDissimilarity {
-            references,
-            pattern_length,
-            window_length,
-            allow_missing,
-            sums: vec![0.0; lags],
-            counts: vec![0; lags],
-            prev_oldest: vec![None; width],
-            last_time: None,
-            ticks_since_rebuild: 0,
-        })
-    }
-
-    /// The reference series the state is maintained for.
-    pub fn references(&self) -> &[SeriesId] {
-        &self.references
-    }
-
-    /// The pattern length `l` the state is maintained for.
-    pub fn pattern_length(&self) -> usize {
-        self.pattern_length
-    }
-
-    /// The window length `L` the state is maintained for.
-    pub fn window_length(&self) -> usize {
-        self.window_length
-    }
-
-    /// Whether the state is in lock-step with the window (same current time).
-    pub fn is_synced(&self, window: &StreamingWindow) -> bool {
-        self.last_time.is_some() && self.last_time == window.current_time()
-    }
-
-    /// Number of maintained candidate lags (`L − 2l + 1`).
-    pub fn lag_count(&self) -> usize {
-        self.sums.len()
-    }
-
-    /// Recomputes every running sum from the current window contents:
-    /// `O(L·l·d)`.  Called on first use, after a de-sync, and periodically to
-    /// wash out floating-point drift.
-    pub fn rebuild(&mut self, window: &StreamingWindow) -> Result<(), TsError> {
-        REBUILDS.inc();
-        let now = window
-            .current_time()
-            .ok_or_else(|| TsError::invalid("window", "no tick has been pushed yet"))?;
-        let l = self.pattern_length;
-        self.sums.fill(0.0);
-        self.counts.fill(0);
-        // Per-reference values indexed by age, fetched once so the O(L·l)
-        // inner loops index a flat slice instead of ring arithmetic.
-        for &r in &self.references {
-            let by_age: Vec<Option<f64>> = (0..self.window_length)
-                .map(|age| window.buffer(r).map(|b| b.recent(age)))
-                .collect::<Result<_, _>>()?;
-            for (idx, (sum, count)) in self.sums.iter_mut().zip(self.counts.iter_mut()).enumerate()
-            {
-                let lag = idx + l;
-                for i in 0..l {
-                    if let (Some(x), Some(y)) = (by_age[lag + i], by_age[i]) {
-                        *sum += (x - y) * (x - y);
-                        *count += 1;
-                    }
-                }
-            }
-        }
-        self.snapshot_oldest(window)?;
-        self.last_time = Some(now);
-        self.ticks_since_rebuild = 0;
-        Ok(())
-    }
-
-    /// Applies the Section 6.2 sliding-aggregate update for one arrived tick:
-    /// `O(d)` per lag, `O(L·d)` total.  Falls back to [`Self::rebuild`] when
-    /// the state is not exactly one tick behind the window (first use, missed
-    /// ticks) or the periodic drift-rebuild is due.
-    pub fn advance(&mut self, window: &StreamingWindow) -> Result<(), TsError> {
-        let now = window
-            .current_time()
-            .ok_or_else(|| TsError::invalid("window", "no tick has been pushed yet"))?;
-        // Exactly one tick behind ⇔ the previous tick (age 1) carries the
-        // time of the last sync.  Comparing stored tick times (instead of
-        // `now - t == 1`) keeps the O(d)-per-lag path on any real cadence —
-        // at a 600-second spacing the delta is never 1 and the old check
-        // silently degraded every advance into an O(L·l·d) rebuild.
-        let one_step = self.last_time.is_some() && window.time_of_age(1) == self.last_time;
-        if !one_step || self.ticks_since_rebuild >= self.window_length {
-            return self.rebuild(window);
-        }
-        let l = self.pattern_length;
-        for (ri, &r) in self.references.iter().enumerate() {
-            let buf = window.buffer(r)?;
-            // Loop-invariant query-side values: the entering column pairs
-            // against age 0, the expiring column against age l.
-            let y_new = buf.recent(0);
-            let y_old = buf.recent(l);
-            let evicted = self.prev_oldest[ri];
-            for (idx, (sum, count)) in self.sums.iter_mut().zip(self.counts.iter_mut()).enumerate()
-            {
-                let lag = idx + l;
-                // Entering column: c(t_{n+1}, a) — pairs r(t_{n+1} − a) with
-                // the value that just arrived.
-                if let (Some(x), Some(y)) = (buf.recent(lag), y_new) {
-                    *sum += (x - y) * (x - y);
-                    *count += 1;
-                }
-                // Expiring column: c(t_{n+1} − l, a).  Its candidate-side
-                // value sits at age `lag + l`; for the maximum lag that is
-                // age `L`, which the push just evicted — use the snapshot.
-                let x = if lag + l == self.window_length {
-                    evicted
-                } else {
-                    buf.recent(lag + l)
-                };
-                if let (Some(x), Some(y)) = (x, y_old) {
-                    *sum -= (x - y) * (x - y);
-                    *count -= 1;
-                }
-            }
-        }
-        self.snapshot_oldest(window)?;
-        self.last_time = Some(now);
-        self.ticks_since_rebuild += 1;
-        Ok(())
-    }
-
-    /// Invalidation hook for a value written into the window after the fact
-    /// (`StreamingWindow::write_imputed`): patches every running sum that
-    /// paired against the changed slot, keeping the invariant that the sums
-    /// equal a from-scratch recompute over current window contents.
-    ///
-    /// `age` is the age the value was written at and `old` the slot's value
-    /// *before* the write (`None` for the usual missing → imputed
-    /// transition).  Writes to series outside the reference set are ignored
-    /// — anchor eligibility is re-read from the window at imputation time
-    /// and needs no state.  Cost: `O(L)` for a current-tick write (`age 0`,
-    /// the engine's write-back), `O(l)` additional for historical writes.
-    pub fn on_write(
-        &mut self,
-        window: &StreamingWindow,
-        series: SeriesId,
-        age: usize,
-        old: Option<f64>,
-    ) -> Result<(), TsError> {
-        let Some(ri) = self.references.iter().position(|&r| r == series) else {
-            return Ok(());
-        };
-        if !self.is_synced(window) {
-            // The sums describe an older window snapshot, so the write can't
-            // be patched in coherently.  Drop the sync point entirely: a
-            // merely one-tick-behind state would otherwise take the
-            // incremental path on the next advance() and carry the unpatched
-            // slot for up to L ticks.
-            self.last_time = None;
-            return Ok(());
-        }
-        let l = self.pattern_length;
-        let buf = window.buffer(series)?;
-        let new = buf.recent(age);
-        if new == old {
-            return Ok(());
-        }
-        // Query-side usage: the slot is column `age` of the query pattern and
-        // pairs against every candidate lag — but only while `age < l`.
-        if age < l {
-            for (idx, (sum, count)) in self.sums.iter_mut().zip(self.counts.iter_mut()).enumerate()
-            {
-                let lag = idx + l;
-                let x = buf.recent(lag + age);
-                if let (Some(x), Some(y)) = (x, old) {
-                    *sum -= (x - y) * (x - y);
-                    *count -= 1;
-                }
-                if let (Some(x), Some(y)) = (x, new) {
-                    *sum += (x - y) * (x - y);
-                    *count += 1;
-                }
-            }
-        }
-        // Candidate-side usage: the slot is the candidate value of lag
-        // `age − q` paired against query column `q` (age `q < l`).
-        for q in 0..l.min(age + 1) {
-            let lag = age - q;
-            if lag < l || lag > self.window_length - l {
-                continue;
-            }
-            let idx = lag - l;
-            let y = buf.recent(q);
-            if let (Some(x), Some(y)) = (old, y) {
-                self.sums[idx] -= (x - y) * (x - y);
-                self.counts[idx] -= 1;
-            }
-            if let (Some(x), Some(y)) = (new, y) {
-                self.sums[idx] += (x - y) * (x - y);
-                self.counts[idx] += 1;
-            }
-        }
-        if age == self.window_length - 1 {
-            self.prev_oldest[ri] = new;
-        }
-        Ok(())
-    }
-
-    /// The maintained dissimilarity `D` of the candidate at the given lag
-    /// (`lag = t_n − t_j`), folded exactly like the from-scratch path: in
-    /// strict mode (`allow_missing = false`) a candidate with *any* missing
-    /// pair is `+∞`; in lenient mode missing pairs are skipped and the sum
-    /// rescaled (Definition 2 as implemented by `L2Distance`).
-    pub fn dissimilarity_at_lag(&self, lag: usize) -> f64 {
-        let l = self.pattern_length;
-        if lag < l || lag > self.window_length - l {
-            return f64::INFINITY;
-        }
-        let idx = lag - l;
-        let total = self.references.len() * l;
-        let observed = self.counts[idx] as usize;
-        if !self.allow_missing && observed != total {
-            return f64::INFINITY;
-        }
-        l2_from_components(self.sums[idx], observed, total)
-    }
-
-    /// Verifies the state is usable for an imputation over `window` with the
-    /// given reference set and pattern length.
-    pub fn ensure_compatible(
-        &self,
-        window: &StreamingWindow,
-        references: &[SeriesId],
-        pattern_length: usize,
-        allow_missing: bool,
-    ) -> Result<(), TsError> {
-        if self.references != references {
-            return Err(TsError::invalid(
-                "references",
-                "incremental state was built for a different reference set",
-            ));
-        }
-        if self.pattern_length != pattern_length || self.allow_missing != allow_missing {
-            return Err(TsError::invalid(
-                "config",
-                "incremental state was built for a different configuration",
-            ));
-        }
-        if self.window_length != window.length() {
-            return Err(TsError::invalid(
-                "L",
-                "incremental state was built for a different window length",
-            ));
-        }
-        if !self.is_synced(window) {
-            return Err(TsError::invalid(
-                "state",
-                "incremental state is out of sync with the window; call advance() after every push_tick",
-            ));
-        }
-        Ok(())
-    }
-
-    fn snapshot_oldest(&mut self, window: &StreamingWindow) -> Result<(), TsError> {
-        for (ri, &r) in self.references.iter().enumerate() {
-            self.prev_oldest[ri] = window.value_recent(r, self.window_length - 1)?;
-        }
-        Ok(())
-    }
-}
 
 /// Per-float-update relative slack accrued into a maintained entry's error
 /// radius.  One IEEE add/sub introduces at most `ε·|result|` of rounding and
@@ -402,8 +66,8 @@ const ENTRY_LB_DEFLATE: f64 = 1.0 - 1e-9;
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct ShortlistEntry {
     /// Running Σ of squared differences over observed pairs, maintained by
-    /// the same sliding updates as [`IncrementalDissimilarity`].  Seeded
-    /// bit-equal to the exact fold; drifts only by tracked float rounding.
+    /// the Section 6.2 sliding updates.  Seeded bit-equal to the exact fold;
+    /// drifts only by tracked float rounding.
     pub(crate) sum_sq: f64,
     /// Conservative radius on `|sum_sq − exact fold|`, accrued per float
     /// update and reset whenever the entry is re-seeded from an exact
@@ -428,9 +92,8 @@ pub struct MaintainedBound {
     pub certain_missing: bool,
 }
 
-/// Sparse sliding aggregates for the *shortlisted* candidate lags only —
-/// the composed-path counterpart of [`IncrementalDissimilarity`], which
-/// maintains all `J = L − 2l + 1` lags.
+/// Sparse sliding aggregates for the *shortlisted* candidate lags only, out
+/// of the `J = L − 2l + 1` candidate lags of a full window.
 ///
 /// The composed imputation path ([`crate::imputer::TkcmImputer::impute_composed`])
 /// seeds an entry whenever it exact-evaluates a candidate, from the exact
@@ -455,8 +118,10 @@ pub struct ShortlistMaintainer {
     /// Active entries keyed by lag.  A BTreeMap so iteration (and snapshot
     /// encoding) order is deterministic.
     pub(crate) entries: std::collections::BTreeMap<u32, ShortlistEntry>,
-    /// Per-reference value at age `L − 1` after the last sync point (same
-    /// role as [`IncrementalDissimilarity::prev_oldest`]).
+    /// Per-reference value at age `L − 1` after the last sync point: the slot
+    /// the ring buffer will evict on the next push.  Needed because the
+    /// expiring column of the maximum lag (`a = L − l`) reaches age `L`,
+    /// which is no longer addressable after the push.
     pub(crate) prev_oldest: Vec<Option<f64>>,
     /// Window time of the last sync.
     pub(crate) last_time: Option<Timestamp>,
@@ -590,8 +255,15 @@ impl ShortlistMaintainer {
         Ok(())
     }
 
-    /// Invalidation hook for a value written into the window after the fact —
-    /// the per-entry mirror of [`IncrementalDissimilarity::on_write`].
+    /// Invalidation hook for a value written into the window after the fact
+    /// (`StreamingWindow::write_imputed`): patches every maintained entry
+    /// that paired against the changed slot.
+    ///
+    /// `age` is the age the value was written at and `old` the slot's value
+    /// *before* the write (`None` for the usual missing → imputed
+    /// transition).  Writes to series outside the reference set are ignored
+    /// — anchor eligibility is re-read from the window at imputation time
+    /// and needs no state.
     pub fn on_write(
         &mut self,
         window: &StreamingWindow,
@@ -603,8 +275,10 @@ impl ShortlistMaintainer {
             return Ok(());
         };
         if !self.is_synced(window) {
-            // Same reasoning as the dense maintainer: an unsynced state
-            // cannot patch the write coherently, so drop everything.
+            // The entries describe an older window snapshot, so the write
+            // can't be patched in coherently.  Drop the sync point and every
+            // entry: a merely one-tick-behind state would otherwise slide on
+            // the next advance() and carry the unpatched slot.
             self.entries.clear();
             self.last_time = None;
             return Ok(());
@@ -766,54 +440,49 @@ impl ShortlistMaintainer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dissimilarity::{Dissimilarity, L2Distance};
-    use crate::pattern::{extract_pattern_at_age, extract_query_pattern};
     use tkcm_timeseries::StreamTick;
 
-    /// From-scratch D at one lag, exactly as the exact imputer path computes
-    /// it (used here as the ground truth for the incremental updates).
-    fn exact_d(
-        window: &StreamingWindow,
-        refs: &[SeriesId],
-        l: usize,
-        lag: usize,
-        allow_missing: bool,
-    ) -> f64 {
-        let query = extract_query_pattern(window, refs, l, allow_missing).unwrap();
-        let Some(query) = query else {
-            return f64::INFINITY;
-        };
-        // The candidate lag *is* the anchor age — going through an absolute
-        // timestamp here would re-introduce a unit-cadence assumption.
-        let candidate = extract_pattern_at_age(window, refs, lag, l, allow_missing).unwrap();
-        match candidate {
-            Some(c) => L2Distance.distance(&c, &query),
-            None => f64::INFINITY,
+    /// Seeds every candidate lag of a full window from the exact fold, the
+    /// way the composed path seeds the lags it evaluates.
+    fn seed_all(sm: &mut ShortlistMaintainer, window: &StreamingWindow, refs: &[SeriesId]) {
+        let l = sm.pattern_length();
+        for lag in l..=(window.filled() - l) {
+            let (sum_sq, observed) = exact_components(window, refs, l, lag);
+            sm.seed(lag, sum_sq, observed);
         }
     }
 
-    fn assert_matches_exact(
-        state: &IncrementalDissimilarity,
-        window: &StreamingWindow,
-        refs: &[SeriesId],
-        l: usize,
-        allow_missing: bool,
-    ) {
-        let filled = window.filled();
-        if filled < 2 * l {
-            return;
+    /// Refreshes every entry's TTL without re-seeding it, so the sums keep
+    /// sliding and the assertions below test the slide, not the seed.
+    fn touch_all(sm: &mut ShortlistMaintainer) {
+        let lags: Vec<u32> = sm.entries.keys().copied().collect();
+        for lag in lags {
+            sm.touch(lag as usize);
         }
-        for lag in l..=(filled - l) {
-            let exact = exact_d(window, refs, l, lag, allow_missing);
-            let inc = state.dissimilarity_at_lag(lag);
-            if exact.is_infinite() {
-                assert!(inc.is_infinite(), "lag {lag}: exact inf, incremental {inc}");
-            } else {
-                assert!(
-                    (exact - inc).abs() <= 1e-9 * (1.0 + exact.abs()),
-                    "lag {lag}: exact {exact} vs incremental {inc}"
-                );
-            }
+    }
+
+    /// Every maintained entry must track a from-scratch fold over the
+    /// *current* window: the pair count exactly, the sum to float
+    /// tolerance, and the certified bound from below.
+    fn assert_entries_match(sm: &ShortlistMaintainer, window: &StreamingWindow, refs: &[SeriesId]) {
+        let l = sm.pattern_length();
+        let total = (refs.len() * l) as u32;
+        for (&lag, entry) in &sm.entries {
+            let lag = lag as usize;
+            let (exact_sq, observed) = exact_components(window, refs, l, lag);
+            assert_eq!(entry.observed, observed, "lag {lag}: pair count drifted");
+            assert!(
+                (entry.sum_sq - exact_sq).abs() <= 1e-9 * (1.0 + exact_sq.abs()),
+                "lag {lag}: maintained {} vs exact {exact_sq}",
+                entry.sum_sq
+            );
+            let bound = sm.bound(lag).unwrap();
+            assert!(bound.lb_sq <= exact_sq, "lag {lag}: bound above exact");
+            assert_eq!(
+                bound.certain_missing,
+                !sm.allow_missing && observed != total,
+                "lag {lag}: strict-mode missing verdict"
+            );
         }
     }
 
@@ -824,8 +493,9 @@ mod tests {
         let l = 3;
         let refs = vec![SeriesId(0), SeriesId(1)];
         let mut window = StreamingWindow::new(width, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, false).unwrap();
-        // Run for 3 full window lengths so the ring wraps repeatedly.
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, false).unwrap();
+        // Run for 3 full window lengths so the ring wraps repeatedly; every
+        // lag is seeded once the window is full and then only slides.
         for t in 0..(3 * capacity) {
             let v0 = (t as f64 * 0.7).sin() * 10.0;
             let v1 = (t as f64 * 0.7 + 1.0).cos() * 5.0;
@@ -835,11 +505,15 @@ mod tests {
                     vec![Some(v0), Some(v1)],
                 ))
                 .unwrap();
-            state.advance(&window).unwrap();
-            assert_matches_exact(&state, &window, &refs, l, false);
+            sm.advance(&window).unwrap();
+            touch_all(&mut sm);
+            if t + 1 == capacity {
+                seed_all(&mut sm, &window, &refs);
+            }
+            assert_entries_match(&sm, &window, &refs);
         }
-        assert!(state.is_synced(&window));
-        assert_eq!(state.lag_count(), capacity - 2 * l + 1);
+        assert!(sm.is_synced(&window));
+        assert_eq!(sm.maintained_lags(), capacity - 2 * l + 1);
     }
 
     #[test]
@@ -849,18 +523,23 @@ mod tests {
             let l = 2;
             let refs = vec![SeriesId(0), SeriesId(1)];
             let mut window = StreamingWindow::new(2, capacity);
-            let mut state =
-                IncrementalDissimilarity::new(refs.clone(), l, capacity, allow_missing).unwrap();
-            for t in 0..(2 * capacity) {
+            let mut sm =
+                ShortlistMaintainer::new(refs.clone(), l, capacity, allow_missing).unwrap();
+            for t in 0..(3 * capacity) {
                 // Deterministic sprinkle of missing values on both series.
                 let v0 = if t % 7 == 3 { None } else { Some(t as f64) };
                 let v1 = if t % 5 == 1 { None } else { Some(-(t as f64)) };
                 window
                     .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![v0, v1]))
                     .unwrap();
-                state.advance(&window).unwrap();
-                assert_matches_exact(&state, &window, &refs, l, allow_missing);
+                sm.advance(&window).unwrap();
+                touch_all(&mut sm);
+                if t + 1 == capacity {
+                    seed_all(&mut sm, &window, &refs);
+                }
+                assert_entries_match(&sm, &window, &refs);
             }
+            assert_eq!(sm.maintained_lags(), capacity - 2 * l + 1);
         }
     }
 
@@ -870,8 +549,8 @@ mod tests {
         let l = 2;
         let refs = vec![SeriesId(0), SeriesId(1)];
         let mut window = StreamingWindow::new(2, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, true).unwrap();
-        for t in 0..(2 * capacity) {
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, true).unwrap();
+        for t in 0..(3 * capacity) {
             let missing = t % 3 == 2;
             let v0 = if missing {
                 None
@@ -884,14 +563,19 @@ mod tests {
                     vec![v0, Some((t as f64).cos())],
                 ))
                 .unwrap();
-            state.advance(&window).unwrap();
+            sm.advance(&window).unwrap();
+            touch_all(&mut sm);
             if missing {
                 // Imputed write-back at age 0, exactly as the engine does it.
                 window.write_imputed(SeriesId(0), 0, 0.25).unwrap();
-                state.on_write(&window, SeriesId(0), 0, None).unwrap();
+                sm.on_write(&window, SeriesId(0), 0, None).unwrap();
             }
-            assert_matches_exact(&state, &window, &refs, l, true);
+            if t + 1 == capacity {
+                seed_all(&mut sm, &window, &refs);
+            }
+            assert_entries_match(&sm, &window, &refs);
         }
+        assert_eq!(sm.maintained_lags(), capacity - 2 * l + 1);
     }
 
     #[test]
@@ -900,7 +584,7 @@ mod tests {
         let l = 3;
         let refs = vec![SeriesId(0)];
         let mut window = StreamingWindow::new(1, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, true).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, true).unwrap();
         for t in 0..capacity {
             // Missing at ticks 0, 1, 5, 9, 13 → ages 15, 14, 10, 6, 2 at the
             // end of the loop: historical gaps on both the query side
@@ -914,14 +598,15 @@ mod tests {
             window
                 .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![v]))
                 .unwrap();
-            state.advance(&window).unwrap();
+            sm.advance(&window).unwrap();
         }
+        seed_all(&mut sm, &window, &refs);
         for age in [2usize, 6, 10, 14, capacity - 1] {
             let old = window.value_recent(SeriesId(0), age).unwrap();
             assert!(old.is_none(), "age {age} expected to be a gap");
             window.write_imputed(SeriesId(0), age, 7.25).unwrap();
-            state.on_write(&window, SeriesId(0), age, old).unwrap();
-            assert_matches_exact(&state, &window, &refs, l, true);
+            sm.on_write(&window, SeriesId(0), age, old).unwrap();
+            assert_entries_match(&sm, &window, &refs);
         }
         // A few more ticks: the backfilled oldest slot must be dropped from
         // the sums with its *written* value (snapshot path).
@@ -932,9 +617,10 @@ mod tests {
                     vec![Some(t as f64 * 0.5)],
                 ))
                 .unwrap();
-            state.advance(&window).unwrap();
-            assert_matches_exact(&state, &window, &refs, l, true);
+            sm.advance(&window).unwrap();
+            assert_entries_match(&sm, &window, &refs);
         }
+        assert_eq!(sm.maintained_lags(), capacity - 2 * l + 1);
     }
 
     #[test]
@@ -942,7 +628,7 @@ mod tests {
         let capacity = 12;
         let refs = vec![SeriesId(1)];
         let mut window = StreamingWindow::new(2, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), 2, capacity, false).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), 2, capacity, false).unwrap();
         for t in 0..capacity {
             let v0 = if t + 1 == capacity { None } else { Some(1.0) };
             window
@@ -951,150 +637,51 @@ mod tests {
                     vec![v0, Some(t as f64)],
                 ))
                 .unwrap();
-            state.advance(&window).unwrap();
+            sm.advance(&window).unwrap();
         }
-        let before = state.clone();
+        seed_all(&mut sm, &window, &refs);
+        let before = sm.clone();
         window.write_imputed(SeriesId(0), 0, 9.0).unwrap();
-        state.on_write(&window, SeriesId(0), 0, None).unwrap();
-        assert_eq!(before.sums, state.sums);
-        assert_eq!(before.counts, state.counts);
-        assert_matches_exact(&state, &window, &refs, 2, false);
+        sm.on_write(&window, SeriesId(0), 0, None).unwrap();
+        assert_eq!(before.entries, sm.entries);
+        assert_eq!(before.prev_oldest, sm.prev_oldest);
+        assert!(sm.is_synced(&window));
+        assert_entries_match(&sm, &window, &refs);
     }
 
     #[test]
     fn advance_stays_incremental_on_non_unit_cadence() {
         // Ticks 600 timestamp units apart (a 10-minute cadence at second
-        // resolution): the one-step detection must still take the O(d)-per-lag
-        // sliding update, not fall back to a rebuild on every tick.
+        // resolution): the one-step detection must still slide the entries,
+        // not treat every tick as a desync that drops them.
         let capacity = 16;
         let l = 2;
         let refs = vec![SeriesId(0), SeriesId(1)];
         let mut window = StreamingWindow::new(2, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, false).unwrap();
-        // Stay below the periodic drift-rebuild horizon (`L` ticks) so the
-        // counter below isolates the cadence behaviour.
-        let total = capacity - 4;
-        for t in 0..total {
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, false).unwrap();
+        for t in 0..(2 * capacity) {
             window
                 .push_tick(&StreamTick::new(
                     Timestamp::new(t as i64 * 600),
                     vec![Some((t as f64 * 0.7).sin()), Some((t as f64 * 0.9).cos())],
                 ))
                 .unwrap();
-            state.advance(&window).unwrap();
-            assert_matches_exact(&state, &window, &refs, l, false);
-        }
-        // The first advance rebuilds (nothing to slide from); every later one
-        // must have taken the incremental path.  A per-tick rebuild would
-        // leave this counter at 0.
-        assert_eq!(state.ticks_since_rebuild, total - 1);
-    }
-
-    #[test]
-    fn write_on_unsynced_state_forces_a_rebuild() {
-        // push -> advance -> push (no advance) -> write_imputed -> advance:
-        // the write arrives while the state is one tick behind, so it cannot
-        // be patched in; the state must drop its sync point and rebuild on
-        // the next advance instead of sliding past the unpatched slot.
-        let capacity = 12;
-        let l = 2;
-        let refs = vec![SeriesId(0)];
-        let mut window = StreamingWindow::new(1, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, true).unwrap();
-        for t in 0..capacity {
-            let v = if t == 5 { None } else { Some((t as f64).sin()) };
-            window
-                .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![v]))
-                .unwrap();
-            if t + 1 < capacity {
-                state.advance(&window).unwrap();
+            sm.advance(&window).unwrap();
+            touch_all(&mut sm);
+            if t + 1 == capacity {
+                seed_all(&mut sm, &window, &refs);
             }
-        }
-        // State is now exactly one tick behind; write into history.
-        let age = window.current_time().unwrap().tick() as usize - 5;
-        window.write_imputed(SeriesId(0), age, 0.75).unwrap();
-        state.on_write(&window, SeriesId(0), age, None).unwrap();
-        assert!(!state.is_synced(&window));
-        state.advance(&window).unwrap();
-        assert_eq!(state.ticks_since_rebuild, 0, "advance must have rebuilt");
-        assert_matches_exact(&state, &window, &refs, l, true);
-    }
-
-    #[test]
-    fn desync_falls_back_to_rebuild() {
-        let capacity = 12;
-        let l = 2;
-        let refs = vec![SeriesId(0)];
-        let mut window = StreamingWindow::new(1, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, false).unwrap();
-        for t in 0..capacity {
-            window
-                .push_tick(&StreamTick::new(
-                    Timestamp::new(t as i64),
-                    vec![Some((t as f64).sin())],
-                ))
-                .unwrap();
-            // Deliberately skip advance() on most ticks.
-            if t % 5 == 0 {
-                state.advance(&window).unwrap();
+            if t + 1 >= capacity {
+                // A desync would have cleared every entry.
+                assert_eq!(sm.maintained_lags(), capacity - 2 * l + 1, "tick {t}");
             }
+            assert_entries_match(&sm, &window, &refs);
         }
-        state.advance(&window).unwrap();
-        assert!(state.is_synced(&window));
-        assert_matches_exact(&state, &window, &refs, l, false);
-    }
-
-    #[test]
-    fn constructor_validates_parameters() {
-        assert!(IncrementalDissimilarity::new(vec![], 2, 8, false).is_err());
-        assert!(IncrementalDissimilarity::new(vec![SeriesId(0)], 0, 8, false).is_err());
-        assert!(IncrementalDissimilarity::new(vec![SeriesId(0)], 5, 8, false).is_err());
-        let state = IncrementalDissimilarity::new(vec![SeriesId(0)], 4, 8, false).unwrap();
-        assert_eq!(state.lag_count(), 1);
-        assert_eq!(state.pattern_length(), 4);
-        assert_eq!(state.references(), &[SeriesId(0)]);
-    }
-
-    #[test]
-    fn ensure_compatible_rejects_mismatches() {
-        let capacity = 12;
-        let mut window = StreamingWindow::new(2, capacity);
-        let mut state =
-            IncrementalDissimilarity::new(vec![SeriesId(1)], 2, capacity, false).unwrap();
-        // Un-synced state is rejected even with matching parameters.
-        assert!(state
-            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
-            .is_err());
-        for t in 0..4 {
-            window
-                .push_tick(&StreamTick::new(
-                    Timestamp::new(t),
-                    vec![Some(1.0), Some(2.0)],
-                ))
-                .unwrap();
-        }
-        state.advance(&window).unwrap();
-        assert!(state
-            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
-            .is_ok());
-        assert!(state
-            .ensure_compatible(&window, &[SeriesId(0)], 2, false)
-            .is_err());
-        assert!(state
-            .ensure_compatible(&window, &[SeriesId(1)], 3, false)
-            .is_err());
-        assert!(state
-            .ensure_compatible(&window, &[SeriesId(1)], 2, true)
-            .is_err());
-        let other = StreamingWindow::new(2, capacity + 4);
-        assert!(state
-            .ensure_compatible(&other, &[SeriesId(1)], 2, false)
-            .is_err());
     }
 
     /// From-scratch unscaled components at one lag, reference-major and
-    /// chronological — the exact fold the composed path's `exact_candidate`
-    /// computes, used as ground truth for the shortlist entries.
+    /// chronological — the exact fold the composed path's
+    /// `evaluate_and_seed` computes, used as ground truth for the entries.
     fn exact_components(
         window: &StreamingWindow,
         refs: &[SeriesId],
@@ -1217,6 +804,23 @@ mod tests {
         sm.advance(&window).unwrap();
         assert!(sm.is_synced(&window));
         assert_eq!(sm.maintained_lags(), 0);
+        // Skipped advances: an advance more than one tick behind drops the
+        // entries instead of sliding them past the missed ticks, and
+        // resyncs; re-seeding then matches the exact fold again.
+        sm.seed(l, 1.0, l as u32);
+        for t in (capacity + 2)..(capacity + 5) {
+            window
+                .push_tick(&StreamTick::new(
+                    Timestamp::new(t as i64),
+                    vec![Some(t as f64)],
+                ))
+                .unwrap();
+        }
+        sm.advance(&window).unwrap();
+        assert!(sm.is_synced(&window));
+        assert_eq!(sm.maintained_lags(), 0);
+        seed_all(&mut sm, &window, &refs);
+        assert_entries_match(&sm, &window, &refs);
     }
 
     #[test]
@@ -1297,20 +901,56 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_lags_are_infinite() {
+    fn constructor_validates_parameters() {
+        assert!(ShortlistMaintainer::new(vec![], 2, 8, false).is_err());
+        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 0, 8, false).is_err());
+        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 5, 8, false).is_err());
+        let mut sm = ShortlistMaintainer::new(vec![SeriesId(0)], 4, 8, false).unwrap();
+        assert_eq!(sm.pattern_length(), 4);
+        assert_eq!(sm.window_length(), 8);
+        assert_eq!(sm.references(), &[SeriesId(0)]);
+        assert_eq!(sm.maintained_lags(), 0);
+        // Seeds outside the candidate lags `l ..= L − l` are ignored.
+        sm.seed(3, 1.0, 1);
+        sm.seed(5, 1.0, 1);
+        assert_eq!(sm.maintained_lags(), 0);
+        sm.seed(4, 1.0, 1);
+        assert_eq!(sm.maintained_lags(), 1);
+    }
+
+    #[test]
+    fn ensure_compatible_rejects_mismatches() {
         let capacity = 12;
-        let mut window = StreamingWindow::new(1, capacity);
-        let mut state =
-            IncrementalDissimilarity::new(vec![SeriesId(0)], 3, capacity, false).unwrap();
-        for t in 0..capacity {
+        let mut window = StreamingWindow::new(2, capacity);
+        let mut sm = ShortlistMaintainer::new(vec![SeriesId(1)], 2, capacity, false).unwrap();
+        // Un-synced state is rejected even with matching parameters.
+        assert!(sm
+            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
+            .is_err());
+        for t in 0..4 {
             window
-                .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![Some(1.0)]))
+                .push_tick(&StreamTick::new(
+                    Timestamp::new(t),
+                    vec![Some(1.0), Some(2.0)],
+                ))
                 .unwrap();
         }
-        state.advance(&window).unwrap();
-        assert!(state.dissimilarity_at_lag(0).is_infinite());
-        assert!(state.dissimilarity_at_lag(2).is_infinite());
-        assert!(state.dissimilarity_at_lag(capacity - 2).is_infinite());
-        assert!(state.dissimilarity_at_lag(3).is_finite());
+        sm.advance(&window).unwrap();
+        assert!(sm
+            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
+            .is_ok());
+        assert!(sm
+            .ensure_compatible(&window, &[SeriesId(0)], 2, false)
+            .is_err());
+        assert!(sm
+            .ensure_compatible(&window, &[SeriesId(1)], 3, false)
+            .is_err());
+        assert!(sm
+            .ensure_compatible(&window, &[SeriesId(1)], 2, true)
+            .is_err());
+        let other = StreamingWindow::new(2, capacity + 4);
+        assert!(sm
+            .ensure_compatible(&other, &[SeriesId(1)], 2, false)
+            .is_err());
     }
 }

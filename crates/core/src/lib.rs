@@ -20,24 +20,22 @@
 //!    the selected anchor points (Definition 4, Algorithm 1).
 //! 5. **Streaming engine** ([`engine`]): per-tick processing of a whole set
 //!    of streams with reference selection, window maintenance and write-back
-//!    of imputed values.  The engine maintains the dissimilarity array `D`
-//!    *incrementally* per tick ([`incremental`], Section 6.2) — `O(d)` per
-//!    candidate per tick instead of an `O(L·l·d)` recompute per imputation —
-//!    with the exact recompute path kept behind `TkcmConfig::incremental =
-//!    false` for cross-checking.
+//!    of imputed values.  Its default path is the *composed* one described
+//!    under candidate pruning below; `TkcmConfig::pruning = false` selects
+//!    the exhaustive exact path, the oracle the composed path is
+//!    bit-identical to.
 //! 6. **Consistency diagnostics** ([`consistency`]): the ε of the
 //!    pattern-determination property (Definition 5) used in Figure 13.
 //! 7. **Phase timing** ([`diagnostics`]): pattern-extraction vs
 //!    pattern-selection breakdown reported in Section 7.4.
-//! 8. **Candidate pruning** ([`signature`]): a block-quantized signature
-//!    index over the candidate space whose gap-aware lower bounds shortlist
-//!    candidates admissibly — the pruned path is bit-identical to the
-//!    exhaustive one, with `TkcmConfig::pruning = false` as the opt-out.
-//!    With `incremental = true` as well (the default), the **composed**
-//!    path adds sparse shortlist maintainers, a level-1 run prefilter and
+//! 8. **Candidate pruning** ([`signature`], [`incremental`]): a
+//!    block-quantized signature index over the candidate space whose
+//!    gap-aware lower bounds shortlist candidates admissibly, composed with
+//!    sparse shortlist maintainers that keep the Section 6.2 sliding
+//!    aggregates for recently shortlisted lags, a level-1 run prefilter and
 //!    an ascending-bound survivor sweep under a tightening per-candidate
-//!    threshold — still bit-identical, several times faster than either
-//!    single path at paper scale.
+//!    threshold.  The composed path is bit-identical to the exhaustive one
+//!    and several times faster at paper scale.
 //!
 //! ## Quick start
 //!
@@ -100,7 +98,7 @@ pub use diagnostics::{PhaseBreakdown, PhaseTimer};
 pub use dissimilarity::{Dissimilarity, DtwDistance, L1Distance, L2Distance};
 pub use engine::{EngineOutcome, Imputation, TkcmEngine};
 pub use imputer::{ImputationDetail, PruneStats, TkcmImputer};
-pub use incremental::{IncrementalDissimilarity, MaintainedBound, ShortlistMaintainer};
+pub use incremental::{MaintainedBound, ShortlistMaintainer};
 pub use pattern::{extract_pattern, extract_pattern_at_age, extract_query_pattern, Pattern};
 pub use persist::{WalEntry, WalWriteBack};
 pub use selection::{select_anchors_dp, select_anchors_greedy, AnchorSelection, SelectionStrategy};

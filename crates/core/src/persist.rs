@@ -3,10 +3,10 @@
 //!
 //! A [`crate::engine::TkcmEngine`] snapshot is the *complete* engine state:
 //! configuration, the streaming window (value rings, provenance rings,
-//! timestamp ring), the reference catalog, the accumulated phase breakdown
-//! and every live incremental dissimilarity maintainer with its bit-exact
-//! running sums.  Loading it back and replaying the logged ticks since the
-//! snapshot ([`WalEntry`], applied through
+//! timestamp ring), the reference catalog, the accumulated phase breakdown,
+//! the signature index and every live shortlist maintainer with its
+//! bit-exact running sums.  Loading it back and replaying the logged ticks
+//! since the snapshot ([`WalEntry`], applied through
 //! [`crate::engine::TkcmEngine::apply_wal_entry`]) reproduces an engine that
 //! is bit-identical to one that never crashed — the recovery-equivalence
 //! property the runtime's tests pin down.
@@ -24,9 +24,9 @@ use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp}
 use crate::config::{AnchorAggregation, TkcmConfig};
 use crate::diagnostics::PhaseBreakdown;
 use crate::dissimilarity::{Dissimilarity, L2Distance};
-use crate::engine::{Maintainer, Shortlist, TkcmEngine};
+use crate::engine::{Shortlist, TkcmEngine};
 use crate::imputer::{PruneStats, TkcmImputer};
-use crate::incremental::{IncrementalDissimilarity, ShortlistEntry, ShortlistMaintainer};
+use crate::incremental::{ShortlistEntry, ShortlistMaintainer};
 use crate::selection::SelectionStrategy;
 use crate::signature::{BlockSummary, SignatureIndex, SIGNATURE_BLOCK_LEN};
 
@@ -156,7 +156,6 @@ impl Snapshot for TkcmConfig {
         self.aggregation.write_into(enc)?;
         self.selection.write_into(enc)?;
         enc.bool(self.allow_missing_in_patterns);
-        enc.bool(self.incremental);
         enc.bool(self.pruning);
         Ok(())
     }
@@ -170,7 +169,6 @@ impl Snapshot for TkcmConfig {
             aggregation: AnchorAggregation::read_from(dec)?,
             selection: SelectionStrategy::read_from(dec)?,
             allow_missing_in_patterns: dec.bool()?,
-            incremental: dec.bool()?,
             pruning: dec.bool()?,
         };
         config
@@ -205,74 +203,44 @@ impl Snapshot for PhaseBreakdown {
     }
 }
 
-impl Snapshot for IncrementalDissimilarity {
-    fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        self.references.write_into(enc)?;
-        enc.usize(self.pattern_length);
-        enc.usize(self.window_length);
-        enc.bool(self.allow_missing);
-        self.sums.write_into(enc)?;
-        enc.usize(self.counts.len());
-        for c in &self.counts {
-            enc.u32(*c);
-        }
-        self.prev_oldest.write_into(enc)?;
-        match self.last_time {
-            Some(t) => {
-                enc.bool(true);
-                t.write_into(enc)?;
-            }
-            None => enc.bool(false),
-        }
-        enc.usize(self.ticks_since_rebuild);
-        Ok(())
+/// The checks a [`ShortlistMaintainer`] entry must pass on both sides of the
+/// codec.  Encode refuses what decode would refuse, so a checkpoint of a
+/// corrupt state fails when it is written instead of leaving a snapshot that
+/// can never be recovered.
+fn check_shortlist_entry(
+    lag: u32,
+    entry: &ShortlistEntry,
+    pattern_length: usize,
+    window_length: usize,
+    total_pairs: usize,
+    ticks: u64,
+) -> Result<(), StoreError> {
+    // Callers have checked `window_length ≥ 2 · pattern_length`.
+    let candidate_lags = pattern_length..=window_length - pattern_length;
+    if !usize::try_from(lag).is_ok_and(|lag| candidate_lags.contains(&lag)) {
+        return Err(StoreError::invalid(format!(
+            "shortlist entry lag {lag} is outside the candidate range"
+        )));
     }
-
-    fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        let references: Vec<SeriesId> = Vec::read_from(dec)?;
-        let pattern_length = dec.usize()?;
-        let window_length = dec.usize()?;
-        let allow_missing = dec.bool()?;
-        let sums: Vec<f64> = Vec::read_from(dec)?;
-        let count_len = dec.seq_len()?;
-        let mut counts = Vec::with_capacity(count_len);
-        for _ in 0..count_len {
-            counts.push(dec.u32()?);
-        }
-        let prev_oldest: Vec<Option<f64>> = Vec::read_from(dec)?;
-        let last_time = if dec.bool()? {
-            Some(Timestamp::read_from(dec)?)
-        } else {
-            None
-        };
-        let ticks_since_rebuild = dec.usize()?;
-
-        // `window_length / 2 < pattern_length` is the overflow-safe spelling
-        // of `window_length < 2 * pattern_length` — decoded dimensions are
-        // untrusted and must not be fed into unchecked arithmetic.
-        if references.is_empty()
-            || pattern_length == 0
-            || window_length / 2 < pattern_length
-            || sums.len() != window_length - 2 * pattern_length + 1
-            || counts.len() != sums.len()
-            || prev_oldest.len() != references.len()
-        {
-            return Err(StoreError::invalid(
-                "incremental dissimilarity snapshot dimensions are inconsistent",
-            ));
-        }
-        Ok(IncrementalDissimilarity {
-            references,
-            pattern_length,
-            window_length,
-            allow_missing,
-            sums,
-            counts,
-            prev_oldest,
-            last_time,
-            ticks_since_rebuild,
-        })
+    // A NaN sum or a negative/NaN radius would corrupt every bound derived
+    // from the entry; refuse rather than carry it.
+    if entry.sum_sq.is_nan() || entry.err.is_nan() || entry.err < 0.0 {
+        return Err(StoreError::invalid(
+            "shortlist entry carries a NaN sum or invalid error radius",
+        ));
     }
+    if usize::try_from(entry.observed).map_or(true, |observed| observed > total_pairs) {
+        return Err(StoreError::invalid(format!(
+            "shortlist entry observed count {} exceeds the pair total",
+            entry.observed
+        )));
+    }
+    if entry.last_hit > ticks {
+        return Err(StoreError::invalid(
+            "shortlist entry last-hit tick is ahead of the maintainer clock",
+        ));
+    }
+    Ok(())
 }
 
 impl Snapshot for ShortlistMaintainer {
@@ -283,8 +251,17 @@ impl Snapshot for ShortlistMaintainer {
         enc.bool(self.allow_missing);
         // BTreeMap iteration is ascending by lag, so the encoding (and the
         // snapshot fingerprint) is deterministic.
+        let total_pairs = self.references.len() * self.pattern_length;
         enc.usize(self.entries.len());
         for (&lag, entry) in &self.entries {
+            check_shortlist_entry(
+                lag,
+                entry,
+                self.pattern_length,
+                self.window_length,
+                total_pairs,
+                self.ticks,
+            )?;
             enc.u32(lag);
             enc.f64(entry.sum_sq);
             enc.f64(entry.err);
@@ -308,8 +285,9 @@ impl Snapshot for ShortlistMaintainer {
         let pattern_length = dec.usize()?;
         let window_length = dec.usize()?;
         let allow_missing = dec.bool()?;
-        // Same overflow-safe dimension check as the dense maintainer:
-        // decoded sizes are untrusted.
+        // `window_length / 2 < pattern_length` is the overflow-safe spelling
+        // of `window_length < 2 * pattern_length` — decoded dimensions are
+        // untrusted and must not be fed into unchecked arithmetic.
         if references.is_empty() || pattern_length == 0 || window_length / 2 < pattern_length {
             return Err(StoreError::invalid(
                 "shortlist maintainer snapshot dimensions are inconsistent",
@@ -317,47 +295,15 @@ impl Snapshot for ShortlistMaintainer {
         }
         let entry_count = dec.seq_len()?;
         let mut entries = std::collections::BTreeMap::new();
-        let lag_min = u64::try_from(pattern_length)
-            .map_err(|_| StoreError::invalid("shortlist pattern length overflows u64"))?;
-        let lag_max = u64::try_from(window_length - pattern_length)
-            .map_err(|_| StoreError::invalid("shortlist window length overflows u64"))?;
-        let total_pairs = u64::try_from(references.len().saturating_mul(pattern_length))
-            .map_err(|_| StoreError::invalid("shortlist pair count overflows u64"))?;
         for _ in 0..entry_count {
             let lag = dec.u32()?;
-            let sum_sq = dec.f64()?;
-            let err = dec.f64()?;
-            let observed = dec.u32()?;
-            let last_hit = dec.u64()?;
-            if u64::from(lag) < lag_min || u64::from(lag) > lag_max {
-                return Err(StoreError::invalid(format!(
-                    "shortlist entry lag {lag} is outside the candidate range"
-                )));
-            }
-            // A NaN sum or a negative/NaN radius would corrupt every bound
-            // derived from the entry; refuse rather than carry it.
-            if sum_sq.is_nan() || err.is_nan() || err < 0.0 {
-                return Err(StoreError::invalid(
-                    "shortlist entry carries a NaN sum or invalid error radius",
-                ));
-            }
-            if u64::from(observed) > total_pairs {
-                return Err(StoreError::invalid(format!(
-                    "shortlist entry observed count {observed} exceeds the pair total"
-                )));
-            }
-            if entries
-                .insert(
-                    lag,
-                    ShortlistEntry {
-                        sum_sq,
-                        err,
-                        observed,
-                        last_hit,
-                    },
-                )
-                .is_some()
-            {
+            let entry = ShortlistEntry {
+                sum_sq: dec.f64()?,
+                err: dec.f64()?,
+                observed: dec.u32()?,
+                last_hit: dec.u64()?,
+            };
+            if entries.insert(lag, entry).is_some() {
                 return Err(StoreError::invalid(format!(
                     "duplicate shortlist entry for lag {lag}"
                 )));
@@ -375,12 +321,16 @@ impl Snapshot for ShortlistMaintainer {
                 "shortlist maintainer snapshot dimensions are inconsistent",
             ));
         }
-        for entry in entries.values() {
-            if entry.last_hit > ticks {
-                return Err(StoreError::invalid(
-                    "shortlist entry last-hit tick is ahead of the maintainer clock",
-                ));
-            }
+        let total_pairs = references.len().saturating_mul(pattern_length);
+        for (&lag, entry) in &entries {
+            check_shortlist_entry(
+                lag,
+                entry,
+                pattern_length,
+                window_length,
+                total_pairs,
+                ticks,
+            )?;
         }
         Ok(ShortlistMaintainer {
             references,
@@ -536,11 +486,6 @@ impl Snapshot for TkcmEngine {
         self.breakdown.write_into(enc)?;
         enc.usize(self.imputation_count);
         enc.usize(self.tick_count);
-        enc.usize(self.maintainers.len());
-        for m in &self.maintainers {
-            m.state.write_into(enc)?;
-            enc.usize(m.last_used);
-        }
         match &self.signatures {
             Some(index) => {
                 enc.bool(true);
@@ -571,18 +516,6 @@ impl Snapshot for TkcmEngine {
         let breakdown = PhaseBreakdown::read_from(dec)?;
         let imputation_count = dec.usize()?;
         let tick_count = dec.usize()?;
-        let maintainer_count = dec.seq_len()?;
-        let mut maintainers = Vec::with_capacity(maintainer_count);
-        for _ in 0..maintainer_count {
-            let state = IncrementalDissimilarity::read_from(dec)?;
-            let last_used = dec.usize()?;
-            if state.window_length() != config.window_length {
-                return Err(StoreError::invalid(
-                    "maintainer window length does not match the engine configuration",
-                ));
-            }
-            maintainers.push(Maintainer { state, last_used });
-        }
         let signatures = if dec.bool()? {
             let index = SignatureIndex::read_from(dec)?;
             if index.width() != window.width() {
@@ -616,18 +549,17 @@ impl Snapshot for TkcmEngine {
         let prune_totals = PruneStats::read_from(dec)?;
         let imputer = TkcmImputer::new(config).map_err(|e| StoreError::invalid(e.to_string()))?;
         // Presence of the index must agree with what this configuration
-        // activates — a pruned engine recovered without its index (or the
+        // activates — a composed engine recovered without its index (or the
         // converse) would silently change the imputation path.
-        let expects_index = crate::engine::signature_for(window.width(), &imputer)
+        let composes = crate::engine::signature_for(window.width(), &imputer)
             .map_err(|e| StoreError::invalid(e.to_string()))?
             .is_some();
-        if expects_index != signatures.is_some() {
+        if composes != signatures.is_some() {
             return Err(StoreError::invalid(
                 "signature index presence does not match the engine configuration",
             ));
         }
         // Shortlist maintainers only exist on the composed path.
-        let composes = expects_index && imputer.config().incremental;
         if !shortlists.is_empty() && !composes {
             return Err(StoreError::invalid(
                 "shortlist maintainers present but the configuration does not compose",
@@ -641,7 +573,6 @@ impl Snapshot for TkcmEngine {
             breakdown,
             imputation_count,
             tick_count,
-            maintainers,
             signatures,
             shortlists,
             level1_run_len,
@@ -705,7 +636,6 @@ mod tests {
         broken.aggregation.write_into(&mut enc).unwrap();
         broken.selection.write_into(&mut enc).unwrap();
         enc.bool(broken.allow_missing_in_patterns);
-        enc.bool(broken.incremental);
         enc.bool(broken.pruning);
         assert!(decode_from_slice::<TkcmConfig>(&enc.into_bytes()).is_err());
     }
@@ -737,7 +667,7 @@ mod tests {
 
     #[test]
     fn engine_snapshot_restores_bit_identical_behaviour() {
-        // Run an engine through imputations (live maintainers), snapshot it,
+        // Run an engine through imputations (live shortlists), snapshot it,
         // restore, and drive both with identical further ticks: outcomes and
         // window contents must match bit for bit.
         let mut original = run_engine(120);
@@ -748,7 +678,11 @@ mod tests {
             restored.imputations_performed(),
             original.imputations_performed()
         );
-        assert_eq!(restored.maintainer_count(), original.maintainer_count());
+        assert_eq!(restored.shortlist_count(), original.shortlist_count());
+        assert_eq!(
+            restored.shortlisted_lag_count(),
+            original.shortlisted_lag_count()
+        );
 
         for t in 120..200usize {
             let missing = t % 5 == 0;
@@ -851,6 +785,37 @@ mod tests {
         enc.bool(false);
         enc.u64(0);
         assert!(decode_from_slice::<ShortlistMaintainer>(&enc.into_bytes()).is_err());
+    }
+
+    #[test]
+    fn encode_refuses_a_shortlist_entry_that_decode_would_refuse() {
+        // One NaN reference reading: the composed path seeds a shortlist
+        // entry from an exact fold that contains it.  Decode refuses such an
+        // entry, so encode must refuse it too — a checkpoint that writes it
+        // could never be recovered.
+        let config = TkcmConfig::builder()
+            .window_length(400)
+            .pattern_length(8)
+            .anchor_count(3)
+            .reference_count(1)
+            .build()
+            .unwrap();
+        let mut engine = TkcmEngine::new(2, config, Catalog::ring_neighbours(2)).unwrap();
+        for t in 0..600usize {
+            let target = if t >= 590 { None } else { Some(sine(t, 0.0)) };
+            let reference = if t == 450 {
+                Some(f64::NAN)
+            } else {
+                Some(sine(t, 3.0))
+            };
+            let tick = StreamTick::new(Timestamp::new(t as i64), vec![target, reference]);
+            engine.process_tick(&tick).unwrap();
+        }
+        assert!(engine.is_composed());
+        match encode_to_vec(&engine) {
+            Err(StoreError::Invalid { message }) => assert!(message.contains("NaN"), "{message}"),
+            other => panic!("expected encode to refuse the NaN entry, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Quantized pattern-signature index: admissible candidate pruning.
 //!
-//! The incremental maintenance of Section 6.2 made each candidate lag cheap
-//! (`O(d)`/tick), but the engine still touches *every* candidate, so the
+//! Maintaining every candidate lag incrementally (Section 6.2) makes each
+//! one cheap (`O(d)`/tick), but still touches *every* candidate, so the
 //! per-tick cost stays linear in the candidate count `J = L − 2l + 1`.  This
 //! module keeps a coarse, block-quantized summary of every series in the
 //! window — a piecewise min/max envelope plus a missing-slot count per block
 //! of [`SIGNATURE_BLOCK_LEN`] consecutive ticks — and uses it to compute a
 //! cheap *lower bound* `LB[j] ≤ D[j]` on each candidate's L2 dissimilarity.
-//! The imputer ([`crate::imputer::TkcmImputer::impute_pruned`]) then
+//! The imputer ([`crate::imputer::TkcmImputer::impute_composed`]) then
 //! evaluates exact dissimilarities only for a shortlist and proves the rest
 //! out of the k-NN set.
 //!

@@ -13,13 +13,14 @@ use tkcm_timeseries::{Catalog, SeriesId, StreamTick, Timestamp};
 
 const CADENCE: i64 = 600;
 
-fn config(incremental: bool) -> TkcmConfig {
+/// The default composed path (`true`) or the exhaustive oracle (`false`).
+fn config(composed: bool) -> TkcmConfig {
     TkcmConfig::builder()
         .window_length(256)
         .pattern_length(4)
         .anchor_count(3)
         .reference_count(2)
-        .incremental(incremental)
+        .pruning(composed)
         .build()
         .unwrap()
 }
@@ -30,10 +31,10 @@ fn sine(t: usize, shift: f64) -> f64 {
 
 /// Streams 10-minute-cadence data with a gap and returns the engine plus all
 /// imputations `(tick index, Imputation)`.
-fn run_at_cadence(incremental: bool) -> (TkcmEngine, Vec<(usize, tkcm_core::Imputation)>) {
+fn run_at_cadence(composed: bool) -> (TkcmEngine, Vec<(usize, tkcm_core::Imputation)>) {
     let width = 3;
     let mut engine =
-        TkcmEngine::new(width, config(incremental), Catalog::ring_neighbours(width)).unwrap();
+        TkcmEngine::new(width, config(composed), Catalog::ring_neighbours(width)).unwrap();
     let mut imputations = Vec::new();
     for i in 0..256usize {
         let missing = (200..220).contains(&i);
@@ -52,15 +53,15 @@ fn run_at_cadence(incremental: bool) -> (TkcmEngine, Vec<(usize, tkcm_core::Impu
 
 #[test]
 fn imputation_and_anchor_times_match_the_real_tick_times() {
-    for incremental in [true, false] {
-        let (engine, imputations) = run_at_cadence(incremental);
+    for composed in [true, false] {
+        let (engine, imputations) = run_at_cadence(composed);
         assert_eq!(imputations.len(), 20);
         for (i, imp) in &imputations {
             // The imputed time point is the arriving tick's own timestamp.
             assert_eq!(
                 imp.time,
                 Timestamp::new(*i as i64 * CADENCE),
-                "imputation time off at tick {i} (incremental={incremental})"
+                "imputation time off at tick {i} (composed={composed})"
             );
             assert!(!imp.detail.anchors.is_empty());
             for anchor in &imp.detail.anchors {
@@ -69,7 +70,7 @@ fn imputation_and_anchor_times_match_the_real_tick_times() {
                 assert_eq!(
                     anchor.time.tick() % CADENCE,
                     0,
-                    "anchor time {} is not a real tick time (incremental={incremental})",
+                    "anchor time {} is not a real tick time (composed={composed})",
                     anchor.time
                 );
                 assert!(anchor.time < imp.time);
@@ -91,13 +92,13 @@ fn imputation_and_anchor_times_match_the_real_tick_times() {
 fn cadence_does_not_change_what_gets_imputed() {
     // The imputed *values* are a function of tick indices only — replaying
     // the identical data at unit cadence must produce identical values, and
-    // the incremental and exact engines must agree at the real cadence.
+    // the composed and exact engines must agree at the real cadence.
     let (_, at_cadence) = run_at_cadence(true);
     let (_, exact) = run_at_cadence(false);
     assert_eq!(at_cadence.len(), exact.len());
     for ((i_a, a), (i_b, b)) in at_cadence.iter().zip(exact.iter()) {
         assert_eq!(i_a, i_b);
-        assert_eq!(a.value, b.value, "incremental vs exact at tick {i_a}");
+        assert_eq!(a.value, b.value, "composed vs exact at tick {i_a}");
     }
 
     let width = 3;

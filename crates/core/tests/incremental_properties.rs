@@ -1,60 +1,93 @@
-//! Property tests for the Section 6.2 incremental dissimilarity maintenance:
-//! the maintained `D[j]` must equal a from-scratch recompute (within
-//! floating-point epsilon) across random streams with gaps, random missing
-//! blocks, imputed write-backs and ring-buffer wrap-around.
+//! Property tests for the Section 6.2 incremental dissimilarity maintenance
+//! of the composed path: every maintained shortlist entry must track a
+//! from-scratch recompute of its lag (the pair count exactly, the sum to
+//! floating-point epsilon, the certified bound from below) across random
+//! streams with gaps, imputed write-backs at any age and ring-buffer
+//! wrap-around; and the engine that relies on those entries must impute
+//! exactly what the exhaustive recompute path imputes.
 
 use proptest::prelude::*;
 
-use tkcm_core::{
-    extract_pattern, extract_query_pattern, Dissimilarity, IncrementalDissimilarity, L2Distance,
-    TkcmConfig, TkcmEngine,
-};
+use tkcm_core::{ShortlistMaintainer, TkcmConfig, TkcmEngine};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
 
-/// From-scratch `D` at one candidate lag, computed exactly like the exact
-/// imputer path: pattern extraction plus the L2 distance of Definition 2.
-fn from_scratch_d(
+/// From-scratch unscaled components at one candidate lag — the fold the
+/// composed path seeds entries from: the sum of squared differences over the
+/// pairs observed on both sides, and the number of such pairs.
+fn from_scratch_components(
     window: &StreamingWindow,
     refs: &[SeriesId],
     l: usize,
     lag: usize,
-    allow_missing: bool,
-) -> f64 {
-    let now = window.current_time().unwrap();
-    let Some(query) = extract_query_pattern(window, refs, l, allow_missing).unwrap() else {
-        return f64::INFINITY;
-    };
-    match extract_pattern(window, refs, now - lag as i64, l, allow_missing).unwrap() {
-        Some(candidate) => L2Distance.distance(&candidate, &query),
-        None => f64::INFINITY,
+) -> (f64, u32) {
+    let mut sum_sq = 0.0;
+    let mut observed = 0u32;
+    for &r in refs {
+        for col in 0..l {
+            let y = window.value_recent(r, l - 1 - col).unwrap();
+            let x = window.value_recent(r, lag + (l - 1 - col)).unwrap();
+            if let (Some(x), Some(y)) = (x, y) {
+                sum_sq += (x - y) * (x - y);
+                observed += 1;
+            }
+        }
+    }
+    (sum_sq, observed)
+}
+
+/// Seeds every candidate lag of the window from the exact fold.
+fn seed_all(state: &mut ShortlistMaintainer, window: &StreamingWindow, refs: &[SeriesId]) {
+    let l = state.pattern_length();
+    for lag in l..=(window.filled() - l) {
+        let (sum_sq, observed) = from_scratch_components(window, refs, l, lag);
+        state.seed(lag, sum_sq, observed);
+    }
+}
+
+/// Refreshes every seeded entry's TTL without re-seeding it, so the sums
+/// keep sliding between checks.
+fn touch_all(state: &mut ShortlistMaintainer, window: &StreamingWindow) {
+    let l = state.pattern_length();
+    for lag in l..=window.filled().saturating_sub(l) {
+        state.touch(lag);
     }
 }
 
 fn assert_state_matches(
-    state: &IncrementalDissimilarity,
+    state: &ShortlistMaintainer,
     window: &StreamingWindow,
     refs: &[SeriesId],
-    l: usize,
     allow_missing: bool,
 ) -> Result<(), String> {
+    let l = state.pattern_length();
+    let total = (refs.len() * l) as u32;
     let filled = window.filled();
     if filled < 2 * l {
         return Ok(());
     }
     for lag in l..=(filled - l) {
-        let exact = from_scratch_d(window, refs, l, lag, allow_missing);
-        let inc = state.dissimilarity_at_lag(lag);
-        if exact.is_infinite() {
-            prop_assert!(
-                inc.is_infinite(),
-                "lag {lag}: from-scratch inf, incremental {inc}"
-            );
-        } else {
-            prop_assert!(
-                (exact - inc).abs() <= 1e-8 * (1.0 + exact.abs()),
-                "lag {lag}: from-scratch {exact} vs incremental {inc}"
-            );
-        }
+        let Some(bound) = state.bound(lag) else {
+            continue;
+        };
+        let (exact_sq, observed) = from_scratch_components(window, refs, l, lag);
+        prop_assert!(
+            bound.lb_sq <= exact_sq,
+            "lag {lag}: bound {} above from-scratch {exact_sq}",
+            bound.lb_sq
+        );
+        // The bound sits below the sum by the entry's tracked error radius
+        // (16 ulps of the running magnitudes per update, ≲ 1e-6 here); a
+        // missed or doubled pair update would shift it by a whole squared
+        // difference instead.
+        prop_assert!(
+            bound.lb_sq >= exact_sq * (1.0 - 1e-8) - 1e-5,
+            "lag {lag}: bound {} drifted from from-scratch {exact_sq}",
+            bound.lb_sq
+        );
+        prop_assert!(
+            bound.certain_missing == (!allow_missing && observed != total),
+            "lag {lag}: pair count drifted"
+        );
     }
     Ok(())
 }
@@ -62,7 +95,7 @@ fn assert_state_matches(
 proptest! {
     /// Random two-series streams with random gaps, replayed for well past
     /// one full window so the ring buffers wrap and evict: after every tick
-    /// (and every imputed write-back) the maintained sums must match a
+    /// (and every imputed write-back) the maintained entries must match a
     /// from-scratch recompute in both missing-value modes.
     #[test]
     fn incremental_d_matches_from_scratch_recompute(
@@ -76,7 +109,7 @@ proptest! {
         let allow_missing = mode == 1;
         let refs = vec![SeriesId(0), SeriesId(1)];
         let mut window = StreamingWindow::new(2, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, allow_missing)
+        let mut state = ShortlistMaintainer::new(refs.clone(), l, capacity, allow_missing)
             .expect("valid state parameters");
 
         let len = v0.len().min(v1.len());
@@ -85,7 +118,11 @@ proptest! {
                 .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![v0[t], v1[t]]))
                 .expect("tick accepted");
             state.advance(&window).expect("advance succeeds");
-            assert_state_matches(&state, &window, &refs, l, allow_missing)?;
+            touch_all(&mut state, &window);
+            if t + 1 == capacity {
+                seed_all(&mut state, &window, &refs);
+            }
+            assert_state_matches(&state, &window, &refs, allow_missing)?;
 
             // Mimic the engine's write-back: when the current value of a
             // reference is missing, impute *something* and patch the state.
@@ -100,7 +137,7 @@ proptest! {
                         .expect("on_write succeeds");
                 }
             }
-            assert_state_matches(&state, &window, &refs, l, allow_missing)?;
+            assert_state_matches(&state, &window, &refs, allow_missing)?;
         }
     }
 
@@ -116,7 +153,7 @@ proptest! {
         let l = l_raw.min(capacity / 2).max(1);
         let refs = vec![SeriesId(0)];
         let mut window = StreamingWindow::new(1, capacity);
-        let mut state = IncrementalDissimilarity::new(refs.clone(), l, capacity, true)
+        let mut state = ShortlistMaintainer::new(refs.clone(), l, capacity, true)
             .expect("valid state parameters");
 
         for (t, v) in values.iter().enumerate() {
@@ -125,6 +162,7 @@ proptest! {
                 .expect("tick accepted");
             state.advance(&window).expect("advance succeeds");
         }
+        seed_all(&mut state, &window, &refs);
         for (i, &age) in write_ages.iter().enumerate() {
             let age = age % window.filled();
             let old = window.value_recent(SeriesId(0), age).expect("valid age");
@@ -134,15 +172,16 @@ proptest! {
             state
                 .on_write(&window, SeriesId(0), age, old)
                 .expect("on_write succeeds");
-            assert_state_matches(&state, &window, &refs, l, true)?;
+            assert_state_matches(&state, &window, &refs, true)?;
         }
+        prop_assert_eq!(state.maintained_lags(), capacity - 2 * l + 1);
     }
 
-    /// End to end: an engine with incremental maintenance and an engine on
-    /// the exact recompute path impute the same values on the same stream
-    /// (same missing slots, same skipped series, values equal to float
-    /// tolerance), including long outages where imputed history feeds later
-    /// patterns.
+    /// End to end: the default engine, whose composed path prunes with the
+    /// maintained entries, and an engine on the exhaustive recompute path
+    /// impute the same value *bits* on the same stream (same missing slots,
+    /// same skipped series, same anchors), including long outages where
+    /// imputed history feeds later patterns and gaps in a reference.
     #[test]
     fn engine_incremental_equals_exact_recompute(
         period in 8.0f64..40.0,
@@ -156,40 +195,27 @@ proptest! {
         let total = capacity * 2; // wrap the ring at least once
         let gap_start = (total as f64 * gap_start_frac) as usize;
         let l = 3;
-        // This property contrasts the PR-2 incremental path with the exact
-        // recompute path, so signature pruning (which replaces maintainers
-        // entirely) is switched off for both engines.
-        let base = TkcmConfig::builder()
-            .window_length(capacity)
-            .pattern_length(l)
-            .anchor_count(3)
-            .reference_count(2)
-            .pruning(false)
-            .build()
-            .unwrap();
-        let exact_config = TkcmConfig::builder()
-            .incremental(false)
-            .window_length(capacity)
-            .pattern_length(l)
-            .anchor_count(3)
-            .reference_count(2)
-            .pruning(false)
-            .build()
-            .unwrap();
-        prop_assert!(base.incremental);
-        prop_assert!(!exact_config.incremental);
-
-        let catalog = Catalog::ring_neighbours(width);
-        let mut inc_engine = TkcmEngine::new(width, base, catalog.clone()).unwrap();
-        let mut exact_engine = TkcmEngine::new(width, exact_config, catalog).unwrap();
-        prop_assert!(inc_engine.is_incremental());
-        prop_assert!(!exact_engine.is_incremental());
+        let mk = |composed: bool| {
+            let config = TkcmConfig::builder()
+                .window_length(capacity)
+                .pattern_length(l)
+                .anchor_count(3)
+                .reference_count(2)
+                .pruning(composed)
+                .build()
+                .unwrap();
+            TkcmEngine::new(width, config, Catalog::ring_neighbours(width)).unwrap()
+        };
+        let mut inc_engine = mk(true);
+        let mut exact_engine = mk(false);
+        prop_assert!(inc_engine.is_composed());
+        prop_assert!(!exact_engine.is_composed());
 
         let wave = |t: usize, shift: f64| {
             ((t as f64 - shift) / period * std::f64::consts::TAU).sin() * 10.0
                 + (t as f64) * 1e-3 // slight drift to break exact ties
         };
-        let mut max_maintainers = 0usize;
+        let mut max_shortlists = 0usize;
         for t in 0..total {
             let s0_missing = (gap_start..gap_start + gap_len).contains(&t);
             let s1_missing = t % 17 == 5;
@@ -201,33 +227,19 @@ proptest! {
                     Some(wave(t, shift2)),
                 ],
             );
-            let inc = inc_engine.process_tick(&tick).unwrap();
-            let exact = exact_engine.process_tick(&tick).unwrap();
-
-            prop_assert_eq!(&inc.skipped, &exact.skipped);
-            prop_assert_eq!(inc.imputations.len(), exact.imputations.len());
-            for (a, b) in inc.imputations.iter().zip(exact.imputations.iter()) {
-                prop_assert_eq!(a.series, b.series);
-                prop_assert_eq!(a.time, b.time);
-                prop_assert!(
-                    (a.value - b.value).abs() <= 1e-6 * (1.0 + b.value.abs()),
-                    "tick {}: incremental {} vs exact {}",
-                    t,
-                    a.value,
-                    b.value
-                );
-                prop_assert_eq!(a.detail.fallback, b.detail.fallback);
-            }
-            max_maintainers = max_maintainers.max(inc_engine.maintainer_count());
+            let inc = inc_engine.process_tick(&tick).unwrap().timing_stripped();
+            let exact = exact_engine.process_tick(&tick).unwrap().timing_stripped();
+            prop_assert!(inc == exact, "tick {}: composed {:?} vs exact {:?}", t, inc, exact);
+            max_shortlists = max_shortlists.max(inc_engine.shortlist_count());
         }
         prop_assert_eq!(
             inc_engine.imputations_performed(),
             exact_engine.imputations_performed()
         );
-        // Maintained states appear on demand on the incremental engine (and
-        // may be evicted again after 2l idle ticks); the exact engine never
+        // Shortlist states appear on demand on the composed engine (and may
+        // be evicted again after 2l idle ticks); the exact engine never
         // creates any.
-        prop_assert!(max_maintainers >= 1);
-        prop_assert_eq!(exact_engine.maintainer_count(), 0);
+        prop_assert!(max_shortlists >= 1);
+        prop_assert_eq!(exact_engine.shortlist_count(), 0);
     }
 }

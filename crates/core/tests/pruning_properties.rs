@@ -1,21 +1,20 @@
-//! Equivalence and admissibility properties of the signature-index pruned
-//! candidate path (PR 7).
+//! Equivalence and admissibility properties of the composed candidate path
+//! (signature-index pruning layered with shortlist maintenance).
 //!
 //! Three families:
 //!
-//! 1. **Bit-identity** — an engine on the pruned path must produce *bitwise*
-//!    the same imputations as an engine on the exhaustive exact path, across
-//!    random periods, gap placements, pattern lengths and window capacities,
-//!    with ring wrap-around and imputed write-backs in the mix.  (The PR-2
-//!    incremental path is only tolerance-equivalent to exact, so the pruned
-//!    path is compared against the *exhaustive* recompute, which it matches
-//!    bit for bit — see `signature.rs` for the float-level argument.)
+//! 1. **Bit-identity** — an engine on the composed path must produce
+//!    *bitwise* the same imputations as an engine on the exhaustive exact
+//!    path, across random periods, gap placements, pattern lengths and
+//!    window capacities, with ring wrap-around and imputed write-backs in
+//!    the mix — see `signature.rs` and `TkcmImputer::impute_composed` for
+//!    the float-level argument.
 //! 2. **Admissibility** — the signature lower bound never exceeds the exact
 //!    dissimilarity of any candidate, so a pruned candidate (LB > τ) can
 //!    never belong to the k-NN anchor set.
 //! 3. **Inadmissible fixture** — a deliberately inflated (hence wrong) bound
-//!    must make the equivalence check *fail*, proving the suite detects
-//!    over-pruning rather than vacuously passing.
+//!    at either level of the cascade must make the equivalence check *fail*,
+//!    proving the suite detects over-pruning rather than vacuously passing.
 
 use proptest::prelude::*;
 
@@ -45,7 +44,7 @@ fn from_scratch_d(
 }
 
 proptest! {
-    /// An engine with signature pruning enabled is bitwise indistinguishable
+    /// An engine on the composed path is bitwise indistinguishable
     /// from an engine on the exhaustive exact path: same skipped series,
     /// same imputation times, same anchors and the same value *bits*, over
     /// random integer sawtooths with random gaps, long enough to wrap the
@@ -66,28 +65,23 @@ proptest! {
         let total = window_length * 2 + 40; // wrap the ring at least once
         let gap_start = (total as f64 * gap_start_frac) as usize;
 
-        let mk = |pruning: bool, incremental: bool| {
+        let mk = |pruning: bool| {
             let config = TkcmConfig::builder()
                 .window_length(window_length)
                 .pattern_length(l)
                 .anchor_count(k)
                 .reference_count(2)
-                .incremental(incremental)
                 .pruning(pruning)
                 .build()
                 .unwrap();
             TkcmEngine::new(width, config, Catalog::ring_neighbours(width)).unwrap()
         };
-        // (pruning, incremental): (true, true) is the *composed* path —
-        // level-1 prefilter + shortlist maintainers + level-0 bounds —
-        // (true, false) the PR-7 pruned-only path.  Both must match the
-        // exhaustive engine bit for bit.
-        let mut composed = mk(true, true);
-        let mut pruned = mk(true, false);
-        let mut exhaustive = mk(false, false);
-        prop_assert!(composed.is_pruned() && composed.is_composed());
-        prop_assert!(pruned.is_pruned() && !pruned.is_composed());
-        prop_assert!(!exhaustive.is_pruned());
+        // The composed path — level-1 prefilter + shortlist maintainers +
+        // level-0 bounds — must match the exhaustive engine bit for bit.
+        let mut composed = mk(true);
+        let mut exhaustive = mk(false);
+        prop_assert!(composed.is_composed());
+        prop_assert!(!exhaustive.is_composed());
 
         let saw = |t: usize, shift: u64| ((t as u64 + shift) % period) as f64;
         for t in 0..total {
@@ -102,24 +96,16 @@ proptest! {
                 ],
             );
             let m = composed.process_tick(&tick).unwrap();
-            let a = pruned.process_tick(&tick).unwrap();
             let b = exhaustive.process_tick(&tick).unwrap();
 
-            prop_assert_eq!(&a.skipped, &b.skipped);
             prop_assert_eq!(&m.skipped, &b.skipped);
-            prop_assert_eq!(a.imputations.len(), b.imputations.len());
             prop_assert_eq!(m.imputations.len(), b.imputations.len());
-            for (x, y) in a
-                .imputations
-                .iter()
-                .chain(m.imputations.iter())
-                .zip(b.imputations.iter().chain(b.imputations.iter()))
-            {
+            for (x, y) in m.imputations.iter().zip(b.imputations.iter()) {
                 prop_assert_eq!(x.series, y.series);
                 prop_assert_eq!(x.time, y.time);
                 prop_assert!(
                     x.value.to_bits() == y.value.to_bits(),
-                    "tick {}: pruned/composed {} vs exhaustive {}",
+                    "tick {}: composed {} vs exhaustive {}",
                     t,
                     x.value,
                     y.value
@@ -130,17 +116,12 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            pruned.imputations_performed(),
-            exhaustive.imputations_performed()
-        );
-        prop_assert_eq!(
             composed.imputations_performed(),
             exhaustive.imputations_performed()
         );
-        prop_assert_eq!(pruned.prune_totals().candidates > 0, pruned.imputations_performed() > 0);
         prop_assert_eq!(
-            composed.prune_totals().candidates,
-            pruned.prune_totals().candidates
+            composed.prune_totals().candidates > 0,
+            composed.imputations_performed() > 0
         );
     }
 
@@ -361,7 +342,7 @@ proptest! {
 /// which the true nearest candidate (an off-by-one copy of the query, D = 4)
 /// has a *non-zero* lower bound, while a decoy candidate (alternating values
 /// whose envelope straddles the query, D = 360) has a lower bound of exactly
-/// zero.  With admissible bounds the pruned path finds the copy; inflating
+/// zero.  With admissible bounds the composed path finds the copy; inflating
 /// the bounds prunes it and the decoy wins — a detectably different answer.
 fn inadmissible_fixture() -> (StreamingWindow, SignatureIndex, TkcmImputer) {
     let width = 2;
@@ -414,30 +395,68 @@ fn inadmissible_fixture() -> (StreamingWindow, SignatureIndex, TkcmImputer) {
     (window, index, imputer)
 }
 
-/// With the true bound (factor 1) the pruned path matches the exhaustive
-/// path bit for bit; with a deliberately inflated — hence inadmissible —
-/// bound the true nearest candidate is pruned away and the imputed value
-/// visibly changes.  This is the negative control of the equivalence suite:
-/// if over-pruning ever happens, these comparisons are what catches it.
+/// A fresh shortlist for the fixture, synced to its window.
+fn fixture_shortlist(
+    window: &StreamingWindow,
+    imputer: &TkcmImputer,
+    refs: &[SeriesId],
+) -> ShortlistMaintainer {
+    let config = imputer.config();
+    let mut s = ShortlistMaintainer::new(
+        refs.to_vec(),
+        config.pattern_length,
+        config.window_length,
+        false,
+    )
+    .unwrap();
+    s.advance(window).unwrap();
+    s
+}
+
+/// The composed path's negative control at level 0.  On the fixture: (1)
+/// with admissible bounds the composed path — cold shortlist *and* warm
+/// shortlist — reproduces the exhaustive answer bitwise; (2) a deliberately
+/// inflated — hence inadmissible — per-lag bound prunes the true nearest
+/// candidate away and the imputed value visibly changes.  If over-pruning
+/// ever happens, these comparisons are what catches it.
 #[test]
 fn inflated_bounds_are_caught_by_the_equivalence_check() {
     let (window, index, imputer) = inadmissible_fixture();
     let target = SeriesId(0);
     let refs = vec![SeriesId(1)];
+    let run_len = level1_run_len(imputer.config().pattern_length);
 
     let exact = imputer.impute(&window, target, &refs).unwrap();
-    let (pruned, _) = imputer
-        .impute_pruned(&window, target, &refs, &index)
-        .unwrap();
-    assert_eq!(
-        pruned.value.to_bits(),
-        exact.value.to_bits(),
-        "admissible bounds must reproduce the exhaustive answer bitwise"
-    );
-    assert_eq!(pruned.anchors, exact.anchors);
 
+    // Positive control, cold then warm: the first composed call seeds the
+    // shortlist from its own exact evaluations; the second call runs the
+    // maintained-first seeding path.  Both must match exhaustive bitwise.
+    let mut shortlist = fixture_shortlist(&window, &imputer, &refs);
+    for pass in ["cold", "warm"] {
+        let (composed, _) = imputer
+            .impute_composed(&window, target, &refs, &index, &mut shortlist, run_len)
+            .unwrap();
+        assert_eq!(
+            composed.value.to_bits(),
+            exact.value.to_bits(),
+            "{pass} composed pass must reproduce the exhaustive answer bitwise"
+        );
+        assert_eq!(composed.anchors, exact.anchors, "{pass} pass anchors");
+    }
+    assert!(shortlist.maintained_lags() > 0, "evaluations seed entries");
+
+    let mut shortlist = fixture_shortlist(&window, &imputer, &refs);
     let (inflated, stats) = imputer
-        .impute_pruned_with_inflation(&window, target, &refs, &index, 1e6)
+        .impute_composed_with_inflation(
+            &window,
+            target,
+            &refs,
+            &index,
+            &mut shortlist,
+            run_len,
+            1e6,
+            1.0,
+        )
         .unwrap();
     assert!(
         stats.pruned > 0,
@@ -455,50 +474,20 @@ fn inflated_bounds_are_caught_by_the_equivalence_check() {
     );
 }
 
-/// The composed path's negative control, at both bound levels.  On the same
-/// fixture: (1) with admissible bounds the composed path — cold shortlist
-/// *and* warm shortlist — reproduces the exhaustive answer bitwise; (2) an
-/// inflated level-1 *run* bound prunes the whole run holding the true
-/// nearest candidate, which the equivalence comparison catches; (3) so does
-/// an inflated level-0 bound.  This proves over-pruning at either level of
-/// the composed cascade is observable, not silently absorbed.
+/// The composed path's negative control at level 1: on the same fixture,
+/// inflating only the *run* bound prunes the whole run holding the true
+/// nearest candidate, which the equivalence comparison catches.  Together
+/// with the level-0 control above this proves over-pruning at either level
+/// of the composed cascade is observable, not silently absorbed.
 #[test]
 fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
     let (window, index, imputer) = inadmissible_fixture();
     let target = SeriesId(0);
     let refs = vec![SeriesId(1)];
-    let l = imputer.config().pattern_length;
-    let run_len = level1_run_len(l);
-    let mk_shortlist = || {
-        let mut s =
-            ShortlistMaintainer::new(refs.clone(), l, imputer.config().window_length, false)
-                .unwrap();
-        s.advance(&window).unwrap();
-        s
-    };
+    let run_len = level1_run_len(imputer.config().pattern_length);
 
     let exact = imputer.impute(&window, target, &refs).unwrap();
-
-    // Positive control, cold then warm: the first composed call seeds the
-    // shortlist from its own exact evaluations; the second call runs the
-    // maintained-first seeding path.  Both must match exhaustive bitwise.
-    let mut shortlist = mk_shortlist();
-    for pass in ["cold", "warm"] {
-        let (composed, _) = imputer
-            .impute_composed(&window, target, &refs, &index, &mut shortlist, run_len)
-            .unwrap();
-        assert_eq!(
-            composed.value.to_bits(),
-            exact.value.to_bits(),
-            "{pass} composed pass must reproduce the exhaustive answer bitwise"
-        );
-        assert_eq!(composed.anchors, exact.anchors, "{pass} pass anchors");
-    }
-    assert!(shortlist.maintained_lags() > 0, "evaluations seed entries");
-
-    // Negative control at level 1: inflating only the *run* bound prunes
-    // the run containing the true nearest candidate wholesale.
-    let mut shortlist = mk_shortlist();
+    let mut shortlist = fixture_shortlist(&window, &imputer, &refs);
     let (inflated, stats) = imputer
         .impute_composed_with_inflation(
             &window,
@@ -521,28 +510,4 @@ fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
          the equivalence check must observe a different anchor set"
     );
     assert_ne!(inflated.value.to_bits(), exact.value.to_bits());
-
-    // Negative control at level 0: same fixture, inflation on the per-lag
-    // bound instead.
-    let mut shortlist = mk_shortlist();
-    let (inflated0, stats0) = imputer
-        .impute_composed_with_inflation(
-            &window,
-            target,
-            &refs,
-            &index,
-            &mut shortlist,
-            run_len,
-            1e6,
-            1.0,
-        )
-        .unwrap();
-    assert!(
-        stats0.pruned > 0,
-        "inflated level-0 bounds prune: {stats0:?}"
-    );
-    assert_ne!(
-        inflated0.anchors, exact.anchors,
-        "an inadmissible level-0 bound is caught through the composed path too"
-    );
 }

@@ -156,11 +156,6 @@ fn fleet_tkcm_config(scale: Scale, len: usize) -> TkcmConfig {
         .pattern_length(l)
         .anchor_count(k)
         .reference_count(scale.default_reference_count())
-        // The fleet trend metrics have measured the Section 6.2 incremental
-        // path since PR 3; keep that fixed so `speedup_vs_1_shard` stays
-        // comparable across runs — the pruned path has its own
-        // `candidate_pruning` experiment and trend fields.
-        .pruning(false)
         .build()
         .expect("fleet configuration is valid")
 }

@@ -1,26 +1,20 @@
-//! Candidate pruning: the signature-index shortlist path (PR 7) and the
-//! composed pruning-plus-maintenance path against the exhaustive and
-//! incremental candidate sweeps, on one engine.
+//! Candidate pruning: the composed pruning-plus-maintenance path against
+//! the exhaustive candidate sweep, on one engine.
 //!
-//! The same SBR-like workload is replayed through four engines that differ
+//! The same SBR-like workload is replayed through two engines that differ
 //! only in the candidate path:
 //!
 //! * **exhaustive** — every candidate pattern is re-extracted and scored
-//!   each imputation (`O(L·l·d)`), the PR-1 baseline;
-//! * **incremental** — the Section 6.2 maintained dissimilarity array
-//!   (`O(L)` sweep), the PR-2 path;
-//! * **pruned** — the quantized signature index shortlists candidates by an
-//!   admissible lower bound and only the shortlist is scored exactly;
+//!   each imputation (`O(L·l·d)`), the oracle;
 //! * **composed** — the default path: maintained shortlist entries seed the
 //!   threshold and certify cheap prunes, a level-1 run prefilter skips whole
-//!   blocks of candidates, and the signature bounds catch the rest.
+//!   blocks of candidates, and the quantized signature index's admissible
+//!   lower bounds catch the rest; only survivors are scored exactly.
 //!
-//! Pruning is *admissible*, so the pruned and composed runs must impute
+//! Pruning is *admissible*, so the composed run must impute
 //! **bit-identical** values to the exhaustive run — the replay asserts that
-//! on every tick, which keeps the speedup columns honest: a faster number
-//! can never come from silently different answers.  The incremental run is
-//! only tolerance-equivalent to exact (its own property suite covers that),
-//! so here only its imputation count is asserted.
+//! on every imputation, which keeps the speedup column honest: a faster
+//! number can never come from silently different answers.
 //!
 //! The headline trend fields are the composed-vs-exhaustive speedup, the
 //! fraction of candidates pruned (`pruned_fraction`), the fraction skipped
@@ -41,8 +35,8 @@ use crate::report::{Report, Table};
 
 use super::{dataset_for, Scale};
 
-/// The four candidate paths, in presentation (and baseline) order.
-pub const MODES: [&str; 4] = ["exhaustive", "incremental", "pruned", "composed"];
+/// The two candidate paths, in presentation (and baseline) order.
+pub const MODES: [&str; 2] = ["exhaustive", "composed"];
 
 /// Length of each injected outage in ticks (the SBR generator produces
 /// complete data; the sweep punctures it with rotating outages like the
@@ -98,8 +92,7 @@ fn pruning_config(scale: Scale, len: usize, mode: &str) -> TkcmConfig {
         .pattern_length(l)
         .anchor_count(k)
         .reference_count(scale.default_reference_count())
-        .incremental(mode == "incremental" || mode == "composed")
-        .pruning(mode == "pruned" || mode == "composed")
+        .pruning(mode == "composed")
         .build()
         .expect("pruning sweep configuration is valid")
 }
@@ -117,20 +110,18 @@ pub struct PruningRun {
     pub imputations: usize,
     /// Throughput relative to the exhaustive baseline.
     pub speedup_vs_exhaustive: f64,
-    /// Throughput relative to the incremental (Section 6.2) path.
-    pub speedup_vs_incremental: f64,
-    /// Fraction of candidates the signature lower bound pruned away without
-    /// an exact evaluation (0 for the non-pruned modes).
+    /// Fraction of candidates the cascade's bounds pruned away without an
+    /// exact evaluation (0 for the exhaustive mode).
     pub pruned_fraction: f64,
     /// Fraction of candidates skipped wholesale by the level-1 run
-    /// prefilter (composed mode only; 0 elsewhere).
+    /// prefilter (0 for the exhaustive mode).
     pub level1_skipped_fraction: f64,
     /// Average fraction of candidates carrying a live maintained shortlist
-    /// entry when an imputation began (composed mode only; 0 elsewhere).
+    /// entry when an imputation began (0 for the exhaustive mode).
     pub maintained_lag_fraction: f64,
 }
 
-/// Replays the default workload through all three modes.
+/// Replays the default workload through both modes.
 pub fn run_pruning_benchmark(scale: Scale) -> Vec<PruningRun> {
     let dataset = dataset_for(DatasetKind::Sbr, scale, 2024);
     run_pruning_benchmark_on(&dataset, scale)
@@ -145,14 +136,13 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
 
     let mut runs: Vec<PruningRun> = Vec::with_capacity(MODES.len());
     // (series, time, value bits) of every imputation of the exhaustive run,
-    // the reference the pruned run is compared against bit for bit.
+    // the reference the composed run is compared against bit for bit.
     let mut reference: Option<Vec<(u32, i64, u64)>> = None;
-    let mut walls: Vec<f64> = Vec::new();
+    let mut exhaustive_wall = None;
     for mode in MODES {
         let config = pruning_config(scale, len, mode);
         let mut engine = TkcmEngine::new(width, config, catalog.clone())
             .expect("pruning sweep engine construction");
-        assert_eq!(engine.is_pruned(), mode == "pruned" || mode == "composed");
         assert_eq!(engine.is_composed(), mode == "composed");
         let mut imputed: Vec<(u32, i64, u64)> = Vec::new();
         let start = Instant::now();
@@ -168,30 +158,22 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
         }
         let wall = start.elapsed().as_secs_f64();
 
+        // Admissibility in action: the composed path must reproduce the
+        // exhaustive answers exactly, down to the value bits.
         let baseline = reference.get_or_insert_with(|| imputed.clone());
         assert_eq!(
-            baseline.len(),
-            imputed.len(),
-            "{mode} mode changed the imputation count"
+            *baseline, imputed,
+            "{mode} mode diverged from the exhaustive reference"
         );
-        if mode == "pruned" || mode == "composed" {
-            // Admissibility in action: the shortlist path must reproduce the
-            // exhaustive answers exactly, down to the value bits.
-            assert_eq!(
-                *baseline, imputed,
-                "{mode} mode diverged from the exhaustive reference"
-            );
-        }
 
         let totals = engine.prune_totals();
-        walls.push(wall);
+        let baseline_wall = *exhaustive_wall.get_or_insert(wall);
         runs.push(PruningRun {
             mode,
             wall_seconds: wall,
             ticks_per_second: ticks.len() as f64 / wall,
             imputations: imputed.len(),
-            speedup_vs_exhaustive: walls[0] / wall,
-            speedup_vs_incremental: walls.get(1).copied().unwrap_or(wall) / wall,
+            speedup_vs_exhaustive: baseline_wall / wall,
             pruned_fraction: if totals.candidates > 0 {
                 totals.pruned as f64 / totals.candidates as f64
             } else {
@@ -224,7 +206,7 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
     let mut report = Report::new("Candidate pruning: signature shortlist vs exhaustive sweep");
     report.note(format!(
         "{} series x {} ticks (SBR-like), l = {}, k = {}, d = {}; identical imputations \
-         asserted across modes (pruned and composed vs exhaustive: bit-identical).",
+         asserted across modes (composed vs exhaustive: bit-identical).",
         dataset.width(),
         dataset.len(),
         pruning_pattern_length(scale),
@@ -239,7 +221,6 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
             "ticks_per_second".to_string(),
             "imputations".to_string(),
             "speedup_vs_exhaustive".to_string(),
-            "speedup_vs_incremental".to_string(),
             "pruned_fraction".to_string(),
             "level1_skipped_fraction".to_string(),
             "maintained_lag_fraction".to_string(),
@@ -253,7 +234,6 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
                 run.ticks_per_second,
                 run.imputations as f64,
                 run.speedup_vs_exhaustive,
-                run.speedup_vs_incremental,
                 run.pruned_fraction,
                 run.level1_skipped_fraction,
                 run.maintained_lag_fraction,
@@ -269,7 +249,7 @@ mod tests {
     use super::*;
     use tkcm_datasets::SbrConfig;
 
-    /// Small-but-real workload so the test replays all three paths in well
+    /// Small-but-real workload so the test replays both paths in well
     /// under a second; the quick-scale proportions run in CI through the
     /// `candidate_pruning` binary.
     fn mini_dataset() -> Dataset {
@@ -292,23 +272,13 @@ mod tests {
             assert_eq!(run.imputations, imputations);
             assert!(run.ticks_per_second.is_finite() && run.ticks_per_second > 0.0);
             assert!(run.speedup_vs_exhaustive > 0.0);
-            assert!(run.speedup_vs_incremental > 0.0);
         }
-        assert_eq!(runs[0].speedup_vs_exhaustive, 1.0);
-        assert_eq!(runs[1].speedup_vs_incremental, 1.0);
-        for baseline in &runs[..2] {
-            assert_eq!(baseline.pruned_fraction, 0.0);
-            assert_eq!(baseline.level1_skipped_fraction, 0.0);
-            assert_eq!(baseline.maintained_lag_fraction, 0.0);
-        }
-        let pruned = &runs[2];
-        assert_eq!(pruned.mode, "pruned");
-        assert!(
-            pruned.pruned_fraction > 0.0 && pruned.pruned_fraction <= 1.0,
-            "signature index pruned nothing: {pruned:?}"
-        );
-        assert_eq!(pruned.maintained_lag_fraction, 0.0);
-        let composed = &runs[3];
+        let exhaustive = &runs[0];
+        assert_eq!(exhaustive.speedup_vs_exhaustive, 1.0);
+        assert_eq!(exhaustive.pruned_fraction, 0.0);
+        assert_eq!(exhaustive.level1_skipped_fraction, 0.0);
+        assert_eq!(exhaustive.maintained_lag_fraction, 0.0);
+        let composed = &runs[1];
         assert_eq!(composed.mode, "composed");
         assert!(
             composed.pruned_fraction > 0.0 && composed.pruned_fraction <= 1.0,
@@ -328,8 +298,7 @@ mod tests {
         let report = report_from(&dataset, Scale::Quick, &runs);
         let table = report.table("Candidate pruning by mode").unwrap();
         assert_eq!(table.rows.len(), MODES.len());
-        assert_eq!(table.headers.len(), 9);
-        assert!(table.cell("pruned", "pruned_fraction").unwrap() > 0.0);
+        assert_eq!(table.headers.len(), 8);
         assert!(table.cell("composed", "pruned_fraction").unwrap() > 0.0);
         assert!(table.cell("composed", "maintained_lag_fraction").unwrap() > 0.0);
         assert!(table.cell("exhaustive", "speedup_vs_exhaustive").unwrap() == 1.0);

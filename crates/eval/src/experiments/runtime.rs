@@ -2,20 +2,21 @@
 //!
 //! The paper shows that the naive recompute-all implementation is linear in
 //! every parameter (`l`, `d`, `k`, `L`) and dominated by the
-//! pattern-extraction (PE) phase (~92 % for the default `k`).  With the
-//! Section 6.2 incremental maintenance — the engine's default since the
-//! `incremental` module landed — the per-imputation cost no longer depends
-//! on `l` or `d` at all: extraction shrinks to an `O(L)` sweep over the
-//! maintained `D`, the `O(L·d)` sliding-aggregate update moves into a
-//! separate per-tick maintenance phase, and pattern selection (the dynamic
-//! program) becomes the dominant per-imputation cost.  This module measures
-//! both paths so the speedup and the new phase profile are visible side by
-//! side; the Criterion benches in `tkcm-bench` repeat the measurements with
-//! proper statistics.
+//! pattern-extraction (PE) phase (~92 % for the default `k`).  The engine's
+//! default *composed* path bounds most candidates away before any exact
+//! evaluation (signature-index pruning layered with the Section 6.2 sliding
+//! aggregates, kept for shortlisted lags only), so extraction shrinks and
+//! the per-tick shortlist upkeep shows up as a separate maintenance phase.
+//! This module measures the composed path against the exact recompute-all
+//! oracle so the speedup and the phase profiles are visible side by side;
+//! the Criterion benches in `tkcm-bench` repeat the measurements with proper
+//! statistics.
 
 use std::time::Instant;
 
-use tkcm_core::{IncrementalDissimilarity, TkcmConfig, TkcmEngine, TkcmImputer};
+use tkcm_core::{
+    level1_run_len, ShortlistMaintainer, SignatureIndex, TkcmConfig, TkcmEngine, TkcmImputer,
+};
 use tkcm_datasets::DatasetKind;
 use tkcm_timeseries::{Catalog, SeriesId, StreamSource, StreamTick, StreamingWindow};
 
@@ -23,11 +24,13 @@ use crate::report::{Report, Table};
 
 use super::{dataset_for, Scale};
 
-/// A prepared runtime workload: a warm window and the reference ids, so a
-/// single imputation can be timed in isolation.
+/// A prepared runtime workload: a warm window, its signature index and the
+/// reference ids, so a single imputation can be timed in isolation.
 pub struct RuntimeWorkload {
     /// The warm streaming window (all ticks pushed, current target missing).
     pub window: StreamingWindow,
+    /// Signature index over the window, in lock-step with it.
+    pub index: SignatureIndex,
     /// The target series.
     pub target: SeriesId,
     /// The reference series used for the query pattern.
@@ -53,11 +56,57 @@ pub fn build_workload(scale: Scale, window_length: usize, d: usize) -> RuntimeWo
         }
         window.push_tick(&tick).expect("tick accepted");
     }
+    let mut index = SignatureIndex::new(window.width(), window.length()).expect("valid index");
+    index.rebuild(&window).expect("index matches the window");
     let references = (1..=d).map(SeriesId::from).collect();
     RuntimeWorkload {
         window,
+        index,
         target: SeriesId(0),
         references,
+    }
+}
+
+impl RuntimeWorkload {
+    /// A shortlist maintainer for this workload's reference set, synced to
+    /// the window and empty — the state the engine creates when a reference
+    /// set first serves an imputation.
+    pub fn shortlist(&self, l: usize) -> ShortlistMaintainer {
+        let mut shortlist =
+            ShortlistMaintainer::new(self.references.clone(), l, self.window.length(), false)
+                .expect("valid shortlist");
+        shortlist.advance(&self.window).expect("shortlist syncs");
+        shortlist
+    }
+
+    /// One imputation of the target on the composed path, against the
+    /// given (warm or cold) shortlist.
+    pub fn impute_composed(
+        &self,
+        imputer: &TkcmImputer,
+        shortlist: &mut ShortlistMaintainer,
+    ) -> f64 {
+        let run_len = level1_run_len(imputer.config().pattern_length);
+        imputer
+            .impute_composed(
+                &self.window,
+                self.target,
+                &self.references,
+                &self.index,
+                shortlist,
+                run_len,
+            )
+            .expect("imputation succeeds")
+            .0
+            .value
+    }
+
+    /// One imputation of the target on the exhaustive exact path.
+    pub fn impute_exact(&self, imputer: &TkcmImputer) -> f64 {
+        imputer
+            .impute(&self.window, self.target, &self.references)
+            .expect("imputation succeeds")
+            .value
     }
 }
 
@@ -72,56 +121,31 @@ fn runtime_config(l: usize, d: usize, k: usize, window: usize) -> TkcmConfig {
 }
 
 /// Mean wall-clock seconds per imputation over enough repetitions to smooth
-/// timer noise (a maintained-path imputation is only microseconds).
-fn average_impute_seconds(
-    imputer: &TkcmImputer,
-    workload: &RuntimeWorkload,
-    maintained: Option<&IncrementalDissimilarity>,
-    iters: usize,
-) -> f64 {
-    let run = || {
-        let detail = match maintained {
-            Some(state) => imputer
-                .impute_maintained(
-                    &workload.window,
-                    workload.target,
-                    &workload.references,
-                    state,
-                )
-                .expect("imputation succeeds"),
-            None => imputer
-                .impute(&workload.window, workload.target, &workload.references)
-                .expect("imputation succeeds"),
-        };
-        assert!(detail.value.is_finite());
-    };
-    run(); // warm-up pass outside the measurement
+/// timer noise (a composed-path imputation is only microseconds).
+fn average_impute_seconds(mut impute: impl FnMut() -> f64, iters: usize) -> f64 {
+    // Warm-up pass outside the measurement (on the composed path it also
+    // seeds the shortlist, as the engine's previous imputations would).
+    assert!(impute().is_finite());
     let start = Instant::now();
     for _ in 0..iters {
-        run();
+        assert!(impute().is_finite());
     }
     start.elapsed().as_secs_f64() / iters as f64
 }
 
 /// Measures the steady-state seconds of one imputation on the default
-/// (incremental, Section 6.2) path: the maintained `D` state is built once
-/// outside the measurement, exactly like the engine keeps it between ticks.
+/// composed path: the signature index and a warm shortlist are built
+/// outside the measurement, exactly like the engine keeps them between
+/// ticks.
 pub fn time_single_imputation(scale: Scale, l: usize, d: usize, k: usize, window: usize) -> f64 {
     let workload = build_workload(scale, window, d);
     let imputer = TkcmImputer::new(runtime_config(l, d, k, window)).expect("valid config");
-    let mut state = IncrementalDissimilarity::new(
-        workload.references.clone(),
-        l,
-        workload.window.length(),
-        false,
-    )
-    .expect("valid state");
-    state.rebuild(&workload.window).expect("rebuild succeeds");
-    average_impute_seconds(&imputer, &workload, Some(&state), 32)
+    let mut shortlist = workload.shortlist(l);
+    average_impute_seconds(|| workload.impute_composed(&imputer, &mut shortlist), 32)
 }
 
-/// Measures the seconds of one imputation on the exact recompute-all path
-/// (`TkcmConfig::incremental = false`) — the pre-Section-6.2 baseline.
+/// Measures the seconds of one imputation on the exhaustive exact path
+/// (`TkcmConfig::pruning = false`) — the paper's recompute-all baseline.
 pub fn time_single_imputation_exact(
     scale: Scale,
     l: usize,
@@ -131,21 +155,22 @@ pub fn time_single_imputation_exact(
 ) -> f64 {
     let workload = build_workload(scale, window, d);
     let imputer = TkcmImputer::new(runtime_config(l, d, k, window)).expect("valid config");
-    average_impute_seconds(&imputer, &workload, None, 4)
+    average_impute_seconds(|| workload.impute_exact(&imputer), 4)
 }
 
 /// Per-phase shares of TKCM's runtime over a streaming gap workload.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhaseShares {
-    /// Pattern extraction (reading `D`, or recomputing it on the exact path).
+    /// Pattern extraction (the pruning cascade and exact folds, or the full
+    /// recompute on the exact path).
     pub extraction: f64,
     /// Pattern selection (the dynamic program).
     pub selection: f64,
-    /// Incremental maintenance (zero on the exact path).
+    /// Shortlist maintenance (zero on the exact path).
     pub maintenance: f64,
 }
 
-fn phase_shares_for(scale: Scale, k: usize, incremental: bool) -> PhaseShares {
+fn phase_shares_for(scale: Scale, k: usize, composed: bool) -> PhaseShares {
     let window = match scale {
         Scale::Quick => 2_000,
         Scale::Paper => 20_000,
@@ -158,11 +183,7 @@ fn phase_shares_for(scale: Scale, k: usize, incremental: bool) -> PhaseShares {
         .pattern_length(l)
         .anchor_count(k)
         .reference_count(3)
-        .incremental(incremental)
-        // This experiment contrasts the Section 6.2 incremental path with
-        // the exact recompute path; signature pruning (PR 7) would replace
-        // both, so it is measured by its own `candidate_pruning` experiment.
-        .pruning(false)
+        .pruning(composed)
         .build()
         .expect("valid config");
     let mut catalog = Catalog::new();
@@ -170,7 +191,7 @@ fn phase_shares_for(scale: Scale, k: usize, incremental: bool) -> PhaseShares {
         .set_candidates(SeriesId(0), (1..width).map(SeriesId::from).collect())
         .expect("valid catalog");
     let mut engine = TkcmEngine::new(width, config, catalog).expect("valid engine");
-    assert_eq!(engine.is_incremental(), incremental);
+    assert_eq!(engine.is_composed(), composed);
 
     // Replay the stream with the target missing over a tail gap, so the
     // breakdown covers the real tick path: per-tick maintenance plus one
@@ -201,7 +222,7 @@ fn phase_shares_for(scale: Scale, k: usize, incremental: bool) -> PhaseShares {
     }
 }
 
-/// Phase shares of the default incremental engine for the given `k`.
+/// Phase shares of the default (composed) engine for the given `k`.
 pub fn phase_shares(scale: Scale, k: usize) -> PhaseShares {
     phase_shares_for(scale, k, true)
 }
@@ -235,7 +256,7 @@ pub fn run(scale: Scale) -> Report {
     let mut report = Report::new("Figure 17: runtime linearity and phase breakdown");
     report.note("Seconds per single imputation while sweeping one parameter (SBR-1d stand-in)");
     report.note(
-        "Default path: incremental D maintenance (Section 6.2) — flat in l and d, linear in k/L",
+        "Default path: composed pruning + shortlist maintenance, bit-identical to exact recompute",
     );
     let (ls, ds, ks, windows) = sweep(scale);
     let base_window = match scale {
@@ -301,14 +322,14 @@ pub fn run(scale: Scale) -> Report {
     );
     report.add_table(w_table);
 
-    // The Section 6.2 payoff: incremental vs exact per-imputation cost at
-    // the default parameters.
+    // The fast path's payoff: composed vs exact per-imputation cost at the
+    // default parameters.
     let mut versus = Table::new(
-        "Per-imputation cost: incremental vs exact recompute",
+        "Per-imputation cost: composed vs exact recompute",
         vec!["path".into(), "seconds".into()],
     );
     versus.push_row(
-        "incremental",
+        "composed",
         vec![time_single_imputation(scale, l_default, 3, 5, base_window)],
     );
     versus.push_row(
@@ -338,19 +359,23 @@ pub fn run(scale: Scale) -> Report {
         Scale::Quick => 50,
         Scale::Paper => 300,
     };
-    let inc_default = phase_shares(scale, 5);
+    let composed_default = phase_shares(scale, 5);
     phases.push_row(
-        "incremental k=5",
+        "composed k=5",
         vec![
-            inc_default.extraction,
-            inc_default.selection,
-            inc_default.maintenance,
+            composed_default.extraction,
+            composed_default.selection,
+            composed_default.maintenance,
         ],
     );
-    let inc_big = phase_shares(scale, big_k);
+    let composed_big = phase_shares(scale, big_k);
     phases.push_row(
-        format!("incremental k={big_k}"),
-        vec![inc_big.extraction, inc_big.selection, inc_big.maintenance],
+        format!("composed k={big_k}"),
+        vec![
+            composed_big.extraction,
+            composed_big.selection,
+            composed_big.maintenance,
+        ],
     );
     let exact_default = phase_shares_exact(scale, 5);
     phases.push_row(
@@ -378,31 +403,6 @@ mod tests {
         let large = time_single_imputation(Scale::Quick, 12, 3, 5, 3_000);
         assert!(large >= small * 0.8, "large {large} vs small {small}");
         assert!(small >= 0.0);
-    }
-
-    #[test]
-    fn incremental_is_cheaper_than_exact_recompute() {
-        // The whole point of Section 6.2: reading the maintained D must beat
-        // re-extracting every candidate pattern by a wide margin.
-        let incremental = time_single_imputation(Scale::Quick, 12, 3, 5, 2_000);
-        let exact = time_single_imputation_exact(Scale::Quick, 12, 3, 5, 2_000);
-        assert!(
-            incremental < exact * 0.5,
-            "incremental {incremental}s should be well under exact {exact}s"
-        );
-    }
-
-    #[test]
-    fn incremental_extraction_no_longer_dominates() {
-        // The acceptance criterion for the Section 6.2 rework: pattern
-        // extraction drops from ~94 % to a minority of the runtime.
-        let shares = phase_shares(Scale::Quick, 5);
-        assert!(
-            shares.extraction < 0.5,
-            "extraction share {} should be a minority on the incremental path",
-            shares.extraction
-        );
-        assert!(shares.maintenance > 0.0, "maintenance phase must be timed");
     }
 
     #[test]

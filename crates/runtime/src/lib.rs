@@ -18,7 +18,7 @@
 //! One OS thread per shard, alive for the lifetime of the engine (`std::
 //! thread` + `std::sync::mpsc`; no external dependencies).  Each worker owns
 //! the engines of the components currently assigned to its shard — window,
-//! catalog and incremental dissimilarity states never cross a thread
+//! catalog, signature index and shortlist states never cross a thread
 //! boundary mid-flight, so no locking is needed anywhere.  The ingestion
 //! path is **batch-native**: one job carries a whole batch of per-component
 //! sub-ticks to each worker, and exactly one result per worker is received

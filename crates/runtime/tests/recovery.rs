@@ -207,7 +207,7 @@ fn prune_totals_continue_across_a_crash() {
     );
     assert!(
         at_crash.maintained_lags > 0,
-        "default config runs the composed path; expected live maintainers: {at_crash:?}"
+        "default config runs the composed path; expected live shortlists: {at_crash:?}"
     );
     drop(durable); // crash: the checkpoint is all that survives
 

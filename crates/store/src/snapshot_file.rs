@@ -45,8 +45,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKCMSNAP";
 /// became a versioned component/assignment mapping with a migration log and
 /// per-shard snapshots became per-component engine sets (elastic-fleet PR);
 /// 5 — the engine snapshot grew the composed path's shortlist maintainers
-/// and the persisted prune totals (composed-pruning PR).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 5;
+/// and the persisted prune totals (composed-pruning PR); 6 — the config lost
+/// its `incremental` flag and the engine snapshot its dense incremental
+/// maintainers (one fast path plus one oracle).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
 
 /// Serialises `value` and writes it as a snapshot file at `path`
 /// (atomically, via `<path>.tmp` + rename).  Returns the file size in
