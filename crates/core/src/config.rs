@@ -4,25 +4,13 @@
 //! `k = 5` anchor points, pattern length `l = 72` and a streaming window of
 //! one year of 5-minute samples (`L = 105 120`).  For unit tests and small
 //! synthetic datasets smaller values are used, so every parameter is
-//! validated explicitly.
+//! validated explicitly.  The only other field, `pruning`, picks between the
+//! engine's composed fast path and its exhaustive oracle; it never changes an
+//! imputed value.
 
 use std::fmt;
 
 use tkcm_timeseries::TsError;
-
-use crate::selection::SelectionStrategy;
-
-/// Aggregation applied to the values of the incomplete series at the `k`
-/// anchor points.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum AnchorAggregation {
-    /// Plain average (Definition 4 of the paper).
-    #[default]
-    Mean,
-    /// Average weighted by inverse pattern dissimilarity
-    /// (Troyanskaya-style weighting, provided as an extension/ablation).
-    InverseDistanceWeighted,
-}
 
 /// Configuration of the TKCM imputation algorithm.
 #[derive(Clone, Debug, PartialEq)]
@@ -35,25 +23,13 @@ pub struct TkcmConfig {
     pub anchor_count: usize,
     /// Number of reference series `d` (> 0).
     pub reference_count: usize,
-    /// How the anchor values are aggregated into the imputed value.
-    pub aggregation: AnchorAggregation,
-    /// Pattern-selection strategy (dynamic programming per the paper, or the
-    /// greedy heuristic the paper argues against — kept for ablation).
-    pub selection: SelectionStrategy,
-    /// Whether candidate patterns may use slots that are themselves missing.
-    /// When `false` (default) a candidate pattern containing a missing
-    /// reference value is skipped entirely.
-    pub allow_missing_in_patterns: bool,
     /// The engine's one dispatch switch.  `true` (default) runs the
     /// *composed* path: signature-index pruning ([`crate::signature`])
     /// layered with sparse shortlist maintenance of the Section 6.2 sliding
     /// aggregates ([`crate::incremental`]).  Its bounds are admissible and
     /// every `D` entering selection is computed by the exact fold, so the
     /// output is bit-identical to the exhaustive path.  `false` runs the
-    /// exhaustive exact `O(L·l·d)`-per-imputation oracle.  The composed path
-    /// needs dynamic-programming selection and a decomposable dissimilarity
-    /// (L2); other configurations (greedy/overlapping selection, DTW) run
-    /// the exact path regardless of the flag.
+    /// exhaustive exact `O(L·l·d)`-per-imputation oracle.
     pub pruning: bool,
 }
 
@@ -66,9 +42,6 @@ impl TkcmConfig {
             pattern_length: 72,
             anchor_count: 5,
             reference_count: 3,
-            aggregation: AnchorAggregation::Mean,
-            selection: SelectionStrategy::DynamicProgramming,
-            allow_missing_in_patterns: false,
             pruning: true,
         }
     }
@@ -134,9 +107,6 @@ impl Default for TkcmConfig {
             pattern_length: 12,
             anchor_count: 5,
             reference_count: 3,
-            aggregation: AnchorAggregation::Mean,
-            selection: SelectionStrategy::DynamicProgramming,
-            allow_missing_in_patterns: false,
             pruning: true,
         }
     }
@@ -146,13 +116,11 @@ impl fmt::Display for TkcmConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "TKCM(L={}, l={}, k={}, d={}, {:?}, {:?}, {})",
+            "TKCM(L={}, l={}, k={}, d={}, {})",
             self.window_length,
             self.pattern_length,
             self.anchor_count,
             self.reference_count,
-            self.selection,
-            self.aggregation,
             if self.pruning {
                 "composed"
             } else {
@@ -170,9 +138,6 @@ pub struct TkcmConfigBuilder {
     pattern_length: Option<usize>,
     anchor_count: Option<usize>,
     reference_count: Option<usize>,
-    aggregation: Option<AnchorAggregation>,
-    selection: Option<SelectionStrategy>,
-    allow_missing_in_patterns: Option<bool>,
     pruning: Option<bool>,
 }
 
@@ -209,24 +174,6 @@ impl TkcmConfigBuilder {
         self
     }
 
-    /// Sets the anchor aggregation rule.
-    pub fn aggregation(mut self, value: AnchorAggregation) -> Self {
-        self.aggregation = Some(value);
-        self
-    }
-
-    /// Sets the pattern-selection strategy.
-    pub fn selection(mut self, value: SelectionStrategy) -> Self {
-        self.selection = Some(value);
-        self
-    }
-
-    /// Allows candidate patterns that contain missing reference values.
-    pub fn allow_missing_in_patterns(mut self, value: bool) -> Self {
-        self.allow_missing_in_patterns = Some(value);
-        self
-    }
-
     /// Selects the composed fast path (`true`, default) or the exhaustive
     /// exact oracle (`false`) on the engine tick path.
     pub fn pruning(mut self, value: bool) -> Self {
@@ -258,15 +205,6 @@ impl TkcmConfigBuilder {
         if let Some(v) = self.reference_count {
             config.reference_count = v;
         }
-        if let Some(v) = self.aggregation {
-            config.aggregation = v;
-        }
-        if let Some(v) = self.selection {
-            config.selection = v;
-        }
-        if let Some(v) = self.allow_missing_in_patterns {
-            config.allow_missing_in_patterns = v;
-        }
         if let Some(v) = self.pruning {
             config.pruning = v;
         }
@@ -286,8 +224,6 @@ mod tests {
         assert_eq!(c.anchor_count, 5);
         assert_eq!(c.pattern_length, 72);
         assert_eq!(c.window_length, 105_120);
-        assert_eq!(c.selection, SelectionStrategy::DynamicProgramming);
-        assert_eq!(c.aggregation, AnchorAggregation::Mean);
         assert!(c.validate().is_ok());
     }
 
@@ -298,18 +234,14 @@ mod tests {
             .pattern_length(4)
             .anchor_count(3)
             .reference_count(2)
-            .aggregation(AnchorAggregation::InverseDistanceWeighted)
-            .selection(SelectionStrategy::Greedy)
-            .allow_missing_in_patterns(true)
+            .pruning(false)
             .build()
             .unwrap();
         assert_eq!(c.window_length, 200);
         assert_eq!(c.pattern_length, 4);
         assert_eq!(c.anchor_count, 3);
         assert_eq!(c.reference_count, 2);
-        assert_eq!(c.aggregation, AnchorAggregation::InverseDistanceWeighted);
-        assert_eq!(c.selection, SelectionStrategy::Greedy);
-        assert!(c.allow_missing_in_patterns);
+        assert!(!c.pruning);
     }
 
     #[test]
@@ -387,9 +319,17 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let c = TkcmConfig::default();
-        let s = c.to_string();
-        assert!(s.contains("l=12"));
-        assert!(s.contains("k=5"));
+        assert_eq!(
+            TkcmConfig::default().to_string(),
+            "TKCM(L=1024, l=12, k=5, d=3, composed)"
+        );
+        assert_eq!(
+            TkcmConfig::builder()
+                .pruning(false)
+                .build()
+                .unwrap()
+                .to_string(),
+            "TKCM(L=1024, l=12, k=5, d=3, exhaustive)"
+        );
     }
 }

@@ -43,7 +43,7 @@ pub(crate) fn record_phase_nanos(phase: Phase, elapsed: Duration) {
 pub struct PhaseBreakdown {
     /// Pattern extraction: reading the window and computing dissimilarities.
     pub extraction: Duration,
-    /// Pattern selection: the dynamic program (or greedy) over `D`.
+    /// Pattern selection: the dynamic program over `D`.
     pub selection: Duration,
     /// Value imputation: averaging the anchor values and writing back.
     pub imputation: Duration,

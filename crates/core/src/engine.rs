@@ -17,10 +17,9 @@
 //! write-back.  A shortlist is created empty when its reference set first
 //! serves an imputation, seeds itself from that imputation's exact
 //! evaluations, and is evicted once no imputation has used it for `2l` ticks.
-//! Otherwise — `TkcmConfig::pruning = false`, greedy/overlapping selection,
-//! or a non-decomposable measure such as DTW — every imputation runs the
-//! exhaustive exact path ([`TkcmImputer::impute`]), the oracle the composed
-//! path is bit-identical to.
+//! With `TkcmConfig::pruning = false` every imputation runs the exhaustive
+//! exact path ([`TkcmImputer::impute`]) instead, the oracle the composed path
+//! is bit-identical to.
 
 use std::sync::LazyLock;
 use std::time::Instant;
@@ -142,24 +141,6 @@ pub struct TkcmEngine {
     pub(crate) prune_totals: PruneStats,
 }
 
-/// Builds the signature index iff the configuration *and* the imputer admit
-/// the composed path: the `pruning` switch, the DP sum objective the bounds
-/// are admissible for, and a decomposable (L2) dissimilarity.
-pub(crate) fn signature_for(
-    width: usize,
-    imputer: &TkcmImputer,
-) -> Result<Option<SignatureIndex>, TsError> {
-    let config = imputer.config();
-    if config.pruning
-        && config.selection == crate::selection::SelectionStrategy::DynamicProgramming
-        && imputer.supports_incremental()
-    {
-        Ok(Some(SignatureIndex::new(width, config.window_length)?))
-    } else {
-        Ok(None)
-    }
-}
-
 impl TkcmEngine {
     /// Creates an engine for `width` streams.
     ///
@@ -170,35 +151,13 @@ impl TkcmEngine {
             return Err(TsError::invalid("width", "need at least one stream"));
         }
         let window = StreamingWindow::new(width, config.window_length);
+        let signatures = if config.pruning {
+            Some(SignatureIndex::new(width, config.window_length)?)
+        } else {
+            None
+        };
+        let level1_run_len = crate::signature::level1_run_len(config.pattern_length);
         let imputer = TkcmImputer::new(config)?;
-        let signatures = signature_for(width, &imputer)?;
-        let level1_run_len = crate::signature::level1_run_len(imputer.config().pattern_length);
-        Ok(TkcmEngine {
-            imputer,
-            window,
-            catalog,
-            breakdown: PhaseBreakdown::default(),
-            imputation_count: 0,
-            tick_count: 0,
-            signatures,
-            shortlists: Vec::new(),
-            level1_run_len,
-            prune_totals: PruneStats::default(),
-        })
-    }
-
-    /// Creates an engine with a pre-built imputer (custom dissimilarity).
-    pub fn with_imputer(
-        width: usize,
-        imputer: TkcmImputer,
-        catalog: Catalog,
-    ) -> Result<Self, TsError> {
-        if width == 0 {
-            return Err(TsError::invalid("width", "need at least one stream"));
-        }
-        let window = StreamingWindow::new(width, imputer.config().window_length);
-        let signatures = signature_for(width, &imputer)?;
-        let level1_run_len = crate::signature::level1_run_len(imputer.config().pattern_length);
         Ok(TkcmEngine {
             imputer,
             window,
@@ -245,12 +204,11 @@ impl TkcmEngine {
     }
 
     /// Whether the *composed* path — signature pruning layered with sparse
-    /// shortlist maintenance — serves this engine's imputations: the
-    /// `TkcmConfig::pruning` switch (on by default), dynamic-programming
-    /// selection and a decomposable (L2) dissimilarity.  Otherwise every
+    /// shortlist maintenance — serves this engine's imputations: exactly
+    /// the `TkcmConfig::pruning` switch (on by default).  Otherwise every
     /// imputation runs the exhaustive exact path.
     pub fn is_composed(&self) -> bool {
-        self.signatures.is_some()
+        self.imputer.config().pruning
     }
 
     /// The composed path's level-1 run length (candidate lags per coarse
@@ -306,7 +264,6 @@ impl TkcmEngine {
             references.to_vec(),
             config.pattern_length,
             config.window_length,
-            config.allow_missing_in_patterns,
         )?;
         // One advance syncs the fresh state to the window (a cold advance
         // has no entries to slide, so this is O(d)).
@@ -937,8 +894,6 @@ mod tests {
             ..TkcmConfig::default()
         };
         assert!(TkcmEngine::new(2, bad, Catalog::new()).is_err());
-        let imputer = TkcmImputer::new(config).unwrap();
-        assert!(TkcmEngine::with_imputer(0, imputer, Catalog::new()).is_err());
     }
 
     #[test]

@@ -6,24 +6,22 @@
 //! 1. **Pattern extraction** — compute the dissimilarity `D[j]` of every
 //!    candidate pattern in the window against the query pattern `P(t_n)`.
 //! 2. **Pattern selection** — find the anchors of the `k` most similar
-//!    non-overlapping patterns (dynamic program, or the greedy/overlapping
-//!    ablation variants).
+//!    non-overlapping patterns with the dynamic program of Section 6.1.
 //! 3. **Value imputation** — average the values of the incomplete series at
-//!    the anchor points (plain mean per Definition 4, or inverse-distance
-//!    weighted as an optional extension).
+//!    the anchor points (Definition 4).
 //!
 //! Besides the imputed value, the imputer reports the anchors, their
 //! dissimilarities, the ε of Definition 5 and the phase timing breakdown.
 
 use tkcm_timeseries::{SeriesId, SlotState, StreamingWindow, Timestamp, TsError};
 
-use crate::config::{AnchorAggregation, TkcmConfig};
+use crate::config::TkcmConfig;
 use crate::consistency::ConsistencyReport;
 use crate::diagnostics::{Phase, PhaseBreakdown, PhaseTimer};
-use crate::dissimilarity::{l2_from_components, Dissimilarity, L2Distance};
+use crate::dissimilarity::{l2_distance, l2_from_components};
 use crate::incremental::ShortlistMaintainer;
 use crate::pattern::{extract_pattern_at_age, extract_query_pattern, Pattern};
-use crate::selection::{select_anchors, SelectionStrategy};
+use crate::selection::select_anchors_dp;
 use crate::signature::{SignatureIndex, SignatureQuery};
 
 /// One selected anchor: time point, dissimilarity of its pattern and the
@@ -91,7 +89,7 @@ pub struct PruneStats {
     /// Candidates whose exact dissimilarity was evaluated.
     pub shortlisted: usize,
     /// Candidates disposed of without an exact evaluation: lower bound above
-    /// the threshold, or a proven missing reference slot in strict mode.
+    /// the threshold, or a proven missing reference slot.
     pub pruned: usize,
     /// Of `pruned`: candidates skipped wholesale by the
     /// level-1 run prefilter — no per-lag lower bound was even computed.
@@ -100,8 +98,8 @@ pub struct PruneStats {
     /// not to look at them individually).
     pub level1_skipped: usize,
     /// Of `pruned`: candidates disposed of by a
-    /// maintained shortlist entry's certified bound or its strict-mode pair
-    /// count, before any signature lookup.
+    /// maintained shortlist entry's certified bound or its pair count,
+    /// before any signature lookup.
     pub maintained_pruned: usize,
     /// Lags carrying a maintained shortlist entry when the imputation began.
     pub maintained_lags: usize,
@@ -139,46 +137,18 @@ impl PruneStats {
 /// TKCM imputation of a single missing value over a streaming window.
 pub struct TkcmImputer {
     config: TkcmConfig,
-    dissimilarity: Box<dyn Dissimilarity>,
 }
 
 impl TkcmImputer {
-    /// Creates an imputer with the paper's L2 dissimilarity.
+    /// Creates an imputer for a validated configuration.
     pub fn new(config: TkcmConfig) -> Result<Self, TsError> {
         config.validate()?;
-        Ok(TkcmImputer {
-            config,
-            dissimilarity: Box::new(L2Distance),
-        })
-    }
-
-    /// Creates an imputer with a custom dissimilarity measure (L1, DTW, ...).
-    pub fn with_dissimilarity(
-        config: TkcmConfig,
-        dissimilarity: Box<dyn Dissimilarity>,
-    ) -> Result<Self, TsError> {
-        config.validate()?;
-        Ok(TkcmImputer {
-            config,
-            dissimilarity,
-        })
+        Ok(TkcmImputer { config })
     }
 
     /// The configuration the imputer runs with.
     pub fn config(&self) -> &TkcmConfig {
         &self.config
-    }
-
-    /// Name of the dissimilarity measure in use.
-    pub fn dissimilarity_name(&self) -> &'static str {
-        self.dissimilarity.name()
-    }
-
-    /// Whether this imputer's dissimilarity measure can be maintained
-    /// incrementally (Section 6.2); only the paper's L2 measure decomposes
-    /// into the required per-column sliding aggregate.
-    pub fn supports_incremental(&self) -> bool {
-        self.dissimilarity.supports_incremental()
     }
 
     /// Imputes the value of `target` at the *current time* of the window.
@@ -193,15 +163,6 @@ impl TkcmImputer {
     /// [`StreamingWindow::write_imputed`] with the returned value — the
     /// streaming engine does exactly that.
     pub fn impute(
-        &self,
-        window: &StreamingWindow,
-        target: SeriesId,
-        references: &[SeriesId],
-    ) -> Result<ImputationDetail, TsError> {
-        self.impute_inner(window, target, references)
-    }
-
-    fn impute_inner(
         &self,
         window: &StreamingWindow,
         target: SeriesId,
@@ -237,12 +198,7 @@ impl TkcmImputer {
                 candidate_ages.push(age);
             }
             dissimilarities = vec![f64::INFINITY; candidate_ages.len()];
-            let query = extract_query_pattern(
-                window,
-                references,
-                l,
-                self.config.allow_missing_in_patterns,
-            )?;
+            let query = extract_query_pattern(window, references, l)?;
             if let Some(ref q) = query {
                 for (idx, &age) in candidate_ages.iter().enumerate() {
                     // The target value at the anchor must be *observed* to
@@ -257,15 +213,9 @@ impl TkcmImputer {
                     if window.slot_recent(target, age)?.state != SlotState::Observed {
                         continue;
                     }
-                    let candidate = extract_pattern_at_age(
-                        window,
-                        references,
-                        age,
-                        l,
-                        self.config.allow_missing_in_patterns,
-                    )?;
+                    let candidate = extract_pattern_at_age(window, references, age, l)?;
                     let Some(candidate) = candidate else { continue };
-                    dissimilarities[idx] = self.dissimilarity.distance(&candidate, q);
+                    dissimilarities[idx] = l2_distance(&candidate, q);
                 }
             }
         }
@@ -301,7 +251,7 @@ impl TkcmImputer {
 
         // -------- Step 2: pattern selection --------
         timer.start(Phase::Selection);
-        let selection = select_anchors(self.config.selection, dissimilarities, l, k);
+        let selection = select_anchors_dp(dissimilarities, l, k);
 
         // -------- Step 3: value imputation --------
         timer.start(Phase::Imputation);
@@ -327,7 +277,9 @@ impl TkcmImputer {
         let (value, fallback) = if anchors.is_empty() {
             (self.fallback_value(window, target, references)?, true)
         } else {
-            (self.aggregate(&anchors), false)
+            // Definition 4: the plain mean of the anchor values.
+            let sum = anchors.iter().map(|a| a.value).sum::<f64>();
+            (sum / anchors.len() as f64, false)
         };
         timer.finish_imputation();
 
@@ -348,21 +300,18 @@ impl TkcmImputer {
     /// observed)` components.
     ///
     /// The exhaustive path materializes a [`Pattern`] per candidate and
-    /// calls `Dissimilarity::distance`; doing that per *shortlisted*
-    /// candidate would put an allocation on the composed hot path, so this
-    /// reads the window directly and folds the pairs through the same
-    /// `l2_components` recurrence in the same order — reference-major,
-    /// chronological within a reference, `sum += (x−y)·(x−y)` left to right,
-    /// then [`l2_from_components`] — which makes a shortlisted candidate's
-    /// `D[j]` bit-equal to the exhaustive path's, not just approximately
-    /// equal.  (The composed path only runs for measures with
-    /// `supports_incremental()`, whose documented contract is exactly
-    /// "decomposes into `l2_components`".)  Re-admission of a previously
-    /// pruned lag therefore costs nothing beyond the exact evaluation, and
-    /// the re-seeded aggregates are bit-identical to the exact fold by
-    /// construction (the shortlist-maintenance invariant).  A missing
-    /// candidate slot in strict mode (`allow_missing = false`) makes strict
-    /// extraction fail, so `D = +∞` and nothing is seeded.
+    /// calls [`l2_distance`]; doing that per *shortlisted* candidate would
+    /// put an allocation on the composed hot path, so this reads the window
+    /// directly and folds the pairs through the same `l2_components`
+    /// recurrence in the same order — reference-major, chronological within
+    /// a reference, `sum += (x−y)·(x−y)` left to right, then
+    /// [`l2_from_components`] — which makes a shortlisted candidate's `D[j]`
+    /// bit-equal to the exhaustive path's, not just approximately equal.
+    /// Re-admission of a previously pruned lag therefore costs nothing
+    /// beyond the exact evaluation, and the re-seeded aggregates are
+    /// bit-identical to the exact fold by construction (the
+    /// shortlist-maintenance invariant).  A missing candidate slot makes
+    /// pattern extraction fail, so `D = +∞` and nothing is seeded.
     fn evaluate_and_seed(
         &self,
         window: &StreamingWindow,
@@ -372,18 +321,16 @@ impl TkcmImputer {
         shortlist: &mut ShortlistMaintainer,
     ) -> Result<f64, TsError> {
         let l = self.config.pattern_length;
-        let allow_missing = self.config.allow_missing_in_patterns;
         let mut sum_sq = 0.0f64;
         let mut observed = 0usize;
         for (ri, &r) in references.iter().enumerate() {
             // Column 0 is the oldest tick — same walk as
             // `extract_pattern_at_age`.
             for (col, &q_slot) in query.row(ri).iter().enumerate() {
-                let x = window.value_recent(r, age + (l - 1 - col))?;
-                if x.is_none() && !allow_missing {
+                let Some(x) = window.value_recent(r, age + (l - 1 - col))? else {
                     return Ok(f64::INFINITY);
-                }
-                if let (Some(x), Some(y)) = (x, q_slot) {
+                };
+                if let Some(y) = q_slot {
                     sum_sq += (x - y) * (x - y);
                     observed += 1;
                 }
@@ -419,11 +366,9 @@ impl TkcmImputer {
     /// All bounds are admissible (see [`crate::signature`]) and every `D`
     /// entering selection comes from the exact fold, so the result is
     /// **bit-identical** to [`TkcmImputer::impute`] — the float-level proof
-    /// is in the comments below.  Requires dynamic-programming selection
-    /// (the sum objective the bounds are admissible for), an incrementally
-    /// decomposable dissimilarity (L2), and `index` and `shortlist` in
-    /// lock-step with `window`; the streaming engine manages all of this on
-    /// its default path.
+    /// is in the comments below.  Requires `index` and `shortlist` in
+    /// lock-step with `window`; the streaming engine keeps them so on its
+    /// default path.
     /// `run_len` is the level-1 run width, picked once at engine
     /// construction from config geometry
     /// ([`crate::signature::level1_run_len`]).
@@ -476,19 +421,6 @@ impl TkcmImputer {
         inflate0: f64,
         inflate1: f64,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        if self.config.selection != SelectionStrategy::DynamicProgramming {
-            return Err(TsError::invalid(
-                "selection",
-                "signature pruning is only admissible for the dynamic-programming \
-                 sum objective; greedy/overlapping selection must run exhaustively",
-            ));
-        }
-        if !self.supports_incremental() {
-            return Err(TsError::invalid(
-                "dissimilarity",
-                "the composed path requires the decomposable L2 measure",
-            ));
-        }
         if !index.is_synced(window) || index.width() != window.width() {
             return Err(TsError::invalid(
                 "signature",
@@ -501,12 +433,7 @@ impl TkcmImputer {
                 "level-1 run length must be positive",
             ));
         }
-        shortlist.ensure_compatible(
-            window,
-            references,
-            self.config.pattern_length,
-            self.config.allow_missing_in_patterns,
-        )?;
+        shortlist.ensure_compatible(window, references, self.config.pattern_length)?;
         let now = window
             .current_time()
             .ok_or_else(|| TsError::invalid("window", "no tick has been pushed yet"))?;
@@ -538,16 +465,10 @@ impl TkcmImputer {
             let j = candidate_ages.len();
             stats.candidates = j;
             dissimilarities = vec![f64::INFINITY; j];
-            let query = extract_query_pattern(
-                window,
-                references,
-                l,
-                self.config.allow_missing_in_patterns,
-            )?;
+            let query = extract_query_pattern(window, references, l)?;
             if let Some(ref q) = query {
                 let rows: Vec<&[Option<f64>]> = (0..references.len()).map(|ri| q.row(ri)).collect();
                 let sig_query = SignatureQuery::new(&rows);
-                let strict = !self.config.allow_missing_in_patterns;
                 // `resolved[idx]`: D[idx] is final — exact-evaluated, pruned
                 // (stays +∞) or provenance-disqualified; the sweeps below
                 // skip it.
@@ -613,7 +534,7 @@ impl TkcmImputer {
                         }
                         let (lb_sq, certain_missing) =
                             index.lower_bound_sq_with_query(references, age, l, &sig_query);
-                        if certain_missing && strict {
+                        if certain_missing {
                             open[idx] = false;
                             resolved[idx] = true;
                             stats.pruned += 1;
@@ -769,7 +690,7 @@ impl TkcmImputer {
                             if let Some(b) = shortlist.bound(age) {
                                 if b.certain_missing {
                                     // The integer pair count proves a missing
-                                    // pair: strict extraction yields D = +∞
+                                    // pair: extraction yields D = +∞
                                     // *exactly*, same as the exact path.
                                     shortlist.touch(age);
                                     resolved[idx] = true;
@@ -788,7 +709,7 @@ impl TkcmImputer {
                             }
                             let (lb_sq, certain_missing) =
                                 index.lower_bound_sq_with_query(references, age, l, &sig_query);
-                            if certain_missing && strict {
+                            if certain_missing {
                                 resolved[idx] = true;
                                 stats.pruned += 1;
                                 continue;
@@ -923,25 +844,6 @@ impl TkcmImputer {
         Ok((detail, stats))
     }
 
-    /// Aggregates the anchor values into the imputed value.
-    fn aggregate(&self, anchors: &[Anchor]) -> f64 {
-        match self.config.aggregation {
-            AnchorAggregation::Mean => {
-                anchors.iter().map(|a| a.value).sum::<f64>() / anchors.len() as f64
-            }
-            AnchorAggregation::InverseDistanceWeighted => {
-                let mut weight_sum = 0.0;
-                let mut value_sum = 0.0;
-                for a in anchors {
-                    let w = 1.0 / (a.dissimilarity + 1e-9);
-                    weight_sum += w;
-                    value_sum += w * a.value;
-                }
-                value_sum / weight_sum
-            }
-        }
-    }
-
     /// Fallback when no usable anchor exists: the most recent present value
     /// of the target, else the mean of the references' current values, else
     /// the mean of everything present in the window, else 0.
@@ -976,7 +878,6 @@ impl TkcmImputer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::selection::SelectionStrategy;
     use tkcm_timeseries::StreamTick;
 
     /// Builds a window from chronological per-series values (all series start
@@ -1278,97 +1179,5 @@ mod tests {
         // Empty window is also an error.
         let empty = StreamingWindow::new(1, 8);
         assert!(imputer.impute(&empty, SeriesId(0), &[SeriesId(0)]).is_err());
-    }
-
-    #[test]
-    fn weighted_aggregation_prefers_closer_patterns() {
-        // Construct a window where one historical situation matches the query
-        // exactly and another is a poor match with a very different target
-        // value; inverse-distance weighting must pull towards the exact match.
-        let len = 60usize;
-        let mut r: Vec<Option<f64>> = vec![Some(0.0); len];
-        let mut s: Vec<Option<f64>> = vec![Some(0.0); len];
-        // Exact repetition of the query pattern values [1, 2, 3] at ticks 20..22.
-        for (offset, v) in [1.0, 2.0, 3.0].iter().enumerate() {
-            r[20 + offset] = Some(*v);
-            r[len - 3 + offset] = Some(*v);
-        }
-        s[22] = Some(10.0);
-        // A poor match at ticks 40..42 with a wildly different target value.
-        for (offset, v) in [5.0, 5.0, 5.0].iter().enumerate() {
-            r[40 + offset] = Some(*v);
-        }
-        s[42] = Some(-10.0);
-        s[len - 1] = None;
-
-        let window = window_with(&[s, r], len);
-        let weighted_config = TkcmConfig::builder()
-            .window_length(len)
-            .pattern_length(3)
-            .anchor_count(2)
-            .reference_count(1)
-            .aggregation(AnchorAggregation::InverseDistanceWeighted)
-            .build()
-            .unwrap();
-        let mean_config = TkcmConfigBuilderClone(weighted_config.clone());
-
-        let weighted = TkcmImputer::new(weighted_config).unwrap();
-        let detail_w = weighted
-            .impute(&window, SeriesId(0), &[SeriesId(1)])
-            .unwrap();
-        assert!(
-            detail_w.value > 5.0,
-            "weighted value {} should be close to 10",
-            detail_w.value
-        );
-
-        let mut mean_cfg = mean_config.0;
-        mean_cfg.aggregation = AnchorAggregation::Mean;
-        let mean = TkcmImputer::new(mean_cfg).unwrap();
-        let detail_m = mean.impute(&window, SeriesId(0), &[SeriesId(1)]).unwrap();
-        assert!(detail_m.value < detail_w.value);
-    }
-
-    // Small helper to clone a config through a tuple struct (keeps the test
-    // above readable without exposing builder internals).
-    struct TkcmConfigBuilderClone(TkcmConfig);
-
-    #[test]
-    fn greedy_strategy_is_wired_through_config() {
-        let len = 60usize;
-        let vals: Vec<Option<f64>> = (0..len).map(|t| Some((t as f64 * 0.37).sin())).collect();
-        let window = window_with(&[vals.clone(), vals], len);
-        let config = TkcmConfig::builder()
-            .window_length(len)
-            .pattern_length(4)
-            .anchor_count(3)
-            .reference_count(1)
-            .selection(SelectionStrategy::Greedy)
-            .build()
-            .unwrap();
-        let imputer = TkcmImputer::new(config).unwrap();
-        assert_eq!(imputer.config().selection, SelectionStrategy::Greedy);
-        let detail = imputer
-            .impute(&window, SeriesId(0), &[SeriesId(1)])
-            .unwrap();
-        assert!(!detail.fallback);
-        assert_eq!(imputer.dissimilarity_name(), "L2");
-    }
-
-    #[test]
-    fn custom_dissimilarity_is_used() {
-        let len = 60usize;
-        let vals: Vec<Option<f64>> = (0..len).map(|t| Some((t as f64 * 0.37).sin())).collect();
-        let window = window_with(&[vals.clone(), vals], len);
-        let config = small_config(4, 3, len);
-        let imputer =
-            TkcmImputer::with_dissimilarity(config, Box::new(crate::dissimilarity::L1Distance))
-                .unwrap();
-        assert_eq!(imputer.dissimilarity_name(), "L1");
-        let detail = imputer
-            .impute(&window, SeriesId(0), &[SeriesId(1)])
-            .unwrap();
-        assert!(!detail.fallback);
-        assert!(detail.value.is_finite());
     }
 }

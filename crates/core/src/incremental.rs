@@ -73,8 +73,8 @@ pub(crate) struct ShortlistEntry {
     /// update and reset whenever the entry is re-seeded from an exact
     /// evaluation.  `sum_sq − err` is a certified admissible lower bound.
     pub(crate) err: f64,
-    /// Number of observed pairs (integer-exact — trusted absolutely, so in
-    /// strict mode `observed ≠ total` proves `D = +∞` without evaluation).
+    /// Number of observed pairs (integer-exact — trusted absolutely, so
+    /// `observed ≠ total` proves `D = +∞` without evaluation).
     pub(crate) observed: u32,
     /// Maintainer tick at which the entry last earned its keep (seeded,
     /// re-seeded, or used to prune); entries idle past the TTL are evicted.
@@ -87,8 +87,8 @@ pub struct MaintainedBound {
     /// Certified admissible lower bound on the candidate's unscaled
     /// `sum_sq` (hence on `D²`, since the Definition 2 rescale is ≥ 1).
     pub lb_sq: f64,
-    /// `true` when the integer pair count proves a missing pair in strict
-    /// mode: the exact path would return `D = +∞` *exactly*.
+    /// `true` when the integer pair count proves a missing pair: the exact
+    /// path would return `D = +∞` *exactly*.
     pub certain_missing: bool,
 }
 
@@ -114,7 +114,6 @@ pub struct ShortlistMaintainer {
     pub(crate) references: Vec<SeriesId>,
     pub(crate) pattern_length: usize,
     pub(crate) window_length: usize,
-    pub(crate) allow_missing: bool,
     /// Active entries keyed by lag.  A BTreeMap so iteration (and snapshot
     /// encoding) order is deterministic.
     pub(crate) entries: std::collections::BTreeMap<u32, ShortlistEntry>,
@@ -135,7 +134,6 @@ impl ShortlistMaintainer {
         references: Vec<SeriesId>,
         pattern_length: usize,
         window_length: usize,
-        allow_missing: bool,
     ) -> Result<Self, TsError> {
         if references.is_empty() {
             return Err(TsError::invalid(
@@ -157,7 +155,6 @@ impl ShortlistMaintainer {
             references,
             pattern_length,
             window_length,
-            allow_missing,
             entries: std::collections::BTreeMap::new(),
             prev_oldest: vec![None; width],
             last_time: None,
@@ -365,7 +362,7 @@ impl ShortlistMaintainer {
         let total = (self.references.len() * self.pattern_length) as u32;
         Some(MaintainedBound {
             lb_sq: (entry.sum_sq - entry.err).max(0.0) * ENTRY_LB_DEFLATE,
-            certain_missing: !self.allow_missing && entry.observed != total,
+            certain_missing: entry.observed != total,
         })
     }
 
@@ -400,7 +397,6 @@ impl ShortlistMaintainer {
         window: &StreamingWindow,
         references: &[SeriesId],
         pattern_length: usize,
-        allow_missing: bool,
     ) -> Result<(), TsError> {
         if self.references != references {
             return Err(TsError::invalid(
@@ -408,7 +404,7 @@ impl ShortlistMaintainer {
                 "shortlist state was built for a different reference set",
             ));
         }
-        if self.pattern_length != pattern_length || self.allow_missing != allow_missing {
+        if self.pattern_length != pattern_length {
             return Err(TsError::invalid(
                 "config",
                 "shortlist state was built for a different configuration",
@@ -480,8 +476,8 @@ mod tests {
             assert!(bound.lb_sq <= exact_sq, "lag {lag}: bound above exact");
             assert_eq!(
                 bound.certain_missing,
-                !sm.allow_missing && observed != total,
-                "lag {lag}: strict-mode missing verdict"
+                observed != total,
+                "lag {lag}: missing-pair verdict"
             );
         }
     }
@@ -493,7 +489,7 @@ mod tests {
         let l = 3;
         let refs = vec![SeriesId(0), SeriesId(1)];
         let mut window = StreamingWindow::new(width, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, false).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity).unwrap();
         // Run for 3 full window lengths so the ring wraps repeatedly; every
         // lag is seeded once the window is full and then only slides.
         for t in 0..(3 * capacity) {
@@ -518,29 +514,26 @@ mod tests {
 
     #[test]
     fn advance_handles_missing_values_in_both_modes() {
-        for allow_missing in [false, true] {
-            let capacity = 20;
-            let l = 2;
-            let refs = vec![SeriesId(0), SeriesId(1)];
-            let mut window = StreamingWindow::new(2, capacity);
-            let mut sm =
-                ShortlistMaintainer::new(refs.clone(), l, capacity, allow_missing).unwrap();
-            for t in 0..(3 * capacity) {
-                // Deterministic sprinkle of missing values on both series.
-                let v0 = if t % 7 == 3 { None } else { Some(t as f64) };
-                let v1 = if t % 5 == 1 { None } else { Some(-(t as f64)) };
-                window
-                    .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![v0, v1]))
-                    .unwrap();
-                sm.advance(&window).unwrap();
-                touch_all(&mut sm);
-                if t + 1 == capacity {
-                    seed_all(&mut sm, &window, &refs);
-                }
-                assert_entries_match(&sm, &window, &refs);
+        let capacity = 20;
+        let l = 2;
+        let refs = vec![SeriesId(0), SeriesId(1)];
+        let mut window = StreamingWindow::new(2, capacity);
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity).unwrap();
+        for t in 0..(3 * capacity) {
+            // Deterministic sprinkle of missing values on both series.
+            let v0 = if t % 7 == 3 { None } else { Some(t as f64) };
+            let v1 = if t % 5 == 1 { None } else { Some(-(t as f64)) };
+            window
+                .push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![v0, v1]))
+                .unwrap();
+            sm.advance(&window).unwrap();
+            touch_all(&mut sm);
+            if t + 1 == capacity {
+                seed_all(&mut sm, &window, &refs);
             }
-            assert_eq!(sm.maintained_lags(), capacity - 2 * l + 1);
+            assert_entries_match(&sm, &window, &refs);
         }
+        assert_eq!(sm.maintained_lags(), capacity - 2 * l + 1);
     }
 
     #[test]
@@ -549,7 +542,7 @@ mod tests {
         let l = 2;
         let refs = vec![SeriesId(0), SeriesId(1)];
         let mut window = StreamingWindow::new(2, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, true).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity).unwrap();
         for t in 0..(3 * capacity) {
             let missing = t % 3 == 2;
             let v0 = if missing {
@@ -584,7 +577,7 @@ mod tests {
         let l = 3;
         let refs = vec![SeriesId(0)];
         let mut window = StreamingWindow::new(1, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, true).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity).unwrap();
         for t in 0..capacity {
             // Missing at ticks 0, 1, 5, 9, 13 → ages 15, 14, 10, 6, 2 at the
             // end of the loop: historical gaps on both the query side
@@ -628,7 +621,7 @@ mod tests {
         let capacity = 12;
         let refs = vec![SeriesId(1)];
         let mut window = StreamingWindow::new(2, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), 2, capacity, false).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), 2, capacity).unwrap();
         for t in 0..capacity {
             let v0 = if t + 1 == capacity { None } else { Some(1.0) };
             window
@@ -658,7 +651,7 @@ mod tests {
         let l = 2;
         let refs = vec![SeriesId(0), SeriesId(1)];
         let mut window = StreamingWindow::new(2, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, false).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity).unwrap();
         for t in 0..(2 * capacity) {
             window
                 .push_tick(&StreamTick::new(
@@ -707,13 +700,13 @@ mod tests {
     fn shortlist_entries_stay_certified_lower_bounds() {
         // Seed entries from exact components, slide for many ticks with
         // gaps and write-backs, and assert the invariant the composed path
-        // relies on: the bound never exceeds the exact fold's sum_sq, and in
-        // strict mode the integer pair count matches from-scratch exactly.
+        // relies on: the bound never exceeds the exact fold's sum_sq, and the
+        // integer pair count matches from-scratch exactly.
         let capacity = 32;
         let l = 4;
         let refs = vec![SeriesId(0), SeriesId(1)];
         let mut window = StreamingWindow::new(2, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, false).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity).unwrap();
         let total = (refs.len() * l) as u32;
         for t in 0..(4 * capacity) {
             let v0 = if t % 9 == 4 {
@@ -771,7 +764,7 @@ mod tests {
         let l = 3;
         let refs = vec![SeriesId(0)];
         let mut window = StreamingWindow::new(1, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, true).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity).unwrap();
         for t in 0..capacity {
             window
                 .push_tick(&StreamTick::new(
@@ -829,7 +822,7 @@ mod tests {
         let l = 2;
         let refs = vec![SeriesId(0)];
         let mut window = StreamingWindow::new(1, capacity);
-        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity, true).unwrap();
+        let mut sm = ShortlistMaintainer::new(refs.clone(), l, capacity).unwrap();
         let mut t = 0i64;
         let mut push = |window: &mut StreamingWindow, sm: &mut ShortlistMaintainer| {
             window
@@ -854,7 +847,7 @@ mod tests {
 
     #[test]
     fn shortlist_lags_by_sum_orders_ascending() {
-        let mut sm = ShortlistMaintainer::new(vec![SeriesId(0)], 2, 12, true).unwrap();
+        let mut sm = ShortlistMaintainer::new(vec![SeriesId(0)], 2, 12).unwrap();
         sm.seed(4, 9.0, 2);
         sm.seed(2, 1.0, 2);
         sm.seed(7, 4.0, 2);
@@ -864,15 +857,13 @@ mod tests {
 
     #[test]
     fn shortlist_constructor_and_compatibility_checks() {
-        assert!(ShortlistMaintainer::new(vec![], 2, 8, false).is_err());
-        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 0, 8, false).is_err());
-        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 5, 8, false).is_err());
+        assert!(ShortlistMaintainer::new(vec![], 2, 8).is_err());
+        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 0, 8).is_err());
+        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 5, 8).is_err());
         let capacity = 12;
         let mut window = StreamingWindow::new(2, capacity);
-        let mut sm = ShortlistMaintainer::new(vec![SeriesId(1)], 2, capacity, false).unwrap();
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
-            .is_err());
+        let mut sm = ShortlistMaintainer::new(vec![SeriesId(1)], 2, capacity).unwrap();
+        assert!(sm.ensure_compatible(&window, &[SeriesId(1)], 2).is_err());
         for t in 0..4 {
             window
                 .push_tick(&StreamTick::new(
@@ -882,18 +873,9 @@ mod tests {
                 .unwrap();
         }
         sm.advance(&window).unwrap();
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
-            .is_ok());
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(0)], 2, false)
-            .is_err());
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 3, false)
-            .is_err());
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 2, true)
-            .is_err());
+        assert!(sm.ensure_compatible(&window, &[SeriesId(1)], 2).is_ok());
+        assert!(sm.ensure_compatible(&window, &[SeriesId(0)], 2).is_err());
+        assert!(sm.ensure_compatible(&window, &[SeriesId(1)], 3).is_err());
         // Out-of-range seeds are ignored.
         sm.seed(0, 1.0, 1);
         sm.seed(capacity, 1.0, 1);
@@ -902,10 +884,10 @@ mod tests {
 
     #[test]
     fn constructor_validates_parameters() {
-        assert!(ShortlistMaintainer::new(vec![], 2, 8, false).is_err());
-        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 0, 8, false).is_err());
-        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 5, 8, false).is_err());
-        let mut sm = ShortlistMaintainer::new(vec![SeriesId(0)], 4, 8, false).unwrap();
+        assert!(ShortlistMaintainer::new(vec![], 2, 8).is_err());
+        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 0, 8).is_err());
+        assert!(ShortlistMaintainer::new(vec![SeriesId(0)], 5, 8).is_err());
+        let mut sm = ShortlistMaintainer::new(vec![SeriesId(0)], 4, 8).unwrap();
         assert_eq!(sm.pattern_length(), 4);
         assert_eq!(sm.window_length(), 8);
         assert_eq!(sm.references(), &[SeriesId(0)]);
@@ -922,11 +904,9 @@ mod tests {
     fn ensure_compatible_rejects_mismatches() {
         let capacity = 12;
         let mut window = StreamingWindow::new(2, capacity);
-        let mut sm = ShortlistMaintainer::new(vec![SeriesId(1)], 2, capacity, false).unwrap();
+        let mut sm = ShortlistMaintainer::new(vec![SeriesId(1)], 2, capacity).unwrap();
         // Un-synced state is rejected even with matching parameters.
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
-            .is_err());
+        assert!(sm.ensure_compatible(&window, &[SeriesId(1)], 2).is_err());
         for t in 0..4 {
             window
                 .push_tick(&StreamTick::new(
@@ -936,21 +916,10 @@ mod tests {
                 .unwrap();
         }
         sm.advance(&window).unwrap();
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 2, false)
-            .is_ok());
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(0)], 2, false)
-            .is_err());
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 3, false)
-            .is_err());
-        assert!(sm
-            .ensure_compatible(&window, &[SeriesId(1)], 2, true)
-            .is_err());
+        assert!(sm.ensure_compatible(&window, &[SeriesId(1)], 2).is_ok());
+        assert!(sm.ensure_compatible(&window, &[SeriesId(0)], 2).is_err());
+        assert!(sm.ensure_compatible(&window, &[SeriesId(1)], 3).is_err());
         let other = StreamingWindow::new(2, capacity + 4);
-        assert!(sm
-            .ensure_compatible(&other, &[SeriesId(1)], 2, false)
-            .is_err());
+        assert!(sm.ensure_compatible(&other, &[SeriesId(1)], 2).is_err());
     }
 }

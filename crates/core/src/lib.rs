@@ -10,12 +10,10 @@
 //!    matrix of the `l` most recent values of the `d` reference series
 //!    (Definition 1).
 //! 2. **Dissimilarity** ([`dissimilarity`]): the L2/Frobenius distance
-//!    between two patterns (Definition 2), plus the L1 and DTW variants that
-//!    the paper lists as future work.
+//!    between two patterns (Definition 2).
 //! 3. **Pattern selection** ([`selection`]): the dynamic-programming scheme
 //!    of Section 6 that finds the `k` *non-overlapping* patterns minimising
-//!    the sum of dissimilarities (Definition 3, Equation 5, Figure 8), plus a
-//!    greedy variant used for ablation.
+//!    the sum of dissimilarities (Definition 3, Equation 5, Figure 8).
 //! 4. **Imputation** ([`imputer`]): the average of the incomplete series at
 //!    the selected anchor points (Definition 4, Algorithm 1).
 //! 5. **Streaming engine** ([`engine`]): per-tick processing of a whole set
@@ -95,13 +93,13 @@ pub mod signature;
 pub use config::{TkcmConfig, TkcmConfigBuilder};
 pub use consistency::{epsilon_of_anchors, ConsistencyReport};
 pub use diagnostics::{PhaseBreakdown, PhaseTimer};
-pub use dissimilarity::{Dissimilarity, DtwDistance, L1Distance, L2Distance};
+pub use dissimilarity::l2_distance;
 pub use engine::{EngineOutcome, Imputation, TkcmEngine};
 pub use imputer::{ImputationDetail, PruneStats, TkcmImputer};
 pub use incremental::{MaintainedBound, ShortlistMaintainer};
 pub use pattern::{extract_pattern, extract_pattern_at_age, extract_query_pattern, Pattern};
 pub use persist::{WalEntry, WalWriteBack};
-pub use selection::{select_anchors_dp, select_anchors_greedy, AnchorSelection, SelectionStrategy};
+pub use selection::{select_anchors_dp, select_anchors_greedy, AnchorSelection};
 pub use signature::{
     level1_run_len, BlockSummary, SignatureIndex, SignatureQuery, SIGNATURE_BLOCK_LEN,
 };

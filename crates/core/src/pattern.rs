@@ -11,9 +11,9 @@ use tkcm_timeseries::{RingBuffer, SeriesId, StreamingWindow, Timestamp, TsError}
 
 /// A `d × l` pattern over the reference series, anchored at some time point.
 ///
-/// Values are stored row-major (`values[row * length + col]`); a slot may be
-/// missing if the underlying window slot was missing (only possible when the
-/// caller explicitly allows it).
+/// Values are stored row-major (`values[row * length + col]`).  The window
+/// extractors below only return fully observed patterns; a missing slot can
+/// only come from [`Pattern::new`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct Pattern {
     anchor: Timestamp,
@@ -109,25 +109,20 @@ impl Pattern {
 /// Extracts the pattern `P(anchor)` of length `l` over the given reference
 /// series from a streaming window.
 ///
-/// * If `allow_missing` is `false` the function returns `Ok(None)` when any
-///   slot of the pattern is missing — the candidate is simply not usable.
-/// * If `allow_missing` is `true` missing slots are kept as `None` and the
-///   dissimilarity measures skip them.
-///
-/// Returns an error if the anchor (or the ticks `anchor - l + 1`) fall
+/// Returns `Ok(None)` when any slot of the pattern is missing — the
+/// candidate is simply not usable.  Returns an error if the anchor (or the ticks `anchor - l + 1`) fall
 /// outside the window.
 pub fn extract_pattern(
     window: &StreamingWindow,
     references: &[SeriesId],
     anchor: Timestamp,
     length: usize,
-    allow_missing: bool,
 ) -> Result<Option<Pattern>, TsError> {
     if length == 0 {
         return Err(TsError::invalid("l", "pattern length must be positive"));
     }
     let anchor_age = window.age_of(anchor)?;
-    extract_pattern_at_age(window, references, anchor_age, length, allow_missing)
+    extract_pattern_at_age(window, references, anchor_age, length)
 }
 
 /// Extracts the pattern anchored `anchor_age` ticks in the past (0 = the
@@ -141,7 +136,6 @@ pub fn extract_pattern_at_age(
     references: &[SeriesId],
     anchor_age: usize,
     length: usize,
-    allow_missing: bool,
 ) -> Result<Option<Pattern>, TsError> {
     if length == 0 {
         return Err(TsError::invalid("l", "pattern length must be positive"));
@@ -169,11 +163,10 @@ pub fn extract_pattern_at_age(
         for col in 0..length {
             // Column 0 is the oldest tick of the pattern.
             let age = anchor_age + (length - 1 - col);
-            let v = window.value_recent(r, age)?;
-            if v.is_none() && !allow_missing {
+            let Some(v) = window.value_recent(r, age)? else {
                 return Ok(None);
-            }
-            values.push(v);
+            };
+            values.push(Some(v));
         }
     }
     Ok(Some(Pattern::new(anchor, references.len(), length, values)))
@@ -185,12 +178,11 @@ pub fn extract_query_pattern(
     window: &StreamingWindow,
     references: &[SeriesId],
     length: usize,
-    allow_missing: bool,
 ) -> Result<Option<Pattern>, TsError> {
     let now = window
         .current_time()
         .ok_or_else(|| TsError::invalid("window", "no tick has been pushed yet"))?;
-    extract_pattern(window, references, now, length, allow_missing)
+    extract_pattern(window, references, now, length)
 }
 
 /// Extracts a pattern directly from per-series ring buffers using the
@@ -203,17 +195,12 @@ pub fn extract_pattern_from_buffers(
     buffers: &[&RingBuffer],
     anchor_age: usize,
     length: usize,
-    allow_missing: bool,
 ) -> Option<Pattern> {
     let mut values = Vec::with_capacity(buffers.len() * length);
     for buf in buffers {
         for col in 0..length {
             let age = anchor_age + (length - 1 - col);
-            let v = buf.recent(age);
-            if v.is_none() && !allow_missing {
-                return None;
-            }
-            values.push(v);
+            values.push(Some(buf.recent(age)?));
         }
     }
     // The anchor timestamp is unknown at this level; callers that need it use
@@ -282,7 +269,7 @@ mod tests {
             r1.iter().map(|v| Some(*v)).collect(),
             r2.iter().map(|v| Some(*v)).collect(),
         ]);
-        let p = extract_query_pattern(&w, &[SeriesId(0), SeriesId(1)], 3, false)
+        let p = extract_query_pattern(&w, &[SeriesId(0), SeriesId(1)], 3)
             .unwrap()
             .unwrap();
         assert_eq!(p.anchor(), Timestamp::new(11));
@@ -303,7 +290,7 @@ mod tests {
             r1.iter().map(|v| Some(*v)).collect(),
             r2.iter().map(|v| Some(*v)).collect(),
         ]);
-        let p = extract_pattern(&w, &[SeriesId(0), SeriesId(1)], Timestamp::new(7), 3, false)
+        let p = extract_pattern(&w, &[SeriesId(0), SeriesId(1)], Timestamp::new(7), 3)
             .unwrap()
             .unwrap();
         assert_eq!(p.row(0), &[Some(16.2), Some(17.4), Some(17.7)]);
@@ -316,16 +303,10 @@ mod tests {
         r1[8] = None;
         let w = window_with(&[r1]);
         // Pattern anchored at tick 9 with l = 3 covers ticks 7, 8, 9 -> missing.
-        let strict = extract_pattern(&w, &[SeriesId(0)], Timestamp::new(9), 3, false).unwrap();
+        let strict = extract_pattern(&w, &[SeriesId(0)], Timestamp::new(9), 3).unwrap();
         assert!(strict.is_none());
-        let lenient = extract_pattern(&w, &[SeriesId(0)], Timestamp::new(9), 3, true)
-            .unwrap()
-            .unwrap();
-        assert_eq!(lenient.missing_count(), 1);
-        assert!(!lenient.is_complete());
-        assert_eq!(lenient.value(0, 1), None);
         // A pattern fully before the gap is still complete.
-        let early = extract_pattern(&w, &[SeriesId(0)], Timestamp::new(7), 3, false)
+        let early = extract_pattern(&w, &[SeriesId(0)], Timestamp::new(7), 3)
             .unwrap()
             .unwrap();
         assert!(early.is_complete());
@@ -335,14 +316,14 @@ mod tests {
     fn pattern_outside_window_is_an_error() {
         let w = window_with(&[(0..6).map(|i| Some(i as f64)).collect()]);
         // Anchor before the window start.
-        assert!(extract_pattern(&w, &[SeriesId(0)], Timestamp::new(-1), 2, false).is_err());
+        assert!(extract_pattern(&w, &[SeriesId(0)], Timestamp::new(-1), 2).is_err());
         // Anchor inside, but pattern would reach before the window.
-        assert!(extract_pattern(&w, &[SeriesId(0)], Timestamp::new(1), 3, false).is_err());
+        assert!(extract_pattern(&w, &[SeriesId(0)], Timestamp::new(1), 3).is_err());
         // Zero pattern length is invalid.
-        assert!(extract_pattern(&w, &[SeriesId(0)], Timestamp::new(5), 0, false).is_err());
+        assert!(extract_pattern(&w, &[SeriesId(0)], Timestamp::new(5), 0).is_err());
         // Empty window has no query pattern.
         let empty = StreamingWindow::new(1, 4);
-        assert!(extract_query_pattern(&empty, &[SeriesId(0)], 2, false).is_err());
+        assert!(extract_query_pattern(&empty, &[SeriesId(0)], 2).is_err());
     }
 
     #[test]
@@ -350,13 +331,12 @@ mod tests {
         let r1: Vec<Option<f64>> = (0..8).map(|i| Some(i as f64)).collect();
         let r2: Vec<Option<f64>> = (0..8).map(|i| Some(10.0 + i as f64)).collect();
         let w = window_with(&[r1, r2]);
-        let from_window =
-            extract_pattern(&w, &[SeriesId(0), SeriesId(1)], Timestamp::new(5), 3, false)
-                .unwrap()
-                .unwrap();
+        let from_window = extract_pattern(&w, &[SeriesId(0), SeriesId(1)], Timestamp::new(5), 3)
+            .unwrap()
+            .unwrap();
         let b0 = w.buffer(SeriesId(0)).unwrap();
         let b1 = w.buffer(SeriesId(1)).unwrap();
-        let from_buffers = extract_pattern_from_buffers(&[b0, b1], 2, 3, false).unwrap();
+        let from_buffers = extract_pattern_from_buffers(&[b0, b1], 2, 3).unwrap();
         assert_eq!(from_window.values(), from_buffers.values());
     }
 
@@ -366,15 +346,15 @@ mod tests {
         for v in [Some(1.0), None, Some(3.0), Some(4.0)] {
             buf.push(v);
         }
-        assert!(extract_pattern_from_buffers(&[&buf], 1, 3, false).is_none());
-        let lenient = extract_pattern_from_buffers(&[&buf], 1, 3, true).unwrap();
-        assert_eq!(lenient.row(0), &[Some(1.0), None, Some(3.0)]);
+        assert!(extract_pattern_from_buffers(&[&buf], 1, 3).is_none());
+        let complete = extract_pattern_from_buffers(&[&buf], 0, 2).unwrap();
+        assert_eq!(complete.row(0), &[Some(3.0), Some(4.0)]);
     }
 
     #[test]
     fn pattern_length_one_is_just_current_values() {
         let w = window_with(&[(0..5).map(|i| Some(i as f64 * 2.0)).collect()]);
-        let p = extract_query_pattern(&w, &[SeriesId(0)], 1, false)
+        let p = extract_query_pattern(&w, &[SeriesId(0)], 1)
             .unwrap()
             .unwrap();
         assert_eq!(p.length(), 1);

@@ -10,24 +10,17 @@
 //! [`crate::engine::TkcmEngine::apply_wal_entry`]) reproduces an engine that
 //! is bit-identical to one that never crashed — the recovery-equivalence
 //! property the runtime's tests pin down.
-//!
-//! Engines running a *custom* dissimilarity measure cannot be snapshotted:
-//! the decoder reconstructs the imputer from the configuration alone, which
-//! always yields the paper's L2 measure, so encoding any other measure is
-//! refused instead of silently recovering with different semantics.
 
 use std::time::Duration;
 
 use tkcm_store::{Decoder, Encoder, Snapshot, StoreError};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
 
-use crate::config::{AnchorAggregation, TkcmConfig};
+use crate::config::TkcmConfig;
 use crate::diagnostics::PhaseBreakdown;
-use crate::dissimilarity::{Dissimilarity, L2Distance};
 use crate::engine::{Shortlist, TkcmEngine};
 use crate::imputer::{PruneStats, TkcmImputer};
 use crate::incremental::{ShortlistEntry, ShortlistMaintainer};
-use crate::selection::SelectionStrategy;
 use crate::signature::{BlockSummary, SignatureIndex, SIGNATURE_BLOCK_LEN};
 
 /// One write-back logged alongside the tick that produced it: the imputed
@@ -105,57 +98,12 @@ impl Snapshot for WalEntry {
     }
 }
 
-impl Snapshot for AnchorAggregation {
-    fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        enc.u8(match self {
-            AnchorAggregation::Mean => 0,
-            AnchorAggregation::InverseDistanceWeighted => 1,
-        });
-        Ok(())
-    }
-
-    fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        match dec.u8()? {
-            0 => Ok(AnchorAggregation::Mean),
-            1 => Ok(AnchorAggregation::InverseDistanceWeighted),
-            other => Err(StoreError::corrupt(format!(
-                "invalid anchor aggregation tag {other}"
-            ))),
-        }
-    }
-}
-
-impl Snapshot for SelectionStrategy {
-    fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        enc.u8(match self {
-            SelectionStrategy::DynamicProgramming => 0,
-            SelectionStrategy::Greedy => 1,
-            SelectionStrategy::OverlappingTopK => 2,
-        });
-        Ok(())
-    }
-
-    fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        match dec.u8()? {
-            0 => Ok(SelectionStrategy::DynamicProgramming),
-            1 => Ok(SelectionStrategy::Greedy),
-            2 => Ok(SelectionStrategy::OverlappingTopK),
-            other => Err(StoreError::corrupt(format!(
-                "invalid selection strategy tag {other}"
-            ))),
-        }
-    }
-}
-
 impl Snapshot for TkcmConfig {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
         enc.usize(self.window_length);
         enc.usize(self.pattern_length);
         enc.usize(self.anchor_count);
         enc.usize(self.reference_count);
-        self.aggregation.write_into(enc)?;
-        self.selection.write_into(enc)?;
-        enc.bool(self.allow_missing_in_patterns);
         enc.bool(self.pruning);
         Ok(())
     }
@@ -166,9 +114,6 @@ impl Snapshot for TkcmConfig {
             pattern_length: dec.usize()?,
             anchor_count: dec.usize()?,
             reference_count: dec.usize()?,
-            aggregation: AnchorAggregation::read_from(dec)?,
-            selection: SelectionStrategy::read_from(dec)?,
-            allow_missing_in_patterns: dec.bool()?,
             pruning: dec.bool()?,
         };
         config
@@ -248,7 +193,6 @@ impl Snapshot for ShortlistMaintainer {
         self.references.write_into(enc)?;
         enc.usize(self.pattern_length);
         enc.usize(self.window_length);
-        enc.bool(self.allow_missing);
         // BTreeMap iteration is ascending by lag, so the encoding (and the
         // snapshot fingerprint) is deterministic.
         let total_pairs = self.references.len() * self.pattern_length;
@@ -284,7 +228,6 @@ impl Snapshot for ShortlistMaintainer {
         let references: Vec<SeriesId> = Vec::read_from(dec)?;
         let pattern_length = dec.usize()?;
         let window_length = dec.usize()?;
-        let allow_missing = dec.bool()?;
         // `window_length / 2 < pattern_length` is the overflow-safe spelling
         // of `window_length < 2 * pattern_length` — decoded dimensions are
         // untrusted and must not be fed into unchecked arithmetic.
@@ -336,7 +279,6 @@ impl Snapshot for ShortlistMaintainer {
             references,
             pattern_length,
             window_length,
-            allow_missing,
             entries,
             prev_oldest,
             last_time,
@@ -471,27 +413,19 @@ impl Snapshot for SignatureIndex {
 
 impl Snapshot for TkcmEngine {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        if self.imputer.dissimilarity_name() != L2Distance.name() {
-            return Err(StoreError::invalid(format!(
-                "engines with a custom dissimilarity measure ({}) cannot be snapshotted: \
-                 recovery reconstructs the imputer from the configuration, which always \
-                 yields the default {} measure",
-                self.imputer.dissimilarity_name(),
-                L2Distance.name()
-            )));
-        }
         self.imputer.config().write_into(enc)?;
         self.window.write_into(enc)?;
         self.catalog.write_into(enc)?;
         self.breakdown.write_into(enc)?;
         enc.usize(self.imputation_count);
         enc.usize(self.tick_count);
-        match &self.signatures {
-            Some(index) => {
-                enc.bool(true);
-                index.write_into(enc)?;
-            }
-            None => enc.bool(false),
+        // The index is written iff the configuration composes; decode reads
+        // it back on the same condition.
+        if self.imputer.config().pruning {
+            self.signatures
+                .as_ref()
+                .ok_or_else(|| StoreError::invalid("composed engine without a signature index"))?
+                .write_into(enc)?;
         }
         enc.usize(self.shortlists.len());
         for s in &self.shortlists {
@@ -516,7 +450,7 @@ impl Snapshot for TkcmEngine {
         let breakdown = PhaseBreakdown::read_from(dec)?;
         let imputation_count = dec.usize()?;
         let tick_count = dec.usize()?;
-        let signatures = if dec.bool()? {
+        let signatures = if config.pruning {
             let index = SignatureIndex::read_from(dec)?;
             if index.width() != window.width() {
                 return Err(StoreError::invalid(
@@ -547,25 +481,14 @@ impl Snapshot for TkcmEngine {
             shortlists.push(Shortlist { state, last_used });
         }
         let prune_totals = PruneStats::read_from(dec)?;
-        let imputer = TkcmImputer::new(config).map_err(|e| StoreError::invalid(e.to_string()))?;
-        // Presence of the index must agree with what this configuration
-        // activates — a composed engine recovered without its index (or the
-        // converse) would silently change the imputation path.
-        let composes = crate::engine::signature_for(window.width(), &imputer)
-            .map_err(|e| StoreError::invalid(e.to_string()))?
-            .is_some();
-        if composes != signatures.is_some() {
-            return Err(StoreError::invalid(
-                "signature index presence does not match the engine configuration",
-            ));
-        }
         // Shortlist maintainers only exist on the composed path.
-        if !shortlists.is_empty() && !composes {
+        if !shortlists.is_empty() && !config.pruning {
             return Err(StoreError::invalid(
                 "shortlist maintainers present but the configuration does not compose",
             ));
         }
-        let level1_run_len = crate::signature::level1_run_len(imputer.config().pattern_length);
+        let level1_run_len = crate::signature::level1_run_len(config.pattern_length);
+        let imputer = TkcmImputer::new(config).map_err(|e| StoreError::invalid(e.to_string()))?;
         Ok(TkcmEngine {
             imputer,
             window,
@@ -633,9 +556,6 @@ mod tests {
         enc.usize(broken.pattern_length);
         enc.usize(broken.anchor_count);
         enc.usize(broken.reference_count);
-        broken.aggregation.write_into(&mut enc).unwrap();
-        broken.selection.write_into(&mut enc).unwrap();
-        enc.bool(broken.allow_missing_in_patterns);
         enc.bool(broken.pruning);
         assert!(decode_from_slice::<TkcmConfig>(&enc.into_bytes()).is_err());
     }
@@ -755,7 +675,6 @@ mod tests {
         vec![SeriesId(1)].write_into(&mut enc).unwrap();
         enc.usize(3); // l
         enc.usize(64); // L
-        enc.bool(false);
         enc.usize(1);
         enc.u32(1); // lag < l
         enc.f64(0.0);
@@ -773,7 +692,6 @@ mod tests {
         vec![SeriesId(1)].write_into(&mut enc).unwrap();
         enc.usize(3);
         enc.usize(64);
-        enc.bool(false);
         enc.usize(1);
         enc.u32(5);
         enc.f64(1.0);
@@ -831,20 +749,6 @@ mod tests {
         );
         let restored: TkcmEngine = round_trip(&engine);
         assert_eq!(restored.prune_totals(), totals);
-    }
-
-    #[test]
-    fn custom_dissimilarity_engines_refuse_to_snapshot() {
-        let imputer = TkcmImputer::with_dissimilarity(
-            small_config(),
-            Box::new(crate::dissimilarity::L1Distance),
-        )
-        .unwrap();
-        let engine = TkcmEngine::with_imputer(2, imputer, Catalog::ring_neighbours(2)).unwrap();
-        match encode_to_vec(&engine) {
-            Err(StoreError::Invalid { message }) => assert!(message.contains("L1")),
-            other => panic!("expected invalid-state error, got {other:?}"),
-        }
     }
 
     #[test]

@@ -17,25 +17,10 @@
 //! ```
 //!
 //! where `D[j]` is the dissimilarity of the `j`-th candidate pattern
-//! (Equation 5, Algorithm 1, Figure 8).  This module implements both the DP
-//! and the greedy heuristic (for ablation), plus an "overlapping top-k"
-//! variant that demonstrates the near-duplicate problem motivating the
-//! non-overlap constraint.
-
-/// Which algorithm is used to pick the anchors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SelectionStrategy {
-    /// The dynamic program of Section 6 (paper default): minimises the sum of
-    /// dissimilarities subject to the non-overlap constraint.
-    #[default]
-    DynamicProgramming,
-    /// Greedy: repeatedly take the most similar pattern that does not overlap
-    /// the already selected ones.  May fail to minimise the sum.
-    Greedy,
-    /// Plain top-k by dissimilarity ignoring the non-overlap constraint.
-    /// Only useful to demonstrate the near-duplicate problem.
-    OverlappingTopK,
-}
+//! (Equation 5, Algorithm 1, Figure 8).  The imputer runs the DP
+//! ([`select_anchors_dp`]); the greedy heuristic ([`select_anchors_greedy`])
+//! is kept as the reference the tests hold the DP against, starting with the
+//! paper's Figure 8 counter-example.
 
 /// Result of a pattern-selection run.
 #[derive(Clone, Debug, PartialEq)]
@@ -144,8 +129,9 @@ pub fn select_anchors_dp(
 }
 
 /// Greedy selection: repeatedly pick the most similar candidate that does not
-/// overlap any already selected one.  Kept for the ablation study — the paper
-/// notes this does *not* minimise the dissimilarity sum in general.
+/// overlap any already selected one.  The paper notes this does *not*
+/// minimise the dissimilarity sum in general (Figure 8); it is kept as the
+/// reference the DP is tested against, not as an engine option.
 pub fn select_anchors_greedy(
     dissimilarities: &[f64],
     pattern_length: usize,
@@ -177,44 +163,6 @@ pub fn select_anchors_greedy(
         complete: selected.len() == k,
         total_dissimilarity: total,
         indices: selected,
-    }
-}
-
-/// Top-k by dissimilarity with no overlap constraint at all.  Demonstrates
-/// the near-duplicate problem described in Section 4.1.
-pub fn select_anchors_overlapping(dissimilarities: &[f64], k: usize) -> AnchorSelection {
-    let mut order: Vec<usize> = (0..dissimilarities.len())
-        .filter(|&j| dissimilarities[j].is_finite())
-        .collect();
-    order.sort_by(|&a, &b| {
-        dissimilarities[a]
-            .partial_cmp(&dissimilarities[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    let mut selected: Vec<usize> = order.into_iter().take(k).collect();
-    selected.sort_unstable();
-    let total = selected.iter().map(|&j| dissimilarities[j]).sum();
-    AnchorSelection {
-        complete: selected.len() == k,
-        total_dissimilarity: total,
-        indices: selected,
-    }
-}
-
-/// Dispatches to the strategy chosen in the configuration.
-pub fn select_anchors(
-    strategy: SelectionStrategy,
-    dissimilarities: &[f64],
-    pattern_length: usize,
-    k: usize,
-) -> AnchorSelection {
-    match strategy {
-        SelectionStrategy::DynamicProgramming => {
-            select_anchors_dp(dissimilarities, pattern_length, k)
-        }
-        SelectionStrategy::Greedy => select_anchors_greedy(dissimilarities, pattern_length, k),
-        SelectionStrategy::OverlappingTopK => select_anchors_overlapping(dissimilarities, k),
     }
 }
 
@@ -337,7 +285,6 @@ mod tests {
         let all_inf = [f64::INFINITY, f64::INFINITY];
         assert!(select_anchors_dp(&all_inf, 1, 1).indices.is_empty());
         assert!(select_anchors_greedy(&all_inf, 1, 1).indices.is_empty());
-        assert!(select_anchors_overlapping(&all_inf, 1).indices.is_empty());
     }
 
     #[test]
@@ -355,33 +302,6 @@ mod tests {
         assert!(sel.complete);
         assert_eq!(sel.indices, vec![1, 3]);
         assert!((sel.total_dissimilarity - 1.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn overlapping_topk_demonstrates_near_duplicates() {
-        // A smooth dissimilarity profile with a single minimum at index 5:
-        // without the overlap constraint the top-3 are 4, 5, 6 — adjacent
-        // near-duplicates, exactly the problem described in Section 4.1.
-        let d: Vec<f64> = (0..11).map(|j| ((j as f64) - 5.0).abs()).collect();
-        let overlapping = select_anchors_overlapping(&d, 3);
-        assert_eq!(overlapping.indices, vec![4, 5, 6]);
-        let dp = select_anchors_dp(&d, 3, 3);
-        for w in dp.indices.windows(2) {
-            assert!(w[1] - w[0] >= 3);
-        }
-    }
-
-    #[test]
-    fn strategy_dispatch() {
-        let d = [0.5, 0.3, 2.1, 0.7, 4.0];
-        let dp = select_anchors(SelectionStrategy::DynamicProgramming, &d, 3, 2);
-        let greedy = select_anchors(SelectionStrategy::Greedy, &d, 3, 2);
-        let overl = select_anchors(SelectionStrategy::OverlappingTopK, &d, 3, 2);
-        assert_eq!(dp.indices, vec![0, 3]);
-        assert_eq!(greedy.indices, vec![1, 4]);
-        // Without the overlap constraint the two smallest dissimilarities win
-        // (indices 1 and 0), even though they are adjacent.
-        assert_eq!(overl.indices, vec![0, 1]);
     }
 
     #[test]

@@ -600,8 +600,8 @@ impl SignatureIndex {
     ///
     /// The second return is `true` when the index *proves* the candidate
     /// range contains a missing reference slot (a block fully inside the
-    /// range with `missing > 0`): in strict mode (`allow_missing = false`)
-    /// such a candidate has `D = +∞` exactly and needs no exact evaluation.
+    /// range with `missing > 0`): such a candidate has `D = +∞` exactly and
+    /// needs no exact evaluation.
     ///
     /// Returns `(0.0, false)` — the vacuous bound — whenever a range is not
     /// fully resolvable, so the caller never over-prunes.

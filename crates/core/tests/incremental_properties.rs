@@ -57,7 +57,6 @@ fn assert_state_matches(
     state: &ShortlistMaintainer,
     window: &StreamingWindow,
     refs: &[SeriesId],
-    allow_missing: bool,
 ) -> Result<(), String> {
     let l = state.pattern_length();
     let total = (refs.len() * l) as u32;
@@ -85,7 +84,7 @@ fn assert_state_matches(
             bound.lb_sq
         );
         prop_assert!(
-            bound.certain_missing == (!allow_missing && observed != total),
+            bound.certain_missing == (observed != total),
             "lag {lag}: pair count drifted"
         );
     }
@@ -96,20 +95,18 @@ proptest! {
     /// Random two-series streams with random gaps, replayed for well past
     /// one full window so the ring buffers wrap and evict: after every tick
     /// (and every imputed write-back) the maintained entries must match a
-    /// from-scratch recompute in both missing-value modes.
+    /// from-scratch recompute.
     #[test]
     fn incremental_d_matches_from_scratch_recompute(
         v0 in proptest::collection::vec(proptest::option::of(-100.0f64..100.0), 24..120),
         v1 in proptest::collection::vec(proptest::option::of(-100.0f64..100.0), 24..120),
         capacity in 6usize..20,
         l_raw in 1usize..6,
-        mode in 0u32..2,
     ) {
         let l = l_raw.min(capacity / 2).max(1);
-        let allow_missing = mode == 1;
         let refs = vec![SeriesId(0), SeriesId(1)];
         let mut window = StreamingWindow::new(2, capacity);
-        let mut state = ShortlistMaintainer::new(refs.clone(), l, capacity, allow_missing)
+        let mut state = ShortlistMaintainer::new(refs.clone(), l, capacity)
             .expect("valid state parameters");
 
         let len = v0.len().min(v1.len());
@@ -122,7 +119,7 @@ proptest! {
             if t + 1 == capacity {
                 seed_all(&mut state, &window, &refs);
             }
-            assert_state_matches(&state, &window, &refs, allow_missing)?;
+            assert_state_matches(&state, &window, &refs)?;
 
             // Mimic the engine's write-back: when the current value of a
             // reference is missing, impute *something* and patch the state.
@@ -137,7 +134,7 @@ proptest! {
                         .expect("on_write succeeds");
                 }
             }
-            assert_state_matches(&state, &window, &refs, allow_missing)?;
+            assert_state_matches(&state, &window, &refs)?;
         }
     }
 
@@ -153,7 +150,7 @@ proptest! {
         let l = l_raw.min(capacity / 2).max(1);
         let refs = vec![SeriesId(0)];
         let mut window = StreamingWindow::new(1, capacity);
-        let mut state = ShortlistMaintainer::new(refs.clone(), l, capacity, true)
+        let mut state = ShortlistMaintainer::new(refs.clone(), l, capacity)
             .expect("valid state parameters");
 
         for (t, v) in values.iter().enumerate() {
@@ -172,7 +169,7 @@ proptest! {
             state
                 .on_write(&window, SeriesId(0), age, old)
                 .expect("on_write succeeds");
-            assert_state_matches(&state, &window, &refs, true)?;
+            assert_state_matches(&state, &window, &refs)?;
         }
         prop_assert_eq!(state.maintained_lags(), capacity - 2 * l + 1);
     }

@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 
 use tkcm_core::{
-    select_anchors_dp, select_anchors_greedy, Dissimilarity, L2Distance, Pattern, TkcmConfig,
-    TkcmImputer,
+    l2_distance, select_anchors_dp, select_anchors_greedy, Pattern, TkcmConfig, TkcmImputer,
 };
 use tkcm_timeseries::{SeriesId, StreamTick, StreamingWindow, Timestamp};
 
@@ -55,17 +54,17 @@ proptest! {
         let b = &b[..n];
         let pa = Pattern::from_rows(Timestamp::new(0), &[a.to_vec()]);
         let pb = Pattern::from_rows(Timestamp::new(0), &[b.to_vec()]);
-        let d = L2Distance.distance(&pa, &pb);
+        let d = l2_distance(&pa, &pb);
         prop_assert!(d >= 0.0);
-        prop_assert!((d - L2Distance.distance(&pb, &pa)).abs() < 1e-12);
-        prop_assert_eq!(L2Distance.distance(&pa, &pa), 0.0);
+        prop_assert!((d - l2_distance(&pb, &pa)).abs() < 1e-12);
+        prop_assert_eq!(l2_distance(&pa, &pa), 0.0);
 
         // Monotonicity in pattern length: the distance of the length-(n-1)
         // prefix patterns is never larger than the full-length distance.
         if n > 2 {
             let pa_short = Pattern::from_rows(Timestamp::new(0), &[a[1..].to_vec()]);
             let pb_short = Pattern::from_rows(Timestamp::new(0), &[b[1..].to_vec()]);
-            let d_short = L2Distance.distance(&pa_short, &pb_short);
+            let d_short = l2_distance(&pa_short, &pb_short);
             prop_assert!(d_short <= d + 1e-9, "short {} > long {}", d_short, d);
         }
     }

@@ -19,26 +19,20 @@
 use proptest::prelude::*;
 
 use tkcm_core::{
-    extract_pattern, extract_query_pattern, level1_run_len, Dissimilarity, L2Distance,
-    ShortlistMaintainer, SignatureIndex, SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer,
+    extract_pattern, extract_query_pattern, l2_distance, level1_run_len, ShortlistMaintainer,
+    SignatureIndex, SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer,
 };
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
 
 /// From-scratch `D` at one candidate lag, computed exactly like the exact
 /// imputer path (pattern extraction + the L2 distance of Definition 2).
-fn from_scratch_d(
-    window: &StreamingWindow,
-    refs: &[SeriesId],
-    l: usize,
-    lag: usize,
-    allow_missing: bool,
-) -> f64 {
+fn from_scratch_d(window: &StreamingWindow, refs: &[SeriesId], l: usize, lag: usize) -> f64 {
     let now = window.current_time().unwrap();
-    let Some(query) = extract_query_pattern(window, refs, l, allow_missing).unwrap() else {
+    let Some(query) = extract_query_pattern(window, refs, l).unwrap() else {
         return f64::INFINITY;
     };
-    match extract_pattern(window, refs, now - lag as i64, l, allow_missing).unwrap() {
-        Some(candidate) => L2Distance.distance(&candidate, &query),
+    match extract_pattern(window, refs, now - lag as i64, l).unwrap() {
+        Some(candidate) => l2_distance(&candidate, &query),
         None => f64::INFINITY,
     }
 }
@@ -126,16 +120,16 @@ proptest! {
     }
 
     /// Admissibility of the bound itself: for every candidate lag the
-    /// signature lower bound is at most the exact dissimilarity (in both
-    /// missing-value modes — the bound is on the unscaled column sum, which
-    /// the allow-missing rescale only inflates), and a `certain_missing`
-    /// verdict implies the strict-mode dissimilarity really is infinite.
-    /// Streams carry random gaps, run past one window (ring wrap) and are
-    /// perturbed by write-backs at random ages before checking.
+    /// signature lower bound is at most the exact dissimilarity, and a
+    /// `certain_missing` verdict implies the dissimilarity really is
+    /// infinite.  Streams carry random gaps (one slot in six, so complete
+    /// patterns — the only ones with a finite `D` — stay common), run past
+    /// one window (ring wrap) and are perturbed by write-backs at random ages
+    /// before checking.
     #[test]
     fn lower_bound_never_exceeds_the_exact_dissimilarity(
-        v1 in proptest::collection::vec(proptest::option::of(-100.0f64..100.0), 40..140),
-        v2 in proptest::collection::vec(proptest::option::of(-100.0f64..100.0), 40..140),
+        v1 in proptest::collection::vec((0usize..6, -100.0f64..100.0), 40..140),
+        v2 in proptest::collection::vec((0usize..6, -100.0f64..100.0), 40..140),
         capacity in 16usize..48,
         l_raw in 2usize..6,
         write_ages in proptest::collection::vec(0usize..48, 0..6),
@@ -146,9 +140,10 @@ proptest! {
         let mut window = StreamingWindow::new(width, capacity);
         let mut index = SignatureIndex::new(width, capacity).unwrap();
 
+        let slot = |(gap, v): (usize, f64)| (gap != 0).then_some(v);
         let len = v1.len().min(v2.len());
         for t in 0..len {
-            let values = vec![Some(t as f64 * 0.5), v1[t], v2[t]];
+            let values = vec![Some(t as f64 * 0.5), slot(v1[t]), slot(v2[t])];
             window
                 .push_tick(&StreamTick::new(Timestamp::new(t as i64), values.clone()))
                 .expect("tick accepted");
@@ -168,9 +163,8 @@ proptest! {
         let filled = window.filled();
         if filled >= 2 * l {
             // The query-exact bound variant the imputer actually uses: range
-            // tables over the extracted query pattern (allow-missing mode so
-            // gaps land in the query side too).
-            let query = extract_query_pattern(&window, &refs, l, true).expect("valid geometry");
+            // tables over the extracted query pattern.
+            let query = extract_query_pattern(&window, &refs, l).expect("valid geometry");
             let sig_query = query.as_ref().map(|q| {
                 let rows: Vec<&[Option<f64>]> = (0..refs.len()).map(|ri| q.row(ri)).collect();
                 SignatureQuery::new(&rows)
@@ -181,37 +175,25 @@ proptest! {
                     Some(sq) => index.lower_bound_sq_with_query(&refs, lag, l, sq),
                     None => (0.0, false),
                 };
+                let exact = from_scratch_d(&window, &refs, l, lag);
                 for lb_sq in [lb_env_sq, lb_query_sq] {
                     prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
-                    for allow_missing in [false, true] {
-                        let exact = from_scratch_d(&window, &refs, l, lag, allow_missing);
-                        if exact.is_finite() {
-                            prop_assert!(
-                                lb_sq <= exact * exact * (1.0 + 1e-12),
-                                "lag {}: lower bound {} exceeds exact D² {}",
-                                lag,
-                                lb_sq,
-                                exact * exact
-                            );
-                        }
+                    if exact.is_finite() {
+                        prop_assert!(
+                            lb_sq <= exact * exact * (1.0 + 1e-12),
+                            "lag {}: lower bound {} exceeds exact D² {}",
+                            lag,
+                            lb_sq,
+                            exact * exact
+                        );
                     }
                 }
-                if certain_missing_q {
-                    let strict = from_scratch_d(&window, &refs, l, lag, false);
+                if certain_missing || certain_missing_q {
                     prop_assert!(
-                        strict.is_infinite(),
-                        "lag {}: query-bound certain_missing but strict D = {}",
+                        exact.is_infinite(),
+                        "lag {}: certain_missing but D = {}",
                         lag,
-                        strict
-                    );
-                }
-                if certain_missing {
-                    let strict = from_scratch_d(&window, &refs, l, lag, false);
-                    prop_assert!(
-                        strict.is_infinite(),
-                        "lag {}: certain_missing but strict D = {}",
-                        lag,
-                        strict
+                        exact
                     );
                 }
             }
@@ -279,7 +261,7 @@ proptest! {
 
         let filled = window.filled();
         if filled >= 2 * l {
-            let query = extract_query_pattern(&window, &refs, l, true).expect("valid geometry");
+            let query = extract_query_pattern(&window, &refs, l).expect("valid geometry");
             let sig_query = query.as_ref().map(|q| {
                 let rows: Vec<&[Option<f64>]> = (0..refs.len()).map(|ri| q.row(ri)).collect();
                 SignatureQuery::new(&rows)
@@ -294,7 +276,7 @@ proptest! {
                 };
                 for lb_sq in [lb_env_sq, lb_query_sq] {
                     prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
-                    let exact = from_scratch_d(&window, &refs, l, lag, true);
+                    let exact = from_scratch_d(&window, &refs, l, lag);
                     if exact.is_finite() {
                         prop_assert!(
                             lb_sq <= exact * exact * (1.0 + 1e-12),
@@ -318,7 +300,7 @@ proptest! {
                     prop_assert!(run_sq.is_finite() && run_sq >= 0.0);
                     for idx in s..e {
                         let lag = oldest_age - idx;
-                        let exact = from_scratch_d(&window, &refs, l, lag, true);
+                        let exact = from_scratch_d(&window, &refs, l, lag);
                         if exact.is_finite() {
                             prop_assert!(
                                 run_sq <= exact * exact * (1.0 + 1e-12),
@@ -402,13 +384,9 @@ fn fixture_shortlist(
     refs: &[SeriesId],
 ) -> ShortlistMaintainer {
     let config = imputer.config();
-    let mut s = ShortlistMaintainer::new(
-        refs.to_vec(),
-        config.pattern_length,
-        config.window_length,
-        false,
-    )
-    .unwrap();
+    let mut s =
+        ShortlistMaintainer::new(refs.to_vec(), config.pattern_length, config.window_length)
+            .unwrap();
     s.advance(window).unwrap();
     s
 }

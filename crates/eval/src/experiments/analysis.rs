@@ -8,7 +8,7 @@
 //!   pattern lengths `l = 1` and `l = 60`, showing that longer patterns
 //!   discriminate the correct historical situations.
 
-use tkcm_core::{Dissimilarity, L2Distance, Pattern};
+use tkcm_core::{l2_distance, Pattern};
 use tkcm_datasets::sine::analysis_dataset;
 use tkcm_timeseries::stats::pearson;
 use tkcm_timeseries::Timestamp;
@@ -33,7 +33,7 @@ pub fn dissimilarity_profile(reference: &[f64], anchor: usize, l: usize) -> Vec<
     for t in (l - 1)..=anchor {
         let rows = vec![reference[t + 1 - l..=t].to_vec()];
         let candidate = Pattern::from_rows(Timestamp::new(t as i64), &rows);
-        profile.push((t as f64, L2Distance.distance(&candidate, &query)));
+        profile.push((t as f64, l2_distance(&candidate, &query)));
     }
     profile
 }

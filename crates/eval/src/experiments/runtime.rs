@@ -73,7 +73,7 @@ impl RuntimeWorkload {
     /// set first serves an imputation.
     pub fn shortlist(&self, l: usize) -> ShortlistMaintainer {
         let mut shortlist =
-            ShortlistMaintainer::new(self.references.clone(), l, self.window.length(), false)
+            ShortlistMaintainer::new(self.references.clone(), l, self.window.length())
                 .expect("valid shortlist");
         shortlist.advance(&self.window).expect("shortlist syncs");
         shortlist

@@ -431,31 +431,9 @@ impl ShardedEngine {
     ) -> Result<Self, TsError> {
         config.validate()?;
         let partition = FleetPartition::new(width, &catalog, shards)?;
-        let mut workers = Vec::with_capacity(partition.shard_count());
-        for shard in 0..partition.shard_count() {
-            let snapshot = build_shard(&partition, shard, &config, &catalog)?;
-            workers.push(spawn_worker(snapshot, None, SyncPolicy::Never));
-        }
-        let loads = LoadTracker::new(&partition);
-        let obs = FleetObs::new(partition.shard_count());
-        let shard_prune = vec![PruneStats::default(); partition.shard_count()];
-        Ok(ShardedEngine {
-            partition,
-            workers,
-            tick_count: 0,
-            imputation_count: 0,
-            poisoned: false,
-            durable: None,
-            pipeline_depth: 1,
-            in_flight: VecDeque::new(),
-            ready: Vec::new(),
-            submitted_count: 0,
-            rebalance: None,
-            loads,
-            pending_migrations: VecDeque::new(),
-            obs,
-            shard_prune,
-        })
+        let snapshots = build_shards(&partition, &config, &catalog)?;
+        let wals = snapshots.iter().map(|_| None).collect();
+        Self::from_shards(partition, snapshots, wals, None)
     }
 
     /// Creates a *durable* sharded engine: every worker logs each processed
@@ -476,42 +454,70 @@ impl ShardedEngine {
         std::fs::create_dir_all(dir)
             .map_err(|e| TsError::Io(format!("creating {}: {e}", dir.display())))?;
         let partition = FleetPartition::new(width, &catalog, shards)?;
-        let mut workers = Vec::with_capacity(partition.shard_count());
-        for shard in 0..partition.shard_count() {
-            let snapshot = build_shard(&partition, shard, &config, &catalog)?;
-            let wal = WalWriter::create(&shard_wal_path(dir, shard, partition.version()))?;
-            workers.push(spawn_worker(snapshot, Some(wal), options.sync_policy));
-        }
-        let loads = LoadTracker::new(&partition);
-        let obs = FleetObs::new(partition.shard_count());
-        let shard_prune = vec![PruneStats::default(); partition.shard_count()];
-        let mut fleet = ShardedEngine {
-            partition,
-            workers,
-            tick_count: 0,
-            imputation_count: 0,
-            poisoned: false,
-            durable: Some(DurableState {
-                dir: dir.to_path_buf(),
-                snapshot_interval: options.snapshot_interval,
-                sync_policy: options.sync_policy,
-                last_rotation: 0,
-            }),
-            pipeline_depth: 1,
-            in_flight: VecDeque::new(),
-            ready: Vec::new(),
-            submitted_count: 0,
-            rebalance: None,
-            loads,
-            pending_migrations: VecDeque::new(),
-            obs,
-            shard_prune,
+        let snapshots = build_shards(&partition, &config, &catalog)?;
+        let wals = (0..partition.shard_count())
+            .map(|shard| {
+                WalWriter::create(&shard_wal_path(dir, shard, partition.version())).map(Some)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let durable = DurableState {
+            dir: dir.to_path_buf(),
+            snapshot_interval: options.snapshot_interval,
+            sync_policy: options.sync_policy,
+            last_rotation: 0,
         };
+        let mut fleet = Self::from_shards(partition, snapshots, wals, Some(durable))?;
         // Initial checkpoint: manifest + empty-engine snapshots, so a crash
         // before the first rotation still recovers (by replaying the WAL
         // from tick zero).
         fleet.checkpoint(dir)?;
         Ok(fleet)
+    }
+
+    /// The one place a fleet is assembled: one worker per shard snapshot,
+    /// logging to its WAL when one is given (under the durable state's sync
+    /// policy), with the fleet counters read off the snapshots' engines
+    /// (all zero for fresh ones) and an empty, synchronous pipeline.
+    fn from_shards(
+        partition: FleetPartition,
+        snapshots: Vec<ShardSnapshot>,
+        wals: Vec<Option<WalWriter>>,
+        durable: Option<DurableState>,
+    ) -> Result<Self, TsError> {
+        let sync_policy = durable
+            .as_ref()
+            .map_or(SyncPolicy::Never, |state| state.sync_policy);
+        let tick_count = fleet_tick_count(&snapshots)?;
+        let imputation_count = snapshots
+            .iter()
+            .flat_map(|s| s.engines.iter())
+            .map(|(_, e)| e.imputations_performed())
+            .sum();
+        let shard_prune = snapshots.iter().map(shard_prune_totals).collect();
+        let workers = snapshots
+            .into_iter()
+            .zip(wals)
+            .map(|(snapshot, wal)| spawn_worker(snapshot, wal, sync_policy))
+            .collect();
+        let loads = LoadTracker::new(&partition);
+        let obs = FleetObs::new(partition.shard_count());
+        Ok(ShardedEngine {
+            partition,
+            workers,
+            tick_count,
+            imputation_count,
+            poisoned: false,
+            durable,
+            pipeline_depth: 1,
+            in_flight: VecDeque::new(),
+            ready: Vec::new(),
+            submitted_count: tick_count,
+            rebalance: None,
+            loads,
+            pending_migrations: VecDeque::new(),
+            obs,
+            shard_prune,
+        })
     }
 
     // == pipeline configuration ==
@@ -609,7 +615,38 @@ impl ShardedEngine {
     /// fresh snapshot + truncated log; interior corruption (a checksum
     /// mismatch on any complete record) still fails either way.
     pub fn recover_with(dir: &Path, options: RecoveryOptions) -> Result<Self, TsError> {
-        let result = Self::recover_with_inner(dir, options);
+        Self::load(dir, None, options.tolerate_torn_wal_tail)
+    }
+
+    /// Point-in-time recovery: like [`ShardedEngine::recover`], but WAL
+    /// replay stops at the newest tick whose time is `<= time` — "what did
+    /// the fleet believe at 14:20".
+    ///
+    /// The result is an *inspection* fleet: it is never durable and never
+    /// touches the checkpoint directory (no WAL re-open, no snapshot
+    /// rewrite), because appending new history after an earlier recovery
+    /// point would silently fork the directory's timeline.  It can process
+    /// further ticks — they just are not logged anywhere.
+    ///
+    /// Fails when any component's *snapshot* is already past `time`
+    /// (snapshots cannot be rewound; recover from an older checkpoint
+    /// directory), and on any corruption, exactly as strict recovery does.
+    /// A `time` newer than everything in the WALs recovers the newest
+    /// reachable state, like [`ShardedEngine::recover`] would.
+    pub fn recover_until(dir: &Path, time: Timestamp) -> Result<Self, TsError> {
+        Self::load(dir, Some(time), false)
+    }
+
+    /// The one recovery loader behind [`ShardedEngine::recover_with`] and
+    /// [`ShardedEngine::recover_until`]: `ceiling` is the point-in-time
+    /// limit (`Some` makes an inspection fleet), `tolerate_torn_wal_tail`
+    /// the [`RecoveryOptions`] flag.
+    fn load(
+        dir: &Path,
+        ceiling: Option<Timestamp>,
+        tolerate_torn_wal_tail: bool,
+    ) -> Result<Self, TsError> {
+        let result = Self::load_inner(dir, ceiling, tolerate_torn_wal_tail);
         if let Err(error) = &result {
             // A failed recovery is one of the two moments the flight
             // recorder exists for; the dump goes to the temp directory —
@@ -626,12 +663,17 @@ impl ShardedEngine {
         result
     }
 
-    fn recover_with_inner(dir: &Path, options: RecoveryOptions) -> Result<Self, TsError> {
+    fn load_inner(
+        dir: &Path,
+        ceiling: Option<Timestamp>,
+        tolerate_torn_wal_tail: bool,
+    ) -> Result<Self, TsError> {
         let manifest: Manifest = read_snapshot_file(&manifest_path(dir))?;
         // The manifest records explicitly whether this directory carries
         // WALs; a durable engine's out-of-band backup into a foreign
-        // directory is snapshot-only and recovers as a plain fleet.
-        let durable = manifest.wal;
+        // directory is snapshot-only and recovers as a plain fleet.  A
+        // point-in-time recovery reads the WALs but never resumes them.
+        let durable = manifest.wal && ceiling.is_none();
         let partition = manifest.partition;
         let version = partition.version();
         let shard_count = partition.shard_count();
@@ -643,18 +685,33 @@ impl ShardedEngine {
             let snapshot: ShardSnapshot =
                 read_snapshot_file(&shard_snapshot_path(dir, shard, version))?;
             validate_shard_snapshot(&partition, shard, &snapshot)?;
-            let (records, tail_torn) = if !durable {
+            if let Some(time) = ceiling {
+                for (component, engine) in &snapshot.engines {
+                    if engine.window().current_time().is_some_and(|t| t > time) {
+                        return Err(TsError::invalid(
+                            "engine",
+                            format!(
+                                "component {component} on shard {shard} is snapshotted at {:?}, \
+                                 past the requested recovery time {time:?}; snapshots cannot be \
+                                 rewound — recover from an older checkpoint directory",
+                                engine.window().current_time()
+                            ),
+                        ));
+                    }
+                }
+            }
+            let path = shard_wal_path(dir, shard, version);
+            let (records, tail_torn) = if !manifest.wal {
                 (Vec::new(), false)
-            } else if options.tolerate_torn_wal_tail {
-                let (payloads, tail_torn) =
-                    read_wal_records_tolerating_torn_tail(&shard_wal_path(dir, shard, version))?;
+            } else if tolerate_torn_wal_tail {
+                let (payloads, tail_torn) = read_wal_records_tolerating_torn_tail(&path)?;
                 let records = payloads
                     .iter()
                     .map(|payload| decode_from_slice::<ShardWalRecord>(payload))
                     .collect::<Result<Vec<_>, _>>()?;
                 (records, tail_torn)
             } else {
-                (read_wal(&shard_wal_path(dir, shard, version))?, false)
+                (read_wal(&path)?, false)
             };
             validate_shard_records(&partition, shard, &records)?;
             tkcm_obs::recorder().record(
@@ -674,9 +731,9 @@ impl ShardedEngine {
         }
 
         // Reconcile: a component's reachable time is the newer of its
-        // snapshot and its last logged tick; the fleet recovers to the
-        // *minimum* of those, since a tick is only complete once every
-        // component processed it.
+        // snapshot and its last logged tick (no later than the ceiling);
+        // the fleet recovers to the *minimum* of those, since a tick is only
+        // complete once every component processed it.
         let reachable = shards
             .iter()
             .zip(&logs)
@@ -685,8 +742,9 @@ impl ShardedEngine {
                     records
                         .iter()
                         .rev()
-                        .find(|r| r.component == *component)
+                        .filter(|r| r.component == *component)
                         .map(|r| r.entry.tick.time)
+                        .find(|t| ceiling.is_none_or(|time| *t <= time))
                         .max(engine.window().current_time())
                 })
             })
@@ -702,15 +760,9 @@ impl ShardedEngine {
                 ("tick_count", tkcm_obs::FieldValue::U64(tick_count as u64)),
             ],
         );
-        let imputation_count = shards
-            .iter()
-            .flat_map(|s| s.engines.iter())
-            .map(|(_, e)| e.imputations_performed())
-            .sum();
 
-        let shard_prune: Vec<PruneStats> = shards.iter().map(shard_prune_totals).collect();
-        let mut fleet_workers = Vec::with_capacity(shard_count);
-        for (shard, snapshot) in shards.into_iter().enumerate() {
+        let mut wals = Vec::with_capacity(shard_count);
+        for (shard, snapshot) in shards.iter().enumerate() {
             let wal = if durable {
                 // Reconciliation may have skipped a trailing record of a
                 // component that ran ahead, and a tolerated torn tail
@@ -727,13 +779,13 @@ impl ShardedEngine {
                 if applied_all && !torn[shard] {
                     Some(WalWriter::open_append(&path)?)
                 } else {
-                    write_snapshot_file(&shard_snapshot_path(dir, shard, version), &snapshot)?;
+                    write_snapshot_file(&shard_snapshot_path(dir, shard, version), snapshot)?;
                     Some(WalWriter::create(&path)?)
                 }
             } else {
                 None
             };
-            fleet_workers.push(spawn_worker(snapshot, wal, manifest.sync_policy));
+            wals.push(wal);
         }
         if durable {
             // A crash between the migration checkpoint's rename and its
@@ -741,141 +793,21 @@ impl ShardedEngine {
             remove_stale_shard_files(dir, version);
         }
 
-        let loads = LoadTracker::new(&partition);
-        let obs = FleetObs::new(partition.shard_count());
-        Ok(ShardedEngine {
-            partition,
-            workers: fleet_workers,
-            tick_count,
-            imputation_count,
-            poisoned: false,
-            durable: durable.then(|| DurableState {
-                dir: dir.to_path_buf(),
-                snapshot_interval: manifest.snapshot_interval,
-                sync_policy: manifest.sync_policy,
-                // `tick_count - 1`, not `tick_count`: under the
-                // boundary-crossing rotation rule this re-runs the rotation
-                // at the next batch boundary exactly when the crash landed
-                // on a rotation boundary (the rotation may not have
-                // completed; re-running is idempotent — snapshots
-                // rewritten, WAL truncated), while a mid-interval crash
-                // waits for the next multiple as usual instead of paying a
-                // full snapshot rewrite on the first post-recovery batch.
-                last_rotation: tick_count.saturating_sub(1),
-            }),
-            pipeline_depth: 1,
-            in_flight: VecDeque::new(),
-            ready: Vec::new(),
-            submitted_count: tick_count,
-            rebalance: None,
-            loads,
-            pending_migrations: VecDeque::new(),
-            obs,
-            shard_prune,
-        })
-    }
-
-    /// Point-in-time recovery: like [`ShardedEngine::recover`], but WAL
-    /// replay stops at the newest tick whose time is `<= time` — "what did
-    /// the fleet believe at 14:20".
-    ///
-    /// The result is an *inspection* fleet: it is never durable and never
-    /// touches the checkpoint directory (no WAL re-open, no snapshot
-    /// rewrite), because appending new history after an earlier recovery
-    /// point would silently fork the directory's timeline.  It can process
-    /// further ticks — they just are not logged anywhere.
-    ///
-    /// Fails when any component's *snapshot* is already past `time`
-    /// (snapshots cannot be rewound; recover from an older checkpoint
-    /// directory), and on any corruption, exactly as strict recovery does.
-    /// A `time` newer than everything in the WALs recovers the newest
-    /// reachable state, like [`ShardedEngine::recover`] would.
-    pub fn recover_until(dir: &Path, time: Timestamp) -> Result<Self, TsError> {
-        let manifest: Manifest = read_snapshot_file(&manifest_path(dir))?;
-        let partition = manifest.partition;
-        let version = partition.version();
-        let shard_count = partition.shard_count();
-
-        let mut shards: Vec<ShardSnapshot> = Vec::with_capacity(shard_count);
-        let mut logs: Vec<Vec<ShardWalRecord>> = Vec::with_capacity(shard_count);
-        for shard in 0..shard_count {
-            let snapshot: ShardSnapshot =
-                read_snapshot_file(&shard_snapshot_path(dir, shard, version))?;
-            validate_shard_snapshot(&partition, shard, &snapshot)?;
-            for (component, engine) in &snapshot.engines {
-                if engine.window().current_time().is_some_and(|t| t > time) {
-                    return Err(TsError::invalid(
-                        "engine",
-                        format!(
-                            "component {component} on shard {shard} is snapshotted at {:?}, past \
-                             the requested recovery time {time:?}; snapshots cannot be rewound — \
-                             recover from an older checkpoint directory",
-                            engine.window().current_time()
-                        ),
-                    ));
-                }
-            }
-            let records = if manifest.wal {
-                read_wal(&shard_wal_path(dir, shard, version))?
-            } else {
-                Vec::new()
-            };
-            validate_shard_records(&partition, shard, &records)?;
-            shards.push(snapshot);
-            logs.push(records);
-        }
-
-        // The recovery point: the newest tick with time <= `time` that
-        // *every* component reached (same reconciliation rule as full
-        // recovery, with the requested time as an additional ceiling).
-        let reachable = shards
-            .iter()
-            .zip(&logs)
-            .flat_map(|(snapshot, records)| {
-                snapshot.engines.iter().map(move |(component, engine)| {
-                    records
-                        .iter()
-                        .rev()
-                        .filter(|r| r.component == *component)
-                        .map(|r| r.entry.tick.time)
-                        .find(|t| *t <= time)
-                        .max(engine.window().current_time())
-                })
-            })
-            .min()
-            .flatten();
-        replay_shards(&mut shards, &logs, reachable)?;
-
-        let tick_count = fleet_tick_count(&shards)?;
-        let imputation_count = shards
-            .iter()
-            .flat_map(|s| s.engines.iter())
-            .map(|(_, e)| e.imputations_performed())
-            .sum();
-        let shard_prune: Vec<PruneStats> = shards.iter().map(shard_prune_totals).collect();
-        let workers = shards
-            .into_iter()
-            .map(|snapshot| spawn_worker(snapshot, None, SyncPolicy::Never))
-            .collect();
-        let loads = LoadTracker::new(&partition);
-        let obs = FleetObs::new(partition.shard_count());
-        Ok(ShardedEngine {
-            partition,
-            workers,
-            tick_count,
-            imputation_count,
-            poisoned: false,
-            durable: None,
-            pipeline_depth: 1,
-            in_flight: VecDeque::new(),
-            ready: Vec::new(),
-            submitted_count: tick_count,
-            rebalance: None,
-            loads,
-            pending_migrations: VecDeque::new(),
-            obs,
-            shard_prune,
-        })
+        let durable_state = durable.then(|| DurableState {
+            dir: dir.to_path_buf(),
+            snapshot_interval: manifest.snapshot_interval,
+            sync_policy: manifest.sync_policy,
+            // `tick_count - 1`, not `tick_count`: under the
+            // boundary-crossing rotation rule this re-runs the rotation
+            // at the next batch boundary exactly when the crash landed
+            // on a rotation boundary (the rotation may not have
+            // completed; re-running is idempotent — snapshots
+            // rewritten, WAL truncated), while a mid-interval crash
+            // waits for the next multiple as usual instead of paying a
+            // full snapshot rewrite on the first post-recovery batch.
+            last_rotation: tick_count.saturating_sub(1),
+        });
+        Self::from_shards(partition, shards, wals, durable_state)
     }
 
     /// Checkpoints the fleet into `dir`: drains the pipeline, executes any
@@ -1704,25 +1636,28 @@ fn poisoned_error() -> TsError {
     )
 }
 
-/// Builds one shard's worker payload at construction: one engine per
+/// Builds every shard's worker payload at construction: one engine per
 /// component assigned to the shard, over the component-local catalog.
-fn build_shard(
+fn build_shards(
     partition: &FleetPartition,
-    shard: usize,
     config: &TkcmConfig,
     catalog: &Catalog,
-) -> Result<ShardSnapshot, TsError> {
-    let mut engines = Vec::new();
-    for component in partition.components_on(shard) {
-        let local_catalog = partition.component_catalog(component, catalog)?;
-        let engine = TkcmEngine::new(
-            partition.component_members(component).len(),
-            config.clone(),
-            local_catalog,
-        )?;
-        engines.push((component, engine));
-    }
-    Ok(ShardSnapshot { engines })
+) -> Result<Vec<ShardSnapshot>, TsError> {
+    (0..partition.shard_count())
+        .map(|shard| {
+            let mut engines = Vec::new();
+            for component in partition.components_on(shard) {
+                let local_catalog = partition.component_catalog(component, catalog)?;
+                let engine = TkcmEngine::new(
+                    partition.component_members(component).len(),
+                    config.clone(),
+                    local_catalog,
+                )?;
+                engines.push((component, engine));
+            }
+            Ok(ShardSnapshot { engines })
+        })
+        .collect()
 }
 
 /// A shard snapshot must carry exactly the components the partition assigns

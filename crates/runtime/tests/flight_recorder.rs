@@ -1,5 +1,6 @@
 //! The flight recorder must still hold a durable fleet's checkpoint event
-//! after an imputation storm.
+//! after an imputation storm, and must hold a `recovery_failed` event after
+//! any failed recovery.
 //!
 //! The recorder is a process-global ring of recent events kept for
 //! post-mortem dumps, so the events it exists for — checkpoints, fsyncs,
@@ -7,9 +8,10 @@
 //! This test lives in its own binary because the recorder is shared by every
 //! test in a process.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use tkcm_core::TkcmConfig;
+use tkcm_obs::FieldValue;
 use tkcm_runtime::{DurabilityOptions, ShardedEngine, SyncPolicy};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, Timestamp};
 
@@ -48,10 +50,13 @@ fn tick_at(t: usize) -> StreamTick {
     StreamTick::new(Timestamp::new(t as i64), values)
 }
 
-#[test]
-fn checkpoint_event_survives_an_imputation_storm() {
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("tkcm-flight-recorder-{}", std::process::id()));
+fn scratch_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("tkcm-flight-recorder-{tag}-{}", std::process::id()))
+}
+
+/// A durable two-shard fleet logging into `dir`, with rotation off so every
+/// processed tick stays in the WALs.
+fn durable_fleet(dir: &Path) -> ShardedEngine {
     let config = TkcmConfig::builder()
         .window_length(96)
         .pattern_length(4)
@@ -59,18 +64,24 @@ fn checkpoint_event_survives_an_imputation_storm() {
         .reference_count(2)
         .build()
         .unwrap();
-    let mut fleet = ShardedEngine::with_durability(
+    ShardedEngine::with_durability(
         CLUSTERS * CLUSTER_SIZE,
         config,
         catalog(),
         2,
-        &dir,
+        dir,
         DurabilityOptions {
             snapshot_interval: 0,
             sync_policy: SyncPolicy::EveryBatch,
         },
     )
-    .unwrap();
+    .unwrap()
+}
+
+#[test]
+fn checkpoint_event_survives_an_imputation_storm() {
+    let dir = scratch_dir("storm");
+    let mut fleet = durable_fleet(&dir);
 
     let ticks: Vec<StreamTick> = (0..1_536).map(tick_at).collect();
     fleet.process_batch(&ticks[..128]).unwrap();
@@ -89,5 +100,32 @@ fn checkpoint_event_survives_an_imputation_storm() {
     assert!(
         report.contains("\"kind\": \"checkpoint\""),
         "the checkpoint event was evicted from the flight recorder"
+    );
+}
+
+#[test]
+fn failed_point_in_time_recovery_lands_a_recovery_failed_event() {
+    let dir = scratch_dir("until");
+    let mut fleet = durable_fleet(&dir);
+    let ticks: Vec<StreamTick> = (0..64).map(tick_at).collect();
+    fleet.process_batch(&ticks).unwrap();
+    drop(fleet);
+    // Flip one byte in the middle of shard 0's WAL: strict replay refuses it.
+    let wal = dir.join("shard-0.wal");
+    let mut bytes = std::fs::read(&wal).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x20;
+    std::fs::write(&wal, &bytes).unwrap();
+
+    let result = ShardedEngine::recover_until(&dir, Timestamp::new(1_000));
+    let events = tkcm_obs::recorder().events();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(result.is_err(), "a flipped WAL byte was replayed");
+    let dir_text = dir.display().to_string();
+    assert!(
+        events.iter().any(|event| event.kind == "recovery_failed"
+            && event.fields.iter().any(|(key, value)| *key == "dir"
+                && matches!(value, FieldValue::Text(text) if *text == dir_text))),
+        "the failed recover_until left no recovery_failed event"
     );
 }

@@ -47,8 +47,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKCMSNAP";
 /// 5 — the engine snapshot grew the composed path's shortlist maintainers
 /// and the persisted prune totals (composed-pruning PR); 6 — the config lost
 /// its `incremental` flag and the engine snapshot its dense incremental
-/// maintainers (one fast path plus one oracle).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 6;
+/// maintainers (one fast path plus one oracle); 7 — the config lost its
+/// aggregation, selection and allow-missing fields, the shortlist
+/// maintainer its allow-missing flag, and the engine snapshot its
+/// signature-index presence flag (the index is present iff `pruning`).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
 
 /// Serialises `value` and writes it as a snapshot file at `path`
 /// (atomically, via `<path>.tmp` + rename).  Returns the file size in

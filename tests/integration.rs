@@ -3,7 +3,6 @@
 //! through the `tkcm` facade exactly as a downstream user would.
 
 use tkcm::baselines::{CdImputer, LocfImputer, MusclesImputer, SpiritImputer};
-use tkcm::core::SelectionStrategy;
 use tkcm::prelude::*;
 
 fn quick_config(len: usize, l: usize) -> TkcmConfig {
@@ -107,40 +106,6 @@ fn batch_cd_runs_through_the_same_scenario_api() {
     // On a non-shifted dataset CD must do clearly better than predicting a
     // constant 0 °C (the values are around 10-20 °C).
     assert!(out.rmse < 10.0, "CD rmse {}", out.rmse);
-}
-
-#[test]
-fn dp_selection_is_at_least_as_good_as_greedy_end_to_end() {
-    let dataset = FlightsConfig {
-        airports: 6,
-        days: 3,
-        seed: 17,
-        ..FlightsConfig::default()
-    }
-    .generate();
-    let len = dataset.len();
-    let scenario = Scenario::tail_block(dataset, SeriesId(0), 0.1);
-
-    let run_with = |strategy: SelectionStrategy| {
-        let config = TkcmConfig::builder()
-            .window_length(len)
-            .pattern_length(30)
-            .anchor_count(5)
-            .reference_count(3)
-            .selection(strategy)
-            .build()
-            .expect("valid config");
-        let mut tkcm =
-            TkcmOnlineAdapter::new(scenario.dataset.width(), config, scenario.catalog.clone());
-        run_online_scenario(&mut tkcm, &scenario).rmse
-    };
-
-    let dp = run_with(SelectionStrategy::DynamicProgramming);
-    let greedy = run_with(SelectionStrategy::Greedy);
-    assert!(dp.is_finite() && greedy.is_finite());
-    // The DP minimises the dissimilarity sum; end to end it should not be
-    // noticeably worse than the greedy heuristic.
-    assert!(dp <= greedy * 1.15, "dp {} vs greedy {}", dp, greedy);
 }
 
 #[test]
