@@ -17,6 +17,8 @@
 //! write-back.  A shortlist is created empty when its reference set first
 //! serves an imputation, seeds itself from that imputation's exact
 //! evaluations, and is evicted once no imputation has used it for `2l` ticks.
+//! Both are caches that only order and bound candidates: snapshots leave them
+//! out, and a decoded engine rebuilds the index and starts with no shortlists.
 //! With `TkcmConfig::pruning = false` every imputation runs the exhaustive
 //! exact path ([`TkcmImputer::impute`]) instead, the oracle the composed path
 //! is bit-identical to.
@@ -104,16 +106,15 @@ impl EngineOutcome {
 }
 
 /// One shortlist maintainer (composed path) plus the tick it last served.
-/// (`pub(crate)` for the snapshot codec in `persist`.)
-pub(crate) struct Shortlist {
-    pub(crate) state: ShortlistMaintainer,
-    pub(crate) last_used: usize,
+struct Shortlist {
+    state: ShortlistMaintainer,
+    last_used: usize,
 }
 
 /// Continuous TKCM imputation engine over a fixed set of streams.
 pub struct TkcmEngine {
-    // Fields are `pub(crate)` so the snapshot codec (`persist`) can persist
-    // and restore the full engine state.
+    // Fields are `pub(crate)` so the snapshot codec (`persist`) can write
+    // the engine's state: configuration, window, catalog and counters.
     pub(crate) imputer: TkcmImputer,
     pub(crate) window: StreamingWindow,
     pub(crate) catalog: Catalog,
@@ -122,21 +123,22 @@ pub struct TkcmEngine {
     pub(crate) tick_count: usize,
     /// Signature index over all series, present iff the composed path is
     /// active ([`TkcmEngine::is_composed`]); kept in lock-step with the
-    /// window by `advance_tick`/`commit_write_back` and persisted in
-    /// snapshots so a recovered engine prunes with bit-identical envelopes.
-    pub(crate) signatures: Option<SignatureIndex>,
+    /// window by `advance_tick`/`commit_write_back`.  A pruning cache, not
+    /// state: snapshots leave it out and decode rebuilds it from the window.
+    signatures: Option<SignatureIndex>,
     /// Sparse shortlist maintainers, one per reference set that recently
-    /// served a composed imputation; kept in lock-step with the window and
-    /// persisted in snapshots so a recovered engine keeps its certified
-    /// bounds.  Always empty on the exact path.
-    pub(crate) shortlists: Vec<Shortlist>,
+    /// served a composed imputation; kept in lock-step with the window.
+    /// They only order and bound candidates, so snapshots leave them out
+    /// and a decoded engine starts with none.  Always empty on the exact
+    /// path.
+    shortlists: Vec<Shortlist>,
     /// Level-1 run length of the composed path, fixed at construction from
     /// config geometry ([`crate::signature::level1_run_len`] — static per
     /// run, no obs read-back).
-    pub(crate) level1_run_len: usize,
+    level1_run_len: usize,
     /// Running totals of the per-imputation [`PruneStats`].  Persisted in
-    /// snapshots (format v5) so diagnostics survive a crash — unlike the
-    /// phase wall-clock durations, these are exact event counts with no
+    /// snapshots so diagnostics survive a crash — unlike the phase
+    /// wall-clock durations, these are exact event counts with no
     /// legitimate reason to reset on recovery.
     pub(crate) prune_totals: PruneStats,
 }
@@ -151,8 +153,24 @@ impl TkcmEngine {
             return Err(TsError::invalid("width", "need at least one stream"));
         }
         let window = StreamingWindow::new(width, config.window_length);
+        TkcmEngine::assemble(config, window, catalog)
+    }
+
+    /// Assembles an engine around `window` with zeroed counters: the one
+    /// place an engine is built, by [`TkcmEngine::new`] and by snapshot
+    /// decode.  The signature index is rebuilt from the window's contents
+    /// (so it is in lock-step with it by construction) and the shortlists
+    /// start empty; neither changes an imputed bit, only how much pruning
+    /// the first imputations get.
+    pub(crate) fn assemble(
+        config: TkcmConfig,
+        window: StreamingWindow,
+        catalog: Catalog,
+    ) -> Result<Self, TsError> {
         let signatures = if config.pruning {
-            Some(SignatureIndex::new(width, config.window_length)?)
+            let mut index = SignatureIndex::new(window.width(), window.length())?;
+            index.rebuild(&window)?;
+            Some(index)
         } else {
             None
         };
@@ -342,7 +360,7 @@ impl TkcmEngine {
                 self.imputer
                     .impute(&self.window, target, &selection.references)?
             };
-            self.commit_write_back(target, &selection.references, detail.value)?;
+            self.commit_write_back(target, detail.value)?;
             self.breakdown.merge(&detail.breakdown);
             outcome.imputations.push(Imputation {
                 series: target,
@@ -409,9 +427,8 @@ impl TkcmEngine {
         Ok(())
     }
 
-    /// Commits one imputed value: ensures the reference set's shortlist
-    /// exists (on the composed path), writes the value into the window and
-    /// patches the signature index and every affected shortlist.
+    /// Commits one imputed value: writes it into the window and patches the
+    /// signature index and every affected shortlist.
     ///
     /// The write-back changes a current-tick slot from missing to imputed;
     /// every state whose reference set contains the target must fold the new
@@ -419,26 +436,7 @@ impl TkcmEngine {
     /// future ticks) see the same window contents as a from-scratch recompute
     /// would.  States whose reference set does not contain the target are
     /// untouched by the write and are skipped.
-    fn commit_write_back(
-        &mut self,
-        target: SeriesId,
-        references: &[SeriesId],
-        value: f64,
-    ) -> Result<(), TsError> {
-        let composed = self.is_composed();
-        if composed {
-            // Mirror the live path's creation timing on WAL replay: the
-            // shortlist state for this reference set is created (synced,
-            // entries empty) before the write lands.  On the live path this
-            // finds the state `process_tick` already resolved.  Replayed
-            // engines do not re-run imputations, so their entries re-seed
-            // lazily — which only affects *pruning effectiveness*, never
-            // imputed bits (every `D` is exact either way).
-            let start = Instant::now();
-            let idx = self.shortlist_for(references)?;
-            self.shortlists[idx].last_used = self.tick_count;
-            self.breakdown.maintenance += start.elapsed();
-        }
+    fn commit_write_back(&mut self, target: SeriesId, value: f64) -> Result<(), TsError> {
         self.window.write_imputed(target, 0, value)?;
         if let Some(index) = self.signatures.as_mut() {
             // Engine write-backs always turn a missing current-tick slot
@@ -446,7 +444,7 @@ impl TkcmEngine {
             // target missing slots), so the slot's missing count drops.
             index.on_write(target, 0, value, true);
         }
-        if composed {
+        if !self.shortlists.is_empty() {
             let start = Instant::now();
             for s in &mut self.shortlists {
                 if s.state.references().contains(&target) {
@@ -459,11 +457,12 @@ impl TkcmEngine {
         Ok(())
     }
 
-    /// Replays one logged tick and its write-backs, reproducing the exact
-    /// state transitions of the original [`TkcmEngine::process_tick`] call —
-    /// same window bits, same shortlist creation/eviction timing, same
-    /// running-sum arithmetic — without re-running pattern extraction or
-    /// selection (the logged values are authoritative).
+    /// Replays one logged tick and its write-backs, reproducing the window,
+    /// signature index and counters of the original
+    /// [`TkcmEngine::process_tick`] call without re-running pattern
+    /// extraction or selection (the logged values are authoritative).
+    /// Replay runs no imputation, so it creates no shortlists; live ones
+    /// slide and are patched exactly as on the live path.
     ///
     /// Entries whose tick time is not ahead of the window are *stale* — they
     /// describe ticks already covered by the snapshot the replay started
@@ -477,7 +476,7 @@ impl TkcmEngine {
         }
         self.advance_tick(&entry.tick)?;
         for wb in &entry.write_backs {
-            self.commit_write_back(wb.series, &wb.references, wb.value)?;
+            self.commit_write_back(wb.series, wb.value)?;
             // The live path counts imputations through the merged per-
             // imputation breakdown; keep the replayed counter in step (the
             // phase *durations* legitimately differ — they are wall-clock).

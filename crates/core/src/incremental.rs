@@ -64,21 +64,21 @@ const ENTRY_LB_DEFLATE: f64 = 1.0 - 1e-9;
 
 /// Certified lower-bound state for one shortlisted candidate lag.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) struct ShortlistEntry {
+struct ShortlistEntry {
     /// Running Σ of squared differences over observed pairs, maintained by
     /// the Section 6.2 sliding updates.  Seeded bit-equal to the exact fold;
     /// drifts only by tracked float rounding.
-    pub(crate) sum_sq: f64,
+    sum_sq: f64,
     /// Conservative radius on `|sum_sq − exact fold|`, accrued per float
     /// update and reset whenever the entry is re-seeded from an exact
     /// evaluation.  `sum_sq − err` is a certified admissible lower bound.
-    pub(crate) err: f64,
+    err: f64,
     /// Number of observed pairs (integer-exact — trusted absolutely, so
     /// `observed ≠ total` proves `D = +∞` without evaluation).
-    pub(crate) observed: u32,
+    observed: u32,
     /// Maintainer tick at which the entry last earned its keep (seeded,
     /// re-seeded, or used to prune); entries idle past the TTL are evicted.
-    pub(crate) last_hit: u64,
+    last_hit: u64,
 }
 
 /// Lower-bound verdict from a maintained shortlist entry.
@@ -108,24 +108,21 @@ pub struct MaintainedBound {
 /// that enters anchor selection is still computed by the exact fold.
 #[derive(Clone, Debug)]
 pub struct ShortlistMaintainer {
-    // `pub(crate)` for the snapshot codec: recovered entries must keep their
-    // exact accumulated bits (and error radii) so a recovered engine prunes
-    // exactly like the live one did.
-    pub(crate) references: Vec<SeriesId>,
-    pub(crate) pattern_length: usize,
-    pub(crate) window_length: usize,
-    /// Active entries keyed by lag.  A BTreeMap so iteration (and snapshot
-    /// encoding) order is deterministic.
-    pub(crate) entries: std::collections::BTreeMap<u32, ShortlistEntry>,
+    references: Vec<SeriesId>,
+    pattern_length: usize,
+    window_length: usize,
+    /// Active entries keyed by lag.  A BTreeMap so iteration order is
+    /// deterministic.
+    entries: std::collections::BTreeMap<u32, ShortlistEntry>,
     /// Per-reference value at age `L − 1` after the last sync point: the slot
     /// the ring buffer will evict on the next push.  Needed because the
     /// expiring column of the maximum lag (`a = L − l`) reaches age `L`,
     /// which is no longer addressable after the push.
-    pub(crate) prev_oldest: Vec<Option<f64>>,
+    prev_oldest: Vec<Option<f64>>,
     /// Window time of the last sync.
-    pub(crate) last_time: Option<Timestamp>,
+    last_time: Option<Timestamp>,
     /// Advances seen; the clock for `last_hit` TTLs.
-    pub(crate) ticks: u64,
+    ticks: u64,
 }
 
 impl ShortlistMaintainer {

@@ -46,10 +46,9 @@ use tkcm_timeseries::{SeriesId, StreamingWindow, TsError};
 
 /// Number of consecutive ticks summarized by one signature block.
 ///
-/// This is an on-disk format constant (the index is persisted in snapshots):
-/// changing it changes the decoded block geometry, so it is covered by the
-/// `single-definition` rule of `tkcm-lint` and any change must ride a
-/// `SNAPSHOT_FORMAT_VERSION` bump.
+/// The index is not persisted (decode rebuilds it from the window), so this
+/// is not an on-disk constant; it stays covered by the `single-definition`
+/// rule of `tkcm-lint` so the block geometry is defined in one place.
 pub const SIGNATURE_BLOCK_LEN: u32 = 16;
 
 /// Picks the level-1 run length (in candidate lags) for the composed
@@ -239,20 +238,16 @@ impl SignatureQuery {
 /// automatically when pruning is active.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SignatureIndex {
-    // Fields are `pub(crate)` so the snapshot codec (`persist`) can persist
-    // the index bit-exactly — recovered envelopes keep the widenings applied
-    // by historical write-backs instead of snapping back to tight rebuilt
-    // ones, so a recovered engine prunes exactly like the live one did.
-    pub(crate) width: usize,
-    pub(crate) window_length: usize,
+    width: usize,
+    window_length: usize,
     /// Ordinal of the first tick covered by `blocks[_][0]` (a multiple of
     /// [`SIGNATURE_BLOCK_LEN`]).
-    pub(crate) base_ordinal: u64,
+    base_ordinal: u64,
     /// Number of ticks absorbed so far (mirrors the window's tick counter).
-    pub(crate) ticks_seen: u64,
+    ticks_seen: u64,
     /// `blocks[series][b]` summarizes ordinals
     /// `base_ordinal + b·B .. base_ordinal + (b+1)·B`.
-    pub(crate) blocks: Vec<Vec<BlockSummary>>,
+    blocks: Vec<Vec<BlockSummary>>,
 }
 
 impl SignatureIndex {
@@ -682,8 +677,10 @@ impl SignatureIndex {
 
     /// Rebuilds the index from the current window contents (tight envelopes,
     /// exact missing counts).  Used when attaching an index to a window that
-    /// already has history — e.g. a snapshot decoded by an older writer —
-    /// and by tests as the reference state.
+    /// already has history — a decoded snapshot, whose index is not
+    /// persisted — and by tests as the reference state.  The rebuilt
+    /// envelopes are contained in the maintained ones, so every bound is at
+    /// least as tight and still admissible.
     pub fn rebuild(&mut self, window: &StreamingWindow) -> Result<(), TsError> {
         if window.width() != self.width || window.length() != self.window_length {
             return Err(TsError::invalid(

@@ -22,6 +22,7 @@ use tkcm_core::{
     extract_pattern, extract_query_pattern, l2_distance, level1_run_len, ShortlistMaintainer,
     SignatureIndex, SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer,
 };
+use tkcm_store::{decode_from_slice, encode_to_vec};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
 
 /// From-scratch `D` at one candidate lag, computed exactly like the exact
@@ -42,7 +43,10 @@ proptest! {
     /// from an engine on the exhaustive exact path: same skipped series,
     /// same imputation times, same anchors and the same value *bits*, over
     /// random integer sawtooths with random gaps, long enough to wrap the
-    /// ring at least once (write-backs happen inside `process_tick`).
+    /// ring at least once (write-backs happen inside `process_tick`).  At a
+    /// random tick the composed engine is replaced by its own
+    /// `encode → decode` copy — rebuilt signature index, no shortlists —
+    /// which must keep matching the oracle.
     #[test]
     fn pruned_engine_is_bit_identical_to_exhaustive(
         period in 16u64..200,
@@ -52,12 +56,14 @@ proptest! {
         gap_len in 3usize..24,
         capacity in 48usize..160,
         l in 3usize..10,
+        restore_frac in 0.1f64..0.9,
     ) {
         let width = 3;
         let k = 2;
         let window_length = capacity.max((k + 1) * l);
         let total = window_length * 2 + 40; // wrap the ring at least once
         let gap_start = (total as f64 * gap_start_frac) as usize;
+        let restore_at = (total as f64 * restore_frac) as usize;
 
         let mk = |pruning: bool| {
             let config = TkcmConfig::builder()
@@ -107,6 +113,10 @@ proptest! {
                 prop_assert_eq!(&x.detail.anchors, &y.detail.anchors);
                 prop_assert_eq!(x.detail.complete, y.detail.complete);
                 prop_assert_eq!(x.detail.fallback, y.detail.fallback);
+            }
+            if t == restore_at {
+                composed = decode_from_slice(&encode_to_vec(&composed).unwrap()).unwrap();
+                prop_assert_eq!(composed.shortlist_count(), 0);
             }
         }
         prop_assert_eq!(

@@ -41,7 +41,7 @@ use tkcm_timeseries::FleetPartition;
 /// this knob is the group-commit policy deciding how often that price is
 /// paid.  Syncs happen at **batch boundaries** only — after a worker has
 /// appended a whole batch's records with one buffered write — so the cost is
-/// amortised over the batch regardless of the variant.
+/// amortised over the batch.
 ///
 /// A failed `fsync` is never dropped: the error propagates out of the
 /// processing call and poisons the fleet engine, because after a sync
@@ -60,49 +60,21 @@ pub enum SyncPolicy {
     /// the per-tick fsync cost, at batch size 64 the same guarantee costs
     /// 1/64th of it.
     EveryBatch,
-    /// fsync whenever at least `n` ticks have been appended since the last
-    /// sync, checked at batch boundaries.  At most `n + batch - 1` ticks are
-    /// exposed to a power failure.  `EveryNTicks(0)` degenerates to
-    /// [`SyncPolicy::EveryBatch`].
-    EveryNTicks(u64),
-    /// fsync whenever at least `t` milliseconds have elapsed since the last
-    /// sync, checked at batch boundaries.  Bounds data loss by wall-clock
-    /// time instead of tick count.  `EveryMillis(0)` degenerates to
-    /// [`SyncPolicy::EveryBatch`].
-    EveryMillis(u64),
 }
 
 impl Snapshot for SyncPolicy {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        match self {
-            SyncPolicy::Never => {
-                enc.u8(0);
-                enc.u64(0);
-            }
-            SyncPolicy::EveryBatch => {
-                enc.u8(1);
-                enc.u64(0);
-            }
-            SyncPolicy::EveryNTicks(n) => {
-                enc.u8(2);
-                enc.u64(*n);
-            }
-            SyncPolicy::EveryMillis(t) => {
-                enc.u8(3);
-                enc.u64(*t);
-            }
-        }
+        enc.u8(match self {
+            SyncPolicy::Never => 0,
+            SyncPolicy::EveryBatch => 1,
+        });
         Ok(())
     }
 
     fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        let tag = dec.u8()?;
-        let value = dec.u64()?;
-        match tag {
+        match dec.u8()? {
             0 => Ok(SyncPolicy::Never),
             1 => Ok(SyncPolicy::EveryBatch),
-            2 => Ok(SyncPolicy::EveryNTicks(value)),
-            3 => Ok(SyncPolicy::EveryMillis(value)),
             other => Err(StoreError::corrupt(format!(
                 "invalid sync policy tag {other}"
             ))),
@@ -348,12 +320,7 @@ mod tests {
     #[test]
     fn manifest_round_trips() {
         let partition = FleetPartition::new(6, &Catalog::ring_neighbours(6), 2).unwrap();
-        for sync_policy in [
-            SyncPolicy::Never,
-            SyncPolicy::EveryBatch,
-            SyncPolicy::EveryNTicks(64),
-            SyncPolicy::EveryMillis(250),
-        ] {
+        for sync_policy in [SyncPolicy::Never, SyncPolicy::EveryBatch] {
             let manifest = Manifest {
                 width: 6,
                 partition: partition.clone(),
@@ -369,8 +336,7 @@ mod tests {
     #[test]
     fn sync_policy_rejects_unknown_tags() {
         let mut enc = Encoder::new();
-        enc.u8(9);
-        enc.u64(0);
+        enc.u8(2);
         assert!(decode_from_slice::<SyncPolicy>(&enc.into_bytes()).is_err());
     }
 

@@ -49,8 +49,9 @@
 //! *whole* component — no candidate edge ever crosses components, so where
 //! a component's engine runs cannot change a single imputed bit, only
 //! which worker computes it.  The migration ships the engine through the
-//! existing job channels via the snapshot codec (bit-exact), bumps the
-//! [`FleetPartition`] live-mapping version, appends to its deterministic
+//! existing job channels via the snapshot codec (bit-exact state; the
+//! pruning caches are rebuilt on arrival), bumps the [`FleetPartition`]
+//! live-mapping version, appends to its deterministic
 //! migration log, and — for durable fleets — commits by checkpointing the
 //! new assignment (see below).
 //!
@@ -84,9 +85,9 @@
 //! output-equivalent because migrations do not change outcomes.
 //! [`ShardedEngine::recover`] rebuilds the identical fleet: manifest →
 //! per-shard component snapshots → WAL replay routed per component,
-//! reconciled to the newest tick every component reached.  Recovery is
-//! *bit-identical*, and any flipped or truncated byte fails recovery with
-//! a checksum error instead of being replayed.
+//! reconciled to the newest tick every component reached.  A recovered
+//! fleet imputes *bit-identically*, and any flipped or truncated byte fails
+//! recovery with a checksum error instead of being replayed.
 //! [`ShardedEngine::recover_until`] additionally supports *point-in-time*
 //! recovery: WAL replay stops at a requested tick time, yielding a
 //! read-only inspection fleet of what the fleet believed then.
@@ -259,47 +260,6 @@ struct DurableState {
     /// dispatching the batch) is retried on the next call instead of
     /// being skipped or repeated after success.
     last_rotation: usize,
-}
-
-/// Per-worker group-commit state: how many ticks were appended and how much
-/// time has passed since the WAL was last fsynced, plus the policy deciding
-/// when the next sync is due.  Lives on the worker thread next to its
-/// `WalWriter`; all decisions are taken at batch boundaries.
-struct SyncState {
-    policy: SyncPolicy,
-    ticks_since_sync: u64,
-    last_sync: Instant,
-}
-
-impl SyncState {
-    fn new(policy: SyncPolicy) -> Self {
-        SyncState {
-            policy,
-            ticks_since_sync: 0,
-            last_sync: Instant::now(),
-        }
-    }
-
-    /// Called after a batch of `appended` fleet ticks reached the WAL;
-    /// fsyncs when the policy says so.  A sync failure propagates to the
-    /// fleet engine (which poisons itself): after a failed fsync the kernel
-    /// may have dropped the dirty pages, so the durable prefix of the log
-    /// is unknowable and continuing would silently shrink the guarantee.
-    fn after_append(&mut self, wal: &mut WalWriter, appended: u64) -> Result<(), TsError> {
-        self.ticks_since_sync += appended;
-        let due = match self.policy {
-            SyncPolicy::Never => false,
-            SyncPolicy::EveryBatch => true,
-            SyncPolicy::EveryNTicks(n) => self.ticks_since_sync >= n,
-            SyncPolicy::EveryMillis(t) => self.last_sync.elapsed().as_millis() >= u128::from(t),
-        };
-        if due {
-            wal.sync()?;
-            self.ticks_since_sync = 0;
-            self.last_sync = Instant::now();
-        }
-        Ok(())
-    }
 }
 
 /// When and how aggressively the fleet steals components from hot shards.
@@ -1376,13 +1336,6 @@ impl ShardedEngine {
             }
         }
         if let Some((component, _)) = best {
-            if std::env::var_os("TKCM_DEBUG_REBALANCE").is_some() {
-                eprintln!(
-                    "rebalance: batch={} move component {component} ({:?}) {hot}->{cold} ewmas={ewmas:?}",
-                    self.submitted_count,
-                    self.loads.component_ewma[component],
-                );
-            }
             MIGRATIONS_TRIGGERED.inc();
             tkcm_obs::recorder().record(
                 "migration_triggered",
@@ -1406,7 +1359,7 @@ impl ShardedEngine {
     }
 
     /// Moves one component's engine from its current shard to `to_shard`
-    /// through the job channels (snapshot codec, bit-exact), commits the
+    /// through the job channels (snapshot codec, bit-exact state), commits the
     /// new live mapping into the partition (version bump + migration log)
     /// and — for durable fleets — persists it with a checkpoint at the new
     /// version, whose manifest rename is the commit point.  Any failure on
@@ -1819,7 +1772,7 @@ fn thread_cpu_nanos() -> Option<u64> {
 fn worker_batch(
     engines: &mut [(usize, TkcmEngine)],
     wal: &mut Option<WalWriter>,
-    sync: &mut SyncState,
+    policy: SyncPolicy,
     batch: &[(usize, Vec<StreamTick>)],
 ) -> Result<BatchReply, TsError> {
     if batch.len() != engines.len()
@@ -1899,8 +1852,12 @@ fn worker_batch(
             wal.append_batch(&records)
                 .map_err(TsError::from)
                 .and_then(|_| match failure {
-                    None => sync.after_append(wal, ticks as u64),
-                    Some(_) => Ok(()),
+                    // A sync failure propagates to the fleet engine (which
+                    // poisons itself): after a failed fsync the kernel may
+                    // have dropped the dirty pages, so the durable prefix of
+                    // the log is unknowable.
+                    None if policy == SyncPolicy::EveryBatch => wal.sync().map_err(TsError::from),
+                    _ => Ok(()),
                 });
         if failure.is_none() {
             logged?;
@@ -1932,7 +1889,7 @@ fn worker_checkpoint(
 }
 
 /// The donor half of a migration: serialise the component's engine through
-/// the snapshot codec (bit-exact) and hand it off, removing it from this
+/// the snapshot codec (bit-exact state) and hand it off, removing it from this
 /// worker.
 fn extract_component(
     engines: &mut Vec<(usize, TkcmEngine)>,
@@ -1992,7 +1949,6 @@ fn spawn_worker(
     let (jobs, job_rx) = channel::<Job>();
     let (result_tx, results) = channel();
     let handle = std::thread::spawn(move || {
-        let mut sync = SyncState::new(policy);
         loop {
             let reply = match job_rx.recv() {
                 Ok(Job::Batch(batch)) => {
@@ -2004,7 +1960,7 @@ fn spawn_worker(
                     Reply::Batch(worker_batch(
                         &mut snapshot.engines,
                         &mut wal,
-                        &mut sync,
+                        policy,
                         &batch,
                     ))
                 }
@@ -2264,55 +2220,37 @@ mod tests {
 
     #[test]
     fn failed_fsync_under_any_sync_policy_poisons_the_fleet() {
-        for (policy, batch_calls_before_failure) in [
-            (SyncPolicy::EveryBatch, 0usize),
-            // One 4-tick batch leaves the counter below 6; the second
-            // crosses it, so the first *synced* batch is the second one.
-            (SyncPolicy::EveryNTicks(6), 1),
-            // 0 ms elapse "immediately": due at the first batch boundary.
-            (SyncPolicy::EveryMillis(0), 0),
-        ] {
-            let dir = std::env::temp_dir().join(format!(
-                "tkcm-sync-poison-{}-{policy:?}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let mut engine = ShardedEngine::with_durability(
-                4,
-                small_config(),
-                Catalog::ring_neighbours(4),
-                2,
-                &dir,
-                DurabilityOptions {
-                    snapshot_interval: 0,
-                    sync_policy: policy,
-                },
-            )
-            .unwrap();
-            let batch = |base: i64| -> Vec<StreamTick> {
-                (base..base + 4)
-                    .map(|t| StreamTick::new(Timestamp::new(t), vec![Some(1.0); 4]))
-                    .collect()
-            };
-            engine.inject_sync_failures();
-            let mut base = 0i64;
-            for _ in 0..batch_calls_before_failure {
-                engine.process_batch(&batch(base)).unwrap();
-                base += 4;
-            }
-            let err = engine.process_batch(&batch(base));
-            assert!(err.is_err(), "{policy:?}: failed fsync must surface");
-            assert!(
-                engine
-                    .process_tick(&StreamTick::new(
-                        Timestamp::new(base + 4),
-                        vec![Some(1.0); 4]
-                    ))
-                    .is_err(),
-                "{policy:?}: the fleet must stay poisoned after a failed fsync"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        // `EveryBatch` is the one policy that fsyncs on the tick path, so
+        // the first batch hits the injected failure.
+        let dir = std::env::temp_dir().join(format!("tkcm-sync-poison-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut engine = ShardedEngine::with_durability(
+            4,
+            small_config(),
+            Catalog::ring_neighbours(4),
+            2,
+            &dir,
+            DurabilityOptions {
+                snapshot_interval: 0,
+                sync_policy: SyncPolicy::EveryBatch,
+            },
+        )
+        .unwrap();
+        engine.inject_sync_failures();
+        let batch: Vec<StreamTick> = (0..4)
+            .map(|t| StreamTick::new(Timestamp::new(t), vec![Some(1.0); 4]))
+            .collect();
+        assert!(
+            engine.process_batch(&batch).is_err(),
+            "failed fsync must surface"
+        );
+        assert!(
+            engine
+                .process_tick(&StreamTick::new(Timestamp::new(4), vec![Some(1.0); 4]))
+                .is_err(),
+            "the fleet must stay poisoned after a failed fsync"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

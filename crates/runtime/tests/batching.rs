@@ -151,17 +151,13 @@ proptest! {
         batch_selector in 0usize..4,
         crash_percent in 1usize..100,
         snapshot_interval in 1usize..30,
-        sync_selector in 0usize..3,
+        sync_selector in 0usize..2,
     ) {
         let width = clusters * cluster_size;
         let catalog = cluster_catalog(clusters, cluster_size);
         let stream = stream_of(width, ticks);
         let batch = batch_size(batch_selector, ticks);
-        let sync_policy = [
-            SyncPolicy::Never,
-            SyncPolicy::EveryBatch,
-            SyncPolicy::EveryNTicks(5),
-        ][sync_selector % 3];
+        let sync_policy = [SyncPolicy::Never, SyncPolicy::EveryBatch][sync_selector];
         for shards in [1usize, 2, 4] {
             // Uninterrupted per-tick reference run.
             let mut continuous =

@@ -50,8 +50,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKCMSNAP";
 /// maintainers (one fast path plus one oracle); 7 — the config lost its
 /// aggregation, selection and allow-missing fields, the shortlist
 /// maintainer its allow-missing flag, and the engine snapshot its
-/// signature-index presence flag (the index is present iff `pruning`).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 7;
+/// signature-index presence flag (the index is present iff `pruning`);
+/// 8 — the engine snapshot lost its signature index and shortlist
+/// maintainers (decode rebuilds the index from the window and starts with no
+/// shortlists) and the manifest's sync policy became a one-byte tag.
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 8;
 
 /// Serialises `value` and writes it as a snapshot file at `path`
 /// (atomically, via `<path>.tmp` + rename).  Returns the file size in

@@ -63,8 +63,9 @@ pub const WAL_MAGIC: [u8; 8] = *b"TKCMWAL0";
 /// processed tick (PR 4); 2 — records are component-tagged
 /// (`ShardWalRecord`: component id + entry), one per component per tick,
 /// so a shard's log can be replayed into its per-component engines
-/// (elastic-fleet PR).
-pub const WAL_FORMAT_VERSION: u32 = 2;
+/// (elastic-fleet PR); 3 — write-backs lost their reference list (replay
+/// only needs the series and the value).
+pub const WAL_FORMAT_VERSION: u32 = 3;
 
 const HEADER_LEN: usize = 12;
 
