@@ -1,11 +1,11 @@
 //! Criterion benchmark for the composed candidate path: the same punctured
 //! periodic stream replayed through one engine per candidate path — the
-//! exhaustive recompute oracle and the default composed path (maintained
-//! shortlist seeding + level-1 run prefilter + signature bounds).
+//! exhaustive recompute oracle and the default composed path (lag-memory
+//! seeding + level-1 run prefilter + signature bounds).
 //!
 //! Each iteration replays the full stream through a fresh engine, so the
-//! numbers are whole-pipeline (construction and per-tick index and
-//! shortlist maintenance included — the composed path has to win *net of*
+//! numbers are whole-pipeline (construction and per-tick index upkeep
+//! included — the composed path has to win *net of*
 //! its `on_push`/`on_write` bookkeeping, not just per imputation).  Quick-mode compatible with the
 //! vendored criterion stub (`cargo bench --bench candidate_pruning --
 //! --quick` runs each case once).

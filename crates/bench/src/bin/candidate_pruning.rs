@@ -1,5 +1,5 @@
 //! Candidate-pruning sweep: the default composed path (signature-index
-//! pruning + shortlist maintenance) against the exhaustive candidate sweep
+//! pruning seeded from the lag memory) against the exhaustive candidate sweep
 //! on the same punctured SBR-like stream (bit-identical imputations asserted
 //! during the replay).
 //!

@@ -25,10 +25,10 @@ pub struct TkcmConfig {
     pub reference_count: usize,
     /// The engine's one dispatch switch.  `true` (default) runs the
     /// *composed* path: signature-index pruning ([`crate::signature`])
-    /// layered with sparse shortlist maintenance of the Section 6.2 sliding
-    /// aggregates ([`crate::incremental`]).  Its bounds are admissible and
-    /// every `D` entering selection is computed by the exact fold, so the
-    /// output is bit-identical to the exhaustive path.  `false` runs the
+    /// with τ seeded from each reference set's previous exact folds.  Its
+    /// bounds are admissible and every `D` entering selection is computed
+    /// by the exact fold, so the output is bit-identical to the exhaustive
+    /// path.  `false` runs the
     /// exhaustive exact `O(L·l·d)`-per-imputation oracle.
     pub pruning: bool,
 }

@@ -47,9 +47,8 @@ pub struct PhaseBreakdown {
     pub selection: Duration,
     /// Value imputation: averaging the anchor values and writing back.
     pub imputation: Duration,
-    /// Shortlist maintenance (Section 6.2): the per-tick sliding aggregate
-    /// updates, shortlist creation and write-back invalidation on the
-    /// composed path.  Zero on the exact-recompute path.
+    /// Composed-path upkeep outside an imputation: the engine's lag-memory
+    /// lookup per imputation.  Zero on the exact-recompute path.
     pub maintenance: Duration,
     /// Number of imputations the breakdown was accumulated over.
     pub imputations: usize,
@@ -82,7 +81,7 @@ impl PhaseBreakdown {
         }
     }
 
-    /// Fraction of the total spent maintaining the incremental `D[j]` state.
+    /// Fraction of the total spent in composed-path upkeep (`maintenance`).
     pub fn maintenance_share(&self) -> f64 {
         let total = self.total().as_secs_f64();
         if total == 0.0 {
@@ -127,8 +126,7 @@ pub struct PhaseTimer {
     started: Option<(Phase, Instant)>,
 }
 
-/// The three phases of Algorithm 1, plus the Section 6.2 per-tick
-/// maintenance of the shortlist aggregates.
+/// The three phases of Algorithm 1, plus the composed path's upkeep.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Pattern extraction (step 1).
@@ -137,7 +135,7 @@ pub enum Phase {
     Selection,
     /// Value imputation (step 3).
     Imputation,
-    /// Shortlist maintenance (Section 6.2; engine tick path only).
+    /// Composed-path upkeep (engine tick path only).
     Maintenance,
 }
 

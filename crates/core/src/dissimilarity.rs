@@ -20,9 +20,7 @@ fn check_shapes(a: &Pattern, b: &Pattern) {
 
 /// The components of the (rescaled) L2 distance: the sum of squared
 /// differences over the pairs observed in both patterns, and the number of
-/// such pairs.  This is the running aggregate that
-/// [`crate::incremental::ShortlistMaintainer`] maintains per shortlisted
-/// candidate lag; [`l2_from_components`] folds it into the distance of
+/// such pairs.  [`l2_from_components`] folds it into the distance of
 /// Definition 2.
 pub fn l2_components(a: &Pattern, b: &Pattern) -> (f64, usize) {
     check_shapes(a, b);
@@ -45,7 +43,8 @@ pub fn l2_from_components(sum_sq: f64, observed: usize, total: usize) -> f64 {
     if observed == 0 {
         return f64::INFINITY;
     }
-    // Clamp tiny negative values that incremental add/subtract can leave.
+    // A fold of squares is never negative; the clamp also maps a NaN sum
+    // to 0, and both paths share it, so it stays for their bit-identity.
     let scale = total as f64 / observed as f64;
     (sum_sq.max(0.0) * scale).sqrt()
 }

@@ -10,15 +10,15 @@
 //!
 //! Imputation dispatches two ways.  On the *composed* path (the default,
 //! [`TkcmEngine::is_composed`]) the engine owns a [`SignatureIndex`] over all
-//! series and one [`ShortlistMaintainer`] per active reference set, and keeps
-//! both in lock-step with the window: the index and every shortlist slide
-//! after each pushed tick (Section 6.2's sliding-aggregate update, applied to
-//! the shortlisted lags only) and are patched after every imputed
-//! write-back.  A shortlist is created empty when its reference set first
-//! serves an imputation, seeds itself from that imputation's exact
-//! evaluations, and is evicted once no imputation has used it for `2l` ticks.
-//! Both are caches that only order and bound candidates: snapshots leave them
-//! out, and a decoded engine rebuilds the index and starts with no shortlists.
+//! series, kept in lock-step with the window (updated after each pushed tick
+//! and each imputed write-back), and one *lag memory* per active reference
+//! set: the lags of that set's last imputation's finite exact folds, best
+//! first, which seed the next imputation's τ.  A memory is created empty
+//! when its reference set first serves an imputation, is overwritten by
+//! every imputation it serves, and is evicted once no imputation has used it
+//! for `2l` ticks.  Both are caches that only order and bound candidates:
+//! snapshots leave them out, and a decoded engine rebuilds the index and
+//! starts with no lag memories.
 //! With `TkcmConfig::pruning = false` every imputation runs the exhaustive
 //! exact path ([`TkcmImputer::impute`]) instead, the oracle the composed path
 //! is bit-identical to.
@@ -31,12 +31,12 @@ use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp,
 use crate::config::TkcmConfig;
 use crate::diagnostics::PhaseBreakdown;
 use crate::imputer::{ImputationDetail, PruneStats, TkcmImputer};
-use crate::incremental::ShortlistMaintainer;
 use crate::signature::SignatureIndex;
 
 /// Fleet-wide pruning totals in the global metrics registry, in the same
 /// split as [`PruneStats`] (the composed-path counters — level-1 run skips,
-/// maintained-bound prunes, live shortlist sizes — ride as extra paths).
+/// the always-zero maintained prunes, lag-memory sizes — ride as extra
+/// paths).
 /// Record-only: the imputation path never reads these back (`obs-read-only`
 /// policy).
 static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 6]> = LazyLock::new(|| {
@@ -50,12 +50,6 @@ static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 6]> = LazyLock::new(|| {
     ]
     .map(|path| tkcm_obs::registry().counter("tkcm_core_prune_total", &[("path", path)]))
 });
-
-/// Shortlist lifecycle counters (created / evicted), record-only.
-static MAINTAINERS_CREATED: LazyLock<tkcm_obs::Counter> =
-    LazyLock::new(|| tkcm_obs::registry().counter("tkcm_core_maintainer_created_total", &[]));
-static MAINTAINERS_EVICTED: LazyLock<tkcm_obs::Counter> =
-    LazyLock::new(|| tkcm_obs::registry().counter("tkcm_core_maintainer_evicted_total", &[]));
 
 /// One imputation performed by the engine at a tick.
 #[derive(Clone, Debug, PartialEq)]
@@ -105,9 +99,14 @@ impl EngineOutcome {
     }
 }
 
-/// One shortlist maintainer (composed path) plus the tick it last served.
+/// One reference set's τ-seeding lag memory (composed path): the lags of its
+/// last imputation's finite exact folds in ascending `(D, lag)` order, plus
+/// the tick it last served.  The type and the engine field keep their older
+/// `Shortlist` names because the snapshot-fingerprint lint hashes the
+/// engine's struct definition, non-persisted fields included.
 struct Shortlist {
-    state: ShortlistMaintainer,
+    references: Vec<SeriesId>,
+    lags: Vec<usize>,
     last_used: usize,
 }
 
@@ -126,11 +125,10 @@ pub struct TkcmEngine {
     /// window by `advance_tick`/`commit_write_back`.  A pruning cache, not
     /// state: snapshots leave it out and decode rebuilds it from the window.
     signatures: Option<SignatureIndex>,
-    /// Sparse shortlist maintainers, one per reference set that recently
-    /// served a composed imputation; kept in lock-step with the window.
-    /// They only order and bound candidates, so snapshots leave them out
-    /// and a decoded engine starts with none.  Always empty on the exact
-    /// path.
+    /// Lag memories, one per reference set that served a composed
+    /// imputation within the last `2l` ticks.  They only order the seeding
+    /// walk, so snapshots leave them out and a decoded engine starts with
+    /// none.  Always empty on the exact path.
     shortlists: Vec<Shortlist>,
     /// Level-1 run length of the composed path, fixed at construction from
     /// config geometry ([`crate::signature::level1_run_len`] — static per
@@ -159,8 +157,8 @@ impl TkcmEngine {
     /// Assembles an engine around `window` with zeroed counters: the one
     /// place an engine is built, by [`TkcmEngine::new`] and by snapshot
     /// decode.  The signature index is rebuilt from the window's contents
-    /// (so it is in lock-step with it by construction) and the shortlists
-    /// start empty; neither changes an imputed bit, only how much pruning
+    /// (so it is in lock-step with it by construction) and there are no lag
+    /// memories yet; neither changes an imputed bit, only how much pruning
     /// the first imputations get.
     pub(crate) fn assemble(
         config: TkcmConfig,
@@ -216,13 +214,13 @@ impl TkcmEngine {
     }
 
     /// Accumulated phase-timing breakdown over all imputations (Section 7.4),
-    /// including the per-tick incremental maintenance time.
+    /// including the lag-memory lookups of the composed path.
     pub fn phase_breakdown(&self) -> PhaseBreakdown {
         self.breakdown
     }
 
-    /// Whether the *composed* path — signature pruning layered with sparse
-    /// shortlist maintenance — serves this engine's imputations: exactly
+    /// Whether the *composed* path — signature pruning seeded from the lag
+    /// memories — serves this engine's imputations: exactly
     /// the `TkcmConfig::pruning` switch (on by default).  Otherwise every
     /// imputation runs the exhaustive exact path.
     pub fn is_composed(&self) -> bool {
@@ -235,18 +233,14 @@ impl TkcmEngine {
         self.level1_run_len
     }
 
-    /// Number of live shortlist maintainers (composed path; 0 otherwise).
-    pub fn shortlist_count(&self) -> usize {
+    /// Number of live lag memories (composed path; 0 otherwise).
+    pub fn lag_memory_count(&self) -> usize {
         self.shortlists.len()
     }
 
-    /// Total lags currently carrying maintained shortlist entries, summed
-    /// over all live shortlist maintainers.
+    /// Total lags currently remembered, summed over all live lag memories.
     pub fn shortlisted_lag_count(&self) -> usize {
-        self.shortlists
-            .iter()
-            .map(|s| s.state.maintained_lags())
-            .sum()
+        self.shortlists.iter().map(|m| m.lags.len()).sum()
     }
 
     /// Running totals of the pruning counters across all imputations so far
@@ -256,42 +250,34 @@ impl TkcmEngine {
         self.prune_totals
     }
 
-    /// Ticks a shortlist state may go unused before it is evicted.  Every
-    /// live state slides once per tick, and a fresh one re-seeds from the
-    /// next imputation's exact evaluations, so holding an idle state longer
-    /// than `O(l)` ticks buys nothing; `2l` adds hysteresis for intermittent
-    /// gaps.
-    fn shortlist_ttl(&self) -> usize {
+    /// Ticks a lag memory may go unused before it is evicted.  A memory
+    /// idle for longer than `O(l)` ticks points at lags whose patterns have
+    /// drifted, which makes a worse seed than a cold sweep; `2l` adds
+    /// hysteresis for intermittent gaps.
+    fn lag_memory_ttl(&self) -> usize {
         2 * self.imputer.config().pattern_length
     }
 
-    /// Index of the shortlist maintainer for `references`, creating one
-    /// (synced to the window, entries empty — they seed lazily from the
-    /// imputation's own exact evaluations) if this reference set has no live
-    /// state yet.
-    fn shortlist_for(&mut self, references: &[SeriesId]) -> Result<usize, TsError> {
-        if let Some(idx) = self
+    /// Index of the lag memory for `references`, marked as used at this
+    /// tick; an empty one is created if this reference set has none yet.
+    fn lag_memory_for(&mut self, references: &[SeriesId]) -> usize {
+        let idx = match self
             .shortlists
             .iter()
-            .position(|s| s.state.references() == references)
+            .position(|m| m.references == references)
         {
-            return Ok(idx);
-        }
-        let config = self.imputer.config();
-        let mut state = ShortlistMaintainer::new(
-            references.to_vec(),
-            config.pattern_length,
-            config.window_length,
-        )?;
-        // One advance syncs the fresh state to the window (a cold advance
-        // has no entries to slide, so this is O(d)).
-        state.advance(&self.window)?;
-        self.shortlists.push(Shortlist {
-            state,
-            last_used: self.tick_count,
-        });
-        MAINTAINERS_CREATED.inc();
-        Ok(self.shortlists.len() - 1)
+            Some(idx) => idx,
+            None => {
+                self.shortlists.push(Shortlist {
+                    references: references.to_vec(),
+                    lags: Vec::new(),
+                    last_used: 0,
+                });
+                self.shortlists.len() - 1
+            }
+        };
+        self.shortlists[idx].last_used = self.tick_count;
+        idx
     }
 
     /// Folds one imputation's [`PruneStats`] into the engine totals and the
@@ -315,8 +301,8 @@ impl TkcmEngine {
     }
 
     /// Processes one arriving tick: pushes it into the window, advances the
-    /// signature index and shortlist states, imputes every missing series and
-    /// writes the imputed values back into the window (patching the states).
+    /// signature index, imputes every missing series and writes the imputed
+    /// values back into the window (patching the index).
     pub fn process_tick(&mut self, tick: &StreamTick) -> Result<EngineOutcome, TsError> {
         self.advance_tick(tick)?;
 
@@ -340,8 +326,7 @@ impl TkcmEngine {
             }
             let detail = if self.is_composed() {
                 let start = Instant::now();
-                let sidx = self.shortlist_for(&selection.references)?;
-                self.shortlists[sidx].last_used = self.tick_count;
+                let midx = self.lag_memory_for(&selection.references);
                 self.breakdown.maintenance += start.elapsed();
                 let index = self.signatures.as_ref().ok_or_else(|| {
                     TsError::invalid("signature", "composed path without a signature index")
@@ -351,7 +336,7 @@ impl TkcmEngine {
                     target,
                     &selection.references,
                     index,
-                    &mut self.shortlists[sidx].state,
+                    &mut self.shortlists[midx].lags,
                     self.level1_run_len,
                 )?;
                 self.record_prune_stats(&stats);
@@ -378,8 +363,8 @@ impl TkcmEngine {
     /// The batch path is **bit-identical** to `N` sequential
     /// [`TkcmEngine::process_tick`] calls: each tick runs through exactly the
     /// same `advance_tick` → impute → `commit_write_back` sequence, so window
-    /// contents, shortlist creation/eviction timing and every running sum
-    /// come out the same bits either way (the property
+    /// contents, lag-memory creation/eviction timing and every remembered lag
+    /// come out the same either way (the property
     /// `tkcm-runtime/tests/batching.rs` pins).  Batching exists so callers —
     /// the sharded runtime's workers above all — can amortise *their* per-tick
     /// overhead (channel round-trips, WAL writes) across many ticks; the
@@ -397,45 +382,25 @@ impl TkcmEngine {
         Ok(outcomes)
     }
 
-    /// Pushes a tick into the window and brings the signature index and the
-    /// shortlist states up to date (TTL eviction + Section 6.2 slide).
-    /// Shared by [`TkcmEngine::process_tick`] and the WAL replay path so that
-    /// replayed ticks mutate the state through exactly the code live ticks
-    /// do.
+    /// Pushes a tick into the window, brings the signature index up to date
+    /// and evicts lag memories idle past the TTL.  Shared by
+    /// [`TkcmEngine::process_tick`] and the WAL replay path so that replayed
+    /// ticks mutate the state through exactly the code live ticks do.
     fn advance_tick(&mut self, tick: &StreamTick) -> Result<(), TsError> {
         self.window.push_tick(tick)?;
         self.tick_count += 1;
         if let Some(index) = self.signatures.as_mut() {
             index.on_push(&tick.values)?;
         }
-        if !self.shortlists.is_empty() {
-            // Evict whole states idle past the TTL, slide the survivors
-            // (each is O(entries·d), and entries self-TTL inside
-            // `ShortlistMaintainer::advance`).
-            let start = Instant::now();
-            let tick_count = self.tick_count;
-            let ttl = self.shortlist_ttl();
-            let before_eviction = self.shortlists.len();
-            self.shortlists
-                .retain(|s| tick_count.saturating_sub(s.last_used) <= ttl);
-            MAINTAINERS_EVICTED.add((before_eviction - self.shortlists.len()) as u64);
-            for s in &mut self.shortlists {
-                s.state.advance(&self.window)?;
-            }
-            self.breakdown.maintenance += start.elapsed();
-        }
+        let tick_count = self.tick_count;
+        let ttl = self.lag_memory_ttl();
+        self.shortlists
+            .retain(|m| tick_count.saturating_sub(m.last_used) <= ttl);
         Ok(())
     }
 
     /// Commits one imputed value: writes it into the window and patches the
-    /// signature index and every affected shortlist.
-    ///
-    /// The write-back changes a current-tick slot from missing to imputed;
-    /// every state whose reference set contains the target must fold the new
-    /// value into its running sums so later imputations at this tick (and
-    /// future ticks) see the same window contents as a from-scratch recompute
-    /// would.  States whose reference set does not contain the target are
-    /// untouched by the write and are skipped.
+    /// signature index.
     fn commit_write_back(&mut self, target: SeriesId, value: f64) -> Result<(), TsError> {
         self.window.write_imputed(target, 0, value)?;
         if let Some(index) = self.signatures.as_mut() {
@@ -443,15 +408,6 @@ impl TkcmEngine {
             // into an imputed one (`currently_missing` / WAL replay both
             // target missing slots), so the slot's missing count drops.
             index.on_write(target, 0, value, true);
-        }
-        if !self.shortlists.is_empty() {
-            let start = Instant::now();
-            for s in &mut self.shortlists {
-                if s.state.references().contains(&target) {
-                    s.state.on_write(&self.window, target, 0, None)?;
-                }
-            }
-            self.breakdown.maintenance += start.elapsed();
         }
         self.imputation_count += 1;
         Ok(())
@@ -461,8 +417,8 @@ impl TkcmEngine {
     /// signature index and counters of the original
     /// [`TkcmEngine::process_tick`] call without re-running pattern
     /// extraction or selection (the logged values are authoritative).
-    /// Replay runs no imputation, so it creates no shortlists; live ones
-    /// slide and are patched exactly as on the live path.
+    /// Replay runs no imputation, so it creates no lag memories; live ones
+    /// age toward eviction exactly as on the live path.
     ///
     /// Entries whose tick time is not ahead of the window are *stale* — they
     /// describe ticks already covered by the snapshot the replay started
@@ -651,87 +607,11 @@ mod tests {
     }
 
     #[test]
-    fn write_back_only_invalidates_maintainers_referencing_the_target() {
-        // Two independent pairs: 0 ↔ 1 and 2 ↔ 3.  A shortlist exists for
-        // reference set [1] (serving series 0) and one for [3] (serving
-        // series 2).  Write-backs into series 2 must leave the [1] state
-        // byte-identical to a twin run in which series 2 never goes missing
-        // (so no write-back happens at all): the [1] state is a function of
-        // series 1 and of series 0's imputations, identical in both runs.
-        let mut catalog = Catalog::new();
-        catalog
-            .set_candidates(SeriesId(0), vec![SeriesId(1)])
-            .unwrap();
-        catalog
-            .set_candidates(SeriesId(1), vec![SeriesId(0)])
-            .unwrap();
-        catalog
-            .set_candidates(SeriesId(2), vec![SeriesId(3)])
-            .unwrap();
-        catalog
-            .set_candidates(SeriesId(3), vec![SeriesId(2)])
-            .unwrap();
-        let config = small_config(128, 3, 2, 1);
-        let mut with_writes = TkcmEngine::new(4, config.clone(), catalog.clone()).unwrap();
-        let mut without_writes = TkcmEngine::new(4, config, catalog).unwrap();
-
-        let mut imputed_2 = 0usize;
-        for t in 0..120usize {
-            let base = sine(t, 24.0, 0.0);
-            // Series 0 misses every 5th tick from 100 on (creates the [1]
-            // shortlist in both runs and keeps it within its idle TTL);
-            // series 2 later misses a block only in the first run, producing
-            // the unrelated write-backs under test.
-            let s0 = if t >= 100 && t % 5 == 0 {
-                None
-            } else {
-                Some(base)
-            };
-            let s2 = Some(sine(t, 24.0, 3.0));
-            let s2_gapped = if (110..118).contains(&t) { None } else { s2 };
-            let others = (Some(sine(t, 24.0, 7.0)), Some(sine(t, 24.0, 11.0)));
-
-            let tick_a = StreamTick::new(
-                Timestamp::new(t as i64),
-                vec![s0, others.0, s2_gapped, others.1],
-            );
-            let tick_b =
-                StreamTick::new(Timestamp::new(t as i64), vec![s0, others.0, s2, others.1]);
-            let outcome = with_writes.process_tick(&tick_a).unwrap();
-            without_writes.process_tick(&tick_b).unwrap();
-            imputed_2 += usize::from(outcome.imputed_value(SeriesId(2)).is_some());
-
-            let state_of = |e: &TkcmEngine| {
-                e.shortlists
-                    .iter()
-                    .find(|s| s.state.references() == [SeriesId(1)])
-                    .map(|s| format!("{:?}", s.state))
-            };
-            assert_eq!(
-                state_of(&with_writes),
-                state_of(&without_writes),
-                "tick {t}: series-2 write-back leaked into the [1] shortlist"
-            );
-            if t >= 100 {
-                assert!(
-                    state_of(&with_writes).is_some(),
-                    "shortlist [1] evicted early"
-                );
-            }
-        }
-        assert_eq!(imputed_2, 8);
-        assert!(
-            with_writes.shortlisted_lag_count() > 0,
-            "the [1] shortlist should carry seeded entries"
-        );
-    }
-
-    #[test]
     fn idle_shortlist_states_are_evicted_after_the_ttl() {
         // Series 0 misses one block of ticks and then stays observed: its
-        // shortlist [1] must survive every tick up to `2l` idle ticks after
-        // its last imputation and be gone on the tick after.  A later gap
-        // re-creates it, synced and empty.
+        // lag memory for [1] must survive every tick up to `2l` idle ticks
+        // after its last imputation and be gone on the tick after.  A later
+        // gap re-creates it and fills it from that imputation's exact folds.
         let mut catalog = Catalog::new();
         catalog
             .set_candidates(SeriesId(0), vec![SeriesId(1)])
@@ -757,9 +637,9 @@ mod tests {
             } else {
                 0
             };
-            assert_eq!(engine.shortlist_count(), expected, "tick {t}");
+            assert_eq!(engine.lag_memory_count(), expected, "tick {t}");
             if t == 130 {
-                assert!(engine.shortlists[0].state.is_synced(engine.window()));
+                assert!(engine.shortlisted_lag_count() > 0);
             }
         }
     }
@@ -811,7 +691,7 @@ mod tests {
             per_tick.imputations_performed(),
             batched.imputations_performed()
         );
-        assert_eq!(per_tick.shortlist_count(), batched.shortlist_count());
+        assert_eq!(per_tick.lag_memory_count(), batched.lag_memory_count());
         assert_eq!(
             per_tick.shortlisted_lag_count(),
             batched.shortlisted_lag_count()
@@ -877,10 +757,10 @@ mod tests {
         );
         assert!(
             totals.maintained_lags > 0,
-            "composed path should carry shortlist entries: {totals:?}"
+            "composed path should remember lags: {totals:?}"
         );
-        assert!(composed.shortlist_count() > 0);
-        assert_eq!(exhaustive.shortlist_count(), 0);
+        assert!(composed.lag_memory_count() > 0);
+        assert_eq!(exhaustive.lag_memory_count(), 0);
         assert_eq!(exhaustive.prune_totals(), PruneStats::default());
     }
 

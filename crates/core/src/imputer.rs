@@ -19,7 +19,6 @@ use crate::config::TkcmConfig;
 use crate::consistency::ConsistencyReport;
 use crate::diagnostics::{Phase, PhaseBreakdown, PhaseTimer};
 use crate::dissimilarity::{l2_distance, l2_from_components};
-use crate::incremental::ShortlistMaintainer;
 use crate::pattern::{extract_pattern_at_age, extract_query_pattern, Pattern};
 use crate::selection::select_anchors_dp;
 use crate::signature::{SignatureIndex, SignatureQuery};
@@ -97,11 +96,11 @@ pub struct PruneStats {
     /// anchor provenance would have disqualified anyway (the whole point is
     /// not to look at them individually).
     pub level1_skipped: usize,
-    /// Of `pruned`: candidates disposed of by a
-    /// maintained shortlist entry's certified bound or its pair count,
-    /// before any signature lookup.
+    /// Always 0: no maintained bound prunes candidates any more.  Kept so
+    /// the counter layout (snapshots, metrics, benchmark readers) is stable.
     pub maintained_pruned: usize,
-    /// Lags carrying a maintained shortlist entry when the imputation began.
+    /// Lags in the reference set's lag memory when the imputation began
+    /// (the previous imputation's finite exact folds).
     pub maintained_lags: usize,
 }
 
@@ -295,9 +294,7 @@ impl TkcmImputer {
         })
     }
 
-    /// Exact dissimilarity of the candidate anchored `age` ticks back, and
-    /// (re-)seeds its shortlist entry from the fold's own `(sum_sq,
-    /// observed)` components.
+    /// Exact dissimilarity of the candidate anchored `age` ticks back.
     ///
     /// The exhaustive path materializes a [`Pattern`] per candidate and
     /// calls [`l2_distance`]; doing that per *shortlisted* candidate would
@@ -306,19 +303,14 @@ impl TkcmImputer {
     /// recurrence in the same order — reference-major, chronological within
     /// a reference, `sum += (x−y)·(x−y)` left to right, then
     /// [`l2_from_components`] — which makes a shortlisted candidate's `D[j]`
-    /// bit-equal to the exhaustive path's, not just approximately equal.
-    /// Re-admission of a previously pruned lag therefore costs nothing
-    /// beyond the exact evaluation, and the re-seeded aggregates are
-    /// bit-identical to the exact fold by construction (the
-    /// shortlist-maintenance invariant).  A missing candidate slot makes
-    /// pattern extraction fail, so `D = +∞` and nothing is seeded.
-    fn evaluate_and_seed(
+    /// bit-equal to the exhaustive path's, not just approximately equal.  A
+    /// missing candidate slot makes pattern extraction fail, so `D = +∞`.
+    fn exact_fold(
         &self,
         window: &StreamingWindow,
         references: &[SeriesId],
         query: &Pattern,
         age: usize,
-        shortlist: &mut ShortlistMaintainer,
     ) -> Result<f64, TsError> {
         let l = self.config.pattern_length;
         let mut sum_sq = 0.0f64;
@@ -336,41 +328,40 @@ impl TkcmImputer {
                 }
             }
         }
-        shortlist.seed(age, sum_sq, observed as u32);
         Ok(l2_from_components(sum_sq, observed, references.len() * l))
     }
 
     /// Imputes like [`TkcmImputer::impute`], but uses the signature `index`
-    /// and the `shortlist` maintainer to *prune* the candidate space before
+    /// and the lag memory `warm` to *prune* the candidate space before
     /// exact evaluation: admissible lower bounds `LB[j] ≤ D[j]` are compared
     /// against the float sum `τ` of a feasible k-anchor solution, and
     /// candidates with `LB[j] > τ` are provably outside every optimal
     /// selection, so their `D[j]` stays `+∞` unevaluated.  Three layers run
     /// before any exact evaluation, cheapest first:
     ///
-    /// 1. **Maintained-first τ-seeding** — the [`ShortlistMaintainer`]'s
-    ///    entries, ordered by their approximate sums, nominate the feasible
-    ///    k-solution; usually k exact evaluations replace an O(J·d·l/B)
-    ///    seeding sweep.  A cold maintainer falls back to one level-0
-    ///    lower-bound sweep (and re-seeds itself in passing).
+    /// 1. **Warm τ-seeding** — `warm` holds the lags of the previous
+    ///    imputation's finite exact folds for this reference set, best
+    ///    first; walking it usually certifies a feasible k-solution after
+    ///    about k exact evaluations instead of an O(J·d·l/B) seeding sweep.
+    ///    An empty or unhelpful memory falls back to one level-0
+    ///    lower-bound sweep.
     /// 2. **Level-1 run prefilter** — one
     ///    [`SignatureIndex::run_lower_bound_sq_with_query`] bound per run of
     ///    `run_len` consecutive lags skips whole runs above the threshold,
     ///    cutting the O(J) per-lag sweep itself.
-    /// 3. **Per-survivor bounds** — a maintained entry's certified bound
-    ///    (near-exact, catching candidates whose envelopes overlap the
-    ///    query) and then the level-0 signature bound; only candidates that
-    ///    survive all three are exact-evaluated, and every evaluation
-    ///    re-seeds the maintainer for the next imputation.
+    /// 3. **Per-survivor bounds** — the level-0 signature bound per lag,
+    ///    then an ascending-bound sweep under a tightening per-candidate
+    ///    threshold; only candidates that survive are exact-evaluated.
     ///
-    /// All bounds are admissible (see [`crate::signature`]) and every `D`
-    /// entering selection comes from the exact fold, so the result is
-    /// **bit-identical** to [`TkcmImputer::impute`] — the float-level proof
-    /// is in the comments below.  Requires `index` and `shortlist` in
-    /// lock-step with `window`; the streaming engine keeps them so on its
-    /// default path.
-    /// `run_len` is the level-1 run width, picked once at engine
-    /// construction from config geometry
+    /// The memory only orders the seeding walk: every `D` entering selection
+    /// comes from the exact fold and all bounds are admissible (see
+    /// [`crate::signature`]), so the result is **bit-identical** to
+    /// [`TkcmImputer::impute`] for any `warm` — the float-level proof is in
+    /// the comments below.  On return `warm` holds this imputation's finite
+    /// exact folds in ascending `(D, lag)` order, ready for the next call.
+    /// Requires `index` in lock-step with `window`; the streaming engine
+    /// keeps it so on its default path.  `run_len` is the level-1 run
+    /// width, picked once at engine construction from config geometry
     /// ([`crate::signature::level1_run_len`]).
     pub fn impute_composed(
         &self,
@@ -378,12 +369,10 @@ impl TkcmImputer {
         target: SeriesId,
         references: &[SeriesId],
         index: &SignatureIndex,
-        shortlist: &mut ShortlistMaintainer,
+        warm: &mut Vec<usize>,
         run_len: usize,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        self.impute_composed_impl(
-            window, target, references, index, shortlist, run_len, 1.0, 1.0,
-        )
+        self.impute_composed_impl(window, target, references, index, warm, run_len, 1.0, 1.0)
     }
 
     /// Test-only entry: like [`TkcmImputer::impute_composed`] but inflating
@@ -399,13 +388,13 @@ impl TkcmImputer {
         target: SeriesId,
         references: &[SeriesId],
         index: &SignatureIndex,
-        shortlist: &mut ShortlistMaintainer,
+        warm: &mut Vec<usize>,
         run_len: usize,
         inflate0: f64,
         inflate1: f64,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
         self.impute_composed_impl(
-            window, target, references, index, shortlist, run_len, inflate0, inflate1,
+            window, target, references, index, warm, run_len, inflate0, inflate1,
         )
     }
 
@@ -416,7 +405,7 @@ impl TkcmImputer {
         target: SeriesId,
         references: &[SeriesId],
         index: &SignatureIndex,
-        shortlist: &mut ShortlistMaintainer,
+        warm: &mut Vec<usize>,
         run_len: usize,
         inflate0: f64,
         inflate1: f64,
@@ -433,7 +422,6 @@ impl TkcmImputer {
                 "level-1 run length must be positive",
             ));
         }
-        shortlist.ensure_compatible(window, references, self.config.pattern_length)?;
         let now = window
             .current_time()
             .ok_or_else(|| TsError::invalid("window", "no tick has been pushed yet"))?;
@@ -453,7 +441,7 @@ impl TkcmImputer {
         let mut dissimilarities: Vec<f64> = Vec::new();
         let mut candidate_ages: Vec<usize> = Vec::new();
         let mut stats = PruneStats {
-            maintained_lags: shortlist.maintained_lags(),
+            maintained_lags: warm.len(),
             ..PruneStats::default()
         };
         if filled >= 2 * l {
@@ -474,13 +462,14 @@ impl TkcmImputer {
                 // skip it.
                 let mut resolved = vec![false; j];
 
-                // ---- Seed a feasible k-solution, maintained-first ----
-                // The maintainer orders its lags by approximate sum, so the
-                // greedy walk usually certifies k tight seeds after exactly
-                // k exact evaluations — no O(J) sweep.  The candidate lag
-                // *is* the window age of its anchor (`lag = t_n − t_j`).
+                // ---- Seed a feasible k-solution from the lag memory ----
+                // The previous imputation's best lags are usually still
+                // among the best one tick later, so the greedy walk tends to
+                // certify k tight seeds after about k exact evaluations — no
+                // O(J) sweep.  The candidate lag *is* the window age of its
+                // anchor (`lag = t_n − t_j`).
                 let mut seed: Vec<usize> = Vec::new();
-                for lag in shortlist.lags_by_sum() {
+                for &lag in warm.iter() {
                     if seed.len() == k {
                         break;
                     }
@@ -495,8 +484,7 @@ impl TkcmImputer {
                         continue;
                     }
                     if !resolved[idx] {
-                        dissimilarities[idx] =
-                            self.evaluate_and_seed(window, references, q, lag, shortlist)?;
+                        dissimilarities[idx] = self.exact_fold(window, references, q, lag)?;
                         resolved[idx] = true;
                         stats.shortlisted += 1;
                     }
@@ -505,16 +493,16 @@ impl TkcmImputer {
                     }
                 }
                 if seed.len() < k {
-                    // Cold start / post-desync: too few maintained entries
-                    // to certify a k-solution.  Fall back to one level-0
-                    // lower-bound sweep: a feasible set of k non-overlapping
+                    // Cold start: too few remembered lags to certify a
+                    // k-solution.  Fall back to one level-0 lower-bound
+                    // sweep: a feasible set of k non-overlapping
                     // finite-D candidates, found greedily in ascending-LB
                     // order (ties by index) so its sum τ is tight, then
                     // earliest-end greedy.  Candidate ages are consecutive,
                     // so candidates overlap iff their indices are closer
                     // than l.  This is the one place the composed path pays
-                    // the O(J) per-lag sweep; every evaluation re-seeds the
-                    // maintainer, so the next imputation will not.
+                    // the O(J) per-lag sweep; its exact folds fill the lag
+                    // memory, so the next imputation usually will not.
                     let mut lb = vec![0.0f64; j];
                     let mut open = vec![true; j];
                     for (idx, &age) in candidate_ages.iter().enumerate() {
@@ -568,13 +556,8 @@ impl TkcmImputer {
                             continue;
                         }
                         if !resolved[idx] {
-                            dissimilarities[idx] = self.evaluate_and_seed(
-                                window,
-                                references,
-                                q,
-                                candidate_ages[idx],
-                                shortlist,
-                            )?;
+                            dissimilarities[idx] =
+                                self.exact_fold(window, references, q, candidate_ages[idx])?;
                             resolved[idx] = true;
                             stats.shortlisted += 1;
                         }
@@ -595,13 +578,8 @@ impl TkcmImputer {
                                 continue;
                             }
                             if !resolved[idx] {
-                                dissimilarities[idx] = self.evaluate_and_seed(
-                                    window,
-                                    references,
-                                    q,
-                                    candidate_ages[idx],
-                                    shortlist,
-                                )?;
+                                dissimilarities[idx] =
+                                    self.exact_fold(window, references, q, candidate_ages[idx])?;
                                 resolved[idx] = true;
                                 stats.shortlisted += 1;
                             }
@@ -682,31 +660,6 @@ impl TkcmImputer {
                                 resolved[idx] = true;
                                 continue;
                             }
-                            // Maintained certified bound first: near-exact
-                            // and cheapest, and it catches exactly the
-                            // candidates whose envelopes overlap the query —
-                            // where the signature bound is weakest.
-                            let mut lb = 0.0f64;
-                            if let Some(b) = shortlist.bound(age) {
-                                if b.certain_missing {
-                                    // The integer pair count proves a missing
-                                    // pair: extraction yields D = +∞
-                                    // *exactly*, same as the exact path.
-                                    shortlist.touch(age);
-                                    resolved[idx] = true;
-                                    stats.pruned += 1;
-                                    stats.maintained_pruned += 1;
-                                    continue;
-                                }
-                                lb = b.lb_sq.sqrt();
-                                if lb > threshold {
-                                    shortlist.touch(age);
-                                    resolved[idx] = true;
-                                    stats.pruned += 1;
-                                    stats.maintained_pruned += 1;
-                                    continue;
-                                }
-                            }
                             let (lb_sq, certain_missing) =
                                 index.lower_bound_sq_with_query(references, age, l, &sig_query);
                             if certain_missing {
@@ -714,14 +667,13 @@ impl TkcmImputer {
                                 stats.pruned += 1;
                                 continue;
                             }
-                            let sig_lb = (lb_sq * inflate0).max(0.0).sqrt();
-                            if sig_lb > threshold {
+                            let lb = (lb_sq * inflate0).max(0.0).sqrt();
+                            if lb > threshold {
                                 resolved[idx] = true;
                                 stats.pruned += 1;
                                 continue;
                             }
-                            // The max of two admissible bounds is admissible.
-                            survivors.push((idx, lb.max(sig_lb)));
+                            survivors.push((idx, lb));
                         }
                         s = e;
                     }
@@ -794,13 +746,8 @@ impl TkcmImputer {
                             }
                             break;
                         }
-                        dissimilarities[idx] = self.evaluate_and_seed(
-                            window,
-                            references,
-                            q,
-                            candidate_ages[idx],
-                            shortlist,
-                        )?;
+                        dissimilarities[idx] =
+                            self.exact_fold(window, references, q, candidate_ages[idx])?;
                         resolved[idx] = true;
                         stats.shortlisted += 1;
                         let d = dissimilarities[idx];
@@ -823,14 +770,25 @@ impl TkcmImputer {
                         if window.slot_recent(target, age)?.state != SlotState::Observed {
                             continue;
                         }
-                        dissimilarities[idx] =
-                            self.evaluate_and_seed(window, references, q, age, shortlist)?;
+                        dissimilarities[idx] = self.exact_fold(window, references, q, age)?;
                         resolved[idx] = true;
                         stats.shortlisted += 1;
                     }
                 }
             }
         }
+        // Remember this imputation's finite exact folds, best first, as the
+        // next imputation's seeding order.  Only exact folds are finite: a
+        // pruned or disqualified candidate's `D` stays `+∞`.
+        let mut folds: Vec<(f64, usize)> = dissimilarities
+            .iter()
+            .zip(&candidate_ages)
+            .filter(|(d, _)| d.is_finite())
+            .map(|(&d, &lag)| (d, lag))
+            .collect();
+        folds.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        warm.clear();
+        warm.extend(folds.into_iter().map(|(_, lag)| lag));
 
         let detail = self.select_and_impute(
             window,

@@ -26,12 +26,11 @@
 //!    pattern-determination property (Definition 5) used in Figure 13.
 //! 7. **Phase timing** ([`diagnostics`]): pattern-extraction vs
 //!    pattern-selection breakdown reported in Section 7.4.
-//! 8. **Candidate pruning** ([`signature`], [`incremental`]): a
-//!    block-quantized signature index over the candidate space whose
-//!    gap-aware lower bounds shortlist candidates admissibly, composed with
-//!    sparse shortlist maintainers that keep the Section 6.2 sliding
-//!    aggregates for recently shortlisted lags, a level-1 run prefilter and
-//!    an ascending-bound survivor sweep under a tightening per-candidate
+//! 8. **Candidate pruning** ([`signature`]): a block-quantized signature
+//!    index over the candidate space whose gap-aware lower bounds shortlist
+//!    candidates admissibly, composed with τ seeding from the previous
+//!    imputation's best exact folds, a level-1 run prefilter and an
+//!    ascending-bound survivor sweep under a tightening per-candidate
 //!    threshold.  The composed path is bit-identical to the exhaustive one
 //!    and several times faster at paper scale.
 //!
@@ -84,7 +83,6 @@ pub mod diagnostics;
 pub mod dissimilarity;
 pub mod engine;
 pub mod imputer;
-pub mod incremental;
 pub mod pattern;
 pub mod persist;
 pub mod selection;
@@ -96,7 +94,6 @@ pub use diagnostics::{PhaseBreakdown, PhaseTimer};
 pub use dissimilarity::l2_distance;
 pub use engine::{EngineOutcome, Imputation, TkcmEngine};
 pub use imputer::{ImputationDetail, PruneStats, TkcmImputer};
-pub use incremental::{MaintainedBound, ShortlistMaintainer};
 pub use pattern::{extract_pattern, extract_pattern_at_age, extract_query_pattern, Pattern};
 pub use persist::{WalEntry, WalWriteBack};
 pub use selection::{select_anchors_dp, select_anchors_greedy, AnchorSelection};

@@ -6,7 +6,7 @@
 //! provenance rings, timestamp ring), the reference catalog, the accumulated
 //! phase breakdown, the tick and imputation counters and the prune totals.
 //! Decode rebuilds the signature index from the window and starts with no
-//! shortlists; both only order and bound candidates, so loading a snapshot
+//! lag memories; both only order and bound candidates, so loading a snapshot
 //! and replaying the logged ticks since it ([`WalEntry`], applied through
 //! [`crate::engine::TkcmEngine::apply_wal_entry`]) imputes bit-identically
 //! to an engine that never crashed — the recovery-equivalence property the
@@ -283,12 +283,12 @@ mod tests {
 
     #[test]
     fn engine_snapshot_restores_bit_identical_behaviour() {
-        // Run an engine through imputations (live shortlists), snapshot it,
+        // Run an engine through imputations (live lag memories), snapshot it,
         // restore, and drive both with identical further ticks: outcomes and
         // window contents must match bit for bit, although the restored
-        // engine starts with a rebuilt index and no shortlists.
+        // engine starts with a rebuilt index and no lag memories.
         let mut original = run_engine(120);
-        assert!(original.shortlist_count() > 0);
+        assert!(original.lag_memory_count() > 0);
         let bytes = encode_to_vec(&original).unwrap();
         let mut restored: TkcmEngine = decode_from_slice(&bytes).unwrap();
         assert_eq!(encode_to_vec(&restored).unwrap(), bytes);
@@ -297,7 +297,7 @@ mod tests {
             restored.imputations_performed(),
             original.imputations_performed()
         );
-        assert_eq!(restored.shortlist_count(), 0);
+        assert_eq!(restored.lag_memory_count(), 0);
 
         for t in 120..200usize {
             let missing = t % 5 == 0;
@@ -325,10 +325,10 @@ mod tests {
 
     #[test]
     fn a_nan_reading_does_not_block_a_checkpoint() {
-        // One NaN reference reading: the composed path seeds a shortlist
-        // entry from an exact fold that contains it.  Shortlists are not
-        // persisted, so the engine still encodes, the bytes decode, and the
-        // decoded engine re-encodes to the same bytes.
+        // One NaN reference reading inside the window the composed path
+        // folds over.  Its caches (index, lag memories) are not persisted,
+        // so the engine still encodes, the bytes decode, and the decoded
+        // engine re-encodes to the same bytes.
         let config = TkcmConfig::builder()
             .window_length(400)
             .pattern_length(8)

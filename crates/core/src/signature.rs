@@ -1,9 +1,7 @@
 //! Quantized pattern-signature index: admissible candidate pruning.
 //!
-//! Maintaining every candidate lag incrementally (Section 6.2) makes each
-//! one cheap (`O(d)`/tick), but still touches *every* candidate, so the
-//! per-tick cost stays linear in the candidate count `J = L − 2l + 1`.  This
-//! module keeps a coarse, block-quantized summary of every series in the
+//! Scoring every candidate lag exactly costs `O(d·l)` each, linear in the
+//! candidate count `J = L − 2l + 1` per imputation.  This module keeps a coarse, block-quantized summary of every series in the
 //! window — a piecewise min/max envelope plus a missing-slot count per block
 //! of [`SIGNATURE_BLOCK_LEN`] consecutive ticks — and uses it to compute a
 //! cheap *lower bound* `LB[j] ≤ D[j]` on each candidate's L2 dissimilarity.

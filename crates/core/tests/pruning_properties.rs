@@ -1,5 +1,5 @@
 //! Equivalence and admissibility properties of the composed candidate path
-//! (signature-index pruning layered with shortlist maintenance).
+//! (signature-index pruning with τ seeded from the lag memory).
 //!
 //! Three families:
 //!
@@ -19,8 +19,8 @@
 use proptest::prelude::*;
 
 use tkcm_core::{
-    extract_pattern, extract_query_pattern, l2_distance, level1_run_len, ShortlistMaintainer,
-    SignatureIndex, SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer,
+    extract_pattern, extract_query_pattern, l2_distance, level1_run_len, SignatureIndex,
+    SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer,
 };
 use tkcm_store::{decode_from_slice, encode_to_vec};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
@@ -45,7 +45,7 @@ proptest! {
     /// random integer sawtooths with random gaps, long enough to wrap the
     /// ring at least once (write-backs happen inside `process_tick`).  At a
     /// random tick the composed engine is replaced by its own
-    /// `encode → decode` copy — rebuilt signature index, no shortlists —
+    /// `encode → decode` copy — rebuilt signature index, no lag memories —
     /// which must keep matching the oracle.
     #[test]
     fn pruned_engine_is_bit_identical_to_exhaustive(
@@ -76,7 +76,7 @@ proptest! {
                 .unwrap();
             TkcmEngine::new(width, config, Catalog::ring_neighbours(width)).unwrap()
         };
-        // The composed path — level-1 prefilter + shortlist maintainers +
+        // The composed path — lag-memory seeding + level-1 prefilter +
         // level-0 bounds — must match the exhaustive engine bit for bit.
         let mut composed = mk(true);
         let mut exhaustive = mk(false);
@@ -116,7 +116,7 @@ proptest! {
             }
             if t == restore_at {
                 composed = decode_from_slice(&encode_to_vec(&composed).unwrap()).unwrap();
-                prop_assert_eq!(composed.shortlist_count(), 0);
+                prop_assert_eq!(composed.lag_memory_count(), 0);
             }
         }
         prop_assert_eq!(
@@ -208,6 +208,72 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// End to end: the default engine, whose composed path seeds τ from its
+    /// lag memories, and an engine on the exhaustive recompute path
+    /// impute the same value *bits* on the same stream (same missing slots,
+    /// same skipped series, same anchors), including long outages where
+    /// imputed history feeds later patterns and gaps in a reference.
+    #[test]
+    fn engine_incremental_equals_exact_recompute(
+        period in 8.0f64..40.0,
+        shift1 in 1.0f64..10.0,
+        shift2 in 1.0f64..10.0,
+        gap_start_frac in 0.3f64..0.8,
+        gap_len in 3usize..20,
+        capacity in 48usize..96,
+    ) {
+        let width = 3;
+        let total = capacity * 2; // wrap the ring at least once
+        let gap_start = (total as f64 * gap_start_frac) as usize;
+        let l = 3;
+        let mk = |composed: bool| {
+            let config = TkcmConfig::builder()
+                .window_length(capacity)
+                .pattern_length(l)
+                .anchor_count(3)
+                .reference_count(2)
+                .pruning(composed)
+                .build()
+                .unwrap();
+            TkcmEngine::new(width, config, Catalog::ring_neighbours(width)).unwrap()
+        };
+        let mut inc_engine = mk(true);
+        let mut exact_engine = mk(false);
+        prop_assert!(inc_engine.is_composed());
+        prop_assert!(!exact_engine.is_composed());
+
+        let wave = |t: usize, shift: f64| {
+            ((t as f64 - shift) / period * std::f64::consts::TAU).sin() * 10.0
+                + (t as f64) * 1e-3 // slight drift to break exact ties
+        };
+        let mut max_shortlists = 0usize;
+        for t in 0..total {
+            let s0_missing = (gap_start..gap_start + gap_len).contains(&t);
+            let s1_missing = t % 17 == 5;
+            let tick = StreamTick::new(
+                Timestamp::new(t as i64),
+                vec![
+                    if s0_missing { None } else { Some(wave(t, 0.0)) },
+                    if s1_missing { None } else { Some(wave(t, shift1)) },
+                    Some(wave(t, shift2)),
+                ],
+            );
+            let inc = inc_engine.process_tick(&tick).unwrap().timing_stripped();
+            let exact = exact_engine.process_tick(&tick).unwrap().timing_stripped();
+            prop_assert!(inc == exact, "tick {}: composed {:?} vs exact {:?}", t, inc, exact);
+            max_shortlists = max_shortlists.max(inc_engine.lag_memory_count());
+        }
+        prop_assert_eq!(
+            inc_engine.imputations_performed(),
+            exact_engine.imputations_performed()
+        );
+        // Lag memories appear on demand on the composed engine (and may be
+        // evicted again after 2l idle ticks); the exact engine never creates
+        // any.
+        prop_assert!(max_shortlists >= 1);
+        prop_assert_eq!(exact_engine.lag_memory_count(), 0);
     }
 }
 
@@ -387,23 +453,9 @@ fn inadmissible_fixture() -> (StreamingWindow, SignatureIndex, TkcmImputer) {
     (window, index, imputer)
 }
 
-/// A fresh shortlist for the fixture, synced to its window.
-fn fixture_shortlist(
-    window: &StreamingWindow,
-    imputer: &TkcmImputer,
-    refs: &[SeriesId],
-) -> ShortlistMaintainer {
-    let config = imputer.config();
-    let mut s =
-        ShortlistMaintainer::new(refs.to_vec(), config.pattern_length, config.window_length)
-            .unwrap();
-    s.advance(window).unwrap();
-    s
-}
-
 /// The composed path's negative control at level 0.  On the fixture: (1)
-/// with admissible bounds the composed path — cold shortlist *and* warm
-/// shortlist — reproduces the exhaustive answer bitwise; (2) a deliberately
+/// with admissible bounds the composed path — cold lag memory *and* warm
+/// lag memory — reproduces the exhaustive answer bitwise; (2) a deliberately
 /// inflated — hence inadmissible — per-lag bound prunes the true nearest
 /// candidate away and the imputed value visibly changes.  If over-pruning
 /// ever happens, these comparisons are what catches it.
@@ -416,14 +468,19 @@ fn inflated_bounds_are_caught_by_the_equivalence_check() {
 
     let exact = imputer.impute(&window, target, &refs).unwrap();
 
-    // Positive control, cold then warm: the first composed call seeds the
-    // shortlist from its own exact evaluations; the second call runs the
-    // maintained-first seeding path.  Both must match exhaustive bitwise.
-    let mut shortlist = fixture_shortlist(&window, &imputer, &refs);
+    // Positive control, cold then warm: the first composed call starts from
+    // an empty lag memory and fills it with its own exact folds; the second
+    // call seeds τ from that list.  Both must match exhaustive bitwise.
+    let mut warm = Vec::new();
     for pass in ["cold", "warm"] {
-        let (composed, _) = imputer
-            .impute_composed(&window, target, &refs, &index, &mut shortlist, run_len)
+        let (composed, stats) = imputer
+            .impute_composed(&window, target, &refs, &index, &mut warm, run_len)
             .unwrap();
+        assert_eq!(
+            stats.maintained_lags > 0,
+            pass == "warm",
+            "{pass} pass lag memory: {stats:?}"
+        );
         assert_eq!(
             composed.value.to_bits(),
             exact.value.to_bits(),
@@ -431,16 +488,14 @@ fn inflated_bounds_are_caught_by_the_equivalence_check() {
         );
         assert_eq!(composed.anchors, exact.anchors, "{pass} pass anchors");
     }
-    assert!(shortlist.maintained_lags() > 0, "evaluations seed entries");
 
-    let mut shortlist = fixture_shortlist(&window, &imputer, &refs);
     let (inflated, stats) = imputer
         .impute_composed_with_inflation(
             &window,
             target,
             &refs,
             &index,
-            &mut shortlist,
+            &mut Vec::new(),
             run_len,
             1e6,
             1.0,
@@ -475,14 +530,13 @@ fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
     let run_len = level1_run_len(imputer.config().pattern_length);
 
     let exact = imputer.impute(&window, target, &refs).unwrap();
-    let mut shortlist = fixture_shortlist(&window, &imputer, &refs);
     let (inflated, stats) = imputer
         .impute_composed_with_inflation(
             &window,
             target,
             &refs,
             &index,
-            &mut shortlist,
+            &mut Vec::new(),
             run_len,
             1.0,
             1e6,
@@ -498,4 +552,54 @@ fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
          the equivalence check must observe a different anchor set"
     );
     assert_ne!(inflated.value.to_bits(), exact.value.to_bits());
+}
+
+/// Hostile input: one reference reading of NaN, ±∞ or a value whose square
+/// overflows, on a default-config engine (L = 400, l = 8, k = 3, d = 1) whose
+/// target misses ticks 300–304 and 590–599.  The composed path must impute
+/// the same value bits as the exhaustive oracle wherever the reading lands:
+/// in the history both gaps search, or inside a gap's query pattern.
+#[test]
+fn a_hostile_reference_reading_keeps_composed_bit_identical() {
+    let sine = |t: usize, shift: f64| ((t as f64 - shift) / 16.0 * std::f64::consts::TAU).sin();
+    let mk = |pruning: bool| {
+        let config = TkcmConfig::builder()
+            .window_length(400)
+            .pattern_length(8)
+            .anchor_count(3)
+            .reference_count(1)
+            .pruning(pruning)
+            .build()
+            .unwrap();
+        TkcmEngine::new(2, config, Catalog::ring_neighbours(2)).unwrap()
+    };
+    for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+        for at in [250, 302, 450, 595] {
+            let mut composed = mk(true);
+            let mut exhaustive = mk(false);
+            for t in 0..600usize {
+                let missing = (300..305).contains(&t) || t >= 590;
+                let target = if missing { None } else { Some(sine(t, 0.0)) };
+                let reference = if t == at {
+                    Some(hostile)
+                } else {
+                    Some(sine(t, 3.0))
+                };
+                let tick = StreamTick::new(Timestamp::new(t as i64), vec![target, reference]);
+                let m = composed.process_tick(&tick).unwrap();
+                let b = exhaustive.process_tick(&tick).unwrap();
+                assert_eq!(m.imputations.len(), b.imputations.len(), "tick {t}");
+                for (x, y) in m.imputations.iter().zip(&b.imputations) {
+                    assert_eq!(
+                        x.value.to_bits(),
+                        y.value.to_bits(),
+                        "reading {hostile} at tick {at}, tick {t}: composed {} vs exhaustive {}",
+                        x.value,
+                        y.value
+                    );
+                }
+            }
+            assert_eq!(composed.imputations_performed(), 15);
+        }
+    }
 }

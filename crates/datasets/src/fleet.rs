@@ -4,8 +4,8 @@
 //! The sharded runtime (`tkcm-runtime`) instead serves a wide fleet — many
 //! networks under one roof — and needs a workload shaped like one: clusters
 //! of mutually referencing series with **no candidate edges between
-//! clusters**, recurring short outages in every cluster (so the shortlist
-//! maintainers stay hot, as in a real deployment), and a catalog whose
+//! clusters**, recurring short outages in every cluster (so the lag
+//! memories stay warm, as in a real deployment), and a catalog whose
 //! connected components are exactly the clusters.
 //!
 //! Each cluster gets its own daily-profile mixture (random phase, second

@@ -1,15 +1,15 @@
-//! Candidate pruning: the composed pruning-plus-maintenance path against
-//! the exhaustive candidate sweep, on one engine.
+//! Candidate pruning: the composed pruning path against the exhaustive
+//! candidate sweep, on one engine.
 //!
 //! The same SBR-like workload is replayed through two engines that differ
 //! only in the candidate path:
 //!
 //! * **exhaustive** — every candidate pattern is re-extracted and scored
 //!   each imputation (`O(L·l·d)`), the oracle;
-//! * **composed** — the default path: maintained shortlist entries seed the
-//!   threshold and certify cheap prunes, a level-1 run prefilter skips whole
-//!   blocks of candidates, and the quantized signature index's admissible
-//!   lower bounds catch the rest; only survivors are scored exactly.
+//! * **composed** — the default path: the previous imputation's best lags
+//!   seed the threshold, a level-1 run prefilter skips whole blocks of
+//!   candidates, and the quantized signature index's admissible lower
+//!   bounds catch the rest; only survivors are scored exactly.
 //!
 //! Pruning is *admissible*, so the composed run must impute
 //! **bit-identical** values to the exhaustive run — the replay asserts that
@@ -19,8 +19,8 @@
 //! The headline trend fields are the composed-vs-exhaustive speedup, the
 //! fraction of candidates pruned (`pruned_fraction`), the fraction skipped
 //! wholesale by the level-1 prefilter (`level1_skipped_fraction`) and the
-//! average fraction of candidates carrying a maintained shortlist entry
-//! (`maintained_lag_fraction`); at paper proportions (l = 72 against a
+//! average fraction of candidates remembered in the lag memory when an
+//! imputation begins (`maintained_lag_fraction`); at paper proportions (l = 72 against a
 //! window over months of 5-minute data) the signature blocks are much
 //! shorter than the pattern, which is the regime where the envelope bounds
 //! separate candidates well.
@@ -116,8 +116,8 @@ pub struct PruningRun {
     /// Fraction of candidates skipped wholesale by the level-1 run
     /// prefilter (0 for the exhaustive mode).
     pub level1_skipped_fraction: f64,
-    /// Average fraction of candidates carrying a live maintained shortlist
-    /// entry when an imputation began (0 for the exhaustive mode).
+    /// Average fraction of candidates remembered in the reference set's lag
+    /// memory when an imputation began (0 for the exhaustive mode).
     pub maintained_lag_fraction: f64,
 }
 
@@ -286,7 +286,7 @@ mod tests {
         );
         assert!(
             composed.maintained_lag_fraction > 0.0,
-            "composed path kept no maintained shortlist entries: {composed:?}"
+            "composed path remembered no lags: {composed:?}"
         );
         assert!(composed.level1_skipped_fraction >= 0.0);
     }

@@ -4,9 +4,9 @@
 //! every parameter (`l`, `d`, `k`, `L`) and dominated by the
 //! pattern-extraction (PE) phase (~92 % for the default `k`).  The engine's
 //! default *composed* path bounds most candidates away before any exact
-//! evaluation (signature-index pruning layered with the Section 6.2 sliding
-//! aggregates, kept for shortlisted lags only), so extraction shrinks and
-//! the per-tick shortlist upkeep shows up as a separate maintenance phase.
+//! evaluation (signature-index pruning with τ seeded from the previous
+//! imputation's best exact folds), so extraction shrinks; the engine's
+//! lag-memory lookups show up as a separate maintenance phase.
 //! This module measures the composed path against the exact recompute-all
 //! oracle so the speedup and the phase profiles are visible side by side;
 //! the Criterion benches in `tkcm-bench` repeat the measurements with proper
@@ -14,9 +14,7 @@
 
 use std::time::Instant;
 
-use tkcm_core::{
-    level1_run_len, ShortlistMaintainer, SignatureIndex, TkcmConfig, TkcmEngine, TkcmImputer,
-};
+use tkcm_core::{level1_run_len, SignatureIndex, TkcmConfig, TkcmEngine, TkcmImputer};
 use tkcm_datasets::DatasetKind;
 use tkcm_timeseries::{Catalog, SeriesId, StreamSource, StreamTick, StreamingWindow};
 
@@ -68,24 +66,10 @@ pub fn build_workload(scale: Scale, window_length: usize, d: usize) -> RuntimeWo
 }
 
 impl RuntimeWorkload {
-    /// A shortlist maintainer for this workload's reference set, synced to
-    /// the window and empty — the state the engine creates when a reference
-    /// set first serves an imputation.
-    pub fn shortlist(&self, l: usize) -> ShortlistMaintainer {
-        let mut shortlist =
-            ShortlistMaintainer::new(self.references.clone(), l, self.window.length())
-                .expect("valid shortlist");
-        shortlist.advance(&self.window).expect("shortlist syncs");
-        shortlist
-    }
-
-    /// One imputation of the target on the composed path, against the
-    /// given (warm or cold) shortlist.
-    pub fn impute_composed(
-        &self,
-        imputer: &TkcmImputer,
-        shortlist: &mut ShortlistMaintainer,
-    ) -> f64 {
+    /// One imputation of the target on the composed path, seeded from the
+    /// lag memory `warm` (empty for a cold start) and refilling it, as the
+    /// engine does between imputations of one reference set.
+    pub fn impute_composed(&self, imputer: &TkcmImputer, warm: &mut Vec<usize>) -> f64 {
         let run_len = level1_run_len(imputer.config().pattern_length);
         imputer
             .impute_composed(
@@ -93,7 +77,7 @@ impl RuntimeWorkload {
                 self.target,
                 &self.references,
                 &self.index,
-                shortlist,
+                warm,
                 run_len,
             )
             .expect("imputation succeeds")
@@ -124,7 +108,7 @@ fn runtime_config(l: usize, d: usize, k: usize, window: usize) -> TkcmConfig {
 /// timer noise (a composed-path imputation is only microseconds).
 fn average_impute_seconds(mut impute: impl FnMut() -> f64, iters: usize) -> f64 {
     // Warm-up pass outside the measurement (on the composed path it also
-    // seeds the shortlist, as the engine's previous imputations would).
+    // fills the lag memory, as the engine's previous imputations would).
     assert!(impute().is_finite());
     let start = Instant::now();
     for _ in 0..iters {
@@ -134,14 +118,14 @@ fn average_impute_seconds(mut impute: impl FnMut() -> f64, iters: usize) -> f64 
 }
 
 /// Measures the steady-state seconds of one imputation on the default
-/// composed path: the signature index and a warm shortlist are built
+/// composed path: the signature index and a warm lag memory are built
 /// outside the measurement, exactly like the engine keeps them between
 /// ticks.
 pub fn time_single_imputation(scale: Scale, l: usize, d: usize, k: usize, window: usize) -> f64 {
     let workload = build_workload(scale, window, d);
     let imputer = TkcmImputer::new(runtime_config(l, d, k, window)).expect("valid config");
-    let mut shortlist = workload.shortlist(l);
-    average_impute_seconds(|| workload.impute_composed(&imputer, &mut shortlist), 32)
+    let mut warm = Vec::new();
+    average_impute_seconds(|| workload.impute_composed(&imputer, &mut warm), 32)
 }
 
 /// Measures the seconds of one imputation on the exhaustive exact path
@@ -256,7 +240,7 @@ pub fn run(scale: Scale) -> Report {
     let mut report = Report::new("Figure 17: runtime linearity and phase breakdown");
     report.note("Seconds per single imputation while sweeping one parameter (SBR-1d stand-in)");
     report.note(
-        "Default path: composed pruning + shortlist maintenance, bit-identical to exact recompute",
+        "Default path: composed pruning seeded from the last exact folds, bit-identical to exact recompute",
     );
     let (ls, ds, ks, windows) = sweep(scale);
     let base_window = match scale {

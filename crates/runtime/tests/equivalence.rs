@@ -285,8 +285,8 @@ fn lcg(state: &mut u64) -> u64 {
 
 /// The composed path must be bit-identical to the exhaustive exact path
 /// through the *sharded* runtime too: same fleet, same stream, 1/2/4
-/// shards, two fleets — the *composed* path (pruning + shortlist
-/// maintenance, the default) and the exhaustive reference.  Integer
+/// shards, two fleets — the *composed* path (pruning seeded from the lag
+/// memories, the default) and the exhaustive reference.  Integer
 /// sawtooths keep the arithmetic bit-reproducible and the envelopes
 /// informative.
 #[test]

@@ -178,7 +178,7 @@ proptest! {
 /// and dashboards — a recovery that silently zeroed them would fake a
 /// "cheap" warm-up.  Crash exactly on a checkpoint boundary (empty WAL), so
 /// the recovered totals must equal the crashed fleet's bit-for-bit, then
-/// keep accumulating.  The recovered fleet restarts with cold shortlists, so
+/// keep accumulating.  The recovered fleet restarts with no lag memories, so
 /// afterwards only the candidate count and the outcomes must match an
 /// uninterrupted run; the split between pruned and shortlisted candidates
 /// may differ.
@@ -210,7 +210,7 @@ fn prune_totals_continue_across_a_crash() {
     );
     assert!(
         at_crash.maintained_lags > 0,
-        "default config runs the composed path; expected live shortlists: {at_crash:?}"
+        "default config runs the composed path; expected remembered lags: {at_crash:?}"
     );
     drop(durable); // crash: the checkpoint is all that survives
 
@@ -243,9 +243,9 @@ fn prune_totals_continue_across_a_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One NaN reading must not block a checkpoint: the composed path seeds a
-/// shortlist entry from an exact fold that contains it, and shortlists are
-/// not persisted, so the fleet checkpoints and recovers.
+/// One NaN reading must not block a checkpoint: the composed path's exact
+/// folds run through it, but its caches (index, lag memories) are not
+/// persisted, so the fleet checkpoints and recovers.
 #[test]
 fn a_nan_reading_does_not_block_a_checkpoint() {
     let config = TkcmConfig::builder()
