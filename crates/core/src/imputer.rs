@@ -13,7 +13,7 @@
 //! Besides the imputed value, the imputer reports the anchors, their
 //! dissimilarities, the ε of Definition 5 and the phase timing breakdown.
 
-use tkcm_timeseries::{SeriesId, SlotState, StreamingWindow, Timestamp, TsError};
+use tkcm_timeseries::{RingBuffer, SeriesId, SlotState, StreamingWindow, Timestamp, TsError};
 
 use crate::config::TkcmConfig;
 use crate::consistency::ConsistencyReport;
@@ -186,20 +186,16 @@ impl TkcmImputer {
         // have actually been pushed.
         let filled = window.filled();
         // Candidate anchors have ages l ..= filled - l (condition (1) of
-        // Definition 3); candidate j (1-based, oldest first) has age
-        // filled - l - (j - 1) - ... expressed directly below.
+        // Definition 3); candidate index idx (0-based, oldest first) has age
+        // `oldest_age - idx`.
+        let oldest_age = filled.saturating_sub(l);
         let mut dissimilarities: Vec<f64> = Vec::new();
-        let mut candidate_ages: Vec<usize> = Vec::new();
         if filled >= 2 * l {
-            let oldest_age = filled - l; // j = 1
-            let newest_age = l; // j = J
-            for age in (newest_age..=oldest_age).rev() {
-                candidate_ages.push(age);
-            }
-            dissimilarities = vec![f64::INFINITY; candidate_ages.len()];
+            dissimilarities = vec![f64::INFINITY; filled + 1 - 2 * l];
             let query = extract_query_pattern(window, references, l)?;
             if let Some(ref q) = query {
-                for (idx, &age) in candidate_ages.iter().enumerate() {
+                for (idx, d) in dissimilarities.iter_mut().enumerate() {
+                    let age = oldest_age - idx;
                     // The target value at the anchor must be *observed* to
                     // contribute to the average of Definition 4. Previously
                     // imputed values stay usable inside reference patterns
@@ -214,7 +210,7 @@ impl TkcmImputer {
                     }
                     let candidate = extract_pattern_at_age(window, references, age, l)?;
                     let Some(candidate) = candidate else { continue };
-                    dissimilarities[idx] = l2_distance(&candidate, q);
+                    *d = l2_distance(&candidate, q);
                 }
             }
         }
@@ -224,7 +220,7 @@ impl TkcmImputer {
             target,
             references,
             now,
-            &candidate_ages,
+            oldest_age,
             &dissimilarities,
             timer,
         )
@@ -233,7 +229,7 @@ impl TkcmImputer {
     /// Steps 2 and 3 — pattern selection and value imputation — shared
     /// verbatim by the exact and composed extraction paths, so the
     /// bit-identity of the composed path cannot drift through a divergent
-    /// tail.
+    /// tail.  Candidate `idx` is anchored `oldest_age - idx` ticks back.
     #[allow(clippy::too_many_arguments)]
     fn select_and_impute(
         &self,
@@ -241,7 +237,7 @@ impl TkcmImputer {
         target: SeriesId,
         references: &[SeriesId],
         now: Timestamp,
-        candidate_ages: &[usize],
+        oldest_age: usize,
         dissimilarities: &[f64],
         mut timer: PhaseTimer,
     ) -> Result<ImputationDetail, TsError> {
@@ -256,7 +252,7 @@ impl TkcmImputer {
         timer.start(Phase::Imputation);
         let mut anchors = Vec::with_capacity(selection.indices.len());
         for &idx in &selection.indices {
-            let age = candidate_ages[idx];
+            let age = oldest_age - idx;
             let value = window
                 .value_recent(target, age)?
                 .expect("anchor candidates require an observed target value");
@@ -294,41 +290,46 @@ impl TkcmImputer {
         })
     }
 
-    /// Exact dissimilarity of the candidate anchored `age` ticks back.
+    /// Exact dissimilarity of the candidate anchored `age` ticks back;
+    /// `buffers` are the reference rings, in `references` order.
     ///
     /// The exhaustive path materializes a [`Pattern`] per candidate and
     /// calls [`l2_distance`]; doing that per *shortlisted* candidate would
-    /// put an allocation on the composed hot path, so this reads the window
-    /// directly and folds the pairs through the same `l2_components`
-    /// recurrence in the same order — reference-major, chronological within
-    /// a reference, `sum += (x−y)·(x−y)` left to right, then
+    /// put an allocation on the composed hot path, so this reads each
+    /// reference's `l` slots straight off its ring as at most two
+    /// chronological slices ([`RingBuffer::chronological_run`]) and zips
+    /// them with the query row.  The pairs and their order are those of the
+    /// `l2_components` recurrence — reference-major, chronological within a
+    /// reference, `sum += (x−y)·(x−y)` left to right, then
     /// [`l2_from_components`] — which makes a shortlisted candidate's `D[j]`
     /// bit-equal to the exhaustive path's, not just approximately equal.  A
-    /// missing candidate slot makes pattern extraction fail, so `D = +∞`.
-    fn exact_fold(
-        &self,
-        window: &StreamingWindow,
-        references: &[SeriesId],
-        query: &Pattern,
-        age: usize,
-    ) -> Result<f64, TsError> {
+    /// missing candidate slot (or a run past the pushed ticks) makes pattern
+    /// extraction fail, so `D = +∞`.
+    fn exact_fold(&self, buffers: &[&RingBuffer], query: &Pattern, age: usize) -> f64 {
         let l = self.config.pattern_length;
         let mut sum_sq = 0.0f64;
         let mut observed = 0usize;
-        for (ri, &r) in references.iter().enumerate() {
+        for (ri, buf) in buffers.iter().enumerate() {
+            let Some((older, newer)) = buf.chronological_run(age, l) else {
+                return f64::INFINITY;
+            };
             // Column 0 is the oldest tick — same walk as
             // `extract_pattern_at_age`.
-            for (col, &q_slot) in query.row(ri).iter().enumerate() {
-                let Some(x) = window.value_recent(r, age + (l - 1 - col))? else {
-                    return Ok(f64::INFINITY);
-                };
-                if let Some(y) = q_slot {
-                    sum_sq += (x - y) * (x - y);
-                    observed += 1;
+            let row = query.row(ri);
+            let (row_older, row_newer) = row.split_at(older.len());
+            for (qs, xs) in [(row_older, older), (row_newer, newer)] {
+                for (&q_slot, &x_slot) in qs.iter().zip(xs) {
+                    let Some(x) = x_slot else {
+                        return f64::INFINITY;
+                    };
+                    if let Some(y) = q_slot {
+                        sum_sq += (x - y) * (x - y);
+                        observed += 1;
+                    }
                 }
             }
         }
-        Ok(l2_from_components(sum_sq, observed, references.len() * l))
+        l2_from_components(sum_sq, observed, buffers.len() * l)
     }
 
     /// Imputes like [`TkcmImputer::impute`], but uses the signature `index`
@@ -438,25 +439,38 @@ impl TkcmImputer {
         // -------- Step 1: pattern extraction, composed --------
         timer.start(Phase::Extraction);
         let filled = window.filled();
+        // Candidate index idx (0-based, oldest first) is anchored
+        // `oldest_age - idx` ticks back, as in `impute`.
+        let oldest_age = filled.saturating_sub(l);
+        let newest_age = l;
         let mut dissimilarities: Vec<f64> = Vec::new();
-        let mut candidate_ages: Vec<usize> = Vec::new();
         let mut stats = PruneStats {
             maintained_lags: warm.len(),
             ..PruneStats::default()
         };
         if filled >= 2 * l {
-            let oldest_age = filled - l;
-            let newest_age = l;
-            for age in (newest_age..=oldest_age).rev() {
-                candidate_ages.push(age);
-            }
-            let j = candidate_ages.len();
+            let j = filled + 1 - 2 * l;
             stats.candidates = j;
             dissimilarities = vec![f64::INFINITY; j];
             let query = extract_query_pattern(window, references, l)?;
             if let Some(ref q) = query {
                 let rows: Vec<&[Option<f64>]> = (0..references.len()).map(|ri| q.row(ri)).collect();
                 let sig_query = SignatureQuery::new(&rows);
+                let buffers = references
+                    .iter()
+                    .map(|&r| window.buffer(r))
+                    .collect::<Result<Vec<_>, _>>()?;
+                // Anchor provenance of every candidate, read once: the run
+                // of target slots from the oldest candidate to the newest is
+                // in candidate-index order.
+                let (states_older, states_newer) = window.state_run(target, newest_age, j)?;
+                let is_observed = |idx: usize| {
+                    let state = match states_older.get(idx) {
+                        Some(&state) => state,
+                        None => states_newer[idx - states_older.len()],
+                    };
+                    state == SlotState::Observed
+                };
                 // `resolved[idx]`: D[idx] is final — exact-evaluated, pruned
                 // (stays +∞) or provenance-disqualified; the sweeps below
                 // skip it.
@@ -480,11 +494,11 @@ impl TkcmImputer {
                     if seed.iter().any(|&p| idx.abs_diff(p) < l) {
                         continue;
                     }
-                    if window.slot_recent(target, lag)?.state != SlotState::Observed {
+                    if !is_observed(idx) {
                         continue;
                     }
                     if !resolved[idx] {
-                        dissimilarities[idx] = self.exact_fold(window, references, q, lag)?;
+                        dissimilarities[idx] = self.exact_fold(&buffers, q, lag);
                         resolved[idx] = true;
                         stats.shortlisted += 1;
                     }
@@ -505,7 +519,7 @@ impl TkcmImputer {
                     // memory, so the next imputation usually will not.
                     let mut lb = vec![0.0f64; j];
                     let mut open = vec![true; j];
-                    for (idx, &age) in candidate_ages.iter().enumerate() {
+                    for idx in 0..j {
                         if resolved[idx] {
                             if dissimilarities[idx].is_finite() {
                                 // Already exact: its D is its own tightest
@@ -516,10 +530,11 @@ impl TkcmImputer {
                             }
                             continue;
                         }
-                        if window.slot_recent(target, age)?.state != SlotState::Observed {
+                        if !is_observed(idx) {
                             open[idx] = false;
                             continue;
                         }
+                        let age = oldest_age - idx;
                         let (lb_sq, certain_missing) =
                             index.lower_bound_sq_with_query(references, age, l, &sig_query);
                         if certain_missing {
@@ -556,8 +571,7 @@ impl TkcmImputer {
                             continue;
                         }
                         if !resolved[idx] {
-                            dissimilarities[idx] =
-                                self.exact_fold(window, references, q, candidate_ages[idx])?;
+                            dissimilarities[idx] = self.exact_fold(&buffers, q, oldest_age - idx);
                             resolved[idx] = true;
                             stats.shortlisted += 1;
                         }
@@ -579,7 +593,7 @@ impl TkcmImputer {
                             }
                             if !resolved[idx] {
                                 dissimilarities[idx] =
-                                    self.exact_fold(window, references, q, candidate_ages[idx])?;
+                                    self.exact_fold(&buffers, q, oldest_age - idx);
                                 resolved[idx] = true;
                                 stats.shortlisted += 1;
                             }
@@ -628,7 +642,7 @@ impl TkcmImputer {
                         let e = (s + run_len).min(j);
                         // Candidate index ascends oldest-first, so the run's
                         // smallest lag is its *last* candidate.
-                        let lag_lo = candidate_ages[e - 1];
+                        let lag_lo = oldest_age - (e - 1);
                         let run_sq = index.run_lower_bound_sq_with_query(
                             references,
                             lag_lo,
@@ -651,25 +665,25 @@ impl TkcmImputer {
                             s = e;
                             continue;
                         }
-                        for idx in s..e {
-                            if resolved[idx] {
+                        for (idx, done) in (s..e).zip(&mut resolved[s..e]) {
+                            if *done {
                                 continue;
                             }
-                            let age = candidate_ages[idx];
-                            if window.slot_recent(target, age)?.state != SlotState::Observed {
-                                resolved[idx] = true;
+                            if !is_observed(idx) {
+                                *done = true;
                                 continue;
                             }
+                            let age = oldest_age - idx;
                             let (lb_sq, certain_missing) =
                                 index.lower_bound_sq_with_query(references, age, l, &sig_query);
                             if certain_missing {
-                                resolved[idx] = true;
+                                *done = true;
                                 stats.pruned += 1;
                                 continue;
                             }
                             let lb = (lb_sq * inflate0).max(0.0).sqrt();
                             if lb > threshold {
-                                resolved[idx] = true;
+                                *done = true;
                                 stats.pruned += 1;
                                 continue;
                             }
@@ -746,8 +760,7 @@ impl TkcmImputer {
                             }
                             break;
                         }
-                        dissimilarities[idx] =
-                            self.exact_fold(window, references, q, candidate_ages[idx])?;
+                        dissimilarities[idx] = self.exact_fold(&buffers, q, oldest_age - idx);
                         resolved[idx] = true;
                         stats.shortlisted += 1;
                         let d = dissimilarities[idx];
@@ -766,11 +779,10 @@ impl TkcmImputer {
                         if resolved[idx] {
                             continue;
                         }
-                        let age = candidate_ages[idx];
-                        if window.slot_recent(target, age)?.state != SlotState::Observed {
+                        if !is_observed(idx) {
                             continue;
                         }
-                        dissimilarities[idx] = self.exact_fold(window, references, q, age)?;
+                        dissimilarities[idx] = self.exact_fold(&buffers, q, oldest_age - idx);
                         resolved[idx] = true;
                         stats.shortlisted += 1;
                     }
@@ -782,9 +794,9 @@ impl TkcmImputer {
         // pruned or disqualified candidate's `D` stays `+∞`.
         let mut folds: Vec<(f64, usize)> = dissimilarities
             .iter()
-            .zip(&candidate_ages)
-            .filter(|(d, _)| d.is_finite())
-            .map(|(&d, &lag)| (d, lag))
+            .enumerate()
+            .filter(|(_, d)| d.is_finite())
+            .map(|(idx, &d)| (d, oldest_age - idx))
             .collect();
         folds.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         warm.clear();
@@ -795,7 +807,7 @@ impl TkcmImputer {
             target,
             references,
             now,
-            &candidate_ages,
+            oldest_age,
             &dissimilarities,
             timer,
         )?;

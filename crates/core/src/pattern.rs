@@ -7,7 +7,7 @@
 //! instantaneous values, while `l > 1` additionally captures the trend —
 //! which is what makes TKCM work for phase-shifted series (Section 5.2).
 
-use tkcm_timeseries::{RingBuffer, SeriesId, StreamingWindow, Timestamp, TsError};
+use tkcm_timeseries::{SeriesId, StreamingWindow, Timestamp, TsError};
 
 /// A `d × l` pattern over the reference series, anchored at some time point.
 ///
@@ -185,35 +185,6 @@ pub fn extract_query_pattern(
     extract_pattern(window, references, now, length)
 }
 
-/// Extracts a pattern directly from per-series ring buffers using the
-/// age-based indexing of Algorithm 1.  `anchor_age` is the age (0 = newest)
-/// of the anchor tick.
-///
-/// This low-level variant avoids going through [`StreamingWindow`] and is
-/// used by the batch imputer where only the reference ring buffers exist.
-pub fn extract_pattern_from_buffers(
-    buffers: &[&RingBuffer],
-    anchor_age: usize,
-    length: usize,
-) -> Option<Pattern> {
-    let mut values = Vec::with_capacity(buffers.len() * length);
-    for buf in buffers {
-        for col in 0..length {
-            let age = anchor_age + (length - 1 - col);
-            values.push(Some(buf.recent(age)?));
-        }
-    }
-    // The anchor timestamp is unknown at this level; callers that need it use
-    // the window-based extraction. We store the age as a negative timestamp
-    // relative to 0 for debugging purposes.
-    Some(Pattern::new(
-        Timestamp::new(-(anchor_age as i64)),
-        buffers.len(),
-        length,
-        values,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,31 +295,6 @@ mod tests {
         // Empty window has no query pattern.
         let empty = StreamingWindow::new(1, 4);
         assert!(extract_query_pattern(&empty, &[SeriesId(0)], 2).is_err());
-    }
-
-    #[test]
-    fn buffer_extraction_matches_window_extraction() {
-        let r1: Vec<Option<f64>> = (0..8).map(|i| Some(i as f64)).collect();
-        let r2: Vec<Option<f64>> = (0..8).map(|i| Some(10.0 + i as f64)).collect();
-        let w = window_with(&[r1, r2]);
-        let from_window = extract_pattern(&w, &[SeriesId(0), SeriesId(1)], Timestamp::new(5), 3)
-            .unwrap()
-            .unwrap();
-        let b0 = w.buffer(SeriesId(0)).unwrap();
-        let b1 = w.buffer(SeriesId(1)).unwrap();
-        let from_buffers = extract_pattern_from_buffers(&[b0, b1], 2, 3).unwrap();
-        assert_eq!(from_window.values(), from_buffers.values());
-    }
-
-    #[test]
-    fn buffer_extraction_handles_missing() {
-        let mut buf = RingBuffer::new(6);
-        for v in [Some(1.0), None, Some(3.0), Some(4.0)] {
-            buf.push(v);
-        }
-        assert!(extract_pattern_from_buffers(&[&buf], 1, 3).is_none());
-        let complete = extract_pattern_from_buffers(&[&buf], 0, 2).unwrap();
-        assert_eq!(complete.row(0), &[Some(3.0), Some(4.0)]);
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //! ([`select_anchors_dp`]); the greedy heuristic ([`select_anchors_greedy`])
 //! is kept as the reference the tests hold the DP against, starting with the
 //! paper's Figure 8 counter-example.
+//!
+//! In a streaming window most `D[j]` are `+∞`: missing data, anchor
+//! provenance and the composed path's pruning all leave candidates
+//! unevaluated.  A row of `M` cannot change at such a candidate, so
+//! [`select_anchors_dp`] evaluates the recurrence only at the F finite
+//! candidates (NaN is treated like `+∞`), in O(k·F) instead of O(k·J), and
+//! reproduces the dense matrix's cells, optimum and backtrack bit for bit.
 
 /// Result of a pattern-selection run.
 #[derive(Clone, Debug, PartialEq)]
@@ -50,11 +57,22 @@ impl AnchorSelection {
 /// * `dissimilarities[j]` is `D[j+1]` of the paper: the dissimilarity of the
 ///   candidate anchored `j` positions after the first valid anchor.
 ///   Candidates whose dissimilarity is `+∞` (e.g. because the pattern
-///   contained missing values) are never selected.
+///   contained missing values) or NaN are never selected.
 /// * `pattern_length` is `l`; two candidates `i < j` overlap iff `j − i < l`.
 ///
 /// If fewer than `k` non-overlapping finite candidates exist, the selection
 /// contains as many as possible and `complete` is `false`.
+///
+/// The recurrence is evaluated *sparsely*.  At a candidate whose `D` is `+∞`
+/// or NaN the take term is `+∞` or NaN, and `skip.min(+∞)` and
+/// `skip.min(NaN)` both return `skip` (no cell is ever NaN), so every row
+/// of `M` is constant from one finite candidate to the next.  Only the F
+/// finite candidates get cells, and a predecessor pointer that moves forward
+/// with them finds `M[i−1][max(j−l,0)]`.  Each cell is the same `D + M`
+/// sum and the same `min` as in the dense `(k+1) × (J+1)` matrix, so the
+/// optimum, its bits and the backtrack (ties included) are the dense DP's,
+/// in O(k·F) time and memory instead of O(k·J).  The tests hold it against
+/// a dense implementation bit for bit.
 pub fn select_anchors_dp(
     dissimilarities: &[f64],
     pattern_length: usize,
@@ -70,59 +88,83 @@ pub fn select_anchors_dp(
     // J candidates and spacing l the maximum is ceil(J / l).
     let feasible_k = k.min(j_max.div_ceil(pattern_length));
 
-    // M has (k+1) x (J+1) entries; row 0 is all zeros. Column 0 represents
-    // "no candidates considered yet".
-    let cols = j_max + 1;
-    let mut m = vec![vec![0.0_f64; cols]; feasible_k + 1];
-    for (i, row) in m.iter_mut().enumerate().skip(1) {
-        for (j, cell) in row.iter_mut().enumerate() {
-            if i > j {
-                *cell = f64::INFINITY;
-            }
-        }
-    }
-    for i in 1..=feasible_k {
-        for j in 1..=j_max {
-            if i > j {
-                continue;
-            }
-            let skip = m[i][j - 1];
-            let pred = j.saturating_sub(pattern_length);
-            let take = dissimilarities[j - 1] + m[i - 1][pred];
-            m[i][j] = skip.min(take);
-        }
-    }
-
-    // Find the largest i ≤ feasible_k with a finite optimum (infinite D values
-    // can make even feasible_k unattainable).
-    let mut best_i = 0;
-    for i in (1..=feasible_k).rev() {
-        if m[i][j_max].is_finite() {
-            best_i = i;
-            break;
-        }
-    }
-    if best_i == 0 {
+    // Columns (1-based, as in the paper) of the candidates that can change
+    // a row: `D < +∞`, which also excludes NaN.
+    let cols: Vec<usize> = (1..=j_max)
+        .filter(|&j| dissimilarities[j - 1] < f64::INFINITY)
+        .collect();
+    let f = cols.len();
+    if f == 0 {
         return AnchorSelection::empty();
     }
 
-    // Backtrack (lines 15–23 of Algorithm 1).
+    // `m[(i − 1) · F + a]` is the paper's `M[i][cols[a]]`; `M[i][j]` for any
+    // other column is the cell of the last finite column ≤ j, or +∞ before
+    // the first one.  Row 0 is all zeros and not stored.
+    let mut m = vec![f64::INFINITY; feasible_k * f];
+    for i in 1..=feasible_k {
+        let (done, rest) = m.split_at_mut((i - 1) * f);
+        let prev = &done[done.len().saturating_sub(f)..];
+        let row = &mut rest[..f];
+        // `p`: number of finite columns ≤ the current predecessor column.
+        let mut p = 0usize;
+        let mut skip = f64::INFINITY;
+        for (a, &j) in cols.iter().enumerate() {
+            let pred = j.saturating_sub(pattern_length);
+            while p < f && cols[p] <= pred {
+                p += 1;
+            }
+            // Cells with i > j stay +∞, as in the dense matrix.
+            if i <= j {
+                let below = if i == 1 {
+                    0.0
+                } else if p == 0 {
+                    f64::INFINITY
+                } else {
+                    prev[p - 1]
+                };
+                let take = dissimilarities[j - 1] + below;
+                row[a] = skip.min(take);
+            }
+            skip = row[a];
+        }
+    }
+    let cell = |i: usize, a: usize| m[(i - 1) * f + a];
+
+    // Find the largest i ≤ feasible_k with a finite optimum (infinite D values
+    // can make even feasible_k unattainable).
+    let Some(best_i) = (1..=feasible_k).rev().find(|&i| cell(i, f - 1).is_finite()) else {
+        return AnchorSelection::empty();
+    };
+
+    // Backtrack (lines 15–23 of Algorithm 1).  The dense walk steps over
+    // columns whose cell equals its left neighbour; between finite columns
+    // that is every column, so jump straight to the last finite column ≤ j.
     let mut indices = Vec::with_capacity(best_i);
     let mut i = best_i;
-    let mut j = j_max;
-    while i > 0 && j > 0 {
-        if m[i][j] == m[i][j - 1] {
-            j -= 1;
+    let mut a = f; // finite columns ≤ the current column
+    while i > 0 && a > 0 {
+        let j = cols[a - 1];
+        let left = if a >= 2 {
+            cell(i, a - 2)
+        } else {
+            f64::INFINITY
+        };
+        if cell(i, a - 1) == left {
+            a -= 1;
         } else {
             indices.push(j - 1);
             i -= 1;
-            j = j.saturating_sub(pattern_length);
+            let pred = j.saturating_sub(pattern_length);
+            while a > 0 && cols[a - 1] > pred {
+                a -= 1;
+            }
         }
     }
     indices.reverse();
 
     AnchorSelection {
-        total_dissimilarity: m[best_i][j_max],
+        total_dissimilarity: cell(best_i, f - 1),
         complete: best_i == k,
         indices,
     }

@@ -96,13 +96,6 @@ impl RingBuffer {
         self.slots[raw_index % self.capacity()]
     }
 
-    /// Overwrites a raw slot; used by Algorithm 1 to store the imputed value
-    /// back into `s[O]`.
-    pub fn set_raw(&mut self, raw_index: usize, value: Option<f64>) {
-        let cap = self.capacity();
-        self.slots[raw_index % cap] = value;
-    }
-
     /// Value `age` steps in the past: `recent(0)` is the newest value,
     /// `recent(capacity-1)` the oldest.
     ///
@@ -115,6 +108,14 @@ impl RingBuffer {
         let cap = self.capacity();
         let idx = (self.offset + cap - age) % cap;
         self.slots[idx]
+    }
+
+    /// The `len` slots whose newest is `age` steps in the past, oldest first,
+    /// as at most two contiguous slices (the second is non-empty only when
+    /// the run wraps the ring seam).  `None` when the run reaches past the
+    /// values pushed so far, so a caller never reads a stale slot.
+    pub fn chronological_run(&self, age: usize, len: usize) -> Option<RunSlices<'_, Option<f64>>> {
+        ring_run(&self.slots, self.offset, self.filled, age, len)
     }
 
     /// Overwrites the value `age` steps in the past (0 = newest).
@@ -170,6 +171,36 @@ impl RingBuffer {
             Some(sum / n as f64)
         }
     }
+}
+
+/// A run of ring slots in chronological order: the slots before the ring
+/// seam, then the slots after it (empty unless the run wraps).
+pub type RunSlices<'a, T> = (&'a [T], &'a [T]);
+
+/// The `len` slots of a ring laid out like [`RingBuffer`] (newest at raw
+/// index `offset`, `filled` slots pushed) whose newest is `age` steps back,
+/// oldest first.  Shared by the value ring and the window's provenance ring.
+pub(crate) fn ring_run<T>(
+    slots: &[T],
+    offset: usize,
+    filled: usize,
+    age: usize,
+    len: usize,
+) -> Option<RunSlices<'_, T>> {
+    if age.checked_add(len)? > filled {
+        return None;
+    }
+    if len == 0 {
+        return Some((&[], &[]));
+    }
+    let cap = slots.len();
+    let newest = (offset + cap - age) % cap;
+    let oldest = (offset + cap - (age + len - 1)) % cap;
+    Some(if oldest <= newest {
+        (&slots[oldest..=newest], &[])
+    } else {
+        (&slots[oldest..], &slots[..=newest])
+    })
 }
 
 impl fmt::Debug for RingBuffer {
@@ -253,8 +284,75 @@ mod tests {
         assert_eq!(rb.raw(o), Some(30.0));
         assert_eq!(rb.raw(o + 1), Some(10.0)); // oldest
         assert_eq!(rb.raw(o + 2), Some(20.0));
-        rb.set_raw(o, Some(31.0));
-        assert_eq!(rb.recent(0), Some(31.0));
+    }
+
+    /// Flattens a run into one oldest-first vector.
+    fn run_vec(rb: &RingBuffer, age: usize, len: usize) -> Option<Vec<Option<f64>>> {
+        rb.chronological_run(age, len)
+            .map(|(a, b)| a.iter().chain(b).copied().collect())
+    }
+
+    fn pushed(capacity: usize, n: usize) -> RingBuffer {
+        RingBuffer::from_values(capacity, (0..n).map(|i| Some(i as f64)))
+    }
+
+    #[test]
+    fn chronological_run_wraps_the_ring_seam() {
+        // 7 pushes into capacity 5: values 2..=6 with the newest (6) at raw
+        // index 1, so a run over values 3..=5 crosses raw index 4 → 0.
+        let rb = pushed(5, 7);
+        let (a, b) = rb.chronological_run(1, 3).unwrap();
+        assert_eq!(a, &[Some(3.0), Some(4.0)]);
+        assert_eq!(b, &[Some(5.0)]);
+        // A run entirely on one side of the seam comes back in one slice.
+        let (a, b) = rb.chronological_run(0, 2).unwrap();
+        assert_eq!(a, &[Some(5.0), Some(6.0)]);
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    fn chronological_run_ending_at_the_oldest_slot() {
+        let rb = pushed(5, 7);
+        // The single oldest slot, and a run whose oldest slot is the oldest
+        // pushed one.
+        assert_eq!(run_vec(&rb, 4, 1), Some(vec![Some(2.0)]));
+        assert_eq!(
+            run_vec(&rb, 2, 3),
+            Some(vec![Some(2.0), Some(3.0), Some(4.0)])
+        );
+    }
+
+    #[test]
+    fn chronological_run_over_the_whole_capacity() {
+        for n in 5..12 {
+            let rb = pushed(5, n);
+            assert_eq!(run_vec(&rb, 0, 5), Some(rb.to_chronological()), "n = {n}");
+        }
+    }
+
+    #[test]
+    fn chronological_run_never_reads_past_the_pushed_values() {
+        let rb = pushed(5, 7);
+        assert_eq!(rb.chronological_run(3, 3), None);
+        assert_eq!(rb.chronological_run(5, 1), None);
+        assert_eq!(rb.chronological_run(0, 6), None);
+        assert_eq!(rb.chronological_run(usize::MAX, 2), None);
+        assert_eq!(run_vec(&rb, 5, 0), Some(vec![]));
+    }
+
+    #[test]
+    fn chronological_run_on_a_buffer_that_is_not_full() {
+        // 3 of 6 slots pushed: the never-written slots are unreachable even
+        // though they exist in the ring.
+        let mut rb = pushed(6, 3);
+        rb.push(None);
+        assert_eq!(
+            run_vec(&rb, 0, 4),
+            Some(vec![Some(0.0), Some(1.0), Some(2.0), None])
+        );
+        assert_eq!(run_vec(&rb, 1, 2), Some(vec![Some(1.0), Some(2.0)]));
+        assert_eq!(rb.chronological_run(1, 4), None);
+        assert_eq!(RingBuffer::new(3).chronological_run(0, 1), None);
     }
 
     #[test]

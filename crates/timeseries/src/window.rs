@@ -9,7 +9,7 @@
 //! imputed value that later appears inside patterns).
 
 use crate::errors::TsError;
-use crate::ring_buffer::RingBuffer;
+use crate::ring_buffer::{ring_run, RingBuffer, RunSlices};
 use crate::series::SeriesId;
 use crate::stream::StreamTick;
 use crate::timestamp::Timestamp;
@@ -209,6 +209,27 @@ impl StreamingWindow {
         Ok(WindowSlot {
             value,
             state: self.states[id.index()][idx],
+        })
+    }
+
+    /// Provenance of the `len` slots of `id` whose newest is `age` steps in
+    /// the past, oldest first, as at most two contiguous slices — the
+    /// provenance counterpart of [`RingBuffer::chronological_run`].  Errors
+    /// when the run reaches past the pushed ticks.
+    pub fn state_run(
+        &self,
+        id: SeriesId,
+        age: usize,
+        len: usize,
+    ) -> Result<RunSlices<'_, SlotState>, TsError> {
+        // Bounded by the series' own pushed count, like `slot_recent`.
+        let filled = self.buffer(id)?.len();
+        let states = &self.states[id.index()];
+        ring_run(states, self.state_offset, filled, age, len).ok_or_else(|| {
+            TsError::invalid(
+                "age",
+                format!("run of {len} ending at age {age} exceeds the pushed ticks"),
+            )
         })
     }
 
@@ -477,6 +498,62 @@ mod tests {
         assert_eq!(s.state, SlotState::Missing);
         assert_eq!(s.value, None);
         assert!(w.slot_recent(SeriesId(7), 0).is_err());
+    }
+
+    /// Flattens a provenance run into one oldest-first vector.
+    fn states(w: &StreamingWindow, age: usize, len: usize) -> Vec<SlotState> {
+        let (a, b) = w.state_run(SeriesId(0), age, len).unwrap();
+        a.iter().chain(b).copied().collect()
+    }
+
+    #[test]
+    fn state_run_matches_slot_recent_across_the_seam() {
+        use SlotState::{Imputed, Missing, Observed};
+        // 7 ticks into a 5-slot ring: ticks 2..=6 survive, tick 6 at raw
+        // index 1, so runs over ticks 3..=5 wrap the seam.
+        let mut w = StreamingWindow::new(1, 5);
+        for t in 0..7 {
+            let v = if t == 4 { None } else { Some(t as f64) };
+            w.push_tick(&tick(t, vec![v])).unwrap();
+        }
+        w.write_imputed(SeriesId(0), 1, 5.5).unwrap();
+        let (a, b) = w.state_run(SeriesId(0), 1, 3).unwrap();
+        assert_eq!((a.len(), b.len()), (2, 1));
+        assert_eq!(states(&w, 1, 3), vec![Observed, Missing, Imputed]);
+        // Whole capacity, and a run ending at the oldest pushed tick.
+        assert_eq!(
+            states(&w, 0, 5),
+            vec![Observed, Observed, Missing, Imputed, Observed]
+        );
+        assert_eq!(states(&w, 3, 2), vec![Observed, Observed]);
+        for len in 1..=5 {
+            for age in 0..=5 - len {
+                let expected: Vec<SlotState> = (age..age + len)
+                    .rev()
+                    .map(|a| w.slot_recent(SeriesId(0), a).unwrap().state)
+                    .collect();
+                assert_eq!(states(&w, age, len), expected, "age {age} len {len}");
+            }
+        }
+        // Past the pushed ticks, or an unknown series: an error, never a
+        // stale slot.
+        assert!(w.state_run(SeriesId(0), 3, 3).is_err());
+        assert!(w.state_run(SeriesId(0), 0, 6).is_err());
+        assert!(w.state_run(SeriesId(1), 0, 1).is_err());
+    }
+
+    #[test]
+    fn state_run_on_a_window_that_is_not_full() {
+        let mut w = StreamingWindow::new(1, 6);
+        w.push_tick(&tick(0, vec![Some(1.0)])).unwrap();
+        w.push_tick(&tick(1, vec![None])).unwrap();
+        assert_eq!(
+            states(&w, 0, 2),
+            vec![SlotState::Observed, SlotState::Missing]
+        );
+        // The four never-written slots are unreachable.
+        assert!(w.state_run(SeriesId(0), 0, 3).is_err());
+        assert!(w.state_run(SeriesId(0), 2, 1).is_err());
     }
 
     #[test]

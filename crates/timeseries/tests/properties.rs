@@ -30,6 +30,32 @@ proptest! {
         prop_assert_eq!(rb.recent(0), *values.last().unwrap());
     }
 
+    /// A chronological run is exactly the matching sub-slice of the
+    /// oldest-first window contents, split at most once at the ring seam,
+    /// and a run reaching past the pushed values is refused.
+    #[test]
+    fn chronological_run_is_a_sub_slice_of_the_chronological_contents(
+        values in proptest::collection::vec(proptest::option::of(-1e6f64..1e6), 0..100),
+        capacity in 1usize..32,
+        age in 0usize..40,
+        len in 0usize..40,
+    ) {
+        let rb = RingBuffer::from_values(capacity, values.iter().copied());
+        let chronological = rb.to_chronological();
+        let filled = chronological.len();
+        match rb.chronological_run(age, len) {
+            Some((a, b)) => {
+                prop_assert!(age + len <= filled);
+                prop_assert!(a.len() + b.len() == len);
+                prop_assert!(!a.is_empty() || b.is_empty());
+                let run: Vec<Option<f64>> = a.iter().chain(b).copied().collect();
+                let end = filled - age;
+                prop_assert_eq!(run.as_slice(), &chronological[end - len..end]);
+            }
+            None => prop_assert!(age + len > filled),
+        }
+    }
+
     /// A series' missing mask decomposes it into gaps whose total length is
     /// the missing count, and every gap is a maximal run.
     #[test]
