@@ -252,8 +252,8 @@ impl TkcmEngine {
 
     /// Ticks a lag memory may go unused before it is evicted.  A memory
     /// idle for longer than `O(l)` ticks points at lags whose patterns have
-    /// drifted, which makes a worse seed than a cold sweep; `2l` adds
-    /// hysteresis for intermittent gaps.
+    /// drifted, which makes a worse seed than the best-first search finds
+    /// from a cold start; `2l` adds hysteresis for intermittent gaps.
     fn lag_memory_ttl(&self) -> usize {
         2 * self.imputer.config().pattern_length
     }

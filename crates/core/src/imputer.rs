@@ -13,6 +13,9 @@
 //! Besides the imputed value, the imputer reports the anchors, their
 //! dissimilarities, the ε of Definition 5 and the phase timing breakdown.
 
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+
 use tkcm_timeseries::{RingBuffer, SeriesId, SlotState, StreamingWindow, Timestamp, TsError};
 
 use crate::config::TkcmConfig;
@@ -90,11 +93,11 @@ pub struct PruneStats {
     /// Candidates disposed of without an exact evaluation: lower bound above
     /// the threshold, or a proven missing reference slot.
     pub pruned: usize,
-    /// Of `pruned`: candidates skipped wholesale by the
-    /// level-1 run prefilter — no per-lag lower bound was even computed.
-    /// Counts every unresolved candidate of a skipped run, including ones
-    /// anchor provenance would have disqualified anyway (the whole point is
-    /// not to look at them individually).
+    /// Of `pruned`: lags of level-1 runs the search never expanded — no
+    /// per-lag lower bound was even computed.  Counts every lag of such a
+    /// run that was not exact-evaluated, including ones anchor provenance
+    /// would have disqualified anyway (the whole point is not to look at
+    /// them individually).
     pub level1_skipped: usize,
     /// Always 0: no maintained bound prunes candidates any more.  Kept so
     /// the counter layout (snapshots, metrics, benchmark readers) is stable.
@@ -132,6 +135,43 @@ impl PruneStats {
         }
     }
 }
+
+/// An open node of the composed path's best-first search: a level-1 run of
+/// candidates starting at index `idx` (`run`), or the single candidate
+/// `idx`, keyed by an admissible lower bound on the `D` of every candidate
+/// it holds.
+#[derive(Clone, Copy, Debug)]
+struct Open {
+    key: f64,
+    run: bool,
+    idx: usize,
+}
+
+impl Ord for Open {
+    /// Reversed, so `BinaryHeap` pops the smallest key first; ties go to lag
+    /// nodes (one step from an exact fold), then to the older candidate.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .key
+            .total_cmp(&self.key)
+            .then(other.run.cmp(&self.run))
+            .then(other.idx.cmp(&self.idx))
+    }
+}
+
+impl PartialOrd for Open {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Open {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Open {}
 
 /// TKCM imputation of a single missing value over a streaming window.
 pub struct TkcmImputer {
@@ -336,23 +376,24 @@ impl TkcmImputer {
     /// and the lag memory `warm` to *prune* the candidate space before
     /// exact evaluation: admissible lower bounds `LB[j] ≤ D[j]` are compared
     /// against the float sum `τ` of a feasible k-anchor solution, and
-    /// candidates with `LB[j] > τ` are provably outside every optimal
-    /// selection, so their `D[j]` stays `+∞` unevaluated.  Three layers run
-    /// before any exact evaluation, cheapest first:
+    /// candidates provably outside every optimal selection keep `D[j] = +∞`
+    /// unevaluated.  Two steps:
     ///
-    /// 1. **Warm τ-seeding** — `warm` holds the lags of the previous
+    /// 1. **Warm seed** — `warm` holds the lags of the previous
     ///    imputation's finite exact folds for this reference set, best
-    ///    first; walking it usually certifies a feasible k-solution after
-    ///    about k exact evaluations instead of an O(J·d·l/B) seeding sweep.
-    ///    An empty or unhelpful memory falls back to one level-0
-    ///    lower-bound sweep.
-    /// 2. **Level-1 run prefilter** — one
-    ///    [`SignatureIndex::run_lower_bound_sq_with_query`] bound per run of
-    ///    `run_len` consecutive lags skips whole runs above the threshold,
-    ///    cutting the O(J) per-lag sweep itself.
-    /// 3. **Per-survivor bounds** — the level-0 signature bound per lag,
-    ///    then an ascending-bound sweep under a tightening per-candidate
-    ///    threshold; only candidates that survive are exact-evaluated.
+    ///    first; walking it usually certifies a feasible k-solution, and
+    ///    with it τ, after about k exact evaluations.
+    /// 2. **Best-first search** — a min-heap of open nodes keyed by
+    ///    admissible bound: one node per level-1 run of `run_len` lags
+    ///    ([`SignatureIndex::run_lower_bound_sq_with_query`]), which expands
+    ///    into per-lag level-0 bounds
+    ///    ([`SignatureIndex::lower_bound_sq_with_query`]), which expand into
+    ///    exact folds.  If the memory could not certify τ, its folds
+    ///    re-enter the heap keyed by their exact D and the seed restarts in
+    ///    bound order.  The search stops at the first key over the `τ − S`
+    ///    bar (S: the k−1 smallest Ds the other anchors can have), which
+    ///    proves every open node out at once.  A cold memory needs no
+    ///    separate sweep: bound order finds low-D candidates by itself.
     ///
     /// The memory only orders the seeding walk: every `D` entering selection
     /// comes from the exact fold and all bounds are admissible (see
@@ -471,17 +512,16 @@ impl TkcmImputer {
                     };
                     state == SlotState::Observed
                 };
-                // `resolved[idx]`: D[idx] is final — exact-evaluated, pruned
-                // (stays +∞) or provenance-disqualified; the sweeps below
-                // skip it.
-                let mut resolved = vec![false; j];
+                // `evaluated[idx]`: the lag-memory walk already took
+                // candidate idx's exact fold, so the search skips it.
+                let mut evaluated = vec![false; j];
 
-                // ---- Seed a feasible k-solution from the lag memory ----
+                // ---- Warm seed from the lag memory ----
                 // The previous imputation's best lags are usually still
                 // among the best one tick later, so the greedy walk tends to
-                // certify k tight seeds after about k exact evaluations — no
-                // O(J) sweep.  The candidate lag *is* the window age of its
-                // anchor (`lag = t_n − t_j`).
+                // certify k tight seeds after about k exact evaluations.
+                // The candidate lag *is* the window age of its anchor
+                // (`lag = t_n − t_j`).
                 let mut seed: Vec<usize> = Vec::new();
                 for &lag in warm.iter() {
                     if seed.len() == k {
@@ -497,273 +537,160 @@ impl TkcmImputer {
                     if !is_observed(idx) {
                         continue;
                     }
-                    if !resolved[idx] {
+                    if !evaluated[idx] {
                         dissimilarities[idx] = self.exact_fold(&buffers, q, lag);
-                        resolved[idx] = true;
+                        evaluated[idx] = true;
                         stats.shortlisted += 1;
                     }
                     if dissimilarities[idx].is_finite() {
                         seed.push(idx);
                     }
                 }
-                if seed.len() < k {
-                    // Cold start: too few remembered lags to certify a
-                    // k-solution.  Fall back to one level-0 lower-bound
-                    // sweep: a feasible set of k non-overlapping
-                    // finite-D candidates, found greedily in ascending-LB
-                    // order (ties by index) so its sum τ is tight, then
-                    // earliest-end greedy.  Candidate ages are consecutive,
-                    // so candidates overlap iff their indices are closer
-                    // than l.  This is the one place the composed path pays
-                    // the O(J) per-lag sweep; its exact folds fill the lag
-                    // memory, so the next imputation usually will not.
-                    let mut lb = vec![0.0f64; j];
-                    let mut open = vec![true; j];
-                    for idx in 0..j {
-                        if resolved[idx] {
-                            if dissimilarities[idx].is_finite() {
-                                // Already exact: its D is its own tightest
-                                // "lower bound" for pool ordering.
-                                lb[idx] = dissimilarities[idx];
-                            } else {
-                                open[idx] = false;
-                            }
-                            continue;
-                        }
-                        if !is_observed(idx) {
-                            open[idx] = false;
-                            continue;
-                        }
-                        let age = oldest_age - idx;
-                        let (lb_sq, certain_missing) =
-                            index.lower_bound_sq_with_query(references, age, l, &sig_query);
-                        if certain_missing {
-                            open[idx] = false;
-                            resolved[idx] = true;
-                            stats.pruned += 1;
-                            continue;
-                        }
-                        lb[idx] = (lb_sq * inflate0).max(0.0).sqrt();
-                    }
-                    let mut order: Vec<usize> = (0..j).filter(|&i| open[i]).collect();
-                    // Partial selection instead of a full O(J log J) sort:
-                    // only the smallest-LB pool can seed, and the pool is
-                    // large enough that k non-overlapping members essentially
-                    // always exist (each seed excludes < 2l neighbours).
-                    // Seed choice only affects how *tight* τ is — any
-                    // feasible seed keeps the pruning admissible — so
-                    // truncation never costs correctness, and the
-                    // earliest-end fallback below covers the degenerate pool.
-                    let pool = (4 * k * l).max(256);
-                    if order.len() > pool {
-                        order.select_nth_unstable_by(pool, |&a, &b| {
-                            lb[a].total_cmp(&lb[b]).then(a.cmp(&b))
-                        });
-                        order.truncate(pool);
-                    }
-                    order.sort_by(|&a, &b| lb[a].total_cmp(&lb[b]).then(a.cmp(&b)));
-                    seed.clear();
-                    for &idx in &order {
-                        if seed.len() == k {
-                            break;
-                        }
-                        if seed.iter().any(|&p| idx.abs_diff(p) < l) {
-                            continue;
-                        }
-                        if !resolved[idx] {
-                            dissimilarities[idx] = self.exact_fold(&buffers, q, oldest_age - idx);
-                            resolved[idx] = true;
-                            stats.shortlisted += 1;
-                        }
-                        if dissimilarities[idx].is_finite() {
-                            seed.push(idx);
-                        }
-                    }
-                    if seed.len() < k {
-                        // Retry earliest-end greedy, which maximises the
-                        // number of non-overlapping finite candidates.
-                        seed.clear();
-                        let mut next_free = 0usize;
-                        for idx in 0..j {
-                            if seed.len() == k {
-                                break;
-                            }
-                            if idx < next_free || !open[idx] {
-                                continue;
-                            }
-                            if !resolved[idx] {
-                                dissimilarities[idx] =
-                                    self.exact_fold(&buffers, q, oldest_age - idx);
-                                resolved[idx] = true;
-                                stats.shortlisted += 1;
-                            }
-                            if dissimilarities[idx].is_finite() {
-                                seed.push(idx);
-                                next_free = idx + l;
-                            }
-                        }
-                    }
-                }
-                if seed.len() >= k {
-                    // τ is the *float* value the DP assigns to the seed
-                    // subset: the DP accumulates "take" steps innermost-
-                    // first by ascending candidate index (`D[j_i] + acc`),
-                    // so folding the seed the same way gives exactly
-                    // `m_exact[k][J] ≤ τ` at the bit level.  Any candidate
-                    // with `D > τ` then satisfies: every DP cell on a path
-                    // through it has fl-value > τ (an fl-sum of nonnegative
-                    // terms is ≥ each term), so all cells with value ≤ τ —
-                    // including the whole backtrack of the optimal solution
-                    // — are unchanged by leaving such candidates at +∞.
-                    seed.sort_unstable();
-                    let mut tau = 0.0f64;
-                    for &idx in &seed {
-                        // Written `D + acc`, not `acc + D`, to mirror the
-                        // DP's take-step expression verbatim (IEEE addition
-                        // is commutative, but the proof reads better when
-                        // the expressions match token for token).
-                        #[allow(clippy::assign_op_pattern)]
-                        {
-                            tau = dissimilarities[idx] + tau;
-                        }
-                    }
-                    // The slack only *reduces* pruning (never admits an
-                    // unsafe prune): LB > τ·(1+ε) ⇒ D ≥ LB > τ.
-                    let threshold = tau * (1.0 + 1e-9);
 
-                    // ---- Pass 1: level-1 run prefilter + per-lag bounds ----
-                    // `bound > threshold` proves the candidate outside every
-                    // optimal selection; survivors keep their tightest bound
-                    // for pass 2 instead of being exact-evaluated on the
-                    // spot.
-                    let mut survivors: Vec<(usize, f64)> = Vec::new();
-                    let mut s = 0usize;
-                    while s < j {
-                        let e = (s + run_len).min(j);
-                        // Candidate index ascends oldest-first, so the run's
-                        // smallest lag is its *last* candidate.
-                        let lag_lo = oldest_age - (e - 1);
-                        let run_sq = index.run_lower_bound_sq_with_query(
-                            references,
-                            lag_lo,
-                            e - s,
-                            l,
-                            &sig_query,
-                        );
-                        if (run_sq * inflate1).max(0.0).sqrt() > threshold {
-                            // Every lag in the run is provably outside any
-                            // optimal selection — skip it wholesale.  (A run
-                            // holding a finite seed can never trip this: the
-                            // admissible run bound is ≤ that seed's D ≤ τ.)
-                            for slot in resolved[s..e].iter_mut() {
-                                if !*slot {
-                                    *slot = true;
+                // ---- Best-first search ----
+                // A min-heap of open nodes, each keyed by an admissible lower
+                // bound on the D of every candidate it holds: one node per
+                // level-1 run (its union-envelope bound), expanded into one
+                // node per lag keyed by `max(level-0 bound, run key)`.  Both
+                // bounds are ≤ D, so keys never fall from parent to child,
+                // and when key `b` pops, every candidate still open — in the
+                // heap or in an unexpanded run — has `D ≥ b`.  A popped lag
+                // takes its exact fold.  Until τ is certified, a finite fold
+                // that does not overlap the seed joins it (candidate ages are
+                // consecutive, so candidates overlap iff their indices are
+                // closer than l), which walks the greedy seed in ascending
+                // bound order.
+                //
+                // τ is the *float* value the DP assigns to the seed subset:
+                // the DP accumulates "take" steps innermost-first by
+                // ascending candidate index (`D[j_i] + acc`), so folding the
+                // seed the same way gives exactly `m_exact[k][J] ≤ τ` at the
+                // bit level.
+                //
+                // Stop rule: candidate c can sit in a k-anchor selection of
+                // value ≤ τ only if D[c] ≤ τ − Σ(the other k−1 members' Ds).
+                // Each other member is exact-evaluated or still open (D ≥ b),
+                // so Σ(others) is at least S, the sum of the k−1 smallest of
+                // {the exact folds so far, plus k−1 copies of b}; `best`
+                // holds the k−1 smallest finite folds, so S is
+                // Σ min(best[i], b).  An open c has D[c] ≥ b, so
+                // `b > τ − S` proves every open candidate outside every
+                // k-selection of value ≤ τ at once, and their D stays +∞
+                // unevaluated: each option the DP's optimal backtrack takes
+                // or ties with extends to such a selection, so it holds no
+                // open candidate, and options that lose only grow.  With
+                // k = 1, S = 0 and the rule is the plain `b > τ`.  S never
+                // falls as b rises (a new fold is ≥ the key it popped at),
+                // so the first failing pop ends the search.
+                //
+                // Float slop: the 1e-9 inflation of τ only *reduces*
+                // pruning (`b > τ·(1+ε)` ⇒ D ≥ b > τ); S is a ≤(k−1)-term
+                // fold of non-negative floats deflated by 1e-9, which
+                // dwarfs its relative rounding, and the final subtraction
+                // adds at most one ulp of τ — absorbed by the same margins.
+                //
+                // Before τ exists nothing is pruned but certain-missing lags
+                // (D = +∞ exactly), so a window with fewer than k
+                // non-overlapping finite candidates ends as the exhaustive
+                // sweep.
+                let keep = k - 1;
+                // The walk folds only lags that fit the seed, so its finite
+                // folds are exactly the seed's.
+                let mut best: Vec<f64> = seed.iter().map(|&idx| dissimilarities[idx]).collect();
+                best.sort_unstable_by(f64::total_cmp);
+                best.truncate(keep);
+                let run_of = |s: usize| s..(s + run_len).min(j);
+                let mut open: BinaryHeap<Open> = BinaryHeap::new();
+                if seed.len() < k {
+                    // The walk did not certify τ: restart the seed in bound
+                    // order, its folds keyed by their exact D (their own
+                    // tightest bound), so a stale memory cannot loosen τ.
+                    open.extend(seed.drain(..).map(|idx| Open {
+                        key: dissimilarities[idx],
+                        run: false,
+                        idx,
+                    }));
+                }
+                open.extend((0..j).step_by(run_len).map(|s| {
+                    // Candidate index ascends oldest-first, so the run's
+                    // smallest lag is its *last* candidate.
+                    let run = run_of(s);
+                    let lag_lo = oldest_age - (run.end - 1);
+                    let run_sq = index.run_lower_bound_sq_with_query(
+                        references,
+                        lag_lo,
+                        run.len(),
+                        l,
+                        &sig_query,
+                    );
+                    Open {
+                        key: (run_sq * inflate1).max(0.0).sqrt(),
+                        run: true,
+                        idx: s,
+                    }
+                }));
+                let mut threshold = None;
+                while let Some(node) = open.pop() {
+                    if threshold.is_none() && seed.len() == k {
+                        seed.sort_unstable();
+                        let mut tau = 0.0f64;
+                        for &idx in &seed {
+                            // Written `D + acc`, not `acc + D`, to mirror the
+                            // DP's take-step expression verbatim (IEEE
+                            // addition is commutative, but the proof reads
+                            // better when the expressions match token for
+                            // token).
+                            #[allow(clippy::assign_op_pattern)]
+                            {
+                                tau = dissimilarities[idx] + tau;
+                            }
+                        }
+                        threshold = Some(tau * (1.0 + 1e-9));
+                    }
+                    if let Some(threshold) = threshold {
+                        let b = node.key;
+                        let sum: f64 = (0..keep)
+                            .map(|i| best.get(i).map_or(b, |&d| d.min(b)))
+                            .sum();
+                        if b > threshold - sum * (1.0 - 1e-9) {
+                            for rest in std::iter::once(node).chain(open.drain()) {
+                                if rest.run {
+                                    let skipped =
+                                        run_of(rest.idx).filter(|&idx| !evaluated[idx]).count();
+                                    stats.pruned += skipped;
+                                    stats.level1_skipped += skipped;
+                                } else if !evaluated[rest.idx] {
                                     stats.pruned += 1;
-                                    stats.level1_skipped += 1;
                                 }
                             }
-                            s = e;
-                            continue;
+                            break;
                         }
-                        for (idx, done) in (s..e).zip(&mut resolved[s..e]) {
-                            if *done {
-                                continue;
-                            }
-                            if !is_observed(idx) {
-                                *done = true;
+                    }
+                    if node.run {
+                        for idx in run_of(node.idx) {
+                            if evaluated[idx] || !is_observed(idx) {
                                 continue;
                             }
                             let age = oldest_age - idx;
                             let (lb_sq, certain_missing) =
                                 index.lower_bound_sq_with_query(references, age, l, &sig_query);
                             if certain_missing {
-                                *done = true;
                                 stats.pruned += 1;
                                 continue;
                             }
-                            let lb = (lb_sq * inflate0).max(0.0).sqrt();
-                            if lb > threshold {
-                                *done = true;
-                                stats.pruned += 1;
-                                continue;
-                            }
-                            survivors.push((idx, lb));
+                            open.push(Open {
+                                key: (lb_sq * inflate0).max(0.0).sqrt().max(node.key),
+                                run: false,
+                                idx,
+                            });
                         }
-                        s = e;
+                        continue;
                     }
-
-                    // ---- Pass 2: ascending-bound sweep under a tightening
-                    // per-candidate threshold ----
-                    //
-                    // Candidate j can sit in a k-anchor selection of value
-                    // ≤ τ only if D[j] ≤ τ − Σ(the other k−1 members' Ds).
-                    // Each member's D is at least its entry in a *pool* that
-                    // assigns every potentially selectable candidate a value
-                    // ≤ its exact D — the exact D where one was computed, the
-                    // admissible bound otherwise — so Σ(others) is at least
-                    // the sum S of the k−1 smallest pool values, and
-                    // `bound > threshold − S` proves j outside every optimal
-                    // selection: pass 1's test with a sharper right-hand side
-                    // (S converges toward the k−1 best exact Ds, so the bar
-                    // falls from the k-sum τ toward the k-th best D).  Pass-1
-                    // prunes are safely absent from the pool: admissibility
-                    // puts them in no optimal selection, and their bounds
-                    // exceed τ ≥ every seed D so they can never be among the
-                    // k−1 smallest anyway.  Walking survivors in ascending
-                    // bound order makes S monotone non-decreasing (an
-                    // evaluation replaces a pool bound with the larger exact
-                    // D; the walk pointer moves onto later, larger bounds),
-                    // so the first survivor over the bar proves every
-                    // remaining one out wholesale.
-                    //
-                    // Float slop: `threshold` already carries the 1e-9
-                    // inflation of the τ proof above; S is a ≤(k−1)-term
-                    // fold of non-negative floats deflated by 1e-9, which
-                    // dwarfs its relative rounding, and the final subtraction
-                    // adds at most one ulp of τ — absorbed by the same
-                    // margins.
-                    survivors.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                    // Evaluated-value pool: every exact D computed so far
-                    // (seeds plus seeding-walk evaluations that missed the
-                    // seed set), trimmed to the k−1 smallest — larger values
-                    // can never enter the k−1 smallest of a merge.
-                    let keep = k.saturating_sub(1);
-                    let mut best: Vec<f64> = (0..j)
-                        .filter(|&i| resolved[i] && dissimilarities[i].is_finite())
-                        .map(|i| dissimilarities[i])
-                        .collect();
-                    best.sort_unstable_by(f64::total_cmp);
-                    best.truncate(keep);
-                    for pos in 0..survivors.len() {
-                        let (idx, lb) = survivors[pos];
-                        // S: the k−1 smallest of (evaluated pool ∪ remaining
-                        // bounds); both sides are sorted, so merge the heads.
-                        // Including j's own bound only lowers S — safe.
-                        let mut sum = 0.0f64;
-                        let (mut bi, mut si) = (0usize, pos);
-                        for _ in 0..keep {
-                            let b_v = best.get(bi).copied().unwrap_or(f64::INFINITY);
-                            let s_v = survivors.get(si).map_or(f64::INFINITY, |t| t.1);
-                            if b_v <= s_v {
-                                sum += b_v;
-                                bi += 1;
-                            } else {
-                                sum += s_v;
-                                si += 1;
-                            }
-                        }
-                        let budget = threshold - sum * (1.0 - 1e-9);
-                        if lb > budget {
-                            for &(ridx, _) in &survivors[pos..] {
-                                resolved[ridx] = true;
-                                stats.pruned += 1;
-                            }
-                            break;
-                        }
-                        dissimilarities[idx] = self.exact_fold(&buffers, q, oldest_age - idx);
-                        resolved[idx] = true;
+                    let idx = node.idx;
+                    if !evaluated[idx] {
+                        let d = self.exact_fold(&buffers, q, oldest_age - idx);
+                        dissimilarities[idx] = d;
                         stats.shortlisted += 1;
-                        let d = dissimilarities[idx];
                         if d.is_finite() {
                             let at = best.partition_point(|&v| v <= d);
                             if at < keep {
@@ -772,19 +699,11 @@ impl TkcmImputer {
                             }
                         }
                     }
-                } else {
-                    // No feasible k-solution certified: exhaustive sweep
-                    // (rare — degenerate windows).
-                    for idx in 0..j {
-                        if resolved[idx] {
-                            continue;
-                        }
-                        if !is_observed(idx) {
-                            continue;
-                        }
-                        dissimilarities[idx] = self.exact_fold(&buffers, q, oldest_age - idx);
-                        resolved[idx] = true;
-                        stats.shortlisted += 1;
+                    if dissimilarities[idx].is_finite()
+                        && seed.len() < k
+                        && !seed.iter().any(|&p| idx.abs_diff(p) < l)
+                    {
+                        seed.push(idx);
                     }
                 }
             }

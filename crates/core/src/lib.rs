@@ -29,9 +29,8 @@
 //! 8. **Candidate pruning** ([`signature`]): a block-quantized signature
 //!    index over the candidate space whose gap-aware lower bounds shortlist
 //!    candidates admissibly, composed with τ seeding from the previous
-//!    imputation's best exact folds, a level-1 run prefilter and an
-//!    ascending-bound survivor sweep under a tightening per-candidate
-//!    threshold.  The composed path is bit-identical to the exhaustive one
+//!    imputation's best exact folds and one best-first search over
+//!    level-1 runs, level-0 bounds and exact folds.  The composed path is bit-identical to the exhaustive one
 //!    and several times faster at paper scale.
 //!
 //! ## Quick start

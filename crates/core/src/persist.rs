@@ -325,10 +325,11 @@ mod tests {
 
     #[test]
     fn a_nan_reading_does_not_block_a_checkpoint() {
-        // One NaN reference reading inside the window the composed path
-        // folds over.  Its caches (index, lag memories) are not persisted,
-        // so the engine still encodes, the bytes decode, and the decoded
-        // engine re-encodes to the same bytes.
+        // One NaN reference reading at tick 450, inside the window of the
+        // later imputations.  It is missing at ingest, so the engine imputes
+        // that slot too (10 target imputations + 1).  Its caches (index, lag
+        // memories) are not persisted, so the engine still encodes, the
+        // bytes decode, and the decoded engine re-encodes to the same bytes.
         let config = TkcmConfig::builder()
             .window_length(400)
             .pattern_length(8)
@@ -348,7 +349,7 @@ mod tests {
             engine.process_tick(&tick).unwrap();
         }
         assert!(engine.is_composed());
-        assert_eq!(engine.imputations_performed(), 10);
+        assert_eq!(engine.imputations_performed(), 11);
         let bytes = encode_to_vec(&engine).unwrap();
         let restored: TkcmEngine = decode_from_slice(&bytes).unwrap();
         assert_eq!(restored.ticks_processed(), 600);

@@ -40,7 +40,7 @@
 //! candidate cannot appear in any optimal selection of ≤ k anchors, because
 //! every member of an optimal solution has `D ≤ optimal sum ≤ τ`.
 
-use tkcm_timeseries::{SeriesId, StreamingWindow, TsError};
+use tkcm_timeseries::{ingest_reading, SeriesId, StreamingWindow, TsError};
 
 /// Number of consecutive ticks summarized by one signature block.
 ///
@@ -277,6 +277,10 @@ impl SignatureIndex {
     }
 
     /// Absorbs one arrived tick (`values` in window series order).  O(width).
+    /// Applies the window's ingest policy ([`ingest_reading`]): a non-finite
+    /// reading counts as missing, exactly as `StreamingWindow::push_tick`
+    /// stores it — an undercounted missing slot would make the level-0
+    /// bound inadmissible.
     pub fn on_push(&mut self, values: &[Option<f64>]) -> Result<(), TsError> {
         if values.len() != self.width {
             return Err(TsError::LengthMismatch {
@@ -294,7 +298,7 @@ impl SignatureIndex {
         }
         for (series, v) in self.blocks.iter_mut().zip(values.iter()) {
             if let Some(last) = series.last_mut() {
-                last.absorb(*v);
+                last.absorb(ingest_reading(*v));
             }
         }
         self.ticks_seen += 1;
@@ -490,8 +494,8 @@ impl SignatureIndex {
     /// unscaled L2 dissimilarity of **every** candidate lag in
     /// `lag_lo .. lag_lo + run_len`, computed from coarse block-envelope
     /// unions — one bound for a whole run of consecutive lags, so the
-    /// per-imputation sweep can skip the run wholesale when the bound
-    /// already exceeds the pruning threshold.
+    /// imputer's best-first search can leave the run unexpanded when the
+    /// bound already exceeds its stop bar.
     ///
     /// For a chunk of `B = SIGNATURE_BLOCK_LEN` query positions `[p_s, p_e]`
     /// the candidate ordinals paired with it across the run sweep the region

@@ -144,6 +144,54 @@ fn patterns_straddling_the_ring_seam_stay_bit_identical() {
     assert_eq!(checked, plants.len());
 }
 
+/// A NaN or ±∞ reading is missing at ingest, so it can never become an
+/// anchor value (L = 400, l = 8, k = 3, d = 1).  The reference is noise
+/// whose 8-tick pattern ending at tick 300 is copied to end at tick 250,
+/// and the target is twice the reference, with the hostile reading at tick
+/// 250 and a gap at tick 300.  Were the reading stored as observed, the
+/// imputation at 300 would anchor on 250 and return it; on both paths it
+/// must instead be finite and anchored elsewhere.
+#[test]
+fn a_non_finite_target_reading_never_becomes_an_anchor() {
+    let reference = |t: usize| noise(if (243..=250).contains(&t) { t + 50 } else { t } as u64);
+    for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for pruning in [true, false] {
+            let config = TkcmConfig::builder()
+                .window_length(400)
+                .pattern_length(8)
+                .anchor_count(3)
+                .reference_count(1)
+                .pruning(pruning)
+                .build()
+                .unwrap();
+            let mut engine = TkcmEngine::new(2, config, Catalog::ring_neighbours(2)).unwrap();
+            for t in 0..=300usize {
+                let target = match t {
+                    250 => Some(hostile),
+                    300 => None,
+                    _ => Some(2.0 * reference(t)),
+                };
+                let tick =
+                    StreamTick::new(Timestamp::new(t as i64), vec![target, Some(reference(t))]);
+                let outcome = engine.process_tick(&tick).unwrap();
+                if t == 300 {
+                    let detail = &outcome.imputations[0].detail;
+                    assert!(
+                        detail.value.is_finite(),
+                        "reading {hostile}, pruning {pruning}: imputed {}",
+                        detail.value
+                    );
+                    assert!(
+                        detail.anchors.iter().all(|a| a.time != Timestamp::new(250)),
+                        "reading {hostile}, pruning {pruning}: anchored on the hostile tick: {:?}",
+                        detail.anchors
+                    );
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     /// The DP selection never produces overlapping anchors and never does
     /// worse (in total dissimilarity) than the greedy heuristic.

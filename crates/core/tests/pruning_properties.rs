@@ -46,7 +46,11 @@ proptest! {
     /// ring at least once (write-backs happen inside `process_tick`).  At a
     /// random tick the composed engine is replaced by its own
     /// `encode → decode` copy — rebuilt signature index, no lag memories —
-    /// which must keep matching the oracle.
+    /// which must keep matching the oracle.  In one case in three the
+    /// target is observed only in one l-tick burst per two windows, so its
+    /// history never holds k non-overlapping candidates: τ is never
+    /// certified and the search must end as the exhaustive sweep, pruning
+    /// nothing.  The prune counters partition the candidates throughout.
     #[test]
     fn pruned_engine_is_bit_identical_to_exhaustive(
         period in 16u64..200,
@@ -57,6 +61,7 @@ proptest! {
         capacity in 48usize..160,
         l in 3usize..10,
         restore_frac in 0.1f64..0.9,
+        sparse_target in 0u8..3,
     ) {
         let width = 3;
         let k = 2;
@@ -76,8 +81,9 @@ proptest! {
                 .unwrap();
             TkcmEngine::new(width, config, Catalog::ring_neighbours(width)).unwrap()
         };
-        // The composed path — lag-memory seeding + level-1 prefilter +
-        // level-0 bounds — must match the exhaustive engine bit for bit.
+        // The composed path — lag-memory seeding + best-first search over
+        // level-1 and level-0 bounds — must match the exhaustive engine bit
+        // for bit.
         let mut composed = mk(true);
         let mut exhaustive = mk(false);
         prop_assert!(composed.is_composed());
@@ -85,8 +91,11 @@ proptest! {
 
         let saw = |t: usize, shift: u64| ((t as u64 + shift) % period) as f64;
         for t in 0..total {
-            let s0_missing =
-                (gap_start..gap_start + gap_len).contains(&t) || (t > 30 && t % 11 == 7);
+            let s0_missing = if sparse_target == 0 {
+                t % (2 * window_length) >= l
+            } else {
+                (gap_start..gap_start + gap_len).contains(&t) || (t > 30 && t % 11 == 7)
+            };
             let tick = StreamTick::new(
                 Timestamp::new(t as i64),
                 vec![
@@ -123,10 +132,17 @@ proptest! {
             composed.imputations_performed(),
             exhaustive.imputations_performed()
         );
-        prop_assert_eq!(
-            composed.prune_totals().candidates > 0,
-            composed.imputations_performed() > 0
+        let totals = composed.prune_totals();
+        prop_assert_eq!(totals.candidates > 0, composed.imputations_performed() > 0);
+        prop_assert!(
+            totals.shortlisted + totals.pruned <= totals.candidates,
+            "prune counters overlap: {:?}",
+            totals
         );
+        prop_assert!(totals.level1_skipped <= totals.pruned, "{:?}", totals);
+        if sparse_target == 0 {
+            prop_assert_eq!(totals.pruned, 0);
+        }
     }
 
     /// Admissibility of the bound itself: for every candidate lag the
@@ -558,7 +574,8 @@ fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
 /// overflows, on a default-config engine (L = 400, l = 8, k = 3, d = 1) whose
 /// target misses ticks 300–304 and 590–599.  The composed path must impute
 /// the same value bits as the exhaustive oracle wherever the reading lands:
-/// in the history both gaps search, or inside a gap's query pattern.
+/// in the history both gaps search, or inside a gap's query pattern.  A
+/// NaN or ±∞ reading is stored as missing; 1e300 is data.
 #[test]
 fn a_hostile_reference_reading_keeps_composed_bit_identical() {
     let sine = |t: usize, shift: f64| ((t as f64 - shift) / 16.0 * std::f64::consts::TAU).sin();
@@ -599,7 +616,16 @@ fn a_hostile_reference_reading_keeps_composed_bit_identical() {
                     );
                 }
             }
-            assert_eq!(composed.imputations_performed(), 15);
+            // A non-finite reading is missing at ingest.  Outside a gap the
+            // reference's own slot is then imputed (one more imputation);
+            // inside one the target and the reference are each other's only
+            // candidate and neither is live, so that tick imputes nothing.
+            let expected = match (hostile.is_finite(), at) {
+                (true, _) => 15,
+                (false, 302 | 595) => 14,
+                (false, _) => 16,
+            };
+            assert_eq!(composed.imputations_performed(), expected);
         }
     }
 }

@@ -7,9 +7,9 @@
 //! * **exhaustive** — every candidate pattern is re-extracted and scored
 //!   each imputation (`O(L·l·d)`), the oracle;
 //! * **composed** — the default path: the previous imputation's best lags
-//!   seed the threshold, a level-1 run prefilter skips whole blocks of
-//!   candidates, and the quantized signature index's admissible lower
-//!   bounds catch the rest; only survivors are scored exactly.
+//!   seed the threshold, and a best-first search over the quantized
+//!   signature index's admissible lower bounds — level-1 runs, then
+//!   per-lag bounds — scores exactly only what it cannot prove out.
 //!
 //! Pruning is *admissible*, so the composed run must impute
 //! **bit-identical** values to the exhaustive run — the replay asserts that
@@ -18,7 +18,7 @@
 //!
 //! The headline trend fields are the composed-vs-exhaustive speedup, the
 //! fraction of candidates pruned (`pruned_fraction`), the fraction skipped
-//! wholesale by the level-1 prefilter (`level1_skipped_fraction`) and the
+//! in level-1 runs the search never expanded (`level1_skipped_fraction`) and the
 //! average fraction of candidates remembered in the lag memory when an
 //! imputation begins (`maintained_lag_fraction`); at paper proportions (l = 72 against a
 //! window over months of 5-minute data) the signature blocks are much
@@ -113,8 +113,8 @@ pub struct PruningRun {
     /// Fraction of candidates the cascade's bounds pruned away without an
     /// exact evaluation (0 for the exhaustive mode).
     pub pruned_fraction: f64,
-    /// Fraction of candidates skipped wholesale by the level-1 run
-    /// prefilter (0 for the exhaustive mode).
+    /// Fraction of candidates in level-1 runs the search never expanded
+    /// (0 for the exhaustive mode).
     pub level1_skipped_fraction: f64,
     /// Average fraction of candidates remembered in the reference set's lag
     /// memory when an imputation began (0 for the exhaustive mode).

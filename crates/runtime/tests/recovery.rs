@@ -243,9 +243,9 @@ fn prune_totals_continue_across_a_crash() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// One NaN reading must not block a checkpoint: the composed path's exact
-/// folds run through it, but its caches (index, lag memories) are not
-/// persisted, so the fleet checkpoints and recovers.
+/// One NaN reading must not block a checkpoint: the window stores it as
+/// missing, the WAL logs the raw tick, and replay applies the same ingest
+/// policy, so the fleet checkpoints and recovers the same imputations.
 #[test]
 fn a_nan_reading_does_not_block_a_checkpoint() {
     let config = TkcmConfig::builder()
@@ -276,13 +276,15 @@ fn a_nan_reading_does_not_block_a_checkpoint() {
         let tick = StreamTick::new(Timestamp::new(t as i64), vec![target, reference]);
         fleet.process_tick(&tick).unwrap();
     }
-    assert_eq!(fleet.imputations_performed(), 10);
+    // The NaN is missing at ingest, so its slot is imputed too: 10 target
+    // imputations + 1.
+    assert_eq!(fleet.imputations_performed(), 11);
     fleet.checkpoint(&dir).unwrap();
     drop(fleet);
 
     let recovered = ShardedEngine::recover(&dir).unwrap();
     assert_eq!(recovered.ticks_processed(), 600);
-    assert_eq!(recovered.imputations_performed(), 10);
+    assert_eq!(recovered.imputations_performed(), 11);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -75,4 +75,4 @@ pub use series::{SeriesId, TimeSeries};
 pub use stats::{mean, pearson, population_std, population_variance, Summary};
 pub use stream::{SliceStream, StreamSource, StreamTick};
 pub use timestamp::{SampleInterval, Timestamp};
-pub use window::{SlotState, StreamingWindow, WindowSlot};
+pub use window::{ingest_reading, SlotState, StreamingWindow, WindowSlot};

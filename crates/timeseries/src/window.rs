@@ -25,6 +25,15 @@ pub enum SlotState {
     Missing,
 }
 
+/// The ingest policy for one arriving reading: a non-finite value (NaN,
+/// ±∞) is stored as missing, so it can never feed a pattern or become an
+/// anchor value.  Huge *finite* readings are data and pass unchanged.
+/// Structures kept in lock-step with the window (the signature index of
+/// `tkcm-core`) apply the same policy to the same tick.
+pub fn ingest_reading(value: Option<f64>) -> Option<f64> {
+    value.filter(|v| v.is_finite())
+}
+
 /// A single slot of the window: the (possibly absent) value plus provenance.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WindowSlot {
@@ -137,7 +146,8 @@ impl StreamingWindow {
         Some((self.ticks_seen - 1 - age) as u64)
     }
 
-    /// Pushes a new tick into the window (O(width), O(1) per series).
+    /// Pushes a new tick into the window (O(width), O(1) per series).  A
+    /// non-finite reading is stored as missing ([`ingest_reading`]).
     ///
     /// Returns an error if the tick width does not match the window width or
     /// if time does not advance strictly.
@@ -158,8 +168,9 @@ impl StreamingWindow {
             }
         }
         self.state_offset = (self.state_offset + 1) % self.length;
-        for (i, v) in tick.values.iter().enumerate() {
-            self.buffers[i].push(*v);
+        for (i, &v) in tick.values.iter().enumerate() {
+            let v = ingest_reading(v);
+            self.buffers[i].push(v);
             self.states[i][self.state_offset] = if v.is_some() {
                 SlotState::Observed
             } else {
