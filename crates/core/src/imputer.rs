@@ -16,7 +16,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use tkcm_timeseries::{RingBuffer, SeriesId, SlotState, StreamingWindow, Timestamp, TsError};
+use tkcm_timeseries::{SeriesId, SlotState, StreamingWindow, Timestamp, TsError};
 
 use crate::config::TkcmConfig;
 use crate::consistency::ConsistencyReport;
@@ -330,46 +330,46 @@ impl TkcmImputer {
         })
     }
 
-    /// Exact dissimilarity of the candidate anchored `age` ticks back;
-    /// `buffers` are the reference rings, in `references` order.
+    /// Exact dissimilarity of the candidate anchored `age` ticks back.
     ///
     /// The exhaustive path materializes a [`Pattern`] per candidate and
     /// calls [`l2_distance`]; doing that per *shortlisted* candidate would
     /// put an allocation on the composed hot path, so this reads each
-    /// reference's `l` slots straight off its ring as at most two
-    /// chronological slices ([`RingBuffer::chronological_run`]) and zips
-    /// them with the query row.  The pairs and their order are those of the
+    /// reference's `l` values straight off its ring as at most two
+    /// chronological slices ([`StreamingWindow::value_run`]) and zips them
+    /// with the query row.  The pairs and their order are those of the
     /// `l2_components` recurrence — reference-major, chronological within a
     /// reference, `sum += (x−y)·(x−y)` left to right, then
     /// [`l2_from_components`] — which makes a shortlisted candidate's `D[j]`
     /// bit-equal to the exhaustive path's, not just approximately equal.  A
-    /// missing candidate slot (or a run past the pushed ticks) makes pattern
-    /// extraction fail, so `D = +∞`.
-    fn exact_fold(&self, buffers: &[&RingBuffer], query: &Pattern, age: usize) -> f64 {
+    /// missing (NaN) candidate slot, or a run past the pushed ticks, makes
+    /// pattern extraction fail, so `D = +∞`.
+    fn exact_fold(
+        &self,
+        window: &StreamingWindow,
+        references: &[SeriesId],
+        query: &Pattern,
+        age: usize,
+    ) -> f64 {
         let l = self.config.pattern_length;
         let mut sum_sq = 0.0f64;
-        let mut observed = 0usize;
-        for (ri, buf) in buffers.iter().enumerate() {
-            let Some((older, newer)) = buf.chronological_run(age, l) else {
+        for (ri, &r) in references.iter().enumerate() {
+            let Ok((older, newer)) = window.value_run(r, age, l) else {
                 return f64::INFINITY;
             };
             // Column 0 is the oldest tick — same walk as
             // `extract_pattern_at_age`.
-            let row = query.row(ri);
-            let (row_older, row_newer) = row.split_at(older.len());
-            for (qs, xs) in [(row_older, older), (row_newer, newer)] {
-                for (&q_slot, &x_slot) in qs.iter().zip(xs) {
-                    let Some(x) = x_slot else {
+            let (row_older, row_newer) = query.row(ri).split_at(older.len());
+            for (ys, xs) in [(row_older, older), (row_newer, newer)] {
+                for (&y, &x) in ys.iter().zip(xs) {
+                    if x.is_nan() {
                         return f64::INFINITY;
-                    };
-                    if let Some(y) = q_slot {
-                        sum_sq += (x - y) * (x - y);
-                        observed += 1;
                     }
+                    sum_sq += (x - y) * (x - y);
                 }
             }
         }
-        l2_from_components(sum_sq, observed, buffers.len() * l)
+        l2_from_components(sum_sq)
     }
 
     /// Imputes like [`TkcmImputer::impute`], but uses the signature `index`
@@ -495,12 +495,8 @@ impl TkcmImputer {
             dissimilarities = vec![f64::INFINITY; j];
             let query = extract_query_pattern(window, references, l)?;
             if let Some(ref q) = query {
-                let rows: Vec<&[Option<f64>]> = (0..references.len()).map(|ri| q.row(ri)).collect();
+                let rows: Vec<&[f64]> = (0..references.len()).map(|ri| q.row(ri)).collect();
                 let sig_query = SignatureQuery::new(&rows);
-                let buffers = references
-                    .iter()
-                    .map(|&r| window.buffer(r))
-                    .collect::<Result<Vec<_>, _>>()?;
                 // Anchor provenance of every candidate, read once: the run
                 // of target slots from the oldest candidate to the newest is
                 // in candidate-index order.
@@ -538,7 +534,7 @@ impl TkcmImputer {
                         continue;
                     }
                     if !evaluated[idx] {
-                        dissimilarities[idx] = self.exact_fold(&buffers, q, lag);
+                        dissimilarities[idx] = self.exact_fold(window, references, q, lag);
                         evaluated[idx] = true;
                         stats.shortlisted += 1;
                     }
@@ -688,7 +684,7 @@ impl TkcmImputer {
                     }
                     let idx = node.idx;
                     if !evaluated[idx] {
-                        let d = self.exact_fold(&buffers, q, oldest_age - idx);
+                        let d = self.exact_fold(window, references, q, oldest_age - idx);
                         dissimilarities[idx] = d;
                         stats.shortlisted += 1;
                         if d.is_finite() {
@@ -735,14 +731,14 @@ impl TkcmImputer {
 
     /// Fallback when no usable anchor exists: the most recent present value
     /// of the target, else the mean of the references' current values, else
-    /// the mean of everything present in the window, else 0.
+    /// the mean of the target's present window values, else 0.
     fn fallback_value(
         &self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
     ) -> Result<f64, TsError> {
-        let filled = window.ticks_seen().min(window.length());
+        let filled = window.filled();
         for age in 1..filled {
             if let Some(v) = window.value_recent(target, age)? {
                 return Ok(v);
@@ -757,10 +753,16 @@ impl TkcmImputer {
         if !ref_values.is_empty() {
             return Ok(ref_values.iter().sum::<f64>() / ref_values.len() as f64);
         }
-        if let Some(m) = window.buffer(target)?.mean() {
-            return Ok(m);
+        // The mean of the target's present window values, summed newest
+        // first.
+        let (mut sum, mut n) = (0.0, 0usize);
+        for age in 0..filled {
+            if let Some(v) = window.value_recent(target, age)? {
+                sum += v;
+                n += 1;
+            }
         }
-        Ok(0.0)
+        Ok(if n == 0 { 0.0 } else { sum / n as f64 })
     }
 }
 

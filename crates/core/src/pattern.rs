@@ -11,23 +11,23 @@ use tkcm_timeseries::{SeriesId, StreamingWindow, Timestamp, TsError};
 
 /// A `d × l` pattern over the reference series, anchored at some time point.
 ///
-/// Values are stored row-major (`values[row * length + col]`).  The window
-/// extractors below only return fully observed patterns; a missing slot can
-/// only come from [`Pattern::new`].
+/// Values are stored row-major (`values[row * length + col]`).  A pattern is
+/// always complete: the window extractors below return `None` instead of a
+/// pattern with a missing slot.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Pattern {
     anchor: Timestamp,
     rows: usize,
     length: usize,
-    values: Vec<Option<f64>>,
+    values: Vec<f64>,
 }
 
 impl Pattern {
-    /// Creates a pattern from row-major optional values.
+    /// Creates a pattern from row-major values.
     ///
     /// # Panics
     /// Panics if `values.len() != rows * length`.
-    pub fn new(anchor: Timestamp, rows: usize, length: usize, values: Vec<Option<f64>>) -> Self {
+    pub fn new(anchor: Timestamp, rows: usize, length: usize, values: Vec<f64>) -> Self {
         assert_eq!(
             values.len(),
             rows * length,
@@ -41,7 +41,7 @@ impl Pattern {
         }
     }
 
-    /// Creates a fully observed pattern from per-row slices of raw values.
+    /// Creates a pattern from per-row slices of values.
     ///
     /// # Panics
     /// Panics if the rows have differing lengths.
@@ -55,7 +55,7 @@ impl Pattern {
             anchor,
             rows: rows.len(),
             length,
-            values: rows.iter().flatten().map(|v| Some(*v)).collect(),
+            values: rows.concat(),
         }
     }
 
@@ -76,7 +76,7 @@ impl Pattern {
 
     /// Value of reference `row` at column `col` (column `length-1` is the
     /// anchor time; column 0 is `l−1` ticks before the anchor).
-    pub fn value(&self, row: usize, col: usize) -> Option<f64> {
+    pub fn value(&self, row: usize, col: usize) -> f64 {
         assert!(
             row < self.rows && col < self.length,
             "pattern index out of bounds"
@@ -84,24 +84,14 @@ impl Pattern {
         self.values[row * self.length + col]
     }
 
-    /// Whether every slot of the pattern is observed.
-    pub fn is_complete(&self) -> bool {
-        self.values.iter().all(|v| v.is_some())
-    }
-
-    /// Number of missing slots.
-    pub fn missing_count(&self) -> usize {
-        self.values.iter().filter(|v| v.is_none()).count()
-    }
-
-    /// Row `row` as a vector of optional values (chronological order).
-    pub fn row(&self, row: usize) -> &[Option<f64>] {
+    /// Row `row` in chronological order.
+    pub fn row(&self, row: usize) -> &[f64] {
         assert!(row < self.rows, "pattern row out of bounds");
         &self.values[row * self.length..(row + 1) * self.length]
     }
 
-    /// Flattened row-major values with missing slots as `None`.
-    pub fn values(&self) -> &[Option<f64>] {
+    /// Flattened row-major values.
+    pub fn values(&self) -> &[f64] {
         &self.values
     }
 }
@@ -110,8 +100,8 @@ impl Pattern {
 /// series from a streaming window.
 ///
 /// Returns `Ok(None)` when any slot of the pattern is missing — the
-/// candidate is simply not usable.  Returns an error if the anchor (or the ticks `anchor - l + 1`) fall
-/// outside the window.
+/// candidate is simply not usable.  Returns an error if the anchor (or the
+/// ticks `anchor - l + 1`) fall outside the window.
 pub fn extract_pattern(
     window: &StreamingWindow,
     references: &[SeriesId],
@@ -166,7 +156,7 @@ pub fn extract_pattern_at_age(
             let Some(v) = window.value_recent(r, age)? else {
                 return Ok(None);
             };
-            values.push(Some(v));
+            values.push(v);
         }
     }
     Ok(Some(Pattern::new(anchor, references.len(), length, values)))
@@ -211,18 +201,16 @@ mod tests {
         assert_eq!(p.anchor(), Timestamp::new(5));
         assert_eq!(p.rows(), 2);
         assert_eq!(p.length(), 3);
-        assert!(p.is_complete());
-        assert_eq!(p.missing_count(), 0);
-        assert_eq!(p.value(0, 0), Some(1.0));
-        assert_eq!(p.value(1, 2), Some(6.0));
-        assert_eq!(p.row(1), &[Some(4.0), Some(5.0), Some(6.0)]);
+        assert_eq!(p.value(0, 0), 1.0);
+        assert_eq!(p.value(1, 2), 6.0);
+        assert_eq!(p.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(p.values().len(), 6);
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn pattern_new_validates_size() {
-        let _ = Pattern::new(Timestamp::new(0), 2, 2, vec![Some(1.0)]);
+        let _ = Pattern::new(Timestamp::new(0), 2, 2, vec![1.0]);
     }
 
     #[test]
@@ -244,8 +232,8 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(p.anchor(), Timestamp::new(11));
-        assert_eq!(p.row(0), &[Some(16.3), Some(17.1), Some(17.5)]);
-        assert_eq!(p.row(1), &[Some(20.2), Some(19.9), Some(18.2)]);
+        assert_eq!(p.row(0), &[16.3, 17.1, 17.5]);
+        assert_eq!(p.row(1), &[20.2, 19.9, 18.2]);
     }
 
     #[test]
@@ -264,8 +252,8 @@ mod tests {
         let p = extract_pattern(&w, &[SeriesId(0), SeriesId(1)], Timestamp::new(7), 3)
             .unwrap()
             .unwrap();
-        assert_eq!(p.row(0), &[Some(16.2), Some(17.4), Some(17.7)]);
-        assert_eq!(p.row(1), &[Some(20.5), Some(19.8), Some(18.2)]);
+        assert_eq!(p.row(0), &[16.2, 17.4, 17.7]);
+        assert_eq!(p.row(1), &[20.5, 19.8, 18.2]);
     }
 
     #[test]
@@ -280,7 +268,7 @@ mod tests {
         let early = extract_pattern(&w, &[SeriesId(0)], Timestamp::new(7), 3)
             .unwrap()
             .unwrap();
-        assert!(early.is_complete());
+        assert_eq!(early.row(0), &[5.0, 6.0, 7.0]);
     }
 
     #[test]
@@ -304,6 +292,6 @@ mod tests {
             .unwrap()
             .unwrap();
         assert_eq!(p.length(), 1);
-        assert_eq!(p.value(0, 0), Some(8.0));
+        assert_eq!(p.value(0, 0), 8.0);
     }
 }

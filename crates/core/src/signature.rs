@@ -1,31 +1,34 @@
 //! Quantized pattern-signature index: admissible candidate pruning.
 //!
 //! Scoring every candidate lag exactly costs `O(d·l)` each, linear in the
-//! candidate count `J = L − 2l + 1` per imputation.  This module keeps a coarse, block-quantized summary of every series in the
-//! window — a piecewise min/max envelope plus a missing-slot count per block
-//! of [`SIGNATURE_BLOCK_LEN`] consecutive ticks — and uses it to compute a
-//! cheap *lower bound* `LB[j] ≤ D[j]` on each candidate's L2 dissimilarity.
-//! The imputer ([`crate::imputer::TkcmImputer::impute_composed`]) then
-//! evaluates exact dissimilarities only for a shortlist and proves the rest
-//! out of the k-NN set.
+//! candidate count `J = L − 2l + 1` per imputation.  This module keeps a
+//! coarse, block-quantized summary of every series in the window — a
+//! piecewise min/max envelope plus a missing-slot count per block of
+//! [`SIGNATURE_BLOCK_LEN`] consecutive ticks — and uses it to compute a
+//! cheap *lower bound* `LB[j] ≤ D[j]` on each candidate's L2 dissimilarity
+//! against the query pattern.  The imputer
+//! ([`crate::imputer::TkcmImputer::impute_composed`]) then evaluates exact
+//! dissimilarities only for a shortlist and proves the rest out of the k-NN
+//! set.
 //!
 //! # The lower bound, and why it is admissible
 //!
-//! For a candidate at lag `a`, the exact squared dissimilarity is
-//! `D²[a] = scale · Σ (x − y)²` over the pairs `(x, y)` of candidate and
-//! query values observed on both sides, with `scale = total/observed ≥ 1`
-//! (Definition 2 as implemented by `l2_components`/`l2_from_components`).
-//! Split the candidate range into block-aligned segments.  For a segment
-//! whose candidate values lie in the envelope `[c_lo, c_hi]` and whose
-//! paired query values lie in `[q_lo, q_hi]`, every observed pair satisfies
+//! The query pattern is complete (the extractors return no other), and a
+//! candidate with a missing slot has `D = +∞`.  For a complete candidate at
+//! lag `a`, the exact squared dissimilarity is `D²[a] = Σ (x − y)²` over all
+//! `d·l` pairs `(x, y)` of candidate and query values (Definition 2 as
+//! implemented by `l2_components`/`l2_from_components`).  Split the
+//! candidate range into block-aligned segments.  For a segment whose
+//! candidate values lie in the envelope `[c_lo, c_hi]` and whose paired
+//! query values lie in `[q_lo, q_hi]`, every pair satisfies
 //! `(x − y)² ≥ g²` where `g = max(0, q_lo − c_hi, c_lo − q_hi)` is the gap
-//! between the envelopes.  At least
-//! `n_certain = seg_len − missing_candidate − missing_query` pairs are
-//! observed on both sides (block-level missing counts over-count a partial
-//! segment, which only lowers `n_certain` — still safe), so
+//! between the envelopes.  The bound counts only
+//! `n_certain = seg_len − missing_candidate` pairs (the block-level missing
+//! count over-counts a partial segment, which only lowers `n_certain` —
+//! still safe), so
 //!
 //! ```text
-//! Σ g² · n_certain  ≤  Σ_observed (x − y)²  ≤  D²[a]
+//! Σ g² · n_certain  ≤  Σ (x − y)²  =  D²[a]
 //! ```
 //!
 //! Envelopes are maintained *outward only*: a write-back widens the block's
@@ -65,7 +68,7 @@ pub fn level1_run_len(pattern_length: usize) -> usize {
 /// Summary of one block of [`SIGNATURE_BLOCK_LEN`] consecutive ticks of one
 /// series: an outward-only min/max envelope over the observed values, the
 /// number of missing slots, and the running sum of the observed values.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BlockSummary {
     /// Lower envelope of the observed values (`+∞` while the block is all
     /// missing).  Only ever moves down.
@@ -83,17 +86,6 @@ pub struct BlockSummary {
     /// value is gone), so it *poisons* the sum to NaN and the mean bound is
     /// skipped for that block from then on (the envelope bound still holds).
     pub sum: f64,
-}
-
-impl PartialEq for BlockSummary {
-    fn eq(&self, other: &Self) -> bool {
-        self.min == other.min
-            && self.max == other.max
-            && self.missing == other.missing
-            // A poisoned (NaN) sum compares equal to a poisoned sum, so
-            // snapshot round-trips of a poisoned block stay comparable.
-            && (self.sum == other.sum || (self.sum.is_nan() && other.sum.is_nan()))
-    }
 }
 
 impl BlockSummary {
@@ -118,21 +110,13 @@ impl BlockSummary {
     }
 }
 
-/// Gap between two min/max envelopes: the smallest possible |x − y| for
-/// `x ∈ [a_lo, a_hi]`, `y ∈ [b_lo, b_hi]`.
-fn envelope_gap(a: &BlockSummary, b: &BlockSummary) -> f64 {
-    let g = (b.min - a.max).max(a.min - b.max);
-    g.max(0.0)
-}
-
 /// Precomputed query-side context for [`SignatureIndex::lower_bound_sq_with_query`].
 ///
 /// The query pattern is fixed for the whole candidate sweep of one
 /// imputation, so its per-sub-range statistics are precomputed once —
-/// prefix sums and missing counts for O(1) segment means, and sparse
-/// min/max tables for O(1) exact segment envelopes — and reused across all
-/// `J` candidates.  Construction is `O(d · l · log l)`, negligible next to
-/// the sweep itself.
+/// prefix sums for O(1) segment means, and sparse min/max tables for O(1)
+/// exact segment envelopes — and reused across all `J` candidates.
+/// Construction is `O(d · l · log l)`, negligible next to the sweep itself.
 #[derive(Clone, Debug)]
 pub struct SignatureQuery {
     length: usize,
@@ -142,32 +126,23 @@ pub struct SignatureQuery {
 /// Range tables of one reference row of the query pattern.
 #[derive(Clone, Debug)]
 struct QueryRef {
-    /// `prefix_sum[p]` = sum of the observed values at positions `< p`
-    /// (missing contributes 0).
+    /// `prefix_sum[p]` = sum of the values at positions `< p`.
     prefix_sum: Vec<f64>,
-    /// `prefix_missing[p]` = number of missing slots at positions `< p`.
-    prefix_missing: Vec<u32>,
-    /// Sparse tables: `mins[k][i]` covers positions `[i, i + 2^k)`; missing
-    /// slots hold `+∞` / `−∞` so they drop out of range envelopes.
+    /// Sparse tables: `mins[k][i]` covers positions `[i, i + 2^k)`.
     mins: Vec<Vec<f64>>,
     maxs: Vec<Vec<f64>>,
 }
 
 impl QueryRef {
-    fn new(row: &[Option<f64>]) -> Self {
+    fn new(row: &[f64]) -> Self {
         let l = row.len();
         let mut prefix_sum = Vec::with_capacity(l + 1);
-        let mut prefix_missing = Vec::with_capacity(l + 1);
         prefix_sum.push(0.0);
-        prefix_missing.push(0);
         for v in row {
-            prefix_sum.push(prefix_sum.last().unwrap() + v.unwrap_or(0.0));
-            prefix_missing.push(prefix_missing.last().unwrap() + u32::from(v.is_none()));
+            prefix_sum.push(prefix_sum.last().unwrap() + v);
         }
-        let base_min: Vec<f64> = row.iter().map(|v| v.unwrap_or(f64::INFINITY)).collect();
-        let base_max: Vec<f64> = row.iter().map(|v| v.unwrap_or(f64::NEG_INFINITY)).collect();
-        let mut mins = vec![base_min];
-        let mut maxs = vec![base_max];
+        let mut mins = vec![row.to_vec()];
+        let mut maxs = vec![row.to_vec()];
         let mut width = 1usize;
         while width * 2 <= l {
             let prev_min = mins.last().unwrap();
@@ -185,14 +160,12 @@ impl QueryRef {
         }
         QueryRef {
             prefix_sum,
-            prefix_missing,
             mins,
             maxs,
         }
     }
 
-    /// Exact min/max over the *observed* values at positions `[a, b]`
-    /// (inclusive); `(+∞, −∞)` when every position is missing.
+    /// Exact min/max over the values at positions `[a, b]` (inclusive).
     fn range_min_max(&self, a: usize, b: usize) -> (f64, f64) {
         let len = b - a + 1;
         let k = (usize::BITS - 1 - len.leading_zeros()) as usize;
@@ -210,7 +183,7 @@ impl SignatureQuery {
     /// (chronological order, position 0 = oldest — exactly
     /// [`crate::pattern::Pattern::row`]).  Every row must have the same
     /// length.
-    pub fn new(rows: &[&[Option<f64>]]) -> Self {
+    pub fn new(rows: &[&[f64]]) -> Self {
         let length = rows.first().map(|r| r.len()).unwrap_or(0);
         assert!(
             rows.iter().all(|r| r.len() == length),
@@ -378,17 +351,19 @@ impl SignatureIndex {
         self.blocks.get(series).and_then(|s| s.get(idx))
     }
 
-    /// Like [`SignatureIndex::lower_bound_sq`] but *query-aware*: the query
-    /// side is the exact extracted pattern instead of its block envelopes,
-    /// which tightens the bound in two ways.
+    /// Gap-aware lower bound on the *squared* L2 dissimilarity `D²` of the
+    /// candidate anchored `lag` ticks in the past against the query pattern,
+    /// over the given reference series with pattern length `l`.  The query
+    /// side is the exact extracted pattern, which makes the bound tight in
+    /// two ways.
     ///
     /// 1. **Exact query segment statistics** — per candidate segment the
-    ///    paired query sub-range's min/max and missing count come from the
-    ///    pattern itself ([`SignatureQuery`] precomputes range tables), so
-    ///    the envelope gap loses the query-side quantization slack.
+    ///    paired query sub-range's min/max come from the pattern itself
+    ///    ([`SignatureQuery`] precomputes range tables), so the envelope gap
+    ///    has no query-side quantization slack.
     /// 2. **Block-mean (Jensen) bound** — when a segment covers a whole
-    ///    block with no missing slot on either side, all
-    ///    `B = SIGNATURE_BLOCK_LEN` pairs are observed and
+    ///    block with no missing candidate slot, all
+    ///    `B = SIGNATURE_BLOCK_LEN` pairs are present and
     ///    `Σ (x_i − y_i)² ≥ (Σ (x_i − y_i))² / B = B · (x̄ − ȳ)²`
     ///    (Cauchy–Schwarz), with `x̄` from the maintained block sum and `ȳ`
     ///    from the query prefix sums.  This separates candidates whose
@@ -399,8 +374,15 @@ impl SignatureIndex {
     ///    overwrite falls back to the envelope bound.
     ///
     /// The per-segment contribution is the max of the two bounds; both are
-    /// admissible, so the max is.  Semantics of the returns are identical to
-    /// [`SignatureIndex::lower_bound_sq`].
+    /// admissible, so the max is.
+    ///
+    /// The second return is `true` when the index *proves* the candidate
+    /// range contains a missing reference slot (a block fully inside the
+    /// range with `missing > 0`): such a candidate has `D = +∞` exactly and
+    /// needs no exact evaluation.
+    ///
+    /// Returns `(0.0, false)` — the vacuous bound — whenever a range is not
+    /// fully resolvable, so the caller never over-prunes.
     pub fn lower_bound_sq_with_query(
         &self,
         references: &[SeriesId],
@@ -454,16 +436,12 @@ impl SignatureIndex {
                 // Pattern positions paired with this segment (0 = oldest).
                 let p_s = (seg_start - cand_start) as usize;
                 let p_e = (seg_end - cand_start) as usize;
-                let q_missing = (qref.prefix_missing[p_e + 1] - qref.prefix_missing[p_s]) as u64;
                 let seg_len = seg_end - seg_start + 1;
-                let uncertain = u64::from(cand_block.missing) + q_missing;
+                let uncertain = u64::from(cand_block.missing);
                 if seg_len > uncertain {
-                    let clean_block = full_block
-                        && cand_block.missing == 0
-                        && q_missing == 0
-                        && !cand_block.sum.is_nan();
+                    let clean_block = full_block && uncertain == 0 && !cand_block.sum.is_nan();
                     if clean_block {
-                        // All B pairs observed and the sum unpoisoned: the
+                        // All B pairs present and the sum unpoisoned: the
                         // mean bound alone — on smooth signals it dominates
                         // the envelope gap (which needs *disjoint* ranges),
                         // and skipping the range-table lookups here keeps
@@ -490,8 +468,8 @@ impl SignatureIndex {
         (sum, certain_missing)
     }
 
-    /// Level-1 *run* bound: an admissible lower bound on the squared,
-    /// unscaled L2 dissimilarity of **every** candidate lag in
+    /// Level-1 *run* bound: an admissible lower bound on the squared L2
+    /// dissimilarity of **every** candidate lag in
     /// `lag_lo .. lag_lo + run_len`, computed from coarse block-envelope
     /// unions — one bound for a whole run of consecutive lags, so the
     /// imputer's best-first search can leave the run unexpanded when the
@@ -503,10 +481,10 @@ impl SignatureIndex {
     /// `chunk_len + run_len − 1`).  The union envelope of the blocks covering
     /// that region contains every candidate value any lag in the run pairs
     /// with the chunk, and the summed block missing counts over-count any
-    /// single lag's missing pairs, so with `g` the gap between the union
+    /// single lag's missing slots, so with `g` the gap between the union
     /// envelope and the exact query-chunk envelope,
-    /// `g² · max(0, chunk_len − q_missing − region_missing)` lower-bounds
-    /// each lag's contribution.  Per reference the cost is
+    /// `g² · max(0, chunk_len − region_missing)` lower-bounds each lag's
+    /// contribution.  Per reference the cost is
     /// `O((l/B) · (run_len/B + 2))` block reads for `run_len` lags — versus
     /// `O(run_len · l/B)` for per-lag level-0 bounds.
     ///
@@ -571,14 +549,11 @@ impl SignatureIndex {
                     }
                     if resolved {
                         let chunk_len = (p_e - p_s + 1) as u64;
-                        let q_missing =
-                            u64::from(qref.prefix_missing[p_e + 1] - qref.prefix_missing[p_s]);
-                        let uncertain = q_missing + region_missing;
-                        if chunk_len > uncertain {
+                        if chunk_len > region_missing {
                             let (q_min, q_max) = qref.range_min_max(p_s, p_e);
                             let g = (q_min - c_max).max(c_min - q_max).max(0.0);
                             if g > 0.0 && g.is_finite() {
-                                sum += g * g * (chunk_len - uncertain) as f64;
+                                sum += g * g * (chunk_len - region_missing) as f64;
                             }
                         }
                     }
@@ -587,94 +562,6 @@ impl SignatureIndex {
             }
         }
         sum
-    }
-
-    /// Gap-aware lower bound on the *squared, unscaled* L2 dissimilarity of
-    /// the candidate anchored `lag` ticks in the past, over the given
-    /// reference series with pattern length `l` — i.e. a lower bound on the
-    /// `sum_sq` of `l2_components`, hence (since the Definition 2 rescale
-    /// factor is ≥ 1) on `D²[lag]`.
-    ///
-    /// The second return is `true` when the index *proves* the candidate
-    /// range contains a missing reference slot (a block fully inside the
-    /// range with `missing > 0`): such a candidate has `D = +∞` exactly and
-    /// needs no exact evaluation.
-    ///
-    /// Returns `(0.0, false)` — the vacuous bound — whenever a range is not
-    /// fully resolvable, so the caller never over-prunes.
-    pub fn lower_bound_sq(&self, references: &[SeriesId], lag: usize, l: usize) -> (f64, bool) {
-        if self.ticks_seen == 0 || l == 0 {
-            return (0.0, false);
-        }
-        let Some(query_newest) = self.ordinal_of_age(0) else {
-            return (0.0, false);
-        };
-        // Candidate columns pair with query columns at a constant ordinal
-        // offset of exactly `lag`.
-        let Some(cand_newest) = self.ordinal_of_age(lag) else {
-            return (0.0, false);
-        };
-        let span = (l - 1) as u64;
-        if cand_newest < span || query_newest < span {
-            return (0.0, false);
-        }
-        let cand_start = cand_newest - span;
-        let block_len = SIGNATURE_BLOCK_LEN as u64;
-
-        let mut sum = 0.0_f64;
-        let mut certain_missing = false;
-        for (ri, &r) in references.iter().enumerate() {
-            let _ = ri;
-            let series = r.index();
-            // Walk block-aligned segments of the candidate range.
-            let mut seg_start = cand_start;
-            while seg_start <= cand_newest {
-                let block_base = seg_start - (seg_start % block_len);
-                let seg_end = (block_base + block_len - 1).min(cand_newest);
-                let seg_len = seg_end - seg_start + 1;
-                let Some(cand_block) = self.block_at(series, seg_start) else {
-                    seg_start = seg_end + 1;
-                    continue;
-                };
-                if cand_block.missing > 0
-                    && seg_start == block_base
-                    && seg_end == block_base + block_len - 1
-                {
-                    // The whole block lies inside the candidate range, so its
-                    // missing slots are provably part of the candidate.
-                    certain_missing = true;
-                }
-                // The paired query segment spans at most two query blocks;
-                // union their envelopes and missing counts (conservative).
-                let q_start = seg_start + lag as u64;
-                let q_end = seg_end + lag as u64;
-                let Some(q_first) = self.block_at(series, q_start) else {
-                    seg_start = seg_end + 1;
-                    continue;
-                };
-                let mut q_env = *q_first;
-                let q_last_base = q_end - (q_end % block_len);
-                if q_last_base > q_start {
-                    let Some(q_second) = self.block_at(series, q_end) else {
-                        seg_start = seg_end + 1;
-                        continue;
-                    };
-                    q_env.min = q_env.min.min(q_second.min);
-                    q_env.max = q_env.max.max(q_second.max);
-                    q_env.missing += q_second.missing;
-                }
-                let uncertain = (cand_block.missing + q_env.missing) as u64;
-                if seg_len > uncertain {
-                    let n_certain = (seg_len - uncertain) as f64;
-                    let g = envelope_gap(cand_block, &q_env);
-                    if g > 0.0 && g.is_finite() {
-                        sum += g * g * n_certain;
-                    }
-                }
-                seg_start = seg_end + 1;
-            }
-        }
-        (sum, certain_missing)
     }
 
     /// Rebuilds the index from the current window contents (tight envelopes,
@@ -727,6 +614,14 @@ mod tests {
         w.push_tick(&StreamTick::new(Timestamp::new(t), values.clone()))
             .unwrap();
         ix.on_push(&values).unwrap();
+    }
+
+    /// The query context of series 0's last `l` values (all present).
+    fn query_of(w: &StreamingWindow, l: usize) -> SignatureQuery {
+        let row: Vec<f64> = (0..l)
+            .map(|col| w.value_recent(SeriesId(0), l - 1 - col).unwrap().unwrap())
+            .collect();
+        SignatureQuery::new(&[&row])
     }
 
     #[test]
@@ -795,7 +690,7 @@ mod tests {
             push(&mut w, &mut ix, t, vec![Some(((t % 8) as f64) * 0.5)]);
         }
         // Period-8 signal: candidate at lag 8 is identical to the query.
-        let (lb, miss) = ix.lower_bound_sq(&[SeriesId(0)], 8, 8);
+        let (lb, miss) = ix.lower_bound_sq_with_query(&[SeriesId(0)], 8, 8, &query_of(&w, 8));
         assert_eq!(lb, 0.0);
         assert!(!miss);
     }
@@ -810,7 +705,7 @@ mod tests {
             push(&mut w, &mut ix, t, vec![Some(v)]);
         }
         let l = 8usize;
-        let (lb, _) = ix.lower_bound_sq(&[SeriesId(0)], 40, l);
+        let (lb, _) = ix.lower_bound_sq_with_query(&[SeriesId(0)], 40, l, &query_of(&w, l));
         // Gap is at least 100 − 0.32 per pair, 8 pairs.
         assert!(lb > 8.0 * 99.0 * 99.0, "lb = {lb}");
     }
@@ -828,10 +723,10 @@ mod tests {
         // Candidate covering the full middle block sees the missing slot.
         let l = SIGNATURE_BLOCK_LEN as usize;
         let lag = l; // candidate = middle block exactly
-        let (_, certain) = ix.lower_bound_sq(&[SeriesId(0)], lag, l);
+        let (_, certain) = ix.lower_bound_sq_with_query(&[SeriesId(0)], lag, l, &query_of(&w, l));
         assert!(certain);
         // A short candidate that only clips the block cannot be sure.
-        let (_, maybe) = ix.lower_bound_sq(&[SeriesId(0)], l + 10, 4);
+        let (_, maybe) = ix.lower_bound_sq_with_query(&[SeriesId(0)], l + 10, 4, &query_of(&w, 4));
         assert!(!maybe);
     }
 
@@ -850,7 +745,7 @@ mod tests {
         assert!(ix.base_ordinal <= (ix.ticks_seen - cap as u64));
     }
 
-    /// Exact unscaled `sum_sq` of the candidate at `lag`, for checking the
+    /// Exact `sum_sq` of the candidate at `lag`, for checking the
     /// run bound's admissibility against ground truth.
     fn exact_sum_sq(w: &StreamingWindow, lag: usize, l: usize) -> Option<f64> {
         let mut sum = 0.0;
@@ -870,19 +765,19 @@ mod tests {
         let cap = 128;
         let mut w = StreamingWindow::new(1, cap);
         let mut ix = SignatureIndex::new(1, cap).unwrap();
-        for t in 0..(cap as i64 + 40) {
-            let v = if t % 11 == 5 {
+        let l = 16usize;
+        let total = cap as i64 + 40;
+        for t in 0..total {
+            // Gaps everywhere but in the query's last `l` ticks: the imputer
+            // never builds an incomplete query.
+            let v = if t % 11 == 5 && t < total - l as i64 {
                 None
             } else {
                 Some((t as f64 * 0.37).sin() * 3.0 + if t % 29 == 0 { 50.0 } else { 0.0 })
             };
             push(&mut w, &mut ix, t, vec![v]);
         }
-        let l = 16usize;
-        let rows: Vec<Option<f64>> = (0..l)
-            .map(|col| w.value_recent(SeriesId(0), l - 1 - col).unwrap())
-            .collect();
-        let query = SignatureQuery::new(&[&rows]);
+        let query = query_of(&w, l);
         for run_len in [1usize, 4, 16, 32] {
             let mut lag_lo = l;
             while lag_lo + run_len - 1 <= cap - l {
@@ -918,10 +813,7 @@ mod tests {
             push(&mut w, &mut ix, t, vec![Some(v)]);
         }
         let l = 16usize;
-        let rows: Vec<Option<f64>> = (0..l)
-            .map(|col| w.value_recent(SeriesId(0), l - 1 - col).unwrap())
-            .collect();
-        let query = SignatureQuery::new(&[&rows]);
+        let query = query_of(&w, l);
         // A run wholly inside the far (level-100) region must get a large
         // positive bound.
         let rb = ix.run_lower_bound_sq_with_query(&[SeriesId(0)], 64, 8, l, &query);
@@ -939,8 +831,7 @@ mod tests {
         for t in 0..8i64 {
             push(&mut w, &mut ix, t, vec![Some(t as f64)]);
         }
-        let rows: Vec<Option<f64>> = vec![Some(0.0); 4];
-        let query = SignatureQuery::new(&[&rows]);
+        let query = SignatureQuery::new(&[&[0.0; 4]]);
         // Not enough history for lag 30 — must not invent a bound.
         assert_eq!(
             ix.run_lower_bound_sq_with_query(&[SeriesId(0)], 30, 4, 4, &query),

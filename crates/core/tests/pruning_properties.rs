@@ -192,29 +192,26 @@ proptest! {
             // tables over the extracted query pattern.
             let query = extract_query_pattern(&window, &refs, l).expect("valid geometry");
             let sig_query = query.as_ref().map(|q| {
-                let rows: Vec<&[Option<f64>]> = (0..refs.len()).map(|ri| q.row(ri)).collect();
+                let rows: Vec<&[f64]> = (0..refs.len()).map(|ri| q.row(ri)).collect();
                 SignatureQuery::new(&rows)
             });
             for lag in l..=(filled - l) {
-                let (lb_env_sq, certain_missing) = index.lower_bound_sq(&refs, lag, l);
-                let (lb_query_sq, certain_missing_q) = match &sig_query {
+                let (lb_sq, certain_missing) = match &sig_query {
                     Some(sq) => index.lower_bound_sq_with_query(&refs, lag, l, sq),
                     None => (0.0, false),
                 };
                 let exact = from_scratch_d(&window, &refs, l, lag);
-                for lb_sq in [lb_env_sq, lb_query_sq] {
-                    prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
-                    if exact.is_finite() {
-                        prop_assert!(
-                            lb_sq <= exact * exact * (1.0 + 1e-12),
-                            "lag {}: lower bound {} exceeds exact D² {}",
-                            lag,
-                            lb_sq,
-                            exact * exact
-                        );
-                    }
+                prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
+                if exact.is_finite() {
+                    prop_assert!(
+                        lb_sq <= exact * exact * (1.0 + 1e-12),
+                        "lag {}: lower bound {} exceeds exact D² {}",
+                        lag,
+                        lb_sq,
+                        exact * exact
+                    );
                 }
-                if certain_missing || certain_missing_q {
+                if certain_missing {
                     prop_assert!(
                         exact.is_infinite(),
                         "lag {}: certain_missing but D = {}",
@@ -355,29 +352,26 @@ proptest! {
         if filled >= 2 * l {
             let query = extract_query_pattern(&window, &refs, l).expect("valid geometry");
             let sig_query = query.as_ref().map(|q| {
-                let rows: Vec<&[Option<f64>]> = (0..refs.len()).map(|ri| q.row(ri)).collect();
+                let rows: Vec<&[f64]> = (0..refs.len()).map(|ri| q.row(ri)).collect();
                 SignatureQuery::new(&rows)
             });
             let j = filled - 2 * l + 1;
             let run_len = [1usize, 4, 16][run_len_choice];
             for lag in l..=(filled - l) {
-                let (lb_env_sq, _) = index.lower_bound_sq(&refs, lag, l);
-                let (lb_query_sq, _) = match &sig_query {
+                let (lb_sq, _) = match &sig_query {
                     Some(sq) => index.lower_bound_sq_with_query(&refs, lag, l, sq),
                     None => (0.0, false),
                 };
-                for lb_sq in [lb_env_sq, lb_query_sq] {
-                    prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
-                    let exact = from_scratch_d(&window, &refs, l, lag);
-                    if exact.is_finite() {
-                        prop_assert!(
-                            lb_sq <= exact * exact * (1.0 + 1e-12),
-                            "lag {}: lower bound {} exceeds exact D² {}",
-                            lag,
-                            lb_sq,
-                            exact * exact
-                        );
-                    }
+                prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
+                let exact = from_scratch_d(&window, &refs, l, lag);
+                if exact.is_finite() {
+                    prop_assert!(
+                        lb_sq <= exact * exact * (1.0 + 1e-12),
+                        "lag {}: lower bound {} exceeds exact D² {}",
+                        lag,
+                        lb_sq,
+                        exact * exact
+                    );
                 }
             }
             // Level-1 run bound: admissible for *every* lag inside the run.

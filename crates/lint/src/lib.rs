@@ -81,9 +81,7 @@ impl LintConfig {
             ]
             .map(String::from)
             .to_vec(),
-            cadence_allow_files: ["crates/timeseries/src/ring_buffer.rs"]
-                .map(String::from)
-                .to_vec(),
+            cadence_allow_files: Vec::new(),
             magic_literals: ["TKCMSNAP", "TKCMWAL0"].map(String::from).to_vec(),
             version_consts: [
                 "SNAPSHOT_FORMAT_VERSION",

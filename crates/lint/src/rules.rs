@@ -77,8 +77,8 @@ pub fn const_value(files: &[SourceFile], name: &str) -> (Option<u32>, usize) {
 /// Deriving a timestamp as "now minus an age" silently assumes unit tick
 /// cadence (the PR-3 bug); all reported times must be read from the window's
 /// timestamp ring.  Ring-*index* arithmetic is the legitimate exception and
-/// lives on the allowlist (`ring_buffer.rs`) or under an inline
-/// `tkcm-lint: allow(cadence)` marker.
+/// lives under an inline `tkcm-lint: allow(cadence)` marker (or in a file on
+/// the config's allowlist, empty for this repository).
 pub fn check_cadence(files: &[SourceFile], cfg: &LintConfig) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in files {

@@ -221,7 +221,7 @@ fn new_and_removed_impls_require_a_re_bless() {
 #[test]
 fn cadence_rule_fires_and_respects_suppressions() {
     let root = workspace("cadence");
-    let cfg = LintConfig::for_repo(&root);
+    let mut cfg = LintConfig::for_repo(&root);
     let clock = root.join("crates/timeseries/src/clock.rs");
 
     // Firing: now-minus-age arithmetic in shipping code.
@@ -254,10 +254,10 @@ fn cadence_rule_fires_and_respects_suppressions() {
     let report = run(&cfg).unwrap();
     assert!(findings_for(&report, "cadence").is_empty(), "test region");
 
-    // Non-firing: the allowlisted ring-index file.
-    fs::remove_file(&clock).unwrap();
+    // Non-firing: a file on the config's allowlist.
+    cfg.cadence_allow_files = vec!["crates/timeseries/src/clock.rs".to_string()];
     fs::write(
-        root.join("crates/timeseries/src/ring_buffer.rs"),
+        &clock,
         "pub fn slot(pos: usize, cap: usize, age: usize) -> usize { (pos + cap - age) % cap }\n",
     )
     .unwrap();
@@ -493,8 +493,10 @@ fn the_real_repository_passes_its_own_lint() {
         "the tree must lint clean (re-run `cargo run -p tkcm-lint` for details): {:#?}",
         report.findings
     );
+    // One per `impl Snapshot` in the persistence file set: 21 at snapshot
+    // v9.
     assert!(
-        report.impls_fingerprinted >= 22,
+        report.impls_fingerprinted >= 21,
         "the persistence file set should keep its Snapshot impls covered, found {}",
         report.impls_fingerprinted
     );

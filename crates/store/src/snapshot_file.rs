@@ -53,8 +53,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKCMSNAP";
 /// signature-index presence flag (the index is present iff `pruning`);
 /// 8 — the engine snapshot lost its signature index and shortlist
 /// maintainers (decode rebuilds the index from the window and starts with no
-/// shortlists) and the manifest's sync policy became a one-byte tag.
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 8;
+/// shortlists) and the manifest's sync policy became a one-byte tag; 9 — the
+/// window's value rings became raw `f64` rings (NaN = missing, no tag bytes)
+/// and every window ring holds only its pushed slots; no cursor is persisted
+/// (it follows from the pushed tick count).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 9;
 
 /// Serialises `value` and writes it as a snapshot file at `path`
 /// (atomically, via `<path>.tmp` + rename).  Returns the file size in

@@ -11,8 +11,8 @@
 //!   at discrete time points `..., t_{n-2}, t_{n-1}, t_n`,
 //! * a value may be **missing** (`NIL` in the paper, [`None`] here),
 //! * a **streaming window** `W` keeps the last `L` measurements of every
-//!   series in main memory, implemented as ring buffers with O(1) advance
-//!   (Lemma 6.1),
+//!   series in main memory, one `f64` ring per series (NaN marks a missing
+//!   slot) with one shared offset and O(1) advance (Lemma 6.1),
 //! * every series has an ordered list of **candidate reference series**; the
 //!   first `d` candidates that are alive at the current time are the
 //!   reference set `R_s` used for imputation.
@@ -59,7 +59,6 @@ pub mod errors;
 pub mod missing;
 pub mod partition;
 pub mod persist;
-pub mod ring_buffer;
 pub mod series;
 pub mod stats;
 pub mod stream;
@@ -70,7 +69,6 @@ pub use catalog::{Catalog, ReferenceSelection};
 pub use errors::TsError;
 pub use missing::{GapReport, MissingMask};
 pub use partition::{FleetPartition, Migration, PARTITION_FORMAT_VERSION};
-pub use ring_buffer::RingBuffer;
 pub use series::{SeriesId, TimeSeries};
 pub use stats::{mean, pearson, population_std, population_variance, Summary};
 pub use stream::{SliceStream, StreamSource, StreamTick};

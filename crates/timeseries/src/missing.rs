@@ -25,11 +25,6 @@ impl MissingMask {
         }
     }
 
-    /// Builds a mask from a raw boolean vector.
-    pub fn from_bools(start: Timestamp, missing: Vec<bool>) -> Self {
-        MissingMask { start, missing }
-    }
-
     /// Number of ticks covered by the mask.
     pub fn len(&self) -> usize {
         self.missing.len()
@@ -40,28 +35,9 @@ impl MissingMask {
         self.missing.is_empty()
     }
 
-    /// Whether the tick at `t` is missing (false when `t` is out of range).
-    pub fn is_missing(&self, t: Timestamp) -> bool {
-        let d = t - self.start;
-        if d < 0 {
-            return false;
-        }
-        self.missing.get(d as usize).copied().unwrap_or(false)
-    }
-
     /// Total number of missing ticks.
     pub fn missing_count(&self) -> usize {
         self.missing.iter().filter(|&&m| m).count()
-    }
-
-    /// Timestamps of all missing ticks, in order.
-    pub fn missing_timestamps(&self) -> Vec<Timestamp> {
-        self.missing
-            .iter()
-            .enumerate()
-            .filter(|(_, &m)| m)
-            .map(|(i, _)| self.start + i as i64)
-            .collect()
     }
 
     /// Decomposes the mask into maximal runs of consecutive missing ticks.
@@ -88,11 +64,6 @@ impl MissingMask {
             });
         }
         gaps
-    }
-
-    /// Length of the longest run of consecutive missing ticks.
-    pub fn longest_gap(&self) -> usize {
-        self.gaps().into_iter().map(|g| g.length).max().unwrap_or(0)
     }
 }
 
@@ -139,15 +110,6 @@ mod tests {
         assert_eq!(m.len(), 5);
         assert!(!m.is_empty());
         assert_eq!(m.missing_count(), 3);
-        assert!(!m.is_missing(Timestamp::new(10)));
-        assert!(m.is_missing(Timestamp::new(11)));
-        assert!(m.is_missing(Timestamp::new(14)));
-        assert!(!m.is_missing(Timestamp::new(9))); // before start
-        assert!(!m.is_missing(Timestamp::new(100))); // after end
-        assert_eq!(
-            m.missing_timestamps(),
-            vec![Timestamp::new(11), Timestamp::new(12), Timestamp::new(14)]
-        );
     }
 
     #[test]
@@ -170,7 +132,6 @@ mod tests {
                 length: 1
             }
         );
-        assert_eq!(m.longest_gap(), 2);
         assert!(gaps[0].contains(Timestamp::new(12)));
         assert!(!gaps[0].contains(Timestamp::new(13)));
         assert_eq!(gaps[0].end(), Timestamp::new(13));
@@ -181,7 +142,7 @@ mod tests {
         let s = series(vec![None, None, None]);
         let m = MissingMask::of_series(&s);
         assert_eq!(m.gaps().len(), 1);
-        assert_eq!(m.longest_gap(), 3);
+        assert_eq!(m.gaps()[0].length, 3);
     }
 
     #[test]
@@ -189,17 +150,6 @@ mod tests {
         let s = series(vec![Some(1.0), Some(2.0)]);
         let m = MissingMask::of_series(&s);
         assert!(m.gaps().is_empty());
-        assert_eq!(m.longest_gap(), 0);
         assert_eq!(m.missing_count(), 0);
-    }
-
-    #[test]
-    fn mask_from_raw_bools() {
-        let m = MissingMask::from_bools(Timestamp::new(0), vec![true, false, true]);
-        assert_eq!(m.missing_count(), 2);
-        assert!(m.is_missing(Timestamp::new(0)));
-        assert!(!m.is_missing(Timestamp::new(1)));
-        let empty = MissingMask::from_bools(Timestamp::new(0), vec![]);
-        assert!(empty.is_empty());
     }
 }

@@ -402,7 +402,7 @@ impl FleetPartition {
     }
 
     /// The `(component, component-local index)` of a global series id.
-    pub fn locate_component(&self, id: SeriesId) -> Result<(usize, usize), TsError> {
+    fn locate_component(&self, id: SeriesId) -> Result<(usize, usize), TsError> {
         self.locate_component
             .get(id.index())
             .copied()

@@ -1,24 +1,24 @@
 //! [`Snapshot`] implementations for the stream substrate.
 //!
 //! The durability layer (`tkcm-store`) defines the deterministic binary
-//! codec; this module teaches the substrate types — ring buffers, the
-//! streaming window with its provenance and timestamp rings, catalogs, fleet
+//! codec; this module teaches the substrate types — the streaming window
+//! with its value, provenance and timestamp rings, catalogs, fleet
 //! partitions and stream ticks — to write themselves into it and to
-//! reconstruct themselves *exactly* (same ring offsets, same provenance
+//! reconstruct themselves *exactly* (same ring cursor, same provenance
 //! bits, same `f64` bit patterns) so that a recovered engine is
 //! indistinguishable from one that never stopped.
 //!
-//! Decoding validates structural invariants (ring offsets in range, matching
-//! widths, ids inside the fleet) on top of the store layer's checksums:
-//! checksums catch flipped bytes, these checks catch a payload that was
-//! written by different code than is reading it.
+//! Decoding validates structural invariants (ring cursor in range, matching
+//! widths, values that agree with their provenance, ids inside the fleet)
+//! on top of the store layer's checksums: checksums catch flipped bytes,
+//! these checks catch a payload that was written by different code than is
+//! reading it.
 
 use tkcm_store::{Decoder, Encoder, Snapshot, StoreError};
 
 use crate::catalog::Catalog;
 use crate::errors::TsError;
 use crate::partition::FleetPartition;
-use crate::ring_buffer::RingBuffer;
 use crate::series::SeriesId;
 use crate::stream::StreamTick;
 use crate::timestamp::Timestamp;
@@ -72,58 +72,45 @@ impl Snapshot for SlotState {
     }
 }
 
-impl Snapshot for RingBuffer {
-    fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        enc.usize(self.slots.len());
-        enc.usize(self.offset);
-        enc.usize(self.filled);
-        for slot in &self.slots {
-            enc.opt_f64(*slot);
-        }
-        Ok(())
+/// The window invariants both codec directions enforce, so the encoder never
+/// writes a window its decoder would refuse: a slot holds NaN iff its state
+/// is [`SlotState::Missing`], an observed value is finite (the window's
+/// ingest policy), and the tick times fall strictly with age from the
+/// current time — which also pins the cursor of a full window, whose ring
+/// lengths cannot.
+fn check_window(window: &StreamingWindow) -> Result<(), StoreError> {
+    let times: Vec<Timestamp> = (0..window.filled())
+        .filter_map(|age| window.time_of_age(age))
+        .collect();
+    if times.first().copied() != window.current_time || times.windows(2).any(|p| p[1] >= p[0]) {
+        return Err(StoreError::invalid(
+            "window tick times do not fall strictly with age from the current time",
+        ));
     }
-
-    fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        let capacity = dec.usize()?;
-        let offset = dec.usize()?;
-        let filled = dec.usize()?;
-        if capacity == 0 || offset >= capacity || filled > capacity {
-            return Err(StoreError::invalid(format!(
-                "ring buffer layout out of range: capacity {capacity}, offset {offset}, \
-                 filled {filled}"
-            )));
+    for (series, (values, states)) in window.values.iter().zip(&window.states).enumerate() {
+        for (&v, &state) in values.iter().zip(states) {
+            let agrees = match state {
+                SlotState::Missing => v.is_nan(),
+                SlotState::Observed => v.is_finite(),
+                SlotState::Imputed => !v.is_nan(),
+            };
+            if !agrees {
+                return Err(StoreError::invalid(format!(
+                    "window series {series}: value {v} disagrees with slot state {state:?}"
+                )));
+            }
         }
-        // Every slot is at least one encoded byte, so a capacity exceeding
-        // the remaining payload is structurally impossible — reject it
-        // before allocating (same guard as `Decoder::seq_len`).
-        if capacity > dec.remaining() {
-            return Err(StoreError::corrupt(format!(
-                "ring buffer claims {capacity} slot(s) but only {} byte(s) remain",
-                dec.remaining()
-            )));
-        }
-        let mut slots = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            slots.push(dec.opt_f64()?);
-        }
-        Ok(RingBuffer {
-            slots,
-            offset,
-            filled,
-        })
     }
+    Ok(())
 }
 
 impl Snapshot for StreamingWindow {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
+        check_window(self)?;
         enc.usize(self.length);
-        self.buffers.write_into(enc)?;
-        enc.usize(self.states.len());
-        for series_states in &self.states {
-            series_states.write_into(enc)?;
-        }
+        self.values.write_into(enc)?;
+        self.states.write_into(enc)?;
         self.times.write_into(enc)?;
-        enc.usize(self.state_offset);
         match self.current_time {
             Some(t) => {
                 enc.bool(true);
@@ -137,14 +124,9 @@ impl Snapshot for StreamingWindow {
 
     fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
         let length = dec.usize()?;
-        let buffers: Vec<RingBuffer> = Vec::read_from(dec)?;
-        let state_rows = dec.seq_len()?;
-        let mut states = Vec::with_capacity(state_rows);
-        for _ in 0..state_rows {
-            states.push(Vec::<SlotState>::read_from(dec)?);
-        }
+        let values: Vec<Vec<f64>> = Vec::read_from(dec)?;
+        let states: Vec<Vec<SlotState>> = Vec::read_from(dec)?;
         let times: Vec<Timestamp> = Vec::read_from(dec)?;
-        let state_offset = dec.usize()?;
         let current_time = if dec.bool()? {
             Some(Timestamp::read_from(dec)?)
         } else {
@@ -152,30 +134,34 @@ impl Snapshot for StreamingWindow {
         };
         let ticks_seen = dec.usize()?;
 
-        if length == 0 || buffers.is_empty() {
+        if length == 0 || values.is_empty() {
             return Err(StoreError::invalid(
                 "window snapshot has zero length or zero width",
             ));
         }
-        if buffers.iter().any(|b| b.capacity() != length)
-            || states.len() != buffers.len()
-            || states.iter().any(|s| s.len() != length)
-            || times.len() != length
-            || state_offset >= length
+        // Every ring holds exactly the pushed slots, and the cursor follows
+        // from the pushed count, so no ring can disagree with it.
+        let filled = ticks_seen.min(length);
+        if values.iter().any(|v| v.len() != filled)
+            || states.len() != values.len()
+            || states.iter().any(|s| s.len() != filled)
+            || times.len() != filled
         {
             return Err(StoreError::invalid(
-                "window snapshot rings disagree on length/width",
+                "window snapshot rings disagree with its width or pushed ticks",
             ));
         }
-        Ok(StreamingWindow {
+        let window = StreamingWindow {
             length,
-            buffers,
+            values,
             states,
             times,
-            state_offset,
+            offset: ticks_seen.checked_sub(1).map_or(0, |n| n % length),
             current_time,
             ticks_seen,
-        })
+        };
+        check_window(&window)?;
+        Ok(window)
     }
 }
 
@@ -304,14 +290,27 @@ mod tests {
 
     #[test]
     fn ring_buffer_round_trips_exactly() {
-        let mut rb = RingBuffer::new(4);
-        for v in [Some(1.5), None, Some(-0.0), Some(f64::MAX), Some(2.0)] {
-            rb.push(v);
+        // Five readings into a 4-slot window: the value ring wraps, and the
+        // cursor, the NaN of the missing slot and every bit pattern (-0.0,
+        // f64::MAX) survive the round trip.
+        let mut w = StreamingWindow::new(1, 4);
+        for (t, v) in [Some(1.5), None, Some(-0.0), Some(f64::MAX), Some(2.0)]
+            .into_iter()
+            .enumerate()
+        {
+            w.push_tick(&tick(t as i64, vec![v])).unwrap();
         }
-        let back = round_trip(&rb);
-        assert_eq!(back, rb);
-        assert_eq!(back.offset(), rb.offset());
-        assert_eq!(back.len(), rb.len());
+        let back = round_trip(&w);
+        assert_eq!(back.offset, w.offset);
+        assert_eq!(back.ticks_seen, w.ticks_seen);
+        let bits =
+            |w: &StreamingWindow| w.values[0].iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&w));
+        assert_eq!(back.states, w.states);
+        assert_eq!(
+            back.series_chronological(SeriesId(0)).unwrap(),
+            vec![None, Some(-0.0), Some(f64::MAX), Some(2.0)]
+        );
     }
 
     #[test]
@@ -343,6 +342,82 @@ mod tests {
         let back = round_trip(&empty);
         assert_eq!(back.current_time(), None);
         assert_eq!(back.ticks_seen(), 0);
+    }
+
+    #[test]
+    fn window_slots_must_agree_with_their_provenance_both_ways() {
+        let mut w = StreamingWindow::new(2, 3);
+        w.push_tick(&tick(0, vec![Some(1.0), None])).unwrap();
+        w.push_tick(&tick(1, vec![Some(2.0), Some(-0.0)])).unwrap();
+        w.write_imputed(SeriesId(1), 1, 4.5).unwrap();
+        let good = encode_to_vec(&w).unwrap();
+        assert!(decode_from_slice::<StreamingWindow>(&good).is_ok());
+
+        // A missing reading stored as a number, a NaN under `Observed` or
+        // `Imputed`, and a non-finite observed reading: each fails to
+        // encode, and the same state encoded by hand fails to decode.
+        let o = w.offset;
+        let bad_states: [(f64, SlotState); 4] = [
+            (0.0, SlotState::Missing),
+            (f64::NAN, SlotState::Observed),
+            (f64::NAN, SlotState::Imputed),
+            (f64::INFINITY, SlotState::Observed),
+        ];
+        for (value, state) in bad_states {
+            let mut bad = w.clone();
+            bad.values[0][o] = value;
+            bad.states[0][o] = state;
+            assert!(encode_to_vec(&bad).is_err(), "{value} / {state:?} encoded");
+            let mut enc = Encoder::new();
+            enc.usize(bad.length);
+            bad.values.write_into(&mut enc).unwrap();
+            bad.states.write_into(&mut enc).unwrap();
+            bad.times.write_into(&mut enc).unwrap();
+            enc.bool(true);
+            bad.current_time.unwrap().write_into(&mut enc).unwrap();
+            enc.usize(bad.ticks_seen);
+            assert!(
+                decode_from_slice::<StreamingWindow>(&enc.into_bytes()).is_err(),
+                "{value} / {state:?} decoded"
+            );
+        }
+        // Imputed history may be any non-NaN value.
+        assert!(w.write_imputed(SeriesId(0), 0, f64::INFINITY).is_ok());
+        assert!(encode_to_vec(&w).is_ok());
+        assert!(w.write_imputed(SeriesId(0), 0, f64::NAN).is_err());
+    }
+
+    #[test]
+    fn window_decode_refuses_rings_that_disagree_with_the_pushed_count() {
+        // The cursor is not persisted: it follows from the pushed count, so
+        // a count that does not match the rings is the only way to shift it.
+        let mut w = StreamingWindow::new(1, 4);
+        for t in 0..3 {
+            w.push_tick(&tick(t, vec![Some(t as f64)])).unwrap();
+        }
+        // 10 ticks would be the right count for 7 more pushes: 9 and 11
+        // rotate the cursor of the full ring.
+        let mut full = w.clone();
+        for t in 3..10 {
+            full.push_tick(&tick(t, vec![Some(t as f64)])).unwrap();
+        }
+        assert!(decode_from_slice::<StreamingWindow>(&encode_to_vec(&full).unwrap()).is_ok());
+        for (w, ticks_seen) in [(&w, 2), (&w, 4), (&w, 7), (&full, 9), (&full, 11)] {
+            let mut bad = w.clone();
+            bad.ticks_seen = ticks_seen;
+            let mut enc = Encoder::new();
+            enc.usize(bad.length);
+            bad.values.write_into(&mut enc).unwrap();
+            bad.states.write_into(&mut enc).unwrap();
+            bad.times.write_into(&mut enc).unwrap();
+            enc.bool(true);
+            bad.current_time.unwrap().write_into(&mut enc).unwrap();
+            enc.usize(bad.ticks_seen);
+            assert!(
+                decode_from_slice::<StreamingWindow>(&enc.into_bytes()).is_err(),
+                "ticks_seen {ticks_seen} decoded"
+            );
+        }
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl TimeSeries {
         }
     }
 
-    /// Returns the timestamp of sample `index`.
-    pub fn timestamp_of(&self, index: usize) -> Timestamp {
-        self.start + index as i64
-    }
-
     /// Value at timestamp `t`: `None` if missing or out of range.
     pub fn value_at(&self, t: Timestamp) -> Option<f64> {
         self.index_of(t).and_then(|i| self.values[i])
@@ -168,21 +163,6 @@ impl TimeSeries {
     /// Value at sample index `i` (`None` when missing).
     pub fn value_at_index(&self, i: usize) -> Option<f64> {
         self.values.get(i).copied().flatten()
-    }
-
-    /// Value at timestamp `t` or an error describing why it is unavailable.
-    pub fn try_value_at(&self, t: Timestamp) -> Result<f64, TsError> {
-        match self.index_of(t) {
-            None => Err(TsError::TimeOutOfRange {
-                requested: t,
-                earliest: self.start,
-                latest: self.end(),
-            }),
-            Some(i) => self.values[i].ok_or(TsError::MissingValue {
-                series: self.id,
-                at: t,
-            }),
-        }
     }
 
     /// Overwrites the value at timestamp `t`.
@@ -237,15 +217,6 @@ impl TimeSeries {
     /// Number of missing samples.
     pub fn missing_count(&self) -> usize {
         self.values.iter().filter(|v| v.is_none()).count()
-    }
-
-    /// Fraction of missing samples in `[0, 1]`; zero for an empty series.
-    pub fn missing_ratio(&self) -> f64 {
-        if self.values.is_empty() {
-            0.0
-        } else {
-            self.missing_count() as f64 / self.values.len() as f64
-        }
     }
 
     /// Returns a copy of the dense values, substituting `fill` for missing slots.
@@ -336,21 +307,6 @@ mod tests {
         assert_eq!(s.value_at(Timestamp::new(5)), None);
         assert_eq!(s.value_at_index(2), Some(3.0));
         assert_eq!(s.missing_count(), 1);
-        assert!((s.missing_ratio() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn try_value_distinguishes_missing_and_out_of_range() {
-        let s = series(vec![Some(1.0), None]);
-        assert_eq!(s.try_value_at(Timestamp::new(0)), Ok(1.0));
-        assert!(matches!(
-            s.try_value_at(Timestamp::new(1)),
-            Err(TsError::MissingValue { .. })
-        ));
-        assert!(matches!(
-            s.try_value_at(Timestamp::new(9)),
-            Err(TsError::TimeOutOfRange { .. })
-        ));
     }
 
     #[test]
@@ -421,7 +377,6 @@ mod tests {
     fn empty_and_push_grow_series() {
         let mut s = TimeSeries::empty(7u32, "grow", Timestamp::new(10), SampleInterval::ONE_MINUTE);
         assert!(s.is_empty());
-        assert_eq!(s.missing_ratio(), 0.0);
         s.push(Some(1.0));
         s.push(None);
         assert_eq!(s.len(), 2);
@@ -429,7 +384,6 @@ mod tests {
         assert_eq!(s.id(), SeriesId(7));
         assert_eq!(s.name(), "grow");
         assert_eq!(s.interval(), SampleInterval::ONE_MINUTE);
-        assert_eq!(s.timestamp_of(1), Timestamp::new(11));
     }
 
     #[test]

@@ -102,13 +102,6 @@ pub struct Summary {
 }
 
 impl Summary {
-    /// Computes a summary over the observed entries of an optional slice.
-    /// Returns `None` if no entry is observed.
-    pub fn of_observed(values: &[Option<f64>]) -> Option<Summary> {
-        let dense: Vec<f64> = values.iter().flatten().copied().collect();
-        Summary::of(&dense)
-    }
-
     /// Computes a summary of a dense slice. Returns `None` if empty.
     pub fn of(values: &[f64]) -> Option<Summary> {
         if values.is_empty() {
@@ -242,11 +235,6 @@ mod tests {
         assert_eq!(s.max, 4.0);
         assert_eq!(s.range(), 3.0);
         assert!(Summary::of(&[]).is_none());
-
-        let so = Summary::of_observed(&[Some(5.0), None, Some(7.0)]).unwrap();
-        assert_eq!(so.count, 2);
-        assert_eq!(so.mean, 6.0);
-        assert!(Summary::of_observed(&[None, None]).is_none());
     }
 
     #[test]

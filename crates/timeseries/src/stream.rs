@@ -143,11 +143,6 @@ impl SliceStream {
         &self.series
     }
 
-    /// The series with the given id, if present.
-    pub fn series_by_id(&self, id: SeriesId) -> Option<&TimeSeries> {
-        self.series.iter().find(|s| s.id() == id)
-    }
-
     /// Timestamp of the first tick.
     pub fn start(&self) -> Timestamp {
         self.start
@@ -227,8 +222,7 @@ mod tests {
     #[test]
     fn series_lookup_by_id() {
         let stream = SliceStream::new(vec![ts(5, vec![Some(1.0)]), ts(9, vec![Some(2.0)])]);
-        assert_eq!(stream.series_by_id(SeriesId(9)).unwrap().name(), "s9");
-        assert!(stream.series_by_id(SeriesId(1)).is_none());
+        assert_eq!(stream.series()[1].name(), "s9");
         assert_eq!(stream.start(), Timestamp::new(0));
         assert_eq!(stream.series().len(), 2);
     }

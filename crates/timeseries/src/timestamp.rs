@@ -128,31 +128,9 @@ impl SampleInterval {
     /// Hourly sampling.
     pub const ONE_HOUR: SampleInterval = SampleInterval { seconds: 3600 };
 
-    /// Creates an interval from a number of seconds (must be non-zero).
-    pub fn from_seconds(seconds: u32) -> Self {
-        assert!(seconds > 0, "sample interval must be positive");
-        SampleInterval { seconds }
-    }
-
-    /// Creates an interval from a number of minutes (must be non-zero).
-    pub fn from_minutes(minutes: u32) -> Self {
-        Self::from_seconds(minutes.checked_mul(60).expect("interval overflow"))
-    }
-
     /// Interval length in seconds.
     pub fn seconds(self) -> u32 {
         self.seconds
-    }
-
-    /// Number of ticks per minute, rounded down (zero if the interval is
-    /// longer than a minute).
-    pub fn ticks_per_minute(self) -> u64 {
-        60 / self.seconds as u64
-    }
-
-    /// Number of ticks per hour.
-    pub fn ticks_per_hour(self) -> u64 {
-        3600 / self.seconds as u64
     }
 
     /// Number of ticks per day.
@@ -160,25 +138,9 @@ impl SampleInterval {
         86_400 / self.seconds as u64
     }
 
-    /// Number of ticks per (7-day) week.
-    pub fn ticks_per_week(self) -> u64 {
-        7 * self.ticks_per_day()
-    }
-
     /// Number of ticks per (365-day) year.
     pub fn ticks_per_year(self) -> u64 {
         365 * self.ticks_per_day()
-    }
-
-    /// Converts a number of ticks into fractional hours.
-    pub fn ticks_to_hours(self, ticks: u64) -> f64 {
-        ticks as f64 * self.seconds as f64 / 3600.0
-    }
-
-    /// Converts a fractional number of days to the equivalent tick count
-    /// (rounded to the nearest tick).
-    pub fn days_to_ticks(self, days: f64) -> u64 {
-        (days * 86_400.0 / self.seconds as f64).round() as u64
     }
 }
 
@@ -236,36 +198,28 @@ mod tests {
     #[test]
     fn five_minute_interval_tick_counts_match_paper() {
         let iv = SampleInterval::FIVE_MINUTES;
-        assert_eq!(iv.ticks_per_hour(), 12);
         assert_eq!(iv.ticks_per_day(), 288);
         // The paper uses L = 105120 for a one-year SBR window.
         assert_eq!(iv.ticks_per_year(), 105_120);
-        // l = 72 spans 6 hours at the SBR sample rate (Section 7.3.1).
-        assert!((iv.ticks_to_hours(72) - 6.0).abs() < 1e-12);
+        // l = 72 spans 6 hours (a quarter day) at the SBR sample rate
+        // (Section 7.3.1).
+        assert_eq!(iv.ticks_per_day() / 4, 72);
     }
 
     #[test]
     fn one_minute_interval_tick_counts_match_paper() {
         let iv = SampleInterval::ONE_MINUTE;
-        // l = 72 only spans one hour and 12 minutes at a 1-minute rate.
-        assert!((iv.ticks_to_hours(72) - 1.2).abs() < 1e-12);
+        // l = 72 only spans one hour and 12 minutes (a twentieth of a day)
+        // at a 1-minute rate.
+        assert_eq!(iv.ticks_per_day() / 20, 72);
         assert_eq!(iv.ticks_per_day(), 1440);
     }
 
     #[test]
     fn interval_conversions() {
-        let iv = SampleInterval::from_minutes(5);
-        assert_eq!(iv, SampleInterval::FIVE_MINUTES);
-        assert_eq!(iv.days_to_ticks(1.0), 288);
-        assert_eq!(iv.days_to_ticks(0.5), 144);
-        assert_eq!(iv.to_string(), "5min");
+        assert_eq!(SampleInterval::FIVE_MINUTES.seconds(), 300);
+        assert_eq!(SampleInterval::FIVE_MINUTES.to_string(), "5min");
         assert_eq!(SampleInterval::ONE_HOUR.to_string(), "1h");
-        assert_eq!(SampleInterval::from_seconds(30).to_string(), "30s");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_interval_panics() {
-        let _ = SampleInterval::from_seconds(0);
+        assert_eq!(SampleInterval { seconds: 30 }.to_string(), "30s");
     }
 }

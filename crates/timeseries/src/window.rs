@@ -7,9 +7,18 @@
 //! per stream, Lemma 6.1) and imputed values are written back so that later
 //! imputations can use them (as in Example 1, where `r2(13:40)` is an
 //! imputed value that later appears inside patterns).
+//!
+//! Section 6.2 keeps "one ring buffer of length `L` for each time series and
+//! an offset `O` into the ring buffers": the value at `t_n` is `s[O]` and the
+//! oldest value `s[(O+1)%L]`.  The window stores exactly that — one plain
+//! `f64` ring per series — plus a provenance ring per series and one ring of
+//! tick times.  All of them follow the one pushed-tick count `n`: tick `n`
+//! lands at raw index `n % L`, so `O = (n − 1) % L`, and a ring holds only
+//! pushed slots (it grows to `L` while the window fills, then wraps).  A
+//! missing slot holds NaN; only [`StreamingWindow::push_tick`] writes it,
+//! and the accessors report a missing slot as `None`.
 
 use crate::errors::TsError;
-use crate::ring_buffer::{ring_run, RingBuffer, RunSlices};
 use crate::series::SeriesId;
 use crate::stream::StreamTick;
 use crate::timestamp::Timestamp;
@@ -43,33 +52,67 @@ pub struct WindowSlot {
     pub state: SlotState,
 }
 
-impl WindowSlot {
-    fn missing() -> Self {
-        WindowSlot {
-            value: None,
-            state: SlotState::Missing,
-        }
+/// A run of ring slots in chronological order: the slots before the ring
+/// seam, then the slots after it (empty unless the run wraps).
+pub type RunSlices<'a, T> = (&'a [T], &'a [T]);
+
+/// The `len` slots of a ring (newest at raw index `offset`, `filled` slots
+/// pushed, all of them in `slots`) whose newest is `age` steps back, oldest
+/// first.  `None` when the run reaches past the pushed slots.
+fn ring_run<T>(
+    slots: &[T],
+    offset: usize,
+    filled: usize,
+    age: usize,
+    len: usize,
+) -> Option<RunSlices<'_, T>> {
+    if age.checked_add(len)? > filled {
+        return None;
+    }
+    if len == 0 {
+        return Some((&[], &[]));
+    }
+    // Ring *position* arithmetic over the cursor, not timestamp derivation.
+    let cap = slots.len();
+    // tkcm-lint: allow(cadence)
+    let newest = (offset + cap - age) % cap;
+    let oldest = (offset + cap - (age + len - 1)) % cap;
+    Some(if oldest <= newest {
+        (&slots[oldest..=newest], &[])
+    } else {
+        (&slots[oldest..], &slots[..=newest])
+    })
+}
+
+/// Writes `x` at raw index `o` of a ring, appending while the ring is still
+/// filling (then `o` is its length).
+fn put<T>(ring: &mut Vec<T>, o: usize, x: T) {
+    match ring.get_mut(o) {
+        Some(slot) => *slot = x,
+        None => ring.push(x),
     }
 }
 
-/// Sliding window over a fixed set of series, backed by one ring buffer per
-/// series plus a parallel provenance buffer.
+/// Sliding window over a fixed set of series: one `f64` value ring and one
+/// provenance ring per series, and one ring of tick times, sharing a cursor.
 #[derive(Clone, Debug)]
 pub struct StreamingWindow {
     // Fields are `pub(crate)` so the snapshot codec (`persist`) can persist
     // and restore the exact ring layout.
     pub(crate) length: usize,
-    pub(crate) buffers: Vec<RingBuffer>,
-    /// Per-series provenance ring (same indexing as the value buffers):
-    /// `states[series][age]` where age 0 = newest.
+    /// Per-series value ring: `values[series][raw]`, NaN where the slot is
+    /// missing.  Every ring holds `min(ticks_seen, L)` slots.
+    pub(crate) values: Vec<Vec<f64>>,
+    /// Per-series provenance ring, same layout as `values`.
     pub(crate) states: Vec<Vec<SlotState>>,
-    /// Timestamp of every pushed tick, in the same ring layout as `states`.
-    /// Ticks need not be one timestamp unit apart (a 10-minute sensor cadence
-    /// is 600 units at second resolution), so the age ↔ time conversion must
-    /// read the stored times instead of assuming unit spacing.
+    /// Timestamp of every pushed tick, in the same ring layout.  Ticks need
+    /// not be one timestamp unit apart (a 10-minute sensor cadence is 600
+    /// units at second resolution), so the age ↔ time conversion must read
+    /// the stored times instead of assuming unit spacing.
     pub(crate) times: Vec<Timestamp>,
-    /// Raw cursor into `states`/`times`, mirroring the ring-buffer offset.
-    pub(crate) state_offset: usize,
+    /// The paper's offset `O`: raw index of the newest slot of every ring,
+    /// `(ticks_seen − 1) % L` (0 before the first tick).
+    pub(crate) offset: usize,
     pub(crate) current_time: Option<Timestamp>,
     pub(crate) ticks_seen: usize,
 }
@@ -85,12 +128,10 @@ impl StreamingWindow {
         assert!(width > 0, "window needs at least one series");
         StreamingWindow {
             length,
-            buffers: (0..width).map(|_| RingBuffer::new(length)).collect(),
-            states: (0..width)
-                .map(|_| vec![SlotState::Missing; length])
-                .collect(),
-            times: vec![Timestamp::MIN; length],
-            state_offset: length - 1,
+            values: (0..width).map(|_| Vec::with_capacity(length)).collect(),
+            states: (0..width).map(|_| Vec::with_capacity(length)).collect(),
+            times: Vec::with_capacity(length),
+            offset: 0,
             current_time: None,
             ticks_seen: 0,
         }
@@ -103,7 +144,7 @@ impl StreamingWindow {
 
     /// Number of series tracked by the window.
     pub fn width(&self) -> usize {
-        self.buffers.len()
+        self.values.len()
     }
 
     /// The current time `t_n` (time of the most recent tick), if any tick has
@@ -147,15 +188,16 @@ impl StreamingWindow {
     }
 
     /// Pushes a new tick into the window (O(width), O(1) per series).  A
-    /// non-finite reading is stored as missing ([`ingest_reading`]).
+    /// missing or non-finite reading ([`ingest_reading`]) is stored as NaN
+    /// with provenance [`SlotState::Missing`].
     ///
     /// Returns an error if the tick width does not match the window width or
     /// if time does not advance strictly.
     pub fn push_tick(&mut self, tick: &StreamTick) -> Result<(), TsError> {
-        if tick.values.len() != self.buffers.len() {
+        if tick.values.len() != self.width() {
             return Err(TsError::LengthMismatch {
                 left: tick.values.len(),
-                right: self.buffers.len(),
+                right: self.width(),
                 context: "stream tick width vs window width",
             });
         }
@@ -167,40 +209,53 @@ impl StreamingWindow {
                 ));
             }
         }
-        self.state_offset = (self.state_offset + 1) % self.length;
-        for (i, &v) in tick.values.iter().enumerate() {
-            let v = ingest_reading(v);
-            self.buffers[i].push(v);
-            self.states[i][self.state_offset] = if v.is_some() {
-                SlotState::Observed
-            } else {
-                SlotState::Missing
+        let o = self.ticks_seen % self.length;
+        for ((&v, values), states) in tick
+            .values
+            .iter()
+            .zip(&mut self.values)
+            .zip(&mut self.states)
+        {
+            let (value, state) = match ingest_reading(v) {
+                Some(v) => (v, SlotState::Observed),
+                None => (f64::NAN, SlotState::Missing),
             };
+            put(values, o, value);
+            put(states, o, state);
         }
-        self.times[self.state_offset] = tick.time;
+        put(&mut self.times, o, tick.time);
+        self.offset = o;
         self.current_time = Some(tick.time);
         self.ticks_seen += 1;
         Ok(())
     }
 
-    /// Raw ring index of the slot `age` ticks in the past.  This is ring
-    /// *position* arithmetic over an offset modulo the capacity, not a
-    /// timestamp derivation — timestamps always come from `self.times`.
+    /// Raw ring index of the slot `age < filled()` ticks in the past.  This
+    /// is ring *position* arithmetic over the offset modulo the ring size,
+    /// not a timestamp derivation — timestamps always come from
+    /// `self.times`.
     fn ring_index(&self, age: usize) -> usize {
+        let cap = self.times.len();
         // tkcm-lint: allow(cadence)
-        (self.state_offset + self.length - age) % self.length
+        (self.offset + cap - age) % cap
     }
 
-    /// Access to the ring buffer of a series (read-only).
-    pub fn buffer(&self, id: SeriesId) -> Result<&RingBuffer, TsError> {
-        self.buffers
-            .get(id.index())
-            .ok_or(TsError::UnknownSeries(id))
+    /// Raw index of `id`'s slot `age` ticks back; `None` when the age
+    /// reaches past the pushed ticks.
+    fn slot_index(&self, id: SeriesId, age: usize) -> Result<Option<usize>, TsError> {
+        if id.index() >= self.width() {
+            return Err(TsError::UnknownSeries(id));
+        }
+        Ok((age < self.filled()).then(|| self.ring_index(age)))
     }
 
-    /// Value of `id` at `age` steps in the past (0 = current time `t_n`).
+    /// Value of `id` at `age` steps in the past (0 = current time `t_n`);
+    /// `None` when the slot is missing or older than the pushed ticks.
     pub fn value_recent(&self, id: SeriesId, age: usize) -> Result<Option<f64>, TsError> {
-        Ok(self.buffer(id)?.recent(age))
+        Ok(self
+            .slot_index(id, age)?
+            .map(|idx| self.values[id.index()][idx])
+            .filter(|v| !v.is_nan()))
     }
 
     /// Value of `id` at an absolute timestamp inside the window.
@@ -211,32 +266,49 @@ impl StreamingWindow {
 
     /// Slot (value + provenance) of `id` at `age` steps in the past.
     pub fn slot_recent(&self, id: SeriesId, age: usize) -> Result<WindowSlot, TsError> {
-        let buf = self.buffer(id)?;
-        if age >= buf.len() {
-            return Ok(WindowSlot::missing());
-        }
-        let value = buf.recent(age);
-        let idx = self.ring_index(age);
         Ok(WindowSlot {
-            value,
-            state: self.states[id.index()][idx],
+            value: self.value_recent(id, age)?,
+            state: match self.slot_index(id, age)? {
+                Some(idx) => self.states[id.index()][idx],
+                None => SlotState::Missing,
+            },
         })
     }
 
+    /// The `len` values of `id` whose newest is `age` steps in the past,
+    /// oldest first, as at most two contiguous slices (the second is
+    /// non-empty only when the run wraps the ring seam); a missing slot is
+    /// NaN.  Errors when the run reaches past the pushed ticks.
+    pub fn value_run(
+        &self,
+        id: SeriesId,
+        age: usize,
+        len: usize,
+    ) -> Result<RunSlices<'_, f64>, TsError> {
+        self.series_run(&self.values, id, age, len)
+    }
+
     /// Provenance of the `len` slots of `id` whose newest is `age` steps in
-    /// the past, oldest first, as at most two contiguous slices — the
-    /// provenance counterpart of [`RingBuffer::chronological_run`].  Errors
-    /// when the run reaches past the pushed ticks.
+    /// the past, laid out like [`StreamingWindow::value_run`].
     pub fn state_run(
         &self,
         id: SeriesId,
         age: usize,
         len: usize,
     ) -> Result<RunSlices<'_, SlotState>, TsError> {
-        // Bounded by the series' own pushed count, like `slot_recent`.
-        let filled = self.buffer(id)?.len();
-        let states = &self.states[id.index()];
-        ring_run(states, self.state_offset, filled, age, len).ok_or_else(|| {
+        self.series_run(&self.states, id, age, len)
+    }
+
+    /// One series' run of `rings`, bounded by the pushed ticks.
+    fn series_run<'a, T>(
+        &self,
+        rings: &'a [Vec<T>],
+        id: SeriesId,
+        age: usize,
+        len: usize,
+    ) -> Result<RunSlices<'a, T>, TsError> {
+        let ring = rings.get(id.index()).ok_or(TsError::UnknownSeries(id))?;
+        ring_run(ring, self.offset, self.filled(), age, len).ok_or_else(|| {
             TsError::invalid(
                 "age",
                 format!("run of {len} ending at age {age} exceeds the pushed ticks"),
@@ -245,22 +317,22 @@ impl StreamingWindow {
     }
 
     /// Writes an imputed value for `id` at `age` steps in the past and marks
-    /// the slot as [`SlotState::Imputed`].
+    /// the slot as [`SlotState::Imputed`].  A NaN value is refused: it would
+    /// read back as missing under an `Imputed` state.
     ///
     /// The typical use is `age = 0`: Algorithm 1 stores the imputed value in
     /// `s[O]` so that subsequent ticks can use it as history.
     pub fn write_imputed(&mut self, id: SeriesId, age: usize, value: f64) -> Result<(), TsError> {
-        let buf = self
-            .buffers
-            .get_mut(id.index())
-            .ok_or(TsError::UnknownSeries(id))?;
-        if !buf.set_recent(age, Some(value)) {
-            return Err(TsError::invalid(
+        if value.is_nan() {
+            return Err(TsError::invalid("value", "an imputed value cannot be NaN"));
+        }
+        let idx = self.slot_index(id, age)?.ok_or_else(|| {
+            TsError::invalid(
                 "age",
                 format!("age {age} exceeds the number of pushed ticks"),
-            ));
-        }
-        let idx = self.ring_index(age);
+            )
+        })?;
+        self.values[id.index()][idx] = value;
         self.states[id.index()][idx] = SlotState::Imputed;
         Ok(())
     }
@@ -317,22 +389,20 @@ impl StreamingWindow {
     /// The chronological (oldest → newest) contents of one series, restricted
     /// to the slots that have actually been pushed.
     pub fn series_chronological(&self, id: SeriesId) -> Result<Vec<Option<f64>>, TsError> {
-        Ok(self.buffer(id)?.to_chronological())
+        (0..self.filled())
+            .rev()
+            .map(|age| self.value_recent(id, age))
+            .collect()
     }
 
     /// Ids of the series whose current value (`age == 0`) is missing.
     pub fn currently_missing(&self) -> Vec<SeriesId> {
+        if self.ticks_seen == 0 {
+            return Vec::new();
+        }
         (0..self.width())
+            .filter(|&i| self.values[i][self.offset].is_nan())
             .map(SeriesId::from)
-            .filter(|id| self.buffers[id.index()].recent(0).is_none() && self.ticks_seen > 0)
-            .collect()
-    }
-
-    /// Ids of the series whose current value is present (observed or imputed).
-    pub fn currently_present(&self) -> Vec<SeriesId> {
-        (0..self.width())
-            .map(SeriesId::from)
-            .filter(|id| self.buffers[id.index()].recent(0).is_some())
             .collect()
     }
 }
@@ -403,7 +473,6 @@ mod tests {
         w.push_tick(&tick(1, vec![None, Some(20.0)])).unwrap();
 
         assert_eq!(w.currently_missing(), vec![SeriesId(0)]);
-        assert_eq!(w.currently_present(), vec![SeriesId(1)]);
         assert_eq!(
             w.slot_recent(SeriesId(0), 0).unwrap().state,
             SlotState::Missing
@@ -437,6 +506,12 @@ mod tests {
         w.push_tick(&tick(0, vec![None])).unwrap();
         assert!(w.write_imputed(SeriesId(0), 2, 1.0).is_err());
         assert!(w.write_imputed(SeriesId(9), 0, 1.0).is_err());
+        // A NaN would read back as missing under an `Imputed` state.
+        assert!(w.write_imputed(SeriesId(0), 0, f64::NAN).is_err());
+        assert_eq!(
+            w.slot_recent(SeriesId(0), 0).unwrap().state,
+            SlotState::Missing
+        );
     }
 
     #[test]
@@ -517,6 +592,15 @@ mod tests {
         a.iter().chain(b).copied().collect()
     }
 
+    /// Flattens a value run into one oldest-first vector, NaN as `None`.
+    fn values(w: &StreamingWindow, age: usize, len: usize) -> Vec<Option<f64>> {
+        let (a, b) = w.value_run(SeriesId(0), age, len).unwrap();
+        a.iter()
+            .chain(b)
+            .map(|&v| (!v.is_nan()).then_some(v))
+            .collect()
+    }
+
     #[test]
     fn state_run_matches_slot_recent_across_the_seam() {
         use SlotState::{Imputed, Missing, Observed};
@@ -531,19 +615,27 @@ mod tests {
         let (a, b) = w.state_run(SeriesId(0), 1, 3).unwrap();
         assert_eq!((a.len(), b.len()), (2, 1));
         assert_eq!(states(&w, 1, 3), vec![Observed, Missing, Imputed]);
+        assert_eq!(values(&w, 1, 3), vec![Some(3.0), None, Some(5.5)]);
         // Whole capacity, and a run ending at the oldest pushed tick.
         assert_eq!(
             states(&w, 0, 5),
             vec![Observed, Observed, Missing, Imputed, Observed]
         );
+        assert_eq!(
+            values(&w, 0, 5),
+            vec![Some(2.0), Some(3.0), None, Some(5.5), Some(6.0)]
+        );
         assert_eq!(states(&w, 3, 2), vec![Observed, Observed]);
         for len in 1..=5 {
             for age in 0..=5 - len {
-                let expected: Vec<SlotState> = (age..age + len)
+                let slots: Vec<WindowSlot> = (age..age + len)
                     .rev()
-                    .map(|a| w.slot_recent(SeriesId(0), a).unwrap().state)
+                    .map(|a| w.slot_recent(SeriesId(0), a).unwrap())
                     .collect();
+                let expected: Vec<SlotState> = slots.iter().map(|s| s.state).collect();
                 assert_eq!(states(&w, age, len), expected, "age {age} len {len}");
+                let expected: Vec<Option<f64>> = slots.iter().map(|s| s.value).collect();
+                assert_eq!(values(&w, age, len), expected, "age {age} len {len}");
             }
         }
         // Past the pushed ticks, or an unknown series: an error, never a
@@ -551,6 +643,91 @@ mod tests {
         assert!(w.state_run(SeriesId(0), 3, 3).is_err());
         assert!(w.state_run(SeriesId(0), 0, 6).is_err());
         assert!(w.state_run(SeriesId(1), 0, 1).is_err());
+    }
+
+    /// A one-series window of length `len` fed ticks `0..n`, each observing
+    /// its own timestamp as the value.
+    fn pushed(len: usize, n: i64) -> StreamingWindow {
+        let mut w = StreamingWindow::new(1, len);
+        for t in 0..n {
+            w.push_tick(&tick(t, vec![Some(t as f64)])).unwrap();
+        }
+        w
+    }
+
+    #[test]
+    fn value_run_wraps_the_ring_seam() {
+        // 7 ticks into a 5-slot ring: values 2..=6 with the newest (6) at
+        // raw index 1, so a run over values 3..=5 crosses raw index 4 → 0.
+        let w = pushed(5, 7);
+        let (a, b) = w.value_run(SeriesId(0), 1, 3).unwrap();
+        assert_eq!((a, b), (&[3.0, 4.0][..], &[5.0][..]));
+        // A run entirely on one side of the seam comes back in one slice.
+        let (a, b) = w.value_run(SeriesId(0), 0, 2).unwrap();
+        assert_eq!((a, b), (&[5.0, 6.0][..], &[][..]));
+    }
+
+    #[test]
+    fn value_run_ending_at_the_oldest_tick() {
+        let w = pushed(5, 7);
+        // The single oldest slot, and a run whose oldest slot is the oldest
+        // pushed one.
+        assert_eq!(values(&w, 4, 1), vec![Some(2.0)]);
+        assert_eq!(values(&w, 2, 3), vec![Some(2.0), Some(3.0), Some(4.0)]);
+    }
+
+    #[test]
+    fn value_run_never_reads_past_the_pushed_ticks() {
+        // Past the pushed ticks, or an unknown series: an error, never a
+        // stale slot.  An empty run at the edge is fine.
+        let w = pushed(5, 7);
+        assert!(w.value_run(SeriesId(0), 3, 3).is_err());
+        assert!(w.value_run(SeriesId(0), 5, 1).is_err());
+        assert!(w.value_run(SeriesId(0), 0, 6).is_err());
+        assert!(w.value_run(SeriesId(0), usize::MAX, 2).is_err());
+        assert!(w.value_run(SeriesId(1), 0, 1).is_err());
+        assert_eq!(values(&w, 5, 0), vec![]);
+    }
+
+    #[test]
+    fn value_run_over_the_whole_capacity_at_every_cursor() {
+        for n in 5..12 {
+            let w = pushed(5, n);
+            assert_eq!(
+                values(&w, 0, 5),
+                w.series_chronological(SeriesId(0)).unwrap(),
+                "n = {n}"
+            );
+        }
+    }
+
+    #[test]
+    fn raw_rings_match_the_paper_layout() {
+        // Section 6.2: after pushing 10, 20, 30 into a 3-slot window the
+        // newest value lives at s[O] and the oldest at s[(O+1)%L].
+        let mut w = StreamingWindow::new(1, 3);
+        for (t, v) in [10.0, 20.0, 30.0].into_iter().enumerate() {
+            w.push_tick(&tick(t as i64, vec![Some(v)])).unwrap();
+        }
+        let (o, s) = (w.offset, &w.values[0]);
+        assert_eq!(s[o], 30.0);
+        assert_eq!(s[(o + 1) % 3], 10.0);
+        assert_eq!(s[(o + 2) % 3], 20.0);
+        assert_eq!(w.times[(o + 1) % 3], Timestamp::new(0));
+    }
+
+    #[test]
+    fn capacity_one_window_keeps_only_the_latest_tick() {
+        let mut w = StreamingWindow::new(1, 1);
+        w.push_tick(&tick(0, vec![Some(1.0)])).unwrap();
+        w.push_tick(&tick(1, vec![Some(2.0)])).unwrap();
+        assert_eq!(w.value_recent(SeriesId(0), 0).unwrap(), Some(2.0));
+        assert_eq!(w.value_recent(SeriesId(0), 1).unwrap(), None);
+        assert_eq!(values(&w, 0, 1), vec![Some(2.0)]);
+        assert!(w.value_run(SeriesId(0), 0, 2).is_err());
+        w.push_tick(&tick(2, vec![None])).unwrap();
+        assert_eq!(values(&w, 0, 1), vec![None]);
+        assert_eq!(w.series_chronological(SeriesId(0)).unwrap(), vec![None]);
     }
 
     #[test]
@@ -565,6 +742,24 @@ mod tests {
         // The four never-written slots are unreachable.
         assert!(w.state_run(SeriesId(0), 0, 3).is_err());
         assert!(w.state_run(SeriesId(0), 2, 1).is_err());
+    }
+
+    #[test]
+    fn value_run_on_a_window_that_is_not_full() {
+        // 3 of 6 slots pushed, then a missing tick: the never-written slots
+        // are unreachable even though they exist in the ring.
+        let mut w = pushed(6, 3);
+        w.push_tick(&tick(3, vec![None])).unwrap();
+        assert_eq!(
+            values(&w, 0, 4),
+            vec![Some(0.0), Some(1.0), Some(2.0), None]
+        );
+        assert_eq!(values(&w, 1, 2), vec![Some(1.0), Some(2.0)]);
+        assert!(w.value_run(SeriesId(0), 1, 4).is_err());
+        assert!(w.value_run(SeriesId(0), 0, 5).is_err());
+        assert!(StreamingWindow::new(1, 3)
+            .value_run(SeriesId(0), 0, 1)
+            .is_err());
     }
 
     #[test]

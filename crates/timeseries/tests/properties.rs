@@ -2,21 +2,30 @@
 
 use proptest::prelude::*;
 
-use tkcm_timeseries::{MissingMask, RingBuffer, SampleInterval, TimeSeries, Timestamp};
+use tkcm_timeseries::{
+    MissingMask, SampleInterval, SeriesId, StreamTick, StreamingWindow, TimeSeries, Timestamp,
+};
+
+/// A one-series window holding `values`, pushed one per tick.
+fn window_of(capacity: usize, values: &[Option<f64>]) -> StreamingWindow {
+    let mut w = StreamingWindow::new(1, capacity);
+    for (t, v) in values.iter().enumerate() {
+        w.push_tick(&StreamTick::new(Timestamp::new(t as i64), vec![*v]))
+            .unwrap();
+    }
+    w
+}
 
 proptest! {
-    /// Pushing values into a ring buffer and reading them back in
-    /// chronological order always yields the last `capacity` pushed values.
+    /// Pushing values into a window and reading them back in chronological
+    /// order always yields the last `capacity` pushed values.
     #[test]
     fn ring_buffer_keeps_the_most_recent_values(
         values in proptest::collection::vec(proptest::option::of(-1e6f64..1e6), 1..200),
         capacity in 1usize..32,
     ) {
-        let mut rb = RingBuffer::new(capacity);
-        for v in &values {
-            rb.push(*v);
-        }
-        let chronological = rb.to_chronological();
+        let w = window_of(capacity, &values);
+        let chronological = w.series_chronological(SeriesId(0)).unwrap();
         let expected: Vec<Option<f64>> = values
             .iter()
             .rev()
@@ -25,14 +34,14 @@ proptest! {
             .copied()
             .collect();
         prop_assert_eq!(chronological, expected);
-        prop_assert_eq!(rb.len(), values.len().min(capacity));
-        // recent(0) is the last pushed value.
-        prop_assert_eq!(rb.recent(0), *values.last().unwrap());
+        prop_assert_eq!(w.filled(), values.len().min(capacity));
+        // Age 0 is the last pushed value.
+        prop_assert_eq!(w.value_recent(SeriesId(0), 0).unwrap(), *values.last().unwrap());
     }
 
-    /// A chronological run is exactly the matching sub-slice of the
-    /// oldest-first window contents, split at most once at the ring seam,
-    /// and a run reaching past the pushed values is refused.
+    /// A value run is exactly the matching sub-slice of the oldest-first
+    /// window contents (missing slots as NaN), split at most once at the
+    /// ring seam, and a run reaching past the pushed values is refused.
     #[test]
     fn chronological_run_is_a_sub_slice_of_the_chronological_contents(
         values in proptest::collection::vec(proptest::option::of(-1e6f64..1e6), 0..100),
@@ -40,19 +49,20 @@ proptest! {
         age in 0usize..40,
         len in 0usize..40,
     ) {
-        let rb = RingBuffer::from_values(capacity, values.iter().copied());
-        let chronological = rb.to_chronological();
+        let w = window_of(capacity, &values);
+        let chronological = w.series_chronological(SeriesId(0)).unwrap();
         let filled = chronological.len();
-        match rb.chronological_run(age, len) {
-            Some((a, b)) => {
+        match w.value_run(SeriesId(0), age, len) {
+            Ok((a, b)) => {
                 prop_assert!(age + len <= filled);
                 prop_assert!(a.len() + b.len() == len);
                 prop_assert!(!a.is_empty() || b.is_empty());
-                let run: Vec<Option<f64>> = a.iter().chain(b).copied().collect();
+                let run: Vec<Option<f64>> =
+                    a.iter().chain(b).map(|&v| (!v.is_nan()).then_some(v)).collect();
                 let end = filled - age;
                 prop_assert_eq!(run.as_slice(), &chronological[end - len..end]);
             }
-            None => prop_assert!(age + len > filled),
+            Err(_) => prop_assert!(age + len > filled),
         }
     }
 
