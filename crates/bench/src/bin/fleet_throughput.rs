@@ -2,8 +2,8 @@
 //! wide multi-cluster fleet workload, at 1/2/4 shards, plus the batched
 //! durable-ingestion sweep (batch sizes 1/8/64 through a WAL-logging fleet
 //! with group-commit fsync every batch) and the skewed-outage storm sweep
-//! (static barrier-per-batch vs elastic pipelined + component-stealing
-//! scheduling at 2/4 shards).
+//! (static assignment vs the runtime's fixed component-stealing policy at
+//! 2/4 shards, both one barrier per batch).
 //!
 //! `--paper` runs the paper-proportioned fleet (24 clusters × 6 series,
 //! 30 days); the default quick fleet finishes in a couple of seconds in

@@ -730,16 +730,15 @@ impl TkcmImputer {
     }
 
     /// Fallback when no usable anchor exists: the most recent present value
-    /// of the target, else the mean of the references' current values, else
-    /// the mean of the target's present window values, else 0.
+    /// of the target before now, else the mean of the references' current
+    /// values, else the target's current value, else 0.
     fn fallback_value(
         &self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
     ) -> Result<f64, TsError> {
-        let filled = window.filled();
-        for age in 1..filled {
+        for age in 1..window.filled() {
             if let Some(v) = window.value_recent(target, age)? {
                 return Ok(v);
             }
@@ -753,16 +752,7 @@ impl TkcmImputer {
         if !ref_values.is_empty() {
             return Ok(ref_values.iter().sum::<f64>() / ref_values.len() as f64);
         }
-        // The mean of the target's present window values, summed newest
-        // first.
-        let (mut sum, mut n) = (0.0, 0usize);
-        for age in 0..filled {
-            if let Some(v) = window.value_recent(target, age)? {
-                sum += v;
-                n += 1;
-            }
-        }
-        Ok(if n == 0 { 0.0 } else { sum / n as f64 })
+        Ok(window.value_recent(target, 0)?.unwrap_or(0.0))
     }
 }
 
@@ -1053,6 +1043,59 @@ mod tests {
             .unwrap();
         assert!(detail.fallback);
         assert_eq!(detail.value, 6.0);
+    }
+
+    /// The last fallback branches: with the target missing at every older
+    /// age and every reference missing now, the fallback is the target's
+    /// current value, and 0 when that is missing too.
+    #[test]
+    fn fallback_ends_with_the_targets_current_value_then_zero() {
+        let imputer = TkcmImputer::new(small_config(1, 1, 8)).unwrap();
+        let references = [SeriesId(1), SeriesId(2)];
+        let reference_values = |last: Option<f64>| vec![Some(1.0), Some(2.0), Some(3.0), last];
+        let window = window_with(
+            &[
+                vec![None, None, None, Some(4.5)],
+                reference_values(None),
+                reference_values(None),
+            ],
+            8,
+        );
+        assert_eq!(
+            imputer
+                .fallback_value(&window, SeriesId(0), &references)
+                .unwrap(),
+            4.5
+        );
+        let window = window_with(
+            &[
+                vec![None; 4],
+                reference_values(None),
+                reference_values(None),
+            ],
+            8,
+        );
+        assert_eq!(
+            imputer
+                .fallback_value(&window, SeriesId(0), &references)
+                .unwrap(),
+            0.0
+        );
+        // A reference present now still wins over the target's current value.
+        let window = window_with(
+            &[
+                vec![None, None, None, Some(4.5)],
+                reference_values(Some(8.0)),
+                reference_values(None),
+            ],
+            8,
+        );
+        assert_eq!(
+            imputer
+                .fallback_value(&window, SeriesId(0), &references)
+                .unwrap(),
+            8.0
+        );
     }
 
     #[test]

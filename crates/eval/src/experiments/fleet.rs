@@ -14,8 +14,8 @@
 //! group-commit fsync every batch) fed in batches of 1, 8 and 64 ticks.
 //! Batch 1 is the per-tick path — every tick pays a full fan-out/barrier
 //! round-trip, a WAL write and an fsync per shard — so the
-//! `speedup_vs_batch_1` column is the amortisation the batch-native
-//! pipeline buys.  The sweep runs the *high-rate ingestion profile*
+//! `speedup_vs_batch_1` column is the amortisation batch-native ingestion
+//! buys.  The sweep runs the *high-rate ingestion profile*
 //! ([`batch_sweep_config`]): same clusters and series as the throughput
 //! fleet but with sparse outages, because batching amortises per-tick
 //! *overhead* (channels, syscalls, fsyncs) and an outage-saturated stream
@@ -30,7 +30,7 @@ use std::time::Instant;
 
 use tkcm_core::TkcmConfig;
 use tkcm_datasets::{FleetConfig, FleetWorkload, StormProfile};
-use tkcm_runtime::{DurabilityOptions, RebalanceOptions, ShardedEngine, SyncPolicy};
+use tkcm_runtime::{DurabilityOptions, ShardedEngine, SyncPolicy};
 use tkcm_timeseries::{FleetPartition, StreamSource};
 
 use crate::report::{Report, Table};
@@ -307,8 +307,8 @@ pub fn run_batched_benchmark_on(workload: &FleetWorkload, scale: Scale) -> Vec<B
 pub struct StormRun {
     /// Shard target handed to the runtime.
     pub shards: usize,
-    /// Whether the elastic scheduler (pipeline depth 2 + component
-    /// stealing) was on; `false` is the static barrier-per-batch baseline.
+    /// Whether component stealing was on; `false` is the static baseline
+    /// (fixed assignment).
     pub rebalancing: bool,
     /// Wall-clock seconds for the full replay.
     pub wall_seconds: f64,
@@ -382,13 +382,10 @@ pub fn run_storm_benchmark_with(
             let mut engine =
                 ShardedEngine::new(width, tkcm.clone(), workload.catalog.clone(), shards)
                     .expect("storm fleet construction");
-            if rebalancing {
-                engine.set_pipeline_depth(2);
-                // Cycle-aligned batches (see [`STORM_BATCH`]) keep the
-                // per-batch load reports free of duty-cycle oscillation,
-                // so the default trigger works unmodified.
-                engine.set_rebalancing(Some(RebalanceOptions::default()));
-            }
+            // Cycle-aligned batches (see [`STORM_BATCH`]) keep the
+            // per-batch load reports free of duty-cycle oscillation, so the
+            // runtime's fixed trigger works unmodified.
+            engine.set_rebalancing(rebalancing);
             // The registry is process-global and cumulative, so this run's
             // batch-latency percentiles are a checkpoint delta of the
             // per-shard histograms the runtime records into.
@@ -403,15 +400,8 @@ pub fn run_storm_benchmark_with(
             let baselines: Vec<tkcm_obs::HistogramCheckpoint> =
                 batch_hists.iter().map(|h| h.checkpoint()).collect();
             let start = Instant::now();
-            if rebalancing {
-                for chunk in ticks.chunks(STORM_BATCH) {
-                    engine.submit_batch(chunk).expect("storm batch");
-                }
-                engine.drain().expect("storm drain");
-            } else {
-                for chunk in ticks.chunks(STORM_BATCH) {
-                    engine.process_batch(chunk).expect("storm batch");
-                }
+            for chunk in ticks.chunks(STORM_BATCH) {
+                engine.process_batch(chunk).expect("storm batch");
             }
             let wall = start.elapsed().as_secs_f64();
             let mut batch_delta = tkcm_obs::HistogramDelta::default();
@@ -674,9 +664,9 @@ fn report_from(
              long) aimed at the clusters the static partition co-locates on shard 0; calm \
              clusters keep sparse gaps.  `ticks_per_second` is per *critical-path* second — the \
              barrier-bound sum of each batch's slowest shard — which is what an N-core \
-             deployment's throughput follows; `recovery_ratio` is the elastic (pipeline depth 2 \
-             + component stealing) critical-path throughput over the static baseline at the \
-             same shard count.  Both modes impute identical values.  `batch_p50_ms` / \
+             deployment's throughput follows; `recovery_ratio` is the elastic (component \
+             stealing) critical-path throughput over the static baseline at the same shard \
+             count.  Both modes impute identical values.  `batch_p50_ms` / \
              `batch_p99_ms` are this run's per-shard batch-latency percentiles, read as a \
              checkpoint delta of the runtime's `tkcm_runtime_shard_batch_nanos` histograms."
         ));

@@ -12,8 +12,8 @@
 //!    without a format-version bump fails.  `--bless` re-records after a
 //!    deliberate bump.
 //! 2. **`cadence`** — `now`-minus-age-style timestamp arithmetic is flagged
-//!    outside the ring-index allowlist (the PR-3 unit-cadence bug, made
-//!    unrepeatable).
+//!    except on lines under an inline allow marker (the PR-3 unit-cadence
+//!    bug, made unrepeatable).
 //! 3. **`decode-hygiene`** — decode paths of the persistence files must use
 //!    checked conversions and error returns: no `unwrap`/`expect`, no
 //!    `panic!`-family macros, no indexing, no bare `as` numeric casts.
@@ -54,8 +54,6 @@ pub struct LintConfig {
     /// Files whose `Snapshot` impls are fingerprinted and whose decode
     /// paths are held to the hygiene rule (root-relative, `/` separators).
     pub persistence_files: Vec<String>,
-    /// Files exempt from the cadence rule (ring-index internals).
-    pub cadence_allow_files: Vec<String>,
     /// On-disk magic byte strings that must be defined exactly once.
     pub magic_literals: Vec<String>,
     /// Format-version constant names that must be defined exactly once.
@@ -81,7 +79,6 @@ impl LintConfig {
             ]
             .map(String::from)
             .to_vec(),
-            cadence_allow_files: Vec::new(),
             magic_literals: ["TKCMSNAP", "TKCMWAL0"].map(String::from).to_vec(),
             version_consts: [
                 "SNAPSHOT_FORMAT_VERSION",
@@ -140,7 +137,7 @@ pub fn run(cfg: &LintConfig) -> Result<Report, String> {
     let manifest = Manifest::load(&cfg.manifest_path)?;
     let mut findings = Vec::new();
     findings.extend(rules::check_fingerprints(&files, cfg, manifest.as_ref()));
-    findings.extend(rules::check_cadence(&files, cfg));
+    findings.extend(rules::check_cadence(&files));
     findings.extend(rules::check_decode_hygiene(&files, cfg));
     findings.extend(rules::check_single_definition(&files, cfg));
     findings.extend(rules::check_obs_read_only(&files, cfg));

@@ -77,14 +77,10 @@ pub fn const_value(files: &[SourceFile], name: &str) -> (Option<u32>, usize) {
 /// Deriving a timestamp as "now minus an age" silently assumes unit tick
 /// cadence (the PR-3 bug); all reported times must be read from the window's
 /// timestamp ring.  Ring-*index* arithmetic is the legitimate exception and
-/// lives under an inline `tkcm-lint: allow(cadence)` marker (or in a file on
-/// the config's allowlist, empty for this repository).
-pub fn check_cadence(files: &[SourceFile], cfg: &LintConfig) -> Vec<Finding> {
+/// lives under an inline `tkcm-lint: allow(cadence)` marker.
+pub fn check_cadence(files: &[SourceFile]) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in files {
-        if cfg.cadence_allow_files.contains(&file.rel_path) {
-            continue;
-        }
         let tokens = file.tokens();
         for i in 0..tokens.len() {
             if file.test_mask.get(i).copied().unwrap_or(false) {
@@ -107,7 +103,7 @@ pub fn check_cadence(files: &[SourceFile], cfg: &LintConfig) -> Vec<Finding> {
             {
                 Some(format!(
                     "`... - {}`: subtracting an age derives a time/position by cadence \
-                     assumption; use the timestamp ring (or allowlist ring-index internals)",
+                     assumption; use the timestamp ring (or mark ring-index internals allowed)",
                     tokens[i + 1].text
                 ))
             } else {

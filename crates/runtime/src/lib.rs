@@ -23,29 +23,18 @@
 //! path is **batch-native**: one job carries a whole batch of per-component
 //! sub-ticks to each worker, and exactly one result per worker is received
 //! *in shard order*, which makes the merged outcomes independent of thread
-//! scheduling.
-//!
-//! ## Pipelining
-//!
-//! [`ShardedEngine::submit_batch`] decouples dispatch from collection: up
-//! to [`ShardedEngine::set_pipeline_depth`] batches are in flight per
-//! worker at once (double buffering at depth 2), so the fleet thread can
-//! project and dispatch batch `n+1` while the workers still process batch
-//! `n`.  Completed outcomes accumulate in submission order and are returned
-//! by the next `submit_batch`/[`ShardedEngine::drain`] call.  The classic
-//! synchronous [`ShardedEngine::process_batch`] is submit-then-drain, so
-//! its semantics are unchanged.  Snapshot rotation, checkpoints and
-//! component migrations run only at fully-drained pipeline boundaries.
+//! scheduling.  No batch is in flight between calls, so snapshot rotation,
+//! checkpoints and component migrations all run at batch boundaries.
 //!
 //! ## Elastic rebalancing
 //!
-//! Every batch reply carries a [`ShardLoad`]: the shard's processing nanos,
-//! a per-component breakdown and the imputation count.  The fleet keeps
-//! per-shard and per-component EWMAs of the per-tick cost; when the
-//! hottest shard's EWMA exceeds the (lower-)median by
-//! [`RebalanceOptions::latency_ratio`] for [`RebalanceOptions::patience`]
-//! consecutive batches, the heaviest component whose weight fits inside
-//! the hot/cold gap migrates to the coldest shard.  A migration moves a
+//! Every batch reply carries a `ShardLoad`: the shard's processing nanos
+//! and a per-component breakdown.  The fleet keeps per-shard and
+//! per-component EWMAs (α = 0.3) of the per-tick cost; when the hottest
+//! shard's EWMA is at least 1.5× the (lower-)median for 3 consecutive
+//! batches, the heaviest component whose weight fits inside the hot/cold
+//! gap migrates to the coldest shard at the end of that batch, and the
+//! trigger then rests for 3 batches.  A migration moves a
 //! *whole* component — no candidate edge ever crosses components, so where
 //! a component's engine runs cannot change a single imputed bit, only
 //! which worker computes it.  The migration ships the engine through the
@@ -61,10 +50,10 @@
 //!   sorted ascending (see `FleetPartition`), so the partition itself is
 //!   deterministic.
 //! * Merged imputations and skips are sorted by global series id.
-//! * Rebalancing and pipelining are *transparent*: the merged outcome
-//!   stream equals sequential per-shard execution of the same engines,
-//!   imputation for imputation, at any pipeline depth and across any
-//!   sequence of migrations (the property the equivalence tests pin).
+//! * Rebalancing is *transparent*: the merged outcome stream equals
+//!   sequential per-shard execution of the same engines, imputation for
+//!   imputation, across any sequence of migrations (the property the
+//!   equivalence tests pin).
 //!
 //! ## Durability
 //!
@@ -74,7 +63,7 @@
 //! appended with a single buffered write (group commit), and
 //! [`durability::SyncPolicy`] decides when that write is additionally
 //! `fsync`ed.  A failed fsync *poisons* the fleet engine rather than being
-//! dropped.  Snapshot rotation happens at pipeline boundaries: whenever a
+//! dropped.  Snapshot rotation happens at batch boundaries: whenever a
 //! boundary crosses a multiple of `snapshot_interval` fleet ticks, each
 //! worker rewrites its snapshot and truncates its log.  Checkpoint files
 //! are versioned by the partition's live-mapping version
@@ -97,7 +86,6 @@
 
 pub mod durability;
 
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::LazyLock;
@@ -117,9 +105,21 @@ use durability::{
 };
 pub use durability::{CheckpointStats, DurabilityOptions, RecoveryOptions, SyncPolicy};
 
-/// EWMA smoothing used for load accounting when rebalancing is off (the
-/// stats are still collected for [`ShardedEngine::load_stats`]).
-const DEFAULT_EWMA_ALPHA: f64 = 0.3;
+// == the rebalancer's fixed policy ==
+
+/// Hot-shard trigger: a hottest-shard EWMA at least this many times the
+/// lower-median shard EWMA counts as imbalance.
+const LATENCY_RATIO: f64 = 1.5;
+
+/// Consecutive imbalanced batches before a migration is picked.
+const PATIENCE: usize = 3;
+
+/// EWMA smoothing factor of the per-tick load estimates (collected whether
+/// or not rebalancing is on, for [`ShardedEngine::load_stats`]).
+const EWMA_ALPHA: f64 = 0.3;
+
+/// Batches the trigger rests after a migration, letting the EWMAs re-settle.
+const COOLDOWN_BATCHES: usize = 3;
 
 // == fleet-wide metric handles (record-only; the `obs-read-only` policy) ==
 
@@ -127,12 +127,7 @@ const DEFAULT_EWMA_ALPHA: f64 = 0.3;
 static BARRIER_WAIT_NANOS: LazyLock<tkcm_obs::Histogram> =
     LazyLock::new(|| tkcm_obs::registry().histogram("tkcm_runtime_barrier_wait_nanos", &[]));
 
-/// Batches currently in flight (pipeline occupancy, last fleet to update
-/// wins — a per-process indicator, not a per-fleet ledger).
-static PIPELINE_IN_FLIGHT: LazyLock<tkcm_obs::Gauge> =
-    LazyLock::new(|| tkcm_obs::registry().gauge("tkcm_runtime_pipeline_in_flight", &[]));
-
-/// Migrations the rebalancer queued (committed or not).
+/// Migrations the rebalancer picked (committed or not).
 static MIGRATIONS_TRIGGERED: LazyLock<tkcm_obs::Counter> =
     LazyLock::new(|| tkcm_obs::registry().counter("tkcm_runtime_migrations_triggered_total", &[]));
 
@@ -216,8 +211,6 @@ struct ShardLoad {
     nanos: u64,
     /// `(component id, nanos)` breakdown of `nanos`.
     component_nanos: Vec<(usize, u64)>,
-    /// Imputations performed across the batch.
-    imputations: u64,
     /// Cumulative [`TkcmEngine::prune_totals`] summed across the worker's
     /// engines *after* the batch — a level, not a delta, so the fleet can
     /// both track its running total and derive per-batch deltas.
@@ -255,46 +248,14 @@ struct DurableState {
     /// The workers' group-commit fsync policy, recorded here so checkpoints
     /// write it into the manifest and recovery re-arms it.
     sync_policy: SyncPolicy,
-    /// The submitted-tick count the last automatic rotation ran at, so a
+    /// The tick count the last automatic rotation ran at, so a
     /// rotation that failed (and made the call return an error *before*
     /// dispatching the batch) is retried on the next call instead of
     /// being skipped or repeated after success.
     last_rotation: usize,
 }
 
-/// When and how aggressively the fleet steals components from hot shards.
-///
-/// The trigger compares the hottest shard's per-tick EWMA against the
-/// lower-median across shards; sustained imbalance (`patience` consecutive
-/// batches at ratio ≥ `latency_ratio`) queues one migration of the
-/// heaviest component that fits inside the hot/cold gap (so the move is a
-/// strict improvement), followed by `cooldown_batches` of quiet to let the
-/// EWMAs re-settle.
-#[derive(Clone, Copy, Debug)]
-pub struct RebalanceOptions {
-    /// Hot-shard trigger: max-EWMA / median-EWMA ratio that counts as
-    /// imbalance.
-    pub latency_ratio: f64,
-    /// Consecutive imbalanced batches required before a migration queues.
-    pub patience: usize,
-    /// EWMA smoothing factor for the per-tick load estimates (0 < α ≤ 1).
-    pub ewma_alpha: f64,
-    /// Batches to wait after a migration before triggering again.
-    pub cooldown_batches: usize,
-}
-
-impl Default for RebalanceOptions {
-    fn default() -> Self {
-        RebalanceOptions {
-            latency_ratio: 1.5,
-            patience: 3,
-            ewma_alpha: DEFAULT_EWMA_ALPHA,
-            cooldown_batches: 3,
-        }
-    }
-}
-
-/// Fleet load statistics accumulated from the per-batch [`ShardLoad`]
+/// Fleet load statistics accumulated from the per-batch `ShardLoad`
 /// reports (see [`ShardedEngine::load_stats`]).
 #[derive(Clone, Debug)]
 pub struct FleetLoadStats {
@@ -303,7 +264,7 @@ pub struct FleetLoadStats {
     pub shard_ewma_nanos: Vec<Option<f64>>,
     /// Barrier-bound critical path: Σ over completed batches of the
     /// *slowest* shard's processing time.  On a single-core host this is
-    /// the honest proxy for pipelined wall-clock — it is what an idealised
+    /// the honest proxy for parallel wall-clock — it is what an idealised
     /// parallel executor could not beat.
     pub critical_path_seconds: f64,
     /// Total processing time across all shards (the work, as opposed to
@@ -311,15 +272,21 @@ pub struct FleetLoadStats {
     pub busy_seconds: f64,
 }
 
-/// Per-shard/per-component EWMA load state plus throughput accumulators.
+/// Per-shard/per-component EWMA load state, the stealing trigger's state
+/// and the throughput accumulators.
 struct LoadTracker {
     shard_ewma: Vec<Option<f64>>,
     component_ewma: Vec<Option<f64>>,
+    /// Consecutive imbalanced batches counted outside a cooldown.
     hot_streak: usize,
+    /// Batches left before the trigger counts imbalance again.
     cooldown: usize,
     critical_path_nanos: u128,
     busy_nanos: u128,
 }
+
+/// A shard index with its per-tick load EWMA.
+type ShardEwma = (usize, f64);
 
 impl LoadTracker {
     fn new(partition: &FleetPartition) -> Self {
@@ -332,12 +299,129 @@ impl LoadTracker {
             busy_nanos: 0,
         }
     }
+
+    /// Folds one batch's load reports (one per shard, in shard order) into
+    /// the EWMAs and throughput accumulators, then advances the trigger:
+    /// a cooldown batch only counts down; otherwise an imbalanced batch
+    /// extends the hot streak and a balanced one ends it.
+    fn observe(&mut self, loads: &[ShardLoad], ticks: usize) {
+        if ticks == 0 || loads.len() != self.shard_ewma.len() {
+            return;
+        }
+        let mut max_nanos = 0u64;
+        let mut sum_nanos = 0u128;
+        for (shard, load) in loads.iter().enumerate() {
+            max_nanos = max_nanos.max(load.nanos);
+            sum_nanos += u128::from(load.nanos);
+            ewma_update(
+                &mut self.shard_ewma[shard],
+                load.nanos as f64 / ticks as f64,
+            );
+            for (component, nanos) in &load.component_nanos {
+                if let Some(slot) = self.component_ewma.get_mut(*component) {
+                    ewma_update(slot, *nanos as f64 / ticks as f64);
+                }
+            }
+        }
+        self.critical_path_nanos += u128::from(max_nanos);
+        self.busy_nanos += sum_nanos;
+        if self.cooldown > 0 {
+            self.cooldown -= 1;
+        } else if let Some(((_, hot), _, median)) = self.extremes() {
+            self.hot_streak = if hot / median >= LATENCY_RATIO {
+                self.hot_streak + 1
+            } else {
+                0
+            };
+        }
+    }
+
+    /// The hottest shard (the last on ties), the coldest (the first on
+    /// ties) and the lower-median EWMA — robust to one hot outlier even at
+    /// two shards; `None` until every shard has reported, or while the
+    /// median is zero.
+    fn extremes(&self) -> Option<(ShardEwma, ShardEwma, f64)> {
+        let ewmas = self
+            .shard_ewma
+            .iter()
+            .copied()
+            .collect::<Option<Vec<f64>>>()?;
+        let mut sorted = ewmas.clone();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("load EWMAs are finite"));
+        let median = sorted[(sorted.len() - 1) / 2];
+        if median <= 0.0 {
+            return None;
+        }
+        let by_load =
+            |a: &ShardEwma, b: &ShardEwma| a.1.partial_cmp(&b.1).expect("load EWMAs are finite");
+        let hot = ewmas.iter().copied().enumerate().max_by(by_load)?;
+        let cold = ewmas.iter().copied().enumerate().min_by(by_load)?;
+        Some((hot, cold, median))
+    }
+
+    /// The stealing decision, `(component, to_shard)`: once `PATIENCE`
+    /// consecutive imbalanced batches have passed outside a cooldown, the
+    /// heaviest component on the hottest shard whose weight fits strictly
+    /// inside the hot/cold gap moves to the coldest shard (so the move
+    /// improves the balance rather than merely relocating the hotspot).
+    /// Ties go to the smaller component id, and a shard's last component
+    /// is never stolen.  Pure over the load state and the partition.
+    fn pick_migration(&self, partition: &FleetPartition) -> Option<(usize, usize)> {
+        if self.cooldown > 0 || self.hot_streak < PATIENCE {
+            return None;
+        }
+        let ((hot, hot_ewma), (cold, cold_ewma), _) = self.extremes()?;
+        let donors = partition.components_on(hot);
+        if hot == cold || donors.len() < 2 {
+            return None;
+        }
+        let gap = hot_ewma - cold_ewma;
+        // Iterating ascending with a strict `>` keeps the smallest id on
+        // ties.
+        let mut best: Option<(usize, f64)> = None;
+        for component in donors {
+            let Some(weight) = self.component_ewma[component] else {
+                continue;
+            };
+            if weight > 0.0 && weight < gap && best.is_none_or(|(_, bw)| weight > bw) {
+                best = Some((component, weight));
+            }
+        }
+        best.map(|(component, _)| (component, cold))
+    }
+
+    /// Carries the load history across a committed migration and rests the
+    /// trigger.  The component's estimated weight shifts from the donor's
+    /// EWMA to the receiver's, so the next trigger evaluation sees the
+    /// post-migration balance instead of either pre-migration history
+    /// (which would re-trigger on the hotspot that was just fixed) or a
+    /// from-scratch reset (whose first samples are single-batch noise).
+    /// Without a weight estimate — forced migrations before any load
+    /// report — only the two affected shards' estimates are discarded.
+    fn after_migration(&mut self, component: usize, from: usize, to_shard: usize) {
+        match self.component_ewma.get(component).copied().flatten() {
+            Some(weight) => {
+                if let Some(donor) = self.shard_ewma[from].as_mut() {
+                    *donor = (*donor - weight).max(0.0);
+                }
+                if let Some(receiver) = self.shard_ewma[to_shard].as_mut() {
+                    *receiver += weight;
+                }
+            }
+            None => {
+                self.shard_ewma[from] = None;
+                self.shard_ewma[to_shard] = None;
+            }
+        }
+        self.hot_streak = 0;
+        self.cooldown = COOLDOWN_BATCHES;
+    }
 }
 
-fn ewma_update(slot: &mut Option<f64>, alpha: f64, sample: f64) {
+fn ewma_update(slot: &mut Option<f64>, sample: f64) {
     *slot = Some(match *slot {
         None => sample,
-        Some(prev) => prev + alpha * (sample - prev),
+        Some(prev) => prev + EWMA_ALPHA * (sample - prev),
     });
 }
 
@@ -357,19 +441,9 @@ pub struct ShardedEngine {
     imputation_count: usize,
     poisoned: bool,
     durable: Option<DurableState>,
-    /// Maximum batches in flight per worker (1 = classic synchronous).
-    pipeline_depth: usize,
-    /// Lengths of the batches currently in flight, oldest first.
-    in_flight: VecDeque<usize>,
-    /// Completed outcomes not yet returned, in submission order.
-    ready: Vec<EngineOutcome>,
-    /// Fleet ticks submitted (dispatched), ahead of `tick_count` while the
-    /// pipeline is non-empty.
-    submitted_count: usize,
-    rebalance: Option<RebalanceOptions>,
+    /// Whether the rebalancer may migrate components at batch ends.
+    rebalancing: bool,
     loads: LoadTracker,
-    /// Migrations queued for the next pipeline boundary.
-    pending_migrations: VecDeque<(usize, usize)>,
     /// Per-shard metric handles (see [`FleetObs`]).
     obs: FleetObs,
     /// Latest cumulative [`PruneStats`] reported per shard (seeded from the
@@ -437,7 +511,7 @@ impl ShardedEngine {
     /// The one place a fleet is assembled: one worker per shard snapshot,
     /// logging to its WAL when one is given (under the durable state's sync
     /// policy), with the fleet counters read off the snapshots' engines
-    /// (all zero for fresh ones) and an empty, synchronous pipeline.
+    /// (all zero for fresh ones).
     fn from_shards(
         partition: FleetPartition,
         snapshots: Vec<ShardSnapshot>,
@@ -468,36 +542,17 @@ impl ShardedEngine {
             imputation_count,
             poisoned: false,
             durable,
-            pipeline_depth: 1,
-            in_flight: VecDeque::new(),
-            ready: Vec::new(),
-            submitted_count: tick_count,
-            rebalance: None,
+            rebalancing: false,
             loads,
-            pending_migrations: VecDeque::new(),
             obs,
             shard_prune,
         })
     }
 
-    // == pipeline configuration ==
-
-    /// Sets how many batches may be in flight per worker (min 1; 2 =
-    /// double buffering).  Takes effect on the next
-    /// [`ShardedEngine::submit_batch`]; shrinking the depth drains the
-    /// surplus then.
-    pub fn set_pipeline_depth(&mut self, depth: usize) {
-        self.pipeline_depth = depth.max(1);
-    }
-
-    /// The current pipeline depth.
-    pub fn pipeline_depth(&self) -> usize {
-        self.pipeline_depth
-    }
-
-    /// Enables (`Some`) or disables (`None`) automatic component stealing.
-    pub fn set_rebalancing(&mut self, options: Option<RebalanceOptions>) {
-        self.rebalance = options;
+    /// Turns automatic component stealing on or off (off by default).  The
+    /// policy is fixed; see the module docs' "Elastic rebalancing".
+    pub fn set_rebalancing(&mut self, on: bool) {
+        self.rebalancing = on;
         self.loads.hot_streak = 0;
     }
 
@@ -516,11 +571,10 @@ impl ShardedEngine {
         self.partition.migration_log().len()
     }
 
-    /// Queues a migration of `component` onto `to_shard`, executed at the
-    /// next pipeline boundary exactly like a rebalancer-initiated one
-    /// (forced moves may empty a shard).  A component already on
-    /// `to_shard` is a no-op.  Validation is eager; execution errors
-    /// surface from the processing call that hits the boundary.
+    /// Migrates `component` onto `to_shard` now, between batches, exactly
+    /// like a rebalancer-picked move (forced moves may empty a shard).  A
+    /// component already on `to_shard` is a no-op.  Unknown ids are
+    /// rejected; a failed move poisons the fleet and returns its error.
     pub fn force_migration(&mut self, component: usize, to_shard: usize) -> Result<(), TsError> {
         if self.poisoned {
             return Err(poisoned_error());
@@ -537,13 +591,7 @@ impl ShardedEngine {
                 format!("unknown shard {to_shard}"),
             ));
         }
-        if self.partition.shard_of_component(component) == to_shard
-            && !self.pending_migrations.iter().any(|(c, _)| *c == component)
-        {
-            return Ok(());
-        }
-        self.pending_migrations.push_back((component, to_shard));
-        Ok(())
+        self.execute_migration(component, to_shard)
     }
 
     /// Recovers a fleet from a checkpoint directory: reads the manifest,
@@ -770,20 +818,16 @@ impl ShardedEngine {
         Self::from_shards(partition, shards, wals, durable_state)
     }
 
-    /// Checkpoints the fleet into `dir`: drains the pipeline, executes any
-    /// queued migrations, barriers every worker, writes one snapshot file
-    /// per shard (atomically, at the partition's current live-mapping
-    /// version) plus the manifest, and — when `dir` is this engine's
-    /// durability directory — truncates the WALs the snapshots now cover
-    /// and removes files of superseded versions.  The engine keeps running
-    /// afterwards; this is a rotation point, not a shutdown.  Outcomes the
-    /// drain completed are returned by the next `submit_batch`/`drain`.
+    /// Checkpoints the fleet into `dir`: barriers every worker, writes one
+    /// snapshot file per shard (atomically, at the partition's current
+    /// live-mapping version) plus the manifest, and — when `dir` is this
+    /// engine's durability directory — truncates the WALs the snapshots now
+    /// cover and removes files of superseded versions.  The engine keeps
+    /// running afterwards; this is a rotation point, not a shutdown.
     pub fn checkpoint(&mut self, dir: &Path) -> Result<CheckpointStats, TsError> {
         if self.poisoned {
             return Err(poisoned_error());
         }
-        self.drain_in_flight()?;
-        self.run_pending_migrations()?;
         self.checkpoint_inner(dir)
     }
 
@@ -803,8 +847,8 @@ impl ShardedEngine {
                     ),
                     ("seconds", tkcm_obs::FieldValue::F64(stats.seconds)),
                     (
-                        "ticks_submitted",
-                        tkcm_obs::FieldValue::U64(self.submitted_count as u64),
+                        "ticks_processed",
+                        tkcm_obs::FieldValue::U64(self.tick_count as u64),
                     ),
                 ],
             ),
@@ -820,12 +864,11 @@ impl ShardedEngine {
         result
     }
 
-    /// The barriered snapshot write itself; callers hold the pipeline
-    /// drained.  Does *not* poison on failure: checkpointing never mutates
-    /// engine state, so the in-memory fleet stays consistent and the
-    /// caller may retry (migration commits wrap this and poison there).
+    /// The barriered snapshot write itself.  Does *not* poison on failure:
+    /// checkpointing never mutates engine state, so the in-memory fleet
+    /// stays consistent and the caller may retry (migration commits wrap
+    /// this and poison there).
     fn checkpoint_write(&mut self, dir: &Path) -> Result<CheckpointStats, TsError> {
-        debug_assert!(self.in_flight.is_empty());
         let start = Instant::now();
         std::fs::create_dir_all(dir)
             .map_err(|e| TsError::Io(format!("creating {}: {e}", dir.display())))?;
@@ -904,8 +947,8 @@ impl ShardedEngine {
                 vec![
                     ("version", tkcm_obs::FieldValue::U64(version)),
                     (
-                        "ticks_submitted",
-                        tkcm_obs::FieldValue::U64(self.submitted_count as u64),
+                        "ticks_processed",
+                        tkcm_obs::FieldValue::U64(self.tick_count as u64),
                     ),
                 ],
             );
@@ -932,20 +975,19 @@ impl ShardedEngine {
         self.workers.len()
     }
 
-    /// Number of fleet-wide ticks fully processed (completed, not merely
-    /// submitted).
+    /// Number of fleet-wide ticks processed.
     pub fn ticks_processed(&self) -> usize {
         self.tick_count
     }
 
-    /// Number of values imputed across all shards (completed batches).
+    /// Number of values imputed across all shards.
     pub fn imputations_performed(&self) -> usize {
         self.imputation_count
     }
 
     /// Fleet-wide running totals of the pruning counters: the field-wise sum
     /// of every component engine's [`TkcmEngine::prune_totals`], as of the
-    /// last completed batch.  Seeded from the persisted per-engine totals at
+    /// last batch.  Seeded from the persisted per-engine totals at
     /// construction and recovery, so a recovered fleet continues its
     /// pre-crash counts rather than restarting from zero.  All zero when
     /// pruning is off.
@@ -968,53 +1010,35 @@ impl ShardedEngine {
         Ok(outcomes.pop().expect("one outcome per processed tick"))
     }
 
-    /// Processes a batch of fleet-wide ticks synchronously: submit, then
-    /// drain the pipeline, returning every completed outcome (one merged
-    /// [`EngineOutcome`] per tick, imputations and skips sorted by global
-    /// id).  At pipeline depth 1 — the default — this is exactly the
-    /// classic barrier-per-batch path: the returned outcomes are this
-    /// batch's, **bit-identical** to `N` sequential
+    /// Processes a batch of fleet-wide ticks, returning one merged
+    /// [`EngineOutcome`] per tick (imputations and skips sorted by global
+    /// id), **bit-identical** to `N` sequential
     /// [`ShardedEngine::process_tick`] calls (the property
-    /// `tests/batching.rs` pins, including across crash/recovery).  At
-    /// deeper pipelines the result also carries any outcomes an earlier
-    /// `submit_batch` left in flight.
+    /// `tests/batching.rs` pins, including across crash/recovery).
+    ///
+    /// One call is one barrier round: snapshot rotation when due, then one
+    /// fan-out — the whole batch crosses each shard's channel **once** as
+    /// per-component sub-tick batches — then exactly one reply per worker,
+    /// received in shard order and merged, and finally the rebalancer's
+    /// turn, which may migrate one component before the call returns.
+    /// Durable fleets append each batch's WAL records with a single
+    /// buffered write per shard and apply the group-commit [`SyncPolicy`]
+    /// at the batch boundary.  Rotation runs *before* dispatch, whenever
+    /// the tick count crossed a multiple of `snapshot_interval` since the
+    /// last rotation, so a rotation failure surfaces before any tick of
+    /// this batch is processed and the caller can safely retry the same
+    /// batch.
     ///
     /// An error from any shard — a bad tick mid-batch, a WAL append or
     /// group-commit fsync failure — poisons the engine, because the shards
     /// (and the prefix of the batch each of them committed) may no longer
     /// agree; subsequent calls keep failing.  An empty batch is a no-op.
     pub fn process_batch(&mut self, ticks: &[StreamTick]) -> Result<Vec<EngineOutcome>, TsError> {
-        let mut outcomes = self.submit_batch(ticks)?;
-        outcomes.extend(self.drain()?);
-        Ok(outcomes)
-    }
-
-    /// Submits a batch of fleet-wide ticks into the pipeline and returns
-    /// whatever outcomes have *completed* so far (possibly none, possibly
-    /// earlier batches'), in submission order.
-    ///
-    /// The whole batch crosses each shard's channel **once**: one fan-out
-    /// of per-component sub-tick batches.  Up to
-    /// [`ShardedEngine::pipeline_depth`] batches ride the channels
-    /// concurrently; the oldest is completed (barriered, merged, load-
-    /// accounted) whenever the depth would overflow.  Durable fleets
-    /// append each batch's WAL records with a single buffered write per
-    /// shard and apply the group-commit [`SyncPolicy`] at the batch
-    /// boundary.
-    ///
-    /// Snapshot rotation and queued component migrations run *before* the
-    /// batch is dispatched, at a fully-drained pipeline boundary: whenever
-    /// the submitted-tick count crossed a multiple of `snapshot_interval`,
-    /// or a migration is pending, the pipeline drains first — so a
-    /// rotation failure surfaces before any tick of this batch is
-    /// processed, no outcome is lost, and the caller can safely retry the
-    /// same batch.
-    pub fn submit_batch(&mut self, ticks: &[StreamTick]) -> Result<Vec<EngineOutcome>, TsError> {
         if self.poisoned {
             return Err(poisoned_error());
         }
         if ticks.is_empty() {
-            return Ok(std::mem::take(&mut self.ready));
+            return Ok(Vec::new());
         }
         for tick in ticks {
             if tick.width() != self.partition.width() {
@@ -1025,23 +1049,10 @@ impl ShardedEngine {
                 });
             }
         }
-        // Pipeline boundary work first, before this batch dispatches:
-        // queued migrations, then snapshot rotation (which the migrations'
-        // own commit checkpoint may have just satisfied).  Rotation bounds
-        // recovery time and log growth to `snapshot_interval + depth ×
-        // batch` ticks.
-        if !self.pending_migrations.is_empty() || self.rotation_due() {
-            self.drain_in_flight()?;
-            self.run_pending_migrations()?;
-            if self.rotation_due() {
-                if let Some(dir) = self.durable.as_ref().map(|d| d.dir.clone()) {
-                    self.checkpoint_inner(&dir)?;
-                    let rotated = self.submitted_count;
-                    if let Some(durable) = &mut self.durable {
-                        durable.last_rotation = rotated;
-                    }
-                }
-            }
+        // Rotation bounds recovery time and log growth to
+        // `snapshot_interval + batch` ticks.
+        if self.rotation_due() {
+            self.rotate()?;
         }
         for (shard, worker) in self.workers.iter().enumerate() {
             let payload: Vec<(usize, Vec<StreamTick>)> = self
@@ -1061,65 +1072,44 @@ impl ShardedEngine {
                 .send(Job::Batch(payload))
                 .map_err(|_| worker_died())?;
         }
-        self.in_flight.push_back(ticks.len());
-        self.submitted_count += ticks.len();
-        PIPELINE_IN_FLIGHT.set(self.in_flight.len() as f64);
         tkcm_obs::recorder().record(
             "batch_submitted",
-            vec![
-                ("ticks", tkcm_obs::FieldValue::U64(ticks.len() as u64)),
-                (
-                    "in_flight",
-                    tkcm_obs::FieldValue::U64(self.in_flight.len() as u64),
-                ),
-            ],
+            vec![("ticks", tkcm_obs::FieldValue::U64(ticks.len() as u64))],
         );
-        while self.in_flight.len() > self.pipeline_depth {
-            self.complete_oldest()?;
-        }
-        Ok(std::mem::take(&mut self.ready))
+        let outcomes = self.complete_batch(ticks.len())?;
+        self.rebalance()?;
+        Ok(outcomes)
     }
 
-    /// Completes every batch still in flight, executes any queued
-    /// migrations and returns all completed-but-unreturned outcomes in
-    /// submission order.  After `drain` the pipeline is empty —
-    /// `ticks_processed` equals the submitted count.
-    pub fn drain(&mut self) -> Result<Vec<EngineOutcome>, TsError> {
-        if self.poisoned {
-            return Err(poisoned_error());
-        }
-        self.drain_in_flight()?;
-        self.run_pending_migrations()?;
-        Ok(std::mem::take(&mut self.ready))
-    }
-
-    /// Whether the submitted-tick count crossed a rotation interval since
-    /// the last rotation (for per-tick ingestion this fires exactly at the
+    /// Whether the tick count crossed a rotation interval since the last
+    /// rotation (for per-tick ingestion this fires exactly at the
     /// multiples; a large batch that jumps several multiples rotates once).
     fn rotation_due(&self) -> bool {
         self.durable.as_ref().is_some_and(|d| {
             d.snapshot_interval > 0
-                && self.submitted_count / d.snapshot_interval
-                    > d.last_rotation / d.snapshot_interval
+                && self.tick_count / d.snapshot_interval > d.last_rotation / d.snapshot_interval
         })
     }
 
-    fn drain_in_flight(&mut self) -> Result<(), TsError> {
-        while !self.in_flight.is_empty() {
-            self.complete_oldest()?;
+    /// Checkpoints a durable fleet into its own directory (snapshots
+    /// rewritten, WALs truncated) and records the tick count it ran at; a
+    /// plain fleet has nothing to rotate.
+    fn rotate(&mut self) -> Result<(), TsError> {
+        let Some(dir) = self.durable.as_ref().map(|d| d.dir.clone()) else {
+            return Ok(());
+        };
+        self.checkpoint_inner(&dir)?;
+        let rotated = self.tick_count;
+        if let Some(durable) = &mut self.durable {
+            durable.last_rotation = rotated;
         }
         Ok(())
     }
 
-    /// Barriers on the oldest in-flight batch: exactly one reply per
-    /// worker, received in shard order so the merge never depends on
-    /// scheduling.  Merged outcomes land in `ready`; load reports feed the
-    /// EWMAs and, when rebalancing is on, may queue a migration for the
-    /// next pipeline boundary.
-    fn complete_oldest(&mut self) -> Result<(), TsError> {
-        let Some(len) = self.in_flight.pop_front() else {
-            return Ok(());
-        };
+    /// The batch's barrier: exactly one reply per worker, received in shard
+    /// order so the merge never depends on scheduling.  Returns the `len`
+    /// merged outcomes; load reports feed the EWMAs and the trigger.
+    fn complete_batch(&mut self, len: usize) -> Result<Vec<EngineOutcome>, TsError> {
         let wait_started = Instant::now();
         let mut replies = Vec::with_capacity(self.workers.len());
         for worker in &self.workers {
@@ -1179,8 +1169,17 @@ impl ShardedEngine {
             self.imputation_count += outcome.imputations.len();
         }
         self.tick_count += len;
-        self.ready.extend(merged);
-        self.observe_loads(&loads, len);
+        self.loads.observe(&loads, len);
+        for (shard, load) in loads.iter().enumerate() {
+            if let Some(histogram) = self.obs.batch_nanos.get(shard) {
+                histogram.record(load.nanos);
+            }
+            if let (Some(gauge), Some(ewma)) =
+                (self.obs.ewma_nanos.get(shard), self.loads.shard_ewma[shard])
+            {
+                gauge.set(ewma);
+            }
+        }
         // Fold the shards' cumulative prune totals into the fleet's running
         // view and derive this batch's delta for the flight recorder.
         let before = self.prune_totals();
@@ -1190,15 +1189,10 @@ impl ShardedEngine {
             }
         }
         let prune_delta = self.prune_totals().saturating_delta(&before);
-        PIPELINE_IN_FLIGHT.set(self.in_flight.len() as f64);
         tkcm_obs::recorder().record(
             "batch_drained",
             vec![
                 ("ticks", tkcm_obs::FieldValue::U64(len as u64)),
-                (
-                    "in_flight",
-                    tkcm_obs::FieldValue::U64(self.in_flight.len() as u64),
-                ),
                 (
                     "shortlisted",
                     tkcm_obs::FieldValue::U64(prune_delta.shortlisted as u64),
@@ -1217,145 +1211,31 @@ impl ShardedEngine {
                 ),
             ],
         );
-        self.maybe_queue_migration();
-        Ok(())
+        Ok(merged)
     }
 
-    /// Folds the batch's load reports into the EWMAs and throughput
-    /// accumulators.
-    fn observe_loads(&mut self, loads: &[ShardLoad], ticks: usize) {
-        if ticks == 0 || loads.len() != self.loads.shard_ewma.len() {
-            return;
+    /// The rebalancer's turn at the end of a batch: when rebalancing is on,
+    /// executes the migration [`LoadTracker::pick_migration`] picks, if any.
+    fn rebalance(&mut self) -> Result<(), TsError> {
+        if !self.rebalancing {
+            return Ok(());
         }
-        let alpha = self
-            .rebalance
-            .as_ref()
-            .map(|o| o.ewma_alpha)
-            .unwrap_or(DEFAULT_EWMA_ALPHA);
-        let mut max_nanos = 0u64;
-        let mut sum_nanos = 0u128;
-        for (shard, load) in loads.iter().enumerate() {
-            max_nanos = max_nanos.max(load.nanos);
-            sum_nanos += u128::from(load.nanos);
-            ewma_update(
-                &mut self.loads.shard_ewma[shard],
-                alpha,
-                load.nanos as f64 / ticks as f64,
-            );
-            if let Some(histogram) = self.obs.batch_nanos.get(shard) {
-                histogram.record(load.nanos);
-            }
-            if let (Some(gauge), Some(ewma)) =
-                (self.obs.ewma_nanos.get(shard), self.loads.shard_ewma[shard])
-            {
-                gauge.set(ewma);
-            }
-            for (component, nanos) in &load.component_nanos {
-                if let Some(slot) = self.loads.component_ewma.get_mut(*component) {
-                    ewma_update(slot, alpha, *nanos as f64 / ticks as f64);
-                }
-            }
-        }
-        self.loads.critical_path_nanos += u128::from(max_nanos);
-        self.loads.busy_nanos += sum_nanos;
-    }
-
-    /// The stealing trigger, evaluated once per completed batch: sustained
-    /// hot/median imbalance queues one whole-component migration from the
-    /// hottest to the coldest shard, picking the heaviest component whose
-    /// weight fits strictly inside the hot/cold gap (so the move improves
-    /// the balance rather than merely relocating the hotspot).
-    fn maybe_queue_migration(&mut self) {
-        let Some(options) = self.rebalance else {
-            return;
+        let Some((component, to_shard)) = self.loads.pick_migration(&self.partition) else {
+            return Ok(());
         };
-        if self.workers.len() < 2 || !self.pending_migrations.is_empty() {
-            return;
-        }
-        if self.loads.cooldown > 0 {
-            self.loads.cooldown -= 1;
-            return;
-        }
-        let Some(ewmas) = self
-            .loads
-            .shard_ewma
-            .iter()
-            .copied()
-            .collect::<Option<Vec<f64>>>()
-        else {
-            return; // not every shard has reported yet
-        };
-        let mut sorted = ewmas.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("load EWMAs are finite"));
-        // Lower median: robust to one hot outlier even at 2 shards.
-        let median = sorted[(sorted.len() - 1) / 2];
-        if median <= 0.0 {
-            return;
-        }
-        let (hot, hot_ewma) = ewmas
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("load EWMAs are finite"))
-            .expect("at least two shards");
-        if hot_ewma / median < options.latency_ratio {
-            self.loads.hot_streak = 0;
-            return;
-        }
-        self.loads.hot_streak += 1;
-        if self.loads.hot_streak < options.patience {
-            return;
-        }
-        self.loads.hot_streak = 0;
-        let (cold, cold_ewma) = ewmas
-            .iter()
-            .copied()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).expect("load EWMAs are finite"))
-            .expect("at least two shards");
-        if hot == cold {
-            return;
-        }
-        let gap = hot_ewma - cold_ewma;
-        let donors = self.partition.components_on(hot);
-        if donors.len() < 2 {
-            return; // never steal a shard's last component
-        }
-        // Heaviest component strictly lighter than the gap; iterating
-        // ascending with a strict `>` keeps the smallest id on ties.
-        let mut best: Option<(usize, f64)> = None;
-        for component in donors {
-            let Some(weight) = self.loads.component_ewma[component] else {
-                continue;
-            };
-            if weight <= 0.0 || weight >= gap {
-                continue;
-            }
-            if best.is_none_or(|(_, bw)| weight > bw) {
-                best = Some((component, weight));
-            }
-        }
-        if let Some((component, _)) = best {
-            MIGRATIONS_TRIGGERED.inc();
-            tkcm_obs::recorder().record(
-                "migration_triggered",
-                vec![
-                    ("component", tkcm_obs::FieldValue::U64(component as u64)),
-                    ("from", tkcm_obs::FieldValue::U64(hot as u64)),
-                    ("to", tkcm_obs::FieldValue::U64(cold as u64)),
-                ],
-            );
-            self.pending_migrations.push_back((component, cold));
-            self.loads.cooldown = options.cooldown_batches;
-        }
-    }
-
-    fn run_pending_migrations(&mut self) -> Result<(), TsError> {
-        debug_assert!(self.in_flight.is_empty());
-        while let Some((component, to_shard)) = self.pending_migrations.pop_front() {
-            self.execute_migration(component, to_shard)?;
-        }
-        Ok(())
+        MIGRATIONS_TRIGGERED.inc();
+        tkcm_obs::recorder().record(
+            "migration_triggered",
+            vec![
+                ("component", tkcm_obs::FieldValue::U64(component as u64)),
+                (
+                    "from",
+                    tkcm_obs::FieldValue::U64(self.partition.shard_of_component(component) as u64),
+                ),
+                ("to", tkcm_obs::FieldValue::U64(to_shard as u64)),
+            ],
+        );
+        self.execute_migration(component, to_shard)
     }
 
     /// Moves one component's engine from its current shard to `to_shard`
@@ -1424,37 +1304,9 @@ impl ShardedEngine {
             }
         }
         self.partition
-            .migrate(component, to_shard, self.submitted_count as u64)?;
-        // Carry the load history across the move: shift the component's
-        // estimated weight from the donor's EWMA to the receiver's, so the
-        // next trigger evaluation sees the post-migration balance instead
-        // of either pre-migration history (which would re-trigger on the
-        // hotspot that was just fixed) or a from-scratch reset (whose
-        // first samples are single-batch noise).  Without a weight
-        // estimate — forced migrations before any load report — only the
-        // two affected shards' estimates are discarded.
-        match self.loads.component_ewma.get(component).copied().flatten() {
-            Some(weight) => {
-                if let Some(donor) = self.loads.shard_ewma[from].as_mut() {
-                    *donor = (*donor - weight).max(0.0);
-                }
-                if let Some(receiver) = self.loads.shard_ewma[to_shard].as_mut() {
-                    *receiver += weight;
-                }
-            }
-            None => {
-                self.loads.shard_ewma[from] = None;
-                self.loads.shard_ewma[to_shard] = None;
-            }
-        }
-        self.loads.hot_streak = 0;
-        if let Some(dir) = self.durable.as_ref().map(|d| d.dir.clone()) {
-            self.checkpoint_inner(&dir)?;
-            let rotated = self.submitted_count;
-            if let Some(durable) = &mut self.durable {
-                durable.last_rotation = rotated;
-            }
-        }
+            .migrate(component, to_shard, self.tick_count as u64)?;
+        self.loads.after_migration(component, from, to_shard);
+        self.rotate()?;
         MIGRATIONS_COMMITTED.inc();
         tkcm_obs::recorder().record(
             "migration_committed",
@@ -1505,10 +1357,6 @@ impl ShardedEngine {
                     "ticks_processed",
                     tkcm_obs::FieldValue::U64(self.tick_count as u64),
                 ),
-                (
-                    "ticks_submitted",
-                    tkcm_obs::FieldValue::U64(self.submitted_count as u64),
-                ),
             ],
         );
         let dir = self
@@ -1527,14 +1375,13 @@ impl ShardedEngine {
     pub fn observability_report(&self) -> String {
         format!(
             "{{\"fleet\":{{\"shards\":{},\"components\":{},\"ticks_processed\":{},\
-             \"imputations\":{},\"migrations\":{},\"pipeline_depth\":{},\"poisoned\":{}}},\
+             \"imputations\":{},\"migrations\":{},\"poisoned\":{}}},\
              \"metrics\":{},\"flight_recorder\":{}}}",
             self.workers.len(),
             self.partition.component_count(),
             self.tick_count,
             self.imputation_count,
             self.migrations_performed(),
-            self.pipeline_depth,
             self.poisoned,
             tkcm_obs::export::render_json(tkcm_obs::registry()),
             tkcm_obs::recorder().render_json(),
@@ -1801,7 +1648,6 @@ fn worker_batch(
     let mut load = ShardLoad {
         nanos: 0,
         component_nanos: engines.iter().map(|(c, _)| (*c, 0u64)).collect(),
-        imputations: 0,
         prune: PruneStats::default(),
     };
     let cpu_started = thread_cpu_nanos();
@@ -1815,7 +1661,6 @@ fn worker_batch(
                     let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
                     load.component_nanos[idx].1 += nanos;
                     load.nanos += nanos;
-                    load.imputations += outcome.imputations.len() as u64;
                     records.push(ShardWalRecord {
                         component: *component,
                         entry: WalEntry::from_outcome(tick, &outcome),
@@ -2112,52 +1957,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_submission_matches_the_synchronous_path() {
-        let width = 6usize;
-        let catalog = Catalog::ring_neighbours(width);
-        let tick = |t: usize| {
-            let values = (0..width)
-                .map(|s| {
-                    if t >= 70 && t.is_multiple_of(7) && s.is_multiple_of(3) {
-                        None
-                    } else {
-                        Some(((t + 5 * s) as f64 * 0.31).sin())
-                    }
-                })
-                .collect();
-            StreamTick::new(Timestamp::new(t as i64), values)
-        };
-        let mut sync_fleet = ShardedEngine::new(width, small_config(), catalog.clone(), 2).unwrap();
-        let mut piped = ShardedEngine::new(width, small_config(), catalog, 2).unwrap();
-        piped.set_pipeline_depth(2);
-        assert_eq!(piped.pipeline_depth(), 2);
-
-        let mut expected = Vec::new();
-        let mut got = Vec::new();
-        let mut t = 0usize;
-        for batch_len in [1usize, 4, 3, 8, 2, 8, 5] {
-            let batch: Vec<StreamTick> = (t..t + batch_len).map(tick).collect();
-            t += batch_len;
-            expected.extend(sync_fleet.process_batch(&batch).unwrap());
-            got.extend(piped.submit_batch(&batch).unwrap());
-        }
-        got.extend(piped.drain().unwrap());
-        assert_eq!(piped.ticks_processed(), t);
-        assert_eq!(expected.len(), got.len());
-        for (a, b) in expected.iter().zip(&got) {
-            assert_eq!(a.timing_stripped(), b.timing_stripped());
-        }
-        assert_eq!(
-            sync_fleet.imputations_performed(),
-            piped.imputations_performed()
-        );
-        let stats = piped.load_stats();
-        assert!(stats.critical_path_seconds > 0.0);
-        assert!(stats.busy_seconds >= stats.critical_path_seconds);
-        assert!(stats.shard_ewma_nanos.iter().all(|e| e.is_some()));
-    }
-
-    #[test]
     fn forced_migrations_move_components_without_changing_outcomes() {
         let width = 8usize;
         // Four pair-components over two shards.
@@ -2183,14 +1982,13 @@ mod tests {
         let mut static_fleet =
             ShardedEngine::new(width, small_config(), catalog.clone(), 2).unwrap();
         let mut elastic = ShardedEngine::new(width, small_config(), catalog, 2).unwrap();
-        elastic.set_pipeline_depth(2);
 
         let mut expected = Vec::new();
         let mut got = Vec::new();
         for chunk in 0..20usize {
             let batch: Vec<StreamTick> = (chunk * 5..chunk * 5 + 5).map(tick).collect();
             expected.extend(static_fleet.process_batch(&batch).unwrap());
-            got.extend(elastic.submit_batch(&batch).unwrap());
+            got.extend(elastic.process_batch(&batch).unwrap());
             if chunk == 7 {
                 // Move component 0 off shard 0 mid-stream...
                 elastic.force_migration(0, 1).unwrap();
@@ -2200,7 +1998,6 @@ mod tests {
                 elastic.force_migration(0, 0).unwrap();
             }
         }
-        got.extend(elastic.drain().unwrap());
         assert_eq!(elastic.migrations_performed(), 2);
         assert_eq!(elastic.partition().shard_of_component(0), 0);
         assert_eq!(elastic.partition().version(), 2);
@@ -2208,7 +2005,7 @@ mod tests {
         for (a, b) in expected.iter().zip(&got) {
             assert_eq!(a.timing_stripped(), b.timing_stripped());
         }
-        // Migrating a component already in place is a queue-free no-op.
+        // Migrating a component already in place is a no-op.
         elastic
             .force_migration(1, elastic.partition().shard_of_component(1))
             .unwrap();
@@ -2216,6 +2013,88 @@ mod tests {
         // Unknown ids are rejected eagerly.
         assert!(elastic.force_migration(99, 0).is_err());
         assert!(elastic.force_migration(0, 99).is_err());
+    }
+
+    /// A two-or-more-shard partition of singleton components (one per
+    /// series, no candidate edges) with component `c` on shard `layout[c]`.
+    fn singleton_layout(layout: &[usize], shards: usize) -> FleetPartition {
+        let mut partition = FleetPartition::new(layout.len(), &Catalog::new(), shards).unwrap();
+        assert_eq!(partition.component_count(), layout.len());
+        for (component, &shard) in layout.iter().enumerate() {
+            if partition.shard_of_component(component) != shard {
+                partition.migrate(component, shard, 0).unwrap();
+            }
+        }
+        partition
+    }
+
+    /// A made-up load report: the shard's nanos and its per-component
+    /// breakdown.
+    fn load(nanos: u64, component_nanos: &[(usize, u64)]) -> ShardLoad {
+        ShardLoad {
+            nanos,
+            component_nanos: component_nanos.to_vec(),
+            prune: PruneStats::default(),
+        }
+    }
+
+    #[test]
+    fn rebalancer_waits_out_its_patience_and_cooldown_and_picks_the_heaviest_fitting_component() {
+        // Shard 0 runs components 0, 1 and 2 at 10, 50 and 100 ns a tick,
+        // shard 1 runs component 3 at 70: the gap is 90, so component 2
+        // does not fit and component 1 is the heaviest that does.
+        let partition = singleton_layout(&[0, 0, 0, 1], 2);
+        let mut loads = LoadTracker::new(&partition);
+        let storm = [
+            load(160, &[(0, 10), (1, 50), (2, 100)]),
+            load(70, &[(3, 70)]),
+        ];
+        for _ in 1..PATIENCE {
+            loads.observe(&storm, 1);
+            assert_eq!(loads.pick_migration(&partition), None);
+        }
+        loads.observe(&storm, 1);
+        assert_eq!(loads.pick_migration(&partition), Some((1, 1)));
+        // Had the move not helped (the same loads keep arriving), the
+        // trigger rests for the cooldown and then counts its patience anew.
+        loads.after_migration(1, 0, 1);
+        for _ in 0..COOLDOWN_BATCHES + PATIENCE - 1 {
+            loads.observe(&storm, 1);
+            assert_eq!(loads.pick_migration(&partition), None);
+        }
+        loads.observe(&storm, 1);
+        assert_eq!(loads.pick_migration(&partition), Some((1, 1)));
+    }
+
+    #[test]
+    fn rebalancer_needs_a_strict_fit_and_breaks_ties_towards_the_smaller_id() {
+        // The gap is 100 - 40 = 60: component 2 (60) does not fit strictly,
+        // and components 0 and 1 tie at 20.
+        let partition = singleton_layout(&[0, 0, 0, 1], 2);
+        let mut loads = LoadTracker::new(&partition);
+        for _ in 0..PATIENCE {
+            loads.observe(
+                &[
+                    load(100, &[(0, 20), (1, 20), (2, 60)]),
+                    load(40, &[(3, 40)]),
+                ],
+                1,
+            );
+        }
+        assert_eq!(loads.pick_migration(&partition), Some((0, 1)));
+    }
+
+    #[test]
+    fn rebalancer_never_steals_a_shards_last_component() {
+        // Shard 0's only component fits the gap (40 < 100 - 20; the rest
+        // of the shard's time is not attributed to it), but moving it would
+        // leave shard 0 empty.
+        let partition = singleton_layout(&[0, 1, 1], 2);
+        let mut loads = LoadTracker::new(&partition);
+        for _ in 0..2 * PATIENCE {
+            loads.observe(&[load(100, &[(0, 40)]), load(20, &[(1, 10), (2, 10)])], 1);
+            assert_eq!(loads.pick_migration(&partition), None);
+        }
     }
 
     #[test]

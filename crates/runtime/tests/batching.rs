@@ -217,72 +217,6 @@ proptest! {
     }
 }
 
-proptest! {
-    /// Double-buffered ingestion: submitting the stream through the
-    /// pipelined path (`submit_batch` + final `drain`) at depths 2 and 3
-    /// produces bit-identical outcomes, in the same order, as the
-    /// synchronous per-tick path — including for durable fleets, where
-    /// rotation only runs at drained pipeline boundaries.
-    #[test]
-    fn pipelined_ingestion_equals_per_tick(
-        clusters in 1usize..4,
-        cluster_size in 1usize..4,
-        ticks in 40usize..90,
-        batch_selector in 0usize..4,
-        depth in 2usize..4,
-        snapshot_interval in 0usize..20,
-    ) {
-        let width = clusters * cluster_size;
-        let catalog = cluster_catalog(clusters, cluster_size);
-        let stream = stream_of(width, ticks);
-        let batch = batch_size(batch_selector, ticks);
-        for shards in [1usize, 2, 4] {
-            let mut per_tick =
-                ShardedEngine::new(width, config(), catalog.clone(), shards).unwrap();
-            let mut reference = Vec::with_capacity(ticks);
-            for tick in &stream {
-                reference.push(per_tick.process_tick(tick).unwrap());
-            }
-
-            let dir = scratch_dir("pipeline");
-            let mut piped = ShardedEngine::with_durability(
-                width,
-                config(),
-                catalog.clone(),
-                shards,
-                &dir,
-                DurabilityOptions {
-                    snapshot_interval,
-                    sync_policy: SyncPolicy::Never,
-                },
-            )
-            .unwrap();
-            piped.set_pipeline_depth(depth);
-            let mut observed = Vec::with_capacity(ticks);
-            for chunk in stream.chunks(batch) {
-                observed.extend(piped.submit_batch(chunk).unwrap());
-            }
-            observed.extend(piped.drain().unwrap());
-
-            prop_assert_eq!(piped.ticks_processed(), ticks);
-            prop_assert_eq!(
-                piped.imputations_performed(),
-                per_tick.imputations_performed()
-            );
-            let context = format!(
-                "{clusters}x{cluster_size} fleet, {shards} shard(s), batch {batch}, \
-                 depth {depth}, rotation every {snapshot_interval}"
-            );
-            assert_same_outcomes(observed, reference, &context)?;
-            // The drained directory recovers to the full stream.
-            drop(piped);
-            let recovered = ShardedEngine::recover(&dir).unwrap();
-            prop_assert_eq!(recovered.ticks_processed(), ticks);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-}
-
 /// Mixing per-tick and batched ingestion on one engine is equivalent too —
 /// the per-tick path *is* the batch path at size 1.
 #[test]

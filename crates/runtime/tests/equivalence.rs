@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 
 use tkcm_core::{EngineOutcome, TkcmConfig, TkcmEngine};
-use tkcm_runtime::{RebalanceOptions, ShardedEngine};
+use tkcm_runtime::ShardedEngine;
 use tkcm_timeseries::{Catalog, FleetPartition, SeriesId, StreamTick, Timestamp};
 
 fn config() -> TkcmConfig {
@@ -168,11 +168,10 @@ proptest! {
         }
     }
 
-    /// The elastic tentpole property: a fleet with the double-buffered
-    /// pipeline on, the component stealer armed with a hair trigger *and*
-    /// random forced migrations sprinkled through the stream is still
-    /// bit-identical to the sequential reference — at 1/2/4 shards, under
-    /// skewed outages that keep one cluster's shard hot.  Migrating a
+    /// The elastic tentpole property: a fleet with the component stealer
+    /// on *and* random forced migrations sprinkled through the stream is
+    /// still bit-identical to the sequential reference — at 1/2/4 shards,
+    /// under skewed outages that keep one cluster's shard hot.  Migrating a
     /// whole component can change where an imputation is computed, never
     /// what it computes.
     #[test]
@@ -211,13 +210,7 @@ proptest! {
         for shards in [1usize, 2, 4] {
             let mut elastic =
                 ShardedEngine::new(width, config(), catalog.clone(), shards).unwrap();
-            elastic.set_pipeline_depth(2);
-            elastic.set_rebalancing(Some(RebalanceOptions {
-                latency_ratio: 1.01,
-                patience: 1,
-                ewma_alpha: 0.5,
-                cooldown_batches: 0,
-            }));
+            elastic.set_rebalancing(true);
             let mut sequential = SequentialFleet::new(width, config(), &catalog, shards);
             let mut rng = seed ^ shards as u64;
             let mut reference = Vec::with_capacity(ticks);
@@ -237,7 +230,7 @@ proptest! {
                 for tick in &batch {
                     reference.push(sequential.process_tick(tick));
                 }
-                observed.extend(elastic.submit_batch(&batch).unwrap());
+                observed.extend(elastic.process_batch(&batch).unwrap());
                 if batch_index % 3 == 2 {
                     // A forced migration point: any component to any shard
                     // (possibly emptying the donor; possibly a no-op).
@@ -249,7 +242,6 @@ proptest! {
                 t += len;
                 batch_index += 1;
             }
-            observed.extend(elastic.drain().unwrap());
             prop_assert_eq!(elastic.ticks_processed(), ticks);
             prop_assert_eq!(observed.len(), reference.len());
             for (pos, (a, b)) in observed.iter().zip(&reference).enumerate() {

@@ -744,7 +744,6 @@ fn crash_during_migration_recovers_the_last_committed_assignment() {
     let donor = durable.partition().shard_of_component(0);
     assert_eq!(donor, 0);
     durable.force_migration(0, 1).unwrap();
-    durable.drain().unwrap();
     assert_eq!(durable.partition().version(), 1);
     assert_eq!(durable.migrations_performed(), 1);
     drop(durable); // crash right after the commit
@@ -800,9 +799,9 @@ fn crash_during_migration_recovers_the_last_committed_assignment() {
     let _ = std::fs::remove_dir_all(&pre_rename);
 }
 
-/// Elastic recovery property: a durable pipelined fleet with random forced
-/// migrations, crashed at a random batch boundary and recovered, continues
-/// bit-identically to an uninterrupted plain run — at 1, 2 and 4 shards.
+/// Elastic recovery property: a durable fleet with forced migrations,
+/// crashed at a batch boundary and recovered, continues bit-identically to
+/// an uninterrupted plain run — at 1, 2 and 4 shards.
 #[test]
 fn elastic_crash_recovery_is_bit_identical_across_shard_counts() {
     let clusters = 3;
@@ -832,20 +831,18 @@ fn elastic_crash_recovery_is_bit_identical_across_shard_counts() {
             },
         )
         .unwrap();
-        durable.set_pipeline_depth(2);
         let mut observed: Vec<EngineOutcome> = Vec::with_capacity(ticks);
         let mut t = 0usize;
         while t < crash_at {
             let len = (4).min(crash_at - t);
             let batch: Vec<StreamTick> = (t..t + len).map(|i| tick_at(width, i)).collect();
-            observed.extend(durable.submit_batch(&batch).unwrap());
+            observed.extend(durable.process_batch(&batch).unwrap());
             if t <= migration_point && migration_point < t + len && shards > 1 {
                 durable.force_migration(0, shards - 1).unwrap();
                 durable.force_migration(2, 0).unwrap();
             }
             t += len;
         }
-        observed.extend(durable.drain().unwrap());
         let migrations = durable.migrations_performed();
         drop(durable); // crash
 

@@ -19,13 +19,6 @@ pub enum TsError {
         /// Latest available timestamp.
         latest: Timestamp,
     },
-    /// The requested operation needs a value that is missing.
-    MissingValue {
-        /// Series in which the value is missing.
-        series: SeriesId,
-        /// Time point of the missing value.
-        at: Timestamp,
-    },
     /// An invalid configuration parameter (window length, pattern length, ...).
     InvalidParameter {
         /// Name of the offending parameter.
@@ -68,9 +61,6 @@ impl fmt::Display for TsError {
                 f,
                 "timestamp {requested} outside available range [{earliest}, {latest}]"
             ),
-            TsError::MissingValue { series, at } => {
-                write!(f, "value of series {series} at {at} is missing (NIL)")
-            }
             TsError::InvalidParameter { name, message } => {
                 write!(f, "invalid parameter `{name}`: {message}")
             }
@@ -111,12 +101,6 @@ mod tests {
         };
         assert!(e.to_string().contains("t10"));
         assert!(e.to_string().contains("t5"));
-
-        let e = TsError::MissingValue {
-            series: SeriesId(1),
-            at: Timestamp::new(7),
-        };
-        assert!(e.to_string().contains("NIL"));
 
         let e = TsError::invalid("l", "pattern length must be positive");
         assert!(e.to_string().contains("`l`"));

@@ -52,7 +52,7 @@ pub const PARTITION_FORMAT_VERSION: u32 = 2;
 /// One entry of the partition's migration log: component `component` moved
 /// from shard `from` to shard `to` at fleet tick `at_tick` (the number of
 /// ticks fully processed when the migration ran — migrations only happen at
-/// drained batch boundaries, so this is exact, not approximate).
+/// batch boundaries, so this is exact, not approximate).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Migration {
     /// The migrated component's id.
@@ -291,8 +291,8 @@ impl FleetPartition {
 
     /// Moves one whole component to `to_shard`, bumping the partition
     /// version and appending to the migration log.  `at_tick` is the number
-    /// of fleet ticks fully processed at the (drained) boundary the
-    /// migration runs at.
+    /// of fleet ticks processed at the batch boundary the migration runs
+    /// at.
     ///
     /// Fails on an unknown component or shard, and on a no-op migration
     /// (the component already lives on `to_shard`).
