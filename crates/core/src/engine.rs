@@ -10,8 +10,8 @@
 //!
 //! Imputation dispatches two ways.  On the *composed* path (the default,
 //! [`TkcmEngine::is_composed`]) the engine owns a [`SignatureIndex`] over all
-//! series, kept in lock-step with the window (updated after each pushed tick
-//! and each imputed write-back), and one *lag memory* per active reference
+//! series, a block ring each pushed tick extends and each imputed write-back
+//! re-summarizes from the window, and one *lag memory* per active reference
 //! set: the lags of that set's last imputation's finite exact folds, best
 //! first, which seed the next imputation's τ.  A memory is created empty
 //! when its reference set first serves an imputation, is overwritten by
@@ -404,10 +404,7 @@ impl TkcmEngine {
     fn commit_write_back(&mut self, target: SeriesId, value: f64) -> Result<(), TsError> {
         self.window.write_imputed(target, 0, value)?;
         if let Some(index) = self.signatures.as_mut() {
-            // Engine write-backs always turn a missing current-tick slot
-            // into an imputed one (`currently_missing` / WAL replay both
-            // target missing slots), so the slot's missing count drops.
-            index.on_write(target, 0, value, true);
+            index.on_write(&self.window, target, 0)?;
         }
         self.imputation_count += 1;
         Ok(())

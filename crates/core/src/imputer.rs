@@ -452,7 +452,7 @@ impl TkcmImputer {
         inflate0: f64,
         inflate1: f64,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        if !index.is_synced(window) || index.width() != window.width() {
+        if !index.is_synced(window) {
             return Err(TsError::invalid(
                 "signature",
                 "signature index is not in lock-step with the window",

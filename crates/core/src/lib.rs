@@ -96,6 +96,4 @@ pub use imputer::{ImputationDetail, PruneStats, TkcmImputer};
 pub use pattern::{extract_pattern, extract_pattern_at_age, extract_query_pattern, Pattern};
 pub use persist::{WalEntry, WalWriteBack};
 pub use selection::{select_anchors_dp, select_anchors_greedy, AnchorSelection};
-pub use signature::{
-    level1_run_len, BlockSummary, SignatureIndex, SignatureQuery, SIGNATURE_BLOCK_LEN,
-};
+pub use signature::{level1_run_len, SignatureIndex, SignatureQuery, SIGNATURE_BLOCK_LEN};

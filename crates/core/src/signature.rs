@@ -1,47 +1,71 @@
 //! Quantized pattern-signature index: admissible candidate pruning.
 //!
 //! Scoring every candidate lag exactly costs `O(d·l)` each, linear in the
-//! candidate count `J = L − 2l + 1` per imputation.  This module keeps a
-//! coarse, block-quantized summary of every series in the window — a
-//! piecewise min/max envelope plus a missing-slot count per block of
-//! [`SIGNATURE_BLOCK_LEN`] consecutive ticks — and uses it to compute a
-//! cheap *lower bound* `LB[j] ≤ D[j]` on each candidate's L2 dissimilarity
-//! against the query pattern.  The imputer
-//! ([`crate::imputer::TkcmImputer::impute_composed`]) then evaluates exact
-//! dissimilarities only for a shortlist and proves the rest out of the k-NN
-//! set.
+//! candidate count `J = L − 2l + 1` per imputation.  This module keeps, per
+//! block of `B` = [`SIGNATURE_BLOCK_LEN`] consecutive ticks of every series,
+//! a min/max envelope, a missing-slot count and a value sum, and derives
+//! cheap *lower bounds* `LB[j] ≤ D[j]` on each candidate's L2 dissimilarity
+//! from them.  The imputer ([`crate::imputer::TkcmImputer::impute_composed`])
+//! evaluates exact dissimilarities only for a shortlist and proves the rest
+//! out of the k-NN set: `LB > τ`, the float sum of a feasible k-solution,
+//! rules a candidate out of every optimal selection of ≤ k anchors.
 //!
-//! # The lower bound, and why it is admissible
+//! # The bounds
 //!
-//! The query pattern is complete (the extractors return no other), and a
-//! candidate with a missing slot has `D = +∞`.  For a complete candidate at
-//! lag `a`, the exact squared dissimilarity is `D²[a] = Σ (x − y)²` over all
-//! `d·l` pairs `(x, y)` of candidate and query values (Definition 2 as
-//! implemented by `l2_components`/`l2_from_components`).  Split the
-//! candidate range into block-aligned segments.  For a segment whose
-//! candidate values lie in the envelope `[c_lo, c_hi]` and whose paired
-//! query values lie in `[q_lo, q_hi]`, every pair satisfies
-//! `(x − y)² ≥ g²` where `g = max(0, q_lo − c_hi, c_lo − q_hi)` is the gap
-//! between the envelopes.  The bound counts only
-//! `n_certain = seg_len − missing_candidate` pairs (the block-level missing
-//! count over-counts a partial segment, which only lowers `n_certain` —
-//! still safe), so
+//! A candidate with a missing slot has `D = +∞`; for a complete one
+//! `D² = Σ (x − y)²` over its `d·l` pairs of candidate and query values.
+//! Split the candidate range into block-aligned segments.  If the segment's
+//! values lie in `[c_lo, c_hi]` and the paired query values in
+//! `[q_lo, q_hi]`, every pair has `(x − y)² ≥ g²` with
+//! `g = max(0, q_lo − c_hi, c_lo − q_hi)`, so `g²·n_certain` bounds the
+//! segment, `n_certain` being its length less the block's missing count.  A
+//! segment that is a whole block with no missing slot uses the block-mean
+//! bound `(Σx − Σy)² / B ≤ Σ (x − y)²` (Cauchy–Schwarz) instead.
 //!
-//! ```text
-//! Σ g² · n_certain  ≤  Σ (x − y)²  =  D²[a]
-//! ```
+//! # The block ring
 //!
-//! Envelopes are maintained *outward only*: a write-back widens the block's
-//! min/max (never shrinks it), so the envelope stays a superset of the
-//! in-window values and the bound stays a lower bound.  Gaps in the data are
-//! handled by the missing counts; ring wrap-around is handled by keying the
-//! blocks on absolute tick ordinals (`StreamingWindow::ordinal_of_age`),
-//! which do not move as the ring wraps.
+//! Like the window's rings, each series' ring of `R = ⌈L/B⌉ + 1` blocks
+//! grows as blocks are pushed until it wraps: block `o / B` of tick ordinal
+//! `o` lives in slot `(o / B) % R`.  A push that starts a block resets its
+//! slot, retiring a block that ended `L + 1` or more ordinals before the
+//! newest.  A lookup resolves the blocks from the one holding the oldest
+//! in-window ordinal to the newest, which `R` slots hold.  A block may
+//! still summarize pushed readings that left the window, which only loosens
+//! it.  A write ([`SignatureIndex::on_write`]) re-summarizes its block from
+//! the window's in-window slots in ordinal order, as
+//! [`SignatureIndex::rebuild`] does for every block; for the engine's only
+//! write (a missing slot at age 0) that equals pushing the value, bit for
+//! bit.
 //!
-//! The pruning itself (in the imputer) compares `LB` against the float sum
-//! `τ` of a feasible k-solution evaluated exactly; `LB > τ` proves the
-//! candidate cannot appear in any optimal selection of ≤ k anchors, because
-//! every member of an optimal solution has `D ≤ optimal sum ≤ τ`.
+//! # Float-level admissibility
+//!
+//! A bound must stay below the *computed* `D`.  With `u = 2⁻⁵³` and
+//! `ε = 2u` (`f64::EPSILON`), rounding errors come in two kinds.  A
+//! *relative* error is a few `u` times the value computed; the stop rule's
+//! margins (τ inflated by `1 + 1e-9`, `S` deflated by `1 − 1e-9`) absorb it.
+//! An *absolute* error, from the difference of two nearly equal rounded
+//! sums, does not shrink with the result: a bound whose real value is 0 can
+//! come out positive, and against `τ = 0` (k exact duplicates) no relative
+//! margin helps, so it needs an explicit one.
+//!
+//! - **Envelope gap** (level-0 partial segments, level-1 runs): min/max are
+//!   exact, and the gap is one rounded subtraction of exact values, so a
+//!   real gap `≤ 0` stays `≤ 0`.  Squares, counts and sums of non-negative
+//!   terms follow: *relative*.  Missing counts are exact integers.
+//! - **Block mean**: the block sum `Σc` (`B` sequential adds) errs by at
+//!   most `B·u·B·max(|min|, |max|)`.  The query sum `Σq = P[p_e+1] − P[p_s]`
+//!   keeps only the rounding of the `B` prefix adds between the two (the
+//!   earlier ones cancel exactly), each at most `u·(p_e + 1)·max|q|`.
+//!   `|Σc − Σq|` cancels: *absolute*.  The bound subtracts
+//!   `(l + 2B + 4)·ε·(B·max(|min|, |max|) + (p_e + 1)·max|q|)`, over twice
+//!   those errors plus both subtractions', from `|Σc − Σq|` before squaring;
+//!   the square, `/ B` and the `1 − 1e-9` deflation are *relative*.
+//! - **The τ / S stop rule** (imputer): τ folds the seed's `D`s like the
+//!   DP's take steps, so it is bit-equal to the DP's value; `S` folds at
+//!   most `k − 1` non-negative `D`s, and the bar `τ·(1 + 1e-9) −
+//!   S·(1 − 1e-9)` rounds by one ulp.  All are a few `u` times `τ + S`,
+//!   below the margins' `1e-9·(τ + S)`: *relative*.  Keys are square roots
+//!   of bounds: *relative*.
 
 use tkcm_timeseries::{ingest_reading, SeriesId, StreamingWindow, TsError};
 
@@ -66,60 +90,61 @@ pub fn level1_run_len(pattern_length: usize) -> usize {
 }
 
 /// Summary of one block of [`SIGNATURE_BLOCK_LEN`] consecutive ticks of one
-/// series: an outward-only min/max envelope over the observed values, the
-/// number of missing slots, and the running sum of the observed values.
+/// series, folded in ordinal order: the min/max envelope (`+∞`/`−∞` while
+/// nothing is observed) and the sum of the observed values, and the number
+/// of missing slots.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct BlockSummary {
-    /// Lower envelope of the observed values (`+∞` while the block is all
-    /// missing).  Only ever moves down.
-    pub min: f64,
-    /// Upper envelope of the observed values (`−∞` while the block is all
-    /// missing).  Only ever moves up.
-    pub max: f64,
-    /// Number of slots in the block with no value.  Exact as long as every
-    /// missing → imputed transition is reported via [`SignatureIndex::on_write`].
-    pub missing: u32,
-    /// Sum of the observed values of the block, accumulated in push order.
-    /// Feeds the block-mean (Jensen) lower bound, which is only admissible
-    /// while the sum tracks the block's current contents exactly — an
-    /// overwrite of an already observed slot cannot be tracked (the old
-    /// value is gone), so it *poisons* the sum to NaN and the mean bound is
-    /// skipped for that block from then on (the envelope bound still holds).
-    pub sum: f64,
+struct BlockSummary {
+    min: f64,
+    max: f64,
+    missing: u32,
+    sum: f64,
 }
 
 impl BlockSummary {
-    fn empty() -> Self {
-        BlockSummary {
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            missing: 0,
-            sum: 0.0,
-        }
-    }
+    const EMPTY: BlockSummary = BlockSummary {
+        min: f64::INFINITY,
+        max: f64::NEG_INFINITY,
+        missing: 0,
+        sum: 0.0,
+    };
 
-    fn absorb(&mut self, value: Option<f64>) {
-        match value {
-            Some(v) => {
-                self.min = self.min.min(v);
-                self.max = self.max.max(v);
-                self.sum += v;
-            }
-            None => self.missing += 1,
+    /// Folds in one slot of the window's value plane (NaN = missing).
+    fn absorb(&mut self, v: f64) {
+        if v.is_nan() {
+            self.missing += 1;
+        } else {
+            self.min = self.min.min(v);
+            self.max = self.max.max(v);
+            self.sum += v;
         }
     }
+}
+
+/// `R = ⌈L/B⌉ + 1`, the slots of a full block ring over a window of `L`.
+fn ring_len(window_length: usize) -> usize {
+    window_length.div_ceil(SIGNATURE_BLOCK_LEN as usize) + 1
+}
+
+/// A ring's blocks from `slot` on, wrapping once round to `slot − 1`.
+fn ring_from(ring: &[BlockSummary], slot: usize) -> impl Iterator<Item = &BlockSummary> {
+    let (before, from) = ring.split_at(slot);
+    from.iter().chain(before)
 }
 
 /// Precomputed query-side context for [`SignatureIndex::lower_bound_sq_with_query`].
 ///
 /// The query pattern is fixed for the whole candidate sweep of one
 /// imputation, so its per-sub-range statistics are precomputed once —
-/// prefix sums for O(1) segment means, and sparse min/max tables for O(1)
+/// prefix sums for O(1) segment sums, and sparse min/max tables for O(1)
 /// exact segment envelopes — and reused across all `J` candidates.
 /// Construction is `O(d · l · log l)`, negligible next to the sweep itself.
 #[derive(Clone, Debug)]
 pub struct SignatureQuery {
     length: usize,
+    /// The block term's factor `(l + 2B + 4)·ε·B` of the mean bound's
+    /// rounding margin (module docs).
+    block_margin: f64,
     refs: Vec<QueryRef>,
 }
 
@@ -128,13 +153,17 @@ pub struct SignatureQuery {
 struct QueryRef {
     /// `prefix_sum[p]` = sum of the values at positions `< p`.
     prefix_sum: Vec<f64>,
+    /// `(l + 2B + 4)·ε·max|q|`: times `p + 1`, the query term of the mean
+    /// bound's rounding margin for a segment ending at position `p`
+    /// (module docs).
+    query_scale: f64,
     /// Sparse tables: `mins[k][i]` covers positions `[i, i + 2^k)`.
     mins: Vec<Vec<f64>>,
     maxs: Vec<Vec<f64>>,
 }
 
 impl QueryRef {
-    fn new(row: &[f64]) -> Self {
+    fn new(row: &[f64], margin_scale: f64) -> Self {
         let l = row.len();
         let mut prefix_sum = Vec::with_capacity(l + 1);
         prefix_sum.push(0.0);
@@ -160,6 +189,7 @@ impl QueryRef {
         }
         QueryRef {
             prefix_sum,
+            query_scale: margin_scale * row.iter().fold(0.0, |m: f64, v| m.max(v.abs())),
             mins,
             maxs,
         }
@@ -189,9 +219,14 @@ impl SignatureQuery {
             rows.iter().all(|r| r.len() == length),
             "SignatureQuery: ragged query rows"
         );
+        let margin_scale = (length + 2 * SIGNATURE_BLOCK_LEN as usize + 4) as f64 * f64::EPSILON;
         SignatureQuery {
             length,
-            refs: rows.iter().map(|r| QueryRef::new(r)).collect(),
+            block_margin: margin_scale * SIGNATURE_BLOCK_LEN as f64,
+            refs: rows
+                .iter()
+                .map(|r| QueryRef::new(r, margin_scale))
+                .collect(),
         }
     }
 
@@ -201,7 +236,8 @@ impl SignatureQuery {
     }
 }
 
-/// Block-quantized signature index over all series of one streaming window.
+/// Block-quantized signature index over all series of one streaming window:
+/// a fixed ring of block summaries per series (see the module docs).
 ///
 /// Maintained in lock-step with the window: [`SignatureIndex::on_push`]
 /// after every `push_tick` (O(width)) and [`SignatureIndex::on_write`] after
@@ -209,15 +245,12 @@ impl SignatureQuery {
 /// automatically when pruning is active.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SignatureIndex {
-    width: usize,
     window_length: usize,
-    /// Ordinal of the first tick covered by `blocks[_][0]` (a multiple of
-    /// [`SIGNATURE_BLOCK_LEN`]).
-    base_ordinal: u64,
     /// Number of ticks absorbed so far (mirrors the window's tick counter).
     ticks_seen: u64,
-    /// `blocks[series][b]` summarizes ordinals
-    /// `base_ordinal + b·B .. base_ordinal + (b+1)·B`.
+    /// `blocks[series][(o / B) % R]` summarizes the block holding ordinal
+    /// `o`; every ring holds `min(⌈ticks_seen / B⌉, R)` pushed blocks, with
+    /// `R = ⌈L/B⌉ + 1`.
     blocks: Vec<Vec<BlockSummary>>,
 }
 
@@ -231,22 +264,23 @@ impl SignatureIndex {
             return Err(TsError::invalid("L", "window length must be positive"));
         }
         Ok(SignatureIndex {
-            width,
             window_length,
-            base_ordinal: 0,
             ticks_seen: 0,
-            blocks: vec![Vec::new(); width],
+            blocks: (0..width)
+                .map(|_| Vec::with_capacity(ring_len(window_length)))
+                .collect(),
         })
     }
 
     /// The number of series the index covers.
     pub fn width(&self) -> usize {
-        self.width
+        self.blocks.len()
     }
 
-    /// Whether the index has absorbed the same number of ticks as a window.
+    /// Whether the index covers a window's series and has absorbed the
+    /// same number of ticks.
     pub fn is_synced(&self, window: &StreamingWindow) -> bool {
-        self.ticks_seen == window.ticks_seen() as u64
+        self.width() == window.width() && self.ticks_seen == window.ticks_seen() as u64
     }
 
     /// Absorbs one arrived tick (`values` in window series order).  O(width).
@@ -255,100 +289,89 @@ impl SignatureIndex {
     /// stores it — an undercounted missing slot would make the level-0
     /// bound inadmissible.
     pub fn on_push(&mut self, values: &[Option<f64>]) -> Result<(), TsError> {
-        if values.len() != self.width {
+        if values.len() != self.width() {
             return Err(TsError::LengthMismatch {
                 left: values.len(),
-                right: self.width,
+                right: self.width(),
                 context: "stream tick width vs signature index width",
             });
         }
         let block_len = SIGNATURE_BLOCK_LEN as u64;
         let ordinal = self.ticks_seen;
-        if ordinal == self.block_end() {
-            for series in &mut self.blocks {
-                series.push(BlockSummary::empty());
-            }
-        }
-        for (series, v) in self.blocks.iter_mut().zip(values.iter()) {
-            if let Some(last) = series.last_mut() {
-                last.absorb(ingest_reading(*v));
-            }
-        }
-        self.ticks_seen += 1;
-        // Retire blocks that no longer overlap the window: the oldest
-        // in-window ordinal is ticks_seen − L.
-        let cutoff = self.ticks_seen.saturating_sub(self.window_length as u64);
-        while self.base_ordinal + block_len <= cutoff {
-            for series in &mut self.blocks {
-                if !series.is_empty() {
-                    series.remove(0);
+        let starts_block = ordinal.is_multiple_of(block_len);
+        let slot = ((ordinal / block_len) % ring_len(self.window_length) as u64) as usize;
+        for (ring, v) in self.blocks.iter_mut().zip(values) {
+            if starts_block {
+                // The reset retires the block `R` back, already out of the
+                // window.  Like the window's rings: grow until the first wrap.
+                match ring.get_mut(slot) {
+                    Some(block) => *block = BlockSummary::EMPTY,
+                    None => ring.push(BlockSummary::EMPTY),
                 }
             }
-            self.base_ordinal += block_len;
+            ring[slot].absorb(ingest_reading(*v).unwrap_or(f64::NAN));
+        }
+        self.ticks_seen += 1;
+        Ok(())
+    }
+
+    /// Reports a value written into the existing slot `age` ticks back of
+    /// `series` (after `StreamingWindow::write_imputed`): re-summarizes that
+    /// slot's block from the window's in-window slots, folded in ordinal
+    /// order.  A slot outside the window changes nothing.
+    pub fn on_write(
+        &mut self,
+        window: &StreamingWindow,
+        series: SeriesId,
+        age: usize,
+    ) -> Result<(), TsError> {
+        if !self.is_synced(window) {
+            return Err(TsError::invalid(
+                "signature",
+                "signature index is not in lock-step with the window",
+            ));
+        }
+        let Some(ordinal) = window.ordinal_of_age(age) else {
+            return Ok(());
+        };
+        let block_len = SIGNATURE_BLOCK_LEN as u64;
+        let ticks = self.ticks_seen;
+        let start = ordinal - ordinal % block_len;
+        let first = start.max(ticks - window.filled() as u64);
+        let last = (start + block_len).min(ticks) - 1;
+        let (older, newer) = window.value_run(
+            series,
+            (ticks - 1 - last) as usize,
+            (last + 1 - first) as usize,
+        )?;
+        let slot = self
+            .slot_in_range(ordinal)
+            .expect("an in-window block is in range");
+        let block = &mut self.blocks[series.index()][slot];
+        *block = BlockSummary::EMPTY;
+        for &v in older.iter().chain(newer) {
+            block.absorb(v);
         }
         Ok(())
     }
 
-    /// Reports a value written into an existing slot (the engine's imputed
-    /// write-back): widens the block's envelope outward and, when the slot
-    /// was missing before, decrements the missing count.
-    pub fn on_write(&mut self, series: SeriesId, age: usize, value: f64, was_missing: bool) {
-        let Some(ordinal) = self.ordinal_of_age(age) else {
-            return;
-        };
-        let Some(block) = self
-            .blocks
-            .get_mut(series.index())
-            .and_then(|s| Self::block_of(s, self.base_ordinal, ordinal))
-        else {
-            return;
-        };
-        block.min = block.min.min(value);
-        block.max = block.max.max(value);
-        if was_missing {
-            block.missing = block.missing.saturating_sub(1);
-            // The slot joins the observed set; a NaN (poisoned) sum stays
-            // poisoned through the addition, which is exactly right.
-            block.sum += value;
-        } else {
-            // Overwriting an observed slot: the old value's contribution is
-            // unknown, so the sum can no longer be trusted.  Poison it —
-            // the mean bound degrades to the envelope bound for this block.
-            block.sum = f64::NAN;
-        }
+    /// Number of the oldest block a lookup resolves: the block holding the
+    /// oldest in-window ordinal.
+    fn oldest_block(&self) -> u64 {
+        self.ticks_seen.saturating_sub(self.window_length as u64) / SIGNATURE_BLOCK_LEN as u64
     }
 
-    /// One past the ordinal covered by the last allocated block.
-    fn block_end(&self) -> u64 {
-        let block_len = SIGNATURE_BLOCK_LEN as u64;
-        let count = self.blocks.first().map(|s| s.len()).unwrap_or(0) as u64;
-        self.base_ordinal + count * block_len
-    }
-
-    fn ordinal_of_age(&self, age: usize) -> Option<u64> {
-        let age = age as u64;
-        if age >= self.ticks_seen {
+    /// Ring slot `(o / B) % R` of the block holding ordinal `o`, or `None`
+    /// unless that block is in range: between
+    /// [`SignatureIndex::oldest_block`] and the newest block.  From it,
+    /// [`ring_from`] yields the in-range blocks in ordinal order.
+    fn slot_in_range(&self, ordinal: u64) -> Option<usize> {
+        let block = ordinal / SIGNATURE_BLOCK_LEN as u64;
+        let newest = self.ticks_seen.checked_sub(1)? / SIGNATURE_BLOCK_LEN as u64;
+        if block < self.oldest_block() || block > newest {
             return None;
         }
-        // Ordinal (push-count) arithmetic, not timestamp arithmetic: block
-        // membership is defined by push position, so no cadence is assumed.
-        Some(self.ticks_seen - 1 - age) // tkcm-lint: allow(cadence)
-    }
-
-    fn block_of(series: &mut [BlockSummary], base: u64, ordinal: u64) -> Option<&mut BlockSummary> {
-        if ordinal < base {
-            return None;
-        }
-        let idx = ((ordinal - base) / SIGNATURE_BLOCK_LEN as u64) as usize;
-        series.get_mut(idx)
-    }
-
-    fn block_at(&self, series: usize, ordinal: u64) -> Option<&BlockSummary> {
-        if ordinal < self.base_ordinal {
-            return None;
-        }
-        let idx = ((ordinal - self.base_ordinal) / SIGNATURE_BLOCK_LEN as u64) as usize;
-        self.blocks.get(series).and_then(|s| s.get(idx))
+        Some((block % ring_len(self.window_length) as u64) as usize)
     }
 
     /// Gap-aware lower bound on the *squared* L2 dissimilarity `D²` of the
@@ -361,20 +384,12 @@ impl SignatureIndex {
     ///    paired query sub-range's min/max come from the pattern itself
     ///    ([`SignatureQuery`] precomputes range tables), so the envelope gap
     ///    has no query-side quantization slack.
-    /// 2. **Block-mean (Jensen) bound** — when a segment covers a whole
-    ///    block with no missing candidate slot, all
-    ///    `B = SIGNATURE_BLOCK_LEN` pairs are present and
-    ///    `Σ (x_i − y_i)² ≥ (Σ (x_i − y_i))² / B = B · (x̄ − ȳ)²`
-    ///    (Cauchy–Schwarz), with `x̄` from the maintained block sum and `ȳ`
-    ///    from the query prefix sums.  This separates candidates whose
-    ///    *level* differs from the query even when their envelopes overlap
-    ///    (the common case for smooth seasonal signals), and is deflated by
-    ///    one part in 10⁹ so float rounding in the sums can never push it
-    ///    above the true value.  A block whose sum was poisoned by an
-    ///    overwrite falls back to the envelope bound.
-    ///
-    /// The per-segment contribution is the max of the two bounds; both are
-    /// admissible, so the max is.
+    /// 2. **Block-mean bound** — on a whole block with no missing slot,
+    ///    `Σ (x_i − y_i)² ≥ (Σ x_i − Σ y_i)² / B` (Cauchy–Schwarz), from the
+    ///    block sum and the query prefix sums, less their rounding margin
+    ///    (module docs).  It separates candidates whose *level* differs from
+    ///    the query even when their envelopes overlap (the common case for
+    ///    smooth seasonal signals).
     ///
     /// The second return is `true` when the index *proves* the candidate
     /// range contains a missing reference slot (a block fully inside the
@@ -390,45 +405,37 @@ impl SignatureIndex {
         l: usize,
         query: &SignatureQuery,
     ) -> (f64, bool) {
-        if self.ticks_seen == 0
-            || l == 0
-            || query.length != l
-            || query.refs.len() != references.len()
-        {
+        if l == 0 || query.length != l || query.refs.len() != references.len() {
             return (0.0, false);
         }
-        let Some(query_newest) = self.ordinal_of_age(0) else {
+        // Candidate ordinals (push counts, not timestamps).
+        let Some(cand_start) = self
+            .ticks_seen
+            .checked_sub((lag as u64).saturating_add(l as u64))
+        else {
             return (0.0, false);
         };
-        let Some(cand_newest) = self.ordinal_of_age(lag) else {
-            return (0.0, false);
-        };
-        let span = (l - 1) as u64;
-        if cand_newest < span || query_newest < span {
-            return (0.0, false);
-        }
-        let cand_start = cand_newest - span;
-        if cand_start < self.base_ordinal {
-            return (0.0, false);
-        }
+        let cand_newest = cand_start + (l - 1) as u64;
         let block_len = SIGNATURE_BLOCK_LEN as u64;
-        let deflate = 1.0 - 1e-9;
+        // The mean bound's divisor `B`, deflated by one part in 10⁹.
+        let deflate_per_block = (1.0 - 1e-9) / block_len as f64;
 
+        let Some(first) = self.slot_in_range(cand_start) else {
+            return (0.0, false);
+        };
         let mut sum = 0.0_f64;
         let mut certain_missing = false;
         for (r, qref) in references.iter().zip(query.refs.iter()) {
-            let Some(series) = self.blocks.get(r.index()) else {
+            let Some(ring) = self.blocks.get(r.index()) else {
                 continue;
             };
             let mut seg_start = cand_start;
-            while seg_start <= cand_newest {
+            for cand_block in ring_from(ring, first) {
+                if seg_start > cand_newest {
+                    break;
+                }
                 let block_base = seg_start & !(block_len - 1);
                 let seg_end = (block_base + block_len - 1).min(cand_newest);
-                let bi = ((block_base - self.base_ordinal) / block_len) as usize;
-                let Some(cand_block) = series.get(bi) else {
-                    seg_start = seg_end + 1;
-                    continue;
-                };
                 let full_block = seg_start == block_base && seg_end == block_base + block_len - 1;
                 if cand_block.missing > 0 && full_block {
                     certain_missing = true;
@@ -439,18 +446,19 @@ impl SignatureIndex {
                 let seg_len = seg_end - seg_start + 1;
                 let uncertain = u64::from(cand_block.missing);
                 if seg_len > uncertain {
-                    let clean_block = full_block && uncertain == 0 && !cand_block.sum.is_nan();
-                    if clean_block {
-                        // All B pairs present and the sum unpoisoned: the
-                        // mean bound alone — on smooth signals it dominates
-                        // the envelope gap (which needs *disjoint* ranges),
-                        // and skipping the range-table lookups here keeps
-                        // the sweep's constant small.
-                        let n = block_len as f64;
-                        let cand_mean = cand_block.sum / n;
-                        let q_mean = (qref.prefix_sum[p_e + 1] - qref.prefix_sum[p_s]) / n;
-                        let diff = cand_mean - q_mean;
-                        sum += diff * diff * n * deflate;
+                    if full_block && uncertain == 0 {
+                        // All B pairs present: the mean bound alone — on
+                        // smooth signals it dominates the envelope gap
+                        // (which needs *disjoint* ranges), and skipping the
+                        // range-table lookups here keeps the sweep's
+                        // constant small.
+                        let q_sum = qref.prefix_sum[p_e + 1] - qref.prefix_sum[p_s];
+                        let c_abs = cand_block.min.abs().max(cand_block.max.abs());
+                        let margin =
+                            query.block_margin * c_abs + qref.query_scale * (p_e + 1) as f64;
+                        // Branch-free: a non-positive (or NaN) gap adds 0.
+                        let gap = ((cand_block.sum - q_sum).abs() - margin).max(0.0);
+                        sum += gap * gap * deflate_per_block;
                     } else {
                         let n_certain = (seg_len - uncertain) as f64;
                         let (q_min, q_max) = qref.range_min_max(p_s, p_e);
@@ -490,8 +498,8 @@ impl SignatureIndex {
     ///
     /// Unlike the per-lag bound there is no certain-missing signal here: a
     /// missing slot in the region need not lie inside any particular lag's
-    /// range.  Returns `0.0` (the vacuous bound) whenever a region is not
-    /// fully resolvable, so the caller never over-prunes.
+    /// range.  A chunk whose region is not fully resolvable contributes 0,
+    /// so the caller never over-prunes.
     pub fn run_lower_bound_sq_with_query(
         &self,
         references: &[SeriesId],
@@ -500,12 +508,7 @@ impl SignatureIndex {
         l: usize,
         query: &SignatureQuery,
     ) -> f64 {
-        if self.ticks_seen == 0
-            || l == 0
-            || run_len == 0
-            || query.length != l
-            || query.refs.len() != references.len()
-        {
+        if l == 0 || run_len == 0 || query.length != l || query.refs.len() != references.len() {
             return 0.0;
         }
         let lag_hi = lag_lo + (run_len - 1);
@@ -521,40 +524,30 @@ impl SignatureIndex {
 
         let mut sum = 0.0_f64;
         for (r, qref) in references.iter().zip(query.refs.iter()) {
-            let series = r.index();
+            let Some(ring) = self.blocks.get(r.index()) else {
+                continue;
+            };
             let mut p_s = 0usize;
             while p_s < l {
                 let p_e = (p_s + SIGNATURE_BLOCK_LEN as usize - 1).min(l - 1);
                 let region_start = start_hi + p_s as u64;
                 let region_end = start_lo + p_e as u64;
-                if region_start >= self.base_ordinal {
+                if let Some(first) = self.slot_in_range(region_start) {
+                    let count = region_end / block_len - region_start / block_len + 1;
                     let mut c_min = f64::INFINITY;
                     let mut c_max = f64::NEG_INFINITY;
                     let mut region_missing = 0u64;
-                    let mut resolved = true;
-                    let mut b = region_start & !(block_len - 1);
-                    while b <= region_end {
-                        match self.block_at(series, b) {
-                            Some(blk) => {
-                                c_min = c_min.min(blk.min);
-                                c_max = c_max.max(blk.max);
-                                region_missing += u64::from(blk.missing);
-                            }
-                            None => {
-                                resolved = false;
-                                break;
-                            }
-                        }
-                        b += block_len;
+                    for blk in ring_from(ring, first).take(count as usize) {
+                        c_min = c_min.min(blk.min);
+                        c_max = c_max.max(blk.max);
+                        region_missing += u64::from(blk.missing);
                     }
-                    if resolved {
-                        let chunk_len = (p_e - p_s + 1) as u64;
-                        if chunk_len > region_missing {
-                            let (q_min, q_max) = qref.range_min_max(p_s, p_e);
-                            let g = (q_min - c_max).max(c_min - q_max).max(0.0);
-                            if g > 0.0 && g.is_finite() {
-                                sum += g * g * (chunk_len - region_missing) as f64;
-                            }
+                    let chunk_len = (p_e - p_s + 1) as u64;
+                    if chunk_len > region_missing {
+                        let (q_min, q_max) = qref.range_min_max(p_s, p_e);
+                        let g = (q_min - c_max).max(c_min - q_max).max(0.0);
+                        if g > 0.0 && g.is_finite() {
+                            sum += g * g * (chunk_len - region_missing) as f64;
                         }
                     }
                 }
@@ -564,14 +557,13 @@ impl SignatureIndex {
         sum
     }
 
-    /// Rebuilds the index from the current window contents (tight envelopes,
-    /// exact missing counts).  Used when attaching an index to a window that
-    /// already has history — a decoded snapshot, whose index is not
-    /// persisted — and by tests as the reference state.  The rebuilt
-    /// envelopes are contained in the maintained ones, so every bound is at
-    /// least as tight and still admissible.
+    /// Rebuilds the index from the current window contents: one
+    /// [`SignatureIndex::on_write`] re-summary per block in range.  Used when
+    /// attaching an index to a window that already has history — a decoded
+    /// snapshot, whose index is not persisted — and by tests as the
+    /// reference state.
     pub fn rebuild(&mut self, window: &StreamingWindow) -> Result<(), TsError> {
-        if window.width() != self.width || window.length() != self.window_length {
+        if window.width() != self.width() || window.length() != self.window_length {
             return Err(TsError::invalid(
                 "window",
                 "signature index was built for a different window shape",
@@ -579,27 +571,21 @@ impl SignatureIndex {
         }
         let block_len = SIGNATURE_BLOCK_LEN as u64;
         self.ticks_seen = window.ticks_seen() as u64;
-        let filled = window.filled() as u64;
-        let oldest_ordinal = self.ticks_seen - filled;
-        self.base_ordinal = oldest_ordinal - (oldest_ordinal % block_len);
-        let block_count = if filled == 0 {
-            0
-        } else {
-            ((self.ticks_seen - 1 - self.base_ordinal) / block_len + 1) as usize
+        let pushed =
+            (self.ticks_seen.div_ceil(block_len) as usize).min(ring_len(self.window_length));
+        for ring in &mut self.blocks {
+            ring.clear();
+            ring.resize(pushed, BlockSummary::EMPTY);
+        }
+        let Some(newest) = self.ticks_seen.checked_sub(1) else {
+            return Ok(());
         };
-        for (s, series) in self.blocks.iter_mut().enumerate() {
-            series.clear();
-            series.resize(block_count, BlockSummary::empty());
-            for (b, block) in series.iter_mut().enumerate() {
-                let block_start = self.base_ordinal + b as u64 * block_len;
-                for ordinal in block_start..(block_start + block_len).min(self.ticks_seen) {
-                    if ordinal < oldest_ordinal {
-                        continue;
-                    }
-                    let age = (self.ticks_seen - 1 - ordinal) as usize;
-                    block.absorb(window.value_recent(SeriesId(s as u32), age)?);
-                }
+        let mut ordinal = self.ticks_seen - window.filled() as u64;
+        while ordinal <= newest {
+            for s in 0..self.width() {
+                self.on_write(window, SeriesId(s as u32), (newest - ordinal) as usize)?;
             }
+            ordinal += block_len - ordinal % block_len;
         }
         Ok(())
     }
@@ -624,12 +610,23 @@ mod tests {
         SignatureQuery::new(&[&row])
     }
 
+    /// Start ordinals of every block a lookup resolves.
+    fn block_starts(ix: &SignatureIndex) -> impl Iterator<Item = u64> {
+        let b = SIGNATURE_BLOCK_LEN as u64;
+        (ix.oldest_block() * b..ix.ticks_seen).step_by(b as usize)
+    }
+
+    /// The block holding `ordinal`, if a lookup resolves it.
+    fn block_at(ix: &SignatureIndex, series: usize, ordinal: u64) -> Option<BlockSummary> {
+        Some(ix.blocks[series][ix.slot_in_range(ordinal)?])
+    }
+
     #[test]
     fn maintained_index_envelopes_contain_the_rebuilt_ones() {
         // While no tick has aged out of a block, maintained == rebuilt
-        // exactly; once a block partially retires, the maintained block must
-        // stay a *superset* of the tight rebuilt one (values that left the
-        // window linger in the envelope until the whole block retires) — the
+        // exactly; once a block partially leaves the window, the maintained
+        // block must stay a *superset* of the tight rebuilt one (values that
+        // left the window linger until the ring reuses the slot) — the
         // direction admissibility needs.
         let width = 2;
         let cap = 50;
@@ -647,11 +644,11 @@ mod tests {
             if (t as usize) < cap {
                 assert_eq!(ix, fresh, "tick {t}");
             } else {
-                assert_eq!(ix.base_ordinal, fresh.base_ordinal, "tick {t}");
                 assert_eq!(ix.ticks_seen, fresh.ticks_seen, "tick {t}");
-                for (ms, rs) in ix.blocks.iter().zip(fresh.blocks.iter()) {
-                    assert_eq!(ms.len(), rs.len(), "tick {t}");
-                    for (m, r) in ms.iter().zip(rs.iter()) {
+                for s in 0..width {
+                    for o in block_starts(&ix) {
+                        let m = block_at(&ix, s, o).unwrap();
+                        let r = block_at(&fresh, s, o).unwrap();
                         assert!(m.min <= r.min, "tick {t}");
                         assert!(m.max >= r.max, "tick {t}");
                         assert!(m.missing >= r.missing, "tick {t}");
@@ -662,24 +659,51 @@ mod tests {
     }
 
     #[test]
-    fn write_back_widens_and_clears_missing() {
+    fn filling_the_newest_slot_equals_pushing_the_value() {
+        // The engine's write-back (a missing slot at age 0) re-summarizes the
+        // newest block in ordinal order, which is bit-equal to having
+        // absorbed the value at push time.
+        let mut w = StreamingWindow::new(1, 40);
+        let mut ix = SignatureIndex::new(1, 40).unwrap();
+        let mut pushed = SignatureIndex::new(1, 40).unwrap();
+        for t in 0..75i64 {
+            let v = (t as f64 * 0.7).sin() * 21.37;
+            let missing = t % 5 == 2;
+            push(&mut w, &mut ix, t, vec![Some(v).filter(|_| !missing)]);
+            if missing {
+                w.write_imputed(SeriesId(0), 0, v).unwrap();
+                ix.on_write(&w, SeriesId(0), 0).unwrap();
+            }
+            pushed.on_push(&[Some(v)]).unwrap();
+            assert_eq!(ix, pushed, "tick {t}");
+        }
+    }
+
+    #[test]
+    fn an_observed_overwrite_gives_the_exact_block() {
         let mut w = StreamingWindow::new(1, 32);
         let mut ix = SignatureIndex::new(1, 32).unwrap();
         for t in 0..20i64 {
             let v = if t == 19 { None } else { Some(1.0) };
             push(&mut w, &mut ix, t, vec![v]);
         }
-        let before = ix.block_at(0, 19).unwrap().missing;
-        assert!(before > 0);
+        assert_eq!(block_at(&ix, 0, 19).unwrap().missing, 1);
         w.write_imputed(SeriesId(0), 0, 5.0).unwrap();
-        ix.on_write(SeriesId(0), 0, 5.0, true);
-        let block = ix.block_at(0, 19).unwrap();
-        assert_eq!(block.missing, before - 1);
-        assert_eq!(block.max, 5.0);
-        // Envelope only widens: a rebuilt index would have the same bounds
-        // here, but writing a value *inside* the envelope must not shrink it.
-        ix.on_write(SeriesId(0), 1, 2.0, false);
-        assert_eq!(ix.block_at(0, 19).unwrap().max, 5.0);
+        ix.on_write(&w, SeriesId(0), 0).unwrap();
+        // Overwriting an observed slot shrinks the envelope and the sum to
+        // exactly what a rebuild sees.
+        w.write_imputed(SeriesId(0), 0, 0.5).unwrap();
+        ix.on_write(&w, SeriesId(0), 0).unwrap();
+        let block = block_at(&ix, 0, 19).unwrap();
+        assert_eq!((block.min, block.max, block.missing), (0.5, 1.0, 0));
+        assert_eq!(block.sum, 3.5);
+        let mut fresh = SignatureIndex::new(1, 32).unwrap();
+        fresh.rebuild(&w).unwrap();
+        assert_eq!(ix, fresh);
+        // A write is refused by an index that lags the window.
+        w.push_tick(&StreamTick::new(Timestamp::new(20), vec![None]))
+            .unwrap();
+        assert!(ix.on_write(&w, SeriesId(0), 0).is_err());
     }
 
     #[test]
@@ -693,6 +717,24 @@ mod tests {
         let (lb, miss) = ix.lower_bound_sq_with_query(&[SeriesId(0)], 8, 8, &query_of(&w, 8));
         assert_eq!(lb, 0.0);
         assert!(!miss);
+    }
+
+    #[test]
+    fn mean_bound_is_zero_for_a_flat_lined_duplicate() {
+        // A stuck sensor at a non-dyadic level: the block sum and the query
+        // prefix-sum difference round differently, and the margin must keep
+        // the bound of an exact duplicate (D = 0) at zero.
+        let l = 72;
+        let mut w = StreamingWindow::new(1, 400);
+        let mut ix = SignatureIndex::new(1, 400).unwrap();
+        for t in 0..400i64 {
+            push(&mut w, &mut ix, t, vec![Some(21.37)]);
+        }
+        let query = query_of(&w, l);
+        for lag in l..=(400 - l) {
+            let (lb, _) = ix.lower_bound_sq_with_query(&[SeriesId(0)], lag, l, &query);
+            assert_eq!(lb, 0.0, "lag {lag}");
+        }
     }
 
     #[test]
@@ -731,18 +773,40 @@ mod tests {
     }
 
     #[test]
-    fn retired_blocks_are_dropped() {
+    fn the_ring_resolves_exactly_the_in_window_blocks() {
         let cap = 40;
+        let b = SIGNATURE_BLOCK_LEN as u64;
         let mut w = StreamingWindow::new(1, cap);
         let mut ix = SignatureIndex::new(1, cap).unwrap();
         for t in 0..(10 * cap as i64) {
             push(&mut w, &mut ix, t, vec![Some(t as f64)]);
         }
-        let b = SIGNATURE_BLOCK_LEN as usize;
-        // At most ceil(L/B) + 1 blocks are ever live.
-        assert!(ix.blocks[0].len() <= cap.div_ceil(b) + 1);
-        // The oldest retained block still covers the oldest window slot.
-        assert!(ix.base_ordinal <= (ix.ticks_seen - cap as u64));
+        // The ring grew to R = ⌈L/B⌉ + 1 slots and no further.
+        assert_eq!(ix.blocks[0].len(), cap.div_ceil(b as usize) + 1);
+        let ticks = ix.ticks_seen;
+        // Every in-window ordinal resolves to the block that holds it: the
+        // value `o` lies in its envelope, and a fully pushed block spans
+        // exactly its own B ordinals.
+        for o in (ticks - cap as u64)..ticks {
+            let block = block_at(&ix, 0, o).unwrap();
+            assert!(
+                block.min <= o as f64 && o as f64 <= block.max,
+                "ordinal {o}"
+            );
+            let start = o - o % b;
+            assert_eq!(block.min, start as f64, "ordinal {o}");
+            assert_eq!(
+                block.max,
+                (start + b).min(ticks) as f64 - 1.0,
+                "ordinal {o}"
+            );
+        }
+        // Ordinals of blocks wholly before the window do not resolve.
+        let oldest_start = (ticks - cap as u64) / b * b;
+        assert!(block_at(&ix, 0, oldest_start - 1).is_none());
+        assert!(block_at(&ix, 0, 0).is_none());
+        // Nor does a block past the newest one.
+        assert!(block_at(&ix, 0, ticks + b).is_none());
     }
 
     /// Exact `sum_sq` of the candidate at `lag`, for checking the

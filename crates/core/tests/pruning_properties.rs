@@ -7,8 +7,10 @@
 //!    *bitwise* the same imputations as an engine on the exhaustive exact
 //!    path, across random periods, gap placements, pattern lengths and
 //!    window capacities, with ring wrap-around and imputed write-backs in
-//!    the mix — see `signature.rs` and `TkcmImputer::impute_composed` for
-//!    the float-level argument.
+//!    the mix, and on flat-lined and tiled non-dyadic references whose
+//!    exact duplicates (D = 0) make the block-mean bound's rounding matter —
+//!    see `signature.rs` and `TkcmImputer::impute_composed` for the
+//!    float-level argument.
 //! 2. **Admissibility** — the signature lower bound never exceeds the exact
 //!    dissimilarity of any candidate, so a pruned candidate (LB > τ) can
 //!    never belong to the k-NN anchor set.
@@ -42,8 +44,12 @@ proptest! {
     /// An engine on the composed path is bitwise indistinguishable
     /// from an engine on the exhaustive exact path: same skipped series,
     /// same imputation times, same anchors and the same value *bits*, over
-    /// random integer sawtooths with random gaps, long enough to wrap the
-    /// ring at least once (write-backs happen inside `process_tick`).  At a
+    /// random references with random target gaps, long enough to wrap the
+    /// ring at least once (write-backs happen inside `process_tick`).  The
+    /// references are integer sawtooths, tiles of a non-dyadic sine (exact
+    /// duplicates one period apart) or flat-lined at non-dyadic levels (every
+    /// complete candidate a duplicate), and l reaches past two signature
+    /// blocks, so the block-mean bound runs on D = 0 candidates.  At a
     /// random tick the composed engine is replaced by its own
     /// `encode → decode` copy — rebuilt signature index, no lag memories —
     /// which must keep matching the oracle.  In one case in three the
@@ -59,10 +65,11 @@ proptest! {
         gap_start_frac in 0.2f64..0.7,
         gap_len in 3usize..24,
         capacity in 48usize..160,
-        l in 3usize..10,
+        l in 3usize..44,
         restore_frac in 0.1f64..0.9,
-        sparse_target in 0u8..3,
+        variant in 0u8..9,
     ) {
+        let (sparse_target, shape) = (variant % 3, variant / 3);
         let width = 3;
         let k = 2;
         let window_length = capacity.max((k + 1) * l);
@@ -90,6 +97,11 @@ proptest! {
         prop_assert!(!exhaustive.is_composed());
 
         let saw = |t: usize, shift: u64| ((t as u64 + shift) % period) as f64;
+        let reference = |t: usize, shift: u64, level: f64| match shape {
+            0 => saw(t, shift),
+            1 => level + 3.3 * (saw(t, shift) / period as f64 * std::f64::consts::TAU).sin(),
+            _ => level,
+        };
         for t in 0..total {
             let s0_missing = if sparse_target == 0 {
                 t % (2 * window_length) >= l
@@ -100,8 +112,8 @@ proptest! {
                 Timestamp::new(t as i64),
                 vec![
                     if s0_missing { None } else { Some(saw(t, 0)) },
-                    Some(saw(t, shift1)),
-                    Some(saw(t, shift2)),
+                    Some(reference(t, shift1, 1000.1)),
+                    Some(reference(t, shift2, 21.37)),
                 ],
             );
             let m = composed.process_tick(&tick).unwrap();
@@ -160,67 +172,35 @@ proptest! {
         l_raw in 2usize..6,
         write_ages in proptest::collection::vec(0usize..48, 0..6),
     ) {
-        let width = 3;
-        let l = l_raw.min(capacity / 2).max(1);
-        let refs = vec![SeriesId(1), SeriesId(2)];
-        let mut window = StreamingWindow::new(width, capacity);
-        let mut index = SignatureIndex::new(width, capacity).unwrap();
-
         let slot = |(gap, v): (usize, f64)| (gap != 0).then_some(v);
         let len = v1.len().min(v2.len());
-        for t in 0..len {
-            let values = vec![Some(t as f64 * 0.5), slot(v1[t]), slot(v2[t])];
-            window
-                .push_tick(&StreamTick::new(Timestamp::new(t as i64), values.clone()))
-                .expect("tick accepted");
-            index.on_push(&values).expect("push accepted");
-        }
-        for (i, &age) in write_ages.iter().enumerate() {
-            let age = age % window.filled();
-            for id in &refs {
-                let old = window.value_recent(*id, age).expect("valid age");
-                let value = i as f64 * 1.7 - 3.0;
-                window.write_imputed(*id, age, value).expect("write accepted");
-                index.on_write(*id, age, value, old.is_none());
-            }
-        }
-        prop_assert!(index.is_synced(&window));
+        let refs: Vec<_> = (0..len).map(|t| [slot(v1[t]), slot(v2[t])]).collect();
+        check_bounds_admissible(&refs, capacity, l_raw.min(capacity / 2).max(1), &write_ages)?;
+    }
 
-        let filled = window.filled();
-        if filled >= 2 * l {
-            // The query-exact bound variant the imputer actually uses: range
-            // tables over the extracted query pattern.
-            let query = extract_query_pattern(&window, &refs, l).expect("valid geometry");
-            let sig_query = query.as_ref().map(|q| {
-                let rows: Vec<&[f64]> = (0..refs.len()).map(|ri| q.row(ri)).collect();
-                SignatureQuery::new(&rows)
-            });
-            for lag in l..=(filled - l) {
-                let (lb_sq, certain_missing) = match &sig_query {
-                    Some(sq) => index.lower_bound_sq_with_query(&refs, lag, l, sq),
-                    None => (0.0, false),
-                };
-                let exact = from_scratch_d(&window, &refs, l, lag);
-                prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
-                if exact.is_finite() {
-                    prop_assert!(
-                        lb_sq <= exact * exact * (1.0 + 1e-12),
-                        "lag {}: lower bound {} exceeds exact D² {}",
-                        lag,
-                        lb_sq,
-                        exact * exact
-                    );
-                }
-                if certain_missing {
-                    prop_assert!(
-                        exact.is_infinite(),
-                        "lag {}: certain_missing but D = {}",
-                        lag,
-                        exact
-                    );
-                }
-            }
-        }
+    /// The same admissibility check on gap-free references that tile a
+    /// non-dyadic sine around 1000.1, exact or with a ≤ 1e-10 jitter:
+    /// candidates one period apart are exact or near duplicates of the
+    /// query, l is 16 or more, and the block-mean bound runs on their whole
+    /// blocks, where a rounding error in `|Σc − Σq|` would push a bound over
+    /// `D² ≈ 0`.
+    #[test]
+    fn lower_bound_never_exceeds_the_exact_dissimilarity_on_near_duplicates(
+        v1 in proptest::collection::vec(-100.0f64..100.0, 80..160),
+        v2 in proptest::collection::vec(-100.0f64..100.0, 80..160),
+        capacity in 32usize..80,
+        l_raw in 16usize..40,
+        write_ages in proptest::collection::vec(0usize..48, 0..6),
+        jitter in 0u8..2,
+        period in 5usize..24,
+    ) {
+        let tile = |t: usize, v: f64| {
+            let phase = (t % period) as f64 / period as f64 * std::f64::consts::TAU;
+            Some(1000.1 + 7.3 * phase.sin() + v * 1e-12 * f64::from(jitter))
+        };
+        let len = v1.len().min(v2.len());
+        let refs: Vec<_> = (0..len).map(|t| [tile(t, v1[t]), tile(t, v2[t])]).collect();
+        check_bounds_admissible(&refs, capacity, l_raw.min(capacity / 2), &write_ages)?;
     }
 
     /// End to end: the default engine, whose composed path seeds τ from its
@@ -290,8 +270,82 @@ proptest! {
     }
 }
 
+/// Pushes `refs` (series 1 and 2 beside a complete series 0) into a window
+/// of `capacity` and its signature index, writes imputed values at
+/// `write_ages` (taken modulo the filled length) into both references, and
+/// checks every candidate lag's level-0 bound at pattern length `l` against
+/// the exact dissimilarity: `LB ≤ D²`, and `certain_missing` only when
+/// `D = +∞`.
+fn check_bounds_admissible(
+    refs: &[[Option<f64>; 2]],
+    capacity: usize,
+    l: usize,
+    write_ages: &[usize],
+) -> Result<(), String> {
+    let width = 3;
+    let ids = vec![SeriesId(1), SeriesId(2)];
+    let mut window = StreamingWindow::new(width, capacity);
+    let mut index = SignatureIndex::new(width, capacity).unwrap();
+    for (t, [r1, r2]) in refs.iter().enumerate() {
+        let values = vec![Some(t as f64 * 0.5), *r1, *r2];
+        window
+            .push_tick(&StreamTick::new(Timestamp::new(t as i64), values.clone()))
+            .expect("tick accepted");
+        index.on_push(&values).expect("push accepted");
+    }
+    for (i, &age) in write_ages.iter().enumerate() {
+        let age = age % window.filled();
+        for id in &ids {
+            let value = i as f64 * 1.7 - 3.0;
+            window
+                .write_imputed(*id, age, value)
+                .expect("write accepted");
+            index.on_write(&window, *id, age).expect("write accepted");
+        }
+    }
+    prop_assert!(index.is_synced(&window));
+
+    let filled = window.filled();
+    if filled < 2 * l {
+        return Ok(());
+    }
+    // The query-exact bound variant the imputer actually uses: range tables
+    // over the extracted query pattern.
+    let query = extract_query_pattern(&window, &ids, l).expect("valid geometry");
+    let sig_query = query.as_ref().map(|q| {
+        let rows: Vec<&[f64]> = (0..ids.len()).map(|ri| q.row(ri)).collect();
+        SignatureQuery::new(&rows)
+    });
+    for lag in l..=(filled - l) {
+        let (lb_sq, certain_missing) = match &sig_query {
+            Some(sq) => index.lower_bound_sq_with_query(&ids, lag, l, sq),
+            None => (0.0, false),
+        };
+        let exact = from_scratch_d(&window, &ids, l, lag);
+        prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
+        if exact.is_finite() {
+            prop_assert!(
+                lb_sq <= exact * exact * (1.0 + 1e-12),
+                "lag {}: lower bound {} exceeds exact D² {}",
+                lag,
+                lb_sq,
+                exact * exact
+            );
+        }
+        if certain_missing {
+            prop_assert!(
+                exact.is_infinite(),
+                "lag {}: certain_missing but D = {}",
+                lag,
+                exact
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
-    /// Write-back widening across ring wrap-around *combined with*
+    /// Write-back re-summaries across ring wrap-around *combined with*
     /// block-boundary-straddling imputed runs (the suite previously covered
     /// wrap and write-back separately): streams run past two full windows so
     /// the ring wraps, then contiguous imputed runs are written at ages
@@ -312,8 +366,8 @@ proptest! {
         let mut index = SignatureIndex::new(width, capacity).unwrap();
 
         // Wrap the ring at least twice; sprinkle missing slots so the
-        // write-backs hit both observed overwrites (NaN-poisoned sums) and
-        // missing-slot fills (missing-count decrements).
+        // write-backs hit both observed overwrites and missing-slot fills,
+        // each of which re-summarizes its block from the window.
         let total = capacity * 2 + 17;
         for t in 0..total {
             let gap = t % 13 == 5 || t % 7 == 3;
@@ -340,9 +394,8 @@ proptest! {
             let end = (start + span).min(capacity - 1);
             for age in start..end {
                 for id in &refs {
-                    let old = window.value_recent(*id, age).expect("valid age");
                     window.write_imputed(*id, age, value).expect("write accepted");
-                    index.on_write(*id, age, value, old.is_none());
+                    index.on_write(&window, *id, age).expect("write accepted");
                 }
             }
         }
@@ -562,6 +615,171 @@ fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
          the equivalence check must observe a different anchor set"
     );
     assert_ne!(inflated.value.to_bits(), exact.value.to_bits());
+}
+
+/// One case of the block-mean rounding fixture: width 3, a noise target
+/// that misses one tick in 37 after t = 600, and two references of one
+/// shape, at pattern length `l` and `k` anchors over a window of 1 200.
+struct RoundingCase {
+    /// `Some(level)`: both references run a sine tile until t = 600 and
+    /// then flat-line (a stuck sensor) at the non-dyadic `level`.
+    /// `None`: both references stay a non-dyadic `offset + amp·sin` tile.
+    stuck_at: Option<f64>,
+    period: usize,
+    l: usize,
+    k: usize,
+}
+
+const ROUNDING_CASES: [RoundingCase; 4] = [
+    RoundingCase {
+        stuck_at: Some(1000.1),
+        period: 61,
+        l: 40,
+        k: 5,
+    },
+    RoundingCase {
+        stuck_at: Some(21.37),
+        period: 61,
+        l: 72,
+        k: 5,
+    },
+    RoundingCase {
+        stuck_at: None,
+        period: 48,
+        l: 32,
+        k: 5,
+    },
+    RoundingCase {
+        stuck_at: None,
+        period: 80,
+        l: 64,
+        k: 5,
+    },
+];
+
+impl RoundingCase {
+    const WINDOW: usize = 1200;
+
+    fn config(&self, pruning: bool) -> TkcmConfig {
+        TkcmConfig::builder()
+            .window_length(Self::WINDOW)
+            .pattern_length(self.l)
+            .anchor_count(self.k)
+            .reference_count(2)
+            .pruning(pruning)
+            .build()
+            .unwrap()
+    }
+
+    /// The fixture's ticks: the window wraps half a time past its length.
+    fn ticks(&self) -> Vec<StreamTick> {
+        let tile = |t: usize, offset: f64, amp: f64, shift: usize| {
+            let phase = ((t + shift) % self.period) as f64 / self.period as f64;
+            offset + amp * (phase * std::f64::consts::TAU).sin()
+        };
+        let reference = |t: usize, offset: f64, amp: f64, shift: usize| match self.stuck_at {
+            Some(level) if t >= 600 => level,
+            _ => tile(t, offset, amp, shift),
+        };
+        (0..Self::WINDOW * 3 / 2)
+            .map(|t| {
+                let noise = ((t as f64 * 12.9898).sin() * 43_758.545_3).fract();
+                let target = (t < 600 || t % 37 != 0).then_some(noise);
+                let values = vec![
+                    target,
+                    Some(reference(t, 1000.1, 4.7, 0)),
+                    Some(reference(t, 21.37, 0.93, 17)),
+                ];
+                StreamTick::new(Timestamp::new(t as i64), values)
+            })
+            .collect()
+    }
+}
+
+/// Item-for-item regression for the block-mean bound's float-level
+/// admissibility: on flat-lined and tiled non-dyadic references, many
+/// candidates are exact duplicates of the query (D = 0), a block sum and a
+/// query prefix-sum difference of the same values round differently, and
+/// once k duplicates fix τ = 0 any positive bound on a duplicate prunes a
+/// candidate the oracle's DP may select.  The composed engine must impute
+/// the same value bits as the exhaustive one at every tick.
+#[test]
+fn the_mean_bound_keeps_duplicates_of_non_dyadic_references() {
+    for case in &ROUNDING_CASES {
+        let mut composed =
+            TkcmEngine::new(3, case.config(true), Catalog::ring_neighbours(3)).unwrap();
+        let mut exhaustive =
+            TkcmEngine::new(3, case.config(false), Catalog::ring_neighbours(3)).unwrap();
+        for tick in case.ticks() {
+            let m = composed.process_tick(&tick).unwrap();
+            let b = exhaustive.process_tick(&tick).unwrap();
+            assert_eq!(m.imputations.len(), b.imputations.len());
+            for (x, y) in m.imputations.iter().zip(&b.imputations) {
+                assert_eq!(
+                    x.value.to_bits(),
+                    y.value.to_bits(),
+                    "stuck {:?}, period {}, l {}, t {}: composed {} ({:?}) vs exhaustive {} ({:?})",
+                    case.stuck_at,
+                    case.period,
+                    case.l,
+                    tick.time,
+                    x.value,
+                    x.detail.anchors,
+                    y.value,
+                    y.detail.anchors
+                );
+            }
+        }
+        assert!(composed.imputations_performed() >= 24);
+        assert!(composed.prune_totals().pruned > 0);
+    }
+}
+
+/// Negative control for the regression above: the same fixture, driven
+/// through the imputer with the level-0 bounds inflated (hence
+/// inadmissible), must diverge from the exhaustive oracle — so the fixture
+/// has imputations whose optimal anchors a bound could wrongly prune, and
+/// the bit comparison would see it.
+#[test]
+fn inflated_bounds_are_caught_on_the_rounding_fixture() {
+    let refs = [SeriesId(1), SeriesId(2)];
+    let mut divergent = 0;
+    for case in &ROUNDING_CASES {
+        let imputer = TkcmImputer::new(case.config(true)).unwrap();
+        let run_len = level1_run_len(case.l);
+        let mut window = StreamingWindow::new(3, RoundingCase::WINDOW);
+        let mut index = SignatureIndex::new(3, RoundingCase::WINDOW).unwrap();
+        let mut warm = Vec::new();
+        for tick in case.ticks() {
+            window.push_tick(&tick).unwrap();
+            index.on_push(&tick.values).unwrap();
+            if tick.values[0].is_some() || window.filled() < 2 * case.l {
+                continue;
+            }
+            let exact = imputer.impute(&window, SeriesId(0), &refs).unwrap();
+            let (inflated, _) = imputer
+                .impute_composed_with_inflation(
+                    &window,
+                    SeriesId(0),
+                    &refs,
+                    &index,
+                    &mut warm,
+                    run_len,
+                    1e6,
+                    1.0,
+                )
+                .unwrap();
+            if inflated.value.to_bits() != exact.value.to_bits() {
+                divergent += 1;
+            }
+            window.write_imputed(SeriesId(0), 0, exact.value).unwrap();
+            index.on_write(&window, SeriesId(0), 0).unwrap();
+        }
+    }
+    assert!(
+        divergent > 0,
+        "an inadmissible level-0 bound must change some imputation on the fixture"
+    );
 }
 
 /// Hostile input: one reference reading of NaN, ±∞ or a value whose square
