@@ -4,7 +4,7 @@
 //! during the replay).
 //!
 //! `--paper` runs the paper-proportioned workload (l = 72 against a window
-//! over months of 5-minute data — the regime where the envelope bounds
+//! over months of 5-minute data — the regime where the chunk bounds
 //! separate candidates well); the default quick workload finishes in
 //! seconds in release mode.  `--json [path]` additionally writes the
 //! machine-readable results CI uploads as the `BENCH_results_pruning`

@@ -24,7 +24,7 @@ use crate::diagnostics::{Phase, PhaseBreakdown, PhaseTimer};
 use crate::dissimilarity::{l2_distance, l2_from_components};
 use crate::pattern::{extract_pattern_at_age, extract_query_pattern, Pattern};
 use crate::selection::select_anchors_dp;
-use crate::signature::{SignatureIndex, SignatureQuery};
+use crate::signature::{RunSums, SignatureIndex, SignatureQuery};
 
 /// One selected anchor: time point, dissimilarity of its pattern and the
 /// value of the incomplete series there.
@@ -386,8 +386,8 @@ impl TkcmImputer {
     /// 2. **Best-first search** — a min-heap of open nodes keyed by
     ///    admissible bound: one node per level-1 run of `run_len` lags
     ///    ([`SignatureIndex::run_lower_bound_sq_with_query`]), which expands
-    ///    into per-lag level-0 bounds
-    ///    ([`SignatureIndex::lower_bound_sq_with_query`]), which expand into
+    ///    into per-lag level-0 chunk-mean bounds ([`RunSums::lower_bound_sq`],
+    ///    which also drops a lag holding a missing slot), which expand into
     ///    exact folds.  If the memory could not certify τ, its folds
     ///    re-enter the heap keyed by their exact D and the seed restarts in
     ///    bound order.  The search stops at the first key over the `τ − S`
@@ -596,6 +596,7 @@ impl TkcmImputer {
                 best.sort_unstable_by(f64::total_cmp);
                 best.truncate(keep);
                 let run_of = |s: usize| s..(s + run_len).min(j);
+                let mut run_sums = RunSums::default();
                 let mut open: BinaryHeap<Open> = BinaryHeap::new();
                 if seed.len() < k {
                     // The walk did not certify τ: restart the seed in bound
@@ -663,13 +664,15 @@ impl TkcmImputer {
                         }
                     }
                     if node.run {
-                        for idx in run_of(node.idx) {
+                        let run = run_of(node.idx);
+                        let lag_lo = oldest_age - (run.end - 1);
+                        run_sums.fill(window, references, lag_lo, run.len(), l)?;
+                        for idx in run {
                             if evaluated[idx] || !is_observed(idx) {
                                 continue;
                             }
-                            let age = oldest_age - idx;
                             let (lb_sq, certain_missing) =
-                                index.lower_bound_sq_with_query(references, age, l, &sig_query);
+                                run_sums.lower_bound_sq(oldest_age - idx, &sig_query);
                             if certain_missing {
                                 stats.pruned += 1;
                                 continue;

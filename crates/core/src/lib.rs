@@ -26,12 +26,12 @@
 //!    pattern-determination property (Definition 5) used in Figure 13.
 //! 7. **Phase timing** ([`diagnostics`]): pattern-extraction vs
 //!    pattern-selection breakdown reported in Section 7.4.
-//! 8. **Candidate pruning** ([`signature`]): a block-quantized signature
-//!    index over the candidate space whose gap-aware lower bounds shortlist
-//!    candidates admissibly, composed with τ seeding from the previous
-//!    imputation's best exact folds and one best-first search over
-//!    level-1 runs, level-0 bounds and exact folds.  The composed path is bit-identical to the exhaustive one
-//!    and several times faster at paper scale.
+//! 8. **Candidate pruning** ([`signature`]): admissible lower bounds — block
+//!    envelopes per run of lags, chunk means per lag — composed with τ
+//!    seeding from the previous imputation's best exact folds and one
+//!    best-first search over level-1 runs, level-0 bounds and exact folds.
+//!    The composed path is bit-identical to the exhaustive one and several
+//!    times faster at paper scale.
 //!
 //! ## Quick start
 //!
@@ -96,4 +96,4 @@ pub use imputer::{ImputationDetail, PruneStats, TkcmImputer};
 pub use pattern::{extract_pattern, extract_pattern_at_age, extract_query_pattern, Pattern};
 pub use persist::{WalEntry, WalWriteBack};
 pub use selection::{select_anchors_dp, select_anchors_greedy, AnchorSelection};
-pub use signature::{level1_run_len, SignatureIndex, SignatureQuery, SIGNATURE_BLOCK_LEN};
+pub use signature::{level1_run_len, RunSums, SignatureIndex, SignatureQuery, SIGNATURE_BLOCK_LEN};

@@ -1,26 +1,37 @@
 //! Quantized pattern-signature index: admissible candidate pruning.
 //!
 //! Scoring every candidate lag exactly costs `O(d·l)` each, linear in the
-//! candidate count `J = L − 2l + 1` per imputation.  This module keeps, per
-//! block of `B` = [`SIGNATURE_BLOCK_LEN`] consecutive ticks of every series,
-//! a min/max envelope, a missing-slot count and a value sum, and derives
-//! cheap *lower bounds* `LB[j] ≤ D[j]` on each candidate's L2 dissimilarity
-//! from them.  The imputer ([`crate::imputer::TkcmImputer::impute_composed`])
-//! evaluates exact dissimilarities only for a shortlist and proves the rest
-//! out of the k-NN set: `LB > τ`, the float sum of a feasible k-solution,
-//! rules a candidate out of every optimal selection of ≤ k anchors.
+//! candidate count `J = L − 2l + 1` per imputation.  This module derives
+//! cheap *lower bounds* `LB[j] ≤ D[j]` on each candidate's L2 dissimilarity.
+//! The imputer ([`crate::imputer::TkcmImputer::impute_composed`]) evaluates
+//! exact dissimilarities only for a shortlist and proves the rest out of the
+//! k-NN set: `LB > τ`, the float sum of a feasible k-solution, rules a
+//! candidate out of every optimal selection of ≤ k anchors.
 //!
 //! # The bounds
 //!
 //! A candidate with a missing slot has `D = +∞`; for a complete one
 //! `D² = Σ (x − y)²` over its `d·l` pairs of candidate and query values.
-//! Split the candidate range into block-aligned segments.  If the segment's
-//! values lie in `[c_lo, c_hi]` and the paired query values in
-//! `[q_lo, q_hi]`, every pair has `(x − y)² ≥ g²` with
-//! `g = max(0, q_lo − c_hi, c_lo − q_hi)`, so `g²·n_certain` bounds the
-//! segment, `n_certain` being its length less the block's missing count.  A
-//! segment that is a whole block with no missing slot uses the block-mean
-//! bound `(Σx − Σy)² / B ≤ Σ (x − y)²` (Cauchy–Schwarz) instead.
+//! Both levels split the pattern into *chunks* of `B` =
+//! [`SIGNATURE_BLOCK_LEN`] positions, the last one possibly shorter; the
+//! query side of a chunk ([`SignatureQuery`]) is its min, max and sum.
+//!
+//! - **Level 1, a run of lags**
+//!   ([`SignatureIndex::run_lower_bound_sq_with_query`]): the index keeps,
+//!   per block of `B` consecutive ticks of every series, a min/max envelope
+//!   and a missing-slot count.  Across a run, the candidate values paired
+//!   with a chunk lie in the union envelope of the blocks covering their
+//!   region, so with `g` the gap between it and the query chunk's envelope,
+//!   every pair but the region's missing slots has `(x − y)² ≥ g²`.
+//! - **Level 0, one lag** ([`RunSums::lower_bound_sq`]): expanding a run
+//!   reads the region its lags span once per reference and builds prefix
+//!   sums of its values and of its missing slots ([`RunSums::fill`]).  A
+//!   lag's missing count is then exact, so `D = +∞` needs no fold, and each
+//!   chunk of `len` positions of a complete lag gets the chunk-mean bound
+//!   `(Σx − Σy)² / len ≤ Σ (x − y)²` (Cauchy–Schwarz), `Σx` being a
+//!   difference of two prefixes.  On a chunk whose values all lie `g` clear
+//!   of the query's, `(Σx − Σy)² / len ≥ len·g²`, so it is never looser than
+//!   the envelope gap.
 //!
 //! # The block ring
 //!
@@ -48,18 +59,20 @@
 //! come out positive, and against `τ = 0` (k exact duplicates) no relative
 //! margin helps, so it needs an explicit one.
 //!
-//! - **Envelope gap** (level-0 partial segments, level-1 runs): min/max are
-//!   exact, and the gap is one rounded subtraction of exact values, so a
-//!   real gap `≤ 0` stays `≤ 0`.  Squares, counts and sums of non-negative
-//!   terms follow: *relative*.  Missing counts are exact integers.
-//! - **Block mean**: the block sum `Σc` (`B` sequential adds) errs by at
-//!   most `B·u·B·max(|min|, |max|)`.  The query sum `Σq = P[p_e+1] − P[p_s]`
-//!   keeps only the rounding of the `B` prefix adds between the two (the
-//!   earlier ones cancel exactly), each at most `u·(p_e + 1)·max|q|`.
-//!   `|Σc − Σq|` cancels: *absolute*.  The bound subtracts
-//!   `(l + 2B + 4)·ε·(B·max(|min|, |max|) + (p_e + 1)·max|q|)`, over twice
-//!   those errors plus both subtractions', from `|Σc − Σq|` before squaring;
-//!   the square, `/ B` and the `1 − 1e-9` deflation are *relative*.
+//! - **Envelope gap** (level 1): min/max are exact, and the gap is one
+//!   rounded subtraction of exact values, so a real gap `≤ 0` stays `≤ 0`.
+//!   Squares, counts and sums of non-negative terms follow: *relative*.
+//!   Missing counts are exact integers.
+//! - **Run-local prefix** (level 0): over a region of `n` slots whose
+//!   largest magnitude is `max|x|`, each prefix errs by at most
+//!   `n·u·n·max|x|`, so a chunk sum `P[b] − P[a]` errs by at most twice that
+//!   plus its own rounding; a query chunk sum, folded directly over `len`
+//!   values, errs by at most `len·u·len·max|q|`.  `|Σc − Σq|` cancels:
+//!   *absolute*.  The bound subtracts `(n + 4)·ε·n·max|x| +
+//!   (len + 4)·ε·len·max|q|`, which covers both and the subtractions', from
+//!   `|Σc − Σq|` before squaring; the square, `/ len` and the `1 − 1e-9`
+//!   deflation are *relative*.  A sum or margin that is not finite (a prefix
+//!   that overflowed) makes its term vacuous, never `+∞`.
 //! - **The τ / S stop rule** (imputer): τ folds the seed's `D`s like the
 //!   DP's take steps, so it is bit-equal to the DP's value; `S` folds at
 //!   most `k − 1` non-negative `D`s, and the bar `τ·(1 + 1e-9) −
@@ -69,12 +82,16 @@
 
 use tkcm_timeseries::{ingest_reading, SeriesId, StreamingWindow, TsError};
 
-/// Number of consecutive ticks summarized by one signature block.
+/// Number of consecutive ticks summarized by one signature block, and the
+/// length of a pattern chunk of both bound levels.
 ///
 /// The index is not persisted (decode rebuilds it from the window), so this
 /// is not an on-disk constant; it stays covered by the `single-definition`
 /// rule of `tkcm-lint` so the block geometry is defined in one place.
 pub const SIGNATURE_BLOCK_LEN: u32 = 16;
+
+/// [`SIGNATURE_BLOCK_LEN`] as a chunk length in pattern positions.
+const CHUNK: usize = SIGNATURE_BLOCK_LEN as usize;
 
 /// Picks the level-1 run length (in candidate lags) for the composed
 /// imputation path from config geometry, block-aligned and static per run.
@@ -85,20 +102,17 @@ pub const SIGNATURE_BLOCK_LEN: u32 = 16;
 /// blocks.  Short patterns (where the per-lag sweep is cheap anyway) get a
 /// single block.
 pub fn level1_run_len(pattern_length: usize) -> usize {
-    let b = SIGNATURE_BLOCK_LEN as usize;
-    (pattern_length / b).clamp(1, 8) * b
+    (pattern_length / CHUNK).clamp(1, 8) * CHUNK
 }
 
 /// Summary of one block of [`SIGNATURE_BLOCK_LEN`] consecutive ticks of one
 /// series, folded in ordinal order: the min/max envelope (`+∞`/`−∞` while
-/// nothing is observed) and the sum of the observed values, and the number
-/// of missing slots.
+/// nothing is observed) and the number of missing slots.
 #[derive(Clone, Copy, Debug, PartialEq)]
 struct BlockSummary {
     min: f64,
     max: f64,
     missing: u32,
-    sum: f64,
 }
 
 impl BlockSummary {
@@ -106,7 +120,6 @@ impl BlockSummary {
         min: f64::INFINITY,
         max: f64::NEG_INFINITY,
         missing: 0,
-        sum: 0.0,
     };
 
     /// Folds in one slot of the window's value plane (NaN = missing).
@@ -116,14 +129,13 @@ impl BlockSummary {
         } else {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
-            self.sum += v;
         }
     }
 }
 
 /// `R = ⌈L/B⌉ + 1`, the slots of a full block ring over a window of `L`.
 fn ring_len(window_length: usize) -> usize {
-    window_length.div_ceil(SIGNATURE_BLOCK_LEN as usize) + 1
+    window_length.div_ceil(CHUNK) + 1
 }
 
 /// A ring's blocks from `slot` on, wrapping once round to `slot − 1`.
@@ -132,80 +144,29 @@ fn ring_from(ring: &[BlockSummary], slot: usize) -> impl Iterator<Item = &BlockS
     from.iter().chain(before)
 }
 
-/// Precomputed query-side context for [`SignatureIndex::lower_bound_sq_with_query`].
-///
-/// The query pattern is fixed for the whole candidate sweep of one
-/// imputation, so its per-sub-range statistics are precomputed once —
-/// prefix sums for O(1) segment sums, and sparse min/max tables for O(1)
-/// exact segment envelopes — and reused across all `J` candidates.
-/// Construction is `O(d · l · log l)`, negligible next to the sweep itself.
+/// The query side of both bound levels: per reference row of the query
+/// pattern, the min, max, sum and rounding margin of each chunk of
+/// [`SIGNATURE_BLOCK_LEN`] positions (the last one possibly shorter).
+/// Built once per imputation, in `O(d·l)`.
 #[derive(Clone, Debug)]
 pub struct SignatureQuery {
     length: usize,
-    /// The block term's factor `(l + 2B + 4)·ε·B` of the mean bound's
+    /// `chunks[r·C + c]` is chunk `c` of reference row `r`, `C = ⌈l/B⌉`.
+    chunks: Vec<QueryChunk>,
+}
+
+/// One chunk of one query row.
+#[derive(Clone, Copy, Debug)]
+struct QueryChunk {
+    min: f64,
+    max: f64,
+    /// The chunk's values folded left to right.
+    sum: f64,
+    /// `(len + 4)·ε·len·max|q|`, the query term of the chunk-mean bound's
     /// rounding margin (module docs).
-    block_margin: f64,
-    refs: Vec<QueryRef>,
-}
-
-/// Range tables of one reference row of the query pattern.
-#[derive(Clone, Debug)]
-struct QueryRef {
-    /// `prefix_sum[p]` = sum of the values at positions `< p`.
-    prefix_sum: Vec<f64>,
-    /// `(l + 2B + 4)·ε·max|q|`: times `p + 1`, the query term of the mean
-    /// bound's rounding margin for a segment ending at position `p`
-    /// (module docs).
-    query_scale: f64,
-    /// Sparse tables: `mins[k][i]` covers positions `[i, i + 2^k)`.
-    mins: Vec<Vec<f64>>,
-    maxs: Vec<Vec<f64>>,
-}
-
-impl QueryRef {
-    fn new(row: &[f64], margin_scale: f64) -> Self {
-        let l = row.len();
-        let mut prefix_sum = Vec::with_capacity(l + 1);
-        prefix_sum.push(0.0);
-        for v in row {
-            prefix_sum.push(prefix_sum.last().unwrap() + v);
-        }
-        let mut mins = vec![row.to_vec()];
-        let mut maxs = vec![row.to_vec()];
-        let mut width = 1usize;
-        while width * 2 <= l {
-            let prev_min = mins.last().unwrap();
-            let prev_max = maxs.last().unwrap();
-            let next_len = l - width * 2 + 1;
-            let mut next_min = Vec::with_capacity(next_len);
-            let mut next_max = Vec::with_capacity(next_len);
-            for i in 0..next_len {
-                next_min.push(prev_min[i].min(prev_min[i + width]));
-                next_max.push(prev_max[i].max(prev_max[i + width]));
-            }
-            mins.push(next_min);
-            maxs.push(next_max);
-            width *= 2;
-        }
-        QueryRef {
-            prefix_sum,
-            query_scale: margin_scale * row.iter().fold(0.0, |m: f64, v| m.max(v.abs())),
-            mins,
-            maxs,
-        }
-    }
-
-    /// Exact min/max over the values at positions `[a, b]` (inclusive).
-    fn range_min_max(&self, a: usize, b: usize) -> (f64, f64) {
-        let len = b - a + 1;
-        let k = (usize::BITS - 1 - len.leading_zeros()) as usize;
-        let k = k.min(self.mins.len() - 1);
-        let right = b + 1 - (1 << k);
-        (
-            self.mins[k][a].min(self.mins[k][right]),
-            self.maxs[k][a].max(self.maxs[k][right]),
-        )
-    }
+    margin: f64,
+    /// `(1 − 1e-9) / len`, the chunk-mean bound's deflated divisor.
+    weight: f64,
 }
 
 impl SignatureQuery {
@@ -219,20 +180,151 @@ impl SignatureQuery {
             rows.iter().all(|r| r.len() == length),
             "SignatureQuery: ragged query rows"
         );
-        let margin_scale = (length + 2 * SIGNATURE_BLOCK_LEN as usize + 4) as f64 * f64::EPSILON;
-        SignatureQuery {
-            length,
-            block_margin: margin_scale * SIGNATURE_BLOCK_LEN as f64,
-            refs: rows
-                .iter()
-                .map(|r| QueryRef::new(r, margin_scale))
-                .collect(),
-        }
+        let chunks = rows
+            .iter()
+            .flat_map(|row| row.chunks(CHUNK))
+            .map(|chunk| {
+                let (mut min, mut max, mut sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+                for &q in chunk {
+                    min = min.min(q);
+                    max = max.max(q);
+                    sum += q;
+                }
+                let len = chunk.len() as f64;
+                QueryChunk {
+                    min,
+                    max,
+                    sum,
+                    margin: (len + 4.0) * f64::EPSILON * len * min.abs().max(max.abs()),
+                    weight: (1.0 - 1e-9) / len,
+                }
+            })
+            .collect();
+        SignatureQuery { length, chunks }
     }
 
-    /// The pattern length the context was built for.
-    pub fn length(&self) -> usize {
-        self.length
+    /// The chunks of each reference row, in row order, if the context was
+    /// built for `refs` rows of length `l`.
+    fn rows(&self, refs: usize, l: usize) -> Option<std::slice::Chunks<'_, QueryChunk>> {
+        let per_row = l.div_ceil(CHUNK);
+        (l > 0 && self.length == l && self.chunks.len() == refs * per_row)
+            .then(|| self.chunks.chunks(per_row))
+    }
+}
+
+/// Run-local prefix sums: the level-0 bound of every lag in one level-1 run
+/// (module docs).
+///
+/// The lags `lag_lo ..= lag_hi` of a run read one region of
+/// `n = (lag_hi − lag_lo) + l` slots per reference, in which lag `a` starts
+/// at offset `lag_hi − a`.  [`RunSums::fill`] reads that region once and
+/// keeps a prefix of its values (a missing slot counts as 0) and one of its
+/// missing slots; refilling reuses the buffers, so a search allocates only
+/// while its runs grow.
+#[derive(Clone, Debug, Default)]
+pub struct RunSums {
+    lag_lo: usize,
+    lag_hi: usize,
+    /// The pattern length; 0 while nothing is filled.
+    l: usize,
+    /// `sums[r·(n + 1) + i]`: the sum of reference `r`'s first `i` region
+    /// values.
+    sums: Vec<f64>,
+    /// Laid out like `sums`: the number of missing slots among them.
+    missing: Vec<u32>,
+    /// Per reference, `(n + 4)·ε·n·max|x|` over the region: the candidate
+    /// term of the rounding margin (module docs).
+    margins: Vec<f64>,
+}
+
+impl RunSums {
+    /// Reads the region of the `run_len` lags from `lag_lo` on, at pattern
+    /// length `l`, for every reference.  Fails, leaving every bound vacuous,
+    /// when the region reaches past the pushed ticks.
+    pub fn fill(
+        &mut self,
+        window: &StreamingWindow,
+        references: &[SeriesId],
+        lag_lo: usize,
+        run_len: usize,
+        l: usize,
+    ) -> Result<(), TsError> {
+        self.l = 0;
+        self.sums.clear();
+        self.missing.clear();
+        self.margins.clear();
+        if run_len == 0 || l == 0 {
+            return Ok(());
+        }
+        let n = run_len - 1 + l;
+        for &r in references {
+            let (older, newer) = window.value_run(r, lag_lo, n)?;
+            let (mut sum, mut missing, mut max_abs) = (0.0, 0u32, 0.0f64);
+            self.sums.push(sum);
+            self.missing.push(missing);
+            for &x in older.iter().chain(newer) {
+                if x.is_nan() {
+                    missing += 1;
+                } else {
+                    sum += x;
+                    max_abs = max_abs.max(x.abs());
+                }
+                self.sums.push(sum);
+                self.missing.push(missing);
+            }
+            self.margins
+                .push((n + 4) as f64 * f64::EPSILON * n as f64 * max_abs);
+        }
+        self.lag_lo = lag_lo;
+        self.lag_hi = lag_lo + (run_len - 1);
+        self.l = l;
+        Ok(())
+    }
+
+    /// Lower bound on the *squared* L2 dissimilarity `D²` of the candidate
+    /// anchored `lag` ticks back against `query`: the chunk-mean bound
+    /// summed over every chunk of every reference, less its rounding margin
+    /// (module docs).
+    ///
+    /// The second return is `true` exactly when the lag's range holds a
+    /// missing reference slot, so `D = +∞` and the candidate needs no exact
+    /// evaluation.  A lag outside the filled run, or a query built for
+    /// another geometry, gets the vacuous `(0.0, false)`.
+    pub fn lower_bound_sq(&self, lag: usize, query: &SignatureQuery) -> (f64, bool) {
+        let l = self.l;
+        let Some(rows) = query
+            .rows(self.margins.len(), l)
+            .filter(|_| (self.lag_lo..=self.lag_hi).contains(&lag))
+        else {
+            return (0.0, false);
+        };
+        let stride = self.lag_hi - self.lag_lo + l + 1;
+        let offset = self.lag_hi - lag;
+        let holds_missing = |m: &[u32]| m[offset + l] != m[offset];
+        if self.missing.chunks_exact(stride).any(holds_missing) {
+            return (0.0, true);
+        }
+        let mut sum = 0.0_f64;
+        for ((prefix, &margin), chunks) in
+            self.sums.chunks_exact(stride).zip(&self.margins).zip(rows)
+        {
+            let prefix = &prefix[offset..=offset + l];
+            // Chunk `c` spans the prefixes from `c·B` to its end `p_e`.
+            let mut start = prefix[0];
+            let ends = (CHUNK..l).step_by(CHUNK).chain([l]);
+            for (chunk, p_e) in chunks.iter().zip(ends) {
+                let end = prefix[p_e];
+                let gap = (end - start - chunk.sum).abs() - (margin + chunk.margin);
+                start = end;
+                // A NaN or infinite gap (a non-finite sum or margin) is
+                // vacuous; `gap · (gap · weight)` overflows only when the
+                // real term does.
+                if gap > 0.0 && gap.is_finite() {
+                    sum += gap * (gap * chunk.weight);
+                }
+            }
+        }
+        (sum, false)
     }
 }
 
@@ -286,7 +378,7 @@ impl SignatureIndex {
     /// Absorbs one arrived tick (`values` in window series order).  O(width).
     /// Applies the window's ingest policy ([`ingest_reading`]): a non-finite
     /// reading counts as missing, exactly as `StreamingWindow::push_tick`
-    /// stores it — an undercounted missing slot would make the level-0
+    /// stores it — an undercounted missing slot would make the level-1
     /// bound inadmissible.
     pub fn on_push(&mut self, values: &[Option<f64>]) -> Result<(), TsError> {
         if values.len() != self.width() {
@@ -374,108 +466,6 @@ impl SignatureIndex {
         Some((block % ring_len(self.window_length) as u64) as usize)
     }
 
-    /// Gap-aware lower bound on the *squared* L2 dissimilarity `D²` of the
-    /// candidate anchored `lag` ticks in the past against the query pattern,
-    /// over the given reference series with pattern length `l`.  The query
-    /// side is the exact extracted pattern, which makes the bound tight in
-    /// two ways.
-    ///
-    /// 1. **Exact query segment statistics** — per candidate segment the
-    ///    paired query sub-range's min/max come from the pattern itself
-    ///    ([`SignatureQuery`] precomputes range tables), so the envelope gap
-    ///    has no query-side quantization slack.
-    /// 2. **Block-mean bound** — on a whole block with no missing slot,
-    ///    `Σ (x_i − y_i)² ≥ (Σ x_i − Σ y_i)² / B` (Cauchy–Schwarz), from the
-    ///    block sum and the query prefix sums, less their rounding margin
-    ///    (module docs).  It separates candidates whose *level* differs from
-    ///    the query even when their envelopes overlap (the common case for
-    ///    smooth seasonal signals).
-    ///
-    /// The second return is `true` when the index *proves* the candidate
-    /// range contains a missing reference slot (a block fully inside the
-    /// range with `missing > 0`): such a candidate has `D = +∞` exactly and
-    /// needs no exact evaluation.
-    ///
-    /// Returns `(0.0, false)` — the vacuous bound — whenever a range is not
-    /// fully resolvable, so the caller never over-prunes.
-    pub fn lower_bound_sq_with_query(
-        &self,
-        references: &[SeriesId],
-        lag: usize,
-        l: usize,
-        query: &SignatureQuery,
-    ) -> (f64, bool) {
-        if l == 0 || query.length != l || query.refs.len() != references.len() {
-            return (0.0, false);
-        }
-        // Candidate ordinals (push counts, not timestamps).
-        let Some(cand_start) = self
-            .ticks_seen
-            .checked_sub((lag as u64).saturating_add(l as u64))
-        else {
-            return (0.0, false);
-        };
-        let cand_newest = cand_start + (l - 1) as u64;
-        let block_len = SIGNATURE_BLOCK_LEN as u64;
-        // The mean bound's divisor `B`, deflated by one part in 10⁹.
-        let deflate_per_block = (1.0 - 1e-9) / block_len as f64;
-
-        let Some(first) = self.slot_in_range(cand_start) else {
-            return (0.0, false);
-        };
-        let mut sum = 0.0_f64;
-        let mut certain_missing = false;
-        for (r, qref) in references.iter().zip(query.refs.iter()) {
-            let Some(ring) = self.blocks.get(r.index()) else {
-                continue;
-            };
-            let mut seg_start = cand_start;
-            for cand_block in ring_from(ring, first) {
-                if seg_start > cand_newest {
-                    break;
-                }
-                let block_base = seg_start & !(block_len - 1);
-                let seg_end = (block_base + block_len - 1).min(cand_newest);
-                let full_block = seg_start == block_base && seg_end == block_base + block_len - 1;
-                if cand_block.missing > 0 && full_block {
-                    certain_missing = true;
-                }
-                // Pattern positions paired with this segment (0 = oldest).
-                let p_s = (seg_start - cand_start) as usize;
-                let p_e = (seg_end - cand_start) as usize;
-                let seg_len = seg_end - seg_start + 1;
-                let uncertain = u64::from(cand_block.missing);
-                if seg_len > uncertain {
-                    if full_block && uncertain == 0 {
-                        // All B pairs present: the mean bound alone — on
-                        // smooth signals it dominates the envelope gap
-                        // (which needs *disjoint* ranges), and skipping the
-                        // range-table lookups here keeps the sweep's
-                        // constant small.
-                        let q_sum = qref.prefix_sum[p_e + 1] - qref.prefix_sum[p_s];
-                        let c_abs = cand_block.min.abs().max(cand_block.max.abs());
-                        let margin =
-                            query.block_margin * c_abs + qref.query_scale * (p_e + 1) as f64;
-                        // Branch-free: a non-positive (or NaN) gap adds 0.
-                        let gap = ((cand_block.sum - q_sum).abs() - margin).max(0.0);
-                        sum += gap * gap * deflate_per_block;
-                    } else {
-                        let n_certain = (seg_len - uncertain) as f64;
-                        let (q_min, q_max) = qref.range_min_max(p_s, p_e);
-                        let g = (q_min - cand_block.max)
-                            .max(cand_block.min - q_max)
-                            .max(0.0);
-                        if g > 0.0 && g.is_finite() {
-                            sum += g * g * n_certain;
-                        }
-                    }
-                }
-                seg_start = seg_end + 1;
-            }
-        }
-        (sum, certain_missing)
-    }
-
     /// Level-1 *run* bound: an admissible lower bound on the squared L2
     /// dissimilarity of **every** candidate lag in
     /// `lag_lo .. lag_lo + run_len`, computed from coarse block-envelope
@@ -493,13 +483,12 @@ impl SignatureIndex {
     /// envelope and the exact query-chunk envelope,
     /// `g² · max(0, chunk_len − region_missing)` lower-bounds each lag's
     /// contribution.  Per reference the cost is
-    /// `O((l/B) · (run_len/B + 2))` block reads for `run_len` lags — versus
-    /// `O(run_len · l/B)` for per-lag level-0 bounds.
+    /// `O((l/B) · (run_len/B + 2))` block reads for `run_len` lags.
     ///
-    /// Unlike the per-lag bound there is no certain-missing signal here: a
-    /// missing slot in the region need not lie inside any particular lag's
-    /// range.  A chunk whose region is not fully resolvable contributes 0,
-    /// so the caller never over-prunes.
+    /// There is no certain-missing signal here: a missing slot in the region
+    /// need not lie inside any particular lag's range.  A chunk whose region
+    /// is not fully resolvable contributes 0, so the caller never
+    /// over-prunes.
     pub fn run_lower_bound_sq_with_query(
         &self,
         references: &[SeriesId],
@@ -508,7 +497,10 @@ impl SignatureIndex {
         l: usize,
         query: &SignatureQuery,
     ) -> f64 {
-        if l == 0 || run_len == 0 || query.length != l || query.refs.len() != references.len() {
+        let Some(rows) = query.rows(references.len(), l) else {
+            return 0.0;
+        };
+        if run_len == 0 {
             return 0.0;
         }
         let lag_hi = lag_lo + (run_len - 1);
@@ -523,35 +515,33 @@ impl SignatureIndex {
         let block_len = SIGNATURE_BLOCK_LEN as u64;
 
         let mut sum = 0.0_f64;
-        for (r, qref) in references.iter().zip(query.refs.iter()) {
+        for (r, chunks) in references.iter().zip(rows) {
             let Some(ring) = self.blocks.get(r.index()) else {
                 continue;
             };
-            let mut p_s = 0usize;
-            while p_s < l {
-                let p_e = (p_s + SIGNATURE_BLOCK_LEN as usize - 1).min(l - 1);
+            for (c, chunk) in chunks.iter().enumerate() {
+                let p_s = c * CHUNK;
+                let chunk_len = (l - p_s).min(CHUNK) as u64;
                 let region_start = start_hi + p_s as u64;
-                let region_end = start_lo + p_e as u64;
-                if let Some(first) = self.slot_in_range(region_start) {
-                    let count = region_end / block_len - region_start / block_len + 1;
-                    let mut c_min = f64::INFINITY;
-                    let mut c_max = f64::NEG_INFINITY;
-                    let mut region_missing = 0u64;
-                    for blk in ring_from(ring, first).take(count as usize) {
-                        c_min = c_min.min(blk.min);
-                        c_max = c_max.max(blk.max);
-                        region_missing += u64::from(blk.missing);
-                    }
-                    let chunk_len = (p_e - p_s + 1) as u64;
-                    if chunk_len > region_missing {
-                        let (q_min, q_max) = qref.range_min_max(p_s, p_e);
-                        let g = (q_min - c_max).max(c_min - q_max).max(0.0);
-                        if g > 0.0 && g.is_finite() {
-                            sum += g * g * (chunk_len - region_missing) as f64;
-                        }
+                let region_end = start_lo + p_s as u64 + chunk_len - 1;
+                let Some(first) = self.slot_in_range(region_start) else {
+                    continue;
+                };
+                let count = region_end / block_len - region_start / block_len + 1;
+                let mut c_min = f64::INFINITY;
+                let mut c_max = f64::NEG_INFINITY;
+                let mut region_missing = 0u64;
+                for blk in ring_from(ring, first).take(count as usize) {
+                    c_min = c_min.min(blk.min);
+                    c_max = c_max.max(blk.max);
+                    region_missing += u64::from(blk.missing);
+                }
+                if chunk_len > region_missing {
+                    let g = (chunk.min - c_max).max(c_min - chunk.max).max(0.0);
+                    if g > 0.0 && g.is_finite() {
+                        sum += g * g * (chunk_len - region_missing) as f64;
                     }
                 }
-                p_s = p_e + 1;
             }
         }
         sum
@@ -690,13 +680,12 @@ mod tests {
         assert_eq!(block_at(&ix, 0, 19).unwrap().missing, 1);
         w.write_imputed(SeriesId(0), 0, 5.0).unwrap();
         ix.on_write(&w, SeriesId(0), 0).unwrap();
-        // Overwriting an observed slot shrinks the envelope and the sum to
-        // exactly what a rebuild sees.
+        // Overwriting an observed slot shrinks the envelope to exactly what a
+        // rebuild sees.
         w.write_imputed(SeriesId(0), 0, 0.5).unwrap();
         ix.on_write(&w, SeriesId(0), 0).unwrap();
         let block = block_at(&ix, 0, 19).unwrap();
         assert_eq!((block.min, block.max, block.missing), (0.5, 1.0, 0));
-        assert_eq!(block.sum, 3.5);
         let mut fresh = SignatureIndex::new(1, 32).unwrap();
         fresh.rebuild(&w).unwrap();
         assert_eq!(ix, fresh);
@@ -706,70 +695,150 @@ mod tests {
         assert!(ix.on_write(&w, SeriesId(0), 0).is_err());
     }
 
+    /// The level-0 bounds of every lag from `lag_lo` to `lag_hi`, from one
+    /// run's prefix sums over series 0.
+    fn level0(
+        w: &StreamingWindow,
+        lag_lo: usize,
+        lag_hi: usize,
+        l: usize,
+        query: &SignatureQuery,
+    ) -> Vec<(usize, (f64, bool))> {
+        let mut sums = RunSums::default();
+        sums.fill(w, &[SeriesId(0)], lag_lo, lag_hi + 1 - lag_lo, l)
+            .unwrap();
+        (lag_lo..=lag_hi)
+            .map(|lag| (lag, sums.lower_bound_sq(lag, query)))
+            .collect()
+    }
+
+    #[test]
+    fn a_non_block_aligned_lag_gets_the_mean_term_on_every_chunk() {
+        // History alternates 0/2 and the query −1/1 in phase with it: the
+        // envelopes overlap, so only the chunk means separate them.  At an
+        // even lag every pair differs by exactly 1, so D² = l, and each chunk
+        // of len positions contributes (len·1)² / len = len.
+        let l = 40; // chunks of 16, 16 and 8 positions
+        let mut w = StreamingWindow::new(1, 200);
+        let mut ix = SignatureIndex::new(1, 200).unwrap();
+        for t in 0..200i64 {
+            let sign = if t % 2 == 0 { 1.0 } else { -1.0 };
+            let v = if t >= 160 { sign } else { 1.0 + sign };
+            push(&mut w, &mut ix, t, vec![Some(v)]);
+        }
+        let query = query_of(&w, l);
+        for (lag, (lb, missing)) in level0(&w, 40, 120, l, &query) {
+            assert!(!missing, "lag {lag}");
+            if lag % 2 == 0 {
+                // Start ordinal 160 − lag: lags 42, 44, … are not
+                // block-aligned, and still every chunk gets its term.
+                assert!(lb <= l as f64, "lag {lag}: {lb}");
+                assert!(lb >= l as f64 * (1.0 - 1e-6), "lag {lag}: {lb}");
+            }
+        }
+    }
+
+    /// Every lag that is a multiple of `period` pairs an `l = 72` query with
+    /// an exact duplicate of itself (D = 0) and must score zero.  With a
+    /// non-dyadic level a chunk's prefix difference and the query's directly
+    /// folded sum round differently, and the margin must absorb that.
+    fn assert_duplicates_score_zero(period: i64, level: f64) {
+        let l = 72;
+        let cap = 400;
+        let mut w = StreamingWindow::new(1, cap);
+        let mut ix = SignatureIndex::new(1, cap).unwrap();
+        for t in 0..cap as i64 {
+            let phase = (t % period) as f64 / period as f64;
+            push(&mut w, &mut ix, t, vec![Some(level + 0.37 * phase)]);
+        }
+        let query = query_of(&w, l);
+        for (lag, (lb, missing)) in level0(&w, l, cap - l, l, &query) {
+            assert!(!missing, "period {period}, lag {lag}");
+            if lag % period as usize == 0 {
+                assert_eq!(lb, 0.0, "period {period}, lag {lag}");
+            }
+        }
+    }
+
     #[test]
     fn lower_bound_is_zero_for_identical_ranges() {
+        // Period-8 signal: the candidate at lag 8 is identical to the query.
         let mut w = StreamingWindow::new(1, 64);
         let mut ix = SignatureIndex::new(1, 64).unwrap();
         for t in 0..64i64 {
             push(&mut w, &mut ix, t, vec![Some(((t % 8) as f64) * 0.5)]);
         }
-        // Period-8 signal: candidate at lag 8 is identical to the query.
-        let (lb, miss) = ix.lower_bound_sq_with_query(&[SeriesId(0)], 8, 8, &query_of(&w, 8));
+        let [(_, (lb, missing))] = level0(&w, 8, 8, 8, &query_of(&w, 8))[..] else {
+            unreachable!()
+        };
         assert_eq!(lb, 0.0);
-        assert!(!miss);
+        assert!(!missing);
+        // The same over several chunks at a non-dyadic level.
+        assert_duplicates_score_zero(8, 1000.1);
     }
 
     #[test]
     fn mean_bound_is_zero_for_a_flat_lined_duplicate() {
-        // A stuck sensor at a non-dyadic level: the block sum and the query
-        // prefix-sum difference round differently, and the margin must keep
-        // the bound of an exact duplicate (D = 0) at zero.
-        let l = 72;
-        let mut w = StreamingWindow::new(1, 400);
-        let mut ix = SignatureIndex::new(1, 400).unwrap();
-        for t in 0..400i64 {
-            push(&mut w, &mut ix, t, vec![Some(21.37)]);
-        }
-        let query = query_of(&w, l);
-        for lag in l..=(400 - l) {
-            let (lb, _) = ix.lower_bound_sq_with_query(&[SeriesId(0)], lag, l, &query);
-            assert_eq!(lb, 0.0, "lag {lag}");
-        }
+        // A stuck sensor at a non-dyadic level: every lag is a duplicate.
+        assert_duplicates_score_zero(1, 21.37);
     }
 
     #[test]
-    fn lower_bound_separates_disjoint_envelopes() {
-        let mut w = StreamingWindow::new(1, 64);
-        let mut ix = SignatureIndex::new(1, 64).unwrap();
-        // First 32 ticks near 0, last 32 near 100.
-        for t in 0..64i64 {
-            let v = if t < 32 { t as f64 * 0.01 } else { 100.0 };
+    fn a_disjoint_chunk_gives_at_least_len_times_the_gap_squared() {
+        let mut w = StreamingWindow::new(1, 80);
+        let mut ix = SignatureIndex::new(1, 80).unwrap();
+        // First 50 ticks near 0, the rest (the query among them) at 100.
+        for t in 0..80i64 {
+            let v = if t < 50 { t as f64 * 0.01 } else { 100.0 };
             push(&mut w, &mut ix, t, vec![Some(v)]);
         }
-        let l = 8usize;
-        let (lb, _) = ix.lower_bound_sq_with_query(&[SeriesId(0)], 40, l, &query_of(&w, l));
-        // Gap is at least 100 − 0.32 per pair, 8 pairs.
-        assert!(lb > 8.0 * 99.0 * 99.0, "lb = {lb}");
+        let l = 20; // chunks of 16 and 4 positions
+                    // Lag 35 pairs the query with ticks 25..=44: a gap of at least
+                    // 100 − 0.44 on every pair.
+        let [(_, (lb, _))] = level0(&w, 35, 35, l, &query_of(&w, l))[..] else {
+            unreachable!()
+        };
+        let g = 100.0 - 0.44;
+        assert!(lb >= l as f64 * g * g * (1.0 - 1e-6), "lb = {lb}");
     }
 
     #[test]
-    fn certain_missing_needs_a_fully_covered_block() {
+    fn one_missing_slot_is_an_exact_certain_missing() {
         let cap = 64;
         let mut w = StreamingWindow::new(1, cap);
         let mut ix = SignatureIndex::new(1, cap).unwrap();
-        let b = SIGNATURE_BLOCK_LEN as i64;
-        for t in 0..(3 * b) {
-            let v = if t == b + 2 { None } else { Some(1.0) };
-            push(&mut w, &mut ix, t, vec![Some(1.0).filter(|_| v.is_some())]);
+        let hole = 21; // inside a block, clipped by most lags
+        for t in 0..cap as i64 {
+            push(&mut w, &mut ix, t, vec![Some(1.0).filter(|_| t != hole)]);
         }
-        // Candidate covering the full middle block sees the missing slot.
-        let l = SIGNATURE_BLOCK_LEN as usize;
-        let lag = l; // candidate = middle block exactly
-        let (_, certain) = ix.lower_bound_sq_with_query(&[SeriesId(0)], lag, l, &query_of(&w, l));
-        assert!(certain);
-        // A short candidate that only clips the block cannot be sure.
-        let (_, maybe) = ix.lower_bound_sq_with_query(&[SeriesId(0)], l + 10, 4, &query_of(&w, 4));
-        assert!(!maybe);
+        let l = 4;
+        for (lag, (lb, missing)) in level0(&w, l, cap - l, l, &query_of(&w, l)) {
+            // Lag `lag` covers ticks `cap − lag − l ..= cap − 1 − lag`.
+            let covers = (cap - lag - l..cap - lag).contains(&(hole as usize));
+            assert_eq!(missing, covers, "lag {lag}");
+            assert!(lb.is_finite(), "lag {lag}");
+        }
+    }
+
+    #[test]
+    fn a_lag_outside_the_filled_run_is_vacuous() {
+        let mut w = StreamingWindow::new(1, 64);
+        let mut ix = SignatureIndex::new(1, 64).unwrap();
+        for t in 0..64i64 {
+            push(&mut w, &mut ix, t, vec![Some(t as f64)]);
+        }
+        let l = 8;
+        let query = query_of(&w, l);
+        let mut sums = RunSums::default();
+        assert_eq!(sums.lower_bound_sq(20, &query), (0.0, false));
+        sums.fill(&w, &[SeriesId(0)], 16, 16, l).unwrap();
+        assert!(sums.lower_bound_sq(20, &query).0 > 0.0);
+        assert_eq!(sums.lower_bound_sq(15, &query), (0.0, false));
+        assert_eq!(sums.lower_bound_sq(32, &query), (0.0, false));
+        // A query of another length, and a region past the pushed ticks.
+        assert_eq!(sums.lower_bound_sq(20, &query_of(&w, 4)), (0.0, false));
+        assert!(sums.fill(&w, &[SeriesId(0)], 50, 16, l).is_err());
+        assert_eq!(sums.lower_bound_sq(50, &query), (0.0, false));
     }
 
     #[test]

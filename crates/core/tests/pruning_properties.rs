@@ -8,7 +8,7 @@
 //!    path, across random periods, gap placements, pattern lengths and
 //!    window capacities, with ring wrap-around and imputed write-backs in
 //!    the mix, and on flat-lined and tiled non-dyadic references whose
-//!    exact duplicates (D = 0) make the block-mean bound's rounding matter —
+//!    exact duplicates (D = 0) make the chunk-mean bound's rounding matter —
 //!    see `signature.rs` and `TkcmImputer::impute_composed` for the
 //!    float-level argument.
 //! 2. **Admissibility** — the signature lower bound never exceeds the exact
@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 
 use tkcm_core::{
-    extract_pattern, extract_query_pattern, l2_distance, level1_run_len, SignatureIndex,
+    extract_pattern, extract_query_pattern, l2_distance, level1_run_len, RunSums, SignatureIndex,
     SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer,
 };
 use tkcm_store::{decode_from_slice, encode_to_vec};
@@ -49,7 +49,7 @@ proptest! {
     /// references are integer sawtooths, tiles of a non-dyadic sine (exact
     /// duplicates one period apart) or flat-lined at non-dyadic levels (every
     /// complete candidate a duplicate), and l reaches past two signature
-    /// blocks, so the block-mean bound runs on D = 0 candidates.  At a
+    /// blocks, so the chunk-mean bound runs on D = 0 candidates.  At a
     /// random tick the composed engine is replaced by its own
     /// `encode → decode` copy — rebuilt signature index, no lag memories —
     /// which must keep matching the oracle.  In one case in three the
@@ -67,9 +67,9 @@ proptest! {
         capacity in 48usize..160,
         l in 3usize..44,
         restore_frac in 0.1f64..0.9,
-        variant in 0u8..9,
+        sparse_target in 0u8..3,
+        shape in 0u8..3,
     ) {
-        let (sparse_target, shape) = (variant % 3, variant / 3);
         let width = 3;
         let k = 2;
         let window_length = capacity.max((k + 1) * l);
@@ -158,8 +158,8 @@ proptest! {
     }
 
     /// Admissibility of the bound itself: for every candidate lag the
-    /// signature lower bound is at most the exact dissimilarity, and a
-    /// `certain_missing` verdict implies the dissimilarity really is
+    /// level-0 lower bound is at most the exact dissimilarity, and the
+    /// `certain_missing` verdict holds exactly when the dissimilarity is
     /// infinite.  Streams carry random gaps (one slot in six, so complete
     /// patterns — the only ones with a finite `D` — stay common), run past
     /// one window (ring wrap) and are perturbed by write-backs at random ages
@@ -181,8 +181,8 @@ proptest! {
     /// The same admissibility check on gap-free references that tile a
     /// non-dyadic sine around 1000.1, exact or with a ≤ 1e-10 jitter:
     /// candidates one period apart are exact or near duplicates of the
-    /// query, l is 16 or more, and the block-mean bound runs on their whole
-    /// blocks, where a rounding error in `|Σc − Σq|` would push a bound over
+    /// query, l is 16 or more, and the chunk-mean bound runs on whole
+    /// chunks, where a rounding error in `|Σc − Σq|` would push a bound over
     /// `D² ≈ 0`.
     #[test]
     fn lower_bound_never_exceeds_the_exact_dissimilarity_on_near_duplicates(
@@ -194,13 +194,25 @@ proptest! {
         jitter in 0u8..2,
         period in 5usize..24,
     ) {
-        let tile = |t: usize, v: f64| {
-            let phase = (t % period) as f64 / period as f64 * std::f64::consts::TAU;
-            Some(1000.1 + 7.3 * phase.sin() + v * 1e-12 * f64::from(jitter))
-        };
-        let len = v1.len().min(v2.len());
-        let refs: Vec<_> = (0..len).map(|t| [tile(t, v1[t]), tile(t, v2[t])]).collect();
+        let refs = sine_tiles(&v1, &v2, 1000.1, period, jitter);
         check_bounds_admissible(&refs, capacity, l_raw.min(capacity / 2), &write_ages)?;
+    }
+
+    /// Near duplicates at a large level, `1e6 + 7.3·sin`, with long
+    /// patterns and runs: a run-local prefix reaches about `n·1e6`, far
+    /// above the chunk sums it is differenced into, so only the margin's
+    /// scaling with the region keeps a duplicate's bound at 0.
+    #[test]
+    fn lower_bound_never_exceeds_the_exact_dissimilarity_at_a_large_level(
+        v1 in proptest::collection::vec(-100.0f64..100.0, 200..320),
+        v2 in proptest::collection::vec(-100.0f64..100.0, 200..320),
+        l in 40usize..64,
+        write_ages in proptest::collection::vec(0usize..48, 0..6),
+        jitter in 0u8..2,
+        period in 5usize..24,
+    ) {
+        let refs = sine_tiles(&v1, &v2, 1e6, period, jitter);
+        check_bounds_admissible(&refs, 2 * l + 64, l, &write_ages)?;
     }
 
     /// End to end: the default engine, whose composed path seeds τ from its
@@ -270,12 +282,30 @@ proptest! {
     }
 }
 
+/// Two references tiling `level + 7.3·sin` with the given period, each
+/// slot jittered by at most `v·1e-12` when `jitter` is 1.
+fn sine_tiles(
+    v1: &[f64],
+    v2: &[f64],
+    level: f64,
+    period: usize,
+    jitter: u8,
+) -> Vec<[Option<f64>; 2]> {
+    let tile = |t: usize, v: f64| {
+        let phase = (t % period) as f64 / period as f64 * std::f64::consts::TAU;
+        Some(level + 7.3 * phase.sin() + v * 1e-12 * f64::from(jitter))
+    };
+    (0..v1.len().min(v2.len()))
+        .map(|t| [tile(t, v1[t]), tile(t, v2[t])])
+        .collect()
+}
+
 /// Pushes `refs` (series 1 and 2 beside a complete series 0) into a window
 /// of `capacity` and its signature index, writes imputed values at
 /// `write_ages` (taken modulo the filled length) into both references, and
-/// checks every candidate lag's level-0 bound at pattern length `l` against
-/// the exact dissimilarity: `LB ≤ D²`, and `certain_missing` only when
-/// `D = +∞`.
+/// checks every candidate lag's level-0 bound at pattern length `l` with
+/// [`check_level0`], for runs of one lag, of the engine's run width and of
+/// every lag at once.
 fn check_bounds_admissible(
     refs: &[[Option<f64>; 2]],
     capacity: usize,
@@ -309,36 +339,67 @@ fn check_bounds_admissible(
     if filled < 2 * l {
         return Ok(());
     }
-    // The query-exact bound variant the imputer actually uses: range tables
-    // over the extracted query pattern.
-    let query = extract_query_pattern(&window, &ids, l).expect("valid geometry");
-    let sig_query = query.as_ref().map(|q| {
-        let rows: Vec<&[f64]> = (0..ids.len()).map(|ri| q.row(ri)).collect();
-        SignatureQuery::new(&rows)
-    });
-    for lag in l..=(filled - l) {
-        let (lb_sq, certain_missing) = match &sig_query {
-            Some(sq) => index.lower_bound_sq_with_query(&ids, lag, l, sq),
-            None => (0.0, false),
-        };
-        let exact = from_scratch_d(&window, &ids, l, lag);
-        prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
-        if exact.is_finite() {
+    for run_len in [1, level1_run_len(l), filled + 1 - 2 * l] {
+        check_level0(&window, &ids, l, run_len)?;
+    }
+    Ok(())
+}
+
+/// Checks the level-0 bound of every candidate lag at pattern length `l`,
+/// from run-local prefix sums over runs of `run_len` lags laid out as the
+/// imputer lays them out: `LB ≤ D²`, and `certain_missing` exactly when the
+/// lag's reference range holds a missing slot.  A window whose query
+/// pattern is incomplete has no search to bound.
+fn check_level0(
+    window: &StreamingWindow,
+    refs: &[SeriesId],
+    l: usize,
+    run_len: usize,
+) -> Result<(), String> {
+    let Some(query) = extract_query_pattern(window, refs, l).expect("valid geometry") else {
+        return Ok(());
+    };
+    let rows: Vec<&[f64]> = (0..refs.len()).map(|ri| query.row(ri)).collect();
+    let sig_query = SignatureQuery::new(&rows);
+    let oldest_age = window.filled() - l;
+    let j = oldest_age + 1 - l;
+    let mut sums = RunSums::default();
+    for s in (0..j).step_by(run_len) {
+        let e = (s + run_len).min(j);
+        sums.fill(window, refs, oldest_age - (e - 1), e - s, l)
+            .expect("the run's region is pushed");
+        for idx in s..e {
+            let lag = oldest_age - idx;
+            let (lb_sq, certain_missing) = sums.lower_bound_sq(lag, &sig_query);
+            prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
+            let holds_missing = refs.iter().any(|&r| {
+                let (older, newer) = window.value_run(r, lag, l).expect("in window");
+                older.iter().chain(newer).any(|x| x.is_nan())
+            });
             prop_assert!(
-                lb_sq <= exact * exact * (1.0 + 1e-12),
-                "lag {}: lower bound {} exceeds exact D² {}",
+                certain_missing == holds_missing,
+                "lag {}: certain_missing {} but the range holds a missing slot: {}",
                 lag,
-                lb_sq,
-                exact * exact
+                certain_missing,
+                holds_missing
             );
-        }
-        if certain_missing {
+            let exact = from_scratch_d(window, refs, l, lag);
             prop_assert!(
-                exact.is_infinite(),
-                "lag {}: certain_missing but D = {}",
+                exact.is_finite() != holds_missing,
+                "lag {}: D = {}",
                 lag,
                 exact
             );
+            if exact.is_finite() {
+                prop_assert!(
+                    lb_sq <= exact * exact * (1.0 + 1e-12),
+                    "runs of {} lag {}: lower bound {} exceeds exact D² {}",
+                    run_len,
+                    lag,
+                    lb_sq,
+                    exact * exact
+                );
+            }
         }
     }
     Ok(())
@@ -349,8 +410,8 @@ proptest! {
     /// block-boundary-straddling imputed runs (the suite previously covered
     /// wrap and write-back separately): streams run past two full windows so
     /// the ring wraps, then contiguous imputed runs are written at ages
-    /// chosen to straddle `SIGNATURE_BLOCK_LEN` boundaries.  Afterwards both
-    /// per-lag bound variants *and* the composed path's level-1 run bound
+    /// chosen to straddle `SIGNATURE_BLOCK_LEN` boundaries.  Afterwards the
+    /// level-0 bound from each run's prefix sums *and* the level-1 run bound
     /// must stay admissible for every candidate lag and run width.
     #[test]
     fn write_back_runs_straddling_blocks_stay_admissible_after_wrap(
@@ -403,32 +464,13 @@ proptest! {
 
         let filled = window.filled();
         if filled >= 2 * l {
-            let query = extract_query_pattern(&window, &refs, l).expect("valid geometry");
-            let sig_query = query.as_ref().map(|q| {
-                let rows: Vec<&[f64]> = (0..refs.len()).map(|ri| q.row(ri)).collect();
-                SignatureQuery::new(&rows)
-            });
-            let j = filled - 2 * l + 1;
             let run_len = [1usize, 4, 16][run_len_choice];
-            for lag in l..=(filled - l) {
-                let (lb_sq, _) = match &sig_query {
-                    Some(sq) => index.lower_bound_sq_with_query(&refs, lag, l, sq),
-                    None => (0.0, false),
-                };
-                prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
-                let exact = from_scratch_d(&window, &refs, l, lag);
-                if exact.is_finite() {
-                    prop_assert!(
-                        lb_sq <= exact * exact * (1.0 + 1e-12),
-                        "lag {}: lower bound {} exceeds exact D² {}",
-                        lag,
-                        lb_sq,
-                        exact * exact
-                    );
-                }
-            }
+            check_level0(&window, &refs, l, run_len)?;
             // Level-1 run bound: admissible for *every* lag inside the run.
-            if let Some(sq) = &sig_query {
+            if let Some(q) = extract_query_pattern(&window, &refs, l).expect("valid geometry") {
+                let rows: Vec<&[f64]> = (0..refs.len()).map(|ri| q.row(ri)).collect();
+                let sq = &SignatureQuery::new(&rows);
+                let j = filled - 2 * l + 1;
                 let oldest_age = filled - l;
                 let mut s = 0usize;
                 while s < j {
@@ -462,8 +504,8 @@ proptest! {
 /// Builds the inadmissibility fixture: a window + synced signature index in
 /// which the true nearest candidate (an off-by-one copy of the query, D = 4)
 /// has a *non-zero* lower bound, while a decoy candidate (alternating values
-/// whose envelope straddles the query, D = 360) has a lower bound of exactly
-/// zero.  With admissible bounds the composed path finds the copy; inflating
+/// whose chunk mean equals the query's, D = 360) has a lower bound of
+/// exactly zero.  With admissible bounds the composed path finds the copy; inflating
 /// the bounds prunes it and the decoy wins — a detectably different answer.
 fn inadmissible_fixture() -> (StreamingWindow, SignatureIndex, TkcmImputer) {
     let width = 2;
@@ -488,9 +530,9 @@ fn inadmissible_fixture() -> (StreamingWindow, SignatureIndex, TkcmImputer) {
         } else if (96..112).contains(&age) {
             9.0 // true nearest: per-column diff 1 ⇒ D = 4, LB = 4 (tight)
         } else if (32..48).contains(&age) {
-            // decoy: alternating −80/100 straddles the query envelope, so its
-            // block gap — and with it the lower bound — is exactly 0, while
-            // the exact D is 360 (|diff| = 90 in every column).
+            // decoy: alternating −80/100 has the query's chunk mean 10, so
+            // its chunk-mean term — and with it the lower bound — is exactly
+            // 0, while the exact D is 360 (|diff| = 90 in every column).
             if age.is_multiple_of(2) {
                 100.0
             } else {
@@ -617,7 +659,7 @@ fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
     assert_ne!(inflated.value.to_bits(), exact.value.to_bits());
 }
 
-/// One case of the block-mean rounding fixture: width 3, a noise target
+/// One case of the chunk-mean rounding fixture: width 3, a noise target
 /// that misses one tick in 37 after t = 600, and two references of one
 /// shape, at pattern length `l` and `k` anchors over a window of 1 200.
 struct RoundingCase {
@@ -696,10 +738,11 @@ impl RoundingCase {
     }
 }
 
-/// Item-for-item regression for the block-mean bound's float-level
+/// Item-for-item regression for the chunk-mean bound's float-level
 /// admissibility: on flat-lined and tiled non-dyadic references, many
-/// candidates are exact duplicates of the query (D = 0), a block sum and a
-/// query prefix-sum difference of the same values round differently, and
+/// candidates are exact duplicates of the query (D = 0), a run-local prefix
+/// difference and a directly folded query chunk sum of the same values
+/// round differently, and
 /// once k duplicates fix τ = 0 any positive bound on a duplicate prunes a
 /// candidate the oracle's DP may select.  The composed engine must impute
 /// the same value bits as the exhaustive one at every tick.
@@ -783,18 +826,21 @@ fn inflated_bounds_are_caught_on_the_rounding_fixture() {
 }
 
 /// Hostile input: one reference reading of NaN, ±∞ or a value whose square
-/// overflows, on a default-config engine (L = 400, l = 8, k = 3, d = 1) whose
+/// overflows, or an adjacent `+1e300, −1e300` pair, on an engine with
+/// L = 400, k = 3, d = 1 and l = 8 or 40 (chunks that span blocks), whose
 /// target misses ticks 300–304 and 590–599.  The composed path must impute
-/// the same value bits as the exhaustive oracle wherever the reading lands:
+/// the same value bits as the exhaustive oracle wherever the readings land:
 /// in the history both gaps search, or inside a gap's query pattern.  A
-/// NaN or ±∞ reading is stored as missing; 1e300 is data.
+/// NaN or ±∞ reading is stored as missing; 1e300 is data, and the pair
+/// cancels inside every run-local prefix that holds it, beside candidates
+/// whose D is finite.
 #[test]
 fn a_hostile_reference_reading_keeps_composed_bit_identical() {
     let sine = |t: usize, shift: f64| ((t as f64 - shift) / 16.0 * std::f64::consts::TAU).sin();
-    let mk = |pruning: bool| {
+    let mk = |l: usize, pruning: bool| {
         let config = TkcmConfig::builder()
             .window_length(400)
-            .pattern_length(8)
+            .pattern_length(l)
             .anchor_count(3)
             .reference_count(1)
             .pruning(pruning)
@@ -802,42 +848,53 @@ fn a_hostile_reference_reading_keeps_composed_bit_identical() {
             .unwrap();
         TkcmEngine::new(2, config, Catalog::ring_neighbours(2)).unwrap()
     };
-    for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
-        for at in [250, 302, 450, 595] {
-            let mut composed = mk(true);
-            let mut exhaustive = mk(false);
-            for t in 0..600usize {
-                let missing = (300..305).contains(&t) || t >= 590;
-                let target = if missing { None } else { Some(sine(t, 0.0)) };
-                let reference = if t == at {
-                    Some(hostile)
-                } else {
-                    Some(sine(t, 3.0))
-                };
-                let tick = StreamTick::new(Timestamp::new(t as i64), vec![target, reference]);
-                let m = composed.process_tick(&tick).unwrap();
-                let b = exhaustive.process_tick(&tick).unwrap();
-                assert_eq!(m.imputations.len(), b.imputations.len(), "tick {t}");
-                for (x, y) in m.imputations.iter().zip(&b.imputations) {
-                    assert_eq!(
-                        x.value.to_bits(),
-                        y.value.to_bits(),
-                        "reading {hostile} at tick {at}, tick {t}: composed {} vs exhaustive {}",
-                        x.value,
-                        y.value
-                    );
+    let hostiles: [&[f64]; 5] = [
+        &[f64::NAN],
+        &[f64::INFINITY],
+        &[f64::NEG_INFINITY],
+        &[1e300],
+        &[1e300, -1e300],
+    ];
+    for l in [8, 40] {
+        for hostile in hostiles {
+            for at in [250, 302, 450, 595] {
+                let mut composed = mk(l, true);
+                let mut exhaustive = mk(l, false);
+                for t in 0..600usize {
+                    let missing = (300..305).contains(&t) || t >= 590;
+                    let target = if missing { None } else { Some(sine(t, 0.0)) };
+                    let reference = t
+                        .checked_sub(at)
+                        .and_then(|i| hostile.get(i).copied())
+                        .unwrap_or_else(|| sine(t, 3.0));
+                    let tick =
+                        StreamTick::new(Timestamp::new(t as i64), vec![target, Some(reference)]);
+                    let m = composed.process_tick(&tick).unwrap();
+                    let b = exhaustive.process_tick(&tick).unwrap();
+                    assert_eq!(m.imputations.len(), b.imputations.len(), "tick {t}");
+                    for (x, y) in m.imputations.iter().zip(&b.imputations) {
+                        assert_eq!(
+                            x.value.to_bits(),
+                            y.value.to_bits(),
+                            "l {l}, readings {hostile:?} at tick {at}, tick {t}: \
+                             composed {} vs exhaustive {}",
+                            x.value,
+                            y.value
+                        );
+                    }
                 }
+                // A non-finite reading is missing at ingest.  Outside a gap
+                // the reference's own slot is then imputed (one more
+                // imputation); inside one the target and the reference are
+                // each other's only candidate and neither is live, so that
+                // tick imputes nothing.
+                let expected = match (hostile[0].is_finite(), at) {
+                    (true, _) => 15,
+                    (false, 302 | 595) => 14,
+                    (false, _) => 16,
+                };
+                assert_eq!(composed.imputations_performed(), expected);
             }
-            // A non-finite reading is missing at ingest.  Outside a gap the
-            // reference's own slot is then imputed (one more imputation);
-            // inside one the target and the reference are each other's only
-            // candidate and neither is live, so that tick imputes nothing.
-            let expected = match (hostile.is_finite(), at) {
-                (true, _) => 15,
-                (false, 302 | 595) => 14,
-                (false, _) => 16,
-            };
-            assert_eq!(composed.imputations_performed(), expected);
         }
     }
 }

@@ -8,8 +8,9 @@
 //!   each imputation (`O(L·l·d)`), the oracle;
 //! * **composed** — the default path: the previous imputation's best lags
 //!   seed the threshold, and a best-first search over the quantized
-//!   signature index's admissible lower bounds — level-1 runs, then
-//!   per-lag bounds — scores exactly only what it cannot prove out.
+//!   signature index's admissible lower bounds — level-1 run envelopes,
+//!   then per-lag chunk-mean bounds — scores exactly only what it cannot
+//!   prove out.
 //!
 //! Pruning is *admissible*, so the composed run must impute
 //! **bit-identical** values to the exhaustive run — the replay asserts that
@@ -21,8 +22,8 @@
 //! in level-1 runs the search never expanded (`level1_skipped_fraction`) and the
 //! average fraction of candidates remembered in the lag memory when an
 //! imputation begins (`maintained_lag_fraction`); at paper proportions (l = 72 against a
-//! window over months of 5-minute data) the signature blocks are much
-//! shorter than the pattern, which is the regime where the envelope bounds
+//! window over months of 5-minute data) the signature chunks are much
+//! shorter than the pattern, which is the regime where the chunk bounds
 //! separate candidates well.
 
 use std::time::Instant;

@@ -11,10 +11,10 @@
 //!    registered once by static name + label set and then recorded into
 //!    without any lock; p50/p90/p99 are readable from the histogram buckets
 //!    without stopping writers.
-//! 2. **Span tracing** ([`span`]) — lightweight begin/end spans with a
+//! 2. **Span tracing** ([`span`](mod@span)) — lightweight begin/end spans with a
 //!    per-thread stack.  Closing a span records a structured event (name,
 //!    parent, depth, nanos) into the flight recorder.
-//! 3. **Flight recorder** ([`recorder`]) — a bounded ring of recent
+//! 3. **Flight recorder** ([`recorder`](mod@recorder)) — a bounded ring of recent
 //!    structured events (batches, checkpoints, rotations, migrations, WAL
 //!    fsyncs, recovery steps, prune summaries).  The runtime dumps it to a
 //!    timestamped JSON file whenever the fleet poisons or a checkpoint /

@@ -1,6 +1,6 @@
 //! Span tracing: begin/end spans with a per-thread stack.
 //!
-//! A span is opened with [`crate::span`] (or [`SpanGuard::enter`]) and
+//! A span is opened with [`crate::span()`] (or [`SpanGuard::enter`]) and
 //! closed when the guard drops; closing records a `span` event — name,
 //! parent span, nesting depth, elapsed nanos — into the global flight
 //! recorder.  The stack is thread-local, so spans opened on different
