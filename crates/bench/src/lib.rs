@@ -179,7 +179,9 @@ pub fn fleet_results_json(scale: Scale, elapsed: f64, report: &tkcm_eval::Report
 /// proportions), the fraction of candidates its bounds eliminated
 /// (`pruned_fraction`, expected ≥ 0.5 at paper proportions) and its
 /// level-1/maintenance coverage fractions (`level1_skipped_fraction`,
-/// `maintained_lag_fraction`).
+/// `maintained_lag_fraction`).  Beside `trend`, so no gate reads it,
+/// `"stages_us_per_imputation"` holds the composed search's microseconds
+/// per imputation by stage (`seed`, `run_bounds`, `search`, `memory`).
 pub fn pruning_results_json(scale: Scale, elapsed: f64, report: &tkcm_eval::Report) -> String {
     let number = |v: f64| {
         if v.is_finite() {
@@ -206,9 +208,20 @@ pub fn pruning_results_json(scale: Scale, elapsed: f64, report: &tkcm_eval::Repo
             }
         }
     }
+    // The composed search's stage split rides beside `trend`, not in it,
+    // so the gate never reads it.
+    let mut stages = Vec::new();
+    if let Some(table) = report.table("Composed search stages") {
+        for stage in tkcm_core::diagnostics::SEARCH_STAGES {
+            if let Some(v) = table.cell(stage, "us_per_imputation") {
+                stages.push(format!("\"{stage}\":{}", number(v)));
+            }
+        }
+    }
     format!(
-        "{{\"scale\":\"{scale:?}\",\"trend\":{{{}}},\"experiments\":[{{\"wall_time_seconds\":{elapsed},\"report\":{}}}]}}",
+        "{{\"scale\":\"{scale:?}\",\"trend\":{{{}}},\"stages_us_per_imputation\":{{{}}},\"experiments\":[{{\"wall_time_seconds\":{elapsed},\"report\":{}}}]}}",
         trend.join(","),
+        stages.join(","),
         report.to_json()
     )
 }
@@ -442,6 +455,17 @@ mod tests {
         t.push_row("exhaustive", vec![4.0, 250.0, 9.0, 1.0, 0.0, 0.0, 0.0]);
         t.push_row("composed", vec![0.8, 1250.0, 9.0, 5.0, 0.8, 0.4, 0.1]);
         report.add_table(t);
+        let mut stages = tkcm_eval::Table::new(
+            "Composed search stages",
+            vec!["stage".into(), "us_per_imputation".into()],
+        );
+        for (stage, us) in tkcm_core::diagnostics::SEARCH_STAGES
+            .iter()
+            .zip([3.0, 20.0, 500.0, 4.0])
+        {
+            stages.push_row(*stage, vec![us]);
+        }
+        report.add_table(stages);
         let json = pruning_results_json(Scale::Paper, 7.0, &report);
         assert!(json.contains("\"trend\":{"));
         assert!(json.contains("\"ticks_per_second_exhaustive\":250"));
@@ -455,8 +479,15 @@ mod tests {
         assert!(json.contains("\"level1_skipped_fraction\":0.4"));
         assert!(json.contains("\"maintained_lag_fraction\":0.1"));
         assert!(json.contains("\"wall_time_seconds\":7"));
+        // The stage split sits beside the trend object, outside it.
+        assert!(json.contains(
+            "\"stages_us_per_imputation\":{\"seed\":3,\"run_bounds\":20,\"search\":500,\"memory\":4}"
+        ));
+        let trend = json.split("\"stages_us_per_imputation\"").next().unwrap();
+        assert!(trend.contains("\"pruned_fraction\"") && !trend.contains("\"search\""));
         let bare = pruning_results_json(Scale::Quick, 0.1, &tkcm_eval::Report::new("x"));
         assert!(bare.contains("\"trend\":{}"));
+        assert!(bare.contains("\"stages_us_per_imputation\":{}"));
     }
 
     #[test]

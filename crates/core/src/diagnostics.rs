@@ -10,7 +10,9 @@
 //! Every closed phase span is additionally *recorded* (never read back —
 //! the `obs-read-only` policy) into the process-global `tkcm-obs` metrics
 //! registry as `tkcm_core_phase_nanos_total{phase=…}`, so fleet-wide phase
-//! totals survive even when an individual breakdown is discarded.
+//! totals survive even when an individual breakdown is discarded.  The
+//! composed path also records its extraction phase split into the stages
+//! of its search, as `tkcm_core_search_nanos_total{stage=…}`.
 
 use std::sync::LazyLock;
 use std::time::{Duration, Instant};
@@ -35,7 +37,53 @@ pub(crate) fn record_phase_nanos(phase: Phase, elapsed: Duration) {
         Phase::Imputation => 2,
         Phase::Maintenance => 3,
     };
-    PHASE_NANOS[index].add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
+    PHASE_NANOS[index].add(nanos(elapsed));
+}
+
+fn nanos(elapsed: Duration) -> u64 {
+    u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The `stage` labels of `tkcm_core_search_nanos_total`, the composed
+/// search's split of the extraction phase: the lag-memory seed, the
+/// level-1 run bounds, the heap search and the lag-memory rebuild.
+pub const SEARCH_STAGES: [&str; 4] = ["seed", "run_bounds", "search", "memory"];
+
+static SEARCH_NANOS: LazyLock<[tkcm_obs::Counter; 4]> = LazyLock::new(|| {
+    SEARCH_STAGES.map(|stage| {
+        tkcm_obs::registry().counter("tkcm_core_search_nanos_total", &[("stage", stage)])
+    })
+});
+
+/// The stages of one composed search ([`SEARCH_STAGES`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum SearchStage {
+    /// The query, its chunk summaries, the anchor provenance and the
+    /// lag-memory walk.
+    Seed,
+    /// The level-1 bound of every run.
+    RunBounds,
+    /// The best-first heap loop, its drain included.
+    Search,
+    /// The lag-memory rebuild.
+    Memory,
+}
+
+/// Stopwatch over the stages of one composed search: each
+/// [`StageClock::lap`] records the time since the previous one in that
+/// stage's global nano counter (record-only).  Stamped only at stage
+/// boundaries, never per lag.
+pub(crate) struct StageClock(Instant);
+
+impl StageClock {
+    pub(crate) fn start() -> Self {
+        StageClock(Instant::now())
+    }
+
+    pub(crate) fn lap(&mut self, stage: SearchStage) {
+        let started = std::mem::replace(&mut self.0, Instant::now());
+        SEARCH_NANOS[stage as usize].add(nanos(self.0 - started));
+    }
 }
 
 /// Accumulated wall-clock time per TKCM phase.

@@ -20,10 +20,10 @@ use tkcm_timeseries::{SeriesId, SlotState, StreamingWindow, Timestamp, TsError};
 
 use crate::config::TkcmConfig;
 use crate::consistency::ConsistencyReport;
-use crate::diagnostics::{Phase, PhaseBreakdown, PhaseTimer};
+use crate::diagnostics::{Phase, PhaseBreakdown, PhaseTimer, SearchStage, StageClock};
 use crate::dissimilarity::{l2_distance, l2_from_components};
 use crate::pattern::{extract_pattern_at_age, extract_query_pattern, Pattern};
-use crate::selection::select_anchors_dp;
+use crate::selection::select_anchors_dp_at;
 use crate::signature::{RunSums, SignatureIndex, SignatureQuery};
 
 /// One selected anchor: time point, dissimilarity of its pattern and the
@@ -230,6 +230,7 @@ impl TkcmImputer {
         // `oldest_age - idx`.
         let oldest_age = filled.saturating_sub(l);
         let mut dissimilarities: Vec<f64> = Vec::new();
+        let mut finite: Vec<usize> = Vec::new();
         if filled >= 2 * l {
             dissimilarities = vec![f64::INFINITY; filled + 1 - 2 * l];
             let query = extract_query_pattern(window, references, l)?;
@@ -251,6 +252,9 @@ impl TkcmImputer {
                     let candidate = extract_pattern_at_age(window, references, age, l)?;
                     let Some(candidate) = candidate else { continue };
                     *d = l2_distance(&candidate, q);
+                    if *d < f64::INFINITY {
+                        finite.push(idx);
+                    }
                 }
             }
         }
@@ -262,6 +266,7 @@ impl TkcmImputer {
             now,
             oldest_age,
             &dissimilarities,
+            &finite,
             timer,
         )
     }
@@ -269,7 +274,9 @@ impl TkcmImputer {
     /// Steps 2 and 3 — pattern selection and value imputation — shared
     /// verbatim by the exact and composed extraction paths, so the
     /// bit-identity of the composed path cannot drift through a divergent
-    /// tail.  Candidate `idx` is anchored `oldest_age - idx` ticks back.
+    /// tail.  Candidate `idx` is anchored `oldest_age - idx` ticks back;
+    /// `finite` lists, in ascending order, every candidate whose `D` is
+    /// finite, the only columns the DP evaluates.
     #[allow(clippy::too_many_arguments)]
     fn select_and_impute(
         &self,
@@ -279,6 +286,7 @@ impl TkcmImputer {
         now: Timestamp,
         oldest_age: usize,
         dissimilarities: &[f64],
+        finite: &[usize],
         mut timer: PhaseTimer,
     ) -> Result<ImputationDetail, TsError> {
         let l = self.config.pattern_length;
@@ -286,7 +294,7 @@ impl TkcmImputer {
 
         // -------- Step 2: pattern selection --------
         timer.start(Phase::Selection);
-        let selection = select_anchors_dp(dissimilarities, l, k);
+        let selection = select_anchors_dp_at(dissimilarities, finite, l, k);
 
         // -------- Step 3: value imputation --------
         timer.start(Phase::Imputation);
@@ -313,8 +321,7 @@ impl TkcmImputer {
             (self.fallback_value(window, target, references)?, true)
         } else {
             // Definition 4: the plain mean of the anchor values.
-            let sum = anchors.iter().map(|a| a.value).sum::<f64>();
-            (sum / anchors.len() as f64, false)
+            (mean(anchors.iter().map(|a| a.value)), false)
         };
         timer.finish_imputation();
 
@@ -386,21 +393,27 @@ impl TkcmImputer {
     /// 2. **Best-first search** — a min-heap of open nodes keyed by
     ///    admissible bound: one node per level-1 run of `run_len` lags
     ///    ([`SignatureIndex::run_lower_bound_sq_with_query`]), which expands
-    ///    into per-lag level-0 chunk-mean bounds ([`RunSums::lower_bound_sq`],
-    ///    which also drops a lag holding a missing slot), which expand into
-    ///    exact folds.  If the memory could not certify τ, its folds
-    ///    re-enter the heap keyed by their exact D and the seed restarts in
-    ///    bound order.  The search stops at the first key over the `τ − S`
-    ///    bar (S: the k−1 smallest Ds the other anchors can have), which
-    ///    proves every open node out at once.  A cold memory needs no
-    ///    separate sweep: bound order finds low-D candidates by itself.
+    ///    into per-lag level-0 chunk-mean bounds, computed for the whole run
+    ///    in one pass ([`RunSums::fill`], which also drops a lag holding a
+    ///    missing slot), which expand into exact folds.  If the memory could
+    ///    not certify τ, its folds re-enter the heap keyed by their exact D
+    ///    and the seed restarts in bound order.  The search stops at the
+    ///    first key over the `τ − S` bar (S: the k−1 smallest Ds the other
+    ///    anchors can have), which proves every open node out at once.  The
+    ///    bar never rises from one pop to the next, so an expansion pushes
+    ///    only the lags keyed at or under the bar of the pop that expanded
+    ///    the run; the rest are pruned at once, as the stop would prune
+    ///    them.  A cold memory needs no separate sweep: bound order finds
+    ///    low-D candidates by itself.
     ///
     /// The memory only orders the seeding walk: every `D` entering selection
     /// comes from the exact fold and all bounds are admissible (see
     /// [`crate::signature`]), so the result is **bit-identical** to
     /// [`TkcmImputer::impute`] for any `warm` — the float-level proof is in
     /// the comments below.  On return `warm` holds this imputation's finite
-    /// exact folds in ascending `(D, lag)` order, ready for the next call.
+    /// exact folds in ascending `(D, lag)` order, ready for the next call;
+    /// the lag memory and the anchor DP read only the list of those folds,
+    /// never all J candidates.
     /// Requires `index` in lock-step with `window`; the streaming engine
     /// keeps it so on its default path.  `run_len` is the level-1 run
     /// width, picked once at engine construction from config geometry
@@ -479,12 +492,16 @@ impl TkcmImputer {
 
         // -------- Step 1: pattern extraction, composed --------
         timer.start(Phase::Extraction);
+        let mut clock = StageClock::start();
         let filled = window.filled();
         // Candidate index idx (0-based, oldest first) is anchored
         // `oldest_age - idx` ticks back, as in `impute`.
         let oldest_age = filled.saturating_sub(l);
         let newest_age = l;
         let mut dissimilarities: Vec<f64> = Vec::new();
+        // Every candidate with a finite exact fold, the only finite `D`s: a
+        // pruned or disqualified candidate's `D` stays `+∞`.
+        let mut folded: Vec<usize> = Vec::new();
         let mut stats = PruneStats {
             maintained_lags: warm.len(),
             ..PruneStats::default()
@@ -509,8 +526,10 @@ impl TkcmImputer {
                     state == SlotState::Observed
                 };
                 // `evaluated[idx]`: the lag-memory walk already took
-                // candidate idx's exact fold, so the search skips it.
+                // candidate idx's exact fold, so the search skips it;
+                // `walked` lists those candidates.
                 let mut evaluated = vec![false; j];
+                let mut walked: Vec<usize> = Vec::new();
 
                 // ---- Warm seed from the lag memory ----
                 // The previous imputation's best lags are usually still
@@ -536,12 +555,17 @@ impl TkcmImputer {
                     if !evaluated[idx] {
                         dissimilarities[idx] = self.exact_fold(window, references, q, lag);
                         evaluated[idx] = true;
+                        walked.push(idx);
                         stats.shortlisted += 1;
+                        if dissimilarities[idx].is_finite() {
+                            folded.push(idx);
+                        }
                     }
                     if dissimilarities[idx].is_finite() {
                         seed.push(idx);
                     }
                 }
+                clock.lap(SearchStage::Seed);
 
                 // ---- Best-first search ----
                 // A min-heap of open nodes, each keyed by an admissible lower
@@ -579,11 +603,23 @@ impl TkcmImputer {
                 // falls as b rises (a new fold is ≥ the key it popped at),
                 // so the first failing pop ends the search.
                 //
+                // Push-time bar: for the same reason the bar `τ − S` of a
+                // pop never rises at a later one.  Every later pop has a
+                // key ≥ this one's and every later fold is ≥ its own key,
+                // so each term min(best[i], b) of S can only grow.  A child
+                // lag keyed above the bar of the pop that expands its run
+                // would therefore stop the search at or before its own pop,
+                // and the drain would count it pruned: it is counted pruned
+                // at once and never pushed.  The pops before the stop and
+                // every count stay as they were.
+                //
                 // Float slop: the 1e-9 inflation of τ only *reduces*
                 // pruning (`b > τ·(1+ε)` ⇒ D ≥ b > τ); S is a ≤(k−1)-term
                 // fold of non-negative floats deflated by 1e-9, which
                 // dwarfs its relative rounding, and the final subtraction
                 // adds at most one ulp of τ — absorbed by the same margins.
+                // Each term of S and its float sum are monotone in their
+                // inputs, so the computed bar never rises either.
                 //
                 // Before τ exists nothing is pruned but certain-missing lags
                 // (D = +∞ exactly), so a window with fewer than k
@@ -626,6 +662,9 @@ impl TkcmImputer {
                         idx: s,
                     }
                 }));
+                clock.lap(SearchStage::RunBounds);
+                // `expanded[s / run_len]`: the run starting at s was expanded.
+                let mut expanded = vec![false; j.div_ceil(run_len)];
                 let mut threshold = None;
                 while let Some(node) = open.pop() {
                     if threshold.is_none() && seed.len() == k {
@@ -644,41 +683,52 @@ impl TkcmImputer {
                         }
                         threshold = Some(tau * (1.0 + 1e-9));
                     }
+                    let mut bar = f64::INFINITY;
                     if let Some(threshold) = threshold {
                         let b = node.key;
                         let sum: f64 = (0..keep)
                             .map(|i| best.get(i).map_or(b, |&d| d.min(b)))
                             .sum();
-                        if b > threshold - sum * (1.0 - 1e-9) {
+                        bar = threshold - sum * (1.0 - 1e-9);
+                        if b > bar {
                             for rest in std::iter::once(node).chain(open.drain()) {
                                 if rest.run {
-                                    let skipped =
-                                        run_of(rest.idx).filter(|&idx| !evaluated[idx]).count();
+                                    let skipped = run_of(rest.idx).len();
                                     stats.pruned += skipped;
                                     stats.level1_skipped += skipped;
                                 } else if !evaluated[rest.idx] {
                                     stats.pruned += 1;
                                 }
                             }
+                            // The walk's folds inside unexpanded runs were
+                            // evaluated, not skipped.
+                            let walked_skipped = walked
+                                .iter()
+                                .filter(|&&idx| !expanded[idx / run_len])
+                                .count();
+                            stats.pruned -= walked_skipped;
+                            stats.level1_skipped -= walked_skipped;
                             break;
                         }
                     }
                     if node.run {
+                        expanded[node.idx / run_len] = true;
                         let run = run_of(node.idx);
                         let lag_lo = oldest_age - (run.end - 1);
-                        run_sums.fill(window, references, lag_lo, run.len(), l)?;
+                        run_sums.fill(window, references, lag_lo, run.len(), l, &sig_query)?;
                         for idx in run {
                             if evaluated[idx] || !is_observed(idx) {
                                 continue;
                             }
                             let (lb_sq, certain_missing) =
-                                run_sums.lower_bound_sq(oldest_age - idx, &sig_query);
-                            if certain_missing {
+                                run_sums.lower_bound_sq(oldest_age - idx);
+                            let key = (lb_sq * inflate0).max(0.0).sqrt().max(node.key);
+                            if certain_missing || key > bar {
                                 stats.pruned += 1;
                                 continue;
                             }
                             open.push(Open {
-                                key: (lb_sq * inflate0).max(0.0).sqrt().max(node.key),
+                                key,
                                 run: false,
                                 idx,
                             });
@@ -691,6 +741,7 @@ impl TkcmImputer {
                         dissimilarities[idx] = d;
                         stats.shortlisted += 1;
                         if d.is_finite() {
+                            folded.push(idx);
                             let at = best.partition_point(|&v| v <= d);
                             if at < keep {
                                 best.insert(at, d);
@@ -705,20 +756,20 @@ impl TkcmImputer {
                         seed.push(idx);
                     }
                 }
+                clock.lap(SearchStage::Search);
             }
         }
         // Remember this imputation's finite exact folds, best first, as the
-        // next imputation's seeding order.  Only exact folds are finite: a
-        // pruned or disqualified candidate's `D` stays `+∞`.
-        let mut folds: Vec<(f64, usize)> = dissimilarities
+        // next imputation's seeding order.
+        let mut folds: Vec<(f64, usize)> = folded
             .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_finite())
-            .map(|(idx, &d)| (d, oldest_age - idx))
+            .map(|&idx| (dissimilarities[idx], oldest_age - idx))
             .collect();
         folds.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         warm.clear();
         warm.extend(folds.into_iter().map(|(_, lag)| lag));
+        folded.sort_unstable();
+        clock.lap(SearchStage::Memory);
 
         let detail = self.select_and_impute(
             window,
@@ -727,6 +778,7 @@ impl TkcmImputer {
             now,
             oldest_age,
             &dissimilarities,
+            &folded,
             timer,
         )?;
         Ok((detail, stats))
@@ -753,9 +805,23 @@ impl TkcmImputer {
             }
         }
         if !ref_values.is_empty() {
-            return Ok(ref_values.iter().sum::<f64>() / ref_values.len() as f64);
+            return Ok(mean(ref_values.iter().copied()));
         }
         Ok(window.value_recent(target, 0)?.unwrap_or(0.0))
+    }
+}
+
+/// The mean of finite `values` (at least one): `Σv / n`, or `Σ(v / n)`
+/// when the plain sum overflows, so finite values (two observed `1e308`s)
+/// never give an infinite mean.  In range the result is the plain one, bit
+/// for bit.
+fn mean(values: impl Iterator<Item = f64> + Clone) -> f64 {
+    let n = values.clone().count() as f64;
+    let sum: f64 = values.clone().sum();
+    if sum.is_finite() {
+        sum / n
+    } else {
+        values.map(|v| v / n).sum()
     }
 }
 

@@ -24,10 +24,13 @@
 //!
 //! In a streaming window most `D[j]` are `+∞`: missing data, anchor
 //! provenance and the composed path's pruning all leave candidates
-//! unevaluated.  A row of `M` cannot change at such a candidate, so
-//! [`select_anchors_dp`] evaluates the recurrence only at the F finite
-//! candidates (NaN is treated like `+∞`), in O(k·F) instead of O(k·J), and
-//! reproduces the dense matrix's cells, optimum and backtrack bit for bit.
+//! unevaluated.  A row of `M` cannot change at such a candidate, so the DP
+//! ([`select_anchors_dp_at`]) takes the ascending list of the F finite
+//! candidates (NaN is treated like `+∞`) and evaluates the recurrence only
+//! there, in O(k·F) instead of O(k·J), reproducing the dense matrix's
+//! cells, optimum and backtrack bit for bit.  [`select_anchors_dp`] finds
+//! that list with one scan of `D`; the composed path hands over its exact
+//! folds instead.
 
 /// Result of a pattern-selection run.
 #[derive(Clone, Debug, PartialEq)]
@@ -63,6 +66,24 @@ impl AnchorSelection {
 /// If fewer than `k` non-overlapping finite candidates exist, the selection
 /// contains as many as possible and `complete` is `false`.
 ///
+/// This scans for the finite candidates and runs
+/// [`select_anchors_dp_at`] on them.
+pub fn select_anchors_dp(
+    dissimilarities: &[f64],
+    pattern_length: usize,
+    k: usize,
+) -> AnchorSelection {
+    let finite: Vec<usize> = (0..dissimilarities.len())
+        .filter(|&j| dissimilarities[j] < f64::INFINITY)
+        .collect();
+    select_anchors_dp_at(dissimilarities, &finite, pattern_length, k)
+}
+
+/// The dynamic program of [`select_anchors_dp`], given `finite`: in
+/// ascending order, every index whose dissimilarity is below `+∞` (so not
+/// NaN either).  A caller that knows its finite candidates (the composed
+/// path's exact folds) needs no O(J) scan.
+///
 /// The recurrence is evaluated *sparsely*.  At a candidate whose `D` is `+∞`
 /// or NaN the take term is `+∞` or NaN, and `skip.min(+∞)` and
 /// `skip.min(NaN)` both return `skip` (no cell is ever NaN), so every row
@@ -73,32 +94,31 @@ impl AnchorSelection {
 /// optimum, its bits and the backtrack (ties included) are the dense DP's,
 /// in O(k·F) time and memory instead of O(k·J).  The tests hold it against
 /// a dense implementation bit for bit.
-pub fn select_anchors_dp(
+pub fn select_anchors_dp_at(
     dissimilarities: &[f64],
+    finite: &[usize],
     pattern_length: usize,
     k: usize,
 ) -> AnchorSelection {
     assert!(pattern_length > 0, "pattern length must be positive");
+    debug_assert!(
+        finite.windows(2).all(|w| w[0] < w[1])
+            && finite.iter().all(|&j| dissimilarities[j] < f64::INFINITY),
+        "finite columns must ascend and hold only D < +∞"
+    );
     let j_max = dissimilarities.len();
-    if k == 0 || j_max == 0 {
+    let f = finite.len();
+    if k == 0 || f == 0 {
         return AnchorSelection::empty();
     }
 
     // The largest feasible number of anchors given the candidate count: with
     // J candidates and spacing l the maximum is ceil(J / l).
     let feasible_k = k.min(j_max.div_ceil(pattern_length));
+    // Column (1-based, as in the paper) of the `a`-th finite candidate.
+    let col = |a: usize| finite[a] + 1;
 
-    // Columns (1-based, as in the paper) of the candidates that can change
-    // a row: `D < +∞`, which also excludes NaN.
-    let cols: Vec<usize> = (1..=j_max)
-        .filter(|&j| dissimilarities[j - 1] < f64::INFINITY)
-        .collect();
-    let f = cols.len();
-    if f == 0 {
-        return AnchorSelection::empty();
-    }
-
-    // `m[(i − 1) · F + a]` is the paper's `M[i][cols[a]]`; `M[i][j]` for any
+    // `m[(i − 1) · F + a]` is the paper's `M[i][col(a)]`; `M[i][j]` for any
     // other column is the cell of the last finite column ≤ j, or +∞ before
     // the first one.  Row 0 is all zeros and not stored.
     let mut m = vec![f64::INFINITY; feasible_k * f];
@@ -109,9 +129,10 @@ pub fn select_anchors_dp(
         // `p`: number of finite columns ≤ the current predecessor column.
         let mut p = 0usize;
         let mut skip = f64::INFINITY;
-        for (a, &j) in cols.iter().enumerate() {
+        for (a, &c) in finite.iter().enumerate() {
+            let j = c + 1;
             let pred = j.saturating_sub(pattern_length);
-            while p < f && cols[p] <= pred {
+            while p < f && col(p) <= pred {
                 p += 1;
             }
             // Cells with i > j stay +∞, as in the dense matrix.
@@ -144,7 +165,7 @@ pub fn select_anchors_dp(
     let mut i = best_i;
     let mut a = f; // finite columns ≤ the current column
     while i > 0 && a > 0 {
-        let j = cols[a - 1];
+        let j = col(a - 1);
         let left = if a >= 2 {
             cell(i, a - 2)
         } else {
@@ -156,7 +177,7 @@ pub fn select_anchors_dp(
             indices.push(j - 1);
             i -= 1;
             let pred = j.saturating_sub(pattern_length);
-            while a > 0 && cols[a - 1] > pred {
+            while a > 0 && col(a - 1) > pred {
                 a -= 1;
             }
         }

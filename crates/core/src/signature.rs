@@ -23,15 +23,32 @@
 //!   with a chunk lie in the union envelope of the blocks covering their
 //!   region, so with `g` the gap between it and the query chunk's envelope,
 //!   every pair but the region's missing slots has `(x − y)² ≥ g²`.
-//! - **Level 0, one lag** ([`RunSums::lower_bound_sq`]): expanding a run
+//! - **Level 0, every lag of a run** ([`RunSums::fill`]): expanding a run
 //!   reads the region its lags span once per reference and builds prefix
-//!   sums of its values and of its missing slots ([`RunSums::fill`]).  A
-//!   lag's missing count is then exact, so `D = +∞` needs no fold, and each
-//!   chunk of `len` positions of a complete lag gets the chunk-mean bound
+//!   sums of its values and of its missing slots.  A lag's missing count is
+//!   then exact, so `D = +∞` needs no fold, and each chunk of `len`
+//!   positions of a complete lag gets the chunk-mean bound
 //!   `(Σx − Σy)² / len ≤ Σ (x − y)²` (Cauchy–Schwarz), `Σx` being a
 //!   difference of two prefixes.  On a chunk whose values all lie `g` clear
 //!   of the query's, `(Σx − Σy)² / len ≥ len·g²`, so it is never looser than
 //!   the envelope gap.
+//!
+//! # The run-wide level-0 pass
+//!
+//! [`RunSums::fill`] computes the bound of every lag of the run at once and
+//! [`RunSums::lower_bound_sq`] only looks it up.  Only one reference's
+//! prefixes are live at a time, in buffers reused across runs.  Lag `a` of
+//! a run whose largest lag is `lag_hi` starts at region offset
+//! `o = lag_hi − a`, so chunk `[p_s, p_e)` of every lag is a difference of
+//! two contiguous prefix slices, `P[o + p_e] − P[o + p_s]` over
+//! `o = 0 .. run_len`.  The pass is chunk-major: for each reference and
+//! then each chunk, one loop over `o` adds that chunk's term to every lag.
+//! Each lag therefore sums the same terms in the same order (reference by
+//! reference, chunk by chunk) as a per-lag loop would.  The vacuity test is
+//! a select, not a branch: `gap.max(0.0)` drops a NaN or negative gap, and
+//! `if gap < ∞ { gap } else { 0 }` drops `+∞`.  A vacuous term adds `+0.0`
+//! where a per-lag loop would skip it, which leaves every sum's bits as
+//! they are.  With no branch in the loop, the compiler can vectorize it.
 //!
 //! # The block ring
 //!
@@ -212,34 +229,35 @@ impl SignatureQuery {
     }
 }
 
-/// Run-local prefix sums: the level-0 bound of every lag in one level-1 run
-/// (module docs).
+/// Run-wide level-0 bounds: the chunk-mean bound and the missing flag of
+/// every lag in one level-1 run (module docs).
 ///
 /// The lags `lag_lo ..= lag_hi` of a run read one region of
 /// `n = (lag_hi − lag_lo) + l` slots per reference, in which lag `a` starts
-/// at offset `lag_hi − a`.  [`RunSums::fill`] reads that region once and
-/// keeps a prefix of its values (a missing slot counts as 0) and one of its
-/// missing slots; refilling reuses the buffers, so a search allocates only
-/// while its runs grow.
+/// at offset `o = lag_hi − a`.  [`RunSums::fill`] reads that region once per
+/// reference into a prefix of its values (a missing slot counts as 0) and
+/// one of its missing slots, and adds the reference's terms to every lag at
+/// once; [`RunSums::lower_bound_sq`] is then a lookup.  Refilling reuses the
+/// buffers, so a search allocates only while its runs grow.
 #[derive(Clone, Debug, Default)]
 pub struct RunSums {
     lag_lo: usize,
-    lag_hi: usize,
-    /// The pattern length; 0 while nothing is filled.
-    l: usize,
-    /// `sums[r·(n + 1) + i]`: the sum of reference `r`'s first `i` region
+    /// `bounds[o]`: the bound of lag `lag_hi − o`, with
+    /// `lag_hi = lag_lo + bounds.len() − 1`; empty while nothing is filled.
+    bounds: Vec<f64>,
+    /// `holes[o]`: whether lag `lag_hi − o`'s range holds a missing slot.
+    holes: Vec<bool>,
+    /// `prefix[i]`: the sum of the current reference's first `i` region
     /// values.
-    sums: Vec<f64>,
-    /// Laid out like `sums`: the number of missing slots among them.
+    prefix: Vec<f64>,
+    /// Laid out like `prefix`: the number of missing slots among them.
     missing: Vec<u32>,
-    /// Per reference, `(n + 4)·ε·n·max|x|` over the region: the candidate
-    /// term of the rounding margin (module docs).
-    margins: Vec<f64>,
 }
 
 impl RunSums {
-    /// Reads the region of the `run_len` lags from `lag_lo` on, at pattern
-    /// length `l`, for every reference.  Fails, leaving every bound vacuous,
+    /// Computes the bound and the missing flag of the `run_len` lags from
+    /// `lag_lo` on, at pattern length `l`, against `query`.  A query built
+    /// for another geometry leaves every bound vacuous; so does a failure,
     /// when the region reaches past the pushed ticks.
     pub fn fill(
         &mut self,
@@ -248,83 +266,87 @@ impl RunSums {
         lag_lo: usize,
         run_len: usize,
         l: usize,
+        query: &SignatureQuery,
     ) -> Result<(), TsError> {
-        self.l = 0;
-        self.sums.clear();
-        self.missing.clear();
-        self.margins.clear();
-        if run_len == 0 || l == 0 {
+        self.bounds.clear();
+        self.holes.clear();
+        let Some(rows) = query.rows(references.len(), l).filter(|_| run_len > 0) else {
             return Ok(());
-        }
+        };
+        self.lag_lo = lag_lo;
+        self.bounds.resize(run_len, 0.0);
+        self.holes.resize(run_len, false);
         let n = run_len - 1 + l;
-        for &r in references {
-            let (older, newer) = window.value_run(r, lag_lo, n)?;
+        for (&r, chunks) in references.iter().zip(rows) {
+            let (older, newer) = match window.value_run(r, lag_lo, n) {
+                Ok(run) => run,
+                Err(err) => {
+                    self.bounds.clear();
+                    self.holes.clear();
+                    return Err(err);
+                }
+            };
+            self.prefix.clear();
+            self.missing.clear();
             let (mut sum, mut missing, mut max_abs) = (0.0, 0u32, 0.0f64);
-            self.sums.push(sum);
+            self.prefix.push(sum);
             self.missing.push(missing);
             for &x in older.iter().chain(newer) {
-                if x.is_nan() {
-                    missing += 1;
-                } else {
-                    sum += x;
-                    max_abs = max_abs.max(x.abs());
-                }
-                self.sums.push(sum);
+                let hole = x.is_nan();
+                sum += if hole { 0.0 } else { x };
+                missing += u32::from(hole);
+                max_abs = max_abs.max(x.abs());
+                self.prefix.push(sum);
                 self.missing.push(missing);
             }
-            self.margins
-                .push((n + 4) as f64 * f64::EPSILON * n as f64 * max_abs);
+            let margin = (n + 4) as f64 * f64::EPSILON * n as f64 * max_abs;
+            for (hole, (first, last)) in self
+                .holes
+                .iter_mut()
+                .zip(self.missing.iter().zip(&self.missing[l..]))
+            {
+                *hole |= first != last;
+            }
+            // Chunk `c` spans the prefixes from `p_s = c·B` to its end `p_e`;
+            // lag offset `o` reads them at `o + p_s` and `o + p_e`.
+            let mut p_s = 0;
+            for (chunk, p_e) in chunks.iter().zip((CHUNK..l).step_by(CHUNK).chain([l])) {
+                let starts = &self.prefix[p_s..p_s + run_len];
+                let ends = &self.prefix[p_e..p_e + run_len];
+                let (q, m, w) = (chunk.sum, margin + chunk.margin, chunk.weight);
+                for ((bound, &start), &end) in self.bounds.iter_mut().zip(starts).zip(ends) {
+                    // A NaN or infinite gap (a non-finite sum or margin) is
+                    // vacuous: `max` drops NaN, the select drops `+∞`, and
+                    // neither branches.  `g · (g · w)` overflows only when
+                    // the real term does.
+                    let gap = ((end - start - q).abs() - m).max(0.0);
+                    let g = if gap < f64::INFINITY { gap } else { 0.0 };
+                    *bound += g * (g * w);
+                }
+                p_s = p_e;
+            }
         }
-        self.lag_lo = lag_lo;
-        self.lag_hi = lag_lo + (run_len - 1);
-        self.l = l;
         Ok(())
     }
 
     /// Lower bound on the *squared* L2 dissimilarity `D²` of the candidate
-    /// anchored `lag` ticks back against `query`: the chunk-mean bound
-    /// summed over every chunk of every reference, less its rounding margin
-    /// (module docs).
+    /// anchored `lag` ticks back against the query of the last
+    /// [`RunSums::fill`]: the chunk-mean bound summed over every chunk of
+    /// every reference, less its rounding margin (module docs).
     ///
     /// The second return is `true` exactly when the lag's range holds a
     /// missing reference slot, so `D = +∞` and the candidate needs no exact
-    /// evaluation.  A lag outside the filled run, or a query built for
-    /// another geometry, gets the vacuous `(0.0, false)`.
-    pub fn lower_bound_sq(&self, lag: usize, query: &SignatureQuery) -> (f64, bool) {
-        let l = self.l;
-        let Some(rows) = query
-            .rows(self.margins.len(), l)
-            .filter(|_| (self.lag_lo..=self.lag_hi).contains(&lag))
-        else {
-            return (0.0, false);
-        };
-        let stride = self.lag_hi - self.lag_lo + l + 1;
-        let offset = self.lag_hi - lag;
-        let holds_missing = |m: &[u32]| m[offset + l] != m[offset];
-        if self.missing.chunks_exact(stride).any(holds_missing) {
-            return (0.0, true);
+    /// evaluation.  A lag outside the filled run gets the vacuous
+    /// `(0.0, false)`.
+    pub fn lower_bound_sq(&self, lag: usize) -> (f64, bool) {
+        let offset = (self.lag_lo + self.bounds.len())
+            .checked_sub(lag + 1)
+            .filter(|_| lag >= self.lag_lo);
+        match offset {
+            Some(o) if self.holes[o] => (0.0, true),
+            Some(o) => (self.bounds[o], false),
+            None => (0.0, false),
         }
-        let mut sum = 0.0_f64;
-        for ((prefix, &margin), chunks) in
-            self.sums.chunks_exact(stride).zip(&self.margins).zip(rows)
-        {
-            let prefix = &prefix[offset..=offset + l];
-            // Chunk `c` spans the prefixes from `c·B` to its end `p_e`.
-            let mut start = prefix[0];
-            let ends = (CHUNK..l).step_by(CHUNK).chain([l]);
-            for (chunk, p_e) in chunks.iter().zip(ends) {
-                let end = prefix[p_e];
-                let gap = (end - start - chunk.sum).abs() - (margin + chunk.margin);
-                start = end;
-                // A NaN or infinite gap (a non-finite sum or margin) is
-                // vacuous; `gap · (gap · weight)` overflows only when the
-                // real term does.
-                if gap > 0.0 && gap.is_finite() {
-                    sum += gap * (gap * chunk.weight);
-                }
-            }
-        }
-        (sum, false)
     }
 }
 
@@ -705,10 +727,10 @@ mod tests {
         query: &SignatureQuery,
     ) -> Vec<(usize, (f64, bool))> {
         let mut sums = RunSums::default();
-        sums.fill(w, &[SeriesId(0)], lag_lo, lag_hi + 1 - lag_lo, l)
+        sums.fill(w, &[SeriesId(0)], lag_lo, lag_hi + 1 - lag_lo, l, query)
             .unwrap();
         (lag_lo..=lag_hi)
-            .map(|lag| (lag, sums.lower_bound_sq(lag, query)))
+            .map(|lag| (lag, sums.lower_bound_sq(lag)))
             .collect()
     }
 
@@ -830,15 +852,20 @@ mod tests {
         let l = 8;
         let query = query_of(&w, l);
         let mut sums = RunSums::default();
-        assert_eq!(sums.lower_bound_sq(20, &query), (0.0, false));
-        sums.fill(&w, &[SeriesId(0)], 16, 16, l).unwrap();
-        assert!(sums.lower_bound_sq(20, &query).0 > 0.0);
-        assert_eq!(sums.lower_bound_sq(15, &query), (0.0, false));
-        assert_eq!(sums.lower_bound_sq(32, &query), (0.0, false));
-        // A query of another length, and a region past the pushed ticks.
-        assert_eq!(sums.lower_bound_sq(20, &query_of(&w, 4)), (0.0, false));
-        assert!(sums.fill(&w, &[SeriesId(0)], 50, 16, l).is_err());
-        assert_eq!(sums.lower_bound_sq(50, &query), (0.0, false));
+        assert_eq!(sums.lower_bound_sq(20), (0.0, false));
+        sums.fill(&w, &[SeriesId(0)], 16, 16, l, &query).unwrap();
+        assert!(sums.lower_bound_sq(20).0 > 0.0);
+        assert_eq!(sums.lower_bound_sq(15), (0.0, false));
+        assert_eq!(sums.lower_bound_sq(32), (0.0, false));
+        // A region past the pushed ticks, and a query of another length,
+        // each clear the previous run.
+        assert!(sums.fill(&w, &[SeriesId(0)], 50, 16, l, &query).is_err());
+        assert_eq!(sums.lower_bound_sq(20), (0.0, false));
+        assert_eq!(sums.lower_bound_sq(50), (0.0, false));
+        sums.fill(&w, &[SeriesId(0)], 16, 16, l, &query).unwrap();
+        sums.fill(&w, &[SeriesId(0)], 16, 16, l, &query_of(&w, 4))
+            .unwrap();
+        assert_eq!(sums.lower_bound_sq(20), (0.0, false));
     }
 
     #[test]

@@ -22,7 +22,7 @@ use proptest::prelude::*;
 
 use tkcm_core::{
     extract_pattern, extract_query_pattern, l2_distance, level1_run_len, RunSums, SignatureIndex,
-    SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer,
+    SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer, SIGNATURE_BLOCK_LEN,
 };
 use tkcm_store::{decode_from_slice, encode_to_vec};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
@@ -346,10 +346,11 @@ fn check_bounds_admissible(
 }
 
 /// Checks the level-0 bound of every candidate lag at pattern length `l`,
-/// from run-local prefix sums over runs of `run_len` lags laid out as the
-/// imputer lays them out: `LB ≤ D²`, and `certain_missing` exactly when the
-/// lag's reference range holds a missing slot.  A window whose query
-/// pattern is incomplete has no search to bound.
+/// from run-wide fills over runs of `run_len` lags laid out as the imputer
+/// lays them out: `LB ≤ D²`, `LB` bit-equal to [`per_lag_bound_sq`], and
+/// `certain_missing` exactly when the lag's reference range holds a missing
+/// slot.  A window whose query pattern is incomplete has no search to
+/// bound.
 fn check_level0(
     window: &StreamingWindow,
     refs: &[SeriesId],
@@ -366,11 +367,13 @@ fn check_level0(
     let mut sums = RunSums::default();
     for s in (0..j).step_by(run_len) {
         let e = (s + run_len).min(j);
-        sums.fill(window, refs, oldest_age - (e - 1), e - s, l)
+        let lag_lo = oldest_age - (e - 1);
+        sums.fill(window, refs, lag_lo, e - s, l, &sig_query)
             .expect("the run's region is pushed");
+        let per_lag = PerLagBound::new(window, refs, &rows, lag_lo, e - s);
         for idx in s..e {
             let lag = oldest_age - idx;
-            let (lb_sq, certain_missing) = sums.lower_bound_sq(lag, &sig_query);
+            let (lb_sq, certain_missing) = sums.lower_bound_sq(lag);
             prop_assert!(lb_sq.is_finite() && lb_sq >= 0.0);
             let holds_missing = refs.iter().any(|&r| {
                 let (older, newer) = window.value_run(r, lag, l).expect("in window");
@@ -382,6 +385,17 @@ fn check_level0(
                 lag,
                 certain_missing,
                 holds_missing
+            );
+            let (expected, expected_missing) = per_lag.bound_sq(lag);
+            prop_assert!(
+                lb_sq.to_bits() == expected.to_bits() && certain_missing == expected_missing,
+                "runs of {} lag {}: run-wide ({}, {}) vs per-lag ({}, {})",
+                run_len,
+                lag,
+                lb_sq,
+                certain_missing,
+                expected,
+                expected_missing
             );
             let exact = from_scratch_d(window, refs, l, lag);
             prop_assert!(
@@ -403,6 +417,90 @@ fn check_level0(
         }
     }
     Ok(())
+}
+
+/// The chunk-mean bound written out one lag at a time, the reference
+/// [`RunSums`] must match bit for bit: per reference a prefix over the
+/// run's region that skips missing slots, then per chunk of a complete lag
+/// `gap = |ΣC − Σq| − (m_r + m_c)`, added as `gap·(gap·w)` only where it is
+/// positive and finite.
+struct PerLagBound<'a> {
+    rows: &'a [&'a [f64]],
+    /// The run's largest lag: lag `a` starts at region offset `lag_hi − a`.
+    lag_hi: usize,
+    l: usize,
+    /// Per reference: the region's prefix sums, its values and its margin
+    /// `(n + 4)·ε·n·max|x|`.
+    regions: Vec<(Vec<f64>, Vec<f64>, f64)>,
+}
+
+impl<'a> PerLagBound<'a> {
+    fn new(
+        window: &StreamingWindow,
+        refs: &[SeriesId],
+        rows: &'a [&'a [f64]],
+        lag_lo: usize,
+        run_len: usize,
+    ) -> Self {
+        let l = rows[0].len();
+        let n = run_len - 1 + l;
+        let regions = refs
+            .iter()
+            .map(|&r| {
+                let (older, newer) = window.value_run(r, lag_lo, n).expect("in window");
+                let values: Vec<f64> = older.iter().chain(newer).copied().collect();
+                let (mut prefix, mut sum, mut max_abs) = (vec![0.0], 0.0, 0.0f64);
+                for &x in &values {
+                    if !x.is_nan() {
+                        sum += x;
+                        max_abs = max_abs.max(x.abs());
+                    }
+                    prefix.push(sum);
+                }
+                let margin = (n + 4) as f64 * f64::EPSILON * n as f64 * max_abs;
+                (prefix, values, margin)
+            })
+            .collect();
+        PerLagBound {
+            rows,
+            lag_hi: lag_lo + run_len - 1,
+            l,
+            regions,
+        }
+    }
+
+    fn bound_sq(&self, lag: usize) -> (f64, bool) {
+        let o = self.lag_hi - lag;
+        let l = self.l;
+        if self
+            .regions
+            .iter()
+            .any(|(_, values, _)| values[o..o + l].iter().any(|x| x.is_nan()))
+        {
+            return (0.0, true);
+        }
+        let block = SIGNATURE_BLOCK_LEN as usize;
+        let mut sum = 0.0f64;
+        for ((prefix, _, margin), row) in self.regions.iter().zip(self.rows) {
+            for (c, chunk) in row.chunks(block).enumerate() {
+                let (mut min, mut max, mut q_sum) = (f64::INFINITY, f64::NEG_INFINITY, 0.0);
+                for &q in chunk {
+                    min = min.min(q);
+                    max = max.max(q);
+                    q_sum += q;
+                }
+                let len = chunk.len() as f64;
+                let q_margin = (len + 4.0) * f64::EPSILON * len * min.abs().max(max.abs());
+                let p_s = o + c * block;
+                let gap =
+                    (prefix[p_s + chunk.len()] - prefix[p_s] - q_sum).abs() - (margin + q_margin);
+                if gap > 0.0 && gap.is_finite() {
+                    sum += gap * (gap * ((1.0 - 1e-9) / len));
+                }
+            }
+        }
+        (sum, false)
+    }
 }
 
 proptest! {
@@ -833,20 +931,47 @@ fn inflated_bounds_are_caught_on_the_rounding_fixture() {
 /// in the history both gaps search, or inside a gap's query pattern.  A
 /// NaN or ±∞ reading is stored as missing; 1e300 is data, and the pair
 /// cancels inside every run-local prefix that holds it, beside candidates
-/// whose D is finite.
+/// whose D is finite.  A last arm holds the reference stuck at 1e307 at
+/// l = 72: the 135-slot region of a 64-lag run overflows its prefix to
+/// `+∞` after 18 slots, while every candidate is an exact duplicate of the
+/// query (D = 0), so a chunk that straddles the overflow must stay vacuous.
 #[test]
 fn a_hostile_reference_reading_keeps_composed_bit_identical() {
     let sine = |t: usize, shift: f64| ((t as f64 - shift) / 16.0 * std::f64::consts::TAU).sin();
-    let mk = |l: usize, pruning: bool| {
-        let config = TkcmConfig::builder()
-            .window_length(400)
-            .pattern_length(l)
-            .anchor_count(3)
-            .reference_count(1)
-            .pruning(pruning)
-            .build()
-            .unwrap();
-        TkcmEngine::new(2, config, Catalog::ring_neighbours(2)).unwrap()
+    // Runs the stream with `reference(t)` through both paths and returns
+    // the number of imputations.
+    let run = |l: usize, reference: &dyn Fn(usize) -> f64, case: &str| {
+        let mk = |pruning: bool| {
+            let config = TkcmConfig::builder()
+                .window_length(400)
+                .pattern_length(l)
+                .anchor_count(3)
+                .reference_count(1)
+                .pruning(pruning)
+                .build()
+                .unwrap();
+            TkcmEngine::new(2, config, Catalog::ring_neighbours(2)).unwrap()
+        };
+        let mut composed = mk(true);
+        let mut exhaustive = mk(false);
+        for t in 0..600usize {
+            let missing = (300..305).contains(&t) || t >= 590;
+            let target = if missing { None } else { Some(sine(t, 0.0)) };
+            let tick = StreamTick::new(Timestamp::new(t as i64), vec![target, Some(reference(t))]);
+            let m = composed.process_tick(&tick).unwrap();
+            let b = exhaustive.process_tick(&tick).unwrap();
+            assert_eq!(m.imputations.len(), b.imputations.len(), "tick {t}");
+            for (x, y) in m.imputations.iter().zip(&b.imputations) {
+                assert_eq!(
+                    x.value.to_bits(),
+                    y.value.to_bits(),
+                    "l {l}, {case}, tick {t}: composed {} vs exhaustive {}",
+                    x.value,
+                    y.value
+                );
+            }
+        }
+        composed.imputations_performed()
     };
     let hostiles: [&[f64]; 5] = [
         &[f64::NAN],
@@ -858,31 +983,12 @@ fn a_hostile_reference_reading_keeps_composed_bit_identical() {
     for l in [8, 40] {
         for hostile in hostiles {
             for at in [250, 302, 450, 595] {
-                let mut composed = mk(l, true);
-                let mut exhaustive = mk(l, false);
-                for t in 0..600usize {
-                    let missing = (300..305).contains(&t) || t >= 590;
-                    let target = if missing { None } else { Some(sine(t, 0.0)) };
-                    let reference = t
-                        .checked_sub(at)
+                let reference = |t: usize| {
+                    t.checked_sub(at)
                         .and_then(|i| hostile.get(i).copied())
-                        .unwrap_or_else(|| sine(t, 3.0));
-                    let tick =
-                        StreamTick::new(Timestamp::new(t as i64), vec![target, Some(reference)]);
-                    let m = composed.process_tick(&tick).unwrap();
-                    let b = exhaustive.process_tick(&tick).unwrap();
-                    assert_eq!(m.imputations.len(), b.imputations.len(), "tick {t}");
-                    for (x, y) in m.imputations.iter().zip(&b.imputations) {
-                        assert_eq!(
-                            x.value.to_bits(),
-                            y.value.to_bits(),
-                            "l {l}, readings {hostile:?} at tick {at}, tick {t}: \
-                             composed {} vs exhaustive {}",
-                            x.value,
-                            y.value
-                        );
-                    }
-                }
+                        .unwrap_or_else(|| sine(t, 3.0))
+                };
+                let imputations = run(l, &reference, &format!("readings {hostile:?} at {at}"));
                 // A non-finite reading is missing at ingest.  Outside a gap
                 // the reference's own slot is then imputed (one more
                 // imputation); inside one the target and the reference are
@@ -893,8 +999,48 @@ fn a_hostile_reference_reading_keeps_composed_bit_identical() {
                     (false, 302 | 595) => 14,
                     (false, _) => 16,
                 };
-                assert_eq!(composed.imputations_performed(), expected);
+                assert_eq!(imputations, expected);
             }
         }
     }
+    assert_eq!(run(72, &|_| 1e307, "stuck at 1e307"), 15);
+}
+
+/// Finite anchors give a finite imputation: with the target observed at
+/// `1e308` everywhere, k = 3 anchors sum past `f64::MAX`, and the mean must
+/// still be finite (`Σ(v / n)` instead of `Σv / n`) on both paths, bit for
+/// bit, and lie between the anchor values.
+#[test]
+fn anchors_at_1e308_impute_a_finite_value() {
+    let mk = |pruning: bool| {
+        let config = TkcmConfig::builder()
+            .window_length(200)
+            .pattern_length(8)
+            .anchor_count(3)
+            .reference_count(1)
+            .pruning(pruning)
+            .build()
+            .unwrap();
+        TkcmEngine::new(2, config, Catalog::ring_neighbours(2)).unwrap()
+    };
+    let mut composed = mk(true);
+    let mut exhaustive = mk(false);
+    for t in 0..300usize {
+        let target = (t % 50 != 49).then_some(1e308);
+        let reference = (t as f64 / 16.0 * std::f64::consts::TAU).sin();
+        let tick = StreamTick::new(Timestamp::new(t as i64), vec![target, Some(reference)]);
+        let m = composed.process_tick(&tick).unwrap();
+        let b = exhaustive.process_tick(&tick).unwrap();
+        assert_eq!(m.imputations.len(), b.imputations.len(), "tick {t}");
+        for (x, y) in m.imputations.iter().zip(&b.imputations) {
+            assert_eq!(x.value.to_bits(), y.value.to_bits(), "tick {t}");
+            assert!(x.value.is_finite(), "tick {t}: imputed {}", x.value);
+            assert!(x.detail.anchors.len() > 1, "tick {t}");
+            assert!(
+                (1e308 * (1.0 - 1e-12)..=1e308).contains(&x.value),
+                "tick {t}"
+            );
+        }
+    }
+    assert_eq!(composed.imputations_performed(), 6);
 }

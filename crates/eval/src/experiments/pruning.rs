@@ -21,13 +21,16 @@
 //! fraction of candidates pruned (`pruned_fraction`), the fraction skipped
 //! in level-1 runs the search never expanded (`level1_skipped_fraction`) and the
 //! average fraction of candidates remembered in the lag memory when an
-//! imputation begins (`maintained_lag_fraction`); at paper proportions (l = 72 against a
+//! imputation begins (`maintained_lag_fraction`); a second table splits the
+//! composed search's time per imputation into its stages (seed, level-1 run
+//! bounds, heap search, lag-memory rebuild).  At paper proportions (l = 72 against a
 //! window over months of 5-minute data) the signature chunks are much
 //! shorter than the pattern, which is the regime where the chunk bounds
 //! separate candidates well.
 
 use std::time::Instant;
 
+use tkcm_core::diagnostics::SEARCH_STAGES;
 use tkcm_core::{TkcmConfig, TkcmEngine};
 use tkcm_datasets::{Dataset, DatasetKind};
 use tkcm_timeseries::{Catalog, StreamSource};
@@ -120,6 +123,22 @@ pub struct PruningRun {
     /// Average fraction of candidates remembered in the reference set's lag
     /// memory when an imputation began (0 for the exhaustive mode).
     pub maintained_lag_fraction: f64,
+    /// Microseconds per imputation in each stage of the composed search, in
+    /// [`SEARCH_STAGES`] order (all 0 for the exhaustive mode): the
+    /// replay's delta of the process-wide `tkcm_core_search_nanos_total`
+    /// counters, so a concurrent composed engine in the same process would
+    /// add to it.
+    pub stages_us_per_imputation: [f64; 4],
+}
+
+/// The process-wide `tkcm_core_search_nanos_total` counters, in
+/// [`SEARCH_STAGES`] order.
+fn search_nanos() -> [u64; 4] {
+    SEARCH_STAGES.map(|stage| {
+        tkcm_obs::registry()
+            .counter("tkcm_core_search_nanos_total", &[("stage", stage)])
+            .value()
+    })
 }
 
 /// Replays the default workload through both modes.
@@ -146,6 +165,7 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
             .expect("pruning sweep engine construction");
         assert_eq!(engine.is_composed(), mode == "composed");
         let mut imputed: Vec<(u32, i64, u64)> = Vec::new();
+        let stages_before = search_nanos();
         let start = Instant::now();
         for tick in &ticks {
             let outcome = engine.process_tick(tick).expect("pruning sweep tick");
@@ -158,6 +178,7 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
             }
         }
         let wall = start.elapsed().as_secs_f64();
+        let stages_after = search_nanos();
 
         // Admissibility in action: the composed path must reproduce the
         // exhaustive answers exactly, down to the value bits.
@@ -190,6 +211,13 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
             } else {
                 0.0
             },
+            stages_us_per_imputation: std::array::from_fn(|i| {
+                if mode == "composed" && !imputed.is_empty() {
+                    (stages_after[i] - stages_before[i]) as f64 / 1e3 / imputed.len() as f64
+                } else {
+                    0.0
+                }
+            }),
         });
     }
     runs
@@ -242,6 +270,16 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
         );
     }
     report.add_table(table);
+    if let Some(composed) = runs.iter().find(|run| run.mode == "composed") {
+        let mut stages = Table::new(
+            "Composed search stages",
+            vec!["stage".to_string(), "us_per_imputation".to_string()],
+        );
+        for (stage, us) in SEARCH_STAGES.iter().zip(composed.stages_us_per_imputation) {
+            stages.push_row(*stage, vec![us]);
+        }
+        report.add_table(stages);
+    }
     report
 }
 
@@ -279,7 +317,12 @@ mod tests {
         assert_eq!(exhaustive.pruned_fraction, 0.0);
         assert_eq!(exhaustive.level1_skipped_fraction, 0.0);
         assert_eq!(exhaustive.maintained_lag_fraction, 0.0);
+        assert_eq!(exhaustive.stages_us_per_imputation, [0.0; 4]);
         let composed = &runs[1];
+        assert!(
+            composed.stages_us_per_imputation.iter().sum::<f64>() > 0.0,
+            "composed search recorded no stage time: {composed:?}"
+        );
         assert_eq!(composed.mode, "composed");
         assert!(
             composed.pruned_fraction > 0.0 && composed.pruned_fraction <= 1.0,
@@ -304,6 +347,11 @@ mod tests {
         assert!(table.cell("composed", "maintained_lag_fraction").unwrap() > 0.0);
         assert!(table.cell("exhaustive", "speedup_vs_exhaustive").unwrap() == 1.0);
         assert!(report.notes.iter().any(|n| n.contains("bit-identical")));
+        let stages = report.table("Composed search stages").unwrap();
+        assert_eq!(stages.rows.len(), SEARCH_STAGES.len());
+        for stage in SEARCH_STAGES {
+            assert!(stages.cell(stage, "us_per_imputation").unwrap() >= 0.0);
+        }
     }
 
     #[test]
