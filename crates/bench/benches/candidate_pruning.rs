@@ -1,7 +1,7 @@
 //! Criterion benchmark for the composed candidate path: the same punctured
 //! periodic stream replayed through one engine per candidate path — the
-//! exhaustive recompute oracle and the default composed path (lag-memory
-//! seeding + best-first search over signature bounds).
+//! exhaustive recompute oracle and the default composed path (one
+//! best-first search over signature bounds per imputation).
 //!
 //! Each iteration replays the full stream through a fresh engine, so the
 //! numbers are whole-pipeline (construction and per-tick index upkeep

@@ -3,8 +3,8 @@
 //! `d`, the number of anchor points `k` and the window length `L`.
 //!
 //! Each parameter point is measured on both paths: `composed` runs the
-//! engine default (signature-index pruning seeded from a warm lag memory)
-//! and `exact` recomputes every candidate pattern (`O(L·l·d)`, the paper's
+//! engine default (one best-first search over signature-index bounds) and
+//! `exact` recomputes every candidate pattern (`O(L·l·d)`, the paper's
 //! naive baseline whose pattern-extraction phase dominates).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -33,14 +33,10 @@ fn bench_imputation(
     for &(l, d, k, window) in params {
         let workload = build_workload(Scale::Quick, window, d);
         let imputer = TkcmImputer::new(config_for(l, d, k, window)).expect("valid config");
-        // Warm the lag memory with one imputation, as the engine's previous
-        // imputations would have.
-        let mut warm = Vec::new();
-        workload.impute_composed(&imputer, &mut warm);
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("composed_l{l}_d{d}_k{k}_L{window}")),
             &workload,
-            |b, w| b.iter(|| w.impute_composed(&imputer, &mut warm)),
+            |b, w| b.iter(|| w.impute_composed(&imputer)),
         );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("exact_l{l}_d{d}_k{k}_L{window}")),

@@ -1,7 +1,7 @@
-//! Candidate-pruning sweep: the default composed path (signature-index
-//! pruning seeded from the lag memory) against the exhaustive candidate sweep
-//! on the same punctured SBR-like stream (bit-identical imputations asserted
-//! during the replay).
+//! Candidate-pruning sweep: the default composed path (one best-first
+//! search over signature-index bounds per imputation) against the
+//! exhaustive candidate sweep on the same punctured SBR-like stream
+//! (bit-identical imputations asserted during the replay).
 //!
 //! `--paper` runs the paper-proportioned workload (l = 72 against a window
 //! over months of 5-minute data — the regime where the chunk bounds
@@ -10,12 +10,12 @@
 //! machine-readable results CI uploads as the `BENCH_results_pruning`
 //! artifact: the per-mode table plus a flattened top-level `trend` object
 //! (`ticks_per_second_<mode>`, `composed_speedup_vs_exhaustive`,
-//! `pruned_fraction`, `level1_skipped_fraction`, `maintained_lag_fraction`)
+//! `pruned_fraction`, `level1_skipped_fraction`)
 //! so nightly runs accumulate directly gateable fields (paper scale is
 //! expected to hold `composed_speedup_vs_exhaustive ≥ 3` and
 //! `pruned_fraction ≥ 0.5`), and beside it, ungated,
 //! `stages_us_per_imputation`: the composed search's microseconds per
-//! imputation in each stage.
+//! imputation in each stage (`query`, `run_bounds`, `search`).
 use std::time::Instant;
 
 fn main() {

@@ -177,11 +177,11 @@ pub fn fleet_results_json(scale: Scale, elapsed: f64, report: &tkcm_eval::Report
 /// (`ticks_per_second_<mode>`), the headline speedup over the exhaustive
 /// oracle (`composed_speedup_vs_exhaustive`, expected ≥ 3 at paper
 /// proportions), the fraction of candidates its bounds eliminated
-/// (`pruned_fraction`, expected ≥ 0.5 at paper proportions) and its
-/// level-1/maintenance coverage fractions (`level1_skipped_fraction`,
-/// `maintained_lag_fraction`).  Beside `trend`, so no gate reads it,
-/// `"stages_us_per_imputation"` holds the composed search's microseconds
-/// per imputation by stage (`seed`, `run_bounds`, `search`, `memory`).
+/// (`pruned_fraction`, expected ≥ 0.5 at paper proportions) and the
+/// fraction its level-1 runs skipped (`level1_skipped_fraction`).  Beside
+/// `trend`, so no gate reads it, `"stages_us_per_imputation"` holds the
+/// composed search's microseconds per imputation by stage (`query`,
+/// `run_bounds`, `search`).
 pub fn pruning_results_json(scale: Scale, elapsed: f64, report: &tkcm_eval::Report) -> String {
     let number = |v: f64| {
         if v.is_finite() {
@@ -201,7 +201,6 @@ pub fn pruning_results_json(scale: Scale, elapsed: f64, report: &tkcm_eval::Repo
             ("speedup_vs_exhaustive", "composed_speedup_vs_exhaustive"),
             ("pruned_fraction", "pruned_fraction"),
             ("level1_skipped_fraction", "level1_skipped_fraction"),
-            ("maintained_lag_fraction", "maintained_lag_fraction"),
         ] {
             if let Some(v) = table.cell("composed", mode_metric) {
                 trend.push(format!("\"{key}\":{}", number(v)));
@@ -449,11 +448,10 @@ mod tests {
                 "speedup_vs_exhaustive".into(),
                 "pruned_fraction".into(),
                 "level1_skipped_fraction".into(),
-                "maintained_lag_fraction".into(),
             ],
         );
-        t.push_row("exhaustive", vec![4.0, 250.0, 9.0, 1.0, 0.0, 0.0, 0.0]);
-        t.push_row("composed", vec![0.8, 1250.0, 9.0, 5.0, 0.8, 0.4, 0.1]);
+        t.push_row("exhaustive", vec![4.0, 250.0, 9.0, 1.0, 0.0, 0.0]);
+        t.push_row("composed", vec![0.8, 1250.0, 9.0, 5.0, 0.8, 0.4]);
         report.add_table(t);
         let mut stages = tkcm_eval::Table::new(
             "Composed search stages",
@@ -461,7 +459,7 @@ mod tests {
         );
         for (stage, us) in tkcm_core::diagnostics::SEARCH_STAGES
             .iter()
-            .zip([3.0, 20.0, 500.0, 4.0])
+            .zip([3.0, 20.0, 500.0])
         {
             stages.push_row(*stage, vec![us]);
         }
@@ -477,11 +475,11 @@ mod tests {
         assert!(!trend.contains("\"speedup_vs_exhaustive\""));
         assert!(!trend.contains("incremental"));
         assert!(json.contains("\"level1_skipped_fraction\":0.4"));
-        assert!(json.contains("\"maintained_lag_fraction\":0.1"));
+        assert!(!json.contains("maintained_lag_fraction"));
         assert!(json.contains("\"wall_time_seconds\":7"));
         // The stage split sits beside the trend object, outside it.
         assert!(json.contains(
-            "\"stages_us_per_imputation\":{\"seed\":3,\"run_bounds\":20,\"search\":500,\"memory\":4}"
+            "\"stages_us_per_imputation\":{\"query\":3,\"run_bounds\":20,\"search\":500}"
         ));
         let trend = json.split("\"stages_us_per_imputation\"").next().unwrap();
         assert!(trend.contains("\"pruned_fraction\"") && !trend.contains("\"search\""));

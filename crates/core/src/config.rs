@@ -24,12 +24,11 @@ pub struct TkcmConfig {
     /// Number of reference series `d` (> 0).
     pub reference_count: usize,
     /// The engine's one dispatch switch.  `true` (default) runs the
-    /// *composed* path: signature-index pruning ([`crate::signature`])
-    /// with τ seeded from each reference set's previous exact folds.  Its
-    /// bounds are admissible and every `D` entering selection is computed
-    /// by the exact fold, so the output is bit-identical to the exhaustive
-    /// path.  `false` runs the
-    /// exhaustive exact `O(L·l·d)`-per-imputation oracle.
+    /// *composed* path: one stateless best-first search per imputation over
+    /// signature-index bounds ([`crate::signature`]).  Its bounds are
+    /// admissible and every `D` entering selection is computed by the exact
+    /// fold, so the output is bit-identical to the exhaustive path.  `false`
+    /// runs the exhaustive exact `O(L·l·d)`-per-imputation oracle.
     pub pruning: bool,
 }
 

@@ -19,8 +19,8 @@ use std::time::{Duration, Instant};
 
 /// Per-phase nano counters in the global metrics registry, in [`Phase`]
 /// declaration order.
-static PHASE_NANOS: LazyLock<[tkcm_obs::Counter; 4]> = LazyLock::new(|| {
-    ["extraction", "selection", "imputation", "maintenance"].map(|phase| {
+static PHASE_NANOS: LazyLock<[tkcm_obs::Counter; 3]> = LazyLock::new(|| {
+    ["extraction", "selection", "imputation"].map(|phase| {
         tkcm_obs::registry().counter("tkcm_core_phase_nanos_total", &[("phase", phase)])
     })
 });
@@ -35,7 +35,6 @@ pub(crate) fn record_phase_nanos(phase: Phase, elapsed: Duration) {
         Phase::Extraction => 0,
         Phase::Selection => 1,
         Phase::Imputation => 2,
-        Phase::Maintenance => 3,
     };
     PHASE_NANOS[index].add(nanos(elapsed));
 }
@@ -45,11 +44,12 @@ fn nanos(elapsed: Duration) -> u64 {
 }
 
 /// The `stage` labels of `tkcm_core_search_nanos_total`, the composed
-/// search's split of the extraction phase: the lag-memory seed, the
-/// level-1 run bounds, the heap search and the lag-memory rebuild.
-pub const SEARCH_STAGES: [&str; 4] = ["seed", "run_bounds", "search", "memory"];
+/// search's split of the extraction phase: the query with its chunk
+/// summaries and the anchor provenance, the level-1 run bounds and the heap
+/// search.
+pub const SEARCH_STAGES: [&str; 3] = ["query", "run_bounds", "search"];
 
-static SEARCH_NANOS: LazyLock<[tkcm_obs::Counter; 4]> = LazyLock::new(|| {
+static SEARCH_NANOS: LazyLock<[tkcm_obs::Counter; 3]> = LazyLock::new(|| {
     SEARCH_STAGES.map(|stage| {
         tkcm_obs::registry().counter("tkcm_core_search_nanos_total", &[("stage", stage)])
     })
@@ -58,15 +58,13 @@ static SEARCH_NANOS: LazyLock<[tkcm_obs::Counter; 4]> = LazyLock::new(|| {
 /// The stages of one composed search ([`SEARCH_STAGES`]).
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum SearchStage {
-    /// The query, its chunk summaries, the anchor provenance and the
-    /// lag-memory walk.
-    Seed,
+    /// The query, its chunk summaries and the anchor provenance.
+    Query,
     /// The level-1 bound of every run.
     RunBounds,
-    /// The best-first heap loop, its drain included.
+    /// The best-first heap loop, its drain and the sort of the folds for
+    /// the DP included.
     Search,
-    /// The lag-memory rebuild.
-    Memory,
 }
 
 /// Stopwatch over the stages of one composed search: each
@@ -95,8 +93,9 @@ pub struct PhaseBreakdown {
     pub selection: Duration,
     /// Value imputation: averaging the anchor values and writing back.
     pub imputation: Duration,
-    /// Composed-path upkeep outside an imputation: the engine's lag-memory
-    /// lookup per imputation.  Zero on the exact-recompute path.
+    /// Always zero: the composed search keeps no state between
+    /// imputations, so there is no upkeep outside one.  Kept so the
+    /// breakdown's layout (snapshots, benchmark readers) is stable.
     pub maintenance: Duration,
     /// Number of imputations the breakdown was accumulated over.
     pub imputations: usize,
@@ -126,16 +125,6 @@ impl PhaseBreakdown {
             0.0
         } else {
             self.selection.as_secs_f64() / total
-        }
-    }
-
-    /// Fraction of the total spent in composed-path upkeep (`maintenance`).
-    pub fn maintenance_share(&self) -> f64 {
-        let total = self.total().as_secs_f64();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.maintenance.as_secs_f64() / total
         }
     }
 
@@ -174,7 +163,7 @@ pub struct PhaseTimer {
     started: Option<(Phase, Instant)>,
 }
 
-/// The three phases of Algorithm 1, plus the composed path's upkeep.
+/// The three phases of Algorithm 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
     /// Pattern extraction (step 1).
@@ -183,8 +172,6 @@ pub enum Phase {
     Selection,
     /// Value imputation (step 3).
     Imputation,
-    /// Composed-path upkeep (engine tick path only).
-    Maintenance,
 }
 
 impl PhaseTimer {
@@ -211,7 +198,6 @@ impl PhaseTimer {
                 Phase::Extraction => self.breakdown.extraction += elapsed,
                 Phase::Selection => self.breakdown.selection += elapsed,
                 Phase::Imputation => self.breakdown.imputation += elapsed,
-                Phase::Maintenance => self.breakdown.maintenance += elapsed,
             }
             record_phase_nanos(phase, elapsed);
         }
@@ -275,7 +261,6 @@ mod tests {
         assert_eq!(b.total(), Duration::ZERO);
         assert_eq!(b.extraction_share(), 0.0);
         assert_eq!(b.selection_share(), 0.0);
-        assert_eq!(b.maintenance_share(), 0.0);
     }
 
     #[test]
@@ -299,7 +284,7 @@ mod tests {
         assert_eq!(b.selection, Duration::from_millis(6));
         assert_eq!(b.maintenance, Duration::from_millis(5));
         assert_eq!(b.imputations, 3);
-        assert!((b.maintenance_share() - 5.0 / 24.0).abs() < 1e-12);
+        assert!((b.selection_share() - 6.0 / 24.0).abs() < 1e-12);
     }
 
     #[test]

@@ -11,20 +11,15 @@
 //! Imputation dispatches two ways.  On the *composed* path (the default,
 //! [`TkcmEngine::is_composed`]) the engine owns a [`SignatureIndex`] over all
 //! series, a block ring each pushed tick extends and each imputed write-back
-//! re-summarizes from the window, and one *lag memory* per active reference
-//! set: the lags of that set's last imputation's finite exact folds, best
-//! first, which seed the next imputation's τ.  A memory is created empty
-//! when its reference set first serves an imputation, is overwritten by
-//! every imputation it serves, and is evicted once no imputation has used it
-//! for `2l` ticks.  Both are caches that only order and bound candidates:
-//! snapshots leave them out, and a decoded engine rebuilds the index and
-//! starts with no lag memories.
+//! re-summarizes from the window, and every imputation runs one stateless
+//! best-first search over it ([`TkcmImputer::impute_composed`]).  The index
+//! is a cache that only bounds candidates: snapshots leave it out, and a
+//! decoded engine rebuilds it from the window.
 //! With `TkcmConfig::pruning = false` every imputation runs the exhaustive
 //! exact path ([`TkcmImputer::impute`]) instead, the oracle the composed path
 //! is bit-identical to.
 
 use std::sync::LazyLock;
-use std::time::Instant;
 
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp, TsError};
 
@@ -34,19 +29,17 @@ use crate::imputer::{ImputationDetail, PruneStats, TkcmImputer};
 use crate::signature::SignatureIndex;
 
 /// Fleet-wide pruning totals in the global metrics registry, in the same
-/// split as [`PruneStats`] (the composed-path counters — level-1 run skips,
-/// the always-zero maintained prunes, lag-memory sizes — ride as extra
-/// paths).
+/// split as [`PruneStats`] (the composed-path counters — level-1 run skips
+/// and the always-zero maintained prunes — ride as extra paths).
 /// Record-only: the imputation path never reads these back (`obs-read-only`
 /// policy).
-static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 6]> = LazyLock::new(|| {
+static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 5]> = LazyLock::new(|| {
     [
         "candidates",
         "shortlisted",
         "pruned",
         "level1_skipped",
         "maintained_pruned",
-        "maintained_lags",
     ]
     .map(|path| tkcm_obs::registry().counter("tkcm_core_prune_total", &[("path", path)]))
 });
@@ -99,17 +92,6 @@ impl EngineOutcome {
     }
 }
 
-/// One reference set's τ-seeding lag memory (composed path): the lags of its
-/// last imputation's finite exact folds in ascending `(D, lag)` order, plus
-/// the tick it last served.  The type and the engine field keep their older
-/// `Shortlist` names because the snapshot-fingerprint lint hashes the
-/// engine's struct definition, non-persisted fields included.
-struct Shortlist {
-    references: Vec<SeriesId>,
-    lags: Vec<usize>,
-    last_used: usize,
-}
-
 /// Continuous TKCM imputation engine over a fixed set of streams.
 pub struct TkcmEngine {
     // Fields are `pub(crate)` so the snapshot codec (`persist`) can write
@@ -125,15 +107,6 @@ pub struct TkcmEngine {
     /// window by `advance_tick`/`commit_write_back`.  A pruning cache, not
     /// state: snapshots leave it out and decode rebuilds it from the window.
     signatures: Option<SignatureIndex>,
-    /// Lag memories, one per reference set that served a composed
-    /// imputation within the last `2l` ticks.  They only order the seeding
-    /// walk, so snapshots leave them out and a decoded engine starts with
-    /// none.  Always empty on the exact path.
-    shortlists: Vec<Shortlist>,
-    /// Level-1 run length of the composed path, fixed at construction from
-    /// config geometry ([`crate::signature::level1_run_len`] — static per
-    /// run, no obs read-back).
-    level1_run_len: usize,
     /// Running totals of the per-imputation [`PruneStats`].  Persisted in
     /// snapshots so diagnostics survive a crash — unlike the phase
     /// wall-clock durations, these are exact event counts with no
@@ -156,10 +129,8 @@ impl TkcmEngine {
 
     /// Assembles an engine around `window` with zeroed counters: the one
     /// place an engine is built, by [`TkcmEngine::new`] and by snapshot
-    /// decode.  The signature index is rebuilt from the window's contents
-    /// (so it is in lock-step with it by construction) and there are no lag
-    /// memories yet; neither changes an imputed bit, only how much pruning
-    /// the first imputations get.
+    /// decode.  The signature index is rebuilt from the window's contents,
+    /// so it is in lock-step with it by construction.
     pub(crate) fn assemble(
         config: TkcmConfig,
         window: StreamingWindow,
@@ -172,7 +143,6 @@ impl TkcmEngine {
         } else {
             None
         };
-        let level1_run_len = crate::signature::level1_run_len(config.pattern_length);
         let imputer = TkcmImputer::new(config)?;
         Ok(TkcmEngine {
             imputer,
@@ -182,8 +152,6 @@ impl TkcmEngine {
             imputation_count: 0,
             tick_count: 0,
             signatures,
-            shortlists: Vec::new(),
-            level1_run_len,
             prune_totals: PruneStats::default(),
         })
     }
@@ -213,34 +181,23 @@ impl TkcmEngine {
         self.imputation_count
     }
 
-    /// Accumulated phase-timing breakdown over all imputations (Section 7.4),
-    /// including the lag-memory lookups of the composed path.
+    /// Accumulated phase-timing breakdown over all imputations (Section 7.4).
     pub fn phase_breakdown(&self) -> PhaseBreakdown {
         self.breakdown
     }
 
-    /// Whether the *composed* path — signature pruning seeded from the lag
-    /// memories — serves this engine's imputations: exactly
-    /// the `TkcmConfig::pruning` switch (on by default).  Otherwise every
+    /// Whether the *composed* path — the best-first search over the
+    /// signature index — serves this engine's imputations: exactly the
+    /// `TkcmConfig::pruning` switch (on by default).  Otherwise every
     /// imputation runs the exhaustive exact path.
     pub fn is_composed(&self) -> bool {
         self.imputer.config().pruning
     }
 
-    /// The composed path's level-1 run length (candidate lags per coarse
-    /// envelope bound), fixed at construction.
-    pub fn level1_run_len(&self) -> usize {
-        self.level1_run_len
-    }
-
-    /// Number of live lag memories (composed path; 0 otherwise).
-    pub fn lag_memory_count(&self) -> usize {
-        self.shortlists.len()
-    }
-
-    /// Total lags currently remembered, summed over all live lag memories.
+    /// Always 0: the composed search remembers no lags between
+    /// imputations.  Kept so benchmark readers of the counter stay stable.
     pub fn shortlisted_lag_count(&self) -> usize {
-        self.shortlists.iter().map(|m| m.lags.len()).sum()
+        0
     }
 
     /// Running totals of the pruning counters across all imputations so far
@@ -250,54 +207,17 @@ impl TkcmEngine {
         self.prune_totals
     }
 
-    /// Ticks a lag memory may go unused before it is evicted.  A memory
-    /// idle for longer than `O(l)` ticks points at lags whose patterns have
-    /// drifted, which makes a worse seed than the best-first search finds
-    /// from a cold start; `2l` adds hysteresis for intermittent gaps.
-    fn lag_memory_ttl(&self) -> usize {
-        2 * self.imputer.config().pattern_length
-    }
-
-    /// Index of the lag memory for `references`, marked as used at this
-    /// tick; an empty one is created if this reference set has none yet.
-    fn lag_memory_for(&mut self, references: &[SeriesId]) -> usize {
-        let idx = match self
-            .shortlists
-            .iter()
-            .position(|m| m.references == references)
-        {
-            Some(idx) => idx,
-            None => {
-                self.shortlists.push(Shortlist {
-                    references: references.to_vec(),
-                    lags: Vec::new(),
-                    last_used: 0,
-                });
-                self.shortlists.len() - 1
-            }
-        };
-        self.shortlists[idx].last_used = self.tick_count;
-        idx
-    }
-
     /// Folds one imputation's [`PruneStats`] into the engine totals and the
-    /// fleet-wide metrics registry (record-only).  Per-batch deltas reach the
-    /// flight recorder through the runtime's `batch_drained` events; a
-    /// per-imputation event here would evict the checkpoint and fsync events
-    /// the recorder exists for.
+    /// fleet-wide metrics registry (record-only).  A per-imputation
+    /// flight-recorder event here would evict the checkpoint and fsync
+    /// events the recorder exists for.
     fn record_prune_stats(&mut self, stats: &PruneStats) {
-        self.prune_totals.candidates += stats.candidates;
-        self.prune_totals.shortlisted += stats.shortlisted;
-        self.prune_totals.pruned += stats.pruned;
-        self.prune_totals.level1_skipped += stats.level1_skipped;
-        self.prune_totals.maintained_pruned += stats.maintained_pruned;
-        self.prune_totals.maintained_lags += stats.maintained_lags;
+        self.prune_totals += *stats;
         PRUNE_TOTALS[0].add(stats.candidates as u64);
         PRUNE_TOTALS[1].add(stats.shortlisted as u64);
         PRUNE_TOTALS[2].add(stats.pruned as u64);
         PRUNE_TOTALS[3].add(stats.level1_skipped as u64);
         PRUNE_TOTALS[4].add(stats.maintained_pruned as u64);
-        PRUNE_TOTALS[5].add(stats.maintained_lags as u64);
     }
 
     /// Processes one arriving tick: pushes it into the window, advances the
@@ -324,20 +244,12 @@ impl TkcmEngine {
                 outcome.skipped.push(target);
                 continue;
             }
-            let detail = if self.is_composed() {
-                let start = Instant::now();
-                let midx = self.lag_memory_for(&selection.references);
-                self.breakdown.maintenance += start.elapsed();
-                let index = self.signatures.as_ref().ok_or_else(|| {
-                    TsError::invalid("signature", "composed path without a signature index")
-                })?;
+            let detail = if let Some(index) = self.signatures.as_ref() {
                 let (detail, stats) = self.imputer.impute_composed(
                     &self.window,
                     target,
                     &selection.references,
                     index,
-                    &mut self.shortlists[midx].lags,
-                    self.level1_run_len,
                 )?;
                 self.record_prune_stats(&stats);
                 detail
@@ -363,8 +275,8 @@ impl TkcmEngine {
     /// The batch path is **bit-identical** to `N` sequential
     /// [`TkcmEngine::process_tick`] calls: each tick runs through exactly the
     /// same `advance_tick` → impute → `commit_write_back` sequence, so window
-    /// contents, lag-memory creation/eviction timing and every remembered lag
-    /// come out the same either way (the property
+    /// contents, the signature index and every counter come out the same
+    /// either way (the property
     /// `tkcm-runtime/tests/batching.rs` pins).  Batching exists so callers —
     /// the sharded runtime's workers above all — can amortise *their* per-tick
     /// overhead (channel round-trips, WAL writes) across many ticks; the
@@ -382,8 +294,8 @@ impl TkcmEngine {
         Ok(outcomes)
     }
 
-    /// Pushes a tick into the window, brings the signature index up to date
-    /// and evicts lag memories idle past the TTL.  Shared by
+    /// Pushes a tick into the window and brings the signature index up to
+    /// date.  Shared by
     /// [`TkcmEngine::process_tick`] and the WAL replay path so that replayed
     /// ticks mutate the state through exactly the code live ticks do.
     fn advance_tick(&mut self, tick: &StreamTick) -> Result<(), TsError> {
@@ -392,10 +304,6 @@ impl TkcmEngine {
         if let Some(index) = self.signatures.as_mut() {
             index.on_push(&tick.values)?;
         }
-        let tick_count = self.tick_count;
-        let ttl = self.lag_memory_ttl();
-        self.shortlists
-            .retain(|m| tick_count.saturating_sub(m.last_used) <= ttl);
         Ok(())
     }
 
@@ -414,8 +322,6 @@ impl TkcmEngine {
     /// signature index and counters of the original
     /// [`TkcmEngine::process_tick`] call without re-running pattern
     /// extraction or selection (the logged values are authoritative).
-    /// Replay runs no imputation, so it creates no lag memories; live ones
-    /// age toward eviction exactly as on the live path.
     ///
     /// Entries whose tick time is not ahead of the window are *stale* — they
     /// describe ticks already covered by the snapshot the replay started
@@ -604,44 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn idle_shortlist_states_are_evicted_after_the_ttl() {
-        // Series 0 misses one block of ticks and then stays observed: its
-        // lag memory for [1] must survive every tick up to `2l` idle ticks
-        // after its last imputation and be gone on the tick after.  A later
-        // gap re-creates it and fills it from that imputation's exact folds.
-        let mut catalog = Catalog::new();
-        catalog
-            .set_candidates(SeriesId(0), vec![SeriesId(1)])
-            .unwrap();
-        let l = 3;
-        let mut engine = TkcmEngine::new(2, small_config(128, l, 2, 1), catalog).unwrap();
-        let ttl = 2 * l;
-        let last_gap_tick = 104usize;
-        for t in 0..140usize {
-            let missing = (100..=last_gap_tick).contains(&t) || t == 130;
-            let s0 = if missing {
-                None
-            } else {
-                Some(sine(t, 24.0, 0.0))
-            };
-            let tick =
-                StreamTick::new(Timestamp::new(t as i64), vec![s0, Some(sine(t, 24.0, 5.0))]);
-            engine.process_tick(&tick).unwrap();
-            let expected = if t < 100 {
-                0
-            } else if t <= last_gap_tick + ttl || (130..=130 + ttl).contains(&t) {
-                1
-            } else {
-                0
-            };
-            assert_eq!(engine.lag_memory_count(), expected, "tick {t}");
-            if t == 130 {
-                assert!(engine.shortlisted_lag_count() > 0);
-            }
-        }
-    }
-
-    #[test]
     fn process_batch_is_bit_identical_to_sequential_ticks() {
         let width = 3;
         let config = small_config(128, 3, 2, 2);
@@ -688,11 +556,7 @@ mod tests {
             per_tick.imputations_performed(),
             batched.imputations_performed()
         );
-        assert_eq!(per_tick.lag_memory_count(), batched.lag_memory_count());
-        assert_eq!(
-            per_tick.shortlisted_lag_count(),
-            batched.shortlisted_lag_count()
-        );
+        assert_eq!(per_tick.prune_totals(), batched.prune_totals());
     }
 
     #[test]
@@ -753,11 +617,11 @@ mod tests {
             "expected composed pruning on a periodic signal: {totals:?}"
         );
         assert!(
-            totals.maintained_lags > 0,
-            "composed path should remember lags: {totals:?}"
+            totals.shortlisted > 0 && totals.shortlisted < totals.candidates,
+            "composed path should fold some candidates, not all: {totals:?}"
         );
-        assert!(composed.lag_memory_count() > 0);
-        assert_eq!(exhaustive.lag_memory_count(), 0);
+        assert_eq!(totals.maintained_pruned, 0);
+        assert_eq!(composed.shortlisted_lag_count(), 0);
         assert_eq!(exhaustive.prune_totals(), PruneStats::default());
     }
 

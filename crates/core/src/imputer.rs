@@ -24,7 +24,7 @@ use crate::diagnostics::{Phase, PhaseBreakdown, PhaseTimer, SearchStage, StageCl
 use crate::dissimilarity::{l2_distance, l2_from_components};
 use crate::pattern::{extract_pattern_at_age, extract_query_pattern, Pattern};
 use crate::selection::select_anchors_dp_at;
-use crate::signature::{RunSums, SignatureIndex, SignatureQuery};
+use crate::signature::{level1_run_len, RunSums, SignatureIndex, SignatureQuery};
 
 /// One selected anchor: time point, dissimilarity of its pattern and the
 /// value of the incomplete series there.
@@ -102,9 +102,6 @@ pub struct PruneStats {
     /// Always 0: no maintained bound prunes candidates any more.  Kept so
     /// the counter layout (snapshots, metrics, benchmark readers) is stable.
     pub maintained_pruned: usize,
-    /// Lags in the reference set's lag memory when the imputation began
-    /// (the previous imputation's finite exact folds).
-    pub maintained_lags: usize,
 }
 
 impl std::ops::AddAssign for PruneStats {
@@ -114,7 +111,6 @@ impl std::ops::AddAssign for PruneStats {
         self.pruned += rhs.pruned;
         self.level1_skipped += rhs.level1_skipped;
         self.maintained_pruned += rhs.maintained_pruned;
-        self.maintained_lags += rhs.maintained_lags;
     }
 }
 
@@ -131,7 +127,6 @@ impl PruneStats {
             maintained_pruned: self
                 .maintained_pruned
                 .saturating_sub(earlier.maintained_pruned),
-            maintained_lags: self.maintained_lags.saturating_sub(earlier.maintained_lags),
         }
     }
 }
@@ -380,54 +375,42 @@ impl TkcmImputer {
     }
 
     /// Imputes like [`TkcmImputer::impute`], but uses the signature `index`
-    /// and the lag memory `warm` to *prune* the candidate space before
-    /// exact evaluation: admissible lower bounds `LB[j] ≤ D[j]` are compared
-    /// against the float sum `τ` of a feasible k-anchor solution, and
-    /// candidates provably outside every optimal selection keep `D[j] = +∞`
-    /// unevaluated.  Two steps:
+    /// to *prune* the candidate space before exact evaluation: admissible
+    /// lower bounds `LB[j] ≤ D[j]` are compared against the float sum `τ` of
+    /// a feasible k-anchor solution, and candidates provably outside every
+    /// optimal selection keep `D[j] = +∞` unevaluated.
     ///
-    /// 1. **Warm seed** — `warm` holds the lags of the previous
-    ///    imputation's finite exact folds for this reference set, best
-    ///    first; walking it usually certifies a feasible k-solution, and
-    ///    with it τ, after about k exact evaluations.
-    /// 2. **Best-first search** — a min-heap of open nodes keyed by
-    ///    admissible bound: one node per level-1 run of `run_len` lags
-    ///    ([`SignatureIndex::run_lower_bound_sq_with_query`]), which expands
-    ///    into per-lag level-0 chunk-mean bounds, computed for the whole run
-    ///    in one pass ([`RunSums::fill`], which also drops a lag holding a
-    ///    missing slot), which expand into exact folds.  If the memory could
-    ///    not certify τ, its folds re-enter the heap keyed by their exact D
-    ///    and the seed restarts in bound order.  The search stops at the
-    ///    first key over the `τ − S` bar (S: the k−1 smallest Ds the other
-    ///    anchors can have), which proves every open node out at once.  The
-    ///    bar never rises from one pop to the next, so an expansion pushes
-    ///    only the lags keyed at or under the bar of the pop that expanded
-    ///    the run; the rest are pruned at once, as the stop would prune
-    ///    them.  A cold memory needs no separate sweep: bound order finds
-    ///    low-D candidates by itself.
+    /// One best-first search: a min-heap of open nodes keyed by admissible
+    /// bound, one node per level-1 run of
+    /// [`crate::signature::level1_run_len`]`(l)` lags
+    /// ([`SignatureIndex::run_lower_bound_sq_with_query`]), which expands
+    /// into per-lag level-0 chunk-mean bounds, computed for the whole run in
+    /// one pass ([`RunSums::fill`], which also drops a lag holding a missing
+    /// slot), which expand into exact folds.  The first k non-overlapping
+    /// finite folds in pop order certify τ.  The search stops at the first
+    /// key over the `τ − S` bar (S: the k−1 smallest Ds the other anchors
+    /// can have), which proves every open node out at once.  The bar never
+    /// rises from one pop to the next, so an expansion pushes only the lags
+    /// keyed at or under the bar of the pop that expanded the run; the rest
+    /// are pruned at once, as the stop would prune them.  Bound order finds
+    /// low-D candidates by itself, so nothing is kept from one imputation to
+    /// the next.
     ///
-    /// The memory only orders the seeding walk: every `D` entering selection
-    /// comes from the exact fold and all bounds are admissible (see
-    /// [`crate::signature`]), so the result is **bit-identical** to
-    /// [`TkcmImputer::impute`] for any `warm` — the float-level proof is in
-    /// the comments below.  On return `warm` holds this imputation's finite
-    /// exact folds in ascending `(D, lag)` order, ready for the next call;
-    /// the lag memory and the anchor DP read only the list of those folds,
-    /// never all J candidates.
+    /// Every `D` entering selection comes from the exact fold and all
+    /// bounds are admissible (see [`crate::signature`]), so the result is
+    /// **bit-identical** to [`TkcmImputer::impute`] — the float-level proof
+    /// is in the comments below.  The anchor DP reads only the list of
+    /// finite folds, never all J candidates.
     /// Requires `index` in lock-step with `window`; the streaming engine
-    /// keeps it so on its default path.  `run_len` is the level-1 run
-    /// width, picked once at engine construction from config geometry
-    /// ([`crate::signature::level1_run_len`]).
+    /// keeps it so on its default path.
     pub fn impute_composed(
         &self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
         index: &SignatureIndex,
-        warm: &mut Vec<usize>,
-        run_len: usize,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        self.impute_composed_impl(window, target, references, index, warm, run_len, 1.0, 1.0)
+        self.impute_composed_impl(window, target, references, index, 1.0, 1.0)
     }
 
     /// Test-only entry: like [`TkcmImputer::impute_composed`] but inflating
@@ -436,32 +419,24 @@ impl TkcmImputer {
     /// equivalence suite can prove over-pruning at either level is caught.
     /// Never call it with factors != 1.0 outside tests.
     #[doc(hidden)]
-    #[allow(clippy::too_many_arguments)]
     pub fn impute_composed_with_inflation(
         &self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
         index: &SignatureIndex,
-        warm: &mut Vec<usize>,
-        run_len: usize,
         inflate0: f64,
         inflate1: f64,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        self.impute_composed_impl(
-            window, target, references, index, warm, run_len, inflate0, inflate1,
-        )
+        self.impute_composed_impl(window, target, references, index, inflate0, inflate1)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn impute_composed_impl(
         &self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
         index: &SignatureIndex,
-        warm: &mut Vec<usize>,
-        run_len: usize,
         inflate0: f64,
         inflate1: f64,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
@@ -469,12 +444,6 @@ impl TkcmImputer {
             return Err(TsError::invalid(
                 "signature",
                 "signature index is not in lock-step with the window",
-            ));
-        }
-        if run_len == 0 {
-            return Err(TsError::invalid(
-                "run_len",
-                "level-1 run length must be positive",
             ));
         }
         let now = window
@@ -488,6 +457,7 @@ impl TkcmImputer {
         }
         let l = self.config.pattern_length;
         let k = self.config.anchor_count;
+        let run_len = level1_run_len(l);
         let mut timer = PhaseTimer::new();
 
         // -------- Step 1: pattern extraction, composed --------
@@ -502,10 +472,7 @@ impl TkcmImputer {
         // Every candidate with a finite exact fold, the only finite `D`s: a
         // pruned or disqualified candidate's `D` stays `+∞`.
         let mut folded: Vec<usize> = Vec::new();
-        let mut stats = PruneStats {
-            maintained_lags: warm.len(),
-            ..PruneStats::default()
-        };
+        let mut stats = PruneStats::default();
         if filled >= 2 * l {
             let j = filled + 1 - 2 * l;
             stats.candidates = j;
@@ -525,47 +492,7 @@ impl TkcmImputer {
                     };
                     state == SlotState::Observed
                 };
-                // `evaluated[idx]`: the lag-memory walk already took
-                // candidate idx's exact fold, so the search skips it;
-                // `walked` lists those candidates.
-                let mut evaluated = vec![false; j];
-                let mut walked: Vec<usize> = Vec::new();
-
-                // ---- Warm seed from the lag memory ----
-                // The previous imputation's best lags are usually still
-                // among the best one tick later, so the greedy walk tends to
-                // certify k tight seeds after about k exact evaluations.
-                // The candidate lag *is* the window age of its anchor
-                // (`lag = t_n − t_j`).
-                let mut seed: Vec<usize> = Vec::new();
-                for &lag in warm.iter() {
-                    if seed.len() == k {
-                        break;
-                    }
-                    if lag < newest_age || lag > oldest_age {
-                        continue;
-                    }
-                    let idx = oldest_age - lag;
-                    if seed.iter().any(|&p| idx.abs_diff(p) < l) {
-                        continue;
-                    }
-                    if !is_observed(idx) {
-                        continue;
-                    }
-                    if !evaluated[idx] {
-                        dissimilarities[idx] = self.exact_fold(window, references, q, lag);
-                        evaluated[idx] = true;
-                        walked.push(idx);
-                        stats.shortlisted += 1;
-                        if dissimilarities[idx].is_finite() {
-                            folded.push(idx);
-                        }
-                    }
-                    if dissimilarities[idx].is_finite() {
-                        seed.push(idx);
-                    }
-                }
-                clock.lap(SearchStage::Seed);
+                clock.lap(SearchStage::Query);
 
                 // ---- Best-first search ----
                 // A min-heap of open nodes, each keyed by an admissible lower
@@ -574,7 +501,8 @@ impl TkcmImputer {
                 // node per lag keyed by `max(level-0 bound, run key)`.  Both
                 // bounds are ≤ D, so keys never fall from parent to child,
                 // and when key `b` pops, every candidate still open — in the
-                // heap or in an unexpanded run — has `D ≥ b`.  A popped lag
+                // heap or in an unexpanded run — has `D ≥ b`.  Each lag is
+                // pushed at most once, when its run expands, and a popped lag
                 // takes its exact fold.  Until τ is certified, a finite fold
                 // that does not overlap the seed joins it (candidate ages are
                 // consecutive, so candidates overlap iff their indices are
@@ -626,45 +554,32 @@ impl TkcmImputer {
                 // non-overlapping finite candidates ends as the exhaustive
                 // sweep.
                 let keep = k - 1;
-                // The walk folds only lags that fit the seed, so its finite
-                // folds are exactly the seed's.
-                let mut best: Vec<f64> = seed.iter().map(|&idx| dissimilarities[idx]).collect();
-                best.sort_unstable_by(f64::total_cmp);
-                best.truncate(keep);
+                let mut seed: Vec<usize> = Vec::with_capacity(k);
+                let mut best: Vec<f64> = Vec::with_capacity(keep);
                 let run_of = |s: usize| s..(s + run_len).min(j);
                 let mut run_sums = RunSums::default();
-                let mut open: BinaryHeap<Open> = BinaryHeap::new();
-                if seed.len() < k {
-                    // The walk did not certify τ: restart the seed in bound
-                    // order, its folds keyed by their exact D (their own
-                    // tightest bound), so a stale memory cannot loosen τ.
-                    open.extend(seed.drain(..).map(|idx| Open {
-                        key: dissimilarities[idx],
-                        run: false,
-                        idx,
-                    }));
-                }
-                open.extend((0..j).step_by(run_len).map(|s| {
-                    // Candidate index ascends oldest-first, so the run's
-                    // smallest lag is its *last* candidate.
-                    let run = run_of(s);
-                    let lag_lo = oldest_age - (run.end - 1);
-                    let run_sq = index.run_lower_bound_sq_with_query(
-                        references,
-                        lag_lo,
-                        run.len(),
-                        l,
-                        &sig_query,
-                    );
-                    Open {
-                        key: (run_sq * inflate1).max(0.0).sqrt(),
-                        run: true,
-                        idx: s,
-                    }
-                }));
+                let mut open: BinaryHeap<Open> = (0..j)
+                    .step_by(run_len)
+                    .map(|s| {
+                        // Candidate index ascends oldest-first, so the run's
+                        // smallest lag is its *last* candidate.
+                        let run = run_of(s);
+                        let lag_lo = oldest_age - (run.end - 1);
+                        let run_sq = index.run_lower_bound_sq_with_query(
+                            references,
+                            lag_lo,
+                            run.len(),
+                            l,
+                            &sig_query,
+                        );
+                        Open {
+                            key: (run_sq * inflate1).max(0.0).sqrt(),
+                            run: true,
+                            idx: s,
+                        }
+                    })
+                    .collect();
                 clock.lap(SearchStage::RunBounds);
-                // `expanded[s / run_len]`: the run starting at s was expanded.
-                let mut expanded = vec![false; j.div_ceil(run_len)];
                 let mut threshold = None;
                 while let Some(node) = open.pop() {
                     if threshold.is_none() && seed.len() == k {
@@ -696,28 +611,19 @@ impl TkcmImputer {
                                     let skipped = run_of(rest.idx).len();
                                     stats.pruned += skipped;
                                     stats.level1_skipped += skipped;
-                                } else if !evaluated[rest.idx] {
+                                } else {
                                     stats.pruned += 1;
                                 }
                             }
-                            // The walk's folds inside unexpanded runs were
-                            // evaluated, not skipped.
-                            let walked_skipped = walked
-                                .iter()
-                                .filter(|&&idx| !expanded[idx / run_len])
-                                .count();
-                            stats.pruned -= walked_skipped;
-                            stats.level1_skipped -= walked_skipped;
                             break;
                         }
                     }
                     if node.run {
-                        expanded[node.idx / run_len] = true;
                         let run = run_of(node.idx);
                         let lag_lo = oldest_age - (run.end - 1);
                         run_sums.fill(window, references, lag_lo, run.len(), l, &sig_query)?;
                         for idx in run {
-                            if evaluated[idx] || !is_observed(idx) {
+                            if !is_observed(idx) {
                                 continue;
                             }
                             let (lb_sq, certain_missing) =
@@ -736,40 +642,26 @@ impl TkcmImputer {
                         continue;
                     }
                     let idx = node.idx;
-                    if !evaluated[idx] {
-                        let d = self.exact_fold(window, references, q, oldest_age - idx);
-                        dissimilarities[idx] = d;
-                        stats.shortlisted += 1;
-                        if d.is_finite() {
-                            folded.push(idx);
-                            let at = best.partition_point(|&v| v <= d);
-                            if at < keep {
-                                best.insert(at, d);
-                                best.truncate(keep);
-                            }
+                    let d = self.exact_fold(window, references, q, oldest_age - idx);
+                    dissimilarities[idx] = d;
+                    stats.shortlisted += 1;
+                    if d.is_finite() {
+                        folded.push(idx);
+                        let at = best.partition_point(|&v| v <= d);
+                        if at < keep {
+                            best.insert(at, d);
+                            best.truncate(keep);
+                        }
+                        if seed.len() < k && !seed.iter().any(|&p| idx.abs_diff(p) < l) {
+                            seed.push(idx);
                         }
                     }
-                    if dissimilarities[idx].is_finite()
-                        && seed.len() < k
-                        && !seed.iter().any(|&p| idx.abs_diff(p) < l)
-                    {
-                        seed.push(idx);
-                    }
                 }
+                // The DP reads the finite folds in candidate order.
+                folded.sort_unstable();
                 clock.lap(SearchStage::Search);
             }
         }
-        // Remember this imputation's finite exact folds, best first, as the
-        // next imputation's seeding order.
-        let mut folds: Vec<(f64, usize)> = folded
-            .iter()
-            .map(|&idx| (dissimilarities[idx], oldest_age - idx))
-            .collect();
-        folds.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        warm.clear();
-        warm.extend(folds.into_iter().map(|(_, lag)| lag));
-        folded.sort_unstable();
-        clock.lap(SearchStage::Memory);
 
         let detail = self.select_and_impute(
             window,

@@ -27,10 +27,10 @@
 //! 7. **Phase timing** ([`diagnostics`]): pattern-extraction vs
 //!    pattern-selection breakdown reported in Section 7.4.
 //! 8. **Candidate pruning** ([`signature`]): admissible lower bounds — block
-//!    envelopes per run of lags, chunk means per lag — composed with τ
-//!    seeding from the previous imputation's best exact folds and one
-//!    best-first search over level-1 runs, level-0 bounds and exact folds.
-//!    The composed path is bit-identical to the exhaustive one and several
+//!    envelopes per run of lags, chunk means per lag — composed into one
+//!    best-first search per imputation over level-1 runs, level-0 bounds
+//!    and exact folds, which keeps no state between imputations.  The
+//!    composed path is bit-identical to the exhaustive one and several
 //!    times faster at paper scale.
 //!
 //! ## Quick start

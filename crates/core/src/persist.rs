@@ -5,9 +5,10 @@
 //! its caches: the configuration, the streaming window (value rings,
 //! provenance rings, timestamp ring), the reference catalog, the accumulated
 //! phase breakdown, the tick and imputation counters and the prune totals.
-//! Decode rebuilds the signature index from the window and starts with no
-//! lag memories; both only order and bound candidates, so loading a snapshot
-//! and replaying the logged ticks since it ([`WalEntry`], applied through
+//! Decode rebuilds the signature index from the window.  The index only
+//! bounds candidates and the composed search keeps no state across
+//! imputations, so loading a snapshot and replaying the logged ticks since
+//! it ([`WalEntry`], applied through
 //! [`crate::engine::TkcmEngine::apply_wal_entry`]) imputes bit-identically
 //! to an engine that never crashed — the recovery-equivalence property the
 //! runtime's tests pin down.
@@ -148,7 +149,6 @@ impl Snapshot for PruneStats {
         enc.usize(self.pruned);
         enc.usize(self.level1_skipped);
         enc.usize(self.maintained_pruned);
-        enc.usize(self.maintained_lags);
         Ok(())
     }
 
@@ -159,7 +159,6 @@ impl Snapshot for PruneStats {
             pruned: dec.usize()?,
             level1_skipped: dec.usize()?,
             maintained_pruned: dec.usize()?,
-            maintained_lags: dec.usize()?,
         })
     }
 }
@@ -283,12 +282,12 @@ mod tests {
 
     #[test]
     fn engine_snapshot_restores_bit_identical_behaviour() {
-        // Run an engine through imputations (live lag memories), snapshot it,
-        // restore, and drive both with identical further ticks: outcomes and
-        // window contents must match bit for bit, although the restored
-        // engine starts with a rebuilt index and no lag memories.
+        // Run an engine through imputations, snapshot it, restore, and drive
+        // both with identical further ticks: outcomes, window contents and
+        // the prune counters must match bit for bit, although the restored
+        // engine starts with a rebuilt index.
         let mut original = run_engine(120);
-        assert!(original.lag_memory_count() > 0);
+        assert!(original.prune_totals().shortlisted > 0);
         let bytes = encode_to_vec(&original).unwrap();
         let mut restored: TkcmEngine = decode_from_slice(&bytes).unwrap();
         assert_eq!(encode_to_vec(&restored).unwrap(), bytes);
@@ -297,7 +296,7 @@ mod tests {
             restored.imputations_performed(),
             original.imputations_performed()
         );
-        assert_eq!(restored.lag_memory_count(), 0);
+        assert_eq!(restored.prune_totals(), original.prune_totals());
 
         for t in 120..200usize {
             let missing = t % 5 == 0;
@@ -320,6 +319,11 @@ mod tests {
                 assert_eq!(x.detail.anchors, y.detail.anchors);
             }
             assert_eq!(a.skipped, b.skipped);
+            assert_eq!(
+                original.prune_totals(),
+                restored.prune_totals(),
+                "tick {t}: prune counters diverged"
+            );
         }
     }
 
@@ -327,8 +331,8 @@ mod tests {
     fn a_nan_reading_does_not_block_a_checkpoint() {
         // One NaN reference reading at tick 450, inside the window of the
         // later imputations.  It is missing at ingest, so the engine imputes
-        // that slot too (10 target imputations + 1).  Its caches (index, lag
-        // memories) are not persisted, so the engine still encodes, the
+        // that slot too (10 target imputations + 1).  Its signature index is
+        // not persisted, so the engine still encodes, the
         // bytes decode, and the decoded engine re-encodes to the same bytes.
         let config = TkcmConfig::builder()
             .window_length(400)

@@ -1,5 +1,5 @@
 //! Equivalence and admissibility properties of the composed candidate path
-//! (signature-index pruning with τ seeded from the lag memory).
+//! (one best-first search per imputation over signature-index bounds).
 //!
 //! Three families:
 //!
@@ -21,8 +21,8 @@
 use proptest::prelude::*;
 
 use tkcm_core::{
-    extract_pattern, extract_query_pattern, l2_distance, level1_run_len, RunSums, SignatureIndex,
-    SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer, SIGNATURE_BLOCK_LEN,
+    extract_pattern, extract_query_pattern, l2_distance, level1_run_len, PruneStats, RunSums,
+    SignatureIndex, SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer, SIGNATURE_BLOCK_LEN,
 };
 use tkcm_store::{decode_from_slice, encode_to_vec};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
@@ -51,8 +51,8 @@ proptest! {
     /// complete candidate a duplicate), and l reaches past two signature
     /// blocks, so the chunk-mean bound runs on D = 0 candidates.  At a
     /// random tick the composed engine is replaced by its own
-    /// `encode → decode` copy — rebuilt signature index, no lag memories —
-    /// which must keep matching the oracle.  In one case in three the
+    /// `encode → decode` copy — rebuilt signature index, same prune
+    /// counters — which must keep matching the oracle.  In one case in three the
     /// target is observed only in one l-tick burst per two windows, so its
     /// history never holds k non-overlapping candidates: τ is never
     /// certified and the search must end as the exhaustive sweep, pruning
@@ -88,9 +88,8 @@ proptest! {
                 .unwrap();
             TkcmEngine::new(width, config, Catalog::ring_neighbours(width)).unwrap()
         };
-        // The composed path — lag-memory seeding + best-first search over
-        // level-1 and level-0 bounds — must match the exhaustive engine bit
-        // for bit.
+        // The composed path — one best-first search over level-1 and
+        // level-0 bounds — must match the exhaustive engine bit for bit.
         let mut composed = mk(true);
         let mut exhaustive = mk(false);
         prop_assert!(composed.is_composed());
@@ -136,8 +135,9 @@ proptest! {
                 prop_assert_eq!(x.detail.fallback, y.detail.fallback);
             }
             if t == restore_at {
+                let totals = composed.prune_totals();
                 composed = decode_from_slice(&encode_to_vec(&composed).unwrap()).unwrap();
-                prop_assert_eq!(composed.lag_memory_count(), 0);
+                prop_assert_eq!(composed.prune_totals(), totals);
             }
         }
         prop_assert_eq!(
@@ -215,8 +215,8 @@ proptest! {
         check_bounds_admissible(&refs, 2 * l + 64, l, &write_ages)?;
     }
 
-    /// End to end: the default engine, whose composed path seeds τ from its
-    /// lag memories, and an engine on the exhaustive recompute path
+    /// End to end: the default engine, on its composed path, and an engine
+    /// on the exhaustive recompute path
     /// impute the same value *bits* on the same stream (same missing slots,
     /// same skipped series, same anchors), including long outages where
     /// imputed history feeds later patterns and gaps in a reference.
@@ -253,7 +253,6 @@ proptest! {
             ((t as f64 - shift) / period * std::f64::consts::TAU).sin() * 10.0
                 + (t as f64) * 1e-3 // slight drift to break exact ties
         };
-        let mut max_shortlists = 0usize;
         for t in 0..total {
             let s0_missing = (gap_start..gap_start + gap_len).contains(&t);
             let s1_missing = t % 17 == 5;
@@ -268,17 +267,15 @@ proptest! {
             let inc = inc_engine.process_tick(&tick).unwrap().timing_stripped();
             let exact = exact_engine.process_tick(&tick).unwrap().timing_stripped();
             prop_assert!(inc == exact, "tick {}: composed {:?} vs exact {:?}", t, inc, exact);
-            max_shortlists = max_shortlists.max(inc_engine.lag_memory_count());
         }
         prop_assert_eq!(
             inc_engine.imputations_performed(),
             exact_engine.imputations_performed()
         );
-        // Lag memories appear on demand on the composed engine (and may be
-        // evicted again after 2l idle ticks); the exact engine never creates
-        // any.
-        prop_assert!(max_shortlists >= 1);
-        prop_assert_eq!(exact_engine.lag_memory_count(), 0);
+        // The composed engine counts its folds; the exact engine counts
+        // nothing.
+        prop_assert!(inc_engine.prune_totals().shortlisted > 0);
+        prop_assert_eq!(exact_engine.prune_totals(), PruneStats::default());
     }
 }
 
@@ -657,8 +654,9 @@ fn inadmissible_fixture() -> (StreamingWindow, SignatureIndex, TkcmImputer) {
 }
 
 /// The composed path's negative control at level 0.  On the fixture: (1)
-/// with admissible bounds the composed path — cold lag memory *and* warm
-/// lag memory — reproduces the exhaustive answer bitwise; (2) a deliberately
+/// with admissible bounds the composed path reproduces the exhaustive
+/// answer bitwise, and a second call on the same window gives the same
+/// answer and counts, since nothing is kept between calls; (2) a deliberately
 /// inflated — hence inadmissible — per-lag bound prunes the true nearest
 /// candidate away and the imputed value visibly changes.  If over-pruning
 /// ever happens, these comparisons are what catches it.
@@ -667,42 +665,27 @@ fn inflated_bounds_are_caught_by_the_equivalence_check() {
     let (window, index, imputer) = inadmissible_fixture();
     let target = SeriesId(0);
     let refs = vec![SeriesId(1)];
-    let run_len = level1_run_len(imputer.config().pattern_length);
 
     let exact = imputer.impute(&window, target, &refs).unwrap();
 
-    // Positive control, cold then warm: the first composed call starts from
-    // an empty lag memory and fills it with its own exact folds; the second
-    // call seeds τ from that list.  Both must match exhaustive bitwise.
-    let mut warm = Vec::new();
-    for pass in ["cold", "warm"] {
-        let (composed, stats) = imputer
-            .impute_composed(&window, target, &refs, &index, &mut warm, run_len)
-            .unwrap();
-        assert_eq!(
-            stats.maintained_lags > 0,
-            pass == "warm",
-            "{pass} pass lag memory: {stats:?}"
-        );
-        assert_eq!(
-            composed.value.to_bits(),
-            exact.value.to_bits(),
-            "{pass} composed pass must reproduce the exhaustive answer bitwise"
-        );
-        assert_eq!(composed.anchors, exact.anchors, "{pass} pass anchors");
-    }
+    // Positive control: the composed path must match exhaustive bitwise.
+    let (composed, stats) = imputer
+        .impute_composed(&window, target, &refs, &index)
+        .unwrap();
+    assert_eq!(
+        composed.value.to_bits(),
+        exact.value.to_bits(),
+        "the composed path must reproduce the exhaustive answer bitwise"
+    );
+    assert_eq!(composed.anchors, exact.anchors);
+    let (again, again_stats) = imputer
+        .impute_composed(&window, target, &refs, &index)
+        .unwrap();
+    assert_eq!(again.value.to_bits(), composed.value.to_bits());
+    assert_eq!(again_stats, stats);
 
     let (inflated, stats) = imputer
-        .impute_composed_with_inflation(
-            &window,
-            target,
-            &refs,
-            &index,
-            &mut Vec::new(),
-            run_len,
-            1e6,
-            1.0,
-        )
+        .impute_composed_with_inflation(&window, target, &refs, &index, 1e6, 1.0)
         .unwrap();
     assert!(
         stats.pruned > 0,
@@ -730,20 +713,10 @@ fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
     let (window, index, imputer) = inadmissible_fixture();
     let target = SeriesId(0);
     let refs = vec![SeriesId(1)];
-    let run_len = level1_run_len(imputer.config().pattern_length);
 
     let exact = imputer.impute(&window, target, &refs).unwrap();
     let (inflated, stats) = imputer
-        .impute_composed_with_inflation(
-            &window,
-            target,
-            &refs,
-            &index,
-            &mut Vec::new(),
-            run_len,
-            1.0,
-            1e6,
-        )
+        .impute_composed_with_inflation(&window, target, &refs, &index, 1.0, 1e6)
         .unwrap();
     assert!(
         stats.level1_skipped > 0,
@@ -887,10 +860,8 @@ fn inflated_bounds_are_caught_on_the_rounding_fixture() {
     let mut divergent = 0;
     for case in &ROUNDING_CASES {
         let imputer = TkcmImputer::new(case.config(true)).unwrap();
-        let run_len = level1_run_len(case.l);
         let mut window = StreamingWindow::new(3, RoundingCase::WINDOW);
         let mut index = SignatureIndex::new(3, RoundingCase::WINDOW).unwrap();
-        let mut warm = Vec::new();
         for tick in case.ticks() {
             window.push_tick(&tick).unwrap();
             index.on_push(&tick.values).unwrap();
@@ -899,16 +870,7 @@ fn inflated_bounds_are_caught_on_the_rounding_fixture() {
             }
             let exact = imputer.impute(&window, SeriesId(0), &refs).unwrap();
             let (inflated, _) = imputer
-                .impute_composed_with_inflation(
-                    &window,
-                    SeriesId(0),
-                    &refs,
-                    &index,
-                    &mut warm,
-                    run_len,
-                    1e6,
-                    1.0,
-                )
+                .impute_composed_with_inflation(&window, SeriesId(0), &refs, &index, 1e6, 1.0)
                 .unwrap();
             if inflated.value.to_bits() != exact.value.to_bits() {
                 divergent += 1;

@@ -6,11 +6,10 @@
 //!
 //! * **exhaustive** — every candidate pattern is re-extracted and scored
 //!   each imputation (`O(L·l·d)`), the oracle;
-//! * **composed** — the default path: the previous imputation's best lags
-//!   seed the threshold, and a best-first search over the quantized
-//!   signature index's admissible lower bounds — level-1 run envelopes,
-//!   then per-lag chunk-mean bounds — scores exactly only what it cannot
-//!   prove out.
+//! * **composed** — the default path: one best-first search per imputation
+//!   over the quantized signature index's admissible lower bounds — level-1
+//!   run envelopes, then per-lag chunk-mean bounds — scores exactly only
+//!   what it cannot prove out.
 //!
 //! Pruning is *admissible*, so the composed run must impute
 //! **bit-identical** values to the exhaustive run — the replay asserts that
@@ -18,12 +17,11 @@
 //! number can never come from silently different answers.
 //!
 //! The headline trend fields are the composed-vs-exhaustive speedup, the
-//! fraction of candidates pruned (`pruned_fraction`), the fraction skipped
-//! in level-1 runs the search never expanded (`level1_skipped_fraction`) and the
-//! average fraction of candidates remembered in the lag memory when an
-//! imputation begins (`maintained_lag_fraction`); a second table splits the
-//! composed search's time per imputation into its stages (seed, level-1 run
-//! bounds, heap search, lag-memory rebuild).  At paper proportions (l = 72 against a
+//! fraction of candidates pruned (`pruned_fraction`) and the fraction
+//! skipped in level-1 runs the search never expanded
+//! (`level1_skipped_fraction`); a second table splits the composed search's
+//! time per imputation into its stages (query, level-1 run bounds, heap
+//! search).  At paper proportions (l = 72 against a
 //! window over months of 5-minute data) the signature chunks are much
 //! shorter than the pattern, which is the regime where the chunk bounds
 //! separate candidates well.
@@ -120,20 +118,17 @@ pub struct PruningRun {
     /// Fraction of candidates in level-1 runs the search never expanded
     /// (0 for the exhaustive mode).
     pub level1_skipped_fraction: f64,
-    /// Average fraction of candidates remembered in the reference set's lag
-    /// memory when an imputation began (0 for the exhaustive mode).
-    pub maintained_lag_fraction: f64,
     /// Microseconds per imputation in each stage of the composed search, in
     /// [`SEARCH_STAGES`] order (all 0 for the exhaustive mode): the
     /// replay's delta of the process-wide `tkcm_core_search_nanos_total`
     /// counters, so a concurrent composed engine in the same process would
     /// add to it.
-    pub stages_us_per_imputation: [f64; 4],
+    pub stages_us_per_imputation: [f64; SEARCH_STAGES.len()],
 }
 
 /// The process-wide `tkcm_core_search_nanos_total` counters, in
 /// [`SEARCH_STAGES`] order.
-fn search_nanos() -> [u64; 4] {
+fn search_nanos() -> [u64; SEARCH_STAGES.len()] {
     SEARCH_STAGES.map(|stage| {
         tkcm_obs::registry()
             .counter("tkcm_core_search_nanos_total", &[("stage", stage)])
@@ -206,11 +201,6 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
             } else {
                 0.0
             },
-            maintained_lag_fraction: if totals.candidates > 0 {
-                totals.maintained_lags as f64 / totals.candidates as f64
-            } else {
-                0.0
-            },
             stages_us_per_imputation: std::array::from_fn(|i| {
                 if mode == "composed" && !imputed.is_empty() {
                     (stages_after[i] - stages_before[i]) as f64 / 1e3 / imputed.len() as f64
@@ -252,7 +242,6 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
             "speedup_vs_exhaustive".to_string(),
             "pruned_fraction".to_string(),
             "level1_skipped_fraction".to_string(),
-            "maintained_lag_fraction".to_string(),
         ],
     );
     for run in runs {
@@ -265,7 +254,6 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
                 run.speedup_vs_exhaustive,
                 run.pruned_fraction,
                 run.level1_skipped_fraction,
-                run.maintained_lag_fraction,
             ],
         );
     }
@@ -316,8 +304,10 @@ mod tests {
         assert_eq!(exhaustive.speedup_vs_exhaustive, 1.0);
         assert_eq!(exhaustive.pruned_fraction, 0.0);
         assert_eq!(exhaustive.level1_skipped_fraction, 0.0);
-        assert_eq!(exhaustive.maintained_lag_fraction, 0.0);
-        assert_eq!(exhaustive.stages_us_per_imputation, [0.0; 4]);
+        assert_eq!(
+            exhaustive.stages_us_per_imputation,
+            [0.0; SEARCH_STAGES.len()]
+        );
         let composed = &runs[1];
         assert!(
             composed.stages_us_per_imputation.iter().sum::<f64>() > 0.0,
@@ -329,10 +319,10 @@ mod tests {
             "composed path pruned nothing: {composed:?}"
         );
         assert!(
-            composed.maintained_lag_fraction > 0.0,
-            "composed path remembered no lags: {composed:?}"
+            composed.level1_skipped_fraction >= 0.0
+                && composed.level1_skipped_fraction <= composed.pruned_fraction,
+            "level-1 skips are a part of the pruned candidates: {composed:?}"
         );
-        assert!(composed.level1_skipped_fraction >= 0.0);
     }
 
     #[test]
@@ -342,9 +332,9 @@ mod tests {
         let report = report_from(&dataset, Scale::Quick, &runs);
         let table = report.table("Candidate pruning by mode").unwrap();
         assert_eq!(table.rows.len(), MODES.len());
-        assert_eq!(table.headers.len(), 8);
+        assert_eq!(table.headers.len(), 7);
         assert!(table.cell("composed", "pruned_fraction").unwrap() > 0.0);
-        assert!(table.cell("composed", "maintained_lag_fraction").unwrap() > 0.0);
+        assert!(table.cell("composed", "level1_skipped_fraction").unwrap() >= 0.0);
         assert!(table.cell("exhaustive", "speedup_vs_exhaustive").unwrap() == 1.0);
         assert!(report.notes.iter().any(|n| n.contains("bit-identical")));
         let stages = report.table("Composed search stages").unwrap();

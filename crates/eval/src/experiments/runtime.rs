@@ -4,9 +4,8 @@
 //! every parameter (`l`, `d`, `k`, `L`) and dominated by the
 //! pattern-extraction (PE) phase (~92 % for the default `k`).  The engine's
 //! default *composed* path bounds most candidates away before any exact
-//! evaluation (signature-index pruning with τ seeded from the previous
-//! imputation's best exact folds), so extraction shrinks; the engine's
-//! lag-memory lookups show up as a separate maintenance phase.
+//! evaluation (one best-first search over signature-index bounds), so
+//! extraction shrinks.
 //! This module measures the composed path against the exact recompute-all
 //! oracle so the speedup and the phase profiles are visible side by side;
 //! the Criterion benches in `tkcm-bench` repeat the measurements with proper
@@ -14,7 +13,7 @@
 
 use std::time::Instant;
 
-use tkcm_core::{level1_run_len, SignatureIndex, TkcmConfig, TkcmEngine, TkcmImputer};
+use tkcm_core::{SignatureIndex, TkcmConfig, TkcmEngine, TkcmImputer};
 use tkcm_datasets::DatasetKind;
 use tkcm_timeseries::{Catalog, SeriesId, StreamSource, StreamTick, StreamingWindow};
 
@@ -66,20 +65,10 @@ pub fn build_workload(scale: Scale, window_length: usize, d: usize) -> RuntimeWo
 }
 
 impl RuntimeWorkload {
-    /// One imputation of the target on the composed path, seeded from the
-    /// lag memory `warm` (empty for a cold start) and refilling it, as the
-    /// engine does between imputations of one reference set.
-    pub fn impute_composed(&self, imputer: &TkcmImputer, warm: &mut Vec<usize>) -> f64 {
-        let run_len = level1_run_len(imputer.config().pattern_length);
+    /// One imputation of the target on the composed path.
+    pub fn impute_composed(&self, imputer: &TkcmImputer) -> f64 {
         imputer
-            .impute_composed(
-                &self.window,
-                self.target,
-                &self.references,
-                &self.index,
-                warm,
-                run_len,
-            )
+            .impute_composed(&self.window, self.target, &self.references, &self.index)
             .expect("imputation succeeds")
             .0
             .value
@@ -107,8 +96,7 @@ fn runtime_config(l: usize, d: usize, k: usize, window: usize) -> TkcmConfig {
 /// Mean wall-clock seconds per imputation over enough repetitions to smooth
 /// timer noise (a composed-path imputation is only microseconds).
 fn average_impute_seconds(mut impute: impl FnMut() -> f64, iters: usize) -> f64 {
-    // Warm-up pass outside the measurement (on the composed path it also
-    // fills the lag memory, as the engine's previous imputations would).
+    // Warm-up pass outside the measurement.
     assert!(impute().is_finite());
     let start = Instant::now();
     for _ in 0..iters {
@@ -118,14 +106,12 @@ fn average_impute_seconds(mut impute: impl FnMut() -> f64, iters: usize) -> f64 
 }
 
 /// Measures the steady-state seconds of one imputation on the default
-/// composed path: the signature index and a warm lag memory are built
-/// outside the measurement, exactly like the engine keeps them between
-/// ticks.
+/// composed path: the signature index is built outside the measurement,
+/// exactly like the engine keeps it between ticks.
 pub fn time_single_imputation(scale: Scale, l: usize, d: usize, k: usize, window: usize) -> f64 {
     let workload = build_workload(scale, window, d);
     let imputer = TkcmImputer::new(runtime_config(l, d, k, window)).expect("valid config");
-    let mut warm = Vec::new();
-    average_impute_seconds(|| workload.impute_composed(&imputer, &mut warm), 32)
+    average_impute_seconds(|| workload.impute_composed(&imputer), 32)
 }
 
 /// Measures the seconds of one imputation on the exhaustive exact path
@@ -150,8 +136,6 @@ pub struct PhaseShares {
     pub extraction: f64,
     /// Pattern selection (the dynamic program).
     pub selection: f64,
-    /// Shortlist maintenance (zero on the exact path).
-    pub maintenance: f64,
 }
 
 fn phase_shares_for(scale: Scale, k: usize, composed: bool) -> PhaseShares {
@@ -178,8 +162,7 @@ fn phase_shares_for(scale: Scale, k: usize, composed: bool) -> PhaseShares {
     assert_eq!(engine.is_composed(), composed);
 
     // Replay the stream with the target missing over a tail gap, so the
-    // breakdown covers the real tick path: per-tick maintenance plus one
-    // imputation per gap tick.
+    // breakdown covers the real tick path: one imputation per gap tick.
     let len = dataset.len().min(window);
     let gap = 32.min(len / 4);
     let stream = dataset.to_stream();
@@ -202,7 +185,6 @@ fn phase_shares_for(scale: Scale, k: usize, composed: bool) -> PhaseShares {
     PhaseShares {
         extraction: breakdown.extraction_share(),
         selection: breakdown.selection_share(),
-        maintenance: breakdown.maintenance_share(),
     }
 }
 
@@ -240,7 +222,7 @@ pub fn run(scale: Scale) -> Report {
     let mut report = Report::new("Figure 17: runtime linearity and phase breakdown");
     report.note("Seconds per single imputation while sweeping one parameter (SBR-1d stand-in)");
     report.note(
-        "Default path: composed pruning seeded from the last exact folds, bit-identical to exact recompute",
+        "Default path: composed pruning by one best-first search, bit-identical to exact recompute",
     );
     let (ls, ds, ks, windows) = sweep(scale);
     let base_window = match scale {
@@ -336,7 +318,6 @@ pub fn run(scale: Scale) -> Report {
             "configuration".into(),
             "extraction".into(),
             "selection".into(),
-            "maintenance".into(),
         ],
     );
     let big_k = match scale {
@@ -346,29 +327,17 @@ pub fn run(scale: Scale) -> Report {
     let composed_default = phase_shares(scale, 5);
     phases.push_row(
         "composed k=5",
-        vec![
-            composed_default.extraction,
-            composed_default.selection,
-            composed_default.maintenance,
-        ],
+        vec![composed_default.extraction, composed_default.selection],
     );
     let composed_big = phase_shares(scale, big_k);
     phases.push_row(
         format!("composed k={big_k}"),
-        vec![
-            composed_big.extraction,
-            composed_big.selection,
-            composed_big.maintenance,
-        ],
+        vec![composed_big.extraction, composed_big.selection],
     );
     let exact_default = phase_shares_exact(scale, 5);
     phases.push_row(
         "exact k=5",
-        vec![
-            exact_default.extraction,
-            exact_default.selection,
-            exact_default.maintenance,
-        ],
+        vec![exact_default.extraction, exact_default.selection],
     );
     report.add_table(phases);
 
@@ -401,7 +370,6 @@ mod tests {
             shares.selection
         );
         assert!(shares.extraction > 0.5);
-        assert_eq!(shares.maintenance, 0.0);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub struct Event {
     pub seq: u64,
     /// Wall-clock microseconds since the Unix epoch at record time.
     pub unix_micros: u64,
-    /// Event kind (`"span"`, `"batch_drained"`, `"wal_fsync_failed"`, …).
+    /// Event kind (`"span"`, `"migration_triggered"`, `"wal_fsync_failed"`, …).
     pub kind: &'static str,
     /// Typed key/value payload.
     pub fields: Vec<(&'static str, FieldValue)>,

@@ -18,7 +18,7 @@
 //! One OS thread per shard, alive for the lifetime of the engine (`std::
 //! thread` + `std::sync::mpsc`; no external dependencies).  Each worker owns
 //! the engines of the components currently assigned to its shard — window,
-//! catalog, signature index and lag memories never cross a thread
+//! catalog and signature index never cross a thread
 //! boundary mid-flight, so no locking is needed anywhere.  The ingestion
 //! path is **batch-native**: one job carries a whole batch of per-component
 //! sub-ticks to each worker, and exactly one result per worker is received
@@ -1180,37 +1180,12 @@ impl ShardedEngine {
                 gauge.set(ewma);
             }
         }
-        // Fold the shards' cumulative prune totals into the fleet's running
-        // view and derive this batch's delta for the flight recorder.
-        let before = self.prune_totals();
+        // The shards' cumulative prune totals are the fleet's running view.
         for (shard, load) in loads.iter().enumerate() {
             if let Some(slot) = self.shard_prune.get_mut(shard) {
                 *slot = load.prune;
             }
         }
-        let prune_delta = self.prune_totals().saturating_delta(&before);
-        tkcm_obs::recorder().record(
-            "batch_drained",
-            vec![
-                ("ticks", tkcm_obs::FieldValue::U64(len as u64)),
-                (
-                    "shortlisted",
-                    tkcm_obs::FieldValue::U64(prune_delta.shortlisted as u64),
-                ),
-                (
-                    "pruned",
-                    tkcm_obs::FieldValue::U64(prune_delta.pruned as u64),
-                ),
-                (
-                    "level1_skipped",
-                    tkcm_obs::FieldValue::U64(prune_delta.level1_skipped as u64),
-                ),
-                (
-                    "maintained_lags",
-                    tkcm_obs::FieldValue::U64(prune_delta.maintained_lags as u64),
-                ),
-            ],
-        );
         Ok(merged)
     }
 

@@ -56,8 +56,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKCMSNAP";
 /// shortlists) and the manifest's sync policy became a one-byte tag; 9 — the
 /// window's value rings became raw `f64` rings (NaN = missing, no tag bytes)
 /// and every window ring holds only its pushed slots; no cursor is persisted
-/// (it follows from the pushed tick count).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 9;
+/// (it follows from the pushed tick count); 10 — the persisted prune totals
+/// lost `maintained_lags` and the engine its lag memories (the composed
+/// search keeps no state across imputations).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 10;
 
 /// Serialises `value` and writes it as a snapshot file at `path`
 /// (atomically, via `<path>.tmp` + rename).  Returns the file size in
