@@ -49,16 +49,21 @@ use tkcm_timeseries::FleetPartition;
 /// durable prefix is unknowable (the lesson of fsyncgate).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SyncPolicy {
-    /// Never fsync on the tick path (rotation still renames snapshots
-    /// atomically).  Process-crash durable only; a power failure may lose
-    /// the tail the OS had not flushed.  The default, and the pre-batching
-    /// behaviour.
+    /// Never fsync, neither on the tick path nor at a rotation (which
+    /// still renames snapshots atomically).  Process-crash durable only; a
+    /// power failure may lose the tail the OS had not flushed.  The
+    /// default, and the pre-batching behaviour.
     #[default]
     Never,
     /// fsync once per processed batch.  Power-failure durability at one
     /// fsync per batch — the classic group commit: at batch size 1 this is
     /// the per-tick fsync cost, at batch size 64 the same guarantee costs
     /// 1/64th of it.
+    ///
+    /// Rotations keep the guarantee: a worker fsyncs its new snapshot and
+    /// the directory before it resets its WAL, and the fresh WAL and the
+    /// manifest are fsynced with the directory after their renames.  A
+    /// failed sync there fails the checkpoint and leaves the WAL whole.
     EveryBatch,
 }
 

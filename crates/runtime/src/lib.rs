@@ -94,8 +94,8 @@ use std::time::Instant;
 
 use tkcm_core::{EngineOutcome, PruneStats, TkcmConfig, TkcmEngine, WalEntry};
 use tkcm_store::{
-    decode_from_slice, encode_to_vec, read_snapshot_file, read_wal,
-    read_wal_records_tolerating_torn_tail, write_snapshot_file, WalWriter,
+    decode_from_slice, encode_to_vec, read_snapshot_file, read_wal, read_wal_tolerating_torn_tail,
+    write_snapshot_file, write_snapshot_file_synced, WalWriter,
 };
 use tkcm_timeseries::{Catalog, FleetPartition, SeriesId, StreamTick, Timestamp, TsError};
 
@@ -712,12 +712,7 @@ impl ShardedEngine {
             let (records, tail_torn) = if !manifest.wal {
                 (Vec::new(), false)
             } else if tolerate_torn_wal_tail {
-                let (payloads, tail_torn) = read_wal_records_tolerating_torn_tail(&path)?;
-                let records = payloads
-                    .iter()
-                    .map(|payload| decode_from_slice::<ShardWalRecord>(payload))
-                    .collect::<Result<Vec<_>, _>>()?;
-                (records, tail_torn)
+                read_wal_tolerating_torn_tail(&path)?
             } else {
                 (read_wal(&path)?, false)
             };
@@ -784,12 +779,16 @@ impl ShardedEngine {
                     .last()
                     .map(|r| Some(r.entry.tick.time) <= reachable)
                     .unwrap_or(true);
-                if applied_all && !torn[shard] {
-                    Some(WalWriter::open_append(&path)?)
-                } else {
-                    write_snapshot_file(&shard_snapshot_path(dir, shard, version), snapshot)?;
-                    Some(WalWriter::create(&path)?)
+                let mut wal = WalWriter::open_append(&path)?;
+                if !applied_all || torn[shard] {
+                    wal.rotate(
+                        &shard_snapshot_path(dir, shard, version),
+                        snapshot,
+                        &path,
+                        manifest.sync_policy == SyncPolicy::EveryBatch,
+                    )?;
                 }
+                Some(wal)
             } else {
                 None
             };
@@ -911,31 +910,21 @@ impl ShardedEngine {
         // and must recover as such — its manifest records no WAL and no
         // rotation interval, whatever this engine's settings are.  The
         // manifest rename is the commit point: after it, recovery reads the
-        // just-written version-suffixed files.
-        write_snapshot_file(
-            &manifest_path(dir),
-            &Manifest {
-                width: self.partition.width(),
-                partition: self.partition.clone(),
-                wal: resets_wal,
-                snapshot_interval: if resets_wal {
-                    self.durable
-                        .as_ref()
-                        .map(|d| d.snapshot_interval)
-                        .unwrap_or(0)
-                } else {
-                    0
-                },
-                sync_policy: if resets_wal {
-                    self.durable
-                        .as_ref()
-                        .map(|d| d.sync_policy)
-                        .unwrap_or(SyncPolicy::Never)
-                } else {
-                    SyncPolicy::Never
-                },
-            },
-        )?;
+        // just-written version-suffixed files.  Under `EveryBatch` the
+        // manifest and its rename are fsynced, like the shards' rotations.
+        let durable = self.durable.as_ref().filter(|_| resets_wal);
+        let manifest = Manifest {
+            width: self.partition.width(),
+            partition: self.partition.clone(),
+            wal: resets_wal,
+            snapshot_interval: durable.map_or(0, |d| d.snapshot_interval),
+            sync_policy: durable.map_or(SyncPolicy::Never, |d| d.sync_policy),
+        };
+        if manifest.sync_policy == SyncPolicy::EveryBatch {
+            write_snapshot_file_synced(&manifest_path(dir), &manifest)?;
+        } else {
+            write_snapshot_file(&manifest_path(dir), &manifest)?;
+        }
         if resets_wal {
             // Superseded-version files are garbage now that the manifest
             // moved on; cleanup is best-effort (a crash here is repaired by
@@ -1694,18 +1683,25 @@ fn worker_batch(
 
 /// Writes the worker's snapshot and, when asked, truncates its WAL (only
 /// after the snapshot safely renamed into place — on a snapshot error the
-/// old log keeps growing and stale records are skipped at replay).
+/// old log keeps growing and stale records are skipped at replay).  Under
+/// [`SyncPolicy::EveryBatch`] that rotation is power-failure durable: the
+/// snapshot is fsynced before the log is reset (see [`WalWriter::rotate`]).
 fn worker_checkpoint(
     snapshot: &ShardSnapshot,
     wal: &mut Option<WalWriter>,
+    policy: SyncPolicy,
     snapshot_path: &Path,
     reset_wal: Option<&Path>,
 ) -> Result<u64, TsError> {
-    let bytes = write_snapshot_file(snapshot_path, snapshot)?;
-    if let Some(wal_path) = reset_wal {
-        *wal = Some(WalWriter::create(wal_path)?);
+    match (wal, reset_wal) {
+        (Some(wal), Some(wal_path)) => Ok(wal.rotate(
+            snapshot_path,
+            snapshot,
+            wal_path,
+            policy == SyncPolicy::EveryBatch,
+        )?),
+        _ => Ok(write_snapshot_file(snapshot_path, snapshot)?),
     }
-    Ok(bytes)
 }
 
 /// The donor half of a migration: serialise the component's engine through
@@ -1790,6 +1786,7 @@ fn spawn_worker(
                 }) => Reply::Checkpoint(worker_checkpoint(
                     &snapshot,
                     &mut wal,
+                    policy,
                     &snapshot_path,
                     reset_wal.as_deref(),
                 )),
@@ -2133,6 +2130,93 @@ mod tests {
         }
         assert_eq!(engine.ticks_processed(), 8);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint of a durable 2-shard fleet that has processed 48 ticks
+    /// (with outages, so it imputes), taken after every worker's syncs were
+    /// made to fail.  Returns the checkpoint's outcome and whether the WALs
+    /// kept every byte; the directory is then recovered and continued next
+    /// to an uninterrupted fleet, which must match it bit for bit.
+    fn checkpoint_with_failing_syncs(
+        policy: SyncPolicy,
+    ) -> (Result<CheckpointStats, TsError>, bool) {
+        let dir = std::env::temp_dir().join(format!(
+            "tkcm-sync-rotation-{policy:?}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let width = 4;
+        let tick = |t: usize| {
+            let values = (0..width)
+                .map(|s| {
+                    let outage = t > 20 && (t + 3 * s) % 9 < 2;
+                    (!outage).then(|| ((t + 2 * s) as f64 * 0.37).sin() * (1.0 + s as f64))
+                })
+                .collect();
+            StreamTick::new(Timestamp::new(t as i64), values)
+        };
+        let options = DurabilityOptions {
+            snapshot_interval: 0,
+            sync_policy: policy,
+        };
+        let catalog = Catalog::ring_neighbours(width);
+        let mut fleet = ShardedEngine::with_durability(
+            width,
+            small_config(),
+            catalog.clone(),
+            2,
+            &dir,
+            options,
+        )
+        .unwrap();
+        let mut reference = ShardedEngine::new(width, small_config(), catalog, 2).unwrap();
+        let first: Vec<StreamTick> = (0..48).map(tick).collect();
+        for batch in first.chunks(8) {
+            fleet.process_batch(batch).unwrap();
+            reference.process_batch(batch).unwrap();
+        }
+        let wals = |dir: &Path| -> Vec<Vec<u8>> {
+            (0..2)
+                .map(|shard| std::fs::read(shard_wal_path(dir, shard, 0)).unwrap())
+                .collect()
+        };
+        let logged = wals(&dir);
+        fleet.inject_sync_failures();
+        let checkpoint = fleet.checkpoint(&dir);
+        let wal_whole = wals(&dir) == logged;
+        drop(fleet);
+
+        let mut recovered = ShardedEngine::recover(&dir).unwrap();
+        assert_eq!(recovered.ticks_processed(), reference.ticks_processed());
+        let rest: Vec<StreamTick> = (48..96).map(tick).collect();
+        for batch in rest.chunks(8) {
+            let strip = |outcomes: Vec<EngineOutcome>| -> Vec<EngineOutcome> {
+                outcomes.iter().map(|o| o.timing_stripped()).collect()
+            };
+            assert_eq!(
+                strip(recovered.process_batch(batch).unwrap()),
+                strip(reference.process_batch(batch).unwrap()),
+                "the recovered fleet must continue like the uninterrupted one"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        (checkpoint, wal_whole)
+    }
+
+    #[test]
+    fn every_batch_rotation_fails_on_a_failed_sync_and_keeps_the_wal() {
+        let (checkpoint, wal_whole) = checkpoint_with_failing_syncs(SyncPolicy::EveryBatch);
+        assert!(
+            checkpoint.is_err(),
+            "an EveryBatch rotation must sync its snapshot before the WAL reset"
+        );
+        assert!(wal_whole, "a failed rotation must leave the WAL whole");
+    }
+
+    #[test]
+    fn never_rotation_issues_no_sync() {
+        let (checkpoint, _) = checkpoint_with_failing_syncs(SyncPolicy::Never);
+        assert!(checkpoint.is_ok(), "{checkpoint:?}");
     }
 
     /// The flight-recorder acceptance path: killing a durable fleet through

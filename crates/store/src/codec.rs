@@ -57,6 +57,13 @@ impl Encoder {
         Encoder::default()
     }
 
+    /// An encoder that appends after the bytes already in `buf` (a file
+    /// header, earlier records), so the framing around an encoding is built
+    /// in the same buffer instead of copied around it afterwards.
+    pub(crate) fn from_vec(buf: Vec<u8>) -> Self {
+        Encoder { buf }
+    }
+
     /// The encoded bytes so far.
     pub fn bytes(&self) -> &[u8] {
         &self.buf

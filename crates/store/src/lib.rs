@@ -37,6 +37,26 @@
 //!   [`StoreError::Corrupt`] — the corruption policy is "refuse and let the
 //!   operator fall back to cold replay", never "guess".
 //!
+//! ## The byte path
+//!
+//! Every byte is checksummed once, with no copy between intermediate
+//! buffers.  The CRC-32 ([`checksum`]) is a slicing-by-16 kernel over
+//! compile-time tables with an incremental form (`crc32_extend`), so one
+//! checksum covers non-contiguous bytes in place.  A snapshot write encodes
+//! header and payload into one buffer; a WAL append encodes each record
+//! straight into the batch buffer and fills in its length and CRC
+//! afterwards.  Reads take a file in one read and decode from borrowed
+//! slices of that buffer, with the header checked on the same bytes.
+//! Golden byte images (`tests/golden.rs`) pin both formats.
+//!
+//! ## Durability
+//!
+//! Writes reach the page cache (process-crash durable); power-failure
+//! durability takes an fsync: [`wal::WalWriter::sync`] for appended records,
+//! [`write_snapshot_file_synced`] for a snapshot, and
+//! [`wal::WalWriter::rotate`] with `sync` for a rotation, which puts the new
+//! snapshot on disk before it replaces the log.
+//!
 //! Version compatibility policy: the formats are versioned but not yet
 //! migratable — a reader only accepts exactly [`SNAPSHOT_FORMAT_VERSION`] /
 //! [`WAL_FORMAT_VERSION`] and any layout change must bump the constant (see
@@ -54,8 +74,9 @@ pub mod wal;
 pub use checksum::crc32;
 pub use codec::{decode_from_slice, encode_to_vec, Decoder, Encoder, Snapshot};
 pub use error::StoreError;
-pub use snapshot_file::{read_snapshot_file, write_snapshot_file, SNAPSHOT_FORMAT_VERSION};
+pub use snapshot_file::{
+    read_snapshot_file, write_snapshot_file, write_snapshot_file_synced, SNAPSHOT_FORMAT_VERSION,
+};
 pub use wal::{
-    read_wal, read_wal_records, read_wal_records_tolerating_torn_tail, WalWriter,
-    WAL_FORMAT_VERSION,
+    read_wal, read_wal_records, read_wal_tolerating_torn_tail, WalWriter, WAL_FORMAT_VERSION,
 };

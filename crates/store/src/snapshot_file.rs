@@ -10,17 +10,27 @@
 //! [20+n..24+n) u32 crc32 over version bytes ++ payload
 //! ```
 //!
+//! The byte path is one pass each way.  A write encodes the header and the
+//! payload into one buffer (the length is filled in once the payload is
+//! known), checksums the version bytes and the payload in place with
+//! `crc32_extend` and appends the CRC; a read takes the file in one read,
+//! checks the header and the checksum on that buffer and decodes the payload
+//! from a borrowed slice of it.
+//!
 //! Writes go to `<path>.tmp` first and are renamed into place, so a crash
 //! mid-checkpoint leaves the previous snapshot intact; the rename is the
-//! commit point.
+//! commit point.  [`write_snapshot_file_synced`] additionally fsyncs the
+//! temporary file before the rename and the directory after it, so the new
+//! snapshot is power-failure durable once it returns.
 
-use std::fs;
+use std::fs::{self, File};
+use std::io::Write;
 use std::path::Path;
 use std::sync::LazyLock;
 use std::time::Instant;
 
-use crate::checksum::crc32;
-use crate::codec::{decode_from_slice, encode_to_vec, Snapshot};
+use crate::checksum::{crc32, crc32_extend};
+use crate::codec::{decode_from_slice, Encoder, Snapshot};
 use crate::error::StoreError;
 
 /// Bytes written across every snapshot/checkpoint file this process
@@ -61,28 +71,101 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKCMSNAP";
 /// search keeps no state across imputations).
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 10;
 
+/// Bytes in front of the payload: magic, version and payload length.
+const HEADER_LEN: usize = 20;
+
+/// How far a store write goes before it returns.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Flush {
+    /// The bytes reach the OS page cache: process-crash durable.
+    Cache,
+    /// The bytes and the rename are fsynced: power-failure durable.
+    Disk,
+    /// As `Disk`, but every fsync fails, the way a dying device's would
+    /// (fault injection; see [`crate::WalWriter::inject_sync_failures`]).
+    FailingDisk,
+}
+
 /// Serialises `value` and writes it as a snapshot file at `path`
 /// (atomically, via `<path>.tmp` + rename).  Returns the file size in
 /// bytes, so callers can report snapshot sizes without a second stat.
 pub fn write_snapshot_file<T: Snapshot>(path: &Path, value: &T) -> Result<u64, StoreError> {
-    let started = Instant::now();
-    let payload = encode_to_vec(value)?;
-    let mut file = Vec::with_capacity(payload.len() + 24);
-    file.extend_from_slice(&SNAPSHOT_MAGIC);
-    file.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&payload);
-    let mut checked = SNAPSHOT_FORMAT_VERSION.to_le_bytes().to_vec();
-    checked.extend_from_slice(&payload);
-    file.extend_from_slice(&crc32(&checked).to_le_bytes());
+    write_snapshot(path, value, Flush::Cache)
+}
 
-    let tmp = path.with_extension("tmp");
-    fs::write(&tmp, &file).map_err(|e| StoreError::io(format!("writing {}", tmp.display()), &e))?;
-    fs::rename(&tmp, path)
-        .map_err(|e| StoreError::io(format!("renaming {} into place", tmp.display()), &e))?;
+/// [`write_snapshot_file`], power-failure durable: the temporary file is
+/// fsynced before the rename and its directory after it, so once this
+/// returns the new snapshot survives a power loss.
+pub fn write_snapshot_file_synced<T: Snapshot>(path: &Path, value: &T) -> Result<u64, StoreError> {
+    write_snapshot(path, value, Flush::Disk)
+}
+
+pub(crate) fn write_snapshot<T: Snapshot>(
+    path: &Path,
+    value: &T,
+    flush: Flush,
+) -> Result<u64, StoreError> {
+    let started = Instant::now();
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(&SNAPSHOT_MAGIC);
+    header.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
+    header.extend_from_slice(&[0; 8]); // payload length, filled in below
+    let mut enc = Encoder::from_vec(header);
+    value.write_into(&mut enc)?;
+    let mut file = enc.into_bytes();
+    let payload_len = (file.len() - HEADER_LEN) as u64;
+    file[12..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32_extend(crc32(&file[8..12]), &file[HEADER_LEN..]);
+    file.extend_from_slice(&crc.to_le_bytes());
+
+    replace_file(path, &path.with_extension("tmp"), &file, flush)?;
     CHECKPOINT_BYTES.add(file.len() as u64);
     CHECKPOINT_WRITE_NANOS.record_duration(started.elapsed());
     Ok(file.len() as u64)
+}
+
+/// Makes `bytes` the contents of `path` atomically: they are written to
+/// `tmp` and renamed into place.  Under [`Flush::Disk`] the temporary file
+/// is fsynced before the rename (so the rename never publishes bytes that
+/// are not on disk) and the directory after it (so the rename itself is).
+pub(crate) fn replace_file(
+    path: &Path,
+    tmp: &Path,
+    bytes: &[u8],
+    flush: Flush,
+) -> Result<(), StoreError> {
+    let mut file =
+        File::create(tmp).map_err(|e| StoreError::io(format!("creating {}", tmp.display()), &e))?;
+    file.write_all(bytes)
+        .map_err(|e| StoreError::io(format!("writing {}", tmp.display()), &e))?;
+    if flush != Flush::Cache {
+        sync_all(&file, tmp, flush)?;
+    }
+    drop(file);
+    fs::rename(tmp, path)
+        .map_err(|e| StoreError::io(format!("renaming {} into place", tmp.display()), &e))?;
+    if flush == Flush::Cache {
+        return Ok(());
+    }
+    let dir = match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    };
+    let dir_handle =
+        File::open(dir).map_err(|e| StoreError::io(format!("opening {}", dir.display()), &e))?;
+    sync_all(&dir_handle, dir, flush)
+}
+
+/// `fsync` of a file or directory handle; [`Flush::FailingDisk`] fails it.
+fn sync_all(file: &File, path: &Path, flush: Flush) -> Result<(), StoreError> {
+    let context = || format!("syncing {}", path.display());
+    if flush == Flush::FailingDisk {
+        return Err(StoreError::Io {
+            context: context(),
+            message: "injected sync failure".to_string(),
+        });
+    }
+    file.sync_all().map_err(|e| StoreError::io(context(), &e))
 }
 
 /// Reads and verifies a snapshot file, decoding the payload back into `T`.
@@ -140,9 +223,7 @@ pub fn read_snapshot_file<T: Snapshot>(path: &Path) -> Result<T, StoreError> {
             .and_then(|s| s.try_into().ok())
             .ok_or_else(short)?,
     );
-    let mut checked = version_bytes.to_vec();
-    checked.extend_from_slice(payload);
-    if crc32(&checked) != stored_crc {
+    if crc32_extend(crc32(&version_bytes), payload) != stored_crc {
         return Err(StoreError::corrupt(format!(
             "{}: checksum mismatch (snapshot bytes were modified)",
             path.display()
@@ -170,6 +251,20 @@ mod tests {
         let back: Vec<Option<f64>> = read_snapshot_file(&path).unwrap();
         assert_eq!(back, value);
         fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn synced_writes_are_byte_identical() {
+        let cached = temp_path("cached.snap");
+        let synced = temp_path("synced.snap");
+        let value: Vec<u64> = (0..40).collect();
+        let size = write_snapshot_file(&cached, &value).unwrap();
+        assert_eq!(write_snapshot_file_synced(&synced, &value).unwrap(), size);
+        assert_eq!(fs::read(&cached).unwrap(), fs::read(&synced).unwrap());
+        let back: Vec<u64> = read_snapshot_file(&synced).unwrap();
+        assert_eq!(back, value);
+        fs::remove_file(&cached).unwrap();
+        fs::remove_file(&synced).unwrap();
     }
 
     #[test]

@@ -14,10 +14,22 @@
 //! ([`WalWriter::append_batch`]) frames each record *identically* but
 //! buffers the whole batch and issues one `write_all` for all of them, so a
 //! batched writer produces byte-identical logs at a fraction of the
-//! syscalls.  Replay is **strict**: a failed checksum, an impossible length
-//! or a torn trailing frame are all [`StoreError::Corrupt`] — the log is
-//! never partially trusted.  The recovery path treats that as "fall back to
-//! cold replay / operator intervention", not as data.
+//! syscalls.  Each record is encoded straight into the writer's reused batch
+//! buffer behind an 8-byte gap that its length and CRC fill in afterwards,
+//! so a record's bytes are written once and checksummed once.
+//!
+//! A read takes the whole file in one read, checks the header from those
+//! bytes and decodes every record from a borrowed slice of that buffer;
+//! [`read_wal`] and [`read_wal_tolerating_torn_tail`] share that one scan.
+//! Replay is **strict**: a failed checksum, an impossible length or a torn
+//! trailing frame are all [`StoreError::Corrupt`] — the log is never
+//! partially trusted.  The recovery path treats that as "fall back to cold
+//! replay / operator intervention", not as data.
+//!
+//! [`WalWriter::rotate`] restarts the log under a new snapshot.  With
+//! `sync`, the snapshot is on disk before the old log is replaced, so a
+//! power loss mid-rotation leaves either the old snapshot with its whole
+//! log or the new snapshot with a fresh one.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -26,8 +38,9 @@ use std::sync::LazyLock;
 use std::time::Instant;
 
 use crate::checksum::crc32;
-use crate::codec::{decode_from_slice, encode_to_vec, Snapshot};
+use crate::codec::{decode_from_slice, Encoder, Snapshot};
 use crate::error::StoreError;
+use crate::snapshot_file::{replace_file, write_snapshot, Flush};
 
 /// Bytes appended across every WAL this process writes (record-only; the
 /// `obs-read-only` policy — durability logic never reads these back).
@@ -74,7 +87,10 @@ const HEADER_LEN: usize = 12;
 pub struct WalWriter {
     file: File,
     path: PathBuf,
-    /// Fault injection: when set, every [`WalWriter::sync`] fails.
+    /// The frames of the append in progress; kept to reuse its capacity.
+    frames: Vec<u8>,
+    /// Fault injection: when set, every [`WalWriter::sync`] and every sync
+    /// of a [`WalWriter::rotate`] fails.
     fail_syncs: bool,
 }
 
@@ -86,13 +102,13 @@ impl WalWriter {
     /// never leaves a headerless torn file behind — the previous log, or no
     /// log, survives instead.
     pub fn create(path: &Path) -> Result<Self, StoreError> {
+        Self::create_with(path, Flush::Cache)
+    }
+
+    fn create_with(path: &Path, flush: Flush) -> Result<Self, StoreError> {
         let mut header = WAL_MAGIC.to_vec();
         header.extend_from_slice(&WAL_FORMAT_VERSION.to_le_bytes());
-        let tmp = path.with_extension("wal-tmp");
-        std::fs::write(&tmp, &header)
-            .map_err(|e| StoreError::io(format!("writing {}", tmp.display()), &e))?;
-        std::fs::rename(&tmp, path)
-            .map_err(|e| StoreError::io(format!("renaming {} into place", tmp.display()), &e))?;
+        replace_file(path, &path.with_extension("wal-tmp"), &header, flush)?;
         let file = OpenOptions::new()
             .append(true)
             .open(path)
@@ -101,20 +117,27 @@ impl WalWriter {
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
+            frames: Vec::new(),
             fail_syncs: false,
         })
     }
 
     /// Opens an existing log for appending, verifying its header first.
     pub fn open_append(path: &Path) -> Result<Self, StoreError> {
-        read_header(path)?;
-        let file = OpenOptions::new()
+        let mut file = OpenOptions::new()
+            .read(true)
             .append(true)
             .open(path)
             .map_err(|e| StoreError::io(format!("opening {} for append", path.display()), &e))?;
+        let mut header = [0u8; HEADER_LEN];
+        file.read_exact(&mut header).map_err(|_| {
+            StoreError::corrupt(format!("{}: shorter than the WAL header", path.display()))
+        })?;
+        read_header(path, &header)?;
         Ok(WalWriter {
             file,
             path: path.to_path_buf(),
+            frames: Vec::new(),
             fail_syncs: false,
         })
     }
@@ -128,9 +151,7 @@ impl WalWriter {
     /// in the file or, on a crash mid-call, detectably torn).  Returns the
     /// number of bytes appended.
     pub fn append<T: Snapshot>(&mut self, value: &T) -> Result<u64, StoreError> {
-        let mut frame = Vec::new();
-        frame_into(&mut frame, value)?;
-        self.write_frames(&frame)
+        self.append_batch(std::slice::from_ref(value))
     }
 
     /// Appends a batch of records with one buffered `write_all`: every record
@@ -145,19 +166,21 @@ impl WalWriter {
         if values.is_empty() {
             return Ok(0);
         }
-        let mut frames = Vec::new();
-        for value in values {
-            frame_into(&mut frames, value)?;
-        }
-        self.write_frames(&frames)
-    }
-
-    fn write_frames(&mut self, frames: &[u8]) -> Result<u64, StoreError> {
-        self.file
-            .write_all(frames)
-            .map_err(|e| StoreError::io(format!("appending to {}", self.path.display()), &e))?;
-        WAL_APPENDED_BYTES.add(frames.len() as u64);
-        Ok(frames.len() as u64)
+        let mut frames = std::mem::take(&mut self.frames);
+        frames.clear();
+        let appended = values
+            .iter()
+            .try_for_each(|value| frame_into(&mut frames, value))
+            .and_then(|()| {
+                self.file.write_all(&frames).map_err(|e| {
+                    StoreError::io(format!("appending to {}", self.path.display()), &e)
+                })
+            });
+        let bytes = frames.len() as u64;
+        self.frames = frames;
+        appended?;
+        WAL_APPENDED_BYTES.add(bytes);
+        Ok(bytes)
     }
 
     /// Forces the appended records to stable storage (`fsync`).  Appends
@@ -195,49 +218,84 @@ impl WalWriter {
         outcome
     }
 
+    /// Rotates the log under a new snapshot: writes `snapshot` as the
+    /// snapshot file at `snapshot_path`, then restarts this writer on a
+    /// fresh, empty log at `path` (which may differ from the old log's
+    /// path).  Returns the snapshot file's size.
+    ///
+    /// With `sync`, the rotation is power-failure durable: the snapshot and
+    /// its directory entry are fsynced before the old log is replaced, and
+    /// the fresh log and the directory after its rename.  A failed sync
+    /// returns the error and leaves the old log whole, so the records the
+    /// previous snapshot needs are never lost.  Without `sync`, nothing is
+    /// fsynced; both files are still replaced by atomic renames.
+    pub fn rotate<T: Snapshot>(
+        &mut self,
+        snapshot_path: &Path,
+        snapshot: &T,
+        path: &Path,
+        sync: bool,
+    ) -> Result<u64, StoreError> {
+        let flush = match (sync, self.fail_syncs) {
+            (false, _) => Flush::Cache,
+            (true, false) => Flush::Disk,
+            (true, true) => Flush::FailingDisk,
+        };
+        let bytes = write_snapshot(snapshot_path, snapshot, flush)?;
+        let fresh = Self::create_with(path, flush)?;
+        *self = WalWriter {
+            fail_syncs: self.fail_syncs,
+            ..fresh
+        };
+        Ok(bytes)
+    }
+
     /// Fault injection for durability tests: makes every subsequent
-    /// [`WalWriter::sync`] call on this writer fail with an I/O error, the
-    /// way a dying device or a thinly-provisioned volume would.  Callers
-    /// that promise fsync-error propagation (the runtime's group-commit
-    /// path poisons the fleet on a failed sync) exercise that promise
-    /// through this hook, since a real `fsync` failure cannot be provoked
-    /// portably.  Appends are unaffected.
+    /// [`WalWriter::sync`] call on this writer, and every sync of a
+    /// [`WalWriter::rotate`] with `sync`, fail with an I/O error, the way a
+    /// dying device or a thinly-provisioned volume would.  Callers that
+    /// promise fsync-error propagation (the runtime's group-commit path
+    /// poisons the fleet on a failed sync, and its rotation keeps the old
+    /// log) exercise that promise through this hook, since a real `fsync`
+    /// failure cannot be provoked portably.  Appends are unaffected, and
+    /// the failure survives rotations.
     pub fn inject_sync_failures(&mut self) {
         self.fail_syncs = true;
     }
 }
 
-/// Frames one record (`u32 len | u32 crc | payload`) into `buf`.
+/// Frames one record (`u32 len | u32 crc | payload`) onto the end of `buf`:
+/// the payload is encoded in place behind an 8-byte gap, which its length
+/// and checksum then fill.
 fn frame_into<T: Snapshot>(buf: &mut Vec<u8>, value: &T) -> Result<(), StoreError> {
-    let payload = encode_to_vec(value)?;
+    let start = buf.len();
+    buf.extend_from_slice(&[0; 8]);
+    let mut enc = Encoder::from_vec(std::mem::take(buf));
+    let encoded = value.write_into(&mut enc);
+    *buf = enc.into_bytes();
+    encoded?;
+    let payload = &buf[start + 8..];
     let len = u32::try_from(payload.len())
         .map_err(|_| StoreError::invalid("WAL record exceeds 4 GiB"))?;
-    buf.reserve(payload.len() + 8);
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    let crc = crc32(payload);
+    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
     Ok(())
 }
 
-/// Reads and verifies the 12-byte WAL header (decode path: every access is
-/// checked, corruption surfaces as an error, never a panic).
-fn read_header(path: &Path) -> Result<(), StoreError> {
-    let mut file =
-        File::open(path).map_err(|e| StoreError::io(format!("opening {}", path.display()), &e))?;
-    let mut header = [0u8; HEADER_LEN];
-    file.read_exact(&mut header).map_err(|_| {
-        StoreError::corrupt(format!("{}: shorter than the WAL header", path.display()))
-    })?;
+/// Verifies the 12-byte WAL header at the front of `bytes` (decode path:
+/// every access is checked, corruption surfaces as an error, never a panic).
+fn read_header(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
     let short = || StoreError::corrupt(format!("{}: shorter than the WAL header", path.display()));
-    let magic = header.get(0..8).ok_or_else(short)?;
+    let magic = bytes.get(0..8).ok_or_else(short)?;
     if magic != WAL_MAGIC {
         return Err(StoreError::corrupt(format!(
             "{}: bad magic (not a WAL file)",
             path.display()
         )));
     }
-    let version_bytes: [u8; 4] = header
-        .get(8..12)
+    let version_bytes: [u8; 4] = bytes
+        .get(8..HEADER_LEN)
         .and_then(|s| s.try_into().ok())
         .ok_or_else(short)?;
     let version = u32::from_le_bytes(version_bytes);
@@ -254,14 +312,16 @@ fn read_header(path: &Path) -> Result<(), StoreError> {
 /// Reads every record payload of a WAL, verifying the header, each record's
 /// checksum and that the file ends exactly on a record boundary.
 pub fn read_wal_records(path: &Path) -> Result<Vec<Vec<u8>>, StoreError> {
-    let (records, torn) = read_frames(path)?;
-    if let Some(message) = torn {
-        return Err(StoreError::corrupt(message));
-    }
-    Ok(records)
+    read_records(path, |payload| Ok(payload.to_vec())).and_then(strict)
 }
 
-/// Like [`read_wal_records`] but tolerating a torn *trailing* frame: the
+/// Reads and decodes every record of a WAL, with the checks of
+/// [`read_wal_records`].
+pub fn read_wal<T: Snapshot>(path: &Path) -> Result<Vec<T>, StoreError> {
+    read_records(path, decode_from_slice).and_then(strict)
+}
+
+/// Like [`read_wal`] but tolerating a torn *trailing* frame: the decoded
 /// intact prefix is returned together with `true` when trailing bytes were
 /// discarded.  This is the kill-mid-append crash mode — the single
 /// `write_all` of an append was interrupted, so the file ends with a partial
@@ -272,11 +332,19 @@ pub fn read_wal_records(path: &Path) -> Result<Vec<Vec<u8>>, StoreError> {
 /// field is indistinguishable from a torn tail, so tolerant reads trade a
 /// sliver of the corruption guarantee for crash robustness.  Callers must
 /// opt in explicitly (the runtime's default recovery stays strict).
-pub fn read_wal_records_tolerating_torn_tail(
+pub fn read_wal_tolerating_torn_tail<T: Snapshot>(
     path: &Path,
-) -> Result<(Vec<Vec<u8>>, bool), StoreError> {
-    let (records, torn) = read_frames(path)?;
+) -> Result<(Vec<T>, bool), StoreError> {
+    let (records, torn) = read_records(path, decode_from_slice)?;
     Ok((records, torn.is_some()))
+}
+
+/// The strict reading of a scan: a torn trailing frame is corruption.
+fn strict<T>((records, torn): (Vec<T>, Option<String>)) -> Result<Vec<T>, StoreError> {
+    match torn {
+        Some(message) => Err(StoreError::corrupt(message)),
+        None => Ok(records),
+    }
 }
 
 /// Reads a `u32` at `at`, `None` when fewer than 4 bytes remain.
@@ -286,38 +354,32 @@ fn read_le_u32(bytes: &[u8], at: usize) -> Option<u32> {
     Some(u32::from_le_bytes(arr))
 }
 
-/// Shared frame scan (decode path): returns the complete, checksum-verified
-/// records plus a description of the torn trailing frame, if any.  Checksum
-/// mismatches on complete records always error; every byte access is
-/// checked, so no input can panic the reader.
-fn read_frames(path: &Path) -> Result<(Vec<Vec<u8>>, Option<String>), StoreError> {
-    let outcome = scan_frames(path);
-    if let Ok((records, _)) = &outcome {
-        // Counted in the wrapper so the torn-tail early returns inside the
-        // scan are covered too — every record handed to replay is counted.
-        WAL_RECORDS_READ.add(u64::try_from(records.len()).unwrap_or(u64::MAX));
-    }
-    outcome
-}
-
-fn scan_frames(path: &Path) -> Result<(Vec<Vec<u8>>, Option<String>), StoreError> {
-    read_header(path)?;
+/// The one frame scan (decode path): reads the file once, checks its header
+/// and hands each complete, checksum-verified payload, borrowed from that
+/// buffer, to `record`.  Returns what `record` made of them plus a
+/// description of the torn trailing frame, if any.  Checksum mismatches on
+/// complete records always error; every byte access is checked, so no input
+/// can panic the reader.
+fn read_records<T>(
+    path: &Path,
+    mut record: impl FnMut(&[u8]) -> Result<T, StoreError>,
+) -> Result<(Vec<T>, Option<String>), StoreError> {
     let bytes = std::fs::read(path)
         .map_err(|e| StoreError::io(format!("reading {}", path.display()), &e))?;
+    read_header(path, &bytes)?;
     let mut records = Vec::new();
     let mut pos = HEADER_LEN;
+    let mut torn = None;
     while pos < bytes.len() {
         let frame_start = pos;
         let (Some(len_raw), Some(stored_crc)) =
             (read_le_u32(&bytes, pos), read_le_u32(&bytes, pos + 4))
         else {
-            return Ok((
-                records,
-                Some(format!(
-                    "{}: torn record header at offset {pos}",
-                    path.display()
-                )),
+            torn = Some(format!(
+                "{}: torn record header at offset {pos}",
+                path.display()
             ));
+            break;
         };
         let len = usize::try_from(len_raw).map_err(|_| {
             StoreError::corrupt(format!(
@@ -327,14 +389,12 @@ fn scan_frames(path: &Path) -> Result<(Vec<Vec<u8>>, Option<String>), StoreError
         })?;
         pos += 8;
         let Some(payload) = pos.checked_add(len).and_then(|end| bytes.get(pos..end)) else {
-            return Ok((
-                records,
-                Some(format!(
-                    "{}: record at offset {frame_start} claims {len} byte(s), only {} left (torn or corrupted)",
-                    path.display(),
-                    bytes.len() - pos
-                )),
+            torn = Some(format!(
+                "{}: record at offset {frame_start} claims {len} byte(s), only {} left (torn or corrupted)",
+                path.display(),
+                bytes.len() - pos
             ));
+            break;
         };
         if crc32(payload) != stored_crc {
             return Err(StoreError::corrupt(format!(
@@ -343,18 +403,12 @@ fn scan_frames(path: &Path) -> Result<(Vec<Vec<u8>>, Option<String>), StoreError
                 records.len(),
             )));
         }
-        records.push(payload.to_vec());
+        records.push(record(payload)?);
         pos += len;
     }
-    Ok((records, None))
-}
-
-/// Reads and decodes every record of a WAL.
-pub fn read_wal<T: Snapshot>(path: &Path) -> Result<Vec<T>, StoreError> {
-    read_wal_records(path)?
-        .iter()
-        .map(|payload| decode_from_slice(payload))
-        .collect()
+    // Every record handed to replay is counted, torn-tail scans included.
+    WAL_RECORDS_READ.add(u64::try_from(records.len()).unwrap_or(u64::MAX));
+    Ok((records, torn))
 }
 
 #[cfg(test)]
@@ -468,6 +522,55 @@ mod tests {
     }
 
     #[test]
+    fn rotation_writes_the_snapshot_and_restarts_the_log() {
+        for sync in [false, true] {
+            let path = temp_path(&format!("rotate-{sync}.wal"));
+            let snapshot = temp_path(&format!("rotate-{sync}.snap"));
+            let next = temp_path(&format!("rotate-{sync}-v1.wal"));
+            let mut wal = WalWriter::create(&path).unwrap();
+            wal.append(&vec![1u64]).unwrap();
+            let bytes = wal.rotate(&snapshot, &vec![7u64, 8], &next, sync).unwrap();
+            assert_eq!(bytes, std::fs::metadata(&snapshot).unwrap().len());
+            let back: Vec<u64> = crate::read_snapshot_file(&snapshot).unwrap();
+            assert_eq!(back, vec![7, 8]);
+            assert_eq!(wal.path(), next.as_path());
+            wal.append(&vec![2u64]).unwrap();
+            drop(wal);
+            assert_eq!(read_wal::<Vec<u64>>(&next).unwrap(), vec![vec![2]]);
+            assert_eq!(read_wal::<Vec<u64>>(&path).unwrap(), vec![vec![1]]);
+            for file in [&path, &snapshot, &next] {
+                std::fs::remove_file(file).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_rotation_sync_keeps_the_old_snapshot_and_log() {
+        let path = temp_path("rotate-fail.wal");
+        let snapshot = temp_path("rotate-fail.snap");
+        crate::write_snapshot_file(&snapshot, &vec![1u64]).unwrap();
+        let mut wal = WalWriter::create(&path).unwrap();
+        wal.append(&vec![1u64]).unwrap();
+        wal.inject_sync_failures();
+        match wal.rotate(&snapshot, &vec![2u64], &path, true) {
+            Err(StoreError::Io { message, .. }) => assert!(message.contains("injected")),
+            other => panic!("expected io error, got {other:?}"),
+        }
+        let back: Vec<u64> = crate::read_snapshot_file(&snapshot).unwrap();
+        assert_eq!(back, vec![1], "the old snapshot must stay in place");
+        assert_eq!(read_wal::<Vec<u64>>(&path).unwrap(), vec![vec![1]]);
+        // Without sync the rotation goes through, and the injected failure
+        // stays armed on the fresh log.
+        wal.rotate(&snapshot, &vec![2u64], &path, false).unwrap();
+        assert!(wal.sync().is_err());
+        drop(wal);
+        assert!(read_wal::<Vec<u64>>(&path).unwrap().is_empty());
+        std::fs::remove_file(&path).unwrap();
+        std::fs::remove_file(&snapshot).unwrap();
+        let _ = std::fs::remove_file(snapshot.with_extension("tmp"));
+    }
+
+    #[test]
     fn empty_wal_replays_to_nothing() {
         let path = temp_path("empty.wal");
         WalWriter::create(&path).unwrap();
@@ -538,13 +641,13 @@ mod tests {
         // Kill-mid-append: the second frame is half written.
         std::fs::write(&path, &original[..HEADER_LEN + first + 5]).unwrap();
         assert!(read_wal::<Vec<u64>>(&path).is_err(), "strict must refuse");
-        let (records, torn) = read_wal_records_tolerating_torn_tail(&path).unwrap();
+        let (records, torn) = read_wal_tolerating_torn_tail::<Vec<u64>>(&path).unwrap();
         assert!(torn);
         assert_eq!(records.len(), 1, "the intact first record survives");
 
         // An intact file reports no tear.
         std::fs::write(&path, &original).unwrap();
-        let (records, torn) = read_wal_records_tolerating_torn_tail(&path).unwrap();
+        let (records, torn) = read_wal_tolerating_torn_tail::<Vec<u64>>(&path).unwrap();
         assert!(!torn);
         assert_eq!(records.len(), 2);
 
@@ -553,7 +656,7 @@ mod tests {
         let mut corrupted = original.clone();
         corrupted[HEADER_LEN + 10] ^= 0xFF; // inside the first payload
         std::fs::write(&path, &corrupted).unwrap();
-        assert!(read_wal_records_tolerating_torn_tail(&path).is_err());
+        assert!(read_wal_tolerating_torn_tail::<Vec<u64>>(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }
 
