@@ -10,7 +10,10 @@
 //! machine-readable results CI uploads as the `BENCH_results_pruning`
 //! artifact: the per-mode table plus a flattened top-level `trend` object
 //! (`ticks_per_second_<mode>`, `composed_speedup_vs_exhaustive`,
-//! `pruned_fraction`, `level1_skipped_fraction`)
+//! `pruned_fraction`, `level1_skipped_fraction`, and
+//! `worst_case_composed_speedup_vs_exhaustive`: the composed path over
+//! white-noise readings, where no bound prunes, against the exhaustive
+//! sweep of the same noise)
 //! so nightly runs accumulate directly gateable fields (paper scale is
 //! expected to hold `composed_speedup_vs_exhaustive ≥ 3` and
 //! `pruned_fraction ≥ 0.5`), and beside it, ungated,

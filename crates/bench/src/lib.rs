@@ -178,7 +178,9 @@ pub fn fleet_results_json(scale: Scale, elapsed: f64, report: &tkcm_eval::Report
 /// oracle (`composed_speedup_vs_exhaustive`, expected ≥ 3 at paper
 /// proportions), the fraction of candidates its bounds eliminated
 /// (`pruned_fraction`, expected ≥ 0.5 at paper proportions) and the
-/// fraction its level-1 runs skipped (`level1_skipped_fraction`).  Beside
+/// fraction its level-1 runs skipped (`level1_skipped_fraction`), and the
+/// speedup of the white-noise worst case over its own exhaustive sweep
+/// (`worst_case_composed_speedup_vs_exhaustive`).  Beside
 /// `trend`, so no gate reads it, `"stages_us_per_imputation"` holds the
 /// composed search's microseconds per imputation by stage (`query`,
 /// `run_bounds`, `search`).
@@ -197,12 +199,26 @@ pub fn pruning_results_json(scale: Scale, elapsed: f64, report: &tkcm_eval::Repo
                 trend.push(format!("\"ticks_per_second_{mode}\":{}", number(v)));
             }
         }
-        for (mode_metric, key) in [
-            ("speedup_vs_exhaustive", "composed_speedup_vs_exhaustive"),
-            ("pruned_fraction", "pruned_fraction"),
-            ("level1_skipped_fraction", "level1_skipped_fraction"),
+        let worst_case = tkcm_eval::experiments::pruning::WORST_CASE;
+        for (row, mode_metric, key) in [
+            (
+                "composed",
+                "speedup_vs_exhaustive",
+                "composed_speedup_vs_exhaustive",
+            ),
+            ("composed", "pruned_fraction", "pruned_fraction"),
+            (
+                "composed",
+                "level1_skipped_fraction",
+                "level1_skipped_fraction",
+            ),
+            (
+                worst_case,
+                "speedup_vs_exhaustive",
+                "worst_case_composed_speedup_vs_exhaustive",
+            ),
         ] {
-            if let Some(v) = table.cell("composed", mode_metric) {
+            if let Some(v) = table.cell(row, mode_metric) {
                 trend.push(format!("\"{key}\":{}", number(v)));
             }
         }
@@ -452,6 +468,10 @@ mod tests {
         );
         t.push_row("exhaustive", vec![4.0, 250.0, 9.0, 1.0, 0.0, 0.0]);
         t.push_row("composed", vec![0.8, 1250.0, 9.0, 5.0, 0.8, 0.4]);
+        t.push_row(
+            tkcm_eval::experiments::pruning::WORST_CASE,
+            vec![2.5, 400.0, 9.0, 1.5, 0.1, 0.0],
+        );
         report.add_table(t);
         let mut stages = tkcm_eval::Table::new(
             "Composed search stages",
@@ -470,6 +490,7 @@ mod tests {
         assert!(json.contains("\"ticks_per_second_composed\":1250"));
         assert!(json.contains("\"pruned_fraction\":0.8"));
         assert!(json.contains("\"composed_speedup_vs_exhaustive\":5"));
+        assert!(json.contains("\"worst_case_composed_speedup_vs_exhaustive\":1.5"));
         // Only the two modes' own keys reach the trend object.
         let trend = json.split("\"experiments\"").next().unwrap();
         assert!(!trend.contains("\"speedup_vs_exhaustive\""));

@@ -14,7 +14,7 @@
 //! dissimilarities, the ε of Definition 5 and the phase timing breakdown.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use tkcm_timeseries::{SeriesId, SlotState, StreamingWindow, Timestamp, TsError};
 
@@ -131,26 +131,103 @@ impl PruneStats {
     }
 }
 
-/// An open node of the composed path's best-first search: a level-1 run of
-/// candidates starting at index `idx` (`run`), or the single candidate
-/// `idx`, keyed by an admissible lower bound on the `D` of every candidate
-/// it holds.
+/// An open node of the composed path's best-first search, keyed by an
+/// admissible lower bound on the `D` of every candidate it holds: a level-1
+/// run of candidates starting at index `idx` ([`Open::is_run`]), or a
+/// *cursor* over the surviving lags of an expanded run, standing for its
+/// head lag `idx`.  A cursor's lags sit at `lags[start..end]` of the
+/// search's lag store with the smallest ([`Lag`] order) at `start`; once
+/// the cursor has advanced (`heap`), the segment is a min-heap.
+///
+/// The order is kept as integers: `order` is the key's [`total_order`],
+/// and `tie` is the candidate index, with [`RUN`] set on a run node.
 #[derive(Clone, Copy, Debug)]
 struct Open {
-    key: f64,
-    run: bool,
-    idx: usize,
+    order: i64,
+    tie: u64,
+    start: usize,
+    end: usize,
+    heap: bool,
+}
+
+/// The `tie` bit of a run node: a run sorts after the lags of equal key.
+const RUN: u64 = 1 << 63;
+
+impl Open {
+    /// The node of the level-1 run starting at candidate `idx`.
+    fn run(key: f64, idx: usize) -> Open {
+        Open {
+            order: total_order(key.to_bits() as i64),
+            tie: RUN | idx as u64,
+            start: 0,
+            end: 0,
+            heap: false,
+        }
+    }
+
+    /// The cursor over `lags[start..end]`, standing for its head.
+    fn cursor(lags: &[Lag], start: usize, end: usize, heap: bool) -> Open {
+        let (order, idx) = lags[start];
+        Open {
+            order,
+            tie: idx as u64,
+            start,
+            end,
+            heap,
+        }
+    }
+
+    fn key(&self) -> f64 {
+        f64::from_bits(total_order(self.order) as u64)
+    }
+
+    fn is_run(&self) -> bool {
+        self.tie & RUN != 0
+    }
+
+    fn idx(&self) -> usize {
+        (self.tie & !RUN) as usize
+    }
 }
 
 impl Ord for Open {
-    /// Reversed, so `BinaryHeap` pops the smallest key first; ties go to lag
-    /// nodes (one step from an exact fold), then to the older candidate.
+    /// Reversed, so `BinaryHeap` pops the smallest key first (in
+    /// [`f64::total_cmp`]'s order); ties go to lag nodes (one step from an
+    /// exact fold), then to the older candidate.  The cursor fields play no
+    /// part: distinct nodes never share a `tie`.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .key
-            .total_cmp(&self.key)
-            .then(other.run.cmp(&self.run))
-            .then(other.idx.cmp(&self.idx))
+        (other.order, other.tie).cmp(&(self.order, self.tie))
+    }
+}
+
+/// A lag of a cursor: its key's position in [`f64::total_cmp`]'s order
+/// ([`total_order`] of its bits), then its candidate index, so a `Lag`'s
+/// own order is [`Open::cmp`]'s order among lags, compared as integers.
+type Lag = (i64, usize);
+
+/// `f64::total_cmp`'s map from a float's bits to an integer of the same
+/// order, and back: flipping every bit but the sign of a negative pattern
+/// is its own inverse.
+fn total_order(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// Restores the min-heap order of `heap` below `i`.
+fn sift_down(heap: &mut [Lag], mut i: usize) {
+    loop {
+        let left = 2 * i + 1;
+        let Some(&first) = heap.get(left) else {
+            return;
+        };
+        let child = match heap.get(left + 1) {
+            Some(&right) if right < first => left + 1,
+            _ => left,
+        };
+        if heap[child] >= heap[i] {
+            return;
+        }
+        heap.swap(i, child);
+        i = child;
     }
 }
 
@@ -224,13 +301,14 @@ impl TkcmImputer {
         // Definition 3); candidate index idx (0-based, oldest first) has age
         // `oldest_age - idx`.
         let oldest_age = filled.saturating_sub(l);
-        let mut dissimilarities: Vec<f64> = Vec::new();
-        let mut finite: Vec<usize> = Vec::new();
-        if filled >= 2 * l {
-            dissimilarities = vec![f64::INFINITY; filled + 1 - 2 * l];
+        let candidates = (filled + 1).saturating_sub(2 * l);
+        // `(idx, D)` of every candidate with a finite `D`, ascending: the
+        // only columns the DP reads.
+        let mut columns: Vec<(usize, f64)> = Vec::new();
+        if candidates > 0 {
             let query = extract_query_pattern(window, references, l)?;
             if let Some(ref q) = query {
-                for (idx, d) in dissimilarities.iter_mut().enumerate() {
+                for idx in 0..candidates {
                     let age = oldest_age - idx;
                     // The target value at the anchor must be *observed* to
                     // contribute to the average of Definition 4. Previously
@@ -246,32 +324,26 @@ impl TkcmImputer {
                     }
                     let candidate = extract_pattern_at_age(window, references, age, l)?;
                     let Some(candidate) = candidate else { continue };
-                    *d = l2_distance(&candidate, q);
-                    if *d < f64::INFINITY {
-                        finite.push(idx);
+                    let d = l2_distance(&candidate, q);
+                    if d < f64::INFINITY {
+                        columns.push((idx, d));
                     }
                 }
             }
         }
 
         self.select_and_impute(
-            window,
-            target,
-            references,
-            now,
-            oldest_age,
-            &dissimilarities,
-            &finite,
-            timer,
+            window, target, references, now, oldest_age, candidates, &columns, timer,
         )
     }
 
     /// Steps 2 and 3 — pattern selection and value imputation — shared
     /// verbatim by the exact and composed extraction paths, so the
     /// bit-identity of the composed path cannot drift through a divergent
-    /// tail.  Candidate `idx` is anchored `oldest_age - idx` ticks back;
-    /// `finite` lists, in ascending order, every candidate whose `D` is
-    /// finite, the only columns the DP evaluates.
+    /// tail.  Candidate `idx` (of `candidates`) is anchored
+    /// `oldest_age - idx` ticks back; `columns` lists, in ascending index
+    /// order, every candidate whose `D` is finite with that `D`, the only
+    /// columns the DP evaluates.
     #[allow(clippy::too_many_arguments)]
     fn select_and_impute(
         &self,
@@ -280,8 +352,8 @@ impl TkcmImputer {
         references: &[SeriesId],
         now: Timestamp,
         oldest_age: usize,
-        dissimilarities: &[f64],
-        finite: &[usize],
+        candidates: usize,
+        columns: &[(usize, f64)],
         mut timer: PhaseTimer,
     ) -> Result<ImputationDetail, TsError> {
         let l = self.config.pattern_length;
@@ -289,7 +361,7 @@ impl TkcmImputer {
 
         // -------- Step 2: pattern selection --------
         timer.start(Phase::Selection);
-        let selection = select_anchors_dp_at(dissimilarities, finite, l, k);
+        let selection = select_anchors_dp_at(candidates, columns, l, k);
 
         // -------- Step 3: value imputation --------
         timer.start(Phase::Imputation);
@@ -306,7 +378,7 @@ impl TkcmImputer {
                 time: window
                     .time_of_age(age)
                     .expect("anchor candidates lie inside the pushed window"),
-                dissimilarity: dissimilarities[idx],
+                dissimilarity: columns[columns.partition_point(|&(j, _)| j < idx)].1,
                 value,
             });
         }
@@ -381,26 +453,33 @@ impl TkcmImputer {
     /// optimal selection keep `D[j] = +∞` unevaluated.
     ///
     /// One best-first search: a min-heap of open nodes keyed by admissible
-    /// bound, one node per level-1 run of
-    /// [`crate::signature::level1_run_len`]`(l)` lags
-    /// ([`SignatureIndex::run_lower_bound_sq_with_query`]), which expands
-    /// into per-lag level-0 chunk-mean bounds, computed for the whole run in
-    /// one pass ([`RunSums::fill`], which also drops a lag holding a missing
-    /// slot), which expand into exact folds.  The first k non-overlapping
-    /// finite folds in pop order certify τ.  The search stops at the first
-    /// key over the `τ − S` bar (S: the k−1 smallest Ds the other anchors
-    /// can have), which proves every open node out at once.  The bar never
-    /// rises from one pop to the next, so an expansion pushes only the lags
-    /// keyed at or under the bar of the pop that expanded the run; the rest
-    /// are pruned at once, as the stop would prune them.  Bound order finds
+    /// bound.  It starts with one node per level-1 run of
+    /// [`crate::signature::level1_run_len`]`(l)` lags, all bounded in one
+    /// sweep ([`SignatureIndex::run_bounds_sq`]).  Popping a run computes the
+    /// level-0 chunk-mean bound and key of every lag it holds in one pass
+    /// ([`RunSums::fill`], [`RunSums::keys`], which also drop a lag holding a
+    /// missing slot) and replaces the run by one *cursor* over its surviving
+    /// lags, standing in the search's heap for its smallest `(key, idx)`.
+    /// Popping a cursor takes its head's exact fold and advances it, turning
+    /// the rest into a small min-heap of their own the first time.  The heap thus
+    /// holds at most one node per run, and pops come out in exactly the
+    /// order a heap of one node per lag would give (key, then lag before
+    /// run, then older candidate).  The first k non-overlapping finite folds
+    /// in pop order certify τ.  The search stops at the first key over the
+    /// `τ − S` bar (S: the k−1 smallest Ds the other anchors can have),
+    /// which proves every open candidate out at once: the lags of every
+    /// unexpanded run and every lag left in a cursor.  The bar never rises
+    /// from one pop to the next, so an expansion keeps only the lags keyed
+    /// at or under the bar of the pop that expanded the run; the rest are
+    /// pruned at once, as the stop would prune them.  Bound order finds
     /// low-D candidates by itself, so nothing is kept from one imputation to
     /// the next.
     ///
     /// Every `D` entering selection comes from the exact fold and all
     /// bounds are admissible (see [`crate::signature`]), so the result is
     /// **bit-identical** to [`TkcmImputer::impute`] — the float-level proof
-    /// is in the comments below.  The anchor DP reads only the list of
-    /// finite folds, never all J candidates.
+    /// is in the comments below.  The anchor DP reads only the `(idx, D)`
+    /// columns of the finite folds, never all J candidates.
     /// Requires `index` in lock-step with `window`; the streaming engine
     /// keeps it so on its default path.
     pub fn impute_composed(
@@ -410,7 +489,7 @@ impl TkcmImputer {
         references: &[SeriesId],
         index: &SignatureIndex,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        self.impute_composed_impl(window, target, references, index, 1.0, 1.0)
+        self.impute_composed_impl(window, target, references, index, 1.0, 1.0, None)
     }
 
     /// Test-only entry: like [`TkcmImputer::impute_composed`] but inflating
@@ -428,9 +507,25 @@ impl TkcmImputer {
         inflate0: f64,
         inflate1: f64,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
-        self.impute_composed_impl(window, target, references, index, inflate0, inflate1)
+        self.impute_composed_impl(window, target, references, index, inflate0, inflate1, None)
     }
 
+    /// Test-only entry: [`TkcmImputer::impute_composed`], appending the
+    /// index of every exact fold to `folds` in the order the search takes
+    /// them, so the suite can pin the pop order.
+    #[doc(hidden)]
+    pub fn impute_composed_traced(
+        &self,
+        window: &StreamingWindow,
+        target: SeriesId,
+        references: &[SeriesId],
+        index: &SignatureIndex,
+        folds: &mut Vec<usize>,
+    ) -> Result<(ImputationDetail, PruneStats), TsError> {
+        self.impute_composed_impl(window, target, references, index, 1.0, 1.0, Some(folds))
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn impute_composed_impl(
         &self,
         window: &StreamingWindow,
@@ -439,6 +534,7 @@ impl TkcmImputer {
         index: &SignatureIndex,
         inflate0: f64,
         inflate1: f64,
+        mut trace: Option<&mut Vec<usize>>,
     ) -> Result<(ImputationDetail, PruneStats), TsError> {
         if !index.is_synced(window) {
             return Err(TsError::invalid(
@@ -468,15 +564,13 @@ impl TkcmImputer {
         // `oldest_age - idx` ticks back, as in `impute`.
         let oldest_age = filled.saturating_sub(l);
         let newest_age = l;
-        let mut dissimilarities: Vec<f64> = Vec::new();
-        // Every candidate with a finite exact fold, the only finite `D`s: a
-        // pruned or disqualified candidate's `D` stays `+∞`.
-        let mut folded: Vec<usize> = Vec::new();
+        let j = (filled + 1).saturating_sub(2 * l);
+        // `(idx, D)` of every candidate with a finite exact fold, the only
+        // finite `D`s: a pruned or disqualified candidate's `D` stays `+∞`.
+        let mut folded: Vec<(usize, f64)> = Vec::new();
         let mut stats = PruneStats::default();
-        if filled >= 2 * l {
-            let j = filled + 1 - 2 * l;
+        if j > 0 {
             stats.candidates = j;
-            dissimilarities = vec![f64::INFINITY; j];
             let query = extract_query_pattern(window, references, l)?;
             if let Some(ref q) = query {
                 let rows: Vec<&[f64]> = (0..references.len()).map(|ri| q.row(ri)).collect();
@@ -497,17 +591,30 @@ impl TkcmImputer {
                 // ---- Best-first search ----
                 // A min-heap of open nodes, each keyed by an admissible lower
                 // bound on the D of every candidate it holds: one node per
-                // level-1 run (its union-envelope bound), expanded into one
-                // node per lag keyed by `max(level-0 bound, run key)`.  Both
-                // bounds are ≤ D, so keys never fall from parent to child,
-                // and when key `b` pops, every candidate still open — in the
-                // heap or in an unexpanded run — has `D ≥ b`.  Each lag is
-                // pushed at most once, when its run expands, and a popped lag
-                // takes its exact fold.  Until τ is certified, a finite fold
+                // level-1 run (its union-envelope bound), replaced on
+                // expansion by a cursor over the run's lags keyed by
+                // `max(level-0 bound, run key)`.  Both bounds are ≤ D, so
+                // keys never fall from parent to child, and when key `b`
+                // pops, every candidate still open — in a cursor or in an
+                // unexpanded run — has `D ≥ b`.  Each lag enters a cursor at
+                // most once, when its run expands, and a popped cursor takes
+                // its head's exact fold.  Until τ is certified, a finite fold
                 // that does not overlap the seed joins it (candidate ages are
                 // consecutive, so candidates overlap iff their indices are
                 // closer than l), which walks the greedy seed in ascending
                 // bound order.
+                //
+                // Cursor order: a cursor's head is the smallest of its
+                // remaining lags by `(key, idx)` — found by a scan when the
+                // run expands, then kept by a min-heap over the rest — and
+                // the cursor sits in the search's heap under its head's key
+                // and index.  The heap's smallest node is then the
+                // smallest open lag or run overall — the node a heap of one
+                // node per lag would pop (`Open::cmp` is total: lags share
+                // no index, runs share no start, and the run flag separates
+                // a run from the lag at its start).  So the pops, the seed,
+                // τ, every fold and every count are those of the per-lag
+                // heap.
                 //
                 // τ is the *float* value the DP assigns to the seed subset:
                 // the DP accumulates "take" steps innermost-first by
@@ -529,7 +636,11 @@ impl TkcmImputer {
                 // open candidate, and options that lose only grow.  With
                 // k = 1, S = 0 and the rule is the plain `b > τ`.  S never
                 // falls as b rises (a new fold is ≥ the key it popped at),
-                // so the first failing pop ends the search.
+                // so the first failing pop ends the search.  The drain
+                // counts what is still open as pruned: every lag of an
+                // unexpanded run (also as level-1 skipped) and every lag
+                // left in a cursor, its head included — the lags a per-lag
+                // heap would drain one node at a time.
                 //
                 // Push-time bar: for the same reason the bar `τ − S` of a
                 // pop never rises at a later one.  Every later pop has a
@@ -538,8 +649,8 @@ impl TkcmImputer {
                 // lag keyed above the bar of the pop that expands its run
                 // would therefore stop the search at or before its own pop,
                 // and the drain would count it pruned: it is counted pruned
-                // at once and never pushed.  The pops before the stop and
-                // every count stay as they were.
+                // at once and never enters the cursor.  The pops before the
+                // stop and every count stay as they were.
                 //
                 // Float slop: the 1e-9 inflation of τ only *reduces*
                 // pruning (`b > τ·(1+ε)` ⇒ D ≥ b > τ); S is a ≤(k−1)-term
@@ -554,38 +665,38 @@ impl TkcmImputer {
                 // non-overlapping finite candidates ends as the exhaustive
                 // sweep.
                 let keep = k - 1;
-                let mut seed: Vec<usize> = Vec::with_capacity(k);
+                let mut seed: Vec<(usize, f64)> = Vec::with_capacity(k);
                 let mut best: Vec<f64> = Vec::with_capacity(keep);
                 let run_of = |s: usize| s..(s + run_len).min(j);
                 let mut run_sums = RunSums::default();
-                let mut open: BinaryHeap<Open> = (0..j)
-                    .step_by(run_len)
-                    .map(|s| {
-                        // Candidate index ascends oldest-first, so the run's
-                        // smallest lag is its *last* candidate.
-                        let run = run_of(s);
-                        let lag_lo = oldest_age - (run.end - 1);
-                        let run_sq = index.run_lower_bound_sq_with_query(
-                            references,
-                            lag_lo,
-                            run.len(),
-                            l,
-                            &sig_query,
-                        );
-                        Open {
-                            key: (run_sq * inflate1).max(0.0).sqrt(),
-                            run: true,
-                            idx: s,
-                        }
-                    })
+                let mut run_bounds = Vec::new();
+                index.run_bounds_sq(
+                    references,
+                    oldest_age,
+                    j,
+                    run_len,
+                    l,
+                    &sig_query,
+                    &mut run_bounds,
+                );
+                let mut open: BinaryHeap<Open> = run_bounds
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &run_sq)| Open::run((run_sq * inflate1).max(0.0).sqrt(), i * run_len))
                     .collect();
                 clock.lap(SearchStage::RunBounds);
+                // Every cursor's lags, one segment per expanded run.
+                let mut lags: Vec<Lag> = Vec::new();
                 let mut threshold = None;
-                while let Some(node) = open.pop() {
+                loop {
+                    let Some(mut top) = open.peek_mut() else {
+                        break;
+                    };
+                    let node = *top;
                     if threshold.is_none() && seed.len() == k {
-                        seed.sort_unstable();
+                        seed.sort_unstable_by_key(|&(idx, _)| idx);
                         let mut tau = 0.0f64;
-                        for &idx in &seed {
+                        for &(_, d) in &seed {
                             // Written `D + acc`, not `acc + D`, to mirror the
                             // DP's take-step expression verbatim (IEEE
                             // addition is commutative, but the proof reads
@@ -593,85 +704,109 @@ impl TkcmImputer {
                             // token).
                             #[allow(clippy::assign_op_pattern)]
                             {
-                                tau = dissimilarities[idx] + tau;
+                                tau = d + tau;
                             }
                         }
                         threshold = Some(tau * (1.0 + 1e-9));
                     }
                     let mut bar = f64::INFINITY;
                     if let Some(threshold) = threshold {
-                        let b = node.key;
+                        let b = node.key();
                         let sum: f64 = (0..keep)
                             .map(|i| best.get(i).map_or(b, |&d| d.min(b)))
                             .sum();
                         bar = threshold - sum * (1.0 - 1e-9);
                         if b > bar {
-                            for rest in std::iter::once(node).chain(open.drain()) {
-                                if rest.run {
-                                    let skipped = run_of(rest.idx).len();
+                            drop(top);
+                            for rest in open.drain() {
+                                if rest.is_run() {
+                                    let skipped = run_of(rest.idx()).len();
                                     stats.pruned += skipped;
                                     stats.level1_skipped += skipped;
                                 } else {
-                                    stats.pruned += 1;
+                                    stats.pruned += rest.end - rest.start;
                                 }
                             }
                             break;
                         }
                     }
-                    if node.run {
-                        let run = run_of(node.idx);
+                    if node.is_run() {
+                        PeekMut::pop(top);
+                        let run = run_of(node.idx());
                         let lag_lo = oldest_age - (run.end - 1);
                         run_sums.fill(window, references, lag_lo, run.len(), l, &sig_query)?;
-                        for idx in run {
+                        let start = lags.len();
+                        // Offset `o` of the run's keys is candidate `s + o`.
+                        let keys = run_sums.keys(inflate0, node.key());
+                        debug_assert_eq!(keys.len(), run.len());
+                        for (idx, &key) in run.zip(keys) {
                             if !is_observed(idx) {
                                 continue;
                             }
-                            let (lb_sq, certain_missing) =
-                                run_sums.lower_bound_sq(oldest_age - idx);
-                            let key = (lb_sq * inflate0).max(0.0).sqrt().max(node.key);
-                            if certain_missing || key > bar {
+                            // NaN (a missing slot) and keys over the bar fail.
+                            if key <= bar {
+                                lags.push((total_order(key.to_bits() as i64), idx));
+                            } else {
                                 stats.pruned += 1;
-                                continue;
                             }
-                            open.push(Open {
-                                key,
-                                run: false,
-                                idx,
-                            });
+                        }
+                        // A cursor may never advance: find its head with one
+                        // scan, and heap-order the rest at its first advance.
+                        if let Some(head) = (start..lags.len()).min_by_key(|&i| lags[i]) {
+                            lags.swap(start, head);
+                            open.push(Open::cursor(&lags, start, lags.len(), false));
                         }
                         continue;
                     }
-                    let idx = node.idx;
+                    // Advance the cursor past its head: the first time by
+                    // heap-ordering the rest, then by moving its last lag to
+                    // the head and sifting it down.
+                    let (mut start, mut end) = (node.start, node.end);
+                    if node.heap {
+                        end -= 1;
+                        lags.swap(start, end);
+                    } else {
+                        start += 1;
+                    }
+                    if start < end {
+                        let cursor = &mut lags[start..end];
+                        if node.heap {
+                            sift_down(cursor, 0);
+                        } else {
+                            for i in (0..cursor.len() / 2).rev() {
+                                sift_down(cursor, i);
+                            }
+                        }
+                        *top = Open::cursor(&lags, start, end, true);
+                    } else {
+                        PeekMut::pop(top);
+                    }
+                    let idx = node.idx();
                     let d = self.exact_fold(window, references, q, oldest_age - idx);
-                    dissimilarities[idx] = d;
                     stats.shortlisted += 1;
+                    if let Some(trace) = trace.as_mut() {
+                        trace.push(idx);
+                    }
                     if d.is_finite() {
-                        folded.push(idx);
+                        folded.push((idx, d));
                         let at = best.partition_point(|&v| v <= d);
                         if at < keep {
                             best.insert(at, d);
                             best.truncate(keep);
                         }
-                        if seed.len() < k && !seed.iter().any(|&p| idx.abs_diff(p) < l) {
-                            seed.push(idx);
+                        if seed.len() < k && !seed.iter().any(|&(p, _)| idx.abs_diff(p) < l) {
+                            seed.push((idx, d));
                         }
                     }
                 }
                 // The DP reads the finite folds in candidate order.
-                folded.sort_unstable();
+                folded.sort_unstable_by_key(|&(idx, _)| idx);
                 clock.lap(SearchStage::Search);
             }
         }
 
         let detail = self.select_and_impute(
-            window,
-            target,
-            references,
-            now,
-            oldest_age,
-            &dissimilarities,
-            &folded,
-            timer,
+            window, target, references, now, oldest_age, j, &folded, timer,
         )?;
         Ok((detail, stats))
     }

@@ -25,12 +25,13 @@
 //! In a streaming window most `D[j]` are `+∞`: missing data, anchor
 //! provenance and the composed path's pruning all leave candidates
 //! unevaluated.  A row of `M` cannot change at such a candidate, so the DP
-//! ([`select_anchors_dp_at`]) takes the ascending list of the F finite
-//! candidates (NaN is treated like `+∞`) and evaluates the recurrence only
-//! there, in O(k·F) instead of O(k·J), reproducing the dense matrix's
-//! cells, optimum and backtrack bit for bit.  [`select_anchors_dp`] finds
-//! that list with one scan of `D`; the composed path hands over its exact
-//! folds instead.
+//! ([`select_anchors_dp_at`]) takes only the F finite candidates, as
+//! ascending `(idx, D)` columns, plus the candidate count J, and evaluates
+//! the recurrence only there, in O(k·F) instead of O(k·J), reproducing the
+//! dense matrix's cells, optimum and backtrack bit for bit.  Both imputer
+//! paths build these columns as they fold, so no J-long `D` vector exists
+//! on either; [`select_anchors_dp`] is the dense entry (NaN is treated like
+//! `+∞`), a thin wrapper that collects the columns with one scan of `D`.
 
 /// Result of a pattern-selection run.
 #[derive(Clone, Debug, PartialEq)]
@@ -66,23 +67,28 @@ impl AnchorSelection {
 /// If fewer than `k` non-overlapping finite candidates exist, the selection
 /// contains as many as possible and `complete` is `false`.
 ///
-/// This scans for the finite candidates and runs
+/// This collects the finite candidates as `(idx, D)` columns and runs
 /// [`select_anchors_dp_at`] on them.
 pub fn select_anchors_dp(
     dissimilarities: &[f64],
     pattern_length: usize,
     k: usize,
 ) -> AnchorSelection {
-    let finite: Vec<usize> = (0..dissimilarities.len())
-        .filter(|&j| dissimilarities[j] < f64::INFINITY)
+    let columns: Vec<(usize, f64)> = dissimilarities
+        .iter()
+        .copied()
+        .enumerate()
+        .filter(|&(_, d)| d < f64::INFINITY)
         .collect();
-    select_anchors_dp_at(dissimilarities, &finite, pattern_length, k)
+    select_anchors_dp_at(dissimilarities.len(), &columns, pattern_length, k)
 }
 
-/// The dynamic program of [`select_anchors_dp`], given `finite`: in
-/// ascending order, every index whose dissimilarity is below `+∞` (so not
-/// NaN either).  A caller that knows its finite candidates (the composed
-/// path's exact folds) needs no O(J) scan.
+/// The dynamic program of [`select_anchors_dp`] over `candidates` (J)
+/// candidates, given only the finite ones: `columns` lists, in ascending
+/// index order, every candidate whose dissimilarity is below `+∞` (so not
+/// NaN either) with that dissimilarity; every other candidate's `D` is
+/// `+∞`.  A caller that knows its finite candidates (both imputer paths,
+/// which collect them as they fold) needs no J-long `D` vector.
 ///
 /// The recurrence is evaluated *sparsely*.  At a candidate whose `D` is `+∞`
 /// or NaN the take term is `+∞` or NaN, and `skip.min(+∞)` and
@@ -95,19 +101,21 @@ pub fn select_anchors_dp(
 /// in O(k·F) time and memory instead of O(k·J).  The tests hold it against
 /// a dense implementation bit for bit.
 pub fn select_anchors_dp_at(
-    dissimilarities: &[f64],
-    finite: &[usize],
+    candidates: usize,
+    columns: &[(usize, f64)],
     pattern_length: usize,
     k: usize,
 ) -> AnchorSelection {
     assert!(pattern_length > 0, "pattern length must be positive");
     debug_assert!(
-        finite.windows(2).all(|w| w[0] < w[1])
-            && finite.iter().all(|&j| dissimilarities[j] < f64::INFINITY),
-        "finite columns must ascend and hold only D < +∞"
+        columns.windows(2).all(|w| w[0].0 < w[1].0)
+            && columns
+                .iter()
+                .all(|&(j, d)| j < candidates && d < f64::INFINITY),
+        "columns must ascend, lie below the candidate count and hold only D < +∞"
     );
-    let j_max = dissimilarities.len();
-    let f = finite.len();
+    let j_max = candidates;
+    let f = columns.len();
     if k == 0 || f == 0 {
         return AnchorSelection::empty();
     }
@@ -116,7 +124,7 @@ pub fn select_anchors_dp_at(
     // J candidates and spacing l the maximum is ceil(J / l).
     let feasible_k = k.min(j_max.div_ceil(pattern_length));
     // Column (1-based, as in the paper) of the `a`-th finite candidate.
-    let col = |a: usize| finite[a] + 1;
+    let col = |a: usize| columns[a].0 + 1;
 
     // `m[(i − 1) · F + a]` is the paper's `M[i][col(a)]`; `M[i][j]` for any
     // other column is the cell of the last finite column ≤ j, or +∞ before
@@ -129,7 +137,7 @@ pub fn select_anchors_dp_at(
         // `p`: number of finite columns ≤ the current predecessor column.
         let mut p = 0usize;
         let mut skip = f64::INFINITY;
-        for (a, &c) in finite.iter().enumerate() {
+        for (a, &(c, d)) in columns.iter().enumerate() {
             let j = c + 1;
             let pred = j.saturating_sub(pattern_length);
             while p < f && col(p) <= pred {
@@ -144,7 +152,7 @@ pub fn select_anchors_dp_at(
                 } else {
                     prev[p - 1]
                 };
-                let take = dissimilarities[j - 1] + below;
+                let take = d + below;
                 row[a] = skip.min(take);
             }
             skip = row[a];

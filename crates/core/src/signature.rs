@@ -16,13 +16,13 @@
 //! [`SIGNATURE_BLOCK_LEN`] positions, the last one possibly shorter; the
 //! query side of a chunk ([`SignatureQuery`]) is its min, max and sum.
 //!
-//! - **Level 1, a run of lags**
-//!   ([`SignatureIndex::run_lower_bound_sq_with_query`]): the index keeps,
-//!   per block of `B` consecutive ticks of every series, a min/max envelope
-//!   and a missing-slot count.  Across a run, the candidate values paired
-//!   with a chunk lie in the union envelope of the blocks covering their
-//!   region, so with `g` the gap between it and the query chunk's envelope,
-//!   every pair but the region's missing slots has `(x − y)² ≥ g²`.
+//! - **Level 1, a run of lags** ([`SignatureIndex::run_bounds_sq`]): the
+//!   index keeps, per block of `B` consecutive ticks of every series, a
+//!   min/max envelope and a missing-slot count.  Across a run, the
+//!   candidate values paired with a chunk lie in the union envelope of the
+//!   blocks covering their region, so with `g` the gap between it and the
+//!   query chunk's envelope, every pair but the region's missing slots has
+//!   `(x − y)² ≥ g²`.
 //! - **Level 0, every lag of a run** ([`RunSums::fill`]): expanding a run
 //!   reads the region its lags span once per reference and builds prefix
 //!   sums of its values and of its missing slots.  A lag's missing count is
@@ -49,6 +49,27 @@
 //! `if gap < ∞ { gap } else { 0 }` drops `+∞`.  A vacuous term adds `+0.0`
 //! where a per-lag loop would skip it, which leaves every sum's bits as
 //! they are.  With no branch in the loop, the compiler can vectorize it.
+//! [`RunSums::keys`] then turns every bound into the search's key in one
+//! more branch-free pass.
+//!
+//! # The level-1 sweep
+//!
+//! [`SignatureIndex::run_bounds_sq`] bounds every run of a search at once,
+//! one reference at a time.  It unwraps the reference's block ring once,
+//! oldest block first, into sparse tables: the min and max over every
+//! power-of-two window of blocks, and a prefix of missing counts.  Chunk `c`
+//! of a run's pattern pairs with a region that starts `c` blocks after
+//! chunk 0's, and when the run length is a multiple of `B` (the engine's
+//! runs are) every full run's region has the same width in blocks, one for
+//! a full chunk and one for a shorter last chunk.  Each region's union
+//! envelope is then two overlapping power-of-two windows of one table
+//! level, and its missing count a difference of two prefixes: O(1) per
+//! (run, chunk), where a per-run walk read ~6 blocks.  Min, max and integer
+//! counts are exact, so the window split changes no value, and each run
+//! adds its terms in the same (reference, chunk) order as a per-run loop,
+//! so every run's bound is bit-equal to it; a vacuous term adds `+0.0`, as
+//! at level 0.  The unit tests hold the sweep against that per-run loop
+//! bit for bit.
 //!
 //! # The block ring
 //!
@@ -155,10 +176,97 @@ fn ring_len(window_length: usize) -> usize {
     window_length.div_ceil(CHUNK) + 1
 }
 
-/// A ring's blocks from `slot` on, wrapping once round to `slot − 1`.
-fn ring_from(ring: &[BlockSummary], slot: usize) -> impl Iterator<Item = &BlockSummary> {
-    let (before, from) = ring.split_at(slot);
-    from.iter().chain(before)
+/// Sparse tables over one reference's resolvable blocks, oldest first:
+/// `mins[t][b]` and `maxs[t][b]` are the min and max over the `2^t` blocks
+/// from `b` on, and `missing[b]` counts the missing slots of the blocks
+/// before `b`.  Any window of blocks is then the union of two overlapping
+/// power-of-two windows, in O(1).
+#[derive(Default)]
+struct EnvelopeTable {
+    mins: Vec<Vec<f64>>,
+    maxs: Vec<Vec<f64>>,
+    missing: Vec<u64>,
+}
+
+impl EnvelopeTable {
+    /// Rebuilds the table over the `count` blocks of `ring` from `slot` on,
+    /// wrapping once, for windows of up to `widest` blocks.
+    fn build(&mut self, ring: &[BlockSummary], slot: usize, count: usize, widest: usize) {
+        let levels = (usize::BITS - widest.max(1).leading_zeros()) as usize;
+        self.mins.resize_with(levels, Vec::new);
+        self.maxs.resize_with(levels, Vec::new);
+        let (mins, maxs) = (&mut self.mins[0], &mut self.maxs[0]);
+        mins.clear();
+        maxs.clear();
+        self.missing.clear();
+        mins.reserve(count);
+        maxs.reserve(count);
+        self.missing.reserve(count + 1);
+        let mut missing = 0u64;
+        self.missing.push(missing);
+        let (before, from) = ring.split_at(slot);
+        let from = &from[..count.min(from.len())];
+        for part in [from, &before[..count - from.len()]] {
+            mins.extend(part.iter().map(|block| block.min));
+            maxs.extend(part.iter().map(|block| block.max));
+            self.missing.extend(part.iter().map(|block| {
+                missing += u64::from(block.missing);
+                missing
+            }));
+        }
+        for t in 1..levels {
+            next_level(&mut self.mins, t, f64::min);
+            next_level(&mut self.maxs, t, f64::max);
+        }
+    }
+}
+
+/// The windows of one width `≥ 1` in an [`EnvelopeTable`]: the union of
+/// the two power-of-two windows of its level that start at a window's first
+/// and end at its last block.  Min and max are exact, so their overlap
+/// changes nothing.
+struct Window<'a> {
+    width: usize,
+    /// Offset of the second power-of-two window.
+    second: usize,
+    mins: &'a [f64],
+    maxs: &'a [f64],
+    missing: &'a [u64],
+}
+
+impl<'a> Window<'a> {
+    fn new(table: &'a EnvelopeTable, width: usize) -> Self {
+        let t = (usize::BITS - 1 - width.leading_zeros()) as usize;
+        Window {
+            width,
+            second: width - (1 << t),
+            mins: &table.mins[t],
+            maxs: &table.maxs[t],
+            missing: &table.missing,
+        }
+    }
+
+    /// The union envelope and the summed missing count of the window of
+    /// blocks from `first` on.
+    fn union(&self, first: usize) -> (f64, f64, u64) {
+        let second = first + self.second;
+        (
+            self.mins[first].min(self.mins[second]),
+            self.maxs[first].max(self.maxs[second]),
+            self.missing[first + self.width] - self.missing[first],
+        )
+    }
+}
+
+/// Fills sparse-table level `t` from level `t − 1`: entry `b` combines the
+/// two halves starting at `b` and `b + 2^(t−1)`.
+fn next_level(levels: &mut [Vec<f64>], t: usize, combine: impl Fn(f64, f64) -> f64) {
+    let (done, rest) = levels.split_at_mut(t);
+    let prev = &done[t - 1];
+    let tail = prev.get(1 << (t - 1)..).unwrap_or(&[]);
+    let level = &mut rest[0];
+    level.clear();
+    level.extend(prev.iter().zip(tail).map(|(&a, &b)| combine(a, b)));
 }
 
 /// The query side of both bound levels: per reference row of the query
@@ -252,6 +360,8 @@ pub struct RunSums {
     prefix: Vec<f64>,
     /// Laid out like `prefix`: the number of missing slots among them.
     missing: Vec<u32>,
+    /// The output of [`RunSums::keys`].
+    keys: Vec<f64>,
 }
 
 impl RunSums {
@@ -286,26 +396,36 @@ impl RunSums {
                     return Err(err);
                 }
             };
-            self.prefix.clear();
-            self.missing.clear();
+            self.prefix.resize(n + 1, 0.0);
+            self.missing.resize(n + 1, 0);
             let (mut sum, mut missing, mut max_abs) = (0.0, 0u32, 0.0f64);
-            self.prefix.push(sum);
-            self.missing.push(missing);
-            for &x in older.iter().chain(newer) {
-                let hole = x.is_nan();
-                sum += if hole { 0.0 } else { x };
-                missing += u32::from(hole);
-                max_abs = max_abs.max(x.abs());
-                self.prefix.push(sum);
-                self.missing.push(missing);
+            let mut at = 1;
+            for part in [older, newer] {
+                let prefix = &mut self.prefix[at..at + part.len()];
+                let counts = &mut self.missing[at..at + part.len()];
+                for ((&x, p), m) in part.iter().zip(prefix).zip(counts) {
+                    let hole = x.is_nan();
+                    let v = if hole { 0.0 } else { x };
+                    sum += v;
+                    missing += u32::from(hole);
+                    // `v` is never NaN, so a plain compare is `max`, one
+                    // instruction on the loop's critical path.
+                    max_abs = if v.abs() > max_abs { v.abs() } else { max_abs };
+                    *p = sum;
+                    *m = missing;
+                }
+                at += part.len();
             }
             let margin = (n + 4) as f64 * f64::EPSILON * n as f64 * max_abs;
-            for (hole, (first, last)) in self
-                .holes
-                .iter_mut()
-                .zip(self.missing.iter().zip(&self.missing[l..]))
-            {
-                *hole |= first != last;
+            // A region without a missing slot holds no hole.
+            if missing > 0 {
+                for (hole, (first, last)) in self
+                    .holes
+                    .iter_mut()
+                    .zip(self.missing.iter().zip(&self.missing[l..]))
+                {
+                    *hole |= first != last;
+                }
             }
             // Chunk `c` spans the prefixes from `p_s = c·B` to its end `p_e`;
             // lag offset `o` reads them at `o + p_s` and `o + p_e`.
@@ -327,6 +447,26 @@ impl RunSums {
             }
         }
         Ok(())
+    }
+
+    /// The search key of every lag of the last [`RunSums::fill`], oldest
+    /// lag first (lag `lag_hi − o` at offset `o`): the square root of its
+    /// bound times `inflate` (1 outside tests), raised to `floor` (the run's
+    /// own key), so a child's key never falls below its parent's.  A lag
+    /// holding a missing slot gets a NaN key, which no stop bar admits
+    /// (`key <= bar` is false).  One branch-free pass, reusing a buffer.
+    pub fn keys(&mut self, inflate: f64, floor: f64) -> &[f64] {
+        self.keys.clear();
+        self.keys
+            .extend(self.bounds.iter().zip(&self.holes).map(|(&bound, &hole)| {
+                let key = (bound * inflate).max(0.0).sqrt().max(floor);
+                if hole {
+                    f64::NAN
+                } else {
+                    key
+                }
+            }));
+        &self.keys
     }
 
     /// Lower bound on the *squared* L2 dissimilarity `D²` of the candidate
@@ -477,8 +617,9 @@ impl SignatureIndex {
 
     /// Ring slot `(o / B) % R` of the block holding ordinal `o`, or `None`
     /// unless that block is in range: between
-    /// [`SignatureIndex::oldest_block`] and the newest block.  From it,
-    /// [`ring_from`] yields the in-range blocks in ordinal order.
+    /// [`SignatureIndex::oldest_block`] and the newest block.  From it, the
+    /// in-range blocks follow in ordinal order, wrapping once round the
+    /// ring.
     fn slot_in_range(&self, ordinal: u64) -> Option<usize> {
         let block = ordinal / SIGNATURE_BLOCK_LEN as u64;
         let newest = self.ticks_seen.checked_sub(1)? / SIGNATURE_BLOCK_LEN as u64;
@@ -488,15 +629,21 @@ impl SignatureIndex {
         Some((block % ring_len(self.window_length) as u64) as usize)
     }
 
-    /// Level-1 *run* bound: an admissible lower bound on the squared L2
-    /// dissimilarity of **every** candidate lag in
-    /// `lag_lo .. lag_lo + run_len`, computed from coarse block-envelope
-    /// unions — one bound for a whole run of consecutive lags, so the
-    /// imputer's best-first search can leave the run unexpanded when the
-    /// bound already exceeds its stop bar.
+    /// Level-1 *run* bounds: for every run of the composed search, an
+    /// admissible lower bound on the squared L2 dissimilarity of **every**
+    /// candidate lag it holds, computed from block-envelope unions — one
+    /// bound per run of consecutive lags, so the imputer's best-first search
+    /// can leave a run unexpanded when its bound already exceeds the stop
+    /// bar.
+    ///
+    /// The `lags ≤ lag_hi + 1` candidates run from lag `lag_hi` down, in
+    /// runs of `run_len`: run `i` holds the lags `lag_hi − i·run_len` down
+    /// to `lag_hi − min((i+1)·run_len, lags) + 1`, the last run possibly
+    /// shorter.  `bounds` is cleared and receives one bound per run, in run
+    /// order.
     ///
     /// For a chunk of `B = SIGNATURE_BLOCK_LEN` query positions `[p_s, p_e]`
-    /// the candidate ordinals paired with it across the run sweep the region
+    /// the candidate ordinals paired with it across a run sweep the region
     /// `[start(lag_hi) + p_s, start(lag_lo) + p_e]` (length
     /// `chunk_len + run_len − 1`).  The union envelope of the blocks covering
     /// that region contains every candidate value any lag in the run pairs
@@ -504,69 +651,117 @@ impl SignatureIndex {
     /// single lag's missing slots, so with `g` the gap between the union
     /// envelope and the exact query-chunk envelope,
     /// `g² · max(0, chunk_len − region_missing)` lower-bounds each lag's
-    /// contribution.  Per reference the cost is
-    /// `O((l/B) · (run_len/B + 2))` block reads for `run_len` lags.
+    /// contribution.
     ///
     /// There is no certain-missing signal here: a missing slot in the region
     /// need not lie inside any particular lag's range.  A chunk whose region
-    /// is not fully resolvable contributes 0, so the caller never
-    /// over-prunes.
-    pub fn run_lower_bound_sq_with_query(
+    /// starts before the oldest resolvable block contributes 0, and a run
+    /// reaching past the pushed ticks gets 0, so the caller never
+    /// over-prunes.  The sweep is described in the module docs.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_bounds_sq(
         &self,
         references: &[SeriesId],
-        lag_lo: usize,
+        lag_hi: usize,
+        lags: usize,
         run_len: usize,
         l: usize,
         query: &SignatureQuery,
-    ) -> f64 {
-        let Some(rows) = query.rows(references.len(), l) else {
-            return 0.0;
-        };
+        bounds: &mut Vec<f64>,
+    ) {
+        assert!(lags <= lag_hi + 1, "run_bounds_sq: a lag below 0");
+        bounds.clear();
         if run_len == 0 {
-            return 0.0;
+            return;
         }
-        let lag_hi = lag_lo + (run_len - 1);
-        let need = l as u64 + lag_hi as u64;
-        if self.ticks_seen < need {
-            return 0.0;
-        }
-        // Oldest and newest candidate start ordinals across the run: larger
-        // lag ⇒ older candidate, so lag_hi anchors the region's left edge.
-        let start_hi = self.ticks_seen - need;
-        let start_lo = self.ticks_seen - l as u64 - lag_lo as u64;
+        let runs = lags.div_ceil(run_len);
+        bounds.resize(runs, 0.0);
+        let Some(rows) = query.rows(references.len(), l) else {
+            return;
+        };
+        let Some(newest) = self.ticks_seen.checked_sub(1) else {
+            return;
+        };
         let block_len = SIGNATURE_BLOCK_LEN as u64;
-
-        let mut sum = 0.0_f64;
+        let oldest = self.oldest_block();
+        let resolvable = (newest / block_len + 1 - oldest) as usize;
+        let oldest_slot = (oldest % ring_len(self.window_length) as u64) as usize;
+        // Run `i` starts `lag_hi − i·run_len + l` ticks back; runs whose
+        // region reaches past the pushed ticks stay vacuous.
+        let first_run = (l as u64 + lag_hi as u64)
+            .checked_sub(self.ticks_seen)
+            .map_or(0, |over| over.div_ceil(run_len as u64) as usize);
+        if first_run >= runs {
+            return;
+        }
+        // Per run: the block of its oldest candidate's first ordinal, and
+        // its regions' widths in blocks — one for every chunk of B
+        // positions, one for a shorter last chunk.  Chunk `c` of a run
+        // starts `c` blocks after its chunk 0, with the same width.
+        let last_len = (l - 1) % CHUNK + 1;
+        let spans: Vec<(u64, usize, usize)> = (first_run..runs)
+            .map(|i| {
+                let s = i * run_len;
+                let e = (s + run_len).min(lags);
+                // Oldest and newest candidate start ordinals across the
+                // run: the larger lag anchors the region's left edge.
+                let start_hi = self.ticks_seen - (l + lag_hi - s) as u64;
+                let start_lo = self.ticks_seen - (l + lag_hi + 1 - e) as u64;
+                let block = start_hi / block_len;
+                let width = |chunk_len: usize| {
+                    ((start_lo + chunk_len as u64 - 1) / block_len - block) as usize + 1
+                };
+                (block, width(CHUNK), width(last_len))
+            })
+            .collect();
+        let widest = spans.iter().map(|&(_, full, _)| full).max().unwrap_or(1);
+        let mut table = EnvelopeTable::default();
         for (r, chunks) in references.iter().zip(rows) {
             let Some(ring) = self.blocks.get(r.index()) else {
                 continue;
             };
+            table.build(ring, oldest_slot, resolvable, widest);
+            let last = chunks.len() - 1;
+            // Chunk-major: each run still adds its terms in (reference,
+            // chunk) order.
             for (c, chunk) in chunks.iter().enumerate() {
-                let p_s = c * CHUNK;
-                let chunk_len = (l - p_s).min(CHUNK) as u64;
-                let region_start = start_hi + p_s as u64;
-                let region_end = start_lo + p_s as u64 + chunk_len - 1;
-                let Some(first) = self.slot_in_range(region_start) else {
-                    continue;
+                let chunk_len = if c == last { last_len } else { CHUNK } as u64;
+                let width_of = |&(_, full, short): &(u64, usize, usize)| {
+                    if c == last {
+                        short
+                    } else {
+                        full
+                    }
                 };
-                let count = region_end / block_len - region_start / block_len + 1;
-                let mut c_min = f64::INFINITY;
-                let mut c_max = f64::NEG_INFINITY;
-                let mut region_missing = 0u64;
-                for blk in ring_from(ring, first).take(count as usize) {
-                    c_min = c_min.min(blk.min);
-                    c_max = c_max.max(blk.max);
-                    region_missing += u64::from(blk.missing);
-                }
-                if chunk_len > region_missing {
-                    let g = (chunk.min - c_max).max(c_min - chunk.max).max(0.0);
-                    if g > 0.0 && g.is_finite() {
-                        sum += g * g * (chunk_len - region_missing) as f64;
+                // Every full run's region has the first run's width when
+                // the run length is a multiple of B: its window is looked
+                // up at one fixed level of the table.
+                let common = Window::new(&table, width_of(&spans[0]));
+                for (bound, span) in bounds[first_run..].iter_mut().zip(&spans) {
+                    // A region starting before the oldest resolvable block
+                    // gives nothing.
+                    let Some(first) = (span.0 + c as u64).checked_sub(oldest) else {
+                        continue;
+                    };
+                    let count = width_of(span);
+                    let (c_min, c_max, region_missing) = if count == common.width {
+                        common.union(first as usize)
+                    } else {
+                        Window::new(&table, count).union(first as usize)
+                    };
+                    // As at level 0, selects drop a vacuous gap (`max`
+                    // drops NaN and the select `+∞`): its term is `+0.0`,
+                    // which leaves the sum's bits as they are.  Only a chunk
+                    // the region's missing slots cover is skipped.
+                    let gap = (chunk.min - c_max).max(c_min - chunk.max).max(0.0);
+                    let g = if gap < f64::INFINITY { gap } else { 0.0 };
+                    let present = chunk_len.saturating_sub(region_missing);
+                    if present > 0 {
+                        *bound += g * g * present as f64;
                     }
                 }
             }
         }
-        sum
     }
 
     /// Rebuilds the index from the current window contents: one
@@ -626,6 +821,12 @@ mod tests {
     fn block_starts(ix: &SignatureIndex) -> impl Iterator<Item = u64> {
         let b = SIGNATURE_BLOCK_LEN as u64;
         (ix.oldest_block() * b..ix.ticks_seen).step_by(b as usize)
+    }
+
+    /// A ring's blocks from `slot` on, wrapping once round to `slot − 1`.
+    fn ring_from(ring: &[BlockSummary], slot: usize) -> impl Iterator<Item = &BlockSummary> {
+        let (before, from) = ring.split_at(slot);
+        from.iter().chain(before)
     }
 
     /// The block holding `ordinal`, if a lookup resolves it.
@@ -920,6 +1121,179 @@ mod tests {
         Some(sum)
     }
 
+    /// The sweep's bounds for the runs of `run_len` lags from `lag_hi`
+    /// down over `lags` lags.
+    fn sweep(
+        ix: &SignatureIndex,
+        refs: &[SeriesId],
+        lag_hi: usize,
+        lags: usize,
+        run_len: usize,
+        l: usize,
+        query: &SignatureQuery,
+    ) -> Vec<f64> {
+        let mut bounds = vec![f64::NAN; 3];
+        ix.run_bounds_sq(refs, lag_hi, lags, run_len, l, query, &mut bounds);
+        bounds
+    }
+
+    /// The level-1 bound of one run of `run_len` lags from `lag_lo` on,
+    /// written one run at a time with a serial min/max walk over the ring:
+    /// the oracle [`SignatureIndex::run_bounds_sq`] must match bit for bit.
+    fn run_bound_oracle(
+        ix: &SignatureIndex,
+        references: &[SeriesId],
+        lag_lo: usize,
+        run_len: usize,
+        l: usize,
+        query: &SignatureQuery,
+    ) -> f64 {
+        let Some(rows) = query.rows(references.len(), l) else {
+            return 0.0;
+        };
+        let lag_hi = lag_lo + (run_len - 1);
+        let need = l as u64 + lag_hi as u64;
+        if ix.ticks_seen < need {
+            return 0.0;
+        }
+        let start_hi = ix.ticks_seen - need;
+        let start_lo = ix.ticks_seen - l as u64 - lag_lo as u64;
+        let block_len = SIGNATURE_BLOCK_LEN as u64;
+        let mut sum = 0.0_f64;
+        for (r, chunks) in references.iter().zip(rows) {
+            let ring = &ix.blocks[r.index()];
+            for (c, chunk) in chunks.iter().enumerate() {
+                let p_s = c * CHUNK;
+                let chunk_len = (l - p_s).min(CHUNK) as u64;
+                let region_start = start_hi + p_s as u64;
+                let region_end = start_lo + p_s as u64 + chunk_len - 1;
+                let Some(first) = ix.slot_in_range(region_start) else {
+                    continue;
+                };
+                let count = region_end / block_len - region_start / block_len + 1;
+                let (mut c_min, mut c_max) = (f64::INFINITY, f64::NEG_INFINITY);
+                let mut region_missing = 0u64;
+                for blk in ring_from(ring, first).take(count as usize) {
+                    c_min = c_min.min(blk.min);
+                    c_max = c_max.max(blk.max);
+                    region_missing += u64::from(blk.missing);
+                }
+                if chunk_len > region_missing {
+                    let g = (chunk.min - c_max).max(c_min - chunk.max).max(0.0);
+                    if g > 0.0 && g.is_finite() {
+                        sum += g * g * (chunk_len - region_missing) as f64;
+                    }
+                }
+            }
+        }
+        sum
+    }
+
+    /// Holds the sweep against [`run_bound_oracle`] bit for bit, for every
+    /// run of the imputer's layout (the largest lag `filled − l`, every
+    /// candidate) and of a layout starting past the pushed ticks, at several
+    /// run widths.
+    fn assert_sweep_matches_oracle(
+        ix: &SignatureIndex,
+        w: &StreamingWindow,
+        refs: &[SeriesId],
+        l: usize,
+        query: &SignatureQuery,
+        case: &str,
+    ) {
+        let filled = w.filled();
+        if filled < 2 * l {
+            return;
+        }
+        let oldest_age = filled - l;
+        let layouts = [
+            (oldest_age, oldest_age + 1 - l),
+            (w.ticks_seen() - l + 20, oldest_age + 1 - l),
+        ];
+        for (lag_hi, lags) in layouts {
+            for run_len in [1, 5, CHUNK, 3 * CHUNK, level1_run_len(l)] {
+                let bounds = sweep(ix, refs, lag_hi, lags, run_len, l, query);
+                assert_eq!(bounds.len(), lags.div_ceil(run_len), "{case}");
+                for (i, bound) in bounds.iter().enumerate() {
+                    let s = i * run_len;
+                    let e = (s + run_len).min(lags);
+                    let expected = run_bound_oracle(ix, refs, lag_hi + 1 - e, e - s, l, query);
+                    assert_eq!(
+                        bound.to_bits(),
+                        expected.to_bits(),
+                        "{case}, ticks {}, lag_hi {lag_hi}, runs of {run_len}, run {i}: \
+                         sweep {bound} vs oracle {expected}",
+                        w.ticks_seen()
+                    );
+                }
+            }
+        }
+    }
+
+    /// Streams `values(t, series)` for `ticks` ticks into a window of `cap`
+    /// over `width` series and, from tick `2l` on and then every `every`
+    /// ticks, checks the sweep against the oracle with a query made of the
+    /// last `l` values of the references (missing ones read as 0.5).
+    fn check_sweep_on(
+        case: &str,
+        cap: usize,
+        width: usize,
+        l: usize,
+        ticks: usize,
+        every: usize,
+        values: impl Fn(usize, usize) -> Option<f64>,
+    ) {
+        let refs: Vec<SeriesId> = (0..width as u32).map(SeriesId).collect();
+        let mut w = StreamingWindow::new(width, cap);
+        let mut ix = SignatureIndex::new(width, cap).unwrap();
+        for t in 0..ticks {
+            let row = (0..width).map(|s| values(t, s)).collect();
+            push(&mut w, &mut ix, t as i64, row);
+            if t + 1 < 2 * l || (t + 1) % every != 0 {
+                continue;
+            }
+            let rows: Vec<Vec<f64>> = refs
+                .iter()
+                .map(|&r| {
+                    (0..l)
+                        .map(|col| w.value_recent(r, l - 1 - col).unwrap().unwrap_or(0.5))
+                        .collect()
+                })
+                .collect();
+            let rows: Vec<&[f64]> = rows.iter().map(|r| r.as_slice()).collect();
+            let query = SignatureQuery::new(&rows);
+            assert_sweep_matches_oracle(&ix, &w, &refs, l, &query, case);
+        }
+    }
+
+    #[test]
+    fn the_run_sweep_is_bit_equal_to_the_per_run_oracle() {
+        let wave = |t: usize, s: usize| ((t * (s + 3)) as f64 * 0.37).sin() * 3.0 + s as f64;
+        // Before and across many ring wraps (the seam moves with the tick
+        // count), with a partial last run and l a multiple of B, or not.
+        for l in [16, 20, 40, 72] {
+            check_sweep_on("wave", 300, 2, l, 1000, 7, |t, s| Some(wave(t, s)));
+        }
+        // Ramps: every region lies clear of the query, so every chunk of
+        // every run adds a term and their order shows in the sum's bits.
+        check_sweep_on("ramp", 300, 3, 40, 700, 3, |t, s| {
+            Some(t as f64 * (0.013 + 0.007 * s as f64) + wave(t, s))
+        });
+        // Scattered gaps and whole missing blocks.
+        check_sweep_on("gaps", 257, 3, 40, 900, 5, |t, s| {
+            let gap = (t + 5 * s) % 11 == 3 || (200..240).contains(&((t + 60 * s) % 400));
+            (!gap).then(|| wave(t, s))
+        });
+        // Huge finite readings: envelope gaps and their squares overflow.
+        check_sweep_on("±1e300", 300, 2, 72, 800, 9, |t, s| {
+            Some(if (t / 37 + s) % 2 == 0 { 1e300 } else { -1e300 })
+        });
+        check_sweep_on("mixed 1e300", 300, 2, 24, 800, 9, |t, s| {
+            Some(if t % 50 < 10 { 1e300 } else { wave(t, s) })
+        });
+        check_sweep_on("stuck at 1e307", 300, 1, 72, 700, 11, |_, _| Some(1e307));
+    }
+
     #[test]
     fn run_bound_is_admissible_for_every_lag_in_the_run() {
         let cap = 128;
@@ -938,22 +1312,20 @@ mod tests {
             push(&mut w, &mut ix, t, vec![v]);
         }
         let query = query_of(&w, l);
+        let (lag_hi, lags) = (cap - l, cap + 1 - 2 * l);
         for run_len in [1usize, 4, 16, 32] {
-            let mut lag_lo = l;
-            while lag_lo + run_len - 1 <= cap - l {
-                let rb =
-                    ix.run_lower_bound_sq_with_query(&[SeriesId(0)], lag_lo, run_len, l, &query);
-                for lag in lag_lo..lag_lo + run_len {
-                    // Admissible vs the exact sum, and never above the
-                    // per-lag level-0 bound's target either.
+            let bounds = sweep(&ix, &[SeriesId(0)], lag_hi, lags, run_len, l, &query);
+            for (i, &rb) in bounds.iter().enumerate() {
+                let s = i * run_len;
+                for lag in (lag_hi + 1 - (s + run_len).min(lags))..=lag_hi - s {
+                    // Admissible vs the exact sum for every lag of the run.
                     if let Some(exact) = exact_sum_sq(&w, lag, l) {
                         assert!(
                             rb <= exact + 1e-9,
-                            "run [{lag_lo}, +{run_len}) lag {lag}: {rb} > {exact}"
+                            "run {i} of {run_len}, lag {lag}: {rb} > {exact}"
                         );
                     }
                 }
-                lag_lo += run_len;
             }
         }
     }
@@ -976,11 +1348,15 @@ mod tests {
         let query = query_of(&w, l);
         // A run wholly inside the far (level-100) region must get a large
         // positive bound.
-        let rb = ix.run_lower_bound_sq_with_query(&[SeriesId(0)], 64, 8, l, &query);
+        let [rb] = sweep(&ix, &[SeriesId(0)], 71, 8, 8, l, &query)[..] else {
+            unreachable!()
+        };
         assert!(rb > 16.0 * 90.0 * 90.0, "rb = {rb}");
         // A run overlapping the query-like recent region must stay vacuous
         // or tiny (the union envelope includes near-query values).
-        let rb_near = ix.run_lower_bound_sq_with_query(&[SeriesId(0)], l, 8, l, &query);
+        let [rb_near] = sweep(&ix, &[SeriesId(0)], l + 7, 8, 8, l, &query)[..] else {
+            unreachable!()
+        };
         assert!(rb_near <= rb, "near {rb_near} vs far {rb}");
     }
 
@@ -992,15 +1368,11 @@ mod tests {
             push(&mut w, &mut ix, t, vec![Some(t as f64)]);
         }
         let query = SignatureQuery::new(&[&[0.0; 4]]);
-        // Not enough history for lag 30 — must not invent a bound.
-        assert_eq!(
-            ix.run_lower_bound_sq_with_query(&[SeriesId(0)], 30, 4, 4, &query),
-            0.0
-        );
-        assert_eq!(
-            ix.run_lower_bound_sq_with_query(&[SeriesId(0)], 4, 0, 4, &query),
-            0.0
-        );
+        // Not enough history for lags 30..=33 — must not invent a bound.
+        assert_eq!(sweep(&ix, &[SeriesId(0)], 33, 4, 4, 4, &query), [0.0]);
+        // No run, no bound; a query of another geometry bounds nothing.
+        assert!(sweep(&ix, &[SeriesId(0)], 4, 4, 0, 4, &query).is_empty());
+        assert_eq!(sweep(&ix, &[SeriesId(0)], 3, 2, 1, 2, &query), [0.0, 0.0]);
     }
 
     #[test]

@@ -21,11 +21,12 @@
 use proptest::prelude::*;
 
 use tkcm_core::{
-    extract_pattern, extract_query_pattern, l2_distance, level1_run_len, PruneStats, RunSums,
-    SignatureIndex, SignatureQuery, TkcmConfig, TkcmEngine, TkcmImputer, SIGNATURE_BLOCK_LEN,
+    extract_pattern, extract_pattern_at_age, extract_query_pattern, l2_distance, level1_run_len,
+    select_anchors_dp, PruneStats, RunSums, SignatureIndex, SignatureQuery, TkcmConfig, TkcmEngine,
+    TkcmImputer, SIGNATURE_BLOCK_LEN,
 };
 use tkcm_store::{decode_from_slice, encode_to_vec};
-use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow, Timestamp};
+use tkcm_timeseries::{Catalog, SeriesId, SlotState, StreamTick, StreamingWindow, Timestamp};
 
 /// From-scratch `D` at one candidate lag, computed exactly like the exact
 /// imputer path (pattern extraction + the L2 distance of Definition 2).
@@ -567,12 +568,11 @@ proptest! {
                 let sq = &SignatureQuery::new(&rows);
                 let j = filled - 2 * l + 1;
                 let oldest_age = filled - l;
-                let mut s = 0usize;
-                while s < j {
-                    let e = (s + run_len).min(j);
-                    let lag_lo = oldest_age - (e - 1);
-                    let run_sq =
-                        index.run_lower_bound_sq_with_query(&refs, lag_lo, e - s, l, sq);
+                let mut bounds = Vec::new();
+                index.run_bounds_sq(&refs, oldest_age, j, run_len, l, sq, &mut bounds);
+                prop_assert_eq!(bounds.len(), j.div_ceil(run_len));
+                for (i, &run_sq) in bounds.iter().enumerate() {
+                    let (s, e) = (i * run_len, ((i + 1) * run_len).min(j));
                     prop_assert!(run_sq.is_finite() && run_sq >= 0.0);
                     for idx in s..e {
                         let lag = oldest_age - idx;
@@ -589,7 +589,6 @@ proptest! {
                             );
                         }
                     }
-                    s = e;
                 }
             }
         }
@@ -1005,4 +1004,287 @@ fn anchors_at_1e308_impute_a_finite_value() {
         }
     }
     assert_eq!(composed.imputations_performed(), 6);
+}
+
+/// A node of [`per_lag_search`]'s heap: one level-1 run, or one lag.
+#[derive(Clone, Copy)]
+struct LagNode {
+    key: f64,
+    run: bool,
+    idx: usize,
+}
+
+impl Ord for LagNode {
+    /// Smallest key first, then lag before run, then the older candidate.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other
+            .key
+            .total_cmp(&self.key)
+            .then(other.run.cmp(&self.run))
+            .then(other.idx.cmp(&self.idx))
+    }
+}
+
+impl PartialOrd for LagNode {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for LagNode {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+
+impl Eq for LagNode {}
+
+/// What [`per_lag_search`] found: the exact folds in pop order, the prune
+/// counts, and the anchor indices and imputed value of a DP over its `D`s
+/// (`None` when no anchor exists).
+struct PerLagOutcome {
+    folds: Vec<usize>,
+    stats: PruneStats,
+    anchors: Vec<usize>,
+    value: Option<f64>,
+}
+
+/// The composed search written with one heap node per lag — every lag of
+/// an expanded run under the bar is pushed on its own, and the stop drains
+/// the heap node by node: the oracle the cursor search must pop like.  It
+/// reads the same bounds (the level-1 sweep, the run-wide level-0 fill)
+/// and folds like the exhaustive path (pattern extraction and the L2
+/// distance), which is bit-equal to the composed path's fold.
+fn per_lag_search(
+    window: &StreamingWindow,
+    target: SeriesId,
+    refs: &[SeriesId],
+    index: &SignatureIndex,
+    l: usize,
+    k: usize,
+) -> PerLagOutcome {
+    let filled = window.filled();
+    let oldest_age = filled - l;
+    let j = filled + 1 - 2 * l;
+    let run_len = level1_run_len(l);
+    let query = extract_query_pattern(window, refs, l)
+        .unwrap()
+        .expect("a complete query");
+    let rows: Vec<&[f64]> = (0..refs.len()).map(|ri| query.row(ri)).collect();
+    let sig_query = SignatureQuery::new(&rows);
+    let mut stats = PruneStats {
+        candidates: j,
+        ..PruneStats::default()
+    };
+    let mut d = vec![f64::INFINITY; j];
+    let mut folds = Vec::new();
+    let keep = k - 1;
+    let mut seed: Vec<usize> = Vec::new();
+    let mut best: Vec<f64> = Vec::new();
+    let run_of = |s: usize| s..(s + run_len).min(j);
+    let mut bounds = Vec::new();
+    index.run_bounds_sq(refs, oldest_age, j, run_len, l, &sig_query, &mut bounds);
+    let mut open: std::collections::BinaryHeap<LagNode> = bounds
+        .iter()
+        .enumerate()
+        .map(|(i, &sq)| LagNode {
+            key: sq.max(0.0).sqrt(),
+            run: true,
+            idx: i * run_len,
+        })
+        .collect();
+    let mut sums = RunSums::default();
+    let mut threshold = None;
+    while let Some(node) = open.pop() {
+        if threshold.is_none() && seed.len() == k {
+            seed.sort_unstable();
+            let mut tau = 0.0f64;
+            for &idx in &seed {
+                // `D + acc`, the DP's take-step expression.
+                #[allow(clippy::assign_op_pattern)]
+                {
+                    tau = d[idx] + tau;
+                }
+            }
+            threshold = Some(tau * (1.0 + 1e-9));
+        }
+        let mut bar = f64::INFINITY;
+        if let Some(threshold) = threshold {
+            let b = node.key;
+            let sum: f64 = (0..keep)
+                .map(|i| best.get(i).map_or(b, |&v: &f64| v.min(b)))
+                .sum();
+            bar = threshold - sum * (1.0 - 1e-9);
+            if b > bar {
+                for rest in std::iter::once(node).chain(open.drain()) {
+                    if rest.run {
+                        let skipped = run_of(rest.idx).len();
+                        stats.pruned += skipped;
+                        stats.level1_skipped += skipped;
+                    } else {
+                        stats.pruned += 1;
+                    }
+                }
+                break;
+            }
+        }
+        if node.run {
+            let run = run_of(node.idx);
+            let lag_lo = oldest_age - (run.end - 1);
+            sums.fill(window, refs, lag_lo, run.len(), l, &sig_query)
+                .unwrap();
+            for idx in run {
+                let age = oldest_age - idx;
+                if window.slot_recent(target, age).unwrap().state != SlotState::Observed {
+                    continue;
+                }
+                let (lb_sq, certain_missing) = sums.lower_bound_sq(age);
+                let key = lb_sq.max(0.0).sqrt().max(node.key);
+                if certain_missing || key > bar {
+                    stats.pruned += 1;
+                    continue;
+                }
+                open.push(LagNode {
+                    key,
+                    run: false,
+                    idx,
+                });
+            }
+            continue;
+        }
+        let idx = node.idx;
+        let age = oldest_age - idx;
+        let fold = match extract_pattern_at_age(window, refs, age, l).unwrap() {
+            Some(candidate) => l2_distance(&candidate, &query),
+            None => f64::INFINITY,
+        };
+        d[idx] = fold;
+        folds.push(idx);
+        stats.shortlisted += 1;
+        if fold.is_finite() {
+            let at = best.partition_point(|&v| v <= fold);
+            if at < keep {
+                best.insert(at, fold);
+                best.truncate(keep);
+            }
+            if seed.len() < k && !seed.iter().any(|&p| idx.abs_diff(p) < l) {
+                seed.push(idx);
+            }
+        }
+    }
+    let anchors = select_anchors_dp(&d, l, k).indices;
+    let value = (!anchors.is_empty()).then(|| {
+        let values = anchors.iter().map(|&idx| {
+            window
+                .value_recent(target, oldest_age - idx)
+                .unwrap()
+                .unwrap()
+        });
+        values.clone().sum::<f64>() / values.count() as f64
+    });
+    PerLagOutcome {
+        folds,
+        stats,
+        anchors,
+        value,
+    }
+}
+
+proptest! {
+    /// The cursor search pops exactly like a heap of one node per lag: the
+    /// same exact folds in the same order, the same prune counts and the
+    /// same anchors and value bits, on gappy references, near duplicates of
+    /// a non-dyadic tile, flat-lined references (every key 0, so every pop
+    /// is an exact key tie broken by index) and exact non-dyadic tiles, at
+    /// l of two signature blocks or more.  The target misses one tick in 11
+    /// once the window is full; each imputed value is written back.
+    #[test]
+    fn the_cursor_search_pops_like_a_per_lag_heap(
+        shape in 0u8..4,
+        l in 32usize..80,
+        k in 1usize..6,
+        extra in 0usize..240,
+        width in 2usize..5,
+        period in 5usize..90,
+        seed in 0u64..1_000_000,
+    ) {
+        let capacity = (k + 1) * l + extra;
+        let refs: Vec<SeriesId> = (1..width as u32).map(SeriesId).collect();
+        let config = TkcmConfig::builder()
+            .window_length(capacity)
+            .pattern_length(l)
+            .anchor_count(k)
+            .reference_count(refs.len())
+            .build()
+            .unwrap();
+        let imputer = TkcmImputer::new(config).unwrap();
+        let mut window = StreamingWindow::new(width, capacity);
+        let mut index = SignatureIndex::new(width, capacity).unwrap();
+        let mut state = seed;
+        let mut noise = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut imputations = 0;
+        for t in 0..capacity * 3 / 2 {
+            let tile = |s: usize| {
+                let phase = ((t + 7 * s) % period) as f64 / period as f64;
+                1000.1 + 7.3 * (phase * std::f64::consts::TAU).sin()
+            };
+            let mut values = vec![(t < capacity || t % 11 != 0).then(&mut noise)];
+            // Gaps stay out of every query (it must be complete for the
+            // search to run): the first imputation is at t = capacity.
+            let gappy = t + l < capacity;
+            for s in 1..width {
+                values.push(match shape {
+                    // One slot in five and whole 40-tick stretches missing.
+                    0 => (!gappy || (noise() < 0.3 && (t / 40) % 5 != 2)).then(|| tile(s) + noise()),
+                    1 => Some(tile(s) + noise() * 1e-10),
+                    2 => Some(21.37 * s as f64),
+                    _ => Some(tile(s)),
+                });
+            }
+            let tick = StreamTick::new(Timestamp::new(t as i64), values);
+            window.push_tick(&tick).unwrap();
+            index.on_push(&tick.values).unwrap();
+            if tick.values[0].is_some() || window.filled() < 2 * l {
+                continue;
+            }
+            let target = SeriesId(0);
+            let mut folds = Vec::new();
+            let (detail, stats) = imputer
+                .impute_composed_traced(&window, target, &refs, &index, &mut folds)
+                .unwrap();
+            let oracle = per_lag_search(&window, target, &refs, &index, l, k);
+            prop_assert!(folds == oracle.folds, "tick {}: fold order differs", t);
+            prop_assert!(
+                stats == oracle.stats,
+                "tick {}: cursor {:?} vs per-lag {:?}",
+                t,
+                stats,
+                oracle.stats
+            );
+            let oldest_age = window.filled() - l;
+            let anchors: Vec<usize> = detail
+                .anchors
+                .iter()
+                .map(|a| oldest_age - (t as i64 - a.time.0) as usize)
+                .collect();
+            prop_assert!(anchors == oracle.anchors, "tick {}: anchors differ", t);
+            match oracle.value {
+                Some(value) => prop_assert!(
+                    value.to_bits() == detail.value.to_bits(),
+                    "tick {}: cursor {} vs per-lag {}",
+                    t,
+                    detail.value,
+                    value
+                ),
+                None => prop_assert!(detail.fallback, "tick {}", t),
+            }
+            window.write_imputed(target, 0, detail.value).unwrap();
+            index.on_write(&window, target, 0).unwrap();
+            imputations += 1;
+        }
+        prop_assert!(imputations > 0);
+    }
 }

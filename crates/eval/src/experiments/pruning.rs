@@ -21,7 +21,11 @@
 //! skipped in level-1 runs the search never expanded
 //! (`level1_skipped_fraction`); a second table splits the composed search's
 //! time per imputation into its stages (query, level-1 run bounds, heap
-//! search).  At paper proportions (l = 72 against a
+//! search).  A third row, [`WORST_CASE`], replays the same outages over
+//! white noise, where no bound separates candidates and nearly every one
+//! goes through the search's heap to an exact fold: its speedup over the
+//! exhaustive sweep of the same noise bounds what the search's own
+//! bookkeeping costs, so the degenerate case cannot quietly regress.  At paper proportions (l = 72 against a
 //! window over months of 5-minute data) the signature chunks are much
 //! shorter than the pattern, which is the regime where the chunk bounds
 //! separate candidates well.
@@ -29,9 +33,10 @@
 use std::time::Instant;
 
 use tkcm_core::diagnostics::SEARCH_STAGES;
-use tkcm_core::{TkcmConfig, TkcmEngine};
+use tkcm_core::{PruneStats, TkcmConfig, TkcmEngine};
+use tkcm_datasets::rng::{seeded, standard_normal};
 use tkcm_datasets::{Dataset, DatasetKind};
-use tkcm_timeseries::{Catalog, StreamSource};
+use tkcm_timeseries::{Catalog, StreamSource, StreamTick};
 
 use crate::report::{Report, Table};
 
@@ -39,6 +44,10 @@ use super::{dataset_for, Scale};
 
 /// The two candidate paths, in presentation (and baseline) order.
 pub const MODES: [&str; 2] = ["exhaustive", "composed"];
+
+/// The row of the composed path on white-noise readings, measured against
+/// the exhaustive sweep of the same noise.
+pub const WORST_CASE: &str = "worst_case_composed";
 
 /// Length of each injected outage in ticks (the SBR generator produces
 /// complete data; the sweep punctures it with rotating outages like the
@@ -58,7 +67,7 @@ pub fn outage_every(scale: Scale) -> usize {
 /// The dataset's ticks with rotating outages injected: after a warm-up
 /// quarter of the stream, every [`outage_every`] ticks one series (rotating
 /// round-robin) loses [`OUTAGE_LENGTH`] consecutive values.
-fn punctured_ticks(dataset: &Dataset, scale: Scale) -> Vec<tkcm_timeseries::StreamTick> {
+fn punctured_ticks(dataset: &Dataset, scale: Scale) -> Vec<StreamTick> {
     let width = dataset.width();
     let every = outage_every(scale);
     let stream = dataset.to_stream();
@@ -71,6 +80,24 @@ fn punctured_ticks(dataset: &Dataset, scale: Scale) -> Vec<tkcm_timeseries::Stre
         }
     }
     ticks
+}
+
+/// The punctured ticks with every present reading replaced by a standard
+/// normal draw (seeded): white-noise references, on which no bound of the
+/// cascade separates candidates.
+fn white_noise(ticks: &[StreamTick]) -> Vec<StreamTick> {
+    let mut rng = seeded(0x5EED);
+    ticks
+        .iter()
+        .map(|tick| {
+            let values = tick
+                .values
+                .iter()
+                .map(|v| v.map(|_| standard_normal(&mut rng)))
+                .collect();
+            StreamTick::new(tick.time, values)
+        })
+        .collect()
 }
 
 /// Pattern length for the pruning sweep.  The quick default (`l = 12`) is
@@ -102,7 +129,7 @@ fn pruning_config(scale: Scale, len: usize, mode: &str) -> TkcmConfig {
 /// One measured replay of the workload through one candidate path.
 #[derive(Clone, Debug)]
 pub struct PruningRun {
-    /// Candidate path (one of [`MODES`]).
+    /// Row label: a candidate path (one of [`MODES`]) or [`WORST_CASE`].
     pub mode: &'static str,
     /// Wall-clock seconds for the full replay.
     pub wall_seconds: f64,
@@ -110,7 +137,7 @@ pub struct PruningRun {
     pub ticks_per_second: f64,
     /// Total values imputed (identical across modes by construction).
     pub imputations: usize,
-    /// Throughput relative to the exhaustive baseline.
+    /// Throughput relative to the exhaustive baseline on the same readings.
     pub speedup_vs_exhaustive: f64,
     /// Fraction of candidates the cascade's bounds pruned away without an
     /// exact evaluation (0 for the exhaustive mode).
@@ -136,7 +163,9 @@ fn search_nanos() -> [u64; SEARCH_STAGES.len()] {
     })
 }
 
-/// Replays the default workload through both modes.
+/// Replays the default workload through both modes, then the white-noise
+/// worst case through both, and returns the rows `exhaustive`, `composed`
+/// and [`WORST_CASE`].
 pub fn run_pruning_benchmark(scale: Scale) -> Vec<PruningRun> {
     let dataset = dataset_for(DatasetKind::Sbr, scale, 2024);
     run_pruning_benchmark_on(&dataset, scale)
@@ -144,17 +173,32 @@ pub fn run_pruning_benchmark(scale: Scale) -> Vec<PruningRun> {
 
 /// Replay driver over an already generated dataset (shared by tests).
 pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningRun> {
+    let ticks = punctured_ticks(dataset, scale);
+    let [exhaustive, composed] = replay_both(dataset, scale, &ticks, "composed");
+    let [_, worst_case] = replay_both(dataset, scale, &white_noise(&ticks), WORST_CASE);
+    vec![exhaustive, composed, worst_case]
+}
+
+/// Replays `ticks` through the exhaustive engine, then the composed one,
+/// asserting bit-identical imputations; the composed row is labelled
+/// `composed_label`.
+fn replay_both(
+    dataset: &Dataset,
+    scale: Scale,
+    ticks: &[StreamTick],
+    composed_label: &'static str,
+) -> [PruningRun; 2] {
     let width = dataset.width();
     let len = dataset.len();
     let catalog = Catalog::ring_neighbours(width);
-    let ticks = punctured_ticks(dataset, scale);
 
     let mut runs: Vec<PruningRun> = Vec::with_capacity(MODES.len());
+    let labels = ["exhaustive", composed_label];
     // (series, time, value bits) of every imputation of the exhaustive run,
     // the reference the composed run is compared against bit for bit.
     let mut reference: Option<Vec<(u32, i64, u64)>> = None;
     let mut exhaustive_wall = None;
-    for mode in MODES {
+    for (mode, label) in MODES.into_iter().zip(labels) {
         let config = pruning_config(scale, len, mode);
         let mut engine = TkcmEngine::new(width, config, catalog.clone())
             .expect("pruning sweep engine construction");
@@ -162,7 +206,7 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
         let mut imputed: Vec<(u32, i64, u64)> = Vec::new();
         let stages_before = search_nanos();
         let start = Instant::now();
-        for tick in &ticks {
+        for tick in ticks {
             let outcome = engine.process_tick(tick).expect("pruning sweep tick");
             for imputation in &outcome.imputations {
                 imputed.push((
@@ -180,27 +224,26 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
         let baseline = reference.get_or_insert_with(|| imputed.clone());
         assert_eq!(
             *baseline, imputed,
-            "{mode} mode diverged from the exhaustive reference"
+            "{label} ({mode} mode) diverged from the exhaustive reference"
         );
 
-        let totals = engine.prune_totals();
+        let totals: PruneStats = engine.prune_totals();
         let baseline_wall = *exhaustive_wall.get_or_insert(wall);
+        let fraction = |count: usize| {
+            if totals.candidates > 0 {
+                count as f64 / totals.candidates as f64
+            } else {
+                0.0
+            }
+        };
         runs.push(PruningRun {
-            mode,
+            mode: label,
             wall_seconds: wall,
             ticks_per_second: ticks.len() as f64 / wall,
             imputations: imputed.len(),
             speedup_vs_exhaustive: baseline_wall / wall,
-            pruned_fraction: if totals.candidates > 0 {
-                totals.pruned as f64 / totals.candidates as f64
-            } else {
-                0.0
-            },
-            level1_skipped_fraction: if totals.candidates > 0 {
-                totals.level1_skipped as f64 / totals.candidates as f64
-            } else {
-                0.0
-            },
+            pruned_fraction: fraction(totals.pruned),
+            level1_skipped_fraction: fraction(totals.level1_skipped),
             stages_us_per_imputation: std::array::from_fn(|i| {
                 if mode == "composed" && !imputed.is_empty() {
                     (stages_after[i] - stages_before[i]) as f64 / 1e3 / imputed.len() as f64
@@ -210,7 +253,7 @@ pub fn run_pruning_benchmark_on(dataset: &Dataset, scale: Scale) -> Vec<PruningR
             }),
         });
     }
-    runs
+    runs.try_into().expect("one run per mode")
 }
 
 /// Runs the candidate-pruning experiment and renders the report.
@@ -225,7 +268,8 @@ fn report_from(dataset: &Dataset, scale: Scale, runs: &[PruningRun]) -> Report {
     let mut report = Report::new("Candidate pruning: signature shortlist vs exhaustive sweep");
     report.note(format!(
         "{} series x {} ticks (SBR-like), l = {}, k = {}, d = {}; identical imputations \
-         asserted across modes (composed vs exhaustive: bit-identical).",
+         asserted across modes (composed vs exhaustive: bit-identical); the {WORST_CASE} row \
+         replays the same outages over white noise against its own exhaustive sweep.",
         dataset.width(),
         dataset.len(),
         pruning_pattern_length(scale),
@@ -292,10 +336,12 @@ mod tests {
     #[test]
     fn all_modes_do_identical_work_and_the_pruned_paths_prune() {
         let runs = run_pruning_benchmark_on(&mini_dataset(), Scale::Quick);
-        assert_eq!(runs.len(), MODES.len());
+        let labels: Vec<&str> = runs.iter().map(|run| run.mode).collect();
+        assert_eq!(labels, ["exhaustive", "composed", WORST_CASE]);
         let imputations = runs[0].imputations;
         assert!(imputations > 0, "workload produced no imputations");
         for run in &runs {
+            // The white noise keeps the outages, so the same slots impute.
             assert_eq!(run.imputations, imputations);
             assert!(run.ticks_per_second.is_finite() && run.ticks_per_second > 0.0);
             assert!(run.speedup_vs_exhaustive > 0.0);
@@ -313,7 +359,6 @@ mod tests {
             composed.stages_us_per_imputation.iter().sum::<f64>() > 0.0,
             "composed search recorded no stage time: {composed:?}"
         );
-        assert_eq!(composed.mode, "composed");
         assert!(
             composed.pruned_fraction > 0.0 && composed.pruned_fraction <= 1.0,
             "composed path pruned nothing: {composed:?}"
@@ -323,6 +368,12 @@ mod tests {
                 && composed.level1_skipped_fraction <= composed.pruned_fraction,
             "level-1 skips are a part of the pruned candidates: {composed:?}"
         );
+        // On white noise the bounds separate (almost) nothing.
+        let worst = &runs[2];
+        assert!(
+            worst.pruned_fraction < composed.pruned_fraction,
+            "white noise must defeat the bounds: {worst:?} vs {composed:?}"
+        );
     }
 
     #[test]
@@ -331,11 +382,12 @@ mod tests {
         let runs = run_pruning_benchmark_on(&dataset, Scale::Quick);
         let report = report_from(&dataset, Scale::Quick, &runs);
         let table = report.table("Candidate pruning by mode").unwrap();
-        assert_eq!(table.rows.len(), MODES.len());
+        assert_eq!(table.rows.len(), MODES.len() + 1);
         assert_eq!(table.headers.len(), 7);
         assert!(table.cell("composed", "pruned_fraction").unwrap() > 0.0);
         assert!(table.cell("composed", "level1_skipped_fraction").unwrap() >= 0.0);
         assert!(table.cell("exhaustive", "speedup_vs_exhaustive").unwrap() == 1.0);
+        assert!(table.cell(WORST_CASE, "speedup_vs_exhaustive").unwrap() > 0.0);
         assert!(report.notes.iter().any(|n| n.contains("bit-identical")));
         let stages = report.table("Composed search stages").unwrap();
         assert_eq!(stages.rows.len(), SEARCH_STAGES.len());

@@ -13,7 +13,13 @@
 //! one flat JSON object it needs instead of pulling in a JSON parser.  The
 //! `--bless` flow rewrites the thresholds from observed values with a 30 %
 //! safety margin, so floors stay honest as the code gets faster without
-//! anyone hand-tuning numbers.
+//! anyone hand-tuning numbers; `--bless --gate <name>` re-floors one gate
+//! and leaves every other byte of the file as it was.
+//!
+//! Most metrics are higher-is-better and carry a floor (`metric = min`).  A
+//! lower-is-better metric, such as a latency, carries a *ceiling* instead
+//! (`ceiling.metric = max`): it fails above the ceiling, and also at or
+//! below 0, which is what a histogram that recorded nothing reports.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -28,7 +34,13 @@ pub struct Gate {
     pub file: String,
     /// Metric name → minimum acceptable value.
     pub minimums: BTreeMap<String, f64>,
+    /// Metric name → maximum acceptable value (`ceiling.<metric>` keys):
+    /// lower-is-better metrics, which must also stay above 0.
+    pub ceilings: BTreeMap<String, f64>,
 }
+
+/// The key prefix of a ceiling in the thresholds file.
+const CEILING: &str = "ceiling.";
 
 /// Parsed `BENCH_THRESHOLDS.toml`: profile name (`quick`, `paper`) → gates.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -40,8 +52,8 @@ pub struct Thresholds {
 impl Thresholds {
     /// Parses the thresholds file.  The accepted grammar is the same
     /// hand-rolled TOML subset the fingerprint manifest uses: comments,
-    /// `[profile.gate]` section headers, `file = "quoted"` and
-    /// `metric = <float>` lines.  Anything else is an error — the file is
+    /// `[profile.gate]` section headers, `file = "quoted"`,
+    /// `metric = <float>` and `ceiling.metric = <float>` lines.  Anything else is an error — the file is
     /// small and machine-rewritten by `--bless`, so surprises mean drift.
     pub fn parse(text: &str) -> Result<Thresholds, String> {
         let mut thresholds = Thresholds::default();
@@ -66,6 +78,7 @@ impl Thresholds {
                         name: gate.to_string(),
                         file: String::new(),
                         minimums: BTreeMap::new(),
+                        ceilings: BTreeMap::new(),
                     });
                 current = Some((profile.to_string(), gate.to_string()));
                 continue;
@@ -92,7 +105,10 @@ impl Thresholds {
                 let parsed: f64 = value
                     .parse()
                     .map_err(|_| format!("line {}: {key} must be a number", lineno + 1))?;
-                entry.minimums.insert(key.to_string(), parsed);
+                match key.strip_prefix(CEILING) {
+                    Some(metric) => entry.ceilings.insert(metric.to_string(), parsed),
+                    None => entry.minimums.insert(key.to_string(), parsed),
+                };
             }
         }
         for (profile, gates) in &thresholds.profiles {
@@ -131,10 +147,67 @@ impl Thresholds {
                 for (metric, min) in &gate.minimums {
                     out.push_str(&format!("{metric} = {min}\n"));
                 }
+                for (metric, max) in &gate.ceilings {
+                    out.push_str(&format!("{CEILING}{metric} = {max}\n"));
+                }
             }
         }
         out
     }
+
+    /// A copy holding only gate `gate` of `profile`, for a run scoped with
+    /// `--gate`.
+    pub fn only_gate(&self, profile: &str, gate: &str) -> Result<Thresholds, String> {
+        let found = self
+            .profiles
+            .get(profile)
+            .ok_or_else(|| format!("profile `{profile}` is not in the thresholds file"))?
+            .iter()
+            .find(|g| g.name == gate)
+            .ok_or_else(|| format!("gate `{gate}` is not in profile `{profile}`"))?;
+        Ok(Thresholds {
+            profiles: BTreeMap::from([(profile.to_string(), vec![found.clone()])]),
+        })
+    }
+}
+
+/// Rewrites, in the thresholds file `text`, the value of every floor and
+/// ceiling line of the gates `blessed` holds to its value there.  Every
+/// other byte of `text` — comments, blank lines, `file` keys and the lines
+/// of every other gate — comes back unchanged.
+pub fn rewrite_values(text: &str, blessed: &Thresholds) -> String {
+    let mut out = String::with_capacity(text.len());
+    let mut gate: Option<&Gate> = None;
+    for line in text.split_inclusive('\n') {
+        let trimmed = line.trim();
+        if let Some(header) = trimmed.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
+            gate = header.split_once('.').and_then(|(profile, name)| {
+                blessed
+                    .profiles
+                    .get(profile)
+                    .and_then(|gates| gates.iter().find(|g| g.name == name))
+            });
+        }
+        let value = gate
+            .zip(trimmed.split_once('='))
+            .and_then(|(gate, (key, _))| {
+                let key = key.trim();
+                match key.strip_prefix(CEILING) {
+                    Some(metric) => gate.ceilings.get(metric),
+                    None => gate.minimums.get(key),
+                }
+                .map(|value| (key, value))
+            });
+        match value {
+            Some((key, value)) if !trimmed.starts_with('#') => {
+                let indent = &line[..line.len() - line.trim_start().len()];
+                let ending = &line[line.trim_end().len()..];
+                out.push_str(&format!("{indent}{key} = {value}{ending}"));
+            }
+            _ => out.push_str(line),
+        }
+    }
+    out
 }
 
 /// Extracts the flat top-level `"trend"` object from a benchmark results
@@ -227,13 +300,23 @@ pub fn evaluate(
         };
         for (metric, min) in &gate.minimums {
             match trend.get(metric) {
-                None => warnings.push(format!(
-                    "[{profile}.{}] {} has no `{metric}` in its trend object — this floor \
-                     currently gates nothing (renamed trend key? update the thresholds file)",
-                    gate.name, gate.file
-                )),
+                None => warnings.push(missing_metric(profile, gate, metric)),
                 Some(value) if value < min => failures.push(format!(
                     "[{profile}.{}] {metric} = {value} is below the floor {min}",
+                    gate.name
+                )),
+                Some(_) => {}
+            }
+        }
+        for (metric, max) in &gate.ceilings {
+            match trend.get(metric) {
+                None => warnings.push(missing_metric(profile, gate, metric)),
+                Some(value) if *value <= 0.0 => failures.push(format!(
+                    "[{profile}.{}] {metric} = {value} is not above 0: nothing was recorded",
+                    gate.name
+                )),
+                Some(value) if value > max => failures.push(format!(
+                    "[{profile}.{}] {metric} = {value} is above the ceiling {max}",
                     gate.name
                 )),
                 Some(_) => {}
@@ -244,10 +327,20 @@ pub fn evaluate(
     Ok((failures, warnings, observed))
 }
 
-/// Rewrites each gated metric's floor to `observed x 0.7` (rounded to three
-/// decimals), leaving the metric *set* unchanged: blessing updates numbers,
-/// it never silently adds or drops what is gated.  Metrics missing from the
-/// observed trend are an error — a floor must never outlive its metric.
+/// The warning for a floor or ceiling whose metric the results lack.
+fn missing_metric(profile: &str, gate: &Gate, metric: &str) -> Warning {
+    format!(
+        "[{profile}.{}] {} has no `{metric}` in its trend object — this floor \
+         currently gates nothing (renamed trend key? update the thresholds file)",
+        gate.name, gate.file
+    )
+}
+
+/// Rewrites each gated metric's floor to `observed x 0.7` and each ceiling
+/// to `observed / 0.7` (rounded to three decimals), leaving the metric
+/// *set* unchanged: blessing updates numbers, it never silently adds or
+/// drops what is gated.  Metrics missing from the observed trend are an
+/// error — a floor must never outlive its metric.
 pub fn bless(
     thresholds: &mut Thresholds,
     profile: &str,
@@ -261,14 +354,16 @@ pub fn bless(
         let trend = observed
             .get(&gate.name)
             .ok_or_else(|| format!("no observed trend for [{profile}.{}]", gate.name))?;
-        for (metric, min) in gate.minimums.iter_mut() {
+        let floors = gate.minimums.iter_mut().map(|(m, v)| (m, v, 0.7));
+        let ceilings = gate.ceilings.iter_mut().map(|(m, v)| (m, v, 1.0 / 0.7));
+        for (metric, bound, margin) in floors.chain(ceilings) {
             let value = trend.get(metric).ok_or_else(|| {
                 format!(
                     "[{profile}.{}] observed trend has no `{metric}` to bless from",
                     gate.name
                 )
             })?;
-            *min = (value * 0.7 * 1000.0).round() / 1000.0;
+            *bound = (value * margin * 1000.0).round() / 1000.0;
         }
     }
     Ok(())
@@ -284,6 +379,9 @@ pub fn floor_keys(thresholds: &Thresholds) -> std::collections::BTreeSet<String>
             keys.insert(format!("{profile}.{}.file", gate.name));
             for metric in gate.minimums.keys() {
                 keys.insert(format!("{profile}.{}.{metric}", gate.name));
+            }
+            for metric in gate.ceilings.keys() {
+                keys.insert(format!("{profile}.{}.{CEILING}{metric}", gate.name));
             }
         }
     }
@@ -467,6 +565,108 @@ speedup_vs_exhaustive = 1.5\n";
         assert!(dropped.contains(&"quick.pruning.pruned_fraction".to_string()));
         let empty = Thresholds::default();
         assert_eq!(dropped_floor_keys(&before, &empty).len(), 5);
+    }
+
+    /// A thresholds file with comments, a fixed bar and latency ceilings.
+    const ANNOTATED: &str = "\
+# Header comment: kept byte for byte.\n\
+\n\
+[quick.fleet]\n\
+file = \"BENCH_results_fleet.json\"\n\
+# obs_overhead_ratio is an acceptance bar, never re-blessed.\n\
+obs_overhead_ratio = 0.9\n\
+speedup_vs_1_shard_at_4 = 1.2\n\
+ceiling.storm_batch_p50_ms_at_4 = 1.5\n\
+\n\
+[quick.pruning]\n\
+file = \"BENCH_results_pruning.json\"\n\
+pruned_fraction = 0.5\n\
+worst_case = 0\n";
+
+    #[test]
+    fn ceilings_fail_above_the_bar_and_at_zero() {
+        let dir =
+            std::env::temp_dir().join(format!("tkcm-bench-gate-lib-ceil-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let thresholds = Thresholds::parse(ANNOTATED).unwrap();
+        let fleet = &thresholds.profiles["quick"][0];
+        assert_eq!(fleet.ceilings["storm_batch_p50_ms_at_4"], 1.5);
+        assert!(!fleet.minimums.contains_key("storm_batch_p50_ms_at_4"));
+        assert_eq!(Thresholds::parse(&thresholds.render()).unwrap(), thresholds);
+        std::fs::write(
+            dir.join("BENCH_results_pruning.json"),
+            "{\"trend\":{\"pruned_fraction\":0.9,\"worst_case\":2.0}}",
+        )
+        .unwrap();
+        let verdict = |p50: f64| {
+            std::fs::write(
+                dir.join("BENCH_results_fleet.json"),
+                format!(
+                    "{{\"trend\":{{\"obs_overhead_ratio\":1.0,\"speedup_vs_1_shard_at_4\":2.0,\
+                     \"storm_batch_p50_ms_at_4\":{p50}}}}}"
+                ),
+            )
+            .unwrap();
+            evaluate(&thresholds, "quick", &dir).unwrap().0
+        };
+        // Faster is fine; slower than the ceiling fails; a silent histogram
+        // (0) fails too.
+        assert!(verdict(0.4).is_empty());
+        assert!(verdict(1.5).is_empty());
+        let slow = verdict(1.6);
+        assert!(
+            slow.len() == 1 && slow[0].contains("above the ceiling"),
+            "{slow:?}"
+        );
+        let silent = verdict(0.0);
+        assert!(
+            silent.len() == 1 && silent[0].contains("not above 0"),
+            "{silent:?}"
+        );
+        // A ceiling blesses at observed / 0.7.
+        assert!(verdict(0.42).is_empty());
+        let (_, _, observed) = evaluate(&thresholds, "quick", &dir).unwrap();
+        let mut blessed = thresholds.only_gate("quick", "fleet").unwrap();
+        bless(&mut blessed, "quick", &observed).unwrap();
+        assert_eq!(
+            blessed.profiles["quick"][0].ceilings["storm_batch_p50_ms_at_4"],
+            0.6
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_scoped_bless_leaves_every_other_gate_byte_identical() {
+        let thresholds = Thresholds::parse(ANNOTATED).unwrap();
+        let mut scoped = thresholds.only_gate("quick", "pruning").unwrap();
+        assert!(thresholds.only_gate("quick", "recovery").is_err());
+        assert!(thresholds.only_gate("paper", "pruning").is_err());
+        let observed = BTreeMap::from([(
+            "pruning".to_string(),
+            BTreeMap::from([
+                ("pruned_fraction".to_string(), 0.9),
+                ("worst_case".to_string(), 1.5),
+            ]),
+        )]);
+        bless(&mut scoped, "quick", &observed).unwrap();
+        let rewritten = rewrite_values(ANNOTATED, &scoped);
+        // Only the two pruning value lines changed.
+        let (head, pruning) = rewritten.split_at(rewritten.find("[quick.pruning]").unwrap());
+        assert_eq!(
+            head,
+            &ANNOTATED[..ANNOTATED.find("[quick.pruning]").unwrap()]
+        );
+        assert_eq!(
+            pruning,
+            "[quick.pruning]\nfile = \"BENCH_results_pruning.json\"\n\
+             pruned_fraction = 0.63\nworst_case = 1.05\n"
+        );
+        assert!(
+            dropped_floor_keys(&thresholds, &Thresholds::parse(&rewritten).unwrap()).is_empty()
+        );
+        // Rewriting with the unchanged model gives the file back as it was.
+        assert_eq!(rewrite_values(ANNOTATED, &thresholds), ANNOTATED);
     }
 
     #[test]

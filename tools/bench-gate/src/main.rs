@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! tkcm-bench-gate --profile quick [--thresholds BENCH_THRESHOLDS.toml]
-//!                 [--dir .] [--bless]
+//!                 [--dir .] [--gate NAME] [--bless]
 //!                 [--append-history FILE.jsonl [--label LABEL]]
 //! ```
 //!
@@ -11,19 +11,25 @@
 //! error.  A floor whose metric is absent from the results JSON (a renamed
 //! trend key) prints a stderr warning but exits 0 — visible, not fatal.
 //! `--bless` re-floors every gated metric at
-//! observed x 0.7 and rewrites the thresholds file instead of gating;
+//! observed x 0.7 (a ceiling at observed / 0.7) and rewrites those values
+//! in the thresholds file instead of gating, keeping every other byte;
+//! `--gate NAME` scopes the run, and so a bless, to the one gate `NAME` of
+//! the profile, so re-flooring one gate never touches another's numbers;
 //! `--append-history` appends one JSONL line of all observed trend metrics
 //! (nightly runs accumulate these into a rolling artifact).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use tkcm_bench_gate::{bless, dropped_floor_keys, evaluate, history_line, Thresholds};
+use tkcm_bench_gate::{
+    bless, dropped_floor_keys, evaluate, history_line, rewrite_values, Thresholds,
+};
 
 struct Args {
     profile: String,
     thresholds: PathBuf,
     dir: PathBuf,
+    gate: Option<String>,
     bless: bool,
     append_history: Option<PathBuf>,
     label: Option<String>,
@@ -34,6 +40,7 @@ fn parse_args() -> Result<Args, String> {
         profile: String::new(),
         thresholds: PathBuf::from("BENCH_THRESHOLDS.toml"),
         dir: PathBuf::from("."),
+        gate: None,
         bless: false,
         append_history: None,
         label: None,
@@ -45,6 +52,7 @@ fn parse_args() -> Result<Args, String> {
             "--profile" => args.profile = value("--profile")?,
             "--thresholds" => args.thresholds = PathBuf::from(value("--thresholds")?),
             "--dir" => args.dir = PathBuf::from(value("--dir")?),
+            "--gate" => args.gate = Some(value("--gate")?),
             "--bless" => args.bless = true,
             "--append-history" => {
                 args.append_history = Some(PathBuf::from(value("--append-history")?))
@@ -61,7 +69,11 @@ fn parse_args() -> Result<Args, String> {
 
 fn run() -> Result<bool, String> {
     let args = parse_args()?;
-    let mut thresholds = Thresholds::load(&args.thresholds)?;
+    let on_disk = Thresholds::load(&args.thresholds)?;
+    let mut thresholds = match &args.gate {
+        Some(gate) => on_disk.only_gate(&args.profile, gate)?,
+        None => on_disk.clone(),
+    };
     let (failures, warnings, observed) = evaluate(&thresholds, &args.profile, &args.dir)?;
 
     if let Some(history) = &args.append_history {
@@ -79,10 +91,11 @@ fn run() -> Result<bool, String> {
 
     if args.bless {
         // Blessing needs complete observations: a missing file or trend
-        // field must not be floored away.
+        // field, or a latency that recorded nothing, must not be floored
+        // away.
         let incomplete: Vec<&String> = failures
             .iter()
-            .filter(|f| !f.contains("below the floor"))
+            .filter(|f| !f.contains("below the floor") && !f.contains("above the ceiling"))
             .chain(warnings.iter())
             .collect();
         if !incomplete.is_empty() {
@@ -91,13 +104,14 @@ fn run() -> Result<bool, String> {
             }
             return Err("cannot bless from incomplete benchmark results".to_string());
         }
-        let on_disk = Thresholds::load(&args.thresholds)?;
         bless(&mut thresholds, &args.profile, &observed)?;
         // Belt-and-braces: the rewrite must gate exactly what the on-disk
-        // file gated.  Re-parse the rendering (so render/parse lossiness is
-        // caught too) and refuse if any floor key would vanish — dropping a
-        // gate is a hand edit, never a `--bless` side effect.
-        let rendered = thresholds.render();
+        // file gated.  Re-parse the rewritten file (so rewrite/parse
+        // lossiness is caught too) and refuse if any floor key would vanish
+        // — dropping a gate is a hand edit, never a `--bless` side effect.
+        let text = std::fs::read_to_string(&args.thresholds)
+            .map_err(|e| format!("reading {}: {e}", args.thresholds.display()))?;
+        let rendered = rewrite_values(&text, &thresholds);
         let reparsed = Thresholds::parse(&rendered)?;
         let dropped = dropped_floor_keys(&on_disk, &reparsed);
         if !dropped.is_empty() {
@@ -114,8 +128,11 @@ fn run() -> Result<bool, String> {
         std::fs::write(&args.thresholds, rendered)
             .map_err(|e| format!("writing {}: {e}", args.thresholds.display()))?;
         println!(
-            "blessed `{}` floors in {} from observed x 0.7",
+            "blessed `{}`{} floors in {} from observed x 0.7",
             args.profile,
+            args.gate
+                .as_ref()
+                .map_or(String::new(), |gate| format!(" gate `{gate}`")),
             args.thresholds.display()
         );
         return Ok(true);

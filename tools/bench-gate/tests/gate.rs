@@ -198,3 +198,38 @@ fn append_history_accumulates_one_line_per_run() {
     assert!(lines[1].contains("\"pruning.pruned_fraction\":0.8"));
     assert!(lines[1].contains("\"fleet.speedup_vs_1_shard_at_4\":3.1"));
 }
+
+#[test]
+fn a_scoped_bless_refloors_one_gate_and_keeps_the_rest_of_the_file() {
+    let dir = scratch("scoped-bless");
+    let annotated = format!("# A hand-written note.\n{THRESHOLDS}ceiling.latency_ms = 2\n");
+    write(&dir, "BENCH_THRESHOLDS.toml", &annotated);
+    let [fleet, pruning] = results(10.0, 10.0, 0.9);
+    write(&dir, "BENCH_results_fleet.json", &fleet);
+    write(&dir, "BENCH_results_pruning.json", &pruning);
+    // The pruning file lacks `latency_ms`, but a bless of the fleet gate
+    // alone does not need it.
+    let out = run_gate(&dir, &["--bless", "--gate", "fleet"]);
+    assert!(
+        out.status.success(),
+        "stderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let blessed = std::fs::read_to_string(dir.join("BENCH_THRESHOLDS.toml")).unwrap();
+    let expected = annotated.replace(
+        "speedup_vs_1_shard_at_4 = 1.2",
+        "speedup_vs_1_shard_at_4 = 7",
+    );
+    assert_eq!(blessed, expected);
+    // A gate the profile lacks is a usage error.
+    assert_eq!(
+        run_gate(&dir, &["--bless", "--gate", "recovery"])
+            .status
+            .code(),
+        Some(2)
+    );
+    // Gating the whole profile still sees the pruning ceiling's missing
+    // metric, and warns.
+    let out = run_gate(&dir, &[]);
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`latency_ms`"));
+}
