@@ -61,6 +61,24 @@ impl WalEntry {
                 .collect(),
         }
     }
+
+    /// Writes the bytes of `WalEntry::from_outcome(tick, outcome)` straight
+    /// from the tick and the outcome, without cloning the tick into an
+    /// entry: the tick, then each imputation's series and value as a
+    /// [`WalWriteBack`] writes them.
+    pub fn write_outcome(
+        tick: &StreamTick,
+        outcome: &crate::engine::EngineOutcome,
+        enc: &mut Encoder,
+    ) -> Result<(), StoreError> {
+        tick.write_into(enc)?;
+        enc.usize(outcome.imputations.len());
+        for imputation in &outcome.imputations {
+            imputation.series.write_into(enc)?;
+            enc.f64(imputation.value);
+        }
+        Ok(())
+    }
 }
 
 impl Snapshot for WalWriteBack {
@@ -392,8 +410,16 @@ mod tests {
                 vec![s0, Some(sine(t, 3.0)), Some(sine(t, 8.0))],
             );
             let outcome = live.process_tick(&tick).unwrap();
+            let entry = WalEntry::from_outcome(&tick, &outcome);
+            let mut direct = Encoder::new();
+            WalEntry::write_outcome(&tick, &outcome, &mut direct).unwrap();
+            assert_eq!(
+                direct.into_bytes(),
+                encode_to_vec(&entry).unwrap(),
+                "tick {t}"
+            );
             if t >= 100 {
-                log.push(WalEntry::from_outcome(&tick, &outcome));
+                log.push(entry);
             }
             if t == 99 {
                 snapshot_bytes = Some(encode_to_vec(&live).unwrap());

@@ -29,9 +29,9 @@
 
 use std::path::{Path, PathBuf};
 
-use tkcm_core::{TkcmEngine, WalEntry};
+use tkcm_core::{EngineOutcome, TkcmEngine, WalEntry};
 use tkcm_store::{Decoder, Encoder, Snapshot, StoreError};
-use tkcm_timeseries::FleetPartition;
+use tkcm_timeseries::{FleetPartition, StreamTick};
 
 /// When a durable [`crate::ShardedEngine`]'s workers `fsync` their WALs.
 ///
@@ -235,6 +235,22 @@ pub(crate) struct ShardWalRecord {
     pub entry: WalEntry,
 }
 
+impl ShardWalRecord {
+    /// Writes the bytes of `ShardWalRecord { component, entry:
+    /// WalEntry::from_outcome(tick, outcome) }` straight from the
+    /// component's live sub-tick and outcome (component-local ids), so a
+    /// worker logs a tick without cloning it into a record.
+    pub(crate) fn write_outcome(
+        component: usize,
+        tick: &StreamTick,
+        outcome: &EngineOutcome,
+        enc: &mut Encoder,
+    ) -> Result<(), StoreError> {
+        enc.usize(component);
+        WalEntry::write_outcome(tick, outcome, enc)
+    }
+}
+
 impl Snapshot for ShardWalRecord {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
         enc.usize(self.component);
@@ -420,8 +436,13 @@ mod tests {
             component: 3,
             entry,
         };
-        let back: ShardWalRecord = decode_from_slice(&encode_to_vec(&record).unwrap()).unwrap();
+        let bytes = encode_to_vec(&record).unwrap();
+        let back: ShardWalRecord = decode_from_slice(&bytes).unwrap();
         assert_eq!(back, record);
+        let mut direct = Encoder::new();
+        ShardWalRecord::write_outcome(3, &record.entry.tick, &Default::default(), &mut direct)
+            .unwrap();
+        assert_eq!(direct.into_bytes(), bytes);
     }
 
     #[test]

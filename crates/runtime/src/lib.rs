@@ -9,22 +9,26 @@
 //! graph.  [`ShardedEngine`] exploits that: it partitions the fleet along
 //! catalog connectivity ([`tkcm_timeseries::FleetPartition`]) into
 //! *components* (the atomic placement units), runs one engine **per
-//! component** grouped onto per-shard worker threads, fans every arriving
-//! [`StreamTick`] out as per-component sub-ticks, and merges the results
-//! back into global [`SeriesId`] space deterministically.
+//! component** grouped onto per-shard worker threads, hands every worker the
+//! arriving [`StreamTick`]s, and merges the workers' outcomes, already in
+//! global [`SeriesId`] space, deterministically.
 //!
 //! ## Thread model
 //!
 //! One OS thread per shard, alive for the lifetime of the engine (`std::
 //! thread` + `std::sync::mpsc`; no external dependencies).  Each worker owns
-//! the engines of the components currently assigned to its shard — window,
-//! catalog and signature index never cross a thread
-//! boundary mid-flight, so no locking is needed anywhere.  The ingestion
-//! path is **batch-native**: one job carries a whole batch of per-component
-//! sub-ticks to each worker, and exactly one result per worker is received
-//! *in shard order*, which makes the merged outcomes independent of thread
-//! scheduling.  No batch is in flight between calls, so snapshot rotation,
-//! checkpoints and component migrations all run at batch boundaries.
+//! the engines of the components currently assigned to its shard, together
+//! with each component's member list — window, catalog and signature index
+//! never cross a thread boundary mid-flight, so no locking is needed
+//! anywhere.  The ingestion path is **batch-native**: one job carries one
+//! shared copy of the caller's whole batch to every worker; each worker
+//! projects every tick onto its components (one reused sub-tick per
+//! component), processes it, logs it and remaps the outcome to global ids,
+//! and replies with one outcome per tick.  Exactly one reply per worker is
+//! received *in shard order*, which makes the merged outcomes independent of
+//! thread scheduling.  No batch is in flight between calls, so snapshot
+//! rotation, checkpoints and component migrations all run at batch
+//! boundaries.
 //!
 //! ## Elastic rebalancing
 //!
@@ -86,13 +90,14 @@
 
 pub mod durability;
 
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::LazyLock;
+use std::sync::{Arc, LazyLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use tkcm_core::{EngineOutcome, PruneStats, TkcmConfig, TkcmEngine, WalEntry};
+use tkcm_core::{EngineOutcome, PruneStats, TkcmConfig, TkcmEngine};
 use tkcm_store::{
     decode_from_slice, encode_to_vec, read_snapshot_file, read_wal, read_wal_tolerating_torn_tail,
     write_snapshot_file, write_snapshot_file_synced, WalWriter,
@@ -173,10 +178,9 @@ impl FleetObs {
 }
 
 enum Job {
-    /// A batch of per-component sub-tick vectors, `(component id, one
-    /// sub-tick per fleet tick)`, component ids matching the worker's
-    /// engines exactly; the whole batch crosses the channel once.
-    Batch(Vec<(usize, Vec<StreamTick>)>),
+    /// The caller's batch, one shared copy for every worker: each worker
+    /// projects the ticks onto the components it holds.
+    Batch(Arc<[StreamTick]>),
     Checkpoint {
         snapshot_path: PathBuf,
         /// When set, the worker truncates (re-creates) its WAL at this path
@@ -184,14 +188,15 @@ enum Job {
         reset_wal: Option<PathBuf>,
     },
     /// Serialise the named component's engine (snapshot codec), remove it
-    /// from this worker and reply with the bytes — the donor half of a
-    /// migration.
+    /// and its member list from this worker and reply with both — the donor
+    /// half of a migration.
     Extract(usize),
-    /// Decode the bytes into an engine and adopt it as the named component
-    /// — the receiver half of a migration.
+    /// Decode the bytes into an engine and adopt it, with its member list,
+    /// as the named component — the receiver half of a migration.
     Install {
         component: usize,
         engine: Vec<u8>,
+        members: Vec<SeriesId>,
     },
     Stop,
     /// Fault injection for durability tests: makes every subsequent fsync of
@@ -217,9 +222,10 @@ struct ShardLoad {
     prune: PruneStats,
 }
 
-/// Per-component outcome vectors (one outcome per processed tick) plus the
-/// batch's load report — the success payload of a [`Reply::Batch`].
-type BatchReply = (Vec<(usize, Vec<EngineOutcome>)>, ShardLoad);
+/// One outcome per processed tick — the imputations and skips of every
+/// component on the shard, already in global id space — plus the batch's
+/// load report: the success payload of a [`Reply::Batch`].
+type BatchReply = (Vec<EngineOutcome>, ShardLoad);
 
 enum Reply {
     /// The batch's outcomes and load report, or the first error — which
@@ -227,8 +233,8 @@ enum Reply {
     Batch(Result<BatchReply, TsError>),
     /// Snapshot file size in bytes, or the error that prevented it.
     Checkpoint(Result<u64, TsError>),
-    /// The extracted component's engine bytes.
-    Extracted(Result<Vec<u8>, TsError>),
+    /// The extracted component's engine bytes and member list.
+    Extracted(Result<(Vec<u8>, Vec<SeriesId>), TsError>),
     /// The installation result.
     Installed(Result<(), TsError>),
     #[cfg(test)]
@@ -531,7 +537,14 @@ impl ShardedEngine {
         let workers = snapshots
             .into_iter()
             .zip(wals)
-            .map(|(snapshot, wal)| spawn_worker(snapshot, wal, sync_policy))
+            .map(|(snapshot, wal)| {
+                let members = snapshot
+                    .engines
+                    .iter()
+                    .map(|(component, _)| partition.component_members(*component).to_vec())
+                    .collect();
+                spawn_worker(snapshot, members, wal, sync_policy)
+            })
             .collect();
         let loads = LoadTracker::new(&partition);
         let obs = FleetObs::new(partition.shard_count());
@@ -1006,8 +1019,9 @@ impl ShardedEngine {
     /// `tests/batching.rs` pins, including across crash/recovery).
     ///
     /// One call is one barrier round: snapshot rotation when due, then one
-    /// fan-out — the whole batch crosses each shard's channel **once** as
-    /// per-component sub-tick batches — then exactly one reply per worker,
+    /// fan-out — one shared copy of the batch crosses each shard's channel
+    /// **once**, and each worker projects it onto its own components — then
+    /// exactly one reply per worker (one outcome per tick, in global ids),
     /// received in shard order and merged, and finally the rebalancer's
     /// turn, which may migrate one component before the call returns.
     /// Durable fleets append each batch's WAL records with a single
@@ -1043,22 +1057,11 @@ impl ShardedEngine {
         if self.rotation_due() {
             self.rotate()?;
         }
-        for (shard, worker) in self.workers.iter().enumerate() {
-            let payload: Vec<(usize, Vec<StreamTick>)> = self
-                .partition
-                .components_on(shard)
-                .into_iter()
-                .map(|component| {
-                    let sub = ticks
-                        .iter()
-                        .map(|tick| self.partition.project_component_tick(component, tick))
-                        .collect();
-                    (component, sub)
-                })
-                .collect();
+        let batch: Arc<[StreamTick]> = Arc::from(ticks);
+        for worker in &self.workers {
             worker
                 .jobs
-                .send(Job::Batch(payload))
+                .send(Job::Batch(Arc::clone(&batch)))
                 .map_err(|_| worker_died())?;
         }
         tkcm_obs::recorder().record(
@@ -1096,8 +1099,11 @@ impl ShardedEngine {
     }
 
     /// The batch's barrier: exactly one reply per worker, received in shard
-    /// order so the merge never depends on scheduling.  Returns the `len`
-    /// merged outcomes; load reports feed the EWMAs and the trigger.
+    /// order so the merge never depends on scheduling.  Each reply holds one
+    /// outcome per tick in global ids; the merge appends the shards'
+    /// imputations and skips tick by tick and sorts them by series.  Returns
+    /// the `len` merged outcomes; load reports feed the EWMAs and the
+    /// trigger.
     fn complete_batch(&mut self, len: usize) -> Result<Vec<EngineOutcome>, TsError> {
         let wait_started = Instant::now();
         let mut replies = Vec::with_capacity(self.workers.len());
@@ -1111,25 +1117,29 @@ impl ShardedEngine {
             }
         }
         BARRIER_WAIT_NANOS.record_duration(wait_started.elapsed());
-        let mut merged: Vec<EngineOutcome> = (0..len).map(|_| EngineOutcome::default()).collect();
+        let mut merged: Option<Vec<EngineOutcome>> = None;
         let mut loads: Vec<ShardLoad> = Vec::with_capacity(self.workers.len());
         let mut first_error = None;
         for reply in replies {
             match reply {
-                Reply::Batch(Ok((per_component, load))) => {
+                Reply::Batch(Ok((outcomes, load))) => {
+                    if outcomes.len() != len {
+                        self.mark_poisoned(
+                            "worker protocol violation: wrong outcome count for a batch",
+                        );
+                        return Err(TsError::invalid(
+                            "engine",
+                            "worker protocol violation: wrong outcome count for a batch",
+                        ));
+                    }
                     if first_error.is_none() {
-                        for (component, outcomes) in per_component {
-                            if outcomes.len() != len {
-                                self.mark_poisoned(
-                                    "worker protocol violation: wrong outcome count for a batch",
-                                );
-                                return Err(TsError::invalid(
-                                    "engine",
-                                    "worker protocol violation: wrong outcome count for a batch",
-                                ));
-                            }
-                            for (pos, outcome) in outcomes.into_iter().enumerate() {
-                                self.merge_component_outcome(component, outcome, &mut merged[pos]);
+                        match &mut merged {
+                            None => merged = Some(outcomes),
+                            Some(merged) => {
+                                for (into, mut outcome) in merged.iter_mut().zip(outcomes) {
+                                    into.imputations.append(&mut outcome.imputations);
+                                    into.skipped.append(&mut outcome.skipped);
+                                }
                             }
                         }
                     }
@@ -1152,6 +1162,7 @@ impl ShardedEngine {
             self.mark_poisoned(&e.to_string());
             return Err(e);
         }
+        let mut merged = merged.unwrap_or_default();
         for outcome in &mut merged {
             outcome.imputations.sort_by_key(|i| i.series);
             outcome.skipped.sort_unstable();
@@ -1234,7 +1245,7 @@ impl ShardedEngine {
             .jobs
             .send(Job::Extract(component))
             .map_err(|_| worker_died())?;
-        let bytes = match self.workers[from]
+        let (engine, members) = match self.workers[from]
             .results
             .recv()
             .map_err(|_| worker_died())?
@@ -1251,7 +1262,8 @@ impl ShardedEngine {
             .jobs
             .send(Job::Install {
                 component,
-                engine: bytes,
+                engine,
+                members,
             })
             .map_err(|_| worker_died())?;
         match self.workers[to_shard]
@@ -1350,28 +1362,6 @@ impl ShardedEngine {
             tkcm_obs::export::render_json(tkcm_obs::registry()),
             tkcm_obs::recorder().render_json(),
         )
-    }
-
-    /// Folds one component's outcome into the merged fleet outcome,
-    /// remapping every component-local id back to global space.
-    fn merge_component_outcome(
-        &self,
-        component: usize,
-        outcome: EngineOutcome,
-        merged: &mut EngineOutcome,
-    ) {
-        let to_global = |local: SeriesId| self.partition.component_global_id(component, local);
-        for mut imputation in outcome.imputations {
-            imputation.series = to_global(imputation.series);
-            imputation.detail.series = imputation.series;
-            for r in &mut imputation.detail.references {
-                *r = to_global(*r);
-            }
-            merged.imputations.push(imputation);
-        }
-        merged
-            .skipped
-            .extend(outcome.skipped.into_iter().map(to_global));
     }
 }
 
@@ -1552,132 +1542,238 @@ fn same_directory(a: &Path, b: &Path) -> bool {
     }
 }
 
-/// Nanoseconds of CPU time the calling thread has accumulated, from the
-/// kernel's per-thread scheduler accounting (`schedstat` field 1).
-/// Unlike wall-clock timing this excludes time spent preempted by other
-/// runnable threads, so per-shard load reports stay meaningful when the
-/// fleet has more workers than cores.  `None` where the accounting file
-/// is unavailable (non-Linux, schedstats compiled out); callers keep
-/// their wall-clock sums.
-fn thread_cpu_nanos() -> Option<u64> {
-    let stat = std::fs::read_to_string("/proc/thread-self/schedstat").ok()?;
-    stat.split_whitespace().next()?.parse().ok()
+/// The CPU clock of the thread that opened it, from the kernel's
+/// per-thread scheduler accounting (`schedstat` field 1).  Unlike
+/// wall-clock timing this excludes time spent preempted by other runnable
+/// threads, so per-shard load reports stay meaningful when the fleet has
+/// more workers than cores.  The file is opened once, on the thread it
+/// measures (`thread-self` resolves at open time), and re-read from offset
+/// 0 for every reading.
+struct CpuClock(Option<File>);
+
+impl CpuClock {
+    /// The calling thread's clock; without the accounting file (non-Linux,
+    /// schedstats compiled out) every reading is `None`.
+    fn of_this_thread() -> CpuClock {
+        CpuClock(File::open("/proc/thread-self/schedstat").ok())
+    }
+
+    /// Nanoseconds of CPU time the thread has accumulated, or `None` where
+    /// the accounting is unavailable; callers keep their wall-clock sums.
+    fn nanos(&self) -> Option<u64> {
+        let mut buf = [0u8; 64];
+        let len = read_from_start(self.0.as_ref()?, &mut buf)?;
+        let stat = std::str::from_utf8(buf.get(..len)?).ok()?;
+        stat.split_whitespace().next()?.parse().ok()
+    }
 }
 
-/// Processes a batch of per-component sub-ticks on the worker's engines
-/// and, for durable fleets, logs every processed `(component, tick)` pair
-/// tick-major — the whole batch framed into one buffered WAL append —
-/// before reporting the outcomes: once the fleet barriers on this batch,
-/// the records are on disk (and fsynced, when the group-commit policy said
-/// so).
-///
-/// A tick that fails mid-batch stops processing there; the records of the
-/// committed prefix (all components of earlier ticks, plus the components
-/// that completed the failing tick before the error) are still appended —
-/// exactly what the per-tick path would have logged — and the engine error
-/// is reported, poisoning the fleet.  That prefix is real, durable
-/// history: recovery's per-component reconciliation resumes *after* it.
-/// On that path the engine error is the root cause the fleet reports; a
-/// secondary append/sync failure while logging the prefix does not shadow
-/// it, and the policy sync is skipped.
-fn worker_batch(
-    engines: &mut [(usize, TkcmEngine)],
-    wal: &mut Option<WalWriter>,
+#[cfg(unix)]
+fn read_from_start(file: &File, buf: &mut [u8]) -> Option<usize> {
+    use std::os::unix::fs::FileExt;
+    file.read_at(buf, 0).ok()
+}
+
+#[cfg(not(unix))]
+fn read_from_start(_: &File, _: &mut [u8]) -> Option<usize> {
+    None
+}
+
+/// One component as its worker sees the fleet's ticks: its members, and the
+/// sub-tick those members' readings are projected into, reused tick after
+/// tick.
+struct Lane {
+    /// Global ids of the component's members, ascending: local id `i` is
+    /// `members[i]`.
+    members: Vec<SeriesId>,
+    sub: StreamTick,
+}
+
+impl Lane {
+    fn new(members: Vec<SeriesId>) -> Lane {
+        let sub = StreamTick::new(Timestamp::new(0), Vec::with_capacity(members.len()));
+        Lane { members, sub }
+    }
+
+    /// Moves one outcome of this component into the shard's outcome for the
+    /// same tick, remapping every component-local id to global space.
+    fn merge_into(&self, mut outcome: EngineOutcome, merged: &mut EngineOutcome) {
+        let to_global = |local: SeriesId| self.members[local.index()];
+        for imputation in &mut outcome.imputations {
+            imputation.series = to_global(imputation.series);
+            imputation.detail.series = imputation.series;
+            for r in &mut imputation.detail.references {
+                *r = to_global(*r);
+            }
+        }
+        for skipped in &mut outcome.skipped {
+            *skipped = to_global(*skipped);
+        }
+        merged.imputations.append(&mut outcome.imputations);
+        merged.skipped.append(&mut outcome.skipped);
+    }
+}
+
+/// Everything a worker thread owns: its components' engines (the shard
+/// snapshot it checkpoints), aligned with them one [`Lane`] per component,
+/// its WAL and its CPU clock.
+struct ShardWorker {
+    snapshot: ShardSnapshot,
+    lanes: Vec<Lane>,
+    wal: Option<WalWriter>,
     policy: SyncPolicy,
-    batch: &[(usize, Vec<StreamTick>)],
-) -> Result<BatchReply, TsError> {
-    if batch.len() != engines.len()
-        || batch
-            .iter()
-            .zip(engines.iter())
-            .any(|((bc, _), (ec, _))| bc != ec)
-    {
-        return Err(TsError::invalid(
-            "engine",
-            "batch components do not match the worker's engines",
-        ));
-    }
-    let ticks = batch.first().map(|(_, sub)| sub.len()).unwrap_or(0);
-    if batch.iter().any(|(_, sub)| sub.len() != ticks) {
-        return Err(TsError::invalid(
-            "engine",
-            "batch sub-tick vectors differ in length",
-        ));
-    }
-    let mut outcomes: Vec<(usize, Vec<EngineOutcome>)> = engines
-        .iter()
-        .map(|(c, _)| (*c, Vec::with_capacity(ticks)))
-        .collect();
-    let mut records: Vec<ShardWalRecord> = Vec::with_capacity(ticks * engines.len());
-    let mut load = ShardLoad {
-        nanos: 0,
-        component_nanos: engines.iter().map(|(c, _)| (*c, 0u64)).collect(),
-        prune: PruneStats::default(),
-    };
-    let cpu_started = thread_cpu_nanos();
-    let mut failure = None;
-    'ticks: for t in 0..ticks {
-        for (idx, (component, engine)) in engines.iter_mut().enumerate() {
-            let tick = &batch[idx].1[t];
-            let started = Instant::now();
-            match engine.process_tick(tick) {
-                Ok(outcome) => {
-                    let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                    load.component_nanos[idx].1 += nanos;
-                    load.nanos += nanos;
-                    records.push(ShardWalRecord {
-                        component: *component,
-                        entry: WalEntry::from_outcome(tick, &outcome),
+    clock: CpuClock,
+}
+
+impl ShardWorker {
+    /// Processes the fleet's batch on the worker's engines: every tick is
+    /// projected onto each component, processed, and — for durable fleets —
+    /// its WAL record is framed straight from the sub-tick and the outcome
+    /// into the log's pending batch (tick-major), before the outcome is
+    /// remapped into the shard's outcome for that tick.  The whole batch is
+    /// appended with one buffered write before the reply: once the fleet
+    /// barriers on this batch, the records are on disk (and fsynced, when
+    /// the group-commit policy said so).
+    ///
+    /// A tick that fails mid-batch stops processing there; the records of
+    /// the committed prefix (all components of earlier ticks, plus the
+    /// components that completed the failing tick before the error) are
+    /// still appended — exactly what the per-tick path would have logged —
+    /// and the engine error is reported, poisoning the fleet.  That prefix
+    /// is real, durable history: recovery's per-component reconciliation
+    /// resumes *after* it.  On that path the engine error is the root cause
+    /// the fleet reports; a secondary append/sync failure while logging the
+    /// prefix does not shadow it, and the policy sync is skipped.  A record
+    /// that fails to frame ends the batch the same way.
+    fn batch(&mut self, ticks: &[StreamTick]) -> Result<BatchReply, TsError> {
+        let mut outcomes = Vec::with_capacity(ticks.len());
+        let mut load = ShardLoad {
+            nanos: 0,
+            component_nanos: self.snapshot.engines.iter().map(|(c, _)| (*c, 0)).collect(),
+            prune: PruneStats::default(),
+        };
+        let cpu_started = self.clock.nanos();
+        let mut failure = None;
+        'ticks: for tick in ticks {
+            let mut merged = EngineOutcome::default();
+            let components = self.snapshot.engines.iter_mut().zip(&mut self.lanes);
+            for (idx, ((component, engine), lane)) in components.enumerate() {
+                let started = Instant::now();
+                tick.project_into(&lane.members, &mut lane.sub);
+                let outcome = match engine.process_tick(&lane.sub) {
+                    Ok(outcome) => outcome,
+                    Err(e) => {
+                        failure = Some(e);
+                        break 'ticks;
+                    }
+                };
+                if let Some(wal) = &mut self.wal {
+                    let framed = wal.stage(|enc| {
+                        ShardWalRecord::write_outcome(*component, &lane.sub, &outcome, enc)
                     });
-                    outcomes[idx].1.push(outcome);
+                    if let Err(e) = framed {
+                        failure = Some(e.into());
+                        break 'ticks;
+                    }
                 }
-                Err(e) => {
-                    failure = Some(e);
-                    break 'ticks;
+                lane.merge_into(outcome, &mut merged);
+                let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+                load.component_nanos[idx].1 += nanos;
+                load.nanos += nanos;
+            }
+            outcomes.push(merged);
+        }
+        // Re-base the load report on the thread's CPU time for the whole
+        // tick loop: the per-component wall clocks above keep the
+        // *relative* component shares, but their sum also counts time this
+        // thread spent preempted — on a host with more workers than cores
+        // (CI runners, single-core boxes) that noise dwarfs the real skew
+        // and the rebalancer would chase scheduling ghosts.  Where the
+        // kernel offers no per-thread accounting, the wall sums stand as
+        // measured.
+        if let (Some(started), Some(ended), false) =
+            (cpu_started, self.clock.nanos(), load.nanos == 0)
+        {
+            let cpu = ended.saturating_sub(started);
+            if cpu > 0 {
+                let scale = cpu as f64 / load.nanos as f64;
+                for (_, nanos) in &mut load.component_nanos {
+                    *nanos = (*nanos as f64 * scale) as u64;
                 }
+                load.nanos = cpu;
             }
         }
-    }
-    // Re-base the load report on the thread's CPU time for the whole tick
-    // loop: the per-tick wall clocks above keep the *relative* component
-    // shares, but their sum also counts time this thread spent preempted —
-    // on a host with more workers than cores (CI runners, single-core
-    // boxes) that noise dwarfs the real skew and the rebalancer would
-    // chase scheduling ghosts.  Where the kernel offers no per-thread
-    // accounting, the wall sums stand as measured.
-    if let (Some(started), Some(ended), false) = (cpu_started, thread_cpu_nanos(), load.nanos == 0)
-    {
-        let cpu = ended.saturating_sub(started);
-        if cpu > 0 {
-            let scale = cpu as f64 / load.nanos as f64;
-            for (_, nanos) in &mut load.component_nanos {
-                *nanos = (*nanos as f64 * scale) as u64;
-            }
-            load.nanos = cpu;
-        }
-    }
-    if let Some(wal) = wal {
-        let logged =
-            wal.append_batch(&records)
+        if let Some(wal) = &mut self.wal {
+            let logged = wal
+                .commit()
                 .map_err(TsError::from)
                 .and_then(|_| match failure {
                     // A sync failure propagates to the fleet engine (which
                     // poisons itself): after a failed fsync the kernel may
                     // have dropped the dirty pages, so the durable prefix of
                     // the log is unknowable.
-                    None if policy == SyncPolicy::EveryBatch => wal.sync().map_err(TsError::from),
+                    None if self.policy == SyncPolicy::EveryBatch => {
+                        wal.sync().map_err(TsError::from)
+                    }
                     _ => Ok(()),
                 });
-        if failure.is_none() {
-            logged?;
+            if failure.is_none() {
+                logged?;
+            }
+        }
+        for (_, engine) in &self.snapshot.engines {
+            load.prune += engine.prune_totals();
+        }
+        match failure {
+            Some(e) => Err(e),
+            None => Ok((outcomes, load)),
         }
     }
-    for (_, engine) in engines.iter() {
-        load.prune += engine.prune_totals();
+
+    /// The donor half of a migration: serialise the component's engine
+    /// through the snapshot codec (bit-exact state) and hand it off with its
+    /// member list, removing both from this worker.
+    fn extract(&mut self, component: usize) -> Result<(Vec<u8>, Vec<SeriesId>), TsError> {
+        let pos = self
+            .snapshot
+            .engines
+            .iter()
+            .position(|(c, _)| *c == component)
+            .ok_or_else(|| {
+                TsError::invalid(
+                    "engine",
+                    format!("component {component} is not on this shard"),
+                )
+            })?;
+        let bytes = encode_to_vec(&self.snapshot.engines[pos].1)?;
+        self.snapshot.engines.remove(pos);
+        Ok((bytes, self.lanes.remove(pos).members))
     }
-    match failure {
-        Some(e) => Err(e),
-        None => Ok((outcomes, load)),
+
+    /// The receiver half of a migration: decode and adopt the engine with
+    /// its member list, keeping the component list strictly ascending.
+    fn install(
+        &mut self,
+        component: usize,
+        bytes: &[u8],
+        members: Vec<SeriesId>,
+    ) -> Result<(), TsError> {
+        if self.snapshot.engines.iter().any(|(c, _)| *c == component) {
+            return Err(TsError::invalid(
+                "engine",
+                format!("component {component} is already on this shard"),
+            ));
+        }
+        let engine: TkcmEngine = decode_from_slice(bytes)?;
+        let pos = self
+            .snapshot
+            .engines
+            .iter()
+            .position(|(c, _)| *c > component)
+            .unwrap_or(self.snapshot.engines.len());
+        self.snapshot.engines.insert(pos, (component, engine));
+        self.lanes.insert(pos, Lane::new(members));
+        Ok(())
     }
 }
 
@@ -1704,49 +1800,6 @@ fn worker_checkpoint(
     }
 }
 
-/// The donor half of a migration: serialise the component's engine through
-/// the snapshot codec (bit-exact state) and hand it off, removing it from this
-/// worker.
-fn extract_component(
-    engines: &mut Vec<(usize, TkcmEngine)>,
-    component: usize,
-) -> Result<Vec<u8>, TsError> {
-    let pos = engines
-        .iter()
-        .position(|(c, _)| *c == component)
-        .ok_or_else(|| {
-            TsError::invalid(
-                "engine",
-                format!("component {component} is not on this shard"),
-            )
-        })?;
-    let bytes = encode_to_vec(&engines[pos].1)?;
-    engines.remove(pos);
-    Ok(bytes)
-}
-
-/// The receiver half of a migration: decode and adopt the engine, keeping
-/// the component list strictly ascending.
-fn install_component(
-    engines: &mut Vec<(usize, TkcmEngine)>,
-    component: usize,
-    bytes: &[u8],
-) -> Result<(), TsError> {
-    if engines.iter().any(|(c, _)| *c == component) {
-        return Err(TsError::invalid(
-            "engine",
-            format!("component {component} is already on this shard"),
-        ));
-    }
-    let engine: TkcmEngine = decode_from_slice(bytes)?;
-    let pos = engines
-        .iter()
-        .position(|(c, _)| *c > component)
-        .unwrap_or(engines.len());
-    engines.insert(pos, (component, engine));
-    Ok(())
-}
-
 /// Sum of a shard snapshot's persisted per-engine prune totals — the seed
 /// for the fleet's running totals at construction and recovery.
 fn shard_prune_totals(snapshot: &ShardSnapshot) -> PruneStats {
@@ -1757,14 +1810,24 @@ fn shard_prune_totals(snapshot: &ShardSnapshot) -> PruneStats {
     total
 }
 
+/// Spawns the worker thread of one shard: `members` holds each of the
+/// snapshot's components' member lists, in the snapshot's order.
 fn spawn_worker(
-    mut snapshot: ShardSnapshot,
-    mut wal: Option<WalWriter>,
+    snapshot: ShardSnapshot,
+    members: Vec<Vec<SeriesId>>,
+    wal: Option<WalWriter>,
     policy: SyncPolicy,
 ) -> Worker {
     let (jobs, job_rx) = channel::<Job>();
     let (result_tx, results) = channel();
     let handle = std::thread::spawn(move || {
+        let mut worker = ShardWorker {
+            snapshot,
+            lanes: members.into_iter().map(Lane::new).collect(),
+            wal,
+            policy,
+            clock: CpuClock::of_this_thread(),
+        };
         loop {
             let reply = match job_rx.recv() {
                 Ok(Job::Batch(batch)) => {
@@ -1773,32 +1836,27 @@ fn spawn_worker(
                     // contains the spans of the batches that preceded —
                     // and, for a WAL failure, caused — the crash.
                     let _span = tkcm_obs::span("worker_batch");
-                    Reply::Batch(worker_batch(
-                        &mut snapshot.engines,
-                        &mut wal,
-                        policy,
-                        &batch,
-                    ))
+                    Reply::Batch(worker.batch(&batch))
                 }
                 Ok(Job::Checkpoint {
                     snapshot_path,
                     reset_wal,
                 }) => Reply::Checkpoint(worker_checkpoint(
-                    &snapshot,
-                    &mut wal,
-                    policy,
+                    &worker.snapshot,
+                    &mut worker.wal,
+                    worker.policy,
                     &snapshot_path,
                     reset_wal.as_deref(),
                 )),
-                Ok(Job::Extract(component)) => {
-                    Reply::Extracted(extract_component(&mut snapshot.engines, component))
-                }
-                Ok(Job::Install { component, engine }) => {
-                    Reply::Installed(install_component(&mut snapshot.engines, component, &engine))
-                }
+                Ok(Job::Extract(component)) => Reply::Extracted(worker.extract(component)),
+                Ok(Job::Install {
+                    component,
+                    engine,
+                    members,
+                }) => Reply::Installed(worker.install(component, &engine, members)),
                 #[cfg(test)]
                 Ok(Job::InjectSyncFailures) => {
-                    if let Some(wal) = &mut wal {
+                    if let Some(wal) = &mut worker.wal {
                         wal.inject_sync_failures();
                     }
                     Reply::SyncFailuresInjected
@@ -1838,6 +1896,20 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<TkcmEngine>();
         assert_send::<ShardedEngine>();
+    }
+
+    #[test]
+    fn the_cpu_clock_advances_on_re_reads_of_one_open_file() {
+        let clock = CpuClock::of_this_thread();
+        let Some(before) = clock.nanos() else {
+            return; // no per-thread accounting on this platform
+        };
+        let mut x = 0u64;
+        for i in 0..5_000_000u64 {
+            x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(i));
+        }
+        let after = clock.nanos().expect("the clock read once");
+        assert!(after > before, "{before} -> {after}");
     }
 
     #[test]

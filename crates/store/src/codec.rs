@@ -135,6 +135,19 @@ impl Encoder {
         self.usize(v.len());
         self.buf.extend_from_slice(v);
     }
+
+    /// Writes a sequence of fixed-width items, each already in its
+    /// little-endian bytes: the `u64` length, then the items back to back —
+    /// the bytes `Vec<T>` writes for an item type of `N` bytes, with one
+    /// reservation for the whole sequence instead of a push per field.
+    pub fn fixed_seq<const N: usize>(&mut self, items: impl ExactSizeIterator<Item = [u8; N]>) {
+        self.usize(items.len());
+        let start = self.buf.len();
+        self.buf.resize(start + N * items.len(), 0);
+        for (slot, item) in self.buf[start..].chunks_exact_mut(N).zip(items) {
+            slot.copy_from_slice(&item);
+        }
+    }
 }
 
 /// Cursor over an encoded byte slice.
@@ -246,6 +259,29 @@ impl<'a> Decoder<'a> {
     pub fn bytes_prefixed(&mut self) -> Result<&'a [u8], StoreError> {
         let len = self.usize()?;
         self.take(len)
+    }
+
+    /// Reads a sequence written by [`Encoder::fixed_seq`], turning each
+    /// `N`-byte item into a `T` with `item`, which may refuse it.  The
+    /// length is checked against the remaining bytes before anything is
+    /// allocated.
+    pub fn fixed_seq<const N: usize, T>(
+        &mut self,
+        mut item: impl FnMut([u8; N]) -> Result<T, StoreError>,
+    ) -> Result<Vec<T>, StoreError> {
+        let len = self.usize()?;
+        let bytes = len
+            .checked_mul(N)
+            .ok_or_else(|| StoreError::corrupt(format!("sequence of {len} item(s) overflows")))
+            .and_then(|n| self.take(n))?;
+        let mut out = Vec::with_capacity(len);
+        for chunk in bytes.chunks_exact(N) {
+            let raw = <[u8; N]>::try_from(chunk).map_err(|_| {
+                StoreError::corrupt(format!("internal: a sequence chunk is not {N} byte(s)"))
+            })?;
+            out.push(item(raw)?);
+        }
+        Ok(out)
     }
 
     /// Reads a sequence length, sanity-capped so that a corrupted length
@@ -397,6 +433,42 @@ mod tests {
         let mut longer = bytes.clone();
         longer.push(0);
         assert!(decode_from_slice::<Vec<Option<f64>>>(&longer).is_err());
+    }
+
+    #[test]
+    fn fixed_sequences_write_the_bytes_of_vec_and_read_them_back() {
+        let values = [1.5, -0.0, f64::NAN, f64::MAX, 3.25];
+        let mut enc = Encoder::new();
+        enc.fixed_seq(values.iter().map(|v| v.to_bits().to_le_bytes()));
+        assert_eq!(enc.bytes(), encode_to_vec(&values.to_vec()).unwrap());
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes);
+        let back = dec
+            .fixed_seq(|b| Ok(f64::from_bits(u64::from_le_bytes(b))))
+            .unwrap();
+        dec.finish().unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&values));
+
+        // Single bytes, a refused item, a truncated tail and a length
+        // that cannot fit all fail the read.
+        let mut enc = Encoder::new();
+        enc.fixed_seq([0u8, 1, 2].into_iter().map(|b| [b]));
+        let bytes = enc.into_bytes();
+        assert_eq!(&bytes[8..], &[0, 1, 2]);
+        let refuse_two = |[b]: [u8; 1]| match b {
+            2 => Err(StoreError::corrupt("tag 2")),
+            b => Ok(b),
+        };
+        assert!(Decoder::new(&bytes).fixed_seq(refuse_two).is_err());
+        let read = |bytes: &[u8]| Decoder::new(bytes).fixed_seq(|[b]: [u8; 1]| Ok(b));
+        assert_eq!(read(&bytes).unwrap(), vec![0, 1, 2]);
+        assert!(read(&bytes[..10]).is_err());
+        let mut huge = Encoder::new();
+        huge.usize(usize::MAX / 2);
+        assert!(Decoder::new(huge.bytes())
+            .fixed_seq(|b: [u8; 8]| Ok(u64::from_le_bytes(b)))
+            .is_err());
     }
 
     #[test]

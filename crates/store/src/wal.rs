@@ -17,6 +17,9 @@
 //! syscalls.  Each record is encoded straight into the writer's reused batch
 //! buffer behind an 8-byte gap that its length and CRC fill in afterwards,
 //! so a record's bytes are written once and checksummed once.
+//! [`WalWriter::stage`] frames one record from the caller's encoding and
+//! [`WalWriter::commit`] writes the staged batch, so a caller that holds a
+//! record's parts logs it without building the record first.
 //!
 //! A read takes the whole file in one read, checks the header from those
 //! bytes and decodes every record from a borrowed slice of that buffer;
@@ -161,24 +164,63 @@ impl WalWriter {
     /// mid-call leaves a clean prefix of whole records plus at most one torn
     /// trailing frame — the same crash surface an interrupted single append
     /// has, handled by the same strict/tolerant replay paths.  Returns the
-    /// number of bytes appended; an empty batch appends nothing.
+    /// number of bytes appended; an empty batch appends nothing.  This is
+    /// [`WalWriter::stage`] per record, then [`WalWriter::commit`]; a record
+    /// that fails to encode discards the whole batch.
     pub fn append_batch<T: Snapshot>(&mut self, values: &[T]) -> Result<u64, StoreError> {
-        if values.is_empty() {
+        for value in values {
+            if let Err(error) = self.stage(|enc| value.write_into(enc)) {
+                self.frames.clear();
+                return Err(error);
+            }
+        }
+        self.commit()
+    }
+
+    /// Frames one record (`u32 len | u32 crc | payload`) into the pending
+    /// batch without writing it: `write` encodes the payload straight into
+    /// the batch buffer, behind an 8-byte gap that its length and CRC then
+    /// fill, so a caller holding the record's parts never builds the record
+    /// itself.  A failed `write` leaves the batch as it was before the call.
+    pub fn stage(
+        &mut self,
+        write: impl FnOnce(&mut Encoder) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let start = self.frames.len();
+        self.frames.extend_from_slice(&[0; 8]);
+        let mut enc = Encoder::from_vec(std::mem::take(&mut self.frames));
+        let encoded = write(&mut enc);
+        let buf = &mut self.frames;
+        *buf = enc.into_bytes();
+        let framed = encoded.and_then(|()| {
+            let payload = &buf[start + 8..];
+            let len = u32::try_from(payload.len())
+                .map_err(|_| StoreError::invalid("WAL record exceeds 4 GiB"))?;
+            let crc = crc32(payload);
+            buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
+            buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+            Ok(())
+        });
+        if framed.is_err() {
+            buf.truncate(start);
+        }
+        framed
+    }
+
+    /// Appends every staged record with one `write_all` and empties the
+    /// batch (also when the write fails).  Returns the number of bytes
+    /// appended; with nothing staged, nothing is written.
+    pub fn commit(&mut self) -> Result<u64, StoreError> {
+        if self.frames.is_empty() {
             return Ok(0);
         }
-        let mut frames = std::mem::take(&mut self.frames);
-        frames.clear();
-        let appended = values
-            .iter()
-            .try_for_each(|value| frame_into(&mut frames, value))
-            .and_then(|()| {
-                self.file.write_all(&frames).map_err(|e| {
-                    StoreError::io(format!("appending to {}", self.path.display()), &e)
-                })
-            });
-        let bytes = frames.len() as u64;
-        self.frames = frames;
-        appended?;
+        let written = self
+            .file
+            .write_all(&self.frames)
+            .map_err(|e| StoreError::io(format!("appending to {}", self.path.display()), &e));
+        let bytes = self.frames.len() as u64;
+        self.frames.clear();
+        written?;
         WAL_APPENDED_BYTES.add(bytes);
         Ok(bytes)
     }
@@ -262,25 +304,6 @@ impl WalWriter {
     pub fn inject_sync_failures(&mut self) {
         self.fail_syncs = true;
     }
-}
-
-/// Frames one record (`u32 len | u32 crc | payload`) onto the end of `buf`:
-/// the payload is encoded in place behind an 8-byte gap, which its length
-/// and checksum then fill.
-fn frame_into<T: Snapshot>(buf: &mut Vec<u8>, value: &T) -> Result<(), StoreError> {
-    let start = buf.len();
-    buf.extend_from_slice(&[0; 8]);
-    let mut enc = Encoder::from_vec(std::mem::take(buf));
-    let encoded = value.write_into(&mut enc);
-    *buf = enc.into_bytes();
-    encoded?;
-    let payload = &buf[start + 8..];
-    let len = u32::try_from(payload.len())
-        .map_err(|_| StoreError::invalid("WAL record exceeds 4 GiB"))?;
-    let crc = crc32(payload);
-    buf[start..start + 4].copy_from_slice(&len.to_le_bytes());
-    buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    Ok(())
 }
 
 /// Verifies the 12-byte WAL header at the front of `bytes` (decode path:
@@ -471,6 +494,42 @@ mod tests {
         assert_eq!(back, records);
         std::fs::remove_file(&one_by_one).unwrap();
         std::fs::remove_file(&batched).unwrap();
+    }
+
+    #[test]
+    fn staged_records_commit_like_a_batch_and_a_failed_stage_drops_only_itself() {
+        let records: Vec<Vec<u64>> = (0..4u64).map(|i| vec![i, i << 20]).collect();
+        let batched = temp_path("stage-batch.wal");
+        let mut wal = WalWriter::create(&batched).unwrap();
+        wal.append_batch(&records).unwrap();
+        drop(wal);
+
+        let staged = temp_path("stage-staged.wal");
+        let mut wal = WalWriter::create(&staged).unwrap();
+        assert_eq!(wal.commit().unwrap(), 0, "nothing staged, nothing written");
+        for (i, record) in records.iter().enumerate() {
+            wal.stage(|enc| record.write_into(enc)).unwrap();
+            if i == 1 {
+                let failed = wal.stage(|enc| {
+                    enc.u64(7);
+                    Err(StoreError::invalid("refused"))
+                });
+                assert!(failed.is_err());
+            }
+        }
+        let appended = wal.commit().unwrap();
+        assert_eq!(wal.commit().unwrap(), 0, "a commit empties the batch");
+        drop(wal);
+        assert_eq!(
+            std::fs::read(&staged).unwrap(),
+            std::fs::read(&batched).unwrap()
+        );
+        assert_eq!(
+            appended,
+            std::fs::metadata(&staged).unwrap().len() - HEADER_LEN as u64
+        );
+        std::fs::remove_file(&batched).unwrap();
+        std::fs::remove_file(&staged).unwrap();
     }
 
     #[test]

@@ -52,23 +52,33 @@ impl Snapshot for SeriesId {
     }
 }
 
+/// The byte a [`SlotState`] is written as.
+fn state_tag(state: SlotState) -> u8 {
+    match state {
+        SlotState::Observed => 0,
+        SlotState::Imputed => 1,
+        SlotState::Missing => 2,
+    }
+}
+
+/// The [`SlotState`] a byte stands for; any byte but 0, 1 or 2 is refused.
+fn state_of_tag(tag: u8) -> Result<SlotState, StoreError> {
+    match tag {
+        0 => Ok(SlotState::Observed),
+        1 => Ok(SlotState::Imputed),
+        2 => Ok(SlotState::Missing),
+        other => Err(StoreError::corrupt(format!("invalid slot state {other}"))),
+    }
+}
+
 impl Snapshot for SlotState {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        enc.u8(match self {
-            SlotState::Observed => 0,
-            SlotState::Imputed => 1,
-            SlotState::Missing => 2,
-        });
+        enc.u8(state_tag(*self));
         Ok(())
     }
 
     fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        match dec.u8()? {
-            0 => Ok(SlotState::Observed),
-            1 => Ok(SlotState::Imputed),
-            2 => Ok(SlotState::Missing),
-            other => Err(StoreError::corrupt(format!("invalid slot state {other}"))),
-        }
+        state_of_tag(dec.u8()?)
     }
 }
 
@@ -104,13 +114,36 @@ fn check_window(window: &StreamingWindow) -> Result<(), StoreError> {
     Ok(())
 }
 
+/// Reads `count` rings written by [`Encoder::fixed_seq`], one after the
+/// other, each item decoded by `item`.
+fn read_rings<const N: usize, T>(
+    dec: &mut Decoder<'_>,
+    count: usize,
+    mut item: impl FnMut([u8; N]) -> Result<T, StoreError>,
+) -> Result<Vec<Vec<T>>, StoreError> {
+    let mut rings = Vec::with_capacity(count);
+    for _ in 0..count {
+        rings.push(dec.fixed_seq(&mut item)?);
+    }
+    Ok(rings)
+}
+
+/// The rings go through the codec's fixed-width sequences, one reservation
+/// per ring, in the bytes `Vec<Vec<f64>>`, `Vec<Vec<SlotState>>` and
+/// `Vec<Timestamp>` write.
 impl Snapshot for StreamingWindow {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
         check_window(self)?;
         enc.usize(self.length);
-        self.values.write_into(enc)?;
-        self.states.write_into(enc)?;
-        self.times.write_into(enc)?;
+        enc.usize(self.values.len());
+        for ring in &self.values {
+            enc.fixed_seq(ring.iter().map(|v| v.to_bits().to_le_bytes()));
+        }
+        enc.usize(self.states.len());
+        for ring in &self.states {
+            enc.fixed_seq(ring.iter().map(|s| [state_tag(*s)]));
+        }
+        enc.fixed_seq(self.times.iter().map(|t| t.tick().to_le_bytes()));
         match self.current_time {
             Some(t) => {
                 enc.bool(true);
@@ -124,9 +157,11 @@ impl Snapshot for StreamingWindow {
 
     fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
         let length = dec.usize()?;
-        let values: Vec<Vec<f64>> = Vec::read_from(dec)?;
-        let states: Vec<Vec<SlotState>> = Vec::read_from(dec)?;
-        let times: Vec<Timestamp> = Vec::read_from(dec)?;
+        let width = dec.seq_len()?;
+        let values = read_rings(dec, width, |b| Ok(f64::from_bits(u64::from_le_bytes(b))))?;
+        let series = dec.seq_len()?;
+        let states = read_rings(dec, series, |[b]| state_of_tag(b))?;
+        let times = dec.fixed_seq(|b| Ok(Timestamp::new(i64::from_le_bytes(b))))?;
         let current_time = if dec.bool()? {
             Some(Timestamp::read_from(dec)?)
         } else {

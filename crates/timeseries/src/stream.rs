@@ -58,6 +58,15 @@ impl StreamTick {
             values: members.iter().map(|id| self.value(*id)).collect(),
         }
     }
+
+    /// [`StreamTick::project`] into an existing tick, reusing its buffer:
+    /// a worker that projects every arriving tick onto the same members
+    /// allocates once, not once per tick.
+    pub fn project_into(&self, members: &[SeriesId], out: &mut StreamTick) {
+        out.time = self.time;
+        out.values.clear();
+        out.values.extend(members.iter().map(|id| self.value(*id)));
+    }
 }
 
 /// A source of stream ticks that can be replayed from the beginning.
@@ -181,6 +190,19 @@ mod tests {
             SampleInterval::FIVE_MINUTES,
             values,
         )
+    }
+
+    #[test]
+    fn projecting_into_a_reused_tick_matches_a_fresh_projection() {
+        let tick = StreamTick::new(Timestamp::new(9), vec![Some(1.0), None, Some(3.0)]);
+        let mut out = StreamTick::new(Timestamp::new(0), vec![Some(7.0); 5]);
+        for members in [
+            vec![SeriesId(2), SeriesId(0)],
+            vec![SeriesId(1), SeriesId(4)],
+        ] {
+            tick.project_into(&members, &mut out);
+            assert_eq!(out, tick.project(&members));
+        }
     }
 
     #[test]

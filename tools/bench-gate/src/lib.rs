@@ -19,7 +19,10 @@
 //! Most metrics are higher-is-better and carry a floor (`metric = min`).  A
 //! lower-is-better metric, such as a latency, carries a *ceiling* instead
 //! (`ceiling.metric = max`): it fails above the ceiling, and also at or
-//! below 0, which is what a histogram that recorded nothing reports.
+//! below 0, which is what a histogram that recorded nothing reports.  An
+//! acceptance bar that must not drift with the measurements is a *bar*
+//! (`bar.metric = min`): it gates like a floor, and `--bless` never
+//! rewrites it.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -37,10 +40,16 @@ pub struct Gate {
     /// Metric name → maximum acceptable value (`ceiling.<metric>` keys):
     /// lower-is-better metrics, which must also stay above 0.
     pub ceilings: BTreeMap<String, f64>,
+    /// Metric name → fixed minimum (`bar.<metric>` keys): gated like a
+    /// floor, never re-blessed.
+    pub bars: BTreeMap<String, f64>,
 }
 
 /// The key prefix of a ceiling in the thresholds file.
 const CEILING: &str = "ceiling.";
+
+/// The key prefix of a fixed bar in the thresholds file.
+const BAR: &str = "bar.";
 
 /// Parsed `BENCH_THRESHOLDS.toml`: profile name (`quick`, `paper`) → gates.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -53,7 +62,8 @@ impl Thresholds {
     /// Parses the thresholds file.  The accepted grammar is the same
     /// hand-rolled TOML subset the fingerprint manifest uses: comments,
     /// `[profile.gate]` section headers, `file = "quoted"`,
-    /// `metric = <float>` and `ceiling.metric = <float>` lines.  Anything else is an error — the file is
+    /// `metric = <float>`, `ceiling.metric = <float>` and
+    /// `bar.metric = <float>` lines.  Anything else is an error — the file is
     /// small and machine-rewritten by `--bless`, so surprises mean drift.
     pub fn parse(text: &str) -> Result<Thresholds, String> {
         let mut thresholds = Thresholds::default();
@@ -79,6 +89,7 @@ impl Thresholds {
                         file: String::new(),
                         minimums: BTreeMap::new(),
                         ceilings: BTreeMap::new(),
+                        bars: BTreeMap::new(),
                     });
                 current = Some((profile.to_string(), gate.to_string()));
                 continue;
@@ -105,10 +116,13 @@ impl Thresholds {
                 let parsed: f64 = value
                     .parse()
                     .map_err(|_| format!("line {}: {key} must be a number", lineno + 1))?;
-                match key.strip_prefix(CEILING) {
-                    Some(metric) => entry.ceilings.insert(metric.to_string(), parsed),
-                    None => entry.minimums.insert(key.to_string(), parsed),
-                };
+                if let Some(metric) = key.strip_prefix(CEILING) {
+                    entry.ceilings.insert(metric.to_string(), parsed);
+                } else if let Some(metric) = key.strip_prefix(BAR) {
+                    entry.bars.insert(metric.to_string(), parsed);
+                } else {
+                    entry.minimums.insert(key.to_string(), parsed);
+                }
             }
         }
         for (profile, gates) in &thresholds.profiles {
@@ -150,6 +164,9 @@ impl Thresholds {
                 for (metric, max) in &gate.ceilings {
                     out.push_str(&format!("{CEILING}{metric} = {max}\n"));
                 }
+                for (metric, bar) in &gate.bars {
+                    out.push_str(&format!("{BAR}{metric} = {bar}\n"));
+                }
             }
         }
         out
@@ -173,8 +190,8 @@ impl Thresholds {
 
 /// Rewrites, in the thresholds file `text`, the value of every floor and
 /// ceiling line of the gates `blessed` holds to its value there.  Every
-/// other byte of `text` — comments, blank lines, `file` keys and the lines
-/// of every other gate — comes back unchanged.
+/// other byte of `text` — comments, blank lines, `file` keys, `bar.` lines
+/// and the lines of every other gate — comes back unchanged.
 pub fn rewrite_values(text: &str, blessed: &Thresholds) -> String {
     let mut out = String::with_capacity(text.len());
     let mut gate: Option<&Gate> = None;
@@ -298,11 +315,13 @@ pub fn evaluate(
                 continue;
             }
         };
-        for (metric, min) in &gate.minimums {
+        let floors = gate.minimums.iter().map(|(m, v)| (m, v, "floor"));
+        let bars = gate.bars.iter().map(|(m, v)| (m, v, "bar"));
+        for (metric, min, kind) in floors.chain(bars) {
             match trend.get(metric) {
                 None => warnings.push(missing_metric(profile, gate, metric)),
                 Some(value) if value < min => failures.push(format!(
-                    "[{profile}.{}] {metric} = {value} is below the floor {min}",
+                    "[{profile}.{}] {metric} = {value} is below the {kind} {min}",
                     gate.name
                 )),
                 Some(_) => {}
@@ -339,7 +358,8 @@ fn missing_metric(profile: &str, gate: &Gate, metric: &str) -> Warning {
 /// Rewrites each gated metric's floor to `observed x 0.7` and each ceiling
 /// to `observed / 0.7` (rounded to three decimals), leaving the metric
 /// *set* unchanged: blessing updates numbers, it never silently adds or
-/// drops what is gated.  Metrics missing from the observed trend are an
+/// drops what is gated.  Bars are acceptance bars, not measurements, and
+/// are left as they are.  Metrics missing from the observed trend are an
 /// error — a floor must never outlive its metric.
 pub fn bless(
     thresholds: &mut Thresholds,
@@ -382,6 +402,9 @@ pub fn floor_keys(thresholds: &Thresholds) -> std::collections::BTreeSet<String>
             }
             for metric in gate.ceilings.keys() {
                 keys.insert(format!("{profile}.{}.{CEILING}{metric}", gate.name));
+            }
+            for metric in gate.bars.keys() {
+                keys.insert(format!("{profile}.{}.{BAR}{metric}", gate.name));
             }
         }
     }
@@ -667,6 +690,75 @@ worst_case = 0\n";
         );
         // Rewriting with the unchanged model gives the file back as it was.
         assert_eq!(rewrite_values(ANNOTATED, &thresholds), ANNOTATED);
+    }
+
+    /// A fleet gate whose observability bound is a fixed bar.
+    const BARRED: &str = "\
+[quick.fleet]\n\
+file = \"BENCH_results_fleet.json\"\n\
+bar.obs_overhead_ratio = 0.9\n\
+speedup_vs_1_shard_at_4 = 1.2\n\
+ceiling.storm_batch_p50_ms_at_4 = 1.5\n";
+
+    #[test]
+    fn a_bar_gates_like_a_floor_and_a_scoped_bless_leaves_its_line_byte_identical() {
+        let dir =
+            std::env::temp_dir().join(format!("tkcm-bench-gate-lib-bar-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let thresholds = Thresholds::parse(BARRED).unwrap();
+        let fleet = &thresholds.profiles["quick"][0];
+        assert_eq!(fleet.bars["obs_overhead_ratio"], 0.9);
+        assert!(!fleet.minimums.contains_key("obs_overhead_ratio"));
+        assert_eq!(Thresholds::parse(&thresholds.render()).unwrap(), thresholds);
+        let verdict = |obs: f64| {
+            std::fs::write(
+                dir.join("BENCH_results_fleet.json"),
+                format!(
+                    "{{\"trend\":{{\"obs_overhead_ratio\":{obs},\"speedup_vs_1_shard_at_4\":3.0,\
+                     \"storm_batch_p50_ms_at_4\":0.7}}}}"
+                ),
+            )
+            .unwrap();
+            evaluate(&thresholds, "quick", &dir).unwrap()
+        };
+        assert!(verdict(0.95).0.is_empty());
+        let low = verdict(0.85).0;
+        assert!(
+            low.len() == 1 && low[0].contains("below the bar 0.9"),
+            "{low:?}"
+        );
+
+        // Blessing from a reading far above the bar moves the floor and the
+        // ceiling, never the bar.
+        let (_, _, observed) = verdict(1.4);
+        let mut scoped = thresholds.only_gate("quick", "fleet").unwrap();
+        bless(&mut scoped, "quick", &observed).unwrap();
+        assert_eq!(scoped.profiles["quick"][0].bars["obs_overhead_ratio"], 0.9);
+        let rewritten = rewrite_values(BARRED, &scoped);
+        assert_eq!(
+            rewritten,
+            "[quick.fleet]\nfile = \"BENCH_results_fleet.json\"\n\
+             bar.obs_overhead_ratio = 0.9\nspeedup_vs_1_shard_at_4 = 2.1\n\
+             ceiling.storm_batch_p50_ms_at_4 = 1\n"
+        );
+        let bar_line = |text: &str| {
+            text.lines()
+                .find(|l| l.starts_with("bar."))
+                .map(String::from)
+        };
+        assert_eq!(bar_line(&rewritten), bar_line(BARRED));
+        assert!(
+            dropped_floor_keys(&thresholds, &Thresholds::parse(&rewritten).unwrap()).is_empty()
+        );
+        // A rewrite that drops the bar is caught like a dropped floor.
+        let mut barless = thresholds.clone();
+        barless.profiles.get_mut("quick").unwrap()[0].bars.clear();
+        assert_eq!(
+            dropped_floor_keys(&thresholds, &barless),
+            vec!["quick.fleet.bar.obs_overhead_ratio".to_string()]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

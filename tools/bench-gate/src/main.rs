@@ -12,7 +12,8 @@
 //! trend key) prints a stderr warning but exits 0 — visible, not fatal.
 //! `--bless` re-floors every gated metric at
 //! observed x 0.7 (a ceiling at observed / 0.7) and rewrites those values
-//! in the thresholds file instead of gating, keeping every other byte;
+//! in the thresholds file instead of gating, keeping every other byte (a
+//! `bar.` line is a fixed acceptance bar and is never rewritten);
 //! `--gate NAME` scopes the run, and so a bless, to the one gate `NAME` of
 //! the profile, so re-flooring one gate never touches another's numbers;
 //! `--append-history` appends one JSONL line of all observed trend metrics
@@ -92,10 +93,15 @@ fn run() -> Result<bool, String> {
     if args.bless {
         // Blessing needs complete observations: a missing file or trend
         // field, or a latency that recorded nothing, must not be floored
-        // away.
+        // away.  A reading under a bar is complete; blessing leaves the bar
+        // as it is.
         let incomplete: Vec<&String> = failures
             .iter()
-            .filter(|f| !f.contains("below the floor") && !f.contains("above the ceiling"))
+            .filter(|f| {
+                !f.contains("below the floor")
+                    && !f.contains("below the bar")
+                    && !f.contains("above the ceiling")
+            })
             .chain(warnings.iter())
             .collect();
         if !incomplete.is_empty() {
