@@ -32,16 +32,16 @@ fn bench_imputation(
     group.sample_size(20);
     for &(l, d, k, window) in params {
         let workload = build_workload(Scale::Quick, window, d);
-        let imputer = TkcmImputer::new(config_for(l, d, k, window)).expect("valid config");
+        let mut imputer = TkcmImputer::new(config_for(l, d, k, window)).expect("valid config");
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("composed_l{l}_d{d}_k{k}_L{window}")),
             &workload,
-            |b, w| b.iter(|| w.impute_composed(&imputer)),
+            |b, w| b.iter(|| w.impute_composed(&mut imputer)),
         );
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("exact_l{l}_d{d}_k{k}_L{window}")),
             &workload,
-            |b, w| b.iter(|| w.impute_exact(&imputer)),
+            |b, w| b.iter(|| w.impute_exact(&mut imputer)),
         );
     }
     group.finish();

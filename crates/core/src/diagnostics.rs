@@ -4,15 +4,19 @@
 //! (PE) phase — fetching window data and computing dissimilarities — and the
 //! pattern-selection (PS) phase — the dynamic program.  With the default
 //! parameters PE accounts for ~92 % of the runtime; raising `k` to 300 pushes
-//! PS to ~25 %.  [`PhaseTimer`] collects the same breakdown for our
-//! implementation so the experiment harness can reproduce that analysis.
+//! PS to ~25 %.  The imputer times its phases and adds them to a
+//! [`PhaseBreakdown`] it owns, which [`crate::TkcmEngine::phase_breakdown`]
+//! reports so the experiment harness can reproduce that analysis.
 //!
-//! Every closed phase span is additionally *recorded* (never read back —
-//! the `obs-read-only` policy) into the process-global `tkcm-obs` metrics
-//! registry as `tkcm_core_phase_nanos_total{phase=…}`, so fleet-wide phase
-//! totals survive even when an individual breakdown is discarded.  The
-//! composed path also records its extraction phase split into the stages
-//! of its search, as `tkcm_core_search_nanos_total{stage=…}`.
+//! The durations are process-local telemetry, not engine state: outcomes
+//! carry none and snapshots do not persist them, so a decoded engine's
+//! durations restart at zero while its outcomes and bytes depend only on
+//! the ticks it processed.  Every closed phase span is additionally
+//! *recorded* (never read back — the `obs-read-only` policy) into the
+//! process-global `tkcm-obs` metrics registry as
+//! `tkcm_core_phase_nanos_total{phase=…}`.  The composed path also records
+//! its extraction phase split into the stages of its search, as
+//! `tkcm_core_search_nanos_total{stage=…}`.
 
 use std::sync::LazyLock;
 use std::time::{Duration, Instant};
@@ -95,9 +99,9 @@ pub struct PhaseBreakdown {
     pub imputation: Duration,
     /// Always zero: the composed search keeps no state between
     /// imputations, so there is no upkeep outside one.  Kept so the
-    /// breakdown's layout (snapshots, benchmark readers) is stable.
+    /// breakdown's layout (benchmark readers) is stable.
     pub maintenance: Duration,
-    /// Number of imputations the breakdown was accumulated over.
+    /// Number of imputations the engine performed, live or replayed.
     pub imputations: usize,
 }
 
@@ -128,19 +132,6 @@ impl PhaseBreakdown {
         }
     }
 
-    /// This breakdown with every wall-clock field zeroed but the imputation
-    /// count kept: the canonical shape for equality assertions between two
-    /// runs whose timings legitimately differ (threaded vs sequential,
-    /// before vs after recovery).  Use via
-    /// [`crate::EngineOutcome::timing_stripped`] rather than re-implementing
-    /// the stripping in each test suite.
-    pub fn zeroed_for_compare(&self) -> PhaseBreakdown {
-        PhaseBreakdown {
-            imputations: self.imputations,
-            ..PhaseBreakdown::default()
-        }
-    }
-
     /// Merges another breakdown into this one.
     pub fn merge(&mut self, other: &PhaseBreakdown) {
         self.extraction += other.extraction;
@@ -151,21 +142,22 @@ impl PhaseBreakdown {
     }
 }
 
-/// Stopwatch that attributes elapsed time to the TKCM phases.
+/// Stopwatch that attributes elapsed time to the TKCM phases of one
+/// imputation.
 ///
 /// Dropping a timer mid-phase closes the open span first (see
 /// [`PhaseTimer::stop`]): a panic between `start` and `stop` used to
 /// silently discard the in-flight time, which made crash-path phase totals
 /// in the metrics registry under-count exactly the interesting runs.
 #[derive(Debug)]
-pub struct PhaseTimer {
+pub(crate) struct PhaseTimer {
     breakdown: PhaseBreakdown,
     started: Option<(Phase, Instant)>,
 }
 
 /// The three phases of Algorithm 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Phase {
+pub(crate) enum Phase {
     /// Pattern extraction (step 1).
     Extraction,
     /// Pattern selection (step 2).
@@ -176,7 +168,7 @@ pub enum Phase {
 
 impl PhaseTimer {
     /// Creates an idle timer with an empty breakdown.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PhaseTimer {
             breakdown: PhaseBreakdown::default(),
             started: None,
@@ -184,14 +176,14 @@ impl PhaseTimer {
     }
 
     /// Starts (or switches to) a phase, closing the previously running one.
-    pub fn start(&mut self, phase: Phase) {
+    pub(crate) fn start(&mut self, phase: Phase) {
         self.stop();
         self.started = Some((phase, Instant::now()));
     }
 
     /// Stops the currently running phase, attributing its elapsed time to
     /// the breakdown and to the global per-phase metrics counter.
-    pub fn stop(&mut self) {
+    pub(crate) fn stop(&mut self) {
         if let Some((phase, at)) = self.started.take() {
             let elapsed = at.elapsed();
             match phase {
@@ -203,22 +195,16 @@ impl PhaseTimer {
         }
     }
 
-    /// Marks that one complete imputation has been timed.
-    pub fn finish_imputation(&mut self) {
+    /// Marks that one complete imputation has been timed (in the global
+    /// imputation counter; the engine counts its own imputations).
+    pub(crate) fn finish_imputation(&mut self) {
         self.stop();
-        self.breakdown.imputations += 1;
         IMPUTATIONS.inc();
     }
 
-    /// The breakdown accumulated so far.
-    pub fn breakdown(&self) -> PhaseBreakdown {
+    /// The durations accumulated so far (`imputations` stays 0).
+    pub(crate) fn breakdown(&self) -> PhaseBreakdown {
         self.breakdown
-    }
-}
-
-impl Default for PhaseTimer {
-    fn default() -> Self {
-        PhaseTimer::new()
     }
 }
 
@@ -248,7 +234,7 @@ mod tests {
         let b = timer.breakdown();
         assert!(b.extraction > Duration::ZERO);
         assert!(b.selection > Duration::ZERO);
-        assert_eq!(b.imputations, 1);
+        assert_eq!(b.imputations, 0, "the engine counts imputations");
         assert!(b.total() >= b.extraction + b.selection);
         let shares = b.extraction_share() + b.selection_share();
         assert!(shares <= 1.0 + 1e-9);
@@ -289,7 +275,7 @@ mod tests {
 
     #[test]
     fn stop_without_start_is_a_noop() {
-        let mut timer = PhaseTimer::default();
+        let mut timer = PhaseTimer::new();
         timer.stop();
         assert_eq!(timer.breakdown(), PhaseBreakdown::default());
     }

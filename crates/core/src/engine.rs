@@ -28,20 +28,14 @@ use crate::diagnostics::PhaseBreakdown;
 use crate::imputer::{ImputationDetail, PruneStats, TkcmImputer};
 use crate::signature::SignatureIndex;
 
-/// Fleet-wide pruning totals in the global metrics registry, in the same
-/// split as [`PruneStats`] (the composed-path counters — level-1 run skips
-/// and the always-zero maintained prunes — ride as extra paths).
+/// Fleet-wide pruning totals in the global metrics registry, in the split
+/// of [`PruneStats`] (the composed path's level-1 run skips ride as an
+/// extra path; the always-zero maintained prunes have none).
 /// Record-only: the imputation path never reads these back (`obs-read-only`
 /// policy).
-static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 5]> = LazyLock::new(|| {
-    [
-        "candidates",
-        "shortlisted",
-        "pruned",
-        "level1_skipped",
-        "maintained_pruned",
-    ]
-    .map(|path| tkcm_obs::registry().counter("tkcm_core_prune_total", &[("path", path)]))
+static PRUNE_TOTALS: LazyLock<[tkcm_obs::Counter; 4]> = LazyLock::new(|| {
+    ["candidates", "shortlisted", "pruned", "level1_skipped"]
+        .map(|path| tkcm_obs::registry().counter("tkcm_core_prune_total", &[("path", path)]))
 });
 
 /// One imputation performed by the engine at a tick.
@@ -53,7 +47,7 @@ pub struct Imputation {
     pub time: Timestamp,
     /// The imputed value.
     pub value: f64,
-    /// Full detail (anchors, ε, timing).
+    /// Full detail (anchors, ε).
     pub detail: ImputationDetail,
 }
 
@@ -75,21 +69,6 @@ impl EngineOutcome {
             .find(|i| i.series == series)
             .map(|i| i.value)
     }
-
-    /// This outcome with every per-imputation phase timing zeroed (see
-    /// [`PhaseBreakdown::zeroed_for_compare`]): wall-clock durations are the
-    /// one field of an outcome that legitimately differs between runs that
-    /// are otherwise bit-identical, so equality assertions compare
-    /// `a.timing_stripped() == b.timing_stripped()` instead of hand-zeroing
-    /// the breakdowns in every test suite.
-    #[must_use]
-    pub fn timing_stripped(&self) -> EngineOutcome {
-        let mut stripped = self.clone();
-        for imputation in &mut stripped.imputations {
-            imputation.detail.breakdown = imputation.detail.breakdown.zeroed_for_compare();
-        }
-        stripped
-    }
 }
 
 /// Continuous TKCM imputation engine over a fixed set of streams.
@@ -99,7 +78,6 @@ pub struct TkcmEngine {
     pub(crate) imputer: TkcmImputer,
     pub(crate) window: StreamingWindow,
     pub(crate) catalog: Catalog,
-    pub(crate) breakdown: PhaseBreakdown,
     pub(crate) imputation_count: usize,
     pub(crate) tick_count: usize,
     /// Signature index over all series, present iff the composed path is
@@ -109,8 +87,8 @@ pub struct TkcmEngine {
     signatures: Option<SignatureIndex>,
     /// Running totals of the per-imputation [`PruneStats`].  Persisted in
     /// snapshots so diagnostics survive a crash — unlike the phase
-    /// wall-clock durations, these are exact event counts with no
-    /// legitimate reason to reset on recovery.
+    /// wall-clock durations, which are telemetry, these are exact event
+    /// counts with no legitimate reason to reset on recovery.
     pub(crate) prune_totals: PruneStats,
 }
 
@@ -148,7 +126,6 @@ impl TkcmEngine {
             imputer,
             window,
             catalog,
-            breakdown: PhaseBreakdown::default(),
             imputation_count: 0,
             tick_count: 0,
             signatures,
@@ -181,9 +158,17 @@ impl TkcmEngine {
         self.imputation_count
     }
 
-    /// Accumulated phase-timing breakdown over all imputations (Section 7.4).
+    /// Wall-clock time per phase (Section 7.4) of the imputations this
+    /// engine ran since it was built or decoded, with `imputations` set to
+    /// [`TkcmEngine::imputations_performed`].  The durations are
+    /// process-local telemetry, not state: snapshots do not persist them,
+    /// so they restart at zero after a decode, and a replayed WAL entry
+    /// counts its write-backs without adding time.
     pub fn phase_breakdown(&self) -> PhaseBreakdown {
-        self.breakdown
+        PhaseBreakdown {
+            imputations: self.imputation_count,
+            ..self.imputer.breakdown
+        }
     }
 
     /// Whether the *composed* path — the best-first search over the
@@ -217,7 +202,6 @@ impl TkcmEngine {
         PRUNE_TOTALS[1].add(stats.shortlisted as u64);
         PRUNE_TOTALS[2].add(stats.pruned as u64);
         PRUNE_TOTALS[3].add(stats.level1_skipped as u64);
-        PRUNE_TOTALS[4].add(stats.maintained_pruned as u64);
     }
 
     /// Processes one arriving tick: pushes it into the window, advances the
@@ -258,7 +242,6 @@ impl TkcmEngine {
                     .impute(&self.window, target, &selection.references)?
             };
             self.commit_write_back(target, detail.value)?;
-            self.breakdown.merge(&detail.breakdown);
             outcome.imputations.push(Imputation {
                 series: target,
                 time: detail.time,
@@ -336,10 +319,6 @@ impl TkcmEngine {
         self.advance_tick(&entry.tick)?;
         for wb in &entry.write_backs {
             self.commit_write_back(wb.series, wb.value)?;
-            // The live path counts imputations through the merged per-
-            // imputation breakdown; keep the replayed counter in step (the
-            // phase *durations* legitimately differ — they are wall-clock).
-            self.breakdown.imputations += 1;
         }
         Ok(true)
     }
@@ -604,11 +583,7 @@ mod tests {
             let c = exhaustive.process_tick(&tick).unwrap();
             // Fully bit-identical outcomes: both evaluate the exact D of
             // every anchor; bounds only skip losers.
-            assert_eq!(
-                m.timing_stripped(),
-                c.timing_stripped(),
-                "tick {t}: composed diverged from exhaustive"
-            );
+            assert_eq!(m, c, "tick {t}: composed diverged from exhaustive");
         }
         let totals = composed.prune_totals();
         assert!(totals.candidates > 0);

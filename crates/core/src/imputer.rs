@@ -11,7 +11,9 @@
 //!    the anchor points (Definition 4).
 //!
 //! Besides the imputed value, the imputer reports the anchors, their
-//! dissimilarities, the ε of Definition 5 and the phase timing breakdown.
+//! dissimilarities and the ε of Definition 5.  The wall-clock time of each
+//! phase is telemetry: the imputer adds it to a [`PhaseBreakdown`] it owns,
+//! never to a result.
 
 use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
@@ -58,8 +60,6 @@ pub struct ImputationDetail {
     /// Whether the value comes from the fallback rule (no usable anchors at
     /// all) rather than from Definition 4.
     pub fallback: bool,
-    /// Phase timing of this single imputation.
-    pub breakdown: PhaseBreakdown,
 }
 
 impl ImputationDetail {
@@ -100,7 +100,8 @@ pub struct PruneStats {
     /// them individually).
     pub level1_skipped: usize,
     /// Always 0: no maintained bound prunes candidates any more.  Kept so
-    /// the counter layout (snapshots, metrics, benchmark readers) is stable.
+    /// benchmark readers of the counters stay stable; snapshots do not
+    /// persist it and the metrics registry has no series for it.
     pub maintained_pruned: usize,
 }
 
@@ -248,13 +249,20 @@ impl Eq for Open {}
 /// TKCM imputation of a single missing value over a streaming window.
 pub struct TkcmImputer {
     config: TkcmConfig,
+    /// Wall-clock time of every completed imputation, per phase: process-
+    /// local telemetry, never part of a result or a snapshot.  Its
+    /// `imputations` stays 0; the engine reports its own count.
+    pub(crate) breakdown: PhaseBreakdown,
 }
 
 impl TkcmImputer {
     /// Creates an imputer for a validated configuration.
     pub fn new(config: TkcmConfig) -> Result<Self, TsError> {
         config.validate()?;
-        Ok(TkcmImputer { config })
+        Ok(TkcmImputer {
+            config,
+            breakdown: PhaseBreakdown::default(),
+        })
     }
 
     /// The configuration the imputer runs with.
@@ -274,7 +282,7 @@ impl TkcmImputer {
     /// [`StreamingWindow::write_imputed`] with the returned value — the
     /// streaming engine does exactly that.
     pub fn impute(
-        &self,
+        &mut self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
@@ -343,10 +351,11 @@ impl TkcmImputer {
     /// tail.  Candidate `idx` (of `candidates`) is anchored
     /// `oldest_age - idx` ticks back; `columns` lists, in ascending index
     /// order, every candidate whose `D` is finite with that `D`, the only
-    /// columns the DP evaluates.
+    /// columns the DP evaluates.  The timed phases of a completed
+    /// imputation are added to [`TkcmImputer::breakdown`].
     #[allow(clippy::too_many_arguments)]
     fn select_and_impute(
-        &self,
+        &mut self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
@@ -391,6 +400,7 @@ impl TkcmImputer {
             (mean(anchors.iter().map(|a| a.value)), false)
         };
         timer.finish_imputation();
+        self.breakdown.merge(&timer.breakdown());
 
         Ok(ImputationDetail {
             series: target,
@@ -400,7 +410,6 @@ impl TkcmImputer {
             references: references.to_vec(),
             complete: selection.complete,
             fallback,
-            breakdown: timer.breakdown(),
         })
     }
 
@@ -483,7 +492,7 @@ impl TkcmImputer {
     /// Requires `index` in lock-step with `window`; the streaming engine
     /// keeps it so on its default path.
     pub fn impute_composed(
-        &self,
+        &mut self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
@@ -499,7 +508,7 @@ impl TkcmImputer {
     /// Never call it with factors != 1.0 outside tests.
     #[doc(hidden)]
     pub fn impute_composed_with_inflation(
-        &self,
+        &mut self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
@@ -515,7 +524,7 @@ impl TkcmImputer {
     /// them, so the suite can pin the pop order.
     #[doc(hidden)]
     pub fn impute_composed_traced(
-        &self,
+        &mut self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
@@ -527,7 +536,7 @@ impl TkcmImputer {
 
     #[allow(clippy::too_many_arguments)]
     fn impute_composed_impl(
-        &self,
+        &mut self,
         window: &StreamingWindow,
         target: SeriesId,
         references: &[SeriesId],
@@ -915,7 +924,7 @@ mod tests {
             12,
         );
         let config = small_config(3, 2, 12);
-        let imputer = TkcmImputer::new(config).unwrap();
+        let mut imputer = TkcmImputer::new(config).unwrap();
         let detail = imputer
             .impute(&window, SeriesId(0), &[SeriesId(1), SeriesId(2)])
             .unwrap();
@@ -934,7 +943,6 @@ mod tests {
         // Example 9: epsilon = 0.1 °C.
         assert!((detail.epsilon().unwrap() - 0.1).abs() < 1e-9);
         assert!(detail.consistency().is_consistent());
-        assert_eq!(detail.breakdown.imputations, 1);
         assert_eq!(detail.references, vec![SeriesId(1), SeriesId(2)]);
         assert_eq!(detail.time, Timestamp::new(11));
     }
@@ -963,7 +971,7 @@ mod tests {
         let truth = ((len - 1) as f64 / period as f64 * std::f64::consts::TAU).sin();
 
         let config = small_config(6, 3, len);
-        let imputer = TkcmImputer::new(config).unwrap();
+        let mut imputer = TkcmImputer::new(config).unwrap();
         let detail = imputer
             .impute(&window, SeriesId(0), &[SeriesId(1), SeriesId(2)])
             .unwrap();
@@ -1017,7 +1025,7 @@ mod tests {
                 .reference_count(1)
                 .build()
                 .unwrap();
-            let imputer = TkcmImputer::new(config).unwrap();
+            let mut imputer = TkcmImputer::new(config).unwrap();
             let detail = imputer
                 .impute(&window, SeriesId(0), &[SeriesId(1)])
                 .unwrap();
@@ -1045,7 +1053,7 @@ mod tests {
             .reference_count(1)
             .build()
             .unwrap();
-        let imputer = TkcmImputer::new(config).unwrap();
+        let mut imputer = TkcmImputer::new(config).unwrap();
         let detail = imputer
             .impute(&window, SeriesId(0), &[SeriesId(1)])
             .unwrap();
@@ -1077,7 +1085,7 @@ mod tests {
             .reference_count(1)
             .build()
             .unwrap();
-        let imputer = TkcmImputer::new(config).unwrap();
+        let mut imputer = TkcmImputer::new(config).unwrap();
         let detail = imputer
             .impute(&window, SeriesId(0), &[SeriesId(1)])
             .unwrap();
@@ -1106,7 +1114,7 @@ mod tests {
             .reference_count(1)
             .build()
             .unwrap();
-        let imputer = TkcmImputer::new(config).unwrap();
+        let mut imputer = TkcmImputer::new(config).unwrap();
         let detail = imputer
             .impute(&window, SeriesId(0), &[SeriesId(1)])
             .unwrap();
@@ -1133,7 +1141,7 @@ mod tests {
             .reference_count(2)
             .build()
             .unwrap();
-        let imputer = TkcmImputer::new(config).unwrap();
+        let mut imputer = TkcmImputer::new(config).unwrap();
         let detail = imputer
             .impute(&window, SeriesId(0), &[SeriesId(1), SeriesId(2)])
             .unwrap();
@@ -1204,7 +1212,7 @@ mod tests {
             .reference_count(1)
             .build()
             .unwrap();
-        let imputer = TkcmImputer::new(config).unwrap();
+        let mut imputer = TkcmImputer::new(config).unwrap();
         assert!(imputer.impute(&window, SeriesId(0), &[]).is_err());
         // Empty window is also an error.
         let empty = StreamingWindow::new(1, 8);

@@ -89,7 +89,7 @@ pub mod signature;
 
 pub use config::{TkcmConfig, TkcmConfigBuilder};
 pub use consistency::{epsilon_of_anchors, ConsistencyReport};
-pub use diagnostics::{PhaseBreakdown, PhaseTimer};
+pub use diagnostics::PhaseBreakdown;
 pub use dissimilarity::l2_distance;
 pub use engine::{EngineOutcome, Imputation, TkcmEngine};
 pub use imputer::{ImputationDetail, PruneStats, TkcmImputer};

@@ -2,24 +2,22 @@
 //! type the runtime logs per processed tick.
 //!
 //! A [`crate::engine::TkcmEngine`] snapshot holds the engine's state, not
-//! its caches: the configuration, the streaming window (value rings,
-//! provenance rings, timestamp ring), the reference catalog, the accumulated
-//! phase breakdown, the tick and imputation counters and the prune totals.
-//! Decode rebuilds the signature index from the window.  The index only
-//! bounds candidates and the composed search keeps no state across
-//! imputations, so loading a snapshot and replaying the logged ticks since
-//! it ([`WalEntry`], applied through
-//! [`crate::engine::TkcmEngine::apply_wal_entry`]) imputes bit-identically
+//! its caches or its telemetry: the configuration, the streaming window
+//! (value rings, provenance rings, timestamp ring), the reference catalog,
+//! the imputation and tick counters and the prune totals.  Phase durations
+//! are wall-clock telemetry and stay out, so an engine's snapshot bytes
+//! depend only on the ticks it processed live.  Decode rebuilds the
+//! signature index from the window.  The index only bounds candidates and
+//! the composed search keeps no state across imputations, so loading a
+//! snapshot and replaying the logged ticks since it ([`WalEntry`], applied
+//! through [`crate::engine::TkcmEngine::apply_wal_entry`]) imputes bit-identically
 //! to an engine that never crashed — the recovery-equivalence property the
 //! runtime's tests pin down.
-
-use std::time::Duration;
 
 use tkcm_store::{Decoder, Encoder, Snapshot, StoreError};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow};
 
 use crate::config::TkcmConfig;
-use crate::diagnostics::PhaseBreakdown;
 use crate::engine::TkcmEngine;
 use crate::imputer::PruneStats;
 
@@ -135,38 +133,14 @@ impl Snapshot for TkcmConfig {
     }
 }
 
-fn duration_nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-impl Snapshot for PhaseBreakdown {
-    fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        enc.u64(duration_nanos(self.extraction));
-        enc.u64(duration_nanos(self.selection));
-        enc.u64(duration_nanos(self.imputation));
-        enc.u64(duration_nanos(self.maintenance));
-        enc.usize(self.imputations);
-        Ok(())
-    }
-
-    fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        Ok(PhaseBreakdown {
-            extraction: Duration::from_nanos(dec.u64()?),
-            selection: Duration::from_nanos(dec.u64()?),
-            imputation: Duration::from_nanos(dec.u64()?),
-            maintenance: Duration::from_nanos(dec.u64()?),
-            imputations: dec.usize()?,
-        })
-    }
-}
-
+/// The four counters a search can raise; `maintained_pruned` is always 0
+/// and is not written.
 impl Snapshot for PruneStats {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
         enc.usize(self.candidates);
         enc.usize(self.shortlisted);
         enc.usize(self.pruned);
         enc.usize(self.level1_skipped);
-        enc.usize(self.maintained_pruned);
         Ok(())
     }
 
@@ -176,7 +150,7 @@ impl Snapshot for PruneStats {
             shortlisted: dec.usize()?,
             pruned: dec.usize()?,
             level1_skipped: dec.usize()?,
-            maintained_pruned: dec.usize()?,
+            maintained_pruned: 0,
         })
     }
 }
@@ -186,7 +160,6 @@ impl Snapshot for TkcmEngine {
         self.imputer.config().write_into(enc)?;
         self.window.write_into(enc)?;
         self.catalog.write_into(enc)?;
-        self.breakdown.write_into(enc)?;
         enc.usize(self.imputation_count);
         enc.usize(self.tick_count);
         self.prune_totals.write_into(enc)
@@ -203,13 +176,11 @@ impl Snapshot for TkcmEngine {
             )));
         }
         let catalog = Catalog::read_from(dec)?;
-        let breakdown = PhaseBreakdown::read_from(dec)?;
         let imputation_count = dec.usize()?;
         let tick_count = dec.usize()?;
         let prune_totals = PruneStats::read_from(dec)?;
         let mut engine = TkcmEngine::assemble(config, window, catalog)
             .map_err(|e| StoreError::invalid(e.to_string()))?;
-        engine.breakdown = breakdown;
         engine.imputation_count = imputation_count;
         engine.tick_count = tick_count;
         engine.prune_totals = prune_totals;
@@ -219,6 +190,8 @@ impl Snapshot for TkcmEngine {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
     use tkcm_store::{decode_from_slice, encode_to_vec};
     use tkcm_timeseries::Timestamp;
@@ -272,18 +245,6 @@ mod tests {
         enc.usize(broken.reference_count);
         enc.bool(broken.pruning);
         assert!(decode_from_slice::<TkcmConfig>(&enc.into_bytes()).is_err());
-    }
-
-    #[test]
-    fn breakdown_round_trips() {
-        let b = PhaseBreakdown {
-            extraction: Duration::from_micros(12),
-            selection: Duration::from_nanos(987),
-            imputation: Duration::from_millis(1),
-            maintenance: Duration::from_nanos(1),
-            imputations: 17,
-        };
-        assert_eq!(round_trip(&b), b);
     }
 
     #[test]
@@ -450,6 +411,51 @@ mod tests {
                 assert_eq!(x.value.to_bits(), y.value.to_bits(), "tick {t}");
             }
         }
+    }
+
+    #[test]
+    fn phase_breakdown_counts_live_replayed_and_decoded_imputations() {
+        let width = 3;
+        let tick = |t: usize| {
+            let s0 = (t <= 40 || !t.is_multiple_of(6)).then(|| sine(t, 0.0));
+            StreamTick::new(
+                Timestamp::new(t as i64),
+                vec![s0, Some(sine(t, 3.0)), Some(sine(t, 8.0))],
+            )
+        };
+        let mut live =
+            TkcmEngine::new(width, small_config(), Catalog::ring_neighbours(width)).unwrap();
+        let mut log = Vec::new();
+        let mut snapshot = Vec::new();
+        for t in 0..160usize {
+            let outcome = live.process_tick(&tick(t)).unwrap();
+            if t == 99 {
+                snapshot = encode_to_vec(&live).unwrap();
+            }
+            if t > 99 {
+                log.push(WalEntry::from_outcome(&tick(t), &outcome));
+            }
+        }
+        let counted = |e: &TkcmEngine| e.phase_breakdown().imputations;
+        assert_eq!(counted(&live), live.imputations_performed());
+        assert!(live.phase_breakdown().extraction > Duration::ZERO);
+
+        // A decoded engine keeps the count; its durations restart at zero.
+        let mut recovered: TkcmEngine = decode_from_slice(&snapshot).unwrap();
+        assert_eq!(counted(&recovered), recovered.imputations_performed());
+        assert!(recovered.imputations_performed() > 0);
+        assert_eq!(recovered.phase_breakdown().total(), Duration::ZERO);
+
+        // Replay counts the logged write-backs without timing anything.
+        for entry in &log {
+            assert!(recovered.apply_wal_entry(entry).unwrap());
+        }
+        assert_eq!(
+            recovered.imputations_performed(),
+            live.imputations_performed()
+        );
+        assert_eq!(counted(&recovered), live.imputations_performed());
+        assert_eq!(recovered.phase_breakdown().total(), Duration::ZERO);
     }
 
     #[test]

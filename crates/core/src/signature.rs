@@ -118,7 +118,7 @@
 //!   below the margins' `1e-9·(τ + S)`: *relative*.  Keys are square roots
 //!   of bounds: *relative*.
 
-use tkcm_timeseries::{ingest_reading, SeriesId, StreamingWindow, TsError};
+use tkcm_timeseries::{SeriesId, StreamingWindow, TsError};
 
 /// Number of consecutive ticks summarized by one signature block, and the
 /// length of a pattern chunk of both bound levels.
@@ -160,9 +160,11 @@ impl BlockSummary {
         missing: 0,
     };
 
-    /// Folds in one slot of the window's value plane (NaN = missing).
+    /// Folds in one value: a non-finite one counts as missing.  That is
+    /// the window's ingest policy for a pushed reading, and the window's
+    /// value plane holds only finite values and NaN (missing).
     fn absorb(&mut self, v: f64) {
-        if v.is_nan() {
+        if !v.is_finite() {
             self.missing += 1;
         } else {
             self.min = self.min.min(v);
@@ -538,10 +540,10 @@ impl SignatureIndex {
     }
 
     /// Absorbs one arrived tick (`values` in window series order).  O(width).
-    /// Applies the window's ingest policy ([`ingest_reading`]): a non-finite
-    /// reading counts as missing, exactly as `StreamingWindow::push_tick`
-    /// stores it — an undercounted missing slot would make the level-1
-    /// bound inadmissible.
+    /// A non-finite reading counts as missing, exactly as
+    /// `StreamingWindow::push_tick` stores it
+    /// ([`tkcm_timeseries::ingest_reading`]) — an undercounted missing slot
+    /// would make the level-1 bound inadmissible.
     pub fn on_push(&mut self, values: &[Option<f64>]) -> Result<(), TsError> {
         if values.len() != self.width() {
             return Err(TsError::LengthMismatch {
@@ -563,7 +565,7 @@ impl SignatureIndex {
                     None => ring.push(BlockSummary::EMPTY),
                 }
             }
-            ring[slot].absorb(ingest_reading(*v).unwrap_or(f64::NAN));
+            ring[slot].absorb(v.unwrap_or(f64::NAN));
         }
         self.ticks_seen += 1;
         Ok(())
@@ -1041,6 +1043,27 @@ mod tests {
             assert_eq!(missing, covers, "lag {lag}");
             assert!(lb.is_finite(), "lag {lag}");
         }
+    }
+
+    #[test]
+    fn a_non_finite_reading_pushes_like_a_missing_one() {
+        // The window stores NaN and ±∞ readings as missing; the index must
+        // count them as missing too, or the level-1 bound would undercount.
+        let mut hostile = SignatureIndex::new(2, 40).unwrap();
+        let mut missing = SignatureIndex::new(2, 40).unwrap();
+        for t in 0..70usize {
+            let value = (t as f64 * 0.3).sin();
+            let dropped = t % 5 == 2 || (48..64).contains(&t);
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][t % 3];
+            hostile
+                .on_push(&[Some(value), Some(if dropped { bad } else { value })])
+                .unwrap();
+            missing
+                .on_push(&[Some(value), (!dropped).then_some(value)])
+                .unwrap();
+        }
+        assert!(missing.blocks[1].iter().all(|b| b.missing > 0));
+        assert_eq!(hostile, missing);
     }
 
     #[test]

@@ -310,7 +310,7 @@ proptest! {
             .reference_count(1)
             .build()
             .unwrap();
-        let imputer = TkcmImputer::new(config).unwrap();
+        let mut imputer = TkcmImputer::new(config).unwrap();
         let detail = imputer.impute(&window, SeriesId(0), &[SeriesId(1)]).unwrap();
 
         let observed = &seed_values[..len - 1];

@@ -265,8 +265,8 @@ proptest! {
                     Some(wave(t, shift2)),
                 ],
             );
-            let inc = inc_engine.process_tick(&tick).unwrap().timing_stripped();
-            let exact = exact_engine.process_tick(&tick).unwrap().timing_stripped();
+            let inc = inc_engine.process_tick(&tick).unwrap();
+            let exact = exact_engine.process_tick(&tick).unwrap();
             prop_assert!(inc == exact, "tick {}: composed {:?} vs exact {:?}", t, inc, exact);
         }
         prop_assert_eq!(
@@ -661,7 +661,7 @@ fn inadmissible_fixture() -> (StreamingWindow, SignatureIndex, TkcmImputer) {
 /// ever happens, these comparisons are what catches it.
 #[test]
 fn inflated_bounds_are_caught_by_the_equivalence_check() {
-    let (window, index, imputer) = inadmissible_fixture();
+    let (window, index, mut imputer) = inadmissible_fixture();
     let target = SeriesId(0);
     let refs = vec![SeriesId(1)];
 
@@ -709,7 +709,7 @@ fn inflated_bounds_are_caught_by_the_equivalence_check() {
 /// of the composed cascade is observable, not silently absorbed.
 #[test]
 fn inflated_level1_union_bounds_are_caught_by_the_equivalence_check() {
-    let (window, index, imputer) = inadmissible_fixture();
+    let (window, index, mut imputer) = inadmissible_fixture();
     let target = SeriesId(0);
     let refs = vec![SeriesId(1)];
 
@@ -858,7 +858,7 @@ fn inflated_bounds_are_caught_on_the_rounding_fixture() {
     let refs = [SeriesId(1), SeriesId(2)];
     let mut divergent = 0;
     for case in &ROUNDING_CASES {
-        let imputer = TkcmImputer::new(case.config(true)).unwrap();
+        let mut imputer = TkcmImputer::new(case.config(true)).unwrap();
         let mut window = StreamingWindow::new(3, RoundingCase::WINDOW);
         let mut index = SignatureIndex::new(3, RoundingCase::WINDOW).unwrap();
         for tick in case.ticks() {
@@ -1217,7 +1217,7 @@ proptest! {
             .reference_count(refs.len())
             .build()
             .unwrap();
-        let imputer = TkcmImputer::new(config).unwrap();
+        let mut imputer = TkcmImputer::new(config).unwrap();
         let mut window = StreamingWindow::new(width, capacity);
         let mut index = SignatureIndex::new(width, capacity).unwrap();
         let mut state = seed;

@@ -248,7 +248,9 @@ mod tests {
         assert_eq!(partition.shard_count(), 5);
         assert_eq!(partition.dropped_edges(&fleet.catalog), 0);
         for shard in 0..5 {
-            assert_eq!(partition.members(shard).len(), 3);
+            let components = partition.components_on(shard);
+            assert_eq!(components.len(), 1);
+            assert_eq!(partition.component_members(components[0]).len(), 3);
         }
     }
 

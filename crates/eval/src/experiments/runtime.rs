@@ -66,7 +66,7 @@ pub fn build_workload(scale: Scale, window_length: usize, d: usize) -> RuntimeWo
 
 impl RuntimeWorkload {
     /// One imputation of the target on the composed path.
-    pub fn impute_composed(&self, imputer: &TkcmImputer) -> f64 {
+    pub fn impute_composed(&self, imputer: &mut TkcmImputer) -> f64 {
         imputer
             .impute_composed(&self.window, self.target, &self.references, &self.index)
             .expect("imputation succeeds")
@@ -75,7 +75,7 @@ impl RuntimeWorkload {
     }
 
     /// One imputation of the target on the exhaustive exact path.
-    pub fn impute_exact(&self, imputer: &TkcmImputer) -> f64 {
+    pub fn impute_exact(&self, imputer: &mut TkcmImputer) -> f64 {
         imputer
             .impute(&self.window, self.target, &self.references)
             .expect("imputation succeeds")
@@ -110,8 +110,8 @@ fn average_impute_seconds(mut impute: impl FnMut() -> f64, iters: usize) -> f64 
 /// exactly like the engine keeps it between ticks.
 pub fn time_single_imputation(scale: Scale, l: usize, d: usize, k: usize, window: usize) -> f64 {
     let workload = build_workload(scale, window, d);
-    let imputer = TkcmImputer::new(runtime_config(l, d, k, window)).expect("valid config");
-    average_impute_seconds(|| workload.impute_composed(&imputer), 32)
+    let mut imputer = TkcmImputer::new(runtime_config(l, d, k, window)).expect("valid config");
+    average_impute_seconds(|| workload.impute_composed(&mut imputer), 32)
 }
 
 /// Measures the seconds of one imputation on the exhaustive exact path
@@ -124,8 +124,8 @@ pub fn time_single_imputation_exact(
     window: usize,
 ) -> f64 {
     let workload = build_workload(scale, window, d);
-    let imputer = TkcmImputer::new(runtime_config(l, d, k, window)).expect("valid config");
-    average_impute_seconds(|| workload.impute_exact(&imputer), 4)
+    let mut imputer = TkcmImputer::new(runtime_config(l, d, k, window)).expect("valid config");
+    average_impute_seconds(|| workload.impute_exact(&mut imputer), 4)
 }
 
 /// Per-phase shares of TKCM's runtime over a streaming gap workload.

@@ -71,9 +71,8 @@ fn stream_of(width: usize, ticks: usize) -> Vec<StreamTick> {
     (0..ticks).map(|t| tick_at(width, t)).collect()
 }
 
-/// Asserts two outcome sequences are bit-identical modulo wall-clock phase
-/// timings (`PartialEq` covers imputed values bit-for-bit, anchors,
-/// references, ordering and skips).
+/// Asserts two outcome sequences are bit-identical (`PartialEq` covers
+/// imputed values bit-for-bit, anchors, references, ordering and skips).
 fn assert_same_outcomes(
     a: Vec<EngineOutcome>,
     b: Vec<EngineOutcome>,
@@ -81,7 +80,6 @@ fn assert_same_outcomes(
 ) -> Result<(), String> {
     prop_assert_eq!(a.len(), b.len());
     for (t, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        let (x, y) = (x.timing_stripped(), y.timing_stripped());
         prop_assert!(
             x == y,
             "{context}: outcomes diverged at position {t}: {x:?} vs {y:?}"

@@ -22,47 +22,67 @@ fn config() -> TkcmConfig {
 
 /// Sequential reference implementation: one engine per shard of the same
 /// partition, run one after the other on the main thread, merged exactly
-/// like the sharded runtime merges (global ids, sorted).
+/// like the sharded runtime merges (global ids, sorted).  It lays the fleet
+/// out per shard, not per component as the runtime does, so it builds its
+/// own shard view from the partition's components: the shard's members,
+/// ascending, and a shard-local catalog that keeps only same-component
+/// candidates.
 struct SequentialFleet {
     partition: FleetPartition,
-    engines: Vec<TkcmEngine>,
+    /// Per shard: the members' global ids, ascending (shard-local id `i`
+    /// is `members[i]`), and the shard's engine.
+    shards: Vec<(Vec<SeriesId>, TkcmEngine)>,
 }
 
 impl SequentialFleet {
     fn new(width: usize, config: TkcmConfig, catalog: &Catalog, shards: usize) -> Self {
         let partition = FleetPartition::new(width, catalog, shards).unwrap();
-        let engines = (0..partition.shard_count())
+        let shards = (0..partition.shard_count())
             .map(|s| {
-                TkcmEngine::new(
-                    partition.members(s).len(),
-                    config.clone(),
-                    partition.shard_catalog(s, catalog).unwrap(),
-                )
-                .unwrap()
+                let components = partition.components_on(s);
+                let mut members: Vec<SeriesId> = components
+                    .iter()
+                    .flat_map(|&c| partition.component_members(c).iter().copied())
+                    .collect();
+                members.sort_unstable();
+                let component_of = |id: SeriesId| {
+                    components
+                        .iter()
+                        .find(|&&c| partition.component_members(c).contains(&id))
+                };
+                let mut local = Catalog::new();
+                for (i, &id) in members.iter().enumerate() {
+                    let ranked = catalog
+                        .candidates(id)
+                        .iter()
+                        .filter(|&&c| component_of(c) == component_of(id))
+                        .map(|c| SeriesId::from(members.binary_search(c).unwrap()))
+                        .collect();
+                    local.set_candidates(SeriesId::from(i), ranked).unwrap();
+                }
+                let engine = TkcmEngine::new(members.len(), config.clone(), local).unwrap();
+                (members, engine)
             })
             .collect();
-        SequentialFleet { partition, engines }
+        SequentialFleet { partition, shards }
     }
 
     fn process_tick(&mut self, tick: &StreamTick) -> EngineOutcome {
         let mut merged = EngineOutcome::default();
-        for (shard, engine) in self.engines.iter_mut().enumerate() {
-            let sub = self.partition.project_tick(shard, tick);
-            let outcome = engine.process_tick(&sub).unwrap();
+        for (members, engine) in &mut self.shards {
+            let outcome = engine.process_tick(&tick.project(members)).unwrap();
+            let to_global = |local: SeriesId| members[local.index()];
             for mut imputation in outcome.imputations {
-                imputation.series = self.partition.global_id(shard, imputation.series);
+                imputation.series = to_global(imputation.series);
                 imputation.detail.series = imputation.series;
                 for r in &mut imputation.detail.references {
-                    *r = self.partition.global_id(shard, *r);
+                    *r = to_global(*r);
                 }
                 merged.imputations.push(imputation);
             }
-            merged.skipped.extend(
-                outcome
-                    .skipped
-                    .into_iter()
-                    .map(|s| self.partition.global_id(shard, s)),
-            );
+            merged
+                .skipped
+                .extend(outcome.skipped.into_iter().map(to_global));
         }
         merged.imputations.sort_by_key(|i| i.series);
         merged.skipped.sort_unstable();
@@ -98,10 +118,8 @@ fn assert_equivalent(
     for t in 0..ticks {
         let values: Vec<Option<f64>> = (0..width).map(|s| value_at(width, s, t)).collect();
         let tick = StreamTick::new(Timestamp::new(t as i64), values);
-        // Wall-clock phase timings legitimately differ between runs; zero
-        // them so the comparison is over the imputation payload only.
-        let parallel = sharded.process_tick(&tick).unwrap().timing_stripped();
-        let reference = sequential.process_tick(&tick).timing_stripped();
+        let parallel = sharded.process_tick(&tick).unwrap();
+        let reference = sequential.process_tick(&tick);
         // PartialEq over EngineOutcome covers imputed values bit-for-bit,
         // anchor sets, references, ordering and skips.
         prop_assert!(
@@ -245,7 +263,6 @@ proptest! {
             prop_assert_eq!(elastic.ticks_processed(), ticks);
             prop_assert_eq!(observed.len(), reference.len());
             for (pos, (a, b)) in observed.iter().zip(&reference).enumerate() {
-                let (a, b) = (a.timing_stripped(), b.timing_stripped());
                 prop_assert!(
                     a == b,
                     "elastic fleet diverged at tick {pos} with {shards} shards after {} \
@@ -312,8 +329,8 @@ fn pruned_fleet_is_bit_identical_to_exhaustive_fleet_across_shard_counts() {
                 })
                 .collect();
             let tick = StreamTick::new(Timestamp::new(t as i64), values);
-            let m = composed.process_tick(&tick).unwrap().timing_stripped();
-            let b = exhaustive.process_tick(&tick).unwrap().timing_stripped();
+            let m = composed.process_tick(&tick).unwrap();
+            let b = exhaustive.process_tick(&tick).unwrap();
             assert!(
                 m == b,
                 "composed fleet diverged at tick {t} with {shards} shards: {m:?} vs {b:?}"
@@ -354,7 +371,8 @@ fn empty_candidate_series_lands_in_singleton_shard_and_is_skipped() {
     catalog.set_candidates(SeriesId(2), vec![]).unwrap();
     let mut engine = ShardedEngine::new(3, config(), catalog, 2).unwrap();
     assert_eq!(engine.shard_count(), 2);
-    assert_eq!(engine.partition().members(1), &[SeriesId(2)]);
+    assert_eq!(engine.partition().components_on(1), vec![1]);
+    assert_eq!(engine.partition().component_members(1), &[SeriesId(2)]);
 
     for t in 0..50usize {
         let missing = t == 49;

@@ -71,9 +71,8 @@ fn tick_at(width: usize, t: usize) -> StreamTick {
     )
 }
 
-/// Asserts two outcome sequences are bit-identical modulo wall-clock phase
-/// timings (`PartialEq` covers imputed values bit-for-bit, anchors,
-/// references, ordering and skips).
+/// Asserts two outcome sequences are bit-identical (`PartialEq` covers
+/// imputed values bit-for-bit, anchors, references, ordering and skips).
 fn assert_same_outcomes(
     a: Vec<EngineOutcome>,
     b: Vec<EngineOutcome>,
@@ -81,7 +80,6 @@ fn assert_same_outcomes(
 ) -> Result<(), String> {
     prop_assert_eq!(a.len(), b.len());
     for (t, (x, y)) in a.iter().zip(b.iter()).enumerate() {
-        let (x, y) = (x.timing_stripped(), y.timing_stripped());
         prop_assert!(
             x == y,
             "{context}: outcomes diverged at position {t}: {x:?} vs {y:?}"
@@ -227,7 +225,7 @@ fn prune_totals_continue_across_a_crash() {
     for t in 60..90 {
         let a = recovered.process_tick(&tick_at(width, t)).unwrap();
         let b = continuous.process_tick(&tick_at(width, t)).unwrap();
-        assert_eq!(a.timing_stripped(), b.timing_stripped(), "tick {t}");
+        assert_eq!(a, b, "tick {t}");
         assert_eq!(
             recovered.prune_totals(),
             continuous.prune_totals(),
@@ -239,6 +237,67 @@ fn prune_totals_continue_across_a_crash() {
         "totals stopped accumulating after recovery"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every file of a checkpoint directory, `(name, bytes)`, by name.
+fn dir_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// What a fleet persists depends only on the ticks it processed: two
+/// durable fleets fed the same batches checkpoint into byte-identical
+/// directories, rotations included.  The rebalancer is off, since it acts
+/// on measured CPU time.
+#[test]
+fn durable_fleets_fed_the_same_batches_checkpoint_the_same_bytes() {
+    let width = 12;
+    let catalog = cluster_catalog(4, 3);
+    let ticks: Vec<StreamTick> = (0..90).map(|t| tick_at(width, t)).collect();
+    for shards in [1, 2, 4] {
+        let dirs = [scratch_dir("same-bytes"), scratch_dir("same-bytes")];
+        for dir in &dirs {
+            let mut fleet = ShardedEngine::with_durability(
+                width,
+                config(),
+                catalog.clone(),
+                shards,
+                dir,
+                DurabilityOptions {
+                    snapshot_interval: 32,
+                    ..DurabilityOptions::default()
+                },
+            )
+            .unwrap();
+            fleet.set_rebalancing(false);
+            for batch in ticks.chunks(7) {
+                fleet.process_batch(batch).unwrap();
+            }
+            assert!(fleet.imputations_performed() > 0);
+            fleet.checkpoint(dir).unwrap();
+        }
+        let (a, b) = (dir_files(&dirs[0]), dir_files(&dirs[1]));
+        // The manifest plus one snapshot and one WAL per shard.
+        assert_eq!(a.len(), 1 + 2 * shards, "{shards} shard(s)");
+        assert_eq!(
+            a.iter().map(|f| &f.0).collect::<Vec<_>>(),
+            b.iter().map(|f| &f.0).collect::<Vec<_>>()
+        );
+        for ((name, x), (_, y)) in a.iter().zip(&b) {
+            assert!(x == y, "{name} differs with {shards} shard(s)");
+        }
+        for dir in &dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
 }
 
 /// One NaN reading must not block a checkpoint: the window stores it as
@@ -781,11 +840,10 @@ fn crash_during_migration_recovers_the_last_committed_assignment() {
     // Both continue bit-identically to the uninterrupted run.
     for (t, expected) in reference.iter().enumerate().skip(migrate_at) {
         let tick = tick_at(width, t);
-        let a = committed.process_tick(&tick).unwrap().timing_stripped();
-        let b = crashed.process_tick(&tick).unwrap().timing_stripped();
-        let r = expected.timing_stripped();
-        assert!(a == r, "post-rename recovery diverged at tick {t}");
-        assert!(b == r, "pre-rename recovery diverged at tick {t}");
+        let a = committed.process_tick(&tick).unwrap();
+        let b = crashed.process_tick(&tick).unwrap();
+        assert!(&a == expected, "post-rename recovery diverged at tick {t}");
+        assert!(&b == expected, "pre-rename recovery diverged at tick {t}");
     }
     // The post-rename directory keeps its migrated layout across another
     // crash/recover cycle (versioned WAL reopened, counters advanced).
@@ -853,7 +911,7 @@ fn elastic_crash_recovery_is_bit_identical_across_shard_counts() {
         assert_eq!(observed.len(), reference.len());
         for (pos, (a, b)) in observed.iter().zip(&reference).enumerate() {
             assert!(
-                a.timing_stripped() == b.timing_stripped(),
+                a == b,
                 "elastic recovery diverged at tick {pos} with {shards} shard(s)"
             );
         }

@@ -68,8 +68,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKCMSNAP";
 /// and every window ring holds only its pushed slots; no cursor is persisted
 /// (it follows from the pushed tick count); 10 — the persisted prune totals
 /// lost `maintained_lags` and the engine its lag memories (the composed
-/// search keeps no state across imputations).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 10;
+/// search keeps no state across imputations); 11 — the engine snapshot lost
+/// its wall-clock phase breakdown and the prune totals their always-zero
+/// `maintained_pruned` (snapshot bytes depend only on the ticks processed).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 11;
 
 /// Bytes in front of the payload: magic, version and payload length.
 const HEADER_LEN: usize = 20;

@@ -41,7 +41,6 @@ use std::collections::VecDeque;
 use crate::catalog::Catalog;
 use crate::errors::TsError;
 use crate::series::SeriesId;
-use crate::stream::StreamTick;
 
 /// Layout tag of the encoded [`FleetPartition`] (the component / assignment
 /// / migration-log representation).  The single source of truth for the
@@ -87,13 +86,9 @@ pub struct FleetPartition {
     pub(crate) version: u64,
     /// Append-only migration log, in execution order.
     pub(crate) log: Vec<Migration>,
-    // ---- caches derived from the fields above (rebuilt on migration) ----
-    /// Global series ids per shard, each sorted ascending.
-    pub(crate) shards: Vec<Vec<SeriesId>>,
-    /// `locate[global] = (shard, shard-local)` reverse mapping.
-    pub(crate) locate: Vec<(usize, usize)>,
-    /// `locate_component[global] = (component, component-local)`.
-    pub(crate) locate_component: Vec<(usize, usize)>,
+    /// `locate_component[global] = (component, component-local)`: derived
+    /// from `components`, so a migration leaves it as it is.
+    locate_component: Vec<(usize, usize)>,
 }
 
 impl FleetPartition {
@@ -184,19 +179,15 @@ impl FleetPartition {
             .into_iter()
             .map(|g| g.into_iter().map(SeriesId::from).collect())
             .collect();
-        let mut partition = FleetPartition {
+        Ok(FleetPartition {
+            locate_component: locate_components(width, &components),
             width,
             components,
             assignment,
             shard_count: shard_target,
             version: 0,
             log: Vec::new(),
-            shards: Vec::new(),
-            locate: Vec::new(),
-            locate_component: Vec::new(),
-        };
-        partition.rebuild_caches();
-        Ok(partition)
+        })
     }
 
     /// Rebuilds a partition from its core fields (used by the snapshot
@@ -251,42 +242,15 @@ impl FleetPartition {
                 format!("partition assigns {assigned} of {width} series"),
             ));
         }
-        let mut partition = FleetPartition {
+        Ok(FleetPartition {
+            locate_component: locate_components(width, &components),
             width,
             components,
             assignment,
             shard_count,
             version,
             log,
-            shards: Vec::new(),
-            locate: Vec::new(),
-            locate_component: Vec::new(),
-        };
-        partition.rebuild_caches();
-        Ok(partition)
-    }
-
-    /// Recomputes the derived shard member lists and reverse mappings from
-    /// the component assignment.
-    fn rebuild_caches(&mut self) {
-        let mut shards: Vec<Vec<SeriesId>> = vec![Vec::new(); self.shard_count];
-        let mut locate_component = vec![(usize::MAX, usize::MAX); self.width];
-        for (c, component) in self.components.iter().enumerate() {
-            shards[self.assignment[c]].extend(component.iter().copied());
-            for (i, id) in component.iter().enumerate() {
-                locate_component[id.index()] = (c, i);
-            }
-        }
-        let mut locate = vec![(usize::MAX, usize::MAX); self.width];
-        for (s, members) in shards.iter_mut().enumerate() {
-            members.sort_unstable();
-            for (i, id) in members.iter().enumerate() {
-                locate[id.index()] = (s, i);
-            }
-        }
-        self.shards = shards;
-        self.locate = locate;
-        self.locate_component = locate_component;
+        })
     }
 
     /// Moves one whole component to `to_shard`, bumping the partition
@@ -330,7 +294,6 @@ impl FleetPartition {
             at_tick,
         };
         self.log.push(migration);
-        self.rebuild_caches();
         Ok(migration)
     }
 
@@ -382,65 +345,12 @@ impl FleetPartition {
         &self.log
     }
 
-    /// Global series ids of one shard, sorted ascending.
-    pub fn members(&self, shard: usize) -> &[SeriesId] {
-        &self.shards[shard]
-    }
-
-    /// All shards' member lists, in shard order.
-    pub fn shards(&self) -> &[Vec<SeriesId>] {
-        &self.shards
-    }
-
-    /// The `(shard, shard-local index)` of a global series id.
-    pub fn locate(&self, id: SeriesId) -> Result<(usize, usize), TsError> {
-        self.locate
-            .get(id.index())
-            .copied()
-            .filter(|(s, _)| *s != usize::MAX)
-            .ok_or(TsError::UnknownSeries(id))
-    }
-
     /// The `(component, component-local index)` of a global series id.
-    fn locate_component(&self, id: SeriesId) -> Result<(usize, usize), TsError> {
+    fn locate_component(&self, id: SeriesId) -> Option<(usize, usize)> {
         self.locate_component
             .get(id.index())
             .copied()
             .filter(|(c, _)| *c != usize::MAX)
-            .ok_or(TsError::UnknownSeries(id))
-    }
-
-    /// Maps a shard-local dense id back to the global series id.
-    pub fn global_id(&self, shard: usize, local: SeriesId) -> SeriesId {
-        self.shards[shard][local.index()]
-    }
-
-    /// Maps a component-local dense id back to the global series id.
-    pub fn component_global_id(&self, component: usize, local: SeriesId) -> SeriesId {
-        self.components[component][local.index()]
-    }
-
-    /// The catalog of one shard: candidate lists restricted to in-shard
-    /// members (cross-component edges are dropped — only possible after a
-    /// giant-component split) and remapped to shard-local dense ids.
-    pub fn shard_catalog(&self, shard: usize, catalog: &Catalog) -> Result<Catalog, TsError> {
-        let mut local = Catalog::new();
-        for (i, &id) in self.shards[shard].iter().enumerate() {
-            let (component, _) = self.locate_component(id)?;
-            let ranked: Vec<SeriesId> = catalog
-                .candidates(id)
-                .iter()
-                .filter_map(|c| match self.locate_component(*c) {
-                    // Same component ⇒ same shard; remap to shard-local ids.
-                    Ok((cc, _)) if cc == component => {
-                        self.locate(*c).ok().map(|(_, l)| SeriesId::from(l))
-                    }
-                    _ => None,
-                })
-                .collect();
-            local.set_candidates(SeriesId::from(i), ranked)?;
-        }
-        Ok(local)
     }
 
     /// The catalog of one component: candidate lists restricted to
@@ -458,25 +368,13 @@ impl FleetPartition {
                 .candidates(id)
                 .iter()
                 .filter_map(|c| match self.locate_component(*c) {
-                    Ok((cc, l)) if cc == component => Some(SeriesId::from(l)),
+                    Some((cc, l)) if cc == component => Some(SeriesId::from(l)),
                     _ => None,
                 })
                 .collect();
             local.set_candidates(SeriesId::from(i), ranked)?;
         }
         Ok(local)
-    }
-
-    /// Projects a fleet-wide tick onto one shard: the sub-tick carrying the
-    /// shard members' values in shard-local order.
-    pub fn project_tick(&self, shard: usize, tick: &StreamTick) -> StreamTick {
-        tick.project(&self.shards[shard])
-    }
-
-    /// Projects a fleet-wide tick onto one component: the sub-tick carrying
-    /// the component members' values in component-local order.
-    pub fn project_component_tick(&self, component: usize, tick: &StreamTick) -> StreamTick {
-        tick.project(&self.components[component])
     }
 
     /// Count of candidate edges of `catalog` that cross a component boundary
@@ -526,7 +424,7 @@ impl FleetPartition {
         for component in 0..self.components.len() {
             for &id in &self.components[component] {
                 for &cand in catalog.candidates(id) {
-                    if matches!(self.locate_component(cand), Ok((c, _)) if c != component)
+                    if matches!(self.locate_component(cand), Some((c, _)) if c != component)
                         && !visit(id, cand)
                     {
                         return;
@@ -535,6 +433,18 @@ impl FleetPartition {
             }
         }
     }
+}
+
+/// `(component, component-local index)` of every global series id
+/// (`usize::MAX` pairs for ids no component holds).
+fn locate_components(width: usize, components: &[Vec<SeriesId>]) -> Vec<(usize, usize)> {
+    let mut locate = vec![(usize::MAX, usize::MAX); width];
+    for (c, component) in components.iter().enumerate() {
+        for (i, id) in component.iter().enumerate() {
+            locate[id.index()] = (c, i);
+        }
+    }
+    locate
 }
 
 /// Undirected adjacency lists of the candidate graph over `0..width`.
@@ -616,7 +526,28 @@ fn split_by_bfs(group: &[usize], adjacency: &[Vec<usize>]) -> (Vec<usize>, Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::StreamTick;
     use crate::timestamp::Timestamp;
+
+    /// The global ids on `shard`, ascending: its components' members.
+    fn shard_members(p: &FleetPartition, shard: usize) -> Vec<SeriesId> {
+        let mut members: Vec<SeriesId> = p
+            .components_on(shard)
+            .into_iter()
+            .flat_map(|c| p.component_members(c).to_vec())
+            .collect();
+        members.sort_unstable();
+        members
+    }
+
+    /// Every shard's members, in shard order, flattened and sorted.
+    fn all_members(p: &FleetPartition) -> Vec<SeriesId> {
+        let mut all: Vec<SeriesId> = (0..p.shard_count())
+            .flat_map(|s| shard_members(p, s))
+            .collect();
+        all.sort_unstable();
+        all
+    }
 
     fn pair_catalog(pairs: &[(usize, usize)]) -> Catalog {
         let mut c = Catalog::new();
@@ -634,14 +565,12 @@ mod tests {
         let p = FleetPartition::new(5, &catalog, 3).unwrap();
         assert_eq!(p.shard_count(), 3);
         assert_eq!(p.component_count(), 3);
-        assert_eq!(p.members(0), &[SeriesId(0), SeriesId(1)]);
-        assert_eq!(p.members(1), &[SeriesId(2), SeriesId(3)]);
-        assert_eq!(p.members(2), &[SeriesId(4)]);
+        assert_eq!(p.component_members(0), &[SeriesId(0), SeriesId(1)]);
+        assert_eq!(p.component_members(1), &[SeriesId(2), SeriesId(3)]);
+        assert_eq!(p.component_members(2), &[SeriesId(4)]);
+        assert_eq!(p.assignment(), &[0, 1, 2]);
         assert_eq!(p.dropped_edges(&catalog), 0);
-        assert_eq!(p.locate(SeriesId(3)).unwrap(), (1, 1));
-        assert_eq!(p.locate_component(SeriesId(3)).unwrap(), (1, 1));
-        assert_eq!(p.global_id(1, SeriesId(1)), SeriesId(3));
-        assert_eq!(p.component_global_id(2, SeriesId(0)), SeriesId(4));
+        assert_eq!(p.locate_component(SeriesId(3)), Some((1, 1)));
         assert_eq!(p.version(), 0);
         assert!(p.migration_log().is_empty());
     }
@@ -653,8 +582,8 @@ mod tests {
         let p = FleetPartition::new(8, &catalog, 2).unwrap();
         assert_eq!(p.shard_count(), 2);
         assert_eq!(p.component_count(), 4);
-        assert_eq!(p.members(0).len() + p.members(1).len(), 8);
-        assert_eq!(p.members(0).len(), 4);
+        assert_eq!(all_members(&p).len(), 8);
+        assert_eq!(shard_members(&p, 0).len(), 4);
         assert_eq!(p.dropped_edges(&catalog), 0);
         // Equal-sized components are dealt round-robin: components {0, 2}
         // land on shard 0, {1, 3} on shard 1.
@@ -667,13 +596,14 @@ mod tests {
         let catalog = Catalog::ring_neighbours(8);
         let p = FleetPartition::new(8, &catalog, 2).unwrap();
         assert_eq!(p.shard_count(), 2);
-        assert_eq!(p.members(0).len(), 4);
-        assert_eq!(p.members(1).len(), 4);
+        assert_eq!(shard_members(&p, 0).len(), 4);
+        assert_eq!(shard_members(&p, 1).len(), 4);
         assert!(p.dropped_edges(&catalog) > 0);
         // Every series is still assigned exactly once.
-        let mut all: Vec<SeriesId> = p.shards().iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..8usize).map(SeriesId::from).collect::<Vec<_>>());
+        assert_eq!(
+            all_members(&p),
+            (0..8usize).map(SeriesId::from).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -687,11 +617,12 @@ mod tests {
         assert_eq!(p.shard_count(), 8);
         assert_eq!(p.component_count(), 8);
         for shard in 0..8 {
-            assert!(!p.members(shard).is_empty());
+            assert!(!shard_members(&p, shard).is_empty());
         }
-        let mut all: Vec<SeriesId> = p.shards().iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..32usize).map(SeriesId::from).collect::<Vec<_>>());
+        assert_eq!(
+            all_members(&p),
+            (0..32usize).map(SeriesId::from).collect::<Vec<_>>()
+        );
         let dropped = p.dropped_edges(&catalog);
         assert!(dropped > 0 && dropped.is_multiple_of(2));
         assert_eq!(p.dropped_edge_sample(&catalog, dropped.min(4)).len(), 4);
@@ -699,7 +630,7 @@ mod tests {
         // A width not divisible by the shard target still covers all shards.
         let odd = FleetPartition::new(29, &Catalog::ring_neighbours(29), 8).unwrap();
         assert_eq!(odd.shard_count(), 8);
-        assert_eq!(odd.shards().iter().map(Vec::len).sum::<usize>(), 29);
+        assert_eq!(all_members(&odd).len(), 29);
     }
 
     #[test]
@@ -734,9 +665,10 @@ mod tests {
             .components
             .iter()
             .any(|c| c == &[SeriesId(20), SeriesId(21)]));
-        let mut all: Vec<SeriesId> = p.shards().iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..22usize).map(SeriesId::from).collect::<Vec<_>>());
+        assert_eq!(
+            all_members(&p),
+            (0..22usize).map(SeriesId::from).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -766,25 +698,16 @@ mod tests {
         assert_eq!(p.migration_log(), &[migration]);
         assert_eq!(p.shard_of_component(2), 1);
         assert_eq!(p.component_members(2), &before_members[..]);
-        // Derived shard views follow the move.
-        assert_eq!(p.members(0), &[SeriesId(0), SeriesId(1)]);
+        // The shards' members follow the move.
+        assert_eq!(p.components_on(0), vec![0]);
         assert_eq!(
-            p.members(1),
-            &[
-                SeriesId(2),
-                SeriesId(3),
-                SeriesId(4),
-                SeriesId(5),
-                SeriesId(6),
-                SeriesId(7)
-            ]
+            shard_members(&p, 1),
+            (2..8usize).map(SeriesId::from).collect::<Vec<_>>()
         );
-        for id in 0..8usize {
-            let (shard, local) = p.locate(SeriesId::from(id)).unwrap();
-            assert_eq!(
-                p.global_id(shard, SeriesId::from(local)),
-                SeriesId::from(id)
-            );
+        // The component reverse map does not move with its shard.
+        for id in (0..8usize).map(SeriesId::from) {
+            let (component, local) = p.locate_component(id).unwrap();
+            assert_eq!(p.component_members(component)[local], id);
         }
         // Dropped edges are component-relative and unaffected by the move.
         assert_eq!(p.dropped_edges(&catalog), 0);
@@ -812,16 +735,13 @@ mod tests {
     }
 
     #[test]
-    fn shard_catalog_remaps_to_local_ids() {
+    fn component_catalog_remaps_to_local_ids() {
         let catalog = pair_catalog(&[(0, 1), (2, 3)]);
         let p = FleetPartition::new(4, &catalog, 2).unwrap();
-        let local = p.shard_catalog(1, &catalog).unwrap();
+        let local = p.component_catalog(1, &catalog).unwrap();
         // Global 2—3 becomes local 0—1.
         assert_eq!(local.candidates(SeriesId(0)), &[SeriesId(1)]);
         assert!(local.candidates(SeriesId(1)).is_empty());
-        // The component catalog agrees while components and shards coincide.
-        let comp = p.component_catalog(1, &catalog).unwrap();
-        assert_eq!(comp.candidates(SeriesId(0)), &[SeriesId(1)]);
     }
 
     #[test]
@@ -832,18 +752,16 @@ mod tests {
             Timestamp::new(7),
             vec![Some(0.0), None, Some(2.0), Some(3.0)],
         );
-        let sub = p.project_tick(1, &tick);
+        let sub = tick.project(p.component_members(1));
         assert_eq!(sub.time, Timestamp::new(7));
         assert_eq!(sub.values, vec![Some(2.0), Some(3.0)]);
-        let comp = p.project_component_tick(1, &tick);
-        assert_eq!(comp.values, vec![Some(2.0), Some(3.0)]);
     }
 
     #[test]
     fn fewer_series_than_shards_yields_singletons() {
         let p = FleetPartition::new(2, &Catalog::new(), 8).unwrap();
         assert_eq!(p.shard_count(), 2);
-        assert_eq!(p.members(0), &[SeriesId(0)]);
+        assert_eq!(shard_members(&p, 0), vec![SeriesId(0)]);
         let one = FleetPartition::new(1, &Catalog::new(), 4).unwrap();
         assert_eq!(one.shard_count(), 1);
     }
@@ -857,7 +775,7 @@ mod tests {
         assert!(FleetPartition::new(2, &catalog, 1).is_err());
         assert!(FleetPartition::new(1, &Catalog::new(), 1)
             .unwrap()
-            .locate(SeriesId(9))
-            .is_err());
+            .locate_component(SeriesId(9))
+            .is_none());
     }
 }

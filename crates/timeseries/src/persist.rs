@@ -502,10 +502,10 @@ mod tests {
         let p = FleetPartition::new(5, &c, 3).unwrap();
         let back = round_trip(&p);
         assert_eq!(back, p);
-        assert_eq!(
-            back.locate(SeriesId(3)).unwrap(),
-            p.locate(SeriesId(3)).unwrap()
-        );
+        // Decode rebuilds the component reverse map the catalog reads:
+        // global 2—3 is component 1's local 0—1.
+        let local = back.component_catalog(1, &c).unwrap();
+        assert_eq!(local.candidates(SeriesId(0)), &[SeriesId(1)]);
     }
 
     /// Hand-encodes a partition payload in the current layout: components,

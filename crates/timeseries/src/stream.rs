@@ -50,8 +50,8 @@ impl StreamTick {
 
     /// Projects the tick onto a subset of series: the sub-tick carries the
     /// values of `members` in the given order (missing for ids the tick does
-    /// not cover).  This is how a fleet-wide tick is fanned out to the
-    /// per-shard engines of a partitioned fleet.
+    /// not cover): a fleet-wide tick fanned out to the engine of one
+    /// component of a partitioned fleet.
     pub fn project(&self, members: &[SeriesId]) -> StreamTick {
         StreamTick {
             time: self.time,

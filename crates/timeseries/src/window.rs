@@ -37,9 +37,10 @@ pub enum SlotState {
 /// The ingest policy for one arriving reading: a non-finite value (NaN,
 /// ±∞) is stored as missing, so it can never feed a pattern or become an
 /// anchor value.  Huge *finite* readings are data and pass unchanged.
-/// The signature index of `tkcm-core` applies the same policy when it folds
-/// a pushed tick into its newest block, and re-reads a written block from
-/// this window's value plane.
+/// The signature index of `tkcm-core` counts any non-finite value as
+/// missing when it folds a pushed tick into its newest block, which is the
+/// same policy, and re-reads a written block from this window's value
+/// plane.
 pub fn ingest_reading(value: Option<f64>) -> Option<f64> {
     value.filter(|v| v.is_finite())
 }

@@ -49,7 +49,7 @@ fn main() {
         .reference_count(2)
         .build()
         .expect("valid configuration");
-    let imputer = TkcmImputer::new(config).expect("valid configuration");
+    let mut imputer = TkcmImputer::new(config).expect("valid configuration");
 
     let detail = imputer
         .impute(&window, SeriesId(0), &[SeriesId(1), SeriesId(2)])
