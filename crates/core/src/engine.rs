@@ -14,7 +14,9 @@
 //! re-summarizes from the window, and every imputation runs one stateless
 //! best-first search over it ([`TkcmImputer::impute_composed`]).  The index
 //! is a cache that only bounds candidates: snapshots leave it out, and a
-//! decoded engine rebuilds it from the window.
+//! decoded engine rebuilds it from the window.  The running [`PruneStats`]
+//! are telemetry, like the phase durations: snapshots leave them out too,
+//! so a snapshot holds only what WAL replay reproduces.
 //! With `TkcmConfig::pruning = false` every imputation runs the exhaustive
 //! exact path ([`TkcmImputer::impute`]) instead, the oracle the composed path
 //! is bit-identical to.
@@ -85,11 +87,9 @@ pub struct TkcmEngine {
     /// window by `advance_tick`/`commit_write_back`.  A pruning cache, not
     /// state: snapshots leave it out and decode rebuilds it from the window.
     signatures: Option<SignatureIndex>,
-    /// Running totals of the per-imputation [`PruneStats`].  Persisted in
-    /// snapshots so diagnostics survive a crash — unlike the phase
-    /// wall-clock durations, which are telemetry, these are exact event
-    /// counts with no legitimate reason to reset on recovery.
-    pub(crate) prune_totals: PruneStats,
+    /// Running totals of the per-imputation [`PruneStats`]: telemetry, not
+    /// state (see [`TkcmEngine::prune_totals`]).
+    prune_totals: PruneStats,
 }
 
 impl TkcmEngine {
@@ -185,9 +185,13 @@ impl TkcmEngine {
         0
     }
 
-    /// Running totals of the pruning counters across all imputations so far
-    /// (all zero on the exact path).  `pruned / candidates` is the
-    /// `pruned_fraction` the benchmarks report.
+    /// Running totals of the pruning counters across the imputations this
+    /// engine ran since it was built or decoded (all zero on the exact
+    /// path).  Like [`TkcmEngine::phase_breakdown`]'s durations they are
+    /// process-local telemetry: snapshots do not persist them, so they
+    /// restart at zero after a decode, and a replayed WAL entry leaves them
+    /// alone.  Callers take per-call deltas (`pruned / candidates` is the
+    /// `pruned_fraction` the benchmarks report).
     pub fn prune_totals(&self) -> PruneStats {
         self.prune_totals
     }
@@ -302,9 +306,10 @@ impl TkcmEngine {
     }
 
     /// Replays one logged tick and its write-backs, reproducing the window,
-    /// signature index and counters of the original
+    /// signature index and tick and imputation counters of the original
     /// [`TkcmEngine::process_tick`] call without re-running pattern
-    /// extraction or selection (the logged values are authoritative).
+    /// extraction or selection (the logged values are authoritative).  The
+    /// telemetry — phase durations and prune totals — is left alone.
     ///
     /// Entries whose tick time is not ahead of the window are *stale* — they
     /// describe ticks already covered by the snapshot the replay started

@@ -100,8 +100,8 @@ pub struct PruneStats {
     /// them individually).
     pub level1_skipped: usize,
     /// Always 0: no maintained bound prunes candidates any more.  Kept so
-    /// benchmark readers of the counters stay stable; snapshots do not
-    /// persist it and the metrics registry has no series for it.
+    /// benchmark readers of the counters stay stable; the metrics registry
+    /// has no series for it.
     pub maintained_pruned: usize,
 }
 

@@ -3,23 +3,23 @@
 //!
 //! A [`crate::engine::TkcmEngine`] snapshot holds the engine's state, not
 //! its caches or its telemetry: the configuration, the streaming window
-//! (value rings, provenance rings, timestamp ring), the reference catalog,
-//! the imputation and tick counters and the prune totals.  Phase durations
-//! are wall-clock telemetry and stay out, so an engine's snapshot bytes
-//! depend only on the ticks it processed live.  Decode rebuilds the
-//! signature index from the window.  The index only bounds candidates and
-//! the composed search keeps no state across imputations, so loading a
-//! snapshot and replaying the logged ticks since it ([`WalEntry`], applied
-//! through [`crate::engine::TkcmEngine::apply_wal_entry`]) imputes bit-identically
-//! to an engine that never crashed — the recovery-equivalence property the
-//! runtime's tests pin down.
+//! (value rings, provenance rings, timestamp ring), the reference catalog
+//! and the imputation and tick counters.  Phase durations and prune totals
+//! are telemetry and stay out, so a snapshot holds only what WAL replay
+//! reproduces and its bytes depend only on the ticks the engine processed.
+//! Decode rebuilds the signature index from the window.  The index only
+//! bounds candidates and the composed search keeps no state across
+//! imputations, so loading a snapshot and replaying the logged ticks since
+//! it ([`WalEntry`], applied through
+//! [`crate::engine::TkcmEngine::apply_wal_entry`]) encodes to the same bytes
+//! and imputes bit-identically to an engine that never crashed — the
+//! recovery-equivalence property the runtime's tests pin down.
 
 use tkcm_store::{Decoder, Encoder, Snapshot, StoreError};
 use tkcm_timeseries::{Catalog, SeriesId, StreamTick, StreamingWindow};
 
 use crate::config::TkcmConfig;
 use crate::engine::TkcmEngine;
-use crate::imputer::PruneStats;
 
 /// One write-back logged alongside the tick that produced it: the imputed
 /// series and the imputed value.
@@ -133,28 +133,6 @@ impl Snapshot for TkcmConfig {
     }
 }
 
-/// The four counters a search can raise; `maintained_pruned` is always 0
-/// and is not written.
-impl Snapshot for PruneStats {
-    fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        enc.usize(self.candidates);
-        enc.usize(self.shortlisted);
-        enc.usize(self.pruned);
-        enc.usize(self.level1_skipped);
-        Ok(())
-    }
-
-    fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        Ok(PruneStats {
-            candidates: dec.usize()?,
-            shortlisted: dec.usize()?,
-            pruned: dec.usize()?,
-            level1_skipped: dec.usize()?,
-            maintained_pruned: 0,
-        })
-    }
-}
-
 impl Snapshot for TkcmEngine {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
         self.imputer.config().write_into(enc)?;
@@ -162,7 +140,7 @@ impl Snapshot for TkcmEngine {
         self.catalog.write_into(enc)?;
         enc.usize(self.imputation_count);
         enc.usize(self.tick_count);
-        self.prune_totals.write_into(enc)
+        Ok(())
     }
 
     fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
@@ -178,12 +156,10 @@ impl Snapshot for TkcmEngine {
         let catalog = Catalog::read_from(dec)?;
         let imputation_count = dec.usize()?;
         let tick_count = dec.usize()?;
-        let prune_totals = PruneStats::read_from(dec)?;
         let mut engine = TkcmEngine::assemble(config, window, catalog)
             .map_err(|e| StoreError::invalid(e.to_string()))?;
         engine.imputation_count = imputation_count;
         engine.tick_count = tick_count;
-        engine.prune_totals = prune_totals;
         Ok(engine)
     }
 }
@@ -193,6 +169,7 @@ mod tests {
     use std::time::Duration;
 
     use super::*;
+    use crate::imputer::PruneStats;
     use tkcm_store::{decode_from_slice, encode_to_vec};
     use tkcm_timeseries::Timestamp;
 
@@ -262,11 +239,11 @@ mod tests {
     #[test]
     fn engine_snapshot_restores_bit_identical_behaviour() {
         // Run an engine through imputations, snapshot it, restore, and drive
-        // both with identical further ticks: outcomes, window contents and
-        // the prune counters must match bit for bit, although the restored
-        // engine starts with a rebuilt index.
+        // both with identical further ticks: outcomes and window contents
+        // must match bit for bit, although the restored engine starts with a
+        // rebuilt index.
         let mut original = run_engine(120);
-        assert!(original.prune_totals().shortlisted > 0);
+        assert!(original.imputations_performed() > 0);
         let bytes = encode_to_vec(&original).unwrap();
         let mut restored: TkcmEngine = decode_from_slice(&bytes).unwrap();
         assert_eq!(encode_to_vec(&restored).unwrap(), bytes);
@@ -275,7 +252,6 @@ mod tests {
             restored.imputations_performed(),
             original.imputations_performed()
         );
-        assert_eq!(restored.prune_totals(), original.prune_totals());
 
         for t in 120..200usize {
             let missing = t % 5 == 0;
@@ -298,11 +274,6 @@ mod tests {
                 assert_eq!(x.detail.anchors, y.detail.anchors);
             }
             assert_eq!(a.skipped, b.skipped);
-            assert_eq!(
-                original.prune_totals(),
-                restored.prune_totals(),
-                "tick {t}: prune counters diverged"
-            );
         }
     }
 
@@ -340,24 +311,10 @@ mod tests {
     }
 
     #[test]
-    fn prune_totals_survive_snapshot_recovery() {
-        // The running prune diagnostics are part of the snapshot (format
-        // v5): a recovered engine continues the totals instead of silently
-        // resetting them to zero.
-        let engine = run_engine(120);
-        let totals = engine.prune_totals();
-        assert!(
-            totals.candidates > 0,
-            "the driven engine pruned: {totals:?}"
-        );
-        let restored: TkcmEngine = round_trip(&engine);
-        assert_eq!(restored.prune_totals(), totals);
-    }
-
-    #[test]
     fn wal_replay_reproduces_live_processing() {
         // Drive a live engine and log every tick; replay the log into a
-        // snapshot taken earlier; states must agree bit for bit afterwards.
+        // snapshot taken earlier; states must agree bit for bit afterwards,
+        // down to the encoded bytes.
         let width = 3;
         let mut live =
             TkcmEngine::new(width, small_config(), Catalog::ring_neighbours(width)).unwrap();
@@ -395,6 +352,11 @@ mod tests {
         assert_eq!(
             recovered.imputations_performed(),
             live.imputations_performed()
+        );
+        assert_eq!(
+            encode_to_vec(&recovered).unwrap(),
+            encode_to_vec(&live).unwrap(),
+            "the replayed engine encodes to the live engine's bytes"
         );
         // Continue both engines and compare outcomes bit for bit.
         for t in 160..220usize {
@@ -439,14 +401,17 @@ mod tests {
         let counted = |e: &TkcmEngine| e.phase_breakdown().imputations;
         assert_eq!(counted(&live), live.imputations_performed());
         assert!(live.phase_breakdown().extraction > Duration::ZERO);
+        assert!(live.prune_totals().candidates > 0);
 
-        // A decoded engine keeps the count; its durations restart at zero.
+        // A decoded engine keeps the count; its durations and prune totals
+        // restart at zero.
         let mut recovered: TkcmEngine = decode_from_slice(&snapshot).unwrap();
         assert_eq!(counted(&recovered), recovered.imputations_performed());
         assert!(recovered.imputations_performed() > 0);
         assert_eq!(recovered.phase_breakdown().total(), Duration::ZERO);
+        assert_eq!(recovered.prune_totals(), PruneStats::default());
 
-        // Replay counts the logged write-backs without timing anything.
+        // Replay counts the logged write-backs without timing or searching.
         for entry in &log {
             assert!(recovered.apply_wal_entry(entry).unwrap());
         }
@@ -456,6 +421,7 @@ mod tests {
         );
         assert_eq!(counted(&recovered), live.imputations_performed());
         assert_eq!(recovered.phase_breakdown().total(), Duration::ZERO);
+        assert_eq!(recovered.prune_totals(), PruneStats::default());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Golden byte image of one engine snapshot file, and the determinism it
 //! rests on.
 //!
-//! An engine snapshot holds state only — configuration, window, catalog,
-//! counters and prune totals — and no wall-clock phase durations, so two
-//! engines fed the same ticks write the same bytes.  `golden/engine.snap`
-//! is the snapshot file (format 11) of the engine [`engine`] builds: it has
+//! An engine snapshot holds state only — configuration, window, catalog
+//! and the tick and imputation counters — and no telemetry (phase
+//! durations, prune totals), so two engines fed the same ticks write the
+//! same bytes.  `golden/engine.snap` is the snapshot file (format 12) of
+//! the engine [`engine`] builds: it has
 //! imputed values with anchors, taken a fallback, and ingested a NaN and an
 //! `∞` reading.  A codec change that keeps round trips working but changes
 //! the bytes on disk fails here.

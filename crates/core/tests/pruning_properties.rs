@@ -52,8 +52,8 @@ proptest! {
     /// complete candidate a duplicate), and l reaches past two signature
     /// blocks, so the chunk-mean bound runs on D = 0 candidates.  At a
     /// random tick the composed engine is replaced by its own
-    /// `encode → decode` copy — rebuilt signature index, same prune
-    /// counters — which must keep matching the oracle.  In one case in three the
+    /// `encode → decode` copy — rebuilt signature index, same bytes — which
+    /// must keep matching the oracle.  In one case in three the
     /// target is observed only in one l-tick burst per two windows, so its
     /// history never holds k non-overlapping candidates: τ is never
     /// certified and the search must end as the exhaustive sweep, pruning
@@ -102,6 +102,7 @@ proptest! {
             1 => level + 3.3 * (saw(t, shift) / period as f64 * std::f64::consts::TAU).sin(),
             _ => level,
         };
+        let mut before_restore = PruneStats::default();
         for t in 0..total {
             let s0_missing = if sparse_target == 0 {
                 t % (2 * window_length) >= l
@@ -136,16 +137,21 @@ proptest! {
                 prop_assert_eq!(x.detail.fallback, y.detail.fallback);
             }
             if t == restore_at {
-                let totals = composed.prune_totals();
-                composed = decode_from_slice(&encode_to_vec(&composed).unwrap()).unwrap();
-                prop_assert_eq!(composed.prune_totals(), totals);
+                // The prune totals are telemetry: they restart at zero in
+                // the restored engine, so the ones before the restore are
+                // kept aside.
+                before_restore = composed.prune_totals();
+                let bytes = encode_to_vec(&composed).unwrap();
+                composed = decode_from_slice(&bytes).unwrap();
+                prop_assert_eq!(encode_to_vec(&composed).unwrap(), bytes);
             }
         }
         prop_assert_eq!(
             composed.imputations_performed(),
             exhaustive.imputations_performed()
         );
-        let totals = composed.prune_totals();
+        let mut totals = before_restore;
+        totals += composed.prune_totals();
         prop_assert_eq!(totals.candidates > 0, composed.imputations_performed() > 0);
         prop_assert!(
             totals.shortlisted + totals.pruned <= totals.candidates,

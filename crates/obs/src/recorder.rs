@@ -142,18 +142,28 @@ impl FlightRecorder {
         out
     }
 
-    /// Writes the ring as `flight-recorder-<label>-<unix_micros>.json`
-    /// under `dir` (created if missing) and returns the path.  Called when
-    /// the fleet poisons, when a checkpoint/recovery fails, and on demand.
+    /// Writes the ring as `flight-recorder-<label>-<pid>.json` under `dir`
+    /// (created if missing) and returns the path.  Called when the fleet
+    /// poisons, when a checkpoint/recovery fails, and on demand.  A later
+    /// dump of the same label by the same process replaces the earlier one
+    /// (through a temporary file and a rename, so a reader never sees a
+    /// half-written dump): the ring already holds the events before it, and
+    /// a process leaves at most one dump per label behind.
     pub fn dump_to_dir(&self, dir: &Path, label: &str) -> std::io::Result<PathBuf> {
+        static DUMPS: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(dir)?;
-        let stamp = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
-            .unwrap_or(0);
-        let path = dir.join(format!("flight-recorder-{label}-{stamp}.json"));
-        std::fs::write(&path, self.render_json())?;
-        Ok(path)
+        let pid = std::process::id();
+        let path = dir.join(format!("flight-recorder-{label}-{pid}.json"));
+        // One temporary name per call, so two threads dumping the same
+        // label never write into each other's file.
+        let seq = DUMPS.fetch_add(1, Ordering::Relaxed);
+        let tmp = dir.join(format!("flight-recorder-{label}-{pid}.json.tmp{seq}"));
+        let written =
+            std::fs::write(&tmp, self.render_json()).and_then(|()| std::fs::rename(&tmp, &path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written.map(|()| path)
     }
 }
 
@@ -239,9 +249,19 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let path = recorder.dump_to_dir(&dir, "test").unwrap();
         let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        assert!(name.starts_with("flight-recorder-test-"), "{name}");
-        assert!(name.ends_with(".json"), "{name}");
+        assert_eq!(
+            name,
+            format!("flight-recorder-test-{}.json", std::process::id())
+        );
         assert_eq!(std::fs::read_to_string(&path).unwrap(), json);
+        // A second dump of the same label replaces the first.
+        recorder.record("note", vec![("second", FieldValue::U64(2))]);
+        assert_eq!(recorder.dump_to_dir(&dir, "test").unwrap(), path);
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            recorder.render_json()
+        );
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,7 +4,7 @@
 //! write-ahead log per shard, plus a manifest tying them together:
 //!
 //! ```text
-//! <dir>/MANIFEST        fleet width, partition (+ assignment version), …
+//! <dir>/MANIFEST        partition (+ assignment version), WAL flag, …
 //! <dir>/shard-0.snap    per-component TkcmEngine states of shard 0
 //! <dir>/shard-0.wal     component-tagged ticks + write-backs of shard 0
 //! <dir>/shard-1.snap    ...
@@ -142,10 +142,9 @@ impl CheckpointStats {
 /// The manifest written at the root of a checkpoint directory.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Manifest {
-    /// Fleet width (number of series across all shards).
-    pub width: usize,
-    /// The exact partition the fleet ran with; recovery rebuilds the same
-    /// shard layout from it instead of re-deriving one from a catalog.
+    /// The exact partition the fleet ran with (width included); recovery
+    /// rebuilds the same shard layout from it instead of re-deriving one
+    /// from a catalog.
     pub partition: FleetPartition,
     /// Whether this directory carries per-shard WALs, i.e. it is a durable
     /// engine's own checkpoint directory.  `false` for snapshot-only
@@ -163,7 +162,6 @@ pub(crate) struct Manifest {
 
 impl Snapshot for Manifest {
     fn write_into(&self, enc: &mut Encoder) -> Result<(), StoreError> {
-        enc.usize(self.width);
         self.partition.write_into(enc)?;
         enc.bool(self.wal);
         enc.usize(self.snapshot_interval);
@@ -172,23 +170,11 @@ impl Snapshot for Manifest {
     }
 
     fn read_from(dec: &mut Decoder<'_>) -> Result<Self, StoreError> {
-        let width = dec.usize()?;
-        let partition = FleetPartition::read_from(dec)?;
-        let wal = dec.bool()?;
-        let snapshot_interval = dec.usize()?;
-        let sync_policy = SyncPolicy::read_from(dec)?;
-        if partition.width() != width {
-            return Err(StoreError::invalid(format!(
-                "manifest width {width} does not match partition width {}",
-                partition.width()
-            )));
-        }
         Ok(Manifest {
-            width,
-            partition,
-            wal,
-            snapshot_interval,
-            sync_policy,
+            partition: FleetPartition::read_from(dec)?,
+            wal: dec.bool()?,
+            snapshot_interval: dec.usize()?,
+            sync_policy: SyncPolicy::read_from(dec)?,
         })
     }
 }
@@ -343,7 +329,6 @@ mod tests {
         let partition = FleetPartition::new(6, &Catalog::ring_neighbours(6), 2).unwrap();
         for sync_policy in [SyncPolicy::Never, SyncPolicy::EveryBatch] {
             let manifest = Manifest {
-                width: 6,
                 partition: partition.clone(),
                 wal: true,
                 snapshot_interval: 512,
@@ -351,6 +336,7 @@ mod tests {
             };
             let back: Manifest = decode_from_slice(&encode_to_vec(&manifest).unwrap()).unwrap();
             assert_eq!(back, manifest);
+            assert_eq!(back.partition.width(), 6);
         }
     }
 
@@ -359,22 +345,6 @@ mod tests {
         let mut enc = Encoder::new();
         enc.u8(2);
         assert!(decode_from_slice::<SyncPolicy>(&enc.into_bytes()).is_err());
-    }
-
-    #[test]
-    fn manifest_rejects_width_mismatch() {
-        let partition = FleetPartition::new(4, &Catalog::new(), 2).unwrap();
-        let manifest = Manifest {
-            width: 4,
-            partition,
-            wal: false,
-            snapshot_interval: 0,
-            sync_policy: SyncPolicy::Never,
-        };
-        let mut bytes = encode_to_vec(&manifest).unwrap();
-        // Corrupt the width field (first u64) without touching the partition.
-        bytes[0] = 9;
-        assert!(decode_from_slice::<Manifest>(&bytes).is_err());
     }
 
     #[test]

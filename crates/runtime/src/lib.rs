@@ -43,8 +43,9 @@
 //! a component's engine runs cannot change a single imputed bit, only
 //! which worker computes it.  The migration ships the engine through the
 //! existing job channels via the snapshot codec (bit-exact state; the
-//! pruning caches are rebuilt on arrival), bumps the [`FleetPartition`]
-//! live-mapping version, appends to its deterministic
+//! pruning caches are rebuilt on arrival, and its telemetry — phase
+//! durations, prune totals — restarts at zero), bumps the
+//! [`FleetPartition`] live-mapping version, appends to its deterministic
 //! migration log, and — for durable fleets — commits by checkpointing the
 //! new assignment (see below).
 //!
@@ -97,7 +98,7 @@ use std::sync::{Arc, LazyLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use tkcm_core::{EngineOutcome, PruneStats, TkcmConfig, TkcmEngine};
+use tkcm_core::{EngineOutcome, TkcmConfig, TkcmEngine};
 use tkcm_store::{
     decode_from_slice, encode_to_vec, read_snapshot_file, read_wal, read_wal_tolerating_torn_tail,
     write_snapshot_file, write_snapshot_file_synced, WalWriter,
@@ -216,10 +217,6 @@ struct ShardLoad {
     nanos: u64,
     /// `(component id, nanos)` breakdown of `nanos`.
     component_nanos: Vec<(usize, u64)>,
-    /// Cumulative [`TkcmEngine::prune_totals`] summed across the worker's
-    /// engines *after* the batch — a level, not a delta, so the fleet can
-    /// both track its running total and derive per-batch deltas.
-    prune: PruneStats,
 }
 
 /// One outcome per processed tick — the imputations and skips of every
@@ -452,12 +449,6 @@ pub struct ShardedEngine {
     loads: LoadTracker,
     /// Per-shard metric handles (see [`FleetObs`]).
     obs: FleetObs,
-    /// Latest cumulative [`PruneStats`] reported per shard (seeded from the
-    /// snapshots at construction/recovery, refreshed by every completed
-    /// batch).  Per-shard splits can lag a migration by one batch, but the
-    /// fleet-wide *sum* is invariant under migrations — engine bytes carry
-    /// their totals — so [`ShardedEngine::prune_totals`] stays exact.
-    shard_prune: Vec<PruneStats>,
 }
 
 impl ShardedEngine {
@@ -533,7 +524,6 @@ impl ShardedEngine {
             .flat_map(|s| s.engines.iter())
             .map(|(_, e)| e.imputations_performed())
             .sum();
-        let shard_prune = snapshots.iter().map(shard_prune_totals).collect();
         let workers = snapshots
             .into_iter()
             .zip(wals)
@@ -558,7 +548,6 @@ impl ShardedEngine {
             rebalancing: false,
             loads,
             obs,
-            shard_prune,
         })
     }
 
@@ -927,7 +916,6 @@ impl ShardedEngine {
         // manifest and its rename are fsynced, like the shards' rotations.
         let durable = self.durable.as_ref().filter(|_| resets_wal);
         let manifest = Manifest {
-            width: self.partition.width(),
             partition: self.partition.clone(),
             wal: resets_wal,
             snapshot_interval: durable.map_or(0, |d| d.snapshot_interval),
@@ -985,20 +973,6 @@ impl ShardedEngine {
     /// Number of values imputed across all shards.
     pub fn imputations_performed(&self) -> usize {
         self.imputation_count
-    }
-
-    /// Fleet-wide running totals of the pruning counters: the field-wise sum
-    /// of every component engine's [`TkcmEngine::prune_totals`], as of the
-    /// last batch.  Seeded from the persisted per-engine totals at
-    /// construction and recovery, so a recovered fleet continues its
-    /// pre-crash counts rather than restarting from zero.  All zero when
-    /// pruning is off.
-    pub fn prune_totals(&self) -> PruneStats {
-        let mut total = PruneStats::default();
-        for shard in &self.shard_prune {
-            total += *shard;
-        }
-        total
     }
 
     /// Processes one fleet-wide tick: the batch path at batch size 1 (see
@@ -1178,12 +1152,6 @@ impl ShardedEngine {
                 (self.obs.ewma_nanos.get(shard), self.loads.shard_ewma[shard])
             {
                 gauge.set(ewma);
-            }
-        }
-        // The shards' cumulative prune totals are the fleet's running view.
-        for (shard, load) in loads.iter().enumerate() {
-            if let Some(slot) = self.shard_prune.get_mut(shard) {
-                *slot = load.prune;
             }
         }
         Ok(merged)
@@ -1650,7 +1618,6 @@ impl ShardWorker {
         let mut load = ShardLoad {
             nanos: 0,
             component_nanos: self.snapshot.engines.iter().map(|(c, _)| (*c, 0)).collect(),
-            prune: PruneStats::default(),
         };
         let cpu_started = self.clock.nanos();
         let mut failure = None;
@@ -1720,9 +1687,6 @@ impl ShardWorker {
             if failure.is_none() {
                 logged?;
             }
-        }
-        for (_, engine) in &self.snapshot.engines {
-            load.prune += engine.prune_totals();
         }
         match failure {
             Some(e) => Err(e),
@@ -1798,16 +1762,6 @@ fn worker_checkpoint(
         )?),
         _ => Ok(write_snapshot_file(snapshot_path, snapshot)?),
     }
-}
-
-/// Sum of a shard snapshot's persisted per-engine prune totals — the seed
-/// for the fleet's running totals at construction and recovery.
-fn shard_prune_totals(snapshot: &ShardSnapshot) -> PruneStats {
-    let mut total = PruneStats::default();
-    for (_, engine) in &snapshot.engines {
-        total += engine.prune_totals();
-    }
-    total
 }
 
 /// Spawns the worker thread of one shard: `members` holds each of the
@@ -2078,7 +2032,6 @@ mod tests {
         ShardLoad {
             nanos,
             component_nanos: component_nanos.to_vec(),
-            prune: PruneStats::default(),
         }
     }
 

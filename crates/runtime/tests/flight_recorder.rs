@@ -1,6 +1,6 @@
 //! The flight recorder must still hold a durable fleet's checkpoint event
-//! after an imputation storm, and must hold a `recovery_failed` event after
-//! any failed recovery.
+//! after an imputation storm, must hold a `recovery_failed` event after
+//! any failed recovery, and must leave one recovery dump per process.
 //!
 //! The recorder is a process-global ring of recent events kept for
 //! post-mortem dumps, so the events it exists for — checkpoints, fsyncs,
@@ -8,6 +8,7 @@
 //! This test lives in its own binary because the recorder is shared by every
 //! test in a process.
 
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use tkcm_core::TkcmConfig;
@@ -127,5 +128,38 @@ fn failed_point_in_time_recovery_lands_a_recovery_failed_event() {
             && event.fields.iter().any(|(key, value)| *key == "dir"
                 && matches!(value, FieldValue::Text(text) if *text == dir_text))),
         "the failed recover_until left no recovery_failed event"
+    );
+}
+
+/// A failed recovery dumps the flight recorder into the temp directory, and
+/// a process keeps one dump per label there: a second failed recovery
+/// replaces the first one's file instead of adding another.
+#[test]
+fn failed_recoveries_leave_one_dump_per_process() {
+    let temp = std::env::temp_dir();
+    let dumps = || -> BTreeSet<String> {
+        std::fs::read_dir(&temp)
+            .unwrap()
+            .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+            .filter(|name| {
+                name.starts_with("flight-recorder-recovery-failed-") && name.ends_with(".json")
+            })
+            .collect()
+    };
+    let ours = format!(
+        "flight-recorder-recovery-failed-{}.json",
+        std::process::id()
+    );
+    let before = dumps();
+    for attempt in ["first", "second"] {
+        let missing = scratch_dir(&format!("missing-{attempt}"));
+        assert!(ShardedEngine::recover(&missing).is_err());
+    }
+    let after = dumps();
+    assert!(after.contains(&ours), "no {ours} in {}", temp.display());
+    let added: Vec<&String> = after.difference(&before).collect();
+    assert!(
+        added.iter().all(|name| **name == ours),
+        "failed recoveries added {added:?}"
     );
 }

@@ -172,73 +172,6 @@ proptest! {
     }
 }
 
-/// The pruning counters are diagnostics, but they feed the benchmark gates
-/// and dashboards — a recovery that silently zeroed them would fake a
-/// "cheap" warm-up.  Crash exactly on a checkpoint boundary (empty WAL), so
-/// the recovered totals must equal the crashed fleet's bit-for-bit, then
-/// keep accumulating.  The composed search keeps no state across
-/// imputations, so after every continued tick the totals and the outcomes
-/// must equal those of an uninterrupted run.
-#[test]
-fn prune_totals_continue_across_a_crash() {
-    let width = 4;
-    let catalog = cluster_catalog(2, 2);
-    let dir = scratch_dir("prune-totals");
-    let mut durable = ShardedEngine::with_durability(
-        width,
-        config(),
-        catalog.clone(),
-        2,
-        &dir,
-        DurabilityOptions {
-            snapshot_interval: 25,
-            ..DurabilityOptions::default()
-        },
-    )
-    .unwrap();
-    for t in 0..60 {
-        durable.process_tick(&tick_at(width, t)).unwrap();
-    }
-    durable.checkpoint(&dir).unwrap();
-    let at_crash = durable.prune_totals();
-    assert!(
-        at_crash.candidates > 0,
-        "fixture never imputed: {at_crash:?}"
-    );
-    assert!(
-        at_crash.shortlisted < at_crash.candidates,
-        "default config runs the composed path; expected pruning: {at_crash:?}"
-    );
-    drop(durable); // crash: the checkpoint is all that survives
-
-    let mut recovered = ShardedEngine::recover(&dir).unwrap();
-    assert_eq!(
-        recovered.prune_totals(),
-        at_crash,
-        "prune totals reset across crash/recovery"
-    );
-
-    let mut continuous = ShardedEngine::new(width, config(), catalog, 2).unwrap();
-    for t in 0..60 {
-        continuous.process_tick(&tick_at(width, t)).unwrap();
-    }
-    for t in 60..90 {
-        let a = recovered.process_tick(&tick_at(width, t)).unwrap();
-        let b = continuous.process_tick(&tick_at(width, t)).unwrap();
-        assert_eq!(a, b, "tick {t}");
-        assert_eq!(
-            recovered.prune_totals(),
-            continuous.prune_totals(),
-            "tick {t}: recovered fleet's prune totals diverged from the uninterrupted run"
-        );
-    }
-    assert!(
-        recovered.prune_totals().candidates > at_crash.candidates,
-        "totals stopped accumulating after recovery"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Every file of a checkpoint directory, `(name, bytes)`, by name.
 fn dir_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
     let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
@@ -255,16 +188,26 @@ fn dir_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
 
 /// What a fleet persists depends only on the ticks it processed: two
 /// durable fleets fed the same batches checkpoint into byte-identical
-/// directories, rotations included.  The rebalancer is off, since it acts
-/// on measured CPU time.
+/// directories, rotations included, and so does a third one that is
+/// dropped mid-interval, recovered from its snapshots and WALs and fed the
+/// rest.  The rebalancer is off, since it acts on measured CPU time.
 #[test]
 fn durable_fleets_fed_the_same_batches_checkpoint_the_same_bytes() {
     let width = 12;
     let catalog = cluster_catalog(4, 3);
+    let interval = 32;
     let ticks: Vec<StreamTick> = (0..90).map(|t| tick_at(width, t)).collect();
+    // Batches of 7 ticks: the last rotation before the drop is at tick 35,
+    // so the dropped fleet's WALs hold ticks 35..56.
+    let batch_len = 7;
+    let crash_at = 56;
     for shards in [1, 2, 4] {
-        let dirs = [scratch_dir("same-bytes"), scratch_dir("same-bytes")];
-        for dir in &dirs {
+        let dirs = [
+            scratch_dir("same-bytes"),
+            scratch_dir("same-bytes"),
+            scratch_dir("same-bytes-recovered"),
+        ];
+        for (run, dir) in dirs.iter().enumerate() {
             let mut fleet = ShardedEngine::with_durability(
                 width,
                 config(),
@@ -272,27 +215,54 @@ fn durable_fleets_fed_the_same_batches_checkpoint_the_same_bytes() {
                 shards,
                 dir,
                 DurabilityOptions {
-                    snapshot_interval: 32,
+                    snapshot_interval: interval,
                     ..DurabilityOptions::default()
                 },
             )
             .unwrap();
             fleet.set_rebalancing(false);
-            for batch in ticks.chunks(7) {
+            let mut batches = ticks.chunks(batch_len);
+            if run == 2 {
+                // Imputations since the last rotation: what replay must
+                // reproduce from the WALs alone.
+                let mut logged = 0;
+                for batch in batches.by_ref().take(crash_at / batch_len) {
+                    let before = fleet.ticks_processed();
+                    let imputed: usize = fleet
+                        .process_batch(batch)
+                        .unwrap()
+                        .iter()
+                        .map(|outcome| outcome.imputations.len())
+                        .sum();
+                    let rotated = (before + batch.len()) / interval > before / interval;
+                    logged = if rotated { 0 } else { logged + imputed };
+                }
+                assert!(logged > 0, "the WALs hold no imputation to replay");
+                drop(fleet); // crash mid-interval
+                fleet = ShardedEngine::recover(dir).unwrap();
+                assert_eq!(fleet.ticks_processed(), crash_at);
+                fleet.set_rebalancing(false);
+            }
+            for batch in batches {
                 fleet.process_batch(batch).unwrap();
             }
             assert!(fleet.imputations_performed() > 0);
             fleet.checkpoint(dir).unwrap();
         }
-        let (a, b) = (dir_files(&dirs[0]), dir_files(&dirs[1]));
+        let files: Vec<_> = dirs.iter().map(|dir| dir_files(dir)).collect();
         // The manifest plus one snapshot and one WAL per shard.
-        assert_eq!(a.len(), 1 + 2 * shards, "{shards} shard(s)");
-        assert_eq!(
-            a.iter().map(|f| &f.0).collect::<Vec<_>>(),
-            b.iter().map(|f| &f.0).collect::<Vec<_>>()
-        );
-        for ((name, x), (_, y)) in a.iter().zip(&b) {
-            assert!(x == y, "{name} differs with {shards} shard(s)");
+        assert_eq!(files[0].len(), 1 + 2 * shards, "{shards} shard(s)");
+        for (other, fleet) in [(&files[1], "second"), (&files[2], "recovered")] {
+            assert_eq!(
+                files[0].iter().map(|f| &f.0).collect::<Vec<_>>(),
+                other.iter().map(|f| &f.0).collect::<Vec<_>>()
+            );
+            for ((name, x), (_, y)) in files[0].iter().zip(other) {
+                assert!(
+                    x == y,
+                    "{name} of the {fleet} fleet differs with {shards} shard(s)"
+                );
+            }
         }
         for dir in &dirs {
             let _ = std::fs::remove_dir_all(dir);

@@ -70,8 +70,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"TKCMSNAP";
 /// lost `maintained_lags` and the engine its lag memories (the composed
 /// search keeps no state across imputations); 11 — the engine snapshot lost
 /// its wall-clock phase breakdown and the prune totals their always-zero
-/// `maintained_pruned` (snapshot bytes depend only on the ticks processed).
-pub const SNAPSHOT_FORMAT_VERSION: u32 = 11;
+/// `maintained_pruned` (snapshot bytes depend only on the ticks processed);
+/// 12 — the engine snapshot lost its prune totals (telemetry the WAL does
+/// not log, so replay reproduces the whole snapshot) and the manifest its
+/// fleet width (the partition holds it).
+pub const SNAPSHOT_FORMAT_VERSION: u32 = 12;
 
 /// Bytes in front of the payload: magic, version and payload length.
 const HEADER_LEN: usize = 20;
